@@ -8,22 +8,20 @@
  *   griffin_bench describe fig5
  *   griffin_bench run fig5 fig6 --threads 8
  *   griffin_bench run --all --sample 0.01 --rowcap 4 --out results.jsonl
- *   griffin_bench run fig5 --grid-shard 0/3 --cache-file fleet.grfc \
- *       --out shard0.jsonl
+ *   griffin_bench run fig5 --grid-shard 0/3 --out shard0.jsonl
  *
  * Every experiment accepts the same flag set: fidelity (--sample,
  * --rowcap, --seed, --lanebias; sample/rowcap default to the
  * experiment's tuned fidelity), parallelism (--threads, --layer-shard),
  * grid overrides (--grid, applied over the experiment's own axes),
- * batching (--batch-archs, on by default), cache persistence
- * (--cache-file/--cache-budget-mb for schedules,
- * --workset-cache-file/--workset-budget-mb for generated operand
+ * batching (--batch-archs, on by default), workset-cache persistence
+ * (--workset-cache-file/--workset-budget-mb for generated operand
  * worksets), and output (--csv tables, --json table JSON Lines,
  * --out result-row document: .json/.csv/.jsonl by suffix).
  *
  * Fleet sharding: --grid-shard i/n slices every sweep's job list into
- * n contiguous blocks and runs block i, so n processes sharing a
- * --cache-file cover a grid disjointly.  Sharded runs emit result rows
+ * n contiguous blocks and runs block i, so n processes cover a grid
+ * disjointly.  Sharded runs emit result rows
  * only (a shard's aggregate tables would be wrong); concatenating the
  * shards' --out .jsonl files in shard order is byte-identical to the
  * unsharded file, and
@@ -63,7 +61,6 @@
 #include "fleet/coordinator.hh"
 #include "fleet/worker.hh"
 #include "sched/dag_schedule.hh"
-#include "runtime/cache_store.hh"
 #include "runtime/experiment.hh"
 #include "runtime/perf_report.hh"
 #include "runtime/result_sink.hh"
@@ -259,7 +256,7 @@ benchKernels()
 
 /**
  * `perf` subcommand: run the pinned suite with Aggregate telemetry and
- * fresh caches per experiment, and write the schema-versioned
+ * a fresh workset cache per experiment, and write the schema-versioned
  * BENCH_perf.json trajectory artifact.  With --kernels, the SIMD
  * kernel micro-benchmarks run too (and alone when no experiment names
  * are given), landing as the artifact's "kernels" section.
@@ -279,9 +276,9 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
     config.batchArchs = cli.getBool("batch-archs");
     config.run = resolveFidelity(cli, perfDefaultSample,
                                  perfDefaultRowCap);
-    // Fresh caches per experiment (config caches stay null): the
-    // artifact's hit rates then describe each experiment's own reuse,
-    // not whatever the previous suite entry happened to warm.
+    // A fresh workset cache per experiment (the config cache stays
+    // null): the artifact's hit rates then describe each experiment's
+    // own reuse, not whatever the previous suite entry happened to warm.
 
     Telemetry::setMode(Telemetry::Mode::Aggregate);
     MetricsRegistry &reg = MetricsRegistry::instance();
@@ -314,8 +311,6 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
         for (const auto &stage : Telemetry::stageBreakdown())
             entry.stages.push_back(
                 {stage.stage, stage.count, stage.totalMs()});
-        entry.scheduleCache = outcome.sweep.cacheStats();
-        entry.aScheduleCache = outcome.sweep.aScheduleStats();
         entry.worksetCache = outcome.sweep.worksetStats();
         doc.suite.push_back(std::move(entry));
     }
@@ -420,8 +415,8 @@ main(int argc, char **argv)
                   "result rows stay byte-identical)");
     cli.addBool("stats", false,
                 "print the unified metrics registry (sweep, pool, and "
-                "cache counters) as one JSON line on stdout after "
-                "each experiment");
+                "cache counters, peak RSS) as one JSON line on stdout "
+                "after each experiment");
     cli.addBool("timings", false,
                 "add per-job elapsed_ms to --out result rows "
                 "(machine-dependent, so off by default to keep "
@@ -633,14 +628,12 @@ main(int argc, char **argv)
                   abandon);
         config.abandonAfter = static_cast<std::size_t>(abandon);
 
-        ScheduleCache cache;
         WorksetCache worksets;
-        loadCachesFromFlags(cli, cache, worksets);
-        config.cache = &cache;
+        loadCachesFromFlags(cli, worksets);
         config.worksetCache = &worksets;
 
         const int status = runWorker(config);
-        saveCachesFromFlags(cli, cache, worksets);
+        saveCachesFromFlags(cli, worksets);
         return status;
     }
 
@@ -721,10 +714,8 @@ main(int argc, char **argv)
               "(.jsonl, so shard files concatenate to the unsharded "
               "document)");
 
-    ScheduleCache cache;
     WorksetCache worksets;
-    loadCachesFromFlags(cli, cache, worksets);
-    config.cache = &cache;
+    loadCachesFromFlags(cli, worksets);
     config.worksetCache = &worksets;
 
     TableEmitter emitter;
@@ -771,8 +762,8 @@ main(int argc, char **argv)
                cli.getString("out"));
     }
 
-    // Machine-readable cache counters land on stdout: CI and the
-    // cache ctests assert warm runs report load_hits > 0.
-    saveCachesFromFlags(cli, cache, worksets);
+    // Machine-readable cache counters land on stdout: the workset ctest
+    // asserts warm runs report load_hits > 0.
+    saveCachesFromFlags(cli, worksets);
     return 0;
 }

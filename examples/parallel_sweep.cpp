@@ -3,28 +3,22 @@
  * Parallel sweep via the runtime/ subsystem, declared as a named-axis
  * grid: build a GridSpec with the builder API (or pass --grid), shard
  * the expanded jobs across a thread pool — down to one sub-job per
- * network layer — share preprocessed weight schedules between jobs
- * and across process runs, and serialize the merged results as JSON
- * rows that carry their own grid coordinates.
+ * network layer — and serialize the merged results as JSON rows that
+ * carry their own grid coordinates.
  *
  *   ./parallel_sweep
  *   ./parallel_sweep --grid "weight_lane_bias=0:1:0.25,seed=1..2"
- *   ./parallel_sweep --layer-shard --cache-file sweep.grfc
  *
  * The printed JSON is bit-identical to a --threads 1 run of the same
  * grid, layer-sharded or not: every job (and every layer sub-job)
  * carries an order-independent seed and results merge in submission
- * order, so parallelism never changes the numbers.  A --cache-file is
- * loaded before the sweep and saved after it; a second run then skips
- * B-side preprocessing for every tile the first run packed
- * (cache_store.hh).
+ * order, so parallelism never changes the numbers.
  */
 
 #include <iostream>
 
 #include "arch/presets.hh"
 #include "common/cli.hh"
-#include "runtime/cache_store.hh"
 #include "runtime/grid.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
@@ -45,8 +39,6 @@ main(int argc, char **argv)
                   "replace the built-in grid with a parsed spec, e.g. "
                   "\"arch=Griffin,network=resnet50,weight_lane_bias="
                   "0:1:0.5\"");
-    cli.addString("cache-file", "",
-                  "persist preprocessed B schedules to this GRFC file");
     cli.parse(argc, argv);
 
     // The sweep is a GridSpec: named axes, each a value list, expanded
@@ -79,35 +71,12 @@ main(int argc, char **argv)
     SweepSpec spec = grid.toSweepSpec(base);
     spec.shardLayers = cli.getBool("layer-shard");
 
-    ScheduleCache cache;
-    const auto cache_path = cli.getString("cache-file");
-    if (!cache_path.empty()) {
-        const auto loaded = loadCacheFile(cache_path, cache);
-        std::cerr << "schedule cache: loaded " << loaded
-                  << " entries from " << cache_path << "\n";
-    }
-
     const int threads = static_cast<int>(cli.getInt("threads"));
     std::cerr << "running " << spec.jobCount() << " jobs on " << threads
               << " threads" << (spec.shardLayers ? " (layer-sharded)" : "")
               << "\n";
 
-    const auto sweep = runSweep(spec, threads, &cache);
-
-    // Jobs sharing a weight tensor reuse each other's preprocessed
-    // B schedules: every Sparse.B column tile is packed once per
-    // distinct (tile content, borrow window, shuffle) triple — and
-    // with a cache file, once per *lifetime* of the file.
-    const auto &cs = sweep.cacheStats();
-    std::cerr << "schedule cache: " << cs.hits << " hits, " << cs.misses
-              << " misses, " << cs.entries << " entries, "
-              << cs.loadHits << " load hits\n";
-
-    if (!cache_path.empty()) {
-        const auto stored = saveCacheFile(cache_path, cache);
-        std::cerr << "schedule cache: stored " << stored
-                  << " entries to " << cache_path << "\n";
-    }
+    const auto sweep = runSweep(spec, threads);
 
     // Every row carries its resolved options and grid coordinates
     // ("coords"), so a two-variant sweep stays distinguishable in the

@@ -2,7 +2,7 @@
  * @file
  * Fixed-width little-endian scalar I/O for binary file formats.
  *
- * The persistent schedule-cache format (sched/b_preprocess.cc payload,
+ * The persistent workset-cache format (tensor/workset.cc payload,
  * runtime/cache_store.cc container) is defined in these units: every
  * scalar is written as exactly 8 little-endian bytes, independent of
  * host byte order and integer widths, so a cache file written on one

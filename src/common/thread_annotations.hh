@@ -4,7 +4,7 @@
  *
  * These wrap Clang's `-Wthread-safety` attribute set so the locking
  * discipline of the concurrent subsystems — ThreadPool, the
- * ContentCache shards, MetricsRegistry, the telemetry thread buffers —
+ * WorksetCache shards, MetricsRegistry, the telemetry thread buffers —
  * is machine-checked at compile time under Clang and costs nothing
  * under GCC (which silently has no such attributes; every macro
  * expands to nothing there).

@@ -427,9 +427,8 @@ serveFleet(const std::vector<FleetServeSpec> &specs,
         FleetExperimentOutcome eo;
         eo.experiment = st.experiment;
         eo.run = st.run;
-        eo.sweep = SweepResult(std::move(st.jobs),
-                               std::move(st.results),
-                               ScheduleCache::Stats{});
+        eo.sweep =
+            SweepResult(std::move(st.jobs), std::move(st.results));
         eo.spec = std::move(st.spec);
         out.experiments.push_back(std::move(eo));
     }

@@ -215,8 +215,8 @@ runWorker(const WorkerConfig &config)
                     return;
             }
         });
-        SweepResult sweep = runSweep(spec, cfg.threads, cfg.cache,
-                                     cfg.worksetCache);
+        SweepResult sweep =
+            runSweep(spec, cfg.threads, cfg.worksetCache);
         stop.store(true, std::memory_order_relaxed);
         heartbeat.join();
 

@@ -7,7 +7,7 @@
  * grid locally from the leased options + --grid text (the exact
  * reconstruction shard_merge performs offline), run the
  * [job_begin, job_end) slice through the ordinary runSweep machinery
- * — shared schedule/workset caches included — and stream the result
+ * — shared workset cache included — and stream the result
  * rows back as the verbatim JSONL lines an unsharded run would have
  * written, so the coordinator can validate them positionally and
  * assemble byte-identical output.
@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <string>
 
-#include "runtime/schedule_cache.hh"
 #include "runtime/workset_cache.hh"
 
 namespace griffin {
@@ -61,8 +60,7 @@ struct WorkerConfig
      */
     std::size_t abandonAfter = 0;
 
-    /** Shared caches (null = per-sweep). */
-    ScheduleCache *cache = nullptr;
+    /** Shared workset cache (null = per-sweep). */
     WorksetCache *worksetCache = nullptr;
 };
 

@@ -11,9 +11,9 @@
  *   - `setup` builds an ExperimentPlan — a GridSpec plus the base
  *     SweepSpec it expands over — from the resolved RunOptions.  The
  *     driver expands the plan and executes it through runSweep, so
- *     every registered experiment is parallel (`--threads`), cache-
- *     aware (`--cache-file`), and fleet-shardable (`--grid-shard i/n`)
- *     for free.  A null setup declares a render-only experiment (the
+ *     every registered experiment is parallel (`--threads`), workset-
+ *     cached (`--workset-cache-file`), and fleet-shardable
+ *     (`--grid-shard i/n`) for free.  A null setup declares a render-only experiment (the
  *     static paper tables) that runs no sweep.
  *
  *   - `render` reduces the merged SweepResult into the experiment's
@@ -158,8 +158,6 @@ struct ExperimentRunConfig
     /** --grid override text, applied over the experiment's expanded
      *  spec (empty = none). */
     std::string gridOverride;
-    /** Shared schedule cache; null = per-run cache. */
-    ScheduleCache *cache = nullptr;
     /** Shared workset cache; null = per-run cache. */
     WorksetCache *worksetCache = nullptr;
 };
@@ -229,30 +227,27 @@ void parseShardSpec(const std::string &text, std::size_t &index,
                     std::size_t &count);
 
 /**
- * Declare the shared cache persistence/budget flags (--cache-file,
- * --cache-budget-mb, --workset-cache-file, --workset-budget-mb), the
- * same set for every sweep driver.
+ * Declare the shared workset-cache persistence/budget flags
+ * (--workset-cache-file, --workset-budget-mb), the same set for every
+ * sweep driver.
  */
 void addCacheFlags(Cli &cli);
 
 /**
- * Read the cache flags back: validate and apply the byte budgets and
- * load any cache files into the caller's caches (inform() per load).
- * fatal() on a negative budget.
+ * Read the cache flags back: validate and apply the byte budget and
+ * load the cache file, if any, into `worksets` (inform() on load).
+ * fatal() on a negative budget or one whose byte count overflows.
  */
-void loadCachesFromFlags(const Cli &cli, ScheduleCache &schedules,
-                         WorksetCache &worksets);
+void loadCachesFromFlags(const Cli &cli, WorksetCache &worksets);
 
 /**
- * The save half: store each cache to its flagged file (when given) and
- * print its machine-readable stats line on stdout — "cache_stats" for
- * the schedule cache, then "workset_cache_stats" — the lines CI and
- * the cache ctests assert warm-run load_hits on.  Call after flushing
- * result sinks: a fatal() on an unwritable cache path must not
- * discard completed sweeps.
+ * The save half: when a cache file is flagged, store the cache to it
+ * and print the machine-readable "workset_cache_stats" line on stdout
+ * — the line the workset ctest asserts warm-run load_hits on.  Call
+ * after flushing result sinks: a fatal() on an unwritable cache path
+ * must not discard completed sweeps.
  */
-void saveCachesFromFlags(const Cli &cli, const ScheduleCache &schedules,
-                         const WorksetCache &worksets);
+void saveCachesFromFlags(const Cli &cli, const WorksetCache &worksets);
 
 } // namespace griffin
 

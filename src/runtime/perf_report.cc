@@ -76,11 +76,7 @@ writePerfJson(std::ostream &os, const PerfDocument &doc)
             os << "\n      ";
         os << "],\n"
            << "      \"caches\": {\n"
-           << "        \"schedule\": ";
-        writeCacheObject(os, e.scheduleCache);
-        os << ",\n        \"a_schedule\": ";
-        writeCacheObject(os, e.aScheduleCache);
-        os << ",\n        \"workset\": ";
+           << "        \"workset\": ";
         writeCacheObject(os, e.worksetCache);
         os << "\n      }\n    }";
     }
@@ -297,27 +293,15 @@ parsePerfDocument(const std::string &text, PerfDocument &out,
                 return false;
             e.stages.push_back(std::move(s));
         }
+        // v1/v2 documents also carry "schedule" and "a_schedule"
+        // panels; only "workset" is read.
         const JsonValue *caches =
             requireMember(item, "caches", "suite entry", error);
-        if (caches == nullptr)
-            return false;
-        const JsonValue *schedule =
-            requireMember(*caches, "schedule", "\"caches\"", error);
-        const JsonValue *a_schedule =
-            schedule == nullptr
-                ? nullptr
-                : requireMember(*caches, "a_schedule", "\"caches\"",
-                                error);
         const JsonValue *workset =
-            a_schedule == nullptr
+            caches == nullptr
                 ? nullptr
-                : requireMember(*caches, "workset", "\"caches\"",
-                                error);
+                : requireMember(*caches, "workset", "\"caches\"", error);
         if (workset == nullptr ||
-            !parseCacheObject(*schedule, "\"caches.schedule\"",
-                              e.scheduleCache, error) ||
-            !parseCacheObject(*a_schedule, "\"caches.a_schedule\"",
-                              e.aScheduleCache, error) ||
             !parseCacheObject(*workset, "\"caches.workset\"",
                               e.worksetCache, error))
             return false;

@@ -4,7 +4,7 @@
  *
  * `griffin_bench perf` runs a pinned microbench suite and serializes
  * its execution profile — per-stage wall-time breakdown (from
- * Telemetry::stageBreakdown), cache hit rates, and thread-pool
+ * Telemetry::stageBreakdown), workset-cache hit rates, and thread-pool
  * utilization — as a schema-versioned JSON document.  The document is
  * the repo's perf trajectory: CI produces one per run, and
  * `perf --compare old.json new.json` renders the run-over-run deltas
@@ -34,9 +34,12 @@ namespace griffin {
 
 constexpr const char *perfSchemaName = "griffin_bench_perf";
 /** v2 added the optional "kernels" micro-benchmark section
- *  (`griffin_bench perf --kernels`); v1 documents — no such key —
- *  still parse, so historical seeds keep working as compare inputs. */
-constexpr int perfSchemaVersion = 2;
+ *  (`griffin_bench perf --kernels`); v3 dropped the "schedule" and
+ *  "a_schedule" cache panels along with those caches.  v1 and v2
+ *  documents — no kernels key, extra cache panels — still parse (the
+ *  panels are ignored), so historical seeds keep working as compare
+ *  inputs. */
+constexpr int perfSchemaVersion = 3;
 
 /** One pipeline stage's merged wall-time total within one entry. */
 struct PerfStage
@@ -58,8 +61,6 @@ struct PerfEntry
     std::uint64_t poolSteals = 0;
     double poolBusyMs = 0.0;
     std::vector<PerfStage> stages; ///< stage-name order
-    CacheStats scheduleCache;
-    CacheStats aScheduleCache;
     CacheStats worksetCache;
 };
 

@@ -29,7 +29,6 @@
 #include "common/table.hh"
 #include "griffin/accelerator.hh"
 #include "runtime/runner.hh"
-#include "runtime/schedule_cache.hh"
 
 namespace griffin {
 
@@ -125,15 +124,12 @@ void writeJsonLines(std::ostream &os, const SweepResult &sweep);
 void writeTableJsonLine(std::ostream &os, const Table &table);
 
 /**
- * Content-cache counters as a single-line JSON object
- * ({"<label>": {...}}), load/store accounting included — the
- * machine-readable form of the hit-rate status line the sweep drivers
- * print.  The default label keeps the schedule cache's historical
- * {"cache_stats": ...} line; the workset cache emits
- * "workset_cache_stats" so one stdout stream can carry both.
+ * Cache counters as a single-line JSON object ({"<label>": {...}}),
+ * load/store accounting included — the machine-readable stats line the
+ * sweep drivers print after saving a cache file.
  */
 void writeCacheStatsJsonLine(std::ostream &os, const CacheStats &stats,
-                             const std::string &label = "cache_stats");
+                             const std::string &label);
 
 class MetricsRegistry;
 

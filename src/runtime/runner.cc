@@ -123,16 +123,10 @@ expandSweep(const SweepSpec &spec)
 }
 
 SweepResult
-runSweep(const SweepSpec &spec, int threads, ScheduleCache *cache,
-         WorksetCache *worksets)
+runSweep(const SweepSpec &spec, int threads, WorksetCache *worksets)
 {
     auto jobs = expandSweep(spec);
 
-    std::unique_ptr<ScheduleCache> owned_cache;
-    if (cache == nullptr) {
-        owned_cache = std::make_unique<ScheduleCache>();
-        cache = owned_cache.get();
-    }
     std::unique_ptr<WorksetCache> owned_worksets;
     if (worksets == nullptr) {
         // Bounded by default: worksets hold whole weight matrices, and
@@ -143,14 +137,9 @@ runSweep(const SweepSpec &spec, int threads, ScheduleCache *cache,
         owned_worksets->setByteBudget(defaultWorksetByteBudget);
         worksets = owned_worksets.get();
     }
-    // A-side arbiter schedules are cheap to persist but small to win
-    // from across processes; share them per sweep only.
-    AScheduleCache a_cache;
 
     const auto jobOptions = [&](const SweepJob &job) {
         RunOptions opt = job.options;
-        opt.sim.scheduleCache = cache;
-        opt.sim.aScheduleCache = &a_cache;
         opt.worksetCache = worksets;
         return opt;
     };
@@ -345,9 +334,8 @@ runSweep(const SweepSpec &spec, int threads, ScheduleCache *cache,
                      ? static_cast<double>(pool_stats.busyNs) /
                            capacity_ns
                      : 0.0);
-        reg.publishCacheStats("schedule_cache", cache->stats());
-        reg.publishCacheStats("a_schedule_cache", a_cache.stats());
         reg.publishCacheStats("workset_cache", worksets->stats());
+        reg.gauge("process.peak_rss_mb").set(peakRssMb());
         if (!job_elapsed_ms.empty()) {
             Histogram &h = reg.histogram("pool.job_us");
             for (const double ms : job_elapsed_ms)
@@ -356,8 +344,7 @@ runSweep(const SweepSpec &spec, int threads, ScheduleCache *cache,
     }
 
     return SweepResult(std::move(jobs), std::move(results),
-                       cache->stats(), worksets->stats(),
-                       a_cache.stats(), std::move(job_elapsed_ms));
+                       worksets->stats(), std::move(job_elapsed_ms));
 }
 
 } // namespace griffin

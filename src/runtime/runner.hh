@@ -27,15 +27,15 @@
  * layer index) — and the per-job reduce reassembles NetworkResult in
  * layer order, preserving the same bit-identity guarantee.
  *
- * Caches shared across the sweep memoize the staged pipeline's
- * intermediate artifacts between jobs: B-side preprocessing and A-side
- * arbiter schedules (schedule_cache.hh) and whole layer worksets
- * (workset_cache.hh).  All are optimizations only and do not change
- * any result.  With SweepSpec::batchArchs the runner additionally
- * batches multiple GEMMs per job — every architecture of one
- * (network, category, options) grid point shares one sub-job per
- * layer, so each workset is generated once and swept across the whole
- * arch axis while still warm.
+ * A workset cache shared across the sweep (workset_cache.hh) memoizes
+ * the pipeline's stage-1 artifact, whole layer worksets, between jobs;
+ * it is an optimization only and does not change any result.
+ * Per-tile schedules are recomputed by every job.  With
+ * SweepSpec::batchArchs the runner additionally batches multiple GEMMs
+ * per job — every architecture of one (network, category, options)
+ * grid point shares one sub-job per layer, so each workset is
+ * generated once and swept across the whole arch axis while still
+ * warm.
  */
 
 #ifndef GRIFFIN_RUNTIME_RUNNER_HH
@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "griffin/accelerator.hh"
-#include "runtime/schedule_cache.hh"
 #include "runtime/workset_cache.hh"
 
 namespace griffin {
@@ -171,8 +170,8 @@ struct SweepSpec
      * shardCount contiguous blocks of the (filtered) job list.  Blocks
      * partition the list in submission order, so the concatenation of
      * every shard's results in shard order is byte-identical to the
-     * unsharded run — N processes sharing a cache file can cover one
-     * grid disjointly (`--grid-shard i/n`).  Defaults run everything.
+     * unsharded run — N processes can cover one grid disjointly
+     * (`--grid-shard i/n`).  Defaults run everything.
      */
     std::size_t shardIndex = 0;
     std::size_t shardCount = 1;
@@ -210,13 +209,10 @@ class SweepResult
     SweepResult() = default;
     SweepResult(std::vector<SweepJob> jobs,
                 std::vector<NetworkResult> results,
-                ScheduleCache::Stats cache_stats,
                 WorksetCache::Stats workset_stats = {},
-                AScheduleCache::Stats a_schedule_stats = {},
                 std::vector<double> job_elapsed_ms = {})
         : jobs_(std::move(jobs)), results_(std::move(results)),
-          cacheStats_(cache_stats), worksetStats_(workset_stats),
-          aScheduleStats_(a_schedule_stats),
+          worksetStats_(workset_stats),
           jobElapsedMs_(std::move(job_elapsed_ms))
     {
     }
@@ -244,18 +240,10 @@ class SweepResult
         return out;
     }
 
-    const ScheduleCache::Stats &cacheStats() const { return cacheStats_; }
-
     /** Workset-cache counters of the sweep (generation reuse). */
     const WorksetCache::Stats &worksetStats() const
     {
         return worksetStats_;
-    }
-
-    /** A-side arbiter-schedule cache counters of the sweep. */
-    const AScheduleCache::Stats &aScheduleStats() const
-    {
-        return aScheduleStats_;
     }
 
     /**
@@ -272,9 +260,7 @@ class SweepResult
   private:
     std::vector<SweepJob> jobs_;
     std::vector<NetworkResult> results_;
-    ScheduleCache::Stats cacheStats_;
     WorksetCache::Stats worksetStats_;
-    AScheduleCache::Stats aScheduleStats_;
     std::vector<double> jobElapsedMs_;
 };
 
@@ -286,17 +272,13 @@ std::vector<SweepJob> expandSweep(const SweepSpec &spec);
 
 /**
  * Run the sweep on `threads` workers (1 = serial through the same
- * code path).  Internal schedule and workset caches are shared across
- * jobs; pass `cache` / `worksets` to reuse them across sweeps (or for
- * disk persistence), or nullptr for per-sweep caching — the owned
- * fallback workset cache is bounded at defaultWorksetByteBudget, so
- * a sweep never retains unbounded generated tensors.  An A-side
- * schedule cache is always shared per sweep.  All three are
- * optimizations only: the merged results are bit-identical with or
- * without them.
+ * code path).  A workset cache is shared across jobs; pass `worksets`
+ * to reuse one across sweeps (or for disk persistence), or nullptr for
+ * a per-sweep cache bounded at defaultWorksetByteBudget, so a sweep
+ * never retains unbounded generated tensors.  Either way the merged
+ * results are bit-identical.
  */
 SweepResult runSweep(const SweepSpec &spec, int threads,
-                     ScheduleCache *cache = nullptr,
                      WorksetCache *worksets = nullptr);
 
 } // namespace griffin

@@ -305,8 +305,7 @@ mergeShardRows(const std::vector<ResultRow> &rows,
                 fatal(where, ": ", error);
             results.push_back(row.result);
         }
-        me.sweep = SweepResult(std::move(jobs), std::move(results),
-                               ScheduleCache::Stats{});
+        me.sweep = SweepResult(std::move(jobs), std::move(results));
         merged.push_back(std::move(me));
     }
     return merged;

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <unordered_map>
 
+#include <sys/resource.h>
+
 #include "common/logging.hh"
 #include "common/strings.hh"
 
@@ -108,6 +110,21 @@ monotonicNowNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - processEpoch())
             .count());
+}
+
+double
+peakRssMb()
+{
+    rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) != 0)
+        return 0.0;
+    // ru_maxrss is bytes on macOS and KiB on Linux.
+#if defined(__APPLE__)
+    const double kib = static_cast<double>(usage.ru_maxrss) / 1024.0;
+#else
+    const double kib = static_cast<double>(usage.ru_maxrss);
+#endif
+    return kib / 1024.0;
 }
 
 // ---- Histogram ------------------------------------------------------

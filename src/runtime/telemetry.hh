@@ -6,13 +6,14 @@
  *
  *   - MetricsRegistry: named counters, gauges, and histograms behind
  *     stable references.  The runner publishes its previously ad-hoc
- *     stats here once per sweep — schedule/A-schedule/workset cache
- *     counters (content_cache.hh CacheStats), thread-pool
- *     steal/execution totals, jobs-per-second and utilization — so
- *     every consumer (the `--stats` JSON line, `griffin_bench perf`)
- *     reads one source of truth instead of scraping driver stdout.
- *     Metric updates are lock-free atomics; registration (name -> slot)
- *     takes a mutex and is expected once per site, not per update.
+ *     stats here once per sweep — workset cache counters
+ *     (content_cache.hh CacheStats), thread-pool steal/execution
+ *     totals, jobs-per-second and utilization, and the process's peak
+ *     RSS — so every consumer (the `--stats` JSON line,
+ *     `griffin_bench perf`) reads one source of truth instead of
+ *     scraping driver stdout.  Metric updates are lock-free atomics;
+ *     registration (name -> slot) takes a mutex and is expected once
+ *     per site, not per update.
  *
  *   - Telemetry + ScopedSpan: per-thread scoped wall-time spans over
  *     the pipeline seams (operand_gen, b_schedule, a_schedule,
@@ -284,6 +285,9 @@ class Telemetry
 
 /** Monotonic (steady_clock) nanoseconds since process start. */
 std::uint64_t monotonicNowNs();
+
+/** This process's peak resident set size so far, in MiB (getrusage). */
+double peakRssMb();
 
 /**
  * RAII wall-time span over one pipeline stage.  `name` must be a

@@ -12,12 +12,12 @@
  * parameters (WorksetCache::contentKey) and shares one immutable
  * LayerWorkset across every job that asks.
  *
- * Built on the shared cache policy of content_cache.hh — sharded maps,
- * compute-outside-the-lock generation, FIFO byte budget, load/hit
- * stats — so eviction and accounting behave exactly like the schedule
- * caches.  Worksets can be large (B is a full k x n weight matrix), so
- * bounded deployments should set a byte budget; eviction never changes
- * a result, only regeneration cost.
+ * Policy: hash-sharded maps behind per-shard mutexes, generation
+ * outside the lock (first finisher wins), an optional byte budget with
+ * FIFO-per-shard eviction, and load/hit stats that distinguish
+ * disk-restored entries.  Worksets can be large (B is a full k x n
+ * weight matrix), so the drivers and the runner bound the cache by
+ * default; eviction never changes a result, only regeneration cost.
  *
  * Persistence: cache_store.hh serializes worksets to a versioned GRFW
  * file between runs; entries restored from disk are tracked separately
@@ -28,6 +28,15 @@
 #ifndef GRIFFIN_RUNTIME_WORKSET_CACHE_HH
 #define GRIFFIN_RUNTIME_WORKSET_CACHE_HH
 
+#include <atomic>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <unordered_map>
+#include <vector>
+
+#include "common/mutex.hh"
 #include "runtime/content_cache.hh"
 #include "tensor/workset.hh"
 
@@ -48,17 +57,20 @@ constexpr std::uint64_t defaultWorksetByteBudget = 256ull << 20;
  */
 constexpr std::size_t defaultWorksetShards = 4;
 
+/**
+ * Thread-safe: the map is sharded by key hash, each shard behind its
+ * own mutex.  On a miss the workset is generated *outside* the shard
+ * lock (generation takes milliseconds; holding the lock would
+ * serialise the pool) and the first finisher wins — generation is
+ * deterministic, so concurrent double-generations insert equal values.
+ */
 class WorksetCache
 {
   public:
     using Key = CacheKey128;
     using Stats = CacheStats;
-    using Value = LayerWorkset;
 
-    explicit WorksetCache(std::size_t shards = defaultWorksetShards)
-        : cache_(shards)
-    {
-    }
+    explicit WorksetCache(std::size_t shards = defaultWorksetShards);
 
     /**
      * The workset of one parameter record, generated on first request
@@ -69,29 +81,38 @@ class WorksetCache
     std::shared_ptr<const LayerWorkset>
     obtain(const WorksetParams &params);
 
-    Stats stats() const { return cache_.stats(); }
-    void clear() { cache_.clear(); }
-    void setByteBudget(std::uint64_t bytes)
-    {
-        cache_.setByteBudget(bytes);
-    }
+    /**
+     * Insert one disk-restored workset under its stored key, marking it
+     * disk-loaded for Stats purposes.  An already-present key is left
+     * alone (the resident entry is identical by construction).  Returns
+     * whether the entry was inserted.
+     */
+    bool insertLoaded(const Key &key, LayerWorkset workset);
 
-    /** Insert a disk-restored workset (see ContentCache::insertLoaded). */
-    bool
-    insertLoaded(const Key &key, LayerWorkset workset)
-    {
-        return cache_.insertLoaded(key, std::move(workset));
-    }
+    Stats stats() const;
 
-    /** Visit every resident entry (see ContentCache::forEachEntry). */
-    void
-    forEachEntry(const std::function<void(
-                     const Key &,
-                     const std::shared_ptr<const LayerWorkset> &)> &fn)
-        const
-    {
-        cache_.forEachEntry(fn);
-    }
+    /** Drop every entry (stat counters survive). */
+    void clear();
+
+    /**
+     * Cap resident workset bytes (LayerWorkset::approxBytes units;
+     * 0 = unbounded, the default).  Each of the N shards evicts FIFO —
+     * oldest insertion first — once it holds more than budget/N bytes.
+     * Applies immediately to current residents and to every later
+     * insert.
+     */
+    void setByteBudget(std::uint64_t bytes);
+
+    /**
+     * Visit every resident entry (shard by shard, under that shard's
+     * lock — the callback must not reenter the cache).  Iteration
+     * order is unspecified; the cache store sorts by key for a
+     * deterministic file layout.
+     */
+    void forEachEntry(
+        const std::function<void(
+            const Key &, const std::shared_ptr<const LayerWorkset> &)> &fn)
+        const;
 
     /**
      * The key of one workset: every WorksetParams field, doubles by
@@ -101,7 +122,50 @@ class WorksetCache
     static Key contentKey(const WorksetParams &params);
 
   private:
-    ContentCache<LayerWorkset> cache_;
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const Key &k) const
+        {
+            return static_cast<std::size_t>(k.lo);
+        }
+    };
+
+    struct Entry
+    {
+        std::shared_ptr<const LayerWorkset> value;
+        std::uint64_t bytes = 0;
+        bool fromDisk = false;
+    };
+
+    struct Shard
+    {
+        mutable Mutex mu;
+        std::unordered_map<Key, Entry, KeyHash> entries
+            GRIFFIN_GUARDED_BY(mu);
+        /** Insertion order, for eviction. */
+        std::deque<Key> fifo GRIFFIN_GUARDED_BY(mu);
+        std::uint64_t bytes GRIFFIN_GUARDED_BY(mu) = 0;
+        std::uint64_t hits GRIFFIN_GUARDED_BY(mu) = 0;
+        std::uint64_t misses GRIFFIN_GUARDED_BY(mu) = 0;
+        std::uint64_t evictions GRIFFIN_GUARDED_BY(mu) = 0;
+        std::uint64_t loaded GRIFFIN_GUARDED_BY(mu) = 0;
+        std::uint64_t loadHits GRIFFIN_GUARDED_BY(mu) = 0;
+    };
+
+    Shard &shardFor(const Key &key);
+
+    /** Insert under the shard lock, then evict down to the budget;
+     *  returns the resident value (null if it was evicted at once). */
+    std::shared_ptr<const LayerWorkset>
+    insert(Shard &shard, const Key &key,
+           std::shared_ptr<const LayerWorkset> value, bool from_disk,
+           bool &inserted);
+
+    void evictOver(Shard &shard) GRIFFIN_REQUIRES(shard.mu);
+
+    std::vector<std::unique_ptr<Shard>> shards_;
+    std::atomic<std::uint64_t> byteBudget_{0};
 };
 
 /**

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "arch/overhead.hh"
-#include "runtime/schedule_cache.hh"
 #include "runtime/telemetry.hh"
 #include "sched/a_arbiter.hh"
 #include "sched/b_preprocess.hh"
@@ -32,32 +30,22 @@ accumulate(ScheduleStats &into, const ScheduleStats &from)
     into.bwLimitedCycles += from.bwLimitedCycles;
 }
 
-/**
- * Preprocess one B tile, through the shared cache when the caller
- * provided one.  The returned pointer keeps the schedule alive either
- * way (locally computed streams are wrapped in fresh ownership).
- */
-std::shared_ptr<const BSchedule>
-obtainStream(ScheduleCache *cache, const TileViewB &vb, const Borrow &db,
-             const Shuffler &shuffler)
+/** Preprocess one B tile into its compressed stream (the b_schedule
+ *  stage). */
+BSchedule
+packStream(const TileViewB &vb, const Borrow &db, const Shuffler &shuffler)
 {
     ScopedSpan span("b_schedule");
-    if (cache != nullptr)
-        return cache->obtain(vb, db, shuffler);
-    return std::make_shared<const BSchedule>(
-        preprocessB(vb, db, shuffler, false));
+    return preprocessB(vb, db, shuffler, false);
 }
 
-/** Arbiter-schedule one A tile, through the shared cache when the
- *  caller provided one (the cached value is the stats record, the only
- *  part single-sparse simulation consumes). */
+/** Arbiter-schedule one A tile (the a_schedule stage); the stats record
+ *  is the only part single-sparse simulation consumes. */
 ScheduleStats
-obtainAStats(AScheduleCache *cache, const TileViewA &va, const Borrow &da,
-             const Shuffler &shuffler, double advance_cap)
+arbiterStats(const TileViewA &va, const Borrow &da, const Shuffler &shuffler,
+             double advance_cap)
 {
     ScopedSpan span("a_schedule");
-    if (cache != nullptr)
-        return cache->obtain(va, da, shuffler, advance_cap)->stats;
     return scheduleA(va, da, shuffler, advance_cap, false).stats;
 }
 
@@ -101,19 +89,19 @@ simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
     std::int64_t sum = 0;
     for (const auto &t : picks) {
         TileViewB vb(*stage.ops.b, stage.shape, t.row * stage.shape.n0);
-        auto stream = obtainStream(stage.opt.scheduleCache, vb,
-                                   stage.routing.b, stage.shuffler);
+        const BSchedule stream =
+            packStream(vb, stage.routing.b, stage.shuffler);
         // Runtime is bandwidth-capped even though packing is offline:
         // replaying the stream can consume at most `bw` raw A steps
         // per cycle.
-        std::int64_t cycles = stream->cycles();
+        std::int64_t cycles = stream.cycles();
         const double min_cycles =
             static_cast<double>(vb.steps()) / stage.bw;
         cycles = std::max<std::int64_t>(
             cycles,
             static_cast<std::int64_t>(std::ceil(min_cycles)));
         sum += cycles;
-        accumulate(result.sched, stream->stats());
+        accumulate(result.sched, stream.stats());
     }
     result.computeCycles =
         scaleUp(sum, static_cast<std::int64_t>(picks.size()),
@@ -133,8 +121,7 @@ simulateSparseA(const ComputeStage &stage, GemmSimResult &result)
     for (const auto &t : picks) {
         TileViewA va(*stage.ops.a, stage.shape, t.row * stage.shape.m0);
         const auto stats =
-            obtainAStats(stage.opt.aScheduleCache, va, stage.routing.a,
-                         stage.shuffler, stage.bw);
+            arbiterStats(va, stage.routing.a, stage.shuffler, stage.bw);
         sum += stats.cycles;
         accumulate(result.sched, stats);
     }
@@ -155,12 +142,10 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
                              stage.opt.sampleFraction,
                              stage.opt.minSampledTiles, stage.opt.seed);
     // One preprocessed stream per distinct column tile; the per-call
-    // memo short-circuits repeat columns of this GEMM even when no
-    // cross-job cache is attached.  A sorted flat vector beats a
-    // node-based map here: a handful of distinct columns, looked up
-    // once per sampled tile.
-    std::vector<std::pair<std::int64_t,
-                          std::shared_ptr<const BSchedule>>> streams;
+    // memo short-circuits repeat columns of this GEMM.  A sorted flat
+    // vector beats a node-based map here: a handful of distinct
+    // columns, looked up once per sampled tile.
+    std::vector<std::pair<std::int64_t, BSchedule>> streams;
     std::int64_t sum = 0;
     for (const auto &t : picks) {
         TileViewA va(*stage.ops.a, stage.shape, t.row * stage.shape.m0);
@@ -172,14 +157,12 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
                 [](const auto &e, std::int64_t col) {
                     return e.first < col;
                 });
-            if (it == streams.end() || it->first != t.col) {
+            if (it == streams.end() || it->first != t.col)
                 it = streams.insert(
-                    it, {t.col,
-                         obtainStream(stage.opt.scheduleCache, vb,
-                                      stage.routing.b,
-                                      stage.shuffler)});
-            }
-            stream = it->second.get();
+                    it, {t.col, packStream(vb, stage.routing.b,
+                                           stage.shuffler)});
+            // Valid until the next insert, which is after this tile.
+            stream = &it->second;
         }
         auto dual = scheduleDual(va, vb, stage.routing, stage.shuffler,
                                  stream, stage.bw, false);

@@ -12,11 +12,10 @@
  *      computes them for free-standing matrices.
  *
  *   2. *Tiling + per-side schedule computation*: column tiles of B
- *      preprocess into compressed streams (cached across jobs via
- *      runtime/schedule_cache.hh: ScheduleCache), row tiles of A run
- *      the arbiter scheduler (symmetrically cached via
- *      AScheduleCache).  Schedules are pure functions of tile content
- *      and routing, so cached and fresh results are identical.
+ *      preprocess into compressed streams, row tiles of A run the
+ *      arbiter scheduler.  Both are recomputed per GEMM: after the
+ *      SIMD occupancy kernels, packing a stream is cheaper than
+ *      hashing the tile to look a stored one up.
  *
  *   3. *Tile(-pair) cycle simulation + reduction*: the sampled tiles
  *      replay their schedules, sampled sums scale back to the full
@@ -51,9 +50,7 @@
 
 namespace griffin {
 
-class ScheduleCache;  // runtime/schedule_cache.hh
-class AScheduleCache; // runtime/schedule_cache.hh
-struct LayerWorkset;  // tensor/workset.hh
+struct LayerWorkset; // tensor/workset.hh
 
 /** Simulation knobs. */
 struct SimOptions
@@ -77,22 +74,6 @@ struct SimOptions
      * compute-dominated, so the default is 0.
      */
     int drainCyclesPerTile = 0;
-
-    /**
-     * Optional shared memoization of B-side preprocessing (not owned).
-     * Cached and freshly-computed schedules are identical — this only
-     * skips recomputing streams for weight tiles another job already
-     * packed.  nullptr computes every stream locally.
-     */
-    ScheduleCache *scheduleCache = nullptr;
-
-    /**
-     * The symmetric A-side memoization: arbiter schedules of row tiles
-     * under identical routing and bandwidth (not owned).  Same
-     * contract as scheduleCache — an optimization only, never a
-     * result change.  nullptr schedules every tile locally.
-     */
-    AScheduleCache *aScheduleCache = nullptr;
 };
 
 /**

@@ -183,6 +183,25 @@ TEST(ExperimentFlags, ExplicitFlagsOverrideDefaults)
     EXPECT_EQ(run.weightLaneBias, 0.25);
 }
 
+TEST(CacheFlagsDeathTest, OutOfRangeWorksetBudgetIsFatal)
+{
+    const auto load = [](const char *budget_mb) {
+        Cli cli("test");
+        addCacheFlags(cli);
+        const char *argv[] = {"prog", "--workset-budget-mb", budget_mb};
+        cli.parse(3, argv);
+        WorksetCache worksets;
+        loadCachesFromFlags(cli, worksets);
+    };
+    // 2^44 + 1 MiB would wrap to a 1 MiB budget; the largest value
+    // whose byte count fits in 64 bits is 2^44 - 1.
+    for (const char *bad : {"-1", "17592186044416", "17592186044417"})
+        EXPECT_EXIT(load(bad), testing::ExitedWithCode(exitUsageError),
+                    "workset-budget-mb")
+            << bad;
+    load("17592186044415");
+}
+
 // ---- shard spec parsing ---------------------------------------------
 
 TEST(ShardSpec, ParsesIndexAndCount)

@@ -9,11 +9,8 @@
 #include "arch/presets.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "runtime/schedule_cache.hh"
 #include "sim/gemm_sim.hh"
-#include "tensor/shuffle.hh"
 #include "tensor/sparsity.hh"
-#include "tensor/tile.hh"
 
 namespace griffin {
 namespace {
@@ -244,45 +241,6 @@ TEST(GemmSim, StagedOperandsMatchMonolithicEntryPoint)
                                          arch, DnnCategory::AB, opt);
         expectResultsEq(staged, mono);
     }
-}
-
-TEST(GemmSim, AScheduleCacheDoesNotChangeResults)
-{
-    auto t = makeTensors(64, 128, 32, 0.6, 0.0, 37);
-    const auto arch = unboundDram(sparseAStar());
-    SimOptions opt;
-    opt.sampleFraction = 1.0;
-    const auto plain = simulateGemm(t.a, t.b, arch, DnnCategory::A, opt);
-
-    AScheduleCache cache;
-    opt.aScheduleCache = &cache;
-    const auto cold = simulateGemm(t.a, t.b, arch, DnnCategory::A, opt);
-    const auto warm = simulateGemm(t.a, t.b, arch, DnnCategory::A, opt);
-    expectResultsEq(cold, plain);
-    expectResultsEq(warm, plain);
-    const auto stats = cache.stats();
-    EXPECT_GT(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, stats.entries);
-}
-
-TEST(GemmSim, AScheduleKeySeparatesBandwidthAndContent)
-{
-    auto t = makeTensors(4, 64, 16, 0.5, 0.0, 41);
-    const auto arch = sparseAStar();
-    const auto routing = arch.effectiveRouting(DnnCategory::A);
-    Shuffler shuffler(routing.shuffle, arch.tile.k0);
-    TileViewA va(t.a, arch.tile, 0);
-    const auto k1 =
-        AScheduleCache::contentKey(va, routing.a, shuffler, 1.0);
-    EXPECT_EQ(AScheduleCache::contentKey(va, routing.a, shuffler, 1.0),
-              k1);
-    // The bandwidth cap changes cycle counts, so it must change keys.
-    EXPECT_NE(AScheduleCache::contentKey(va, routing.a, shuffler, 2.0),
-              k1);
-    auto t2 = makeTensors(4, 64, 16, 0.5, 0.0, 43);
-    TileViewA va2(t2.a, arch.tile, 0);
-    EXPECT_NE(AScheduleCache::contentKey(va2, routing.a, shuffler, 1.0),
-              k1);
 }
 
 } // namespace

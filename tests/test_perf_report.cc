@@ -1,8 +1,8 @@
 /**
  * @file
- * BENCH_perf.json schema: v2 "kernels" section round-trip, v1
- * back-compat (historical seeds keep parsing), strict rejection of
- * malformed sections, and the --gate regression band.
+ * BENCH_perf.json schema: "kernels" section round-trip, back-compat
+ * with the checked-in v1 seed (it keeps parsing and gating), strict
+ * rejection of malformed sections, and the --gate regression band.
  */
 
 #include <gtest/gtest.h>
@@ -77,21 +77,37 @@ TEST(PerfReport, KernelsKeyOmittedWhenEmpty)
     EXPECT_TRUE(back.kernels.empty());
 }
 
-TEST(PerfReport, V1DocumentWithoutKernelsStillParses)
+TEST(PerfReport, CheckedInV1SeedParsesAndGatesACurrentDocument)
 {
-    // A historical seed: schema_version 1 and no "kernels" key.  The
-    // v2 parser must accept it unchanged — CI's --gate compare runs
-    // against exactly such documents.
-    PerfDocument doc = sampleDocument();
-    doc.schemaVersion = 1;
+    // The checked-in seed is a real v1 document: no "kernels" key, and
+    // "schedule"/"a_schedule" cache panels this build no longer
+    // writes.  CI's perf-smoke gates a fresh artifact against it.
+    const PerfDocument seed = loadPerfDocument(GRIFFIN_PERF_SEED);
+    EXPECT_EQ(seed.schemaVersion, 1);
+    EXPECT_TRUE(seed.kernels.empty());
+    ASSERT_EQ(seed.suite.size(), 3u);
+    EXPECT_EQ(seed.suite[0].experiment, "fig5");
+    EXPECT_EQ(seed.suite[0].worksetCache.misses, 277u);
+
+    // The same numbers through the current writer: a v3 document
+    // without the dropped panels, which gates clean against the seed.
+    PerfDocument current = seed;
+    current.schemaVersion = perfSchemaVersion;
+    const std::string text = renderJson(current);
+    EXPECT_NE(text.find("\"workset\": {"), std::string::npos);
+    EXPECT_EQ(text.find("\"schedule\": {"), std::string::npos);
+    EXPECT_EQ(text.find("\"a_schedule\": {"), std::string::npos);
     PerfDocument back;
     std::string error;
-    ASSERT_TRUE(parsePerfDocument(renderJson(doc), back, error))
-        << error;
-    EXPECT_EQ(back.schemaVersion, 1);
-    EXPECT_TRUE(back.kernels.empty());
-    ASSERT_EQ(back.suite.size(), 1u);
-    EXPECT_DOUBLE_EQ(back.suite[0].jobsPerSec, 14.4);
+    ASSERT_TRUE(parsePerfDocument(text, back, error)) << error;
+    EXPECT_EQ(back.schemaVersion, perfSchemaVersion);
+    EXPECT_TRUE(perfGateViolations(seed, back, 0.10).empty());
+
+    // ...and a 20% fig6 slowdown trips the gate.
+    back.suite[1].jobsPerSec *= 0.8;
+    const auto violations = perfGateViolations(seed, back, 0.10);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations[0].rfind("fig6:", 0), 0u) << violations[0];
 }
 
 TEST(PerfReport, MalformedKernelsEntryRejected)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the runtime/ subsystem: work-stealing pool semantics,
- * schedule-cache correctness, parallel-vs-serial determinism of the
- * experiment runner, and result-sink serialization.
+ * parallel-vs-serial determinism of the experiment runner, and
+ * result-sink serialization.
  */
 
 #include <gtest/gtest.h>
@@ -10,20 +10,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "arch/presets.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "runtime/cache_store.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
-#include "runtime/schedule_cache.hh"
 #include "runtime/thread_pool.hh"
-#include "tensor/sparsity.hh"
 
 namespace griffin {
 namespace {
@@ -106,305 +101,6 @@ TEST(ThreadPoolDeathTest, ZeroThreadsIsFatal)
 {
     EXPECT_EXIT(ThreadPool pool(0), testing::ExitedWithCode(exitUsageError),
                 "at least 1 thread");
-}
-
-// ---- schedule cache -------------------------------------------------
-
-/** Structural equality of two compressed streams. */
-void
-expectSameSchedule(const BSchedule &x, const BSchedule &y)
-{
-    ASSERT_EQ(x.cycles(), y.cycles());
-    ASSERT_EQ(x.lanes(), y.lanes());
-    ASSERT_EQ(x.cols(), y.cols());
-    EXPECT_EQ(x.scheduledElems(), y.scheduledElems());
-    EXPECT_EQ(x.stats().cycles, y.stats().cycles);
-    EXPECT_EQ(x.stats().ops, y.stats().ops);
-    EXPECT_EQ(x.stats().stolenOps, y.stats().stolenOps);
-    for (std::int64_t cyc = 0; cyc < x.cycles(); ++cyc) {
-        for (int lane = 0; lane < x.lanes(); ++lane) {
-            for (int col = 0; col < x.cols(); ++col) {
-                ASSERT_EQ(x.flatK(cyc, lane, col),
-                          y.flatK(cyc, lane, col));
-                ASSERT_EQ(x.homeCol(cyc, lane, col),
-                          y.homeCol(cyc, lane, col));
-            }
-        }
-    }
-}
-
-TEST(ScheduleCache, CachedEqualsFreshlyComputed)
-{
-    Rng rng(7);
-    auto b = randomSparse(128, 16, 0.8, rng);
-    TileShape shape;
-    TileViewB vb(b, shape, 0);
-    const Borrow db{4, 0, 1};
-    Shuffler shuffler(true, shape.k0);
-
-    ScheduleCache cache;
-    auto cached = cache.obtain(vb, db, shuffler);
-    ASSERT_NE(cached, nullptr);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-
-    const auto fresh = preprocessB(vb, db, shuffler, false);
-    expectSameSchedule(*cached, fresh);
-}
-
-TEST(ScheduleCache, HitsOnIdenticalContentMissesOnDifferent)
-{
-    Rng rng(11);
-    auto b1 = randomSparse(96, 16, 0.7, rng);
-    auto b2 = b1; // same content, different object
-    auto b3 = randomSparse(96, 16, 0.7, rng); // same shape, new draw
-    TileShape shape;
-    const Borrow db{2, 1, 0};
-    Shuffler shuffler(false, shape.k0);
-
-    ScheduleCache cache;
-    auto s1 = cache.obtain(TileViewB(b1, shape, 0), db, shuffler);
-    auto s2 = cache.obtain(TileViewB(b2, shape, 0), db, shuffler);
-    EXPECT_EQ(s1.get(), s2.get()) << "identical content must share";
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-
-    cache.obtain(TileViewB(b3, shape, 0), db, shuffler);
-    EXPECT_EQ(cache.stats().misses, 2u);
-
-    // Same tile, different borrow window: a different schedule.
-    cache.obtain(TileViewB(b1, shape, 0), Borrow{4, 1, 0}, shuffler);
-    EXPECT_EQ(cache.stats().misses, 3u);
-    EXPECT_EQ(cache.stats().entries, 3u);
-}
-
-TEST(ScheduleCache, SharedEntriesSurviveClear)
-{
-    Rng rng(13);
-    auto b = randomSparse(64, 16, 0.6, rng);
-    TileShape shape;
-    Shuffler shuffler(false, shape.k0);
-    ScheduleCache cache;
-    auto held = cache.obtain(TileViewB(b, shape, 0), Borrow{2, 0, 0},
-                             shuffler);
-    cache.clear();
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_GT(held->cycles(), 0); // still alive through shared ownership
-}
-
-TEST(ScheduleCache, ByteBudgetEvictsFifo)
-{
-    Rng rng(19);
-    std::vector<MatrixI8> tiles;
-    for (int i = 0; i < 6; ++i) {
-        Rng tile_rng = rng.fork();
-        tiles.push_back(randomSparse(64, 16, 0.7, tile_rng));
-    }
-    TileShape shape;
-    const Borrow db{2, 0, 0};
-    Shuffler shuffler(false, shape.k0);
-
-    // One shard so the FIFO covers every entry, budget sized to hold
-    // roughly two schedules.
-    ScheduleCache cache(1);
-    auto first = cache.obtain(TileViewB(tiles[0], shape, 0), db,
-                              shuffler);
-    const auto entry_bytes = first->approxBytes();
-    cache.setByteBudget(2 * entry_bytes + entry_bytes / 2);
-
-    for (std::size_t i = 1; i < tiles.size(); ++i)
-        cache.obtain(TileViewB(tiles[i], shape, 0), db, shuffler);
-
-    const auto s = cache.stats();
-    EXPECT_EQ(s.misses, tiles.size());
-    EXPECT_GT(s.evictions, 0u);
-    EXPECT_LT(s.entries, tiles.size());
-    EXPECT_LE(s.residentBytes, 2 * entry_bytes + entry_bytes / 2);
-
-    // The FIFO dropped the oldest tiles: re-requesting tile 0 is a
-    // miss again, and its recomputed schedule matches a fresh pack.
-    auto again = cache.obtain(TileViewB(tiles[0], shape, 0), db,
-                              shuffler);
-    EXPECT_EQ(cache.stats().misses, tiles.size() + 1);
-    expectSameSchedule(
-        *again,
-        preprocessB(TileViewB(tiles[0], shape, 0), db, shuffler, false));
-
-    // Evicted entries held by callers stay alive (shared ownership).
-    EXPECT_GT(first->cycles(), 0);
-}
-
-TEST(ScheduleCache, ZeroBudgetIsUnbounded)
-{
-    Rng rng(23);
-    ScheduleCache cache(1);
-    TileShape shape;
-    Shuffler shuffler(false, shape.k0);
-    for (int i = 0; i < 4; ++i) {
-        Rng tile_rng = rng.fork();
-        auto tile = randomSparse(48, 16, 0.6, tile_rng);
-        cache.obtain(TileViewB(tile, shape, 0), Borrow{2, 0, 0},
-                     shuffler);
-    }
-    EXPECT_EQ(cache.stats().entries, 4u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
-// ---- cache persistence ----------------------------------------------
-
-std::string
-tempPath(const std::string &name)
-{
-    return testing::TempDir() + name;
-}
-
-TEST(CacheStore, SaveLoadRoundTripReproducesSchedules)
-{
-    Rng rng(29);
-    std::vector<MatrixI8> tiles;
-    for (int i = 0; i < 5; ++i) {
-        Rng tile_rng = rng.fork();
-        tiles.push_back(randomSparse(96, 16, 0.75, tile_rng));
-    }
-    TileShape shape;
-    const Borrow db{4, 0, 1};
-    Shuffler shuffler(true, shape.k0);
-
-    ScheduleCache warm;
-    for (const auto &tile : tiles)
-        warm.obtain(TileViewB(tile, shape, 0), db, shuffler);
-    ASSERT_EQ(warm.stats().entries, tiles.size());
-
-    const auto path = tempPath("griffin_cache_roundtrip.grfc");
-    EXPECT_EQ(saveCacheFile(path, warm), tiles.size());
-
-    // A fresh cache restored from disk serves every tile without a
-    // single preprocessB call, bit-identically to a fresh pack.
-    ScheduleCache cold;
-    EXPECT_EQ(loadCacheFile(path, cold), tiles.size());
-    EXPECT_EQ(cold.stats().loadedEntries, tiles.size());
-    for (const auto &tile : tiles) {
-        auto restored = cold.obtain(TileViewB(tile, shape, 0), db,
-                                    shuffler);
-        expectSameSchedule(*restored,
-                           preprocessB(TileViewB(tile, shape, 0), db,
-                                       shuffler, false));
-    }
-    EXPECT_EQ(cold.stats().hits, tiles.size());
-    EXPECT_EQ(cold.stats().loadHits, tiles.size());
-    EXPECT_EQ(cold.stats().misses, 0u);
-
-    // Re-saving the restored cache reproduces the file byte for byte
-    // (entries are written sorted by key).
-    const auto path2 = tempPath("griffin_cache_roundtrip2.grfc");
-    EXPECT_EQ(saveCacheFile(path2, cold), tiles.size());
-    std::ifstream f1(path, std::ios::binary);
-    std::ifstream f2(path2, std::ios::binary);
-    std::stringstream b1, b2;
-    b1 << f1.rdbuf();
-    b2 << f2.rdbuf();
-    EXPECT_GT(b1.str().size(), 0u);
-    EXPECT_EQ(b1.str(), b2.str());
-    std::remove(path.c_str());
-    std::remove(path2.c_str());
-}
-
-TEST(CacheStore, MissingFileIsANormalFirstRun)
-{
-    ScheduleCache cache;
-    EXPECT_EQ(loadCacheFile(tempPath("griffin_cache_nonexistent.grfc"),
-                            cache),
-              0u);
-    EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(CacheStore, BadMagicAndVersionAreIgnored)
-{
-    const auto path = tempPath("griffin_cache_bad.grfc");
-    {
-        std::ofstream os(path, std::ios::binary);
-        os << "JUNKJUNKJUNK";
-    }
-    ScheduleCache cache;
-    EXPECT_EQ(loadCacheFile(path, cache), 0u);
-
-    {
-        // Right magic, wrong version byte: whole-file invalidation.
-        std::ofstream os(path, std::ios::binary);
-        os << "GRFC" << '\x7f' << "rest";
-    }
-    EXPECT_EQ(loadCacheFile(path, cache), 0u);
-    EXPECT_EQ(cache.stats().entries, 0u);
-    std::remove(path.c_str());
-}
-
-TEST(CacheStore, TruncatedFileKeepsCleanPrefix)
-{
-    Rng rng(31);
-    TileShape shape;
-    Shuffler shuffler(false, shape.k0);
-    ScheduleCache warm;
-    for (int i = 0; i < 3; ++i) {
-        Rng tile_rng = rng.fork();
-        auto tile = randomSparse(64, 16, 0.7, tile_rng);
-        warm.obtain(TileViewB(tile, shape, 0), Borrow{2, 0, 0},
-                    shuffler);
-    }
-    const auto path = tempPath("griffin_cache_trunc.grfc");
-    saveCacheFile(path, warm);
-
-    // Chop the last bytes off the final entry.
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream whole;
-    whole << in.rdbuf();
-    in.close();
-    const auto bytes = whole.str();
-    {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size() - 16));
-    }
-    ScheduleCache cold;
-    const auto loaded = loadCacheFile(path, cold);
-    EXPECT_LT(loaded, 3u);
-    EXPECT_EQ(cold.stats().entries, loaded);
-    std::remove(path.c_str());
-}
-
-TEST(ScheduleCache, ConcurrentObtainIsConsistent)
-{
-    Rng rng(17);
-    std::vector<MatrixI8> tiles;
-    for (int i = 0; i < 8; ++i) {
-        Rng tile_rng = rng.fork();
-        tiles.push_back(randomSparse(64, 16, 0.75, tile_rng));
-    }
-    TileShape shape;
-    const Borrow db{4, 0, 1};
-    Shuffler shuffler(true, shape.k0);
-
-    ScheduleCache cache;
-    std::vector<std::shared_ptr<const BSchedule>> seen(64);
-    {
-        ThreadPool pool(4);
-        for (std::size_t i = 0; i < seen.size(); ++i)
-            pool.submit([&, i] {
-                seen[i] = cache.obtain(
-                    TileViewB(tiles[i % tiles.size()], shape, 0), db,
-                    shuffler);
-            });
-        pool.wait();
-    }
-    // Every requester of one tile got a schedule equal to the serial
-    // computation (racing double-computes are allowed, but the content
-    // must match).
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-        const auto fresh = preprocessB(
-            TileViewB(tiles[i % tiles.size()], shape, 0), db, shuffler,
-            false);
-        expectSameSchedule(*seen[i], fresh);
-    }
-    EXPECT_EQ(cache.stats().entries, tiles.size());
 }
 
 // ---- runner ---------------------------------------------------------
@@ -619,10 +315,10 @@ TEST(Runner, SharedWorksetCachePersistsAcrossSweeps)
 {
     auto spec = smallSweep();
     WorksetCache worksets;
-    const auto first = runSweep(spec, 2, nullptr, &worksets);
+    const auto first = runSweep(spec, 2, &worksets);
     const auto cold_misses = first.worksetStats().misses;
     EXPECT_GT(cold_misses, 0u);
-    const auto second = runSweep(spec, 2, nullptr, &worksets);
+    const auto second = runSweep(spec, 2, &worksets);
     // Every generation of the second sweep is served by the first's.
     EXPECT_EQ(second.worksetStats().misses, cold_misses);
     std::ostringstream a, b;
@@ -795,8 +491,7 @@ tinyAnnotatedSweep()
     spec.optionCoords = {{{"weight_lane_bias", "0.25"}},
                          {{"weight_lane_bias", "0.75"}}};
     auto jobs = expandSweep(spec);
-    return SweepResult(std::move(jobs), {tinyResult(), tinyResult()},
-                       ScheduleCache::Stats{});
+    return SweepResult(std::move(jobs), {tinyResult(), tinyResult()});
 }
 
 TEST(ResultSink, SweepJsonRowsCarryOptionsAndCoords)
@@ -927,8 +622,7 @@ tinyTimedSweep()
                          {{"weight_lane_bias", "0.75"}}};
     auto jobs = expandSweep(spec);
     return SweepResult(std::move(jobs), {tinyResult(), tinyResult()},
-                       ScheduleCache::Stats{}, WorksetCache::Stats{},
-                       AScheduleCache::Stats{}, {1.5, 2.5});
+                       WorksetCache::Stats{}, {1.5, 2.5});
 }
 
 TEST(ResultSink, TimedRowsEmitElapsedMs)

@@ -3,18 +3,25 @@
  * Tests for the stage-1 pipeline artifact (tensor/workset.hh) and its
  * content-addressed cache (runtime/workset_cache.hh): generation
  * determinism, cold-vs-warm bit-identity through Accelerator::runLayer,
- * eviction correctness under a tiny byte budget, serialization
- * round-trips, and the stats surfaced through writeCacheStatsJsonLine.
+ * shared ownership across clear(), budget semantics and eviction
+ * correctness, concurrent obtain(), serialization round-trips, the
+ * GRFW cache file's tolerance of missing, mismatched, and truncated
+ * files, and the stats surfaced through writeCacheStatsJsonLine.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "arch/presets.hh"
 #include "griffin/accelerator.hh"
 #include "runtime/cache_store.hh"
 #include "runtime/result_sink.hh"
+#include "runtime/thread_pool.hh"
 #include "runtime/workset_cache.hh"
 #include "workloads/network.hh"
 
@@ -144,6 +151,50 @@ TEST(Workset, EvictionUnderTinyBudgetStaysCorrect)
     expectWorksetEq(*w2, generateLayerWorkset(p2));
 }
 
+TEST(Workset, HeldEntriesSurviveClear)
+{
+    WorksetCache cache;
+    const auto held = cache.obtain(tinyParams());
+    cache.clear();
+    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(cache.stats().residentBytes, 0u);
+    // Still alive through shared ownership.
+    expectWorksetEq(*held, generateLayerWorkset(tinyParams()));
+}
+
+TEST(Workset, ZeroBudgetIsUnbounded)
+{
+    WorksetCache cache(1);
+    // 0 also lifts an earlier cap.
+    cache.setByteBudget(1);
+    cache.setByteBudget(0);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        cache.obtain(tinyParams(seed));
+    EXPECT_EQ(cache.stats().entries, 4u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(Workset, ConcurrentObtainEqualsSerialGeneration)
+{
+    WorksetCache cache;
+    std::vector<std::shared_ptr<const LayerWorkset>> seen(32);
+    {
+        ThreadPool pool(4);
+        for (std::size_t i = 0; i < seen.size(); ++i)
+            pool.submit([&cache, &seen, i] {
+                seen[i] = cache.obtain(tinyParams(1 + i % 4));
+            });
+        pool.wait();
+    }
+    // Racing double-generations are allowed, but every requester of a
+    // key must get the serially generated content.
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        expectWorksetEq(*seen[i], generateLayerWorkset(tinyParams(1 + i % 4)));
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.entries, 4u);
+    EXPECT_EQ(stats.hits + stats.misses, seen.size());
+}
+
 TEST(Workset, SerializeRoundTrips)
 {
     const auto w = generateLayerWorkset(tinyParams());
@@ -180,6 +231,62 @@ TEST(Workset, CacheFileRoundTripCountsLoadHits)
     EXPECT_EQ(stats.misses, 0u);
 }
 
+TEST(Workset, CacheFileMissingLoadsNothing)
+{
+    WorksetCache cache;
+    EXPECT_EQ(loadWorksetCacheFile(
+                  ::testing::TempDir() + "workset_nonexistent.grfw", cache),
+              0u);
+    EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(Workset, CacheFileBadMagicOrVersionIsIgnored)
+{
+    const std::string path = ::testing::TempDir() + "workset_bad.grfw";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << "JUNKJUNKJUNK";
+    }
+    WorksetCache cache;
+    EXPECT_EQ(loadWorksetCacheFile(path, cache), 0u);
+    {
+        // Right magic, wrong version byte: whole-file invalidation.
+        std::ofstream os(path, std::ios::binary);
+        os << "GRFW" << '\x7f' << "rest";
+    }
+    EXPECT_EQ(loadWorksetCacheFile(path, cache), 0u);
+    EXPECT_EQ(cache.stats().entries, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(Workset, CacheFileTruncatedKeepsCleanPrefix)
+{
+    const std::string path = ::testing::TempDir() + "workset_trunc.grfw";
+    {
+        WorksetCache warm;
+        for (std::uint64_t seed = 1; seed <= 3; ++seed)
+            warm.obtain(tinyParams(seed));
+        ASSERT_EQ(saveWorksetCacheFile(path, warm), 3u);
+    }
+    // Chop the last bytes off the final entry.
+    std::stringstream whole;
+    {
+        std::ifstream in(path, std::ios::binary);
+        whole << in.rdbuf();
+    }
+    const auto bytes = whole.str();
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(),
+                 static_cast<std::streamsize>(bytes.size() - 16));
+    }
+    WorksetCache cold;
+    EXPECT_EQ(loadWorksetCacheFile(path, cold), 2u);
+    EXPECT_EQ(cold.stats().entries, 2u);
+    EXPECT_EQ(cold.stats().loadedEntries, 2u);
+    std::remove(path.c_str());
+}
+
 TEST(Workset, StatsSurfaceThroughJsonLine)
 {
     WorksetCache cache(1);
@@ -196,11 +303,6 @@ TEST(Workset, StatsSurfaceThroughJsonLine)
     EXPECT_NE(line.find("\"evictions\": 1"), std::string::npos);
     EXPECT_NE(line.find("\"load_hits\": 0"), std::string::npos);
     EXPECT_NE(line.find("\"hits\": 1"), std::string::npos);
-
-    // The schedule cache keeps its historical label by default.
-    std::ostringstream os2;
-    writeCacheStatsJsonLine(os2, CacheStats{});
-    EXPECT_EQ(os2.str().rfind("{\"cache_stats\": {", 0), 0u);
 }
 
 } // namespace
