@@ -251,6 +251,9 @@ benchKernels()
     timed("mt_temper", 100000, static_cast<std::uint64_t>(kBlock), [&] {
         kern.mtTemper(state.data(), kBlock, tempered.data());
     });
+    timed("mt_twist", 100000, static_cast<std::uint64_t>(kBlock), [&] {
+        kern.mtTwist(state.data());
+    });
     return out;
 }
 

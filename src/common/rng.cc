@@ -21,30 +21,33 @@ Mt64::Mt64(result_type seed)
 void
 Mt64::refill()
 {
-    // In-place twist: entry i becomes x_{i+N}, reading x_{i+M} from
-    // the already-updated prefix once i + M wraps — the classic batch
-    // form of the [rand.eng.mers] recurrence.
-    constexpr int kM = 156;
-    constexpr std::uint64_t kUpper = 0xFFFFFFFF80000000ULL;
-    constexpr std::uint64_t kLower = 0x7FFFFFFFULL;
-    constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
-    const auto twisted = [](std::uint64_t hi, std::uint64_t lo) {
-        const std::uint64_t x = (hi & kUpper) | (lo & kLower);
-        return (x >> 1) ^ ((x & 1) ? kMatrixA : 0);
-    };
-    int i = 0;
-    for (; i < kN - kM; ++i)
-        state_[i] = state_[i + kM] ^ twisted(state_[i], state_[i + 1]);
-    for (; i < kN - 1; ++i)
-        state_[i] =
-            state_[i + kM - kN] ^ twisted(state_[i], state_[i + 1]);
-    state_[kN - 1] =
-        state_[kM - 1] ^ twisted(state_[kN - 1], state_[0]);
-    simd::kernels().mtTemper(state_, kN, out_);
+    const simd::KernelTable &kern = simd::kernels();
+    kern.mtTwist(state_);
+    kern.mtTemper(state_, kN, out_);
     pos_ = 0;
 }
 
 Rng::Rng(std::uint64_t seed) : engine_(seed) {}
+
+BernoulliThreshold
+Rng::bernoulliThreshold(double p)
+{
+    // The outcome is true for a prefix of draws (file comment, point
+    // 2), so bisect for the first false one, T.
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    if (bernoulliFromDraw(kMax, p))
+        return {kMax, true};
+    std::uint64_t lo = 0;  // every draw below lo is true
+    std::uint64_t hi = kMax; // hi is false
+    while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (bernoulliFromDraw(mid, p))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return {lo, false};
+}
 
 void
 Rng::shuffle(std::vector<std::size_t> &v)

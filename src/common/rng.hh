@@ -5,6 +5,31 @@
  * Every stochastic choice in the library (synthetic sparsity masks,
  * tile sampling phases, test tensors) flows through Rng so that runs
  * are exactly reproducible from a single seed.
+ *
+ * Operand generation draws one or two values per matrix element, so
+ * the engine and the per-element draws are written without branches
+ * on random bits.  Each rewrite keeps every value of the historical
+ * std::mt19937_64 + libstdc++ distribution path, for three reasons:
+ *
+ *  1. Twist recurrence.  [rand.eng.mers] defines x_{i+n} from x_i,
+ *     x_{i+1} and x_{i+m} only (n = 312, m = 156), so a refill can
+ *     twist four words at a time (simd::KernelTable::mtTwist) and
+ *     temper the whole block (mtTemper).  The conditional xor with
+ *     `a` becomes a mask of the low bit.
+ *  2. Threshold monotonicity.  bernoulli(p) is uniform01() < p, and
+ *     uniform01() is a non-decreasing function of the raw 64-bit draw
+ *     u (u64 -> double rounding, an exact power-of-two scale and a
+ *     clamp are each monotone).  So the outcome is u < T for one
+ *     integer T in [0, 2^64], which bernoulliThreshold() finds by
+ *     bisecting the predicate itself.
+ *  3. Range-255 multiply-shift.  uniform_int_distribution(-128, 126)
+ *     over a 64-bit engine is Lemire's method (ACM TOMACS 2019) in
+ *     libstdc++: value (u * 255) >> 64, rejecting u only when the low
+ *     product word is below 2^64 mod 255 = 1, i.e. only u = 0.
+ *     nonzeroInt8FromDraw() is that map with the zero skipped.
+ *
+ * tests/test_rng.cc and tests/test_sparsity.cc pin all three against
+ * the std engine, the std distribution and the per-draw generators.
  */
 
 #ifndef GRIFFIN_COMMON_RNG_HH
@@ -21,13 +46,12 @@
 namespace griffin {
 
 /**
- * MT19937-64 with block-buffered output: the twist refills all 312
- * state words at once and the output tempering — element-independent —
- * runs through the SIMD kernel table (simd/occupancy.hh).  Every value
- * is bit-identical to std::mt19937_64 from the same seed ([rand.eng.
- * mers] specifies the generator exactly; tests/test_rng.cc pins the
- * equivalence), so historical baselines are unaffected — operand
- * generation just stops paying a per-call engine.
+ * MT19937-64 with block-buffered output: a refill twists all 312
+ * state words and tempers them into an output block, both through the
+ * SIMD kernel table (simd/occupancy.hh).  Every value is bit-identical
+ * to std::mt19937_64 from the same seed ([rand.eng.mers] specifies the
+ * generator exactly; tests/test_rng.cc pins the equivalence), so
+ * historical baselines are unaffected.
  *
  * Satisfies UniformRandomBitGenerator with the same result_type and
  * range as std::mt19937_64, so the std distributions over it follow
@@ -40,6 +64,9 @@ class Mt64
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
+    /** Draws per refill block. */
+    static constexpr int kN = 312;
+
     explicit Mt64(result_type seed);
 
     result_type
@@ -50,14 +77,39 @@ class Mt64
         return out_[pos_++];
     }
 
-  private:
-    static constexpr int kN = 312;
+    /**
+     * In-place access for loops that consume draws in bulk: the next
+     * kN - pos() values operator() would return are block()[pos()] ..
+     * block()[kN - 1], in order, and consume(n) takes n of them as if
+     * drawn.  Past the block end, operator() refills as usual.
+     */
+    const std::uint64_t *block() const { return out_; }
+    int pos() const { return pos_; }
+    void consume(int n) { pos_ += n; }
 
+  private:
     void refill();
 
     std::uint64_t state_[kN];
     std::uint64_t out_[kN];
     int pos_ = kN;
+};
+
+/**
+ * Rng::bernoulli(p) as an integer compare on the raw engine draw u:
+ * true iff u < below, or for every u when `always` (p >= 1, where the
+ * bound would be 2^64).
+ */
+struct BernoulliThreshold
+{
+    std::uint64_t below = 0;
+    bool always = false;
+
+    bool
+    operator()(std::uint64_t u) const
+    {
+        return (u < below) | always;
+    }
 };
 
 /**
@@ -76,9 +128,9 @@ class Rng
 
     // The per-value draws are defined inline: operand generation calls
     // them once per matrix element, and the out-of-line versions spent
-    // more time on call overhead than in the engine.  The distribution
-    // objects and call order are unchanged — the value sequence from a
-    // given seed is bit-identical to the historical one.
+    // more time on call overhead than in the engine.  The value sequence
+    // from a given seed is bit-identical to the historical std
+    // distributions over std::mt19937_64 (see the file comment).
 
     /** Uniform integer in [lo, hi] inclusive.  Requires lo <= hi. */
     std::int64_t
@@ -91,28 +143,27 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double
-    uniform01()
-    {
-        // Explicit canonical form: one engine draw scaled by 2^-64,
-        // clamped below one where the 53-bit rounding of the largest
-        // draws lands on 1.0.  This is bit-identical to the
-        // libstdc++ uniform_real_distribution(0,1) over mt19937_64
-        // that produced every existing baseline, but skips the
-        // generate_canonical long-double path that dominated operand
-        // generation profiles.
-        const double r =
-            static_cast<double>(engine_()) * 0x1p-64;
-        return r < 1.0 ? r : 0x1.fffffffffffffp-1;
-    }
+    double uniform01() { return unitFromDraw(engine_()); }
 
     /** Bernoulli trial: true with probability p (clamped to [0,1]). */
-    bool
-    bernoulli(double p)
+    bool bernoulli(double p) { return bernoulliFromDraw(engine_(), p); }
+
+    /** bernoulli(p) for t = bernoulliThreshold(p), one compare. */
+    bool bernoulli(const BernoulliThreshold &t) { return t(engine_()); }
+
+    /** bernoulli(p)'s outcome for the raw engine draw `u`. */
+    static bool
+    bernoulliFromDraw(std::uint64_t u, double p)
     {
-        p = std::clamp(p, 0.0, 1.0);
-        return uniform01() < p;
+        return unitFromDraw(u) < std::clamp(p, 0.0, 1.0);
     }
+
+    /**
+     * The integer form of bernoulli(p): threshold(u) ==
+     * bernoulliFromDraw(u, p) for every draw u.  Costs a 64-step
+     * bisection, so compute it once per distinct p.
+     */
+    static BernoulliThreshold bernoulliThreshold(double p);
 
     /**
      * Nonzero INT8 value, uniform over [-128,127] \ {0}.  Used when a
@@ -121,16 +172,33 @@ class Rng
     std::int8_t
     nonzeroInt8()
     {
-        // Draw from [-128, 126] and shift the zero out of the range so
-        // all 255 nonzero values stay equally likely.
-        auto v = uniformInt(-128, 126);
-        if (v >= 0)
-            ++v;
-        return static_cast<std::int8_t>(v);
+        // The draw path of uniformInt(-128, 126): only a zero draw is
+        // rejected (see the file comment).
+        std::uint64_t u = engine_();
+        while (u == 0)
+            u = engine_();
+        return nonzeroInt8FromDraw(u);
+    }
+
+    /**
+     * nonzeroInt8()'s value for an accepted raw draw `u` (any u but
+     * 0): h = (u * 255) >> 64 in [0, 254] is uniformInt(-128, 126)'s
+     * value plus 128, and h >= 128 steps over the zero so all 255
+     * nonzero values stay equally likely.
+     */
+    static std::int8_t
+    nonzeroInt8FromDraw(std::uint64_t u)
+    {
+        using U128 = unsigned __int128;
+        const auto h = static_cast<int>((U128{u} * 255) >> 64);
+        return static_cast<std::int8_t>(h - 128 + (h >= 128));
     }
 
     /** Fisher-Yates shuffle of an index vector. */
     void shuffle(std::vector<std::size_t> &v);
+
+    /** The engine, for loops that walk its buffered block in place. */
+    Mt64 &engine() { return engine_; }
 
     /**
      * Derive an independent child generator.  Used to give each layer
@@ -151,6 +219,20 @@ class Rng
                                  const std::string &salt);
 
   private:
+    /** uniform01()'s value for the raw engine draw `u`. */
+    static double
+    unitFromDraw(std::uint64_t u)
+    {
+        // Explicit canonical form: one engine draw scaled by 2^-64,
+        // clamped below one where the 53-bit rounding of the largest
+        // draws lands on 1.0.  This is bit-identical to the
+        // libstdc++ uniform_real_distribution(0,1) over mt19937_64
+        // that produced every existing baseline, but skips the
+        // generate_canonical long-double path.
+        const double r = static_cast<double>(u) * 0x1p-64;
+        return r < 1.0 ? r : 0x1.fffffffffffffp-1;
+    }
+
     Mt64 engine_;
 };
 

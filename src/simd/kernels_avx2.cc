@@ -194,6 +194,60 @@ mtTemperAvx2(const std::uint64_t *src, std::int64_t n,
     }
 }
 
+constexpr int kMtN = 312;
+constexpr int kMtM = 156;
+constexpr std::uint64_t kMtUpper = 0xFFFFFFFF80000000ULL;
+constexpr std::uint64_t kMtLower = 0x7FFFFFFFULL;
+constexpr std::uint64_t kMtMatrixA = 0xB5026F5AA96619E9ULL;
+
+/** state[i..i+4) becomes far[0..4) ^ twist(state[i..i+5)). */
+GRIFFIN_AVX2 inline void
+mtTwist4(std::uint64_t *state, int i, const std::uint64_t *far)
+{
+    const __m256i upper =
+        _mm256_set1_epi64x(static_cast<long long>(kMtUpper));
+    const __m256i lower = _mm256_set1_epi64x(kMtLower);
+    const __m256i matrix =
+        _mm256_set1_epi64x(static_cast<long long>(kMtMatrixA));
+    const __m256i one = _mm256_set1_epi64x(1);
+    const __m256i hi = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(state + i));
+    const __m256i lo = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(state + i + 1));
+    const __m256i x = _mm256_or_si256(_mm256_and_si256(hi, upper),
+                                      _mm256_and_si256(lo, lower));
+    // -(x & 1) as a lane mask: all ones where the low bit is set.
+    const __m256i odd =
+        _mm256_cmpeq_epi64(_mm256_and_si256(x, one), one);
+    const __m256i y = _mm256_xor_si256(
+        _mm256_srli_epi64(x, 1), _mm256_and_si256(odd, matrix));
+    const __m256i f =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(far));
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(state + i),
+                        _mm256_xor_si256(f, y));
+}
+
+GRIFFIN_AVX2 void
+mtTwistAvx2(std::uint64_t *state)
+{
+    // Four words per step: each reads words i..i+4 before any of them
+    // is rewritten, and its x_{i±M} partner is either not yet updated
+    // (i < N-M) or updated by an earlier step (i >= N-M).  N-M = 156
+    // is a multiple of four, so no step straddles the two halves.
+    int i = 0;
+    for (; i < kMtN - kMtM; i += 4)
+        mtTwist4(state, i, state + i + kMtM);
+    for (; i + 4 < kMtN; i += 4)
+        mtTwist4(state, i, state + i + kMtM - kMtN);
+    // The last words finish scalar; word N-1 reads the new state[0].
+    for (; i < kMtN; ++i) {
+        const std::uint64_t x = (state[i] & kMtUpper) |
+                                (state[(i + 1) % kMtN] & kMtLower);
+        state[i] = state[i + kMtM - kMtN] ^ (x >> 1) ^
+                   (-(x & 1) & kMtMatrixA);
+    }
+}
+
 } // namespace
 
 const KernelTable *
@@ -204,6 +258,7 @@ avx2Table()
     static const KernelTable table = {
         nonzeroMasksAvx2, countNonzeroAvx2, accumulateNonzeroAvx2,
         leMaskAvx2,       minI64Avx2,       mtTemperAvx2,
+        mtTwistAvx2,
     };
     return &table;
 }

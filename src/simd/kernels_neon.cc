@@ -2,9 +2,9 @@
  * @file
  * NEON (AArch64) kernels.  Occupancy extraction uses vceqq + a
  * bit-select/horizontal-add narrowing to turn 16 bytes into 16 mask
- * bits; the int64 head-compare and min kernels delegate to the scalar
- * reference — on a 16-lane grid they are not the bottleneck, and the
- * byte-exactness contract is trivially kept.
+ * bits; the int64 head-compare, min and MT19937-64 twist kernels
+ * delegate to the scalar reference — they are not the bottleneck
+ * there, and the byte-exactness contract is trivially kept.
  *
  * Compiled to the nullptr stub everywhere else (including the x86 CI
  * fleet); tests/test_simd.cc exercises whichever backends the build
@@ -138,6 +138,7 @@ neonTable()
         nonzeroMasksNeon,          countNonzeroNeon,
         accumulateNonzeroNeon,     scalarTable().leMask,
         scalarTable().minI64,      mtTemperNeon,
+        scalarTable().mtTwist,
     };
     return &table;
 }

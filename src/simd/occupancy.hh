@@ -82,12 +82,20 @@ struct KernelTable
     /**
      * MT19937-64 output tempering of `n` raw state words (the shift /
      * xor / mask cascade from [rand.eng.mers]).  Tempering is
-     * element-independent, so the engine refill vectorizes even though
-     * the twist itself is a serial recurrence.  out[i] may alias
-     * nothing in [src, src + n).
+     * element-independent, so it vectorizes across the whole block.
+     * out[i] may alias nothing in [src, src + n).
      */
     void (*mtTemper)(const std::uint64_t *src, std::int64_t n,
                      std::uint64_t *out);
+
+    /**
+     * MT19937-64 twist of one whole 312-word state block in place:
+     * state[i] becomes x_{i+312} of the [rand.eng.mers] recurrence.
+     * Word i reads only words i, i + 1 and i ± 156, so runs of four
+     * consecutive words are independent and the recurrence vectorizes
+     * except for the last word, which reads the new state[0].
+     */
+    void (*mtTwist)(std::uint64_t *state);
 };
 
 /** The backend picked by the dispatch order above (cached). */

@@ -1,11 +1,13 @@
 # CTest script: SIMD dispatch equivalence, end to end.
 #
-# The same fig5 slice runs twice — once under whatever backend the CPU
-# dispatches (AVX2 here, NEON on ARM, scalar elsewhere) and once with
-# GRIFFIN_FORCE_SCALAR=1 pinning the portable reference — and the
+# The same fig5 and fig6 slices run twice — once under whatever backend
+# the CPU dispatches (AVX2 here, NEON on ARM, scalar elsewhere) and once
+# with GRIFFIN_FORCE_SCALAR=1 pinning the portable reference — and the
 # result-row documents must be byte-identical.  This is the whole-run
 # closure of the per-kernel equivalence tests in tests/test_simd.cc:
-# the SIMD layer is a pure speedup, never a behaviour change.
+# the SIMD layer is a pure speedup, never a behaviour change.  fig5 has
+# dense activations and fig6 sparse ones, so between them they cover
+# both operand generators' sparse and dense rows.
 #
 # A third run with --kernels additionally checks the perf artifact's
 # backend report: under GRIFFIN_FORCE_SCALAR the kernels section must
@@ -24,38 +26,42 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(fidelity --sample 0.01 --rowcap 4 --threads 2)
 
-# -- auto dispatch ----------------------------------------------------
+foreach(exp fig5 fig6)
+    # -- auto dispatch ------------------------------------------------
 
-execute_process(
-    COMMAND "${GRIFFIN_BENCH}" run fig5 ${fidelity}
-            --out "${WORK_DIR}/auto.jsonl"
-    OUTPUT_VARIABLE out1 ERROR_VARIABLE err1 RESULT_VARIABLE rc1)
-if(NOT rc1 EQUAL 0)
-    message(FATAL_ERROR "auto-dispatch run failed (${rc1}):\n${err1}")
-endif()
+    execute_process(
+        COMMAND "${GRIFFIN_BENCH}" run ${exp} ${fidelity}
+                --out "${WORK_DIR}/${exp}_auto.jsonl"
+        OUTPUT_VARIABLE out1 ERROR_VARIABLE err1 RESULT_VARIABLE rc1)
+    if(NOT rc1 EQUAL 0)
+        message(FATAL_ERROR
+            "auto-dispatch ${exp} run failed (${rc1}):\n${err1}")
+    endif()
 
-# -- forced scalar ----------------------------------------------------
+    # -- forced scalar ------------------------------------------------
 
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env GRIFFIN_FORCE_SCALAR=1
-            "${GRIFFIN_BENCH}" run fig5 ${fidelity}
-            --out "${WORK_DIR}/scalar.jsonl"
-    OUTPUT_VARIABLE out2 ERROR_VARIABLE err2 RESULT_VARIABLE rc2)
-if(NOT rc2 EQUAL 0)
-    message(FATAL_ERROR "forced-scalar run failed (${rc2}):\n${err2}")
-endif()
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E env GRIFFIN_FORCE_SCALAR=1
+                "${GRIFFIN_BENCH}" run ${exp} ${fidelity}
+                --out "${WORK_DIR}/${exp}_scalar.jsonl"
+        OUTPUT_VARIABLE out2 ERROR_VARIABLE err2 RESULT_VARIABLE rc2)
+    if(NOT rc2 EQUAL 0)
+        message(FATAL_ERROR
+            "forced-scalar ${exp} run failed (${rc2}):\n${err2}")
+    endif()
 
-file(READ "${WORK_DIR}/auto.jsonl" rows_auto)
-file(READ "${WORK_DIR}/scalar.jsonl" rows_scalar)
-string(LENGTH "${rows_auto}" auto_len)
-if(auto_len EQUAL 0)
-    message(FATAL_ERROR "auto-dispatch row document is empty")
-endif()
-if(NOT rows_auto STREQUAL rows_scalar)
-    message(FATAL_ERROR
-        "SIMD dispatch changed result bytes: auto vs "
-        "GRIFFIN_FORCE_SCALAR=1 differ on fig5")
-endif()
+    file(READ "${WORK_DIR}/${exp}_auto.jsonl" rows_auto)
+    file(READ "${WORK_DIR}/${exp}_scalar.jsonl" rows_scalar)
+    string(LENGTH "${rows_auto}" auto_len)
+    if(auto_len EQUAL 0)
+        message(FATAL_ERROR "auto-dispatch ${exp} row document is empty")
+    endif()
+    if(NOT rows_auto STREQUAL rows_scalar)
+        message(FATAL_ERROR
+            "SIMD dispatch changed result bytes: auto vs "
+            "GRIFFIN_FORCE_SCALAR=1 differ on ${exp}")
+    endif()
+endforeach()
 
 # -- the force knob really reroutes dispatch --------------------------
 
@@ -76,6 +82,9 @@ if(NOT kernels_doc MATCHES "\"backend\": \"scalar\"")
     message(FATAL_ERROR "GRIFFIN_FORCE_SCALAR=1 did not pin the "
                         "scalar backend in the kernels report")
 endif()
+if(NOT kernels_doc MATCHES "\"kernel\": \"mt_twist\"")
+    message(FATAL_ERROR "perf --kernels artifact lacks mt_twist")
+endif()
 
-message(STATUS "simd_dispatch: auto and forced-scalar fig5 rows are "
-               "byte-identical; force knob pins the scalar backend")
+message(STATUS "simd_dispatch: auto and forced-scalar fig5 and fig6 rows "
+               "are byte-identical; force knob pins the scalar backend")

@@ -3,6 +3,8 @@
  * Tests for deterministic random number generation.
  */
 
+#include <cmath>
+#include <limits>
 #include <random>
 #include <set>
 #include <vector>
@@ -14,20 +16,191 @@
 namespace griffin {
 namespace {
 
+constexpr std::uint64_t kMaxDraw = ~std::uint64_t{0};
+
+const std::uint64_t kSeeds[] = {0, 1, Rng::defaultSeed, kMaxDraw};
+
 TEST(Mt64, BitIdenticalToStdMt19937_64)
 {
-    // The block-buffered engine (SIMD-tempered refill) must reproduce
+    // The block-buffered engine (SIMD twist and temper) must reproduce
     // std::mt19937_64 exactly — [rand.eng.mers] pins both — across
-    // several refill boundaries (312 words each) and several seeds.
-    // Every historical baseline byte rests on this equivalence.
-    for (const std::uint64_t seed :
-         {std::uint64_t{0}, std::uint64_t{1}, Rng::defaultSeed,
-          std::uint64_t{0xFFFFFFFFFFFFFFFFULL}}) {
+    // thousands of refill boundaries (312 words each) and several
+    // seeds.  Every historical baseline byte rests on this equivalence.
+    constexpr int kDraws = 1 << 20;
+    for (const std::uint64_t seed : kSeeds) {
         std::mt19937_64 ref(seed);
         Mt64 engine(seed);
-        for (int i = 0; i < 312 * 4 + 7; ++i)
-            ASSERT_EQ(engine(), ref())
-                << "seed " << seed << " draw " << i;
+        for (int i = 0; i < kDraws; ++i) {
+            const std::uint64_t got = engine();
+            const std::uint64_t want = ref();
+            if (got != want) {
+                ADD_FAILURE() << "seed " << seed << " draw " << i << ": "
+                              << got << " != " << want;
+                break;
+            }
+        }
+    }
+}
+
+TEST(Mt64, BlockAccessMatchesDrawOrder)
+{
+    // block()[pos()..kN) are the next draws; consume(n) takes n of
+    // them exactly as n calls would.
+    Mt64 bulk(7), ref(7);
+    bulk();
+    ref();
+    ASSERT_EQ(bulk.pos(), 1);
+    const std::uint64_t *block = bulk.block();
+    for (int i = bulk.pos(); i < Mt64::kN; ++i)
+        EXPECT_EQ(block[i], ref());
+    bulk.consume(Mt64::kN - bulk.pos());
+    EXPECT_EQ(bulk(), ref()); // refills past the block end
+}
+
+/** A UniformRandomBitGenerator replaying a fixed list of draws. */
+struct ScriptedEngine
+{
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return kMaxDraw; }
+
+    std::vector<std::uint64_t> draws;
+    std::size_t used = 0;
+
+    result_type operator()() { return draws.at(used++); }
+};
+
+/** The historical nonzeroInt8: uniformInt(-128, 126), zero skipped. */
+template <typename Engine>
+int
+stdNonzeroInt8(Engine &engine)
+{
+    std::uniform_int_distribution<std::int64_t> dist(-128, 126);
+    const std::int64_t v = dist(engine);
+    return static_cast<int>(v >= 0 ? v + 1 : v);
+}
+
+TEST(Rng, NonzeroInt8ValueMapMatchesUniformIntOnEdgeDraws)
+{
+    // Draw 0 is the only rejection: the distribution moves on to the
+    // next draw, as nonzeroInt8() does.
+    ScriptedEngine rejected{{0, 1}};
+    EXPECT_EQ(stdNonzeroInt8(rejected), Rng::nonzeroInt8FromDraw(1));
+    EXPECT_EQ(rejected.used, 2u);
+
+    // The ends of the range, plus both sides of every step: (u * 255)
+    // >> 64 reaches h at the first u with u * 255 >= h * 2^64.
+    using U128 = unsigned __int128;
+    std::vector<std::uint64_t> edges = {1, 2, kMaxDraw - 1, kMaxDraw};
+    for (int h = 1; h < 255; ++h) {
+        const auto first = static_cast<std::uint64_t>(
+            ((U128{static_cast<std::uint64_t>(h)} << 64) + 254) / 255);
+        edges.push_back(first - 1);
+        edges.push_back(first);
+    }
+    for (const std::uint64_t u : edges) {
+        ScriptedEngine one{{u}};
+        EXPECT_EQ(stdNonzeroInt8(one), Rng::nonzeroInt8FromDraw(u))
+            << "draw " << u;
+        EXPECT_EQ(one.used, 1u) << "draw " << u << " was rejected";
+    }
+    EXPECT_EQ(Rng::nonzeroInt8FromDraw(1), -128);
+    EXPECT_EQ(Rng::nonzeroInt8FromDraw(kMaxDraw), 127);
+    // The -1 -> +1 crossing is edges[4 + 2 * 127 + {0, 1}].
+    EXPECT_EQ(Rng::nonzeroInt8FromDraw(edges[4 + 2 * 127]), -1);
+    EXPECT_EQ(Rng::nonzeroInt8FromDraw(edges[4 + 2 * 127 + 1]), 1);
+}
+
+TEST(Rng, NonzeroInt8MatchesUniformIntDistribution)
+{
+    // The multiply-shift form must follow the std distribution over
+    // the same engine draw for draw, including how many draws it takes.
+    constexpr int kDraws = 1 << 20;
+    for (const std::uint64_t seed : kSeeds) {
+        Rng rng(seed);
+        Mt64 engine(seed);
+        for (int i = 0; i < kDraws; ++i) {
+            const int got = rng.nonzeroInt8();
+            const int want = stdNonzeroInt8(engine);
+            if (got != want) {
+                ADD_FAILURE() << "seed " << seed << " draw " << i << ": "
+                              << got << " != " << want;
+                break;
+            }
+        }
+        EXPECT_EQ(rng.engine()(), engine()) << "seed " << seed;
+    }
+}
+
+/** Threshold vs bernoulli at the bisection edge and at the ends. */
+void
+expectThresholdEdges(double p)
+{
+    const BernoulliThreshold t = Rng::bernoulliThreshold(p);
+    for (const std::uint64_t u : {std::uint64_t{0}, kMaxDraw})
+        EXPECT_EQ(t(u), Rng::bernoulliFromDraw(u, p))
+            << "p " << p << " draw " << u;
+    if (t.always)
+        return;
+    EXPECT_FALSE(Rng::bernoulliFromDraw(t.below, p)) << "p " << p;
+    EXPECT_FALSE(t(t.below)) << "p " << p;
+    if (t.below > 0) {
+        EXPECT_TRUE(Rng::bernoulliFromDraw(t.below - 1, p)) << "p " << p;
+        EXPECT_TRUE(t(t.below - 1)) << "p " << p;
+    }
+}
+
+/** Threshold vs Rng::bernoulli(p) over `draws` engine draws. */
+void
+expectThresholdStream(double p, std::uint64_t seed, int draws)
+{
+    const BernoulliThreshold t = Rng::bernoulliThreshold(p);
+    Rng rng(seed);
+    Mt64 engine(seed);
+    for (int i = 0; i < draws; ++i) {
+        const std::uint64_t u = engine();
+        if (t(u) != rng.bernoulli(p)) {
+            ADD_FAILURE() << "p " << p << " seed " << seed << " draw "
+                          << i << " (" << u << ")";
+            return;
+        }
+    }
+}
+
+TEST(Rng, BernoulliThresholdAgreesWithBernoulli)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double special[] = {-1.0, 0.0, 0x1p-64, 0.5, 5.0 / 6.0,
+                              std::nextafter(1.0, 0.0), 1.0, 2.0, nan};
+    for (const double p : special) {
+        expectThresholdEdges(p);
+        expectThresholdStream(p, Rng::defaultSeed, 1 << 20);
+    }
+    // Known bounds: p <= 0 and NaN never succeed, p >= 1 always does,
+    // 2^-64 succeeds on draw 0 only, and 0.5 stops where the u64 ->
+    // double rounding reaches 2^63 (ties to even round 2^63 - 2^9 up).
+    EXPECT_EQ(Rng::bernoulliThreshold(-1.0).below, 0u);
+    EXPECT_FALSE(Rng::bernoulliThreshold(0.0).always);
+    EXPECT_EQ(Rng::bernoulliThreshold(0.0).below, 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(nan).below, 0u);
+    EXPECT_FALSE(Rng::bernoulliThreshold(nan).always);
+    EXPECT_TRUE(Rng::bernoulliThreshold(1.0).always);
+    EXPECT_TRUE(Rng::bernoulliThreshold(2.0).always);
+    EXPECT_FALSE(Rng::bernoulliThreshold(std::nextafter(1.0, 0.0)).always);
+    EXPECT_EQ(Rng::bernoulliThreshold(0x1p-64).below, 1u);
+    EXPECT_EQ(Rng::bernoulliThreshold(0.5).below,
+              (std::uint64_t{1} << 63) - 512);
+
+    // 1000 random p: uniform ones and tiny ones, 1000 draws each.
+    std::mt19937_64 pick(2022);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 1000; ++i) {
+        const double p = i % 2 == 0
+                             ? unit(pick)
+                             : std::ldexp(unit(pick),
+                                          -static_cast<int>(pick() % 64));
+        expectThresholdEdges(p);
+        expectThresholdStream(p, pick(), 1000);
     }
 }
 

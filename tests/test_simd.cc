@@ -162,6 +162,52 @@ TEST(SimdKernels, MtTemperMatchesScalarOffVectorWidths)
     }
 }
 
+/** [rand.eng.mers] written out of place: x[i + 312] from x[i..]. */
+std::vector<std::uint64_t>
+textbookTwist(const std::vector<std::uint64_t> &state)
+{
+    std::vector<std::uint64_t> x(state);
+    x.resize(2 * 312);
+    for (int i = 0; i < 312; ++i) {
+        const std::uint64_t y = (x[i] & 0xFFFFFFFF80000000ULL) |
+                                (x[i + 1] & 0x7FFFFFFFULL);
+        std::uint64_t next = x[i + 156] ^ (y >> 1);
+        if (y & 1)
+            next ^= 0xB5026F5AA96619E9ULL;
+        x[i + 312] = next;
+    }
+    return {x.begin() + 312, x.end()};
+}
+
+TEST(SimdKernels, MtTwistMatchesTextbookRecurrenceOnEveryBackend)
+{
+    Rng rng(909);
+    std::vector<std::vector<std::uint64_t>> states = {
+        std::vector<std::uint64_t>(312, 0),
+        std::vector<std::uint64_t>(312, ~0ull),
+    };
+    std::vector<std::uint64_t> alternating(312);
+    for (int i = 0; i < 312; ++i)
+        alternating[i] = i % 2 == 0 ? 0x5555555555555555ULL
+                                    : 0xAAAAAAAAAAAAAAAAULL;
+    states.push_back(alternating);
+    for (int trial = 0; trial < 32; ++trial) {
+        std::vector<std::uint64_t> drawn(312);
+        for (auto &w : drawn)
+            w = rng.engine()();
+        states.push_back(drawn);
+    }
+    for (std::size_t s = 0; s < states.size(); ++s) {
+        const auto want = textbookTwist(states[s]);
+        for (const auto &[name, table] : availableBackends()) {
+            std::vector<std::uint64_t> got = states[s];
+            table->mtTwist(got.data());
+            EXPECT_EQ(want, got) << name << " twist diverges on state "
+                                 << s;
+        }
+    }
+}
+
 // ---- occupancy extraction vs brute force ----------------------------
 
 MatrixI8
@@ -282,6 +328,7 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
     const KernelTable &active = simd::kernels();
     EXPECT_NE(active.nonzeroMasks, nullptr);
     EXPECT_NE(active.mtTemper, nullptr);
+    EXPECT_NE(active.mtTwist, nullptr);
 }
 
 } // namespace

@@ -3,6 +3,8 @@
  * Tests for synthetic sparsity generators.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -10,6 +12,105 @@
 
 namespace griffin {
 namespace {
+
+// ---- byte identity with the per-draw generators ----------------------
+//
+// The generators walk the engine's 312-draw block in place with integer
+// thresholds; these are the plain loops they replace, one Rng call per
+// draw.  Row widths straddle the block edge, and the draw after the
+// matrix (what generateLayerWorkset forks the sampling seed from) must
+// match too.
+
+MatrixI8
+perDrawClustered(std::size_t rows, std::size_t cols, double sparsity,
+                 double run_len, Rng &rng)
+{
+    MatrixI8 m(rows, cols);
+    const double exit_zero = 1.0 / run_len;
+    const double enter_zero =
+        sparsity >= 1.0 ? 1.0
+                        : std::min(1.0, exit_zero * sparsity /
+                                            std::max(1e-9, 1.0 - sparsity));
+    for (std::size_t r = 0; r < rows; ++r) {
+        bool in_zero_run = rng.bernoulli(sparsity);
+        for (std::size_t c = 0; c < cols; ++c) {
+            if (!in_zero_run)
+                m.at(r, c) = rng.nonzeroInt8();
+            in_zero_run = in_zero_run ? !rng.bernoulli(exit_zero)
+                                      : rng.bernoulli(enter_zero);
+        }
+    }
+    return m;
+}
+
+MatrixI8
+perDrawLaneBiased(std::size_t rows, std::size_t cols, double sparsity,
+                  double bias, int period, Rng &rng)
+{
+    MatrixI8 m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const int phase = static_cast<int>(r % period);
+        const double centered =
+            period == 1
+                ? 0.0
+                : 1.0 - 2.0 * phase / static_cast<double>(period - 1);
+        const double q =
+            std::clamp((1.0 - sparsity) * (1.0 + bias * centered), 0.0,
+                       1.0);
+        for (std::size_t c = 0; c < cols; ++c)
+            if (rng.bernoulli(q))
+                m.at(r, c) = rng.nonzeroInt8();
+    }
+    return m;
+}
+
+const std::uint64_t kSeeds[] = {0, 1, Rng::defaultSeed, ~std::uint64_t{0}};
+const double kRates[] = {0.0, 0x1p-64, 0.37, 0.5, 0.8333, 1.0};
+const std::size_t kWidths[] = {1, 311, 312, 313, 1000};
+
+TEST(SparsityIdentity, ClusteredEqualsPerDrawLoop)
+{
+    constexpr std::size_t kRows = 5;
+    for (const std::uint64_t seed : kSeeds)
+        for (const double rate : kRates)
+            for (const double run_len : {1.0, 2.0, 8.0})
+                for (const std::size_t cols : kWidths) {
+                    Rng fast(seed), ref(seed);
+                    ASSERT_EQ(clusteredSparse(kRows, cols, rate, run_len,
+                                              fast),
+                              perDrawClustered(kRows, cols, rate, run_len,
+                                               ref))
+                        << "seed " << seed << " rate " << rate << " run "
+                        << run_len << " cols " << cols;
+                    ASSERT_EQ(fast.engine()(), ref.engine()())
+                        << "next draw, seed " << seed << " rate " << rate
+                        << " run " << run_len << " cols " << cols;
+                }
+}
+
+TEST(SparsityIdentity, LaneBiasedEqualsPerDrawLoop)
+{
+    // 9 rows: period 4 wraps twice, period 16 exceeds the row count.
+    constexpr std::size_t kRows = 9;
+    for (const std::uint64_t seed : kSeeds)
+        for (const double rate : kRates)
+            for (const double bias : {0.0, 0.5, 1.0})
+                for (const int period : {1, 4, 16})
+                    for (const std::size_t cols : kWidths) {
+                        Rng fast(seed), ref(seed);
+                        ASSERT_EQ(laneBiasedSparse(kRows, cols, rate, bias,
+                                                   period, fast),
+                                  perDrawLaneBiased(kRows, cols, rate,
+                                                    bias, period, ref))
+                            << "seed " << seed << " rate " << rate
+                            << " bias " << bias << " period " << period
+                            << " cols " << cols;
+                        ASSERT_EQ(fast.engine()(), ref.engine()())
+                            << "next draw, seed " << seed << " rate "
+                            << rate << " bias " << bias << " period "
+                            << period << " cols " << cols;
+                    }
+}
 
 TEST(Sparsity, RandomSparseHitsTargetRate)
 {
