@@ -12,19 +12,21 @@
  *
  * Every experiment accepts the same flag set: fidelity (--sample,
  * --rowcap, --seed, --lanebias; sample/rowcap default to the
- * experiment's tuned fidelity), parallelism (--threads, --layer-shard),
- * grid overrides (--grid, applied over the experiment's own axes),
- * batching (--batch-archs, on by default), workset-cache persistence
- * (--workset-cache-file/--workset-budget-mb for generated operand
- * worksets), and output (--csv tables, --json table JSON Lines,
- * --out result-row document: .json/.csv/.jsonl by suffix).
+ * experiment's tuned fidelity), parallelism (--threads), grid
+ * overrides (--grid, applied over the experiment's own axes: any axis
+ * the experiment does not lock can be swept, e.g.
+ * `run fig5 --grid "arch=Griffin,network=resnet50,seed=1..2"`),
+ * workset-cache persistence (--workset-cache-file/--workset-budget-mb
+ * for generated operand worksets), and output (--csv tables, --json
+ * table JSON Lines, --out result-row document: .json/.csv/.jsonl by
+ * suffix).
  *
- * Fleet sharding: --grid-shard i/n slices every sweep's job list into
- * n contiguous blocks and runs block i, so n processes cover a grid
- * disjointly.  Sharded runs emit result rows
- * only (a shard's aggregate tables would be wrong); concatenating the
- * shards' --out .jsonl files in shard order is byte-identical to the
- * unsharded file, and
+ * Multi-machine runs: --grid-shard i/n slices every sweep's job list
+ * into n contiguous blocks and runs block i, so n processes cover a
+ * grid disjointly.  Sharded runs emit result rows only (a shard's
+ * aggregate tables would be wrong); concatenating the shards' --out
+ * .jsonl files in shard order is byte-identical to the unsharded file,
+ * and
  *
  *   griffin_bench merge shard0.jsonl shard1.jsonl shard2.jsonl
  *
@@ -32,19 +34,6 @@
  * exactly (disjoint, complete, in order) and renders the aggregate
  * tables post hoc that the shards could not (--out rewrites the
  * merged row document, --csv/--json apply as in run).
- *
- * Fleet mode (live coordination, src/fleet/): `serve` runs the
- * static-shard story as one long-running coordinator —
- *
- *   griffin_bench serve fig5 --port-file port.txt --out rows.jsonl
- *   griffin_bench worker --connect 127.0.0.1:$(cat port.txt)
- *
- * — leasing job slices to workers over TCP, re-leasing slices whose
- * worker dies or stops heartbeating, validating every streamed row
- * online exactly as merge does offline, and rendering the aggregate
- * tables itself once every job is acked exactly once.  Tables and
- * --out rows are byte-identical to the unsharded run, worker deaths
- * included.
  */
 
 #include <algorithm>
@@ -56,10 +45,7 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/socket.hh"
 #include "common/strings.hh"
-#include "fleet/coordinator.hh"
-#include "fleet/worker.hh"
 #include "sched/dag_schedule.hh"
 #include "runtime/experiment.hh"
 #include "runtime/perf_report.hh"
@@ -274,9 +260,7 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
         experimentOrDie(name);
 
     ExperimentRunConfig config;
-    config.threads = static_cast<int>(cli.getInt("threads"));
-    config.layerShard = cli.getBool("layer-shard");
-    config.batchArchs = cli.getBool("batch-archs");
+    config.threads = resolveThreads(cli);
     config.run = resolveFidelity(cli, perfDefaultSample,
                                  perfDefaultRowCap);
     // A fresh workset cache per experiment (the config cache stays
@@ -349,7 +333,6 @@ main(int argc, char **argv)
     Cli cli("griffin_bench: run registered paper experiments "
             "(subcommands: list | networks | describe <name...> | "
             "run <name...|--all> | merge <shard.jsonl...> | "
-            "serve <name...|--all> | worker --connect host:port | "
             "perf [name...] [--kernels] | "
             "perf --compare [--gate] old.json new.json; "
             "describe also takes a benchmark network name and renders "
@@ -357,17 +340,9 @@ main(int argc, char **argv)
     addFidelityFlags(cli);
     cli.addBool("all", false, "run every registered experiment");
     cli.addInt("threads", ThreadPool::hardwareThreads(),
-               "worker threads (1 = serial; results are bit-identical "
-               "for any value)");
-    cli.addBool("layer-shard", false,
-                "split each network job into per-layer sub-jobs "
-                "(bit-identical results, finer pool granularity)");
-    cli.addBool("batch-archs", true,
-                "batch multiple GEMMs per job: all architectures of "
-                "one (network, category, options) grid point share "
-                "one sub-job per layer, generating each operand "
-                "workset once (bit-identical results; disable with "
-                "--batch-archs false)");
+               "worker threads, 1.." + std::to_string(maxThreads) +
+                   " (1 = serial; results are bit-identical for any "
+                   "value)");
     cli.addString("grid", "",
                   "named-axis grid override applied over the "
                   "experiment's own axes, e.g. "
@@ -375,34 +350,6 @@ main(int argc, char **argv)
     cli.addString("grid-shard", "",
                   "run shard i of n (\"i/n\"): contiguous slice of "
                   "every sweep's job list; emits result rows only");
-    cli.addInt("port", 0,
-               "serve: TCP port to listen on (0 = ephemeral; see "
-               "--port-file)");
-    cli.addString("port-file", "",
-                  "serve: write the resolved listen port to this file "
-                  "(atomically), so scripts can start workers against "
-                  "--port 0");
-    cli.addInt("lease-jobs", 4,
-               "serve: jobs per lease — the work-stealing granularity");
-    cli.addInt("lease-timeout-ms", 10000,
-               "serve: re-lease a slice whose worker has not "
-               "heartbeat for this long");
-    cli.addString("connect", "",
-                  "worker: coordinator address as host:port");
-    cli.addString("worker-name", "",
-                  "worker: display name in coordinator logs "
-                  "(default pid<pid>)");
-    cli.addInt("heartbeat-ms", 1000,
-               "worker: lease-heartbeat cadence while a sweep runs");
-    cli.addInt("backoff-ms", 200,
-               "worker: initial reconnect backoff (doubles per "
-               "failed attempt)");
-    cli.addInt("max-reconnects", 5,
-               "worker: consecutive failed connection attempts "
-               "before exiting with a run-failure status");
-    cli.addInt("abandon-after", 0,
-               "worker: test hook — exit without acking upon "
-               "receiving the Nth lease (0 = never)");
     addCacheFlags(cli);
     cli.addBool("csv", false, "emit CSV tables instead of boxed ones");
     cli.addString("json", "",
@@ -440,7 +387,7 @@ main(int argc, char **argv)
 
     if (positional.empty())
         fatal("missing subcommand (list | networks | describe | run | "
-              "merge | serve | worker | perf)\n",
+              "merge | perf)\n",
               cli.usage());
     const std::string &command = positional.front();
     std::vector<std::string> names(positional.begin() + 1,
@@ -524,122 +471,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (command == "serve") {
-        if (cli.getBool("all")) {
-            if (!names.empty())
-                fatal("serve --all takes no experiment names");
-            names = registryNames();
-        }
-        if (names.empty())
-            fatal("serve needs experiment names or --all");
-
-        std::vector<FleetServeSpec> specs;
-        for (const auto &name : names) {
-            const Experiment &exp = experimentOrDie(name);
-            if (!exp.setup)
-                fatal("experiment '", name,
-                      "' is render-only; a fleet run has nothing to "
-                      "lease");
-            FleetServeSpec spec;
-            spec.experiment = &exp;
-            spec.run = resolveFidelity(cli, exp.defaultSample,
-                                       exp.defaultRowCap);
-            specs.push_back(spec);
-        }
-
-        CoordinatorConfig config;
-        const auto port = cli.getInt("port");
-        if (port < 0 || port > 65535)
-            fatal("--port ", port, " is outside 0..65535");
-        config.port = static_cast<std::uint16_t>(port);
-        config.portFile = cli.getString("port-file");
-        config.gridOverride = cli.getString("grid");
-        const auto lease_jobs = cli.getInt("lease-jobs");
-        if (lease_jobs <= 0)
-            fatal("--lease-jobs must be positive, got ", lease_jobs);
-        config.leaseJobs = static_cast<std::size_t>(lease_jobs);
-        const auto lease_timeout = cli.getInt("lease-timeout-ms");
-        if (lease_timeout <= 0)
-            fatal("--lease-timeout-ms must be positive, got ",
-                  lease_timeout);
-        config.leaseTimeoutMs = static_cast<int>(lease_timeout);
-
-        const FleetOutcome outcome = serveFleet(specs, config);
-
-        TableEmitter emitter;
-        emitter.csv = cli.getBool("csv");
-        emitter.jsonPath = cli.getString("json");
-        std::unique_ptr<ResultSink> sink;
-        if (!cli.getString("out").empty())
-            sink = std::make_unique<ResultSink>(cli.getString("out"));
-
-        // Identical rendering/sink path to an unsharded `run`: the
-        // coordinator reassembled each sweep positionally from
-        // validated rows, so tables and --out bytes match it.
-        for (const auto &eo : outcome.experiments) {
-            ExperimentContext ctx;
-            ctx.run = eo.run;
-            ctx.spec = &eo.spec;
-            ctx.sweep = &eo.sweep;
-            for (const auto &table : eo.experiment->render(ctx))
-                emitter.show(table);
-            if (sink)
-                sink->add(eo.sweep, eo.experiment->name);
-        }
-        if (cli.getBool("stats"))
-            writeMetricsJsonLine(std::cout,
-                                 MetricsRegistry::instance());
-        if (sink) {
-            sink->flush();
-            inform("wrote ", sink->rows().size(),
-                   " result rows to ", cli.getString("out"));
-        }
-        return 0;
-    }
-
-    if (command == "worker") {
-        if (!names.empty())
-            fatal("worker takes no positional arguments");
-        const std::string connect = cli.getString("connect");
-        if (connect.empty())
-            fatal("worker needs --connect host:port (serve prints "
-                  "its port, or use --port-file)");
-        WorkerConfig config;
-        if (!parseHostPort(connect, config.host, config.port))
-            fatal("malformed --connect '", connect,
-                  "'; expected host:port");
-        config.name = cli.getString("worker-name");
-        config.threads = static_cast<int>(cli.getInt("threads"));
-        config.layerShard = cli.getBool("layer-shard");
-        config.batchArchs = cli.getBool("batch-archs");
-        const auto heartbeat = cli.getInt("heartbeat-ms");
-        if (heartbeat <= 0)
-            fatal("--heartbeat-ms must be positive, got ", heartbeat);
-        config.heartbeatMs = static_cast<int>(heartbeat);
-        const auto backoff = cli.getInt("backoff-ms");
-        if (backoff <= 0)
-            fatal("--backoff-ms must be positive, got ", backoff);
-        config.backoffMs = static_cast<int>(backoff);
-        const auto reconnects = cli.getInt("max-reconnects");
-        if (reconnects < 0)
-            fatal("--max-reconnects must be non-negative, got ",
-                  reconnects);
-        config.maxReconnects = static_cast<int>(reconnects);
-        const auto abandon = cli.getInt("abandon-after");
-        if (abandon < 0)
-            fatal("--abandon-after must be non-negative, got ",
-                  abandon);
-        config.abandonAfter = static_cast<std::size_t>(abandon);
-
-        WorksetCache worksets;
-        loadCachesFromFlags(cli, worksets);
-        config.worksetCache = &worksets;
-
-        const int status = runWorker(config);
-        saveCachesFromFlags(cli, worksets);
-        return status;
-    }
-
     if (command == "perf") {
         if (cli.getBool("compare")) {
             if (names.size() != 2)
@@ -676,9 +507,8 @@ main(int argc, char **argv)
         fatal("unknown subcommand '", command, "'; did you mean '",
               nearestName(command,
                           {"list", "networks", "describe", "run",
-                           "merge", "serve", "worker", "perf"}),
-              "'? (list | networks | describe | run | merge | serve "
-              "| worker | perf)\n",
+                           "merge", "perf"}),
+              "'? (list | networks | describe | run | merge | perf)\n",
               cli.usage());
 
     if (cli.getBool("all")) {
@@ -688,17 +518,22 @@ main(int argc, char **argv)
     }
     if (names.empty())
         fatal("run needs experiment names or --all");
-    // Resolve every name up front so a typo fails before hours of
-    // sweeping, not after.
-    for (const auto &name : names)
-        experimentOrDie(name);
-
     ExperimentRunConfig config;
-    config.threads = static_cast<int>(cli.getInt("threads"));
-    config.layerShard = cli.getBool("layer-shard");
-    config.batchArchs = cli.getBool("batch-archs");
+    config.threads = resolveThreads(cli);
     config.collectTimings = cli.getBool("timings");
     config.gridOverride = cli.getString("grid");
+    // Resolve every name and check every sweep spec up front, so a
+    // typo or an out-of-range option fails before hours of sweeping,
+    // not after.
+    for (const auto &name : names) {
+        const Experiment &exp = experimentOrDie(name);
+        if (exp.setup)
+            buildExperimentSpec(exp,
+                                resolveFidelity(cli, exp.defaultSample,
+                                                exp.defaultRowCap),
+                                config.gridOverride)
+                .validate();
+    }
 
     // --trace turns span recording on for the whole run; the spans
     // observe the pipeline without touching any result byte, so --out

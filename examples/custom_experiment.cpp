@@ -7,7 +7,8 @@
  * The descriptor names the study, declares its grid (here: lane bias
  * x shuffle on/off on one network), and renders the reduced result;
  * runExperiment() handles expansion, the thread pool, and (in
- * griffin_bench) cache persistence and fleet sharding uniformly.
+ * griffin_bench) cache persistence and --grid-shard slicing
+ * uniformly.
  *
  *   ./custom_experiment
  */

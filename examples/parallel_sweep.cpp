@@ -1,24 +1,27 @@
 /**
  * @file
- * Parallel sweep via the runtime/ subsystem, declared as a named-axis
- * grid: build a GridSpec with the builder API (or pass --grid), shard
- * the expanded jobs across a thread pool — down to one sub-job per
- * network layer — and serialize the merged results as JSON rows that
- * carry their own grid coordinates.
+ * A free-form parallel sweep through the library API, declared as a
+ * named-axis grid: build a GridSpec with the builder API (or pass
+ * --grid), run the expanded jobs on the thread pool (one task per grid
+ * point and network layer), and serialize the merged results as JSON
+ * rows that carry their own grid coordinates.  Unlike
+ * `griffin_bench run <exp> --grid`, nothing here is locked by an
+ * experiment's render, so any set of architectures, networks, and
+ * categories can be crossed.
  *
  *   ./parallel_sweep
  *   ./parallel_sweep --grid "weight_lane_bias=0:1:0.25,seed=1..2"
  *
  * The printed JSON is bit-identical to a --threads 1 run of the same
- * grid, layer-sharded or not: every job (and every layer sub-job)
- * carries an order-independent seed and results merge in submission
- * order, so parallelism never changes the numbers.
+ * grid: every layer carries an order-independent seed and results
+ * merge in submission order, so parallelism never changes the numbers.
  */
 
 #include <iostream>
 
 #include "arch/presets.hh"
 #include "common/cli.hh"
+#include "runtime/experiment.hh"
 #include "runtime/grid.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
@@ -33,8 +36,6 @@ main(int argc, char **argv)
             "work-stealing pool");
     cli.addInt("threads", ThreadPool::hardwareThreads(),
                "worker threads (1 = serial)");
-    cli.addBool("layer-shard", true,
-                "fan each network job out into per-layer sub-jobs");
     cli.addString("grid", "",
                   "replace the built-in grid with a parsed spec, e.g. "
                   "\"arch=Griffin,network=resnet50,weight_lane_bias="
@@ -43,10 +44,10 @@ main(int argc, char **argv)
 
     // The sweep is a GridSpec: named axes, each a value list, expanded
     // as a cartesian product in declaration order.  A 2-arch x
-    // 2-network x 2-category x 2-lane-bias grid is 16 jobs — and with
-    // layer sharding one sub-job per layer, so even this small grid
-    // keeps every worker busy.  Real studies push more values onto
-    // the axes (ranges like "0:1:0.25" and "1..8" expand inline).
+    // 2-network x 2-category x 2-lane-bias grid is 16 jobs, run as one
+    // pool task per (grid point, layer), so even this small grid keeps
+    // every worker busy.  Real studies push more values onto the axes
+    // (ranges like "0:1:0.25" and "1..8" expand inline).
     GridSpec grid;
     if (!cli.getString("grid").empty())
         grid = GridSpec::parse(cli.getString("grid"));
@@ -68,13 +69,11 @@ main(int argc, char **argv)
     fast.rowCap = 64;
     base.optionVariants = {fast};
 
-    SweepSpec spec = grid.toSweepSpec(base);
-    spec.shardLayers = cli.getBool("layer-shard");
+    const SweepSpec spec = grid.toSweepSpec(base);
 
-    const int threads = static_cast<int>(cli.getInt("threads"));
+    const int threads = resolveThreads(cli);
     std::cerr << "running " << spec.jobCount() << " jobs on " << threads
-              << " threads" << (spec.shardLayers ? " (layer-sharded)" : "")
-              << "\n";
+              << " threads\n";
 
     const auto sweep = runSweep(spec, threads);
 

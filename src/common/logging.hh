@@ -3,8 +3,8 @@
  * Status and error reporting in the gem5 tradition.
  *
  * Three error paths with distinct intent — and distinct, documented
- * exit statuses, so scripts (fleet orchestration, CI) can tell them
- * apart without parsing stderr:
+ * exit statuses, so scripts and CI can tell them apart without parsing
+ * stderr:
  *   - panic():    an internal invariant was violated — a bug in this
  *                 library, never the user's fault.  Calls std::abort()
  *                 (the process dies with SIGABRT).
@@ -12,10 +12,10 @@
  *                 because of a user error — bad configuration, invalid
  *                 arguments, malformed input files.  Exits with
  *                 exitUsageError (2).
- *   - fatalRun(): a correctly-configured run *failed* — a peer died,
- *                 a fleet run could not complete, an external resource
- *                 vanished mid-flight.  Exits with exitRunFailure (1).
- *                 Retrying may succeed; fixing flags will not.
+ *   - fatalRun(): a correctly-configured run *failed* — an external
+ *                 resource vanished mid-flight.  Exits with
+ *                 exitRunFailure (1).  Retrying may succeed; fixing
+ *                 flags will not.
  *
  * Two status paths:
  *   - warn():   something works but not as well as it should; if odd
@@ -32,13 +32,13 @@
 namespace griffin {
 
 /**
- * Process exit statuses, kept distinct per failure class so fleet
- * scripts and CI can branch on $? alone:
+ * Process exit statuses, kept distinct per failure class so scripts
+ * and CI can branch on $? alone:
  *
  *   0  exitSuccess     the run completed
  *   1  exitRunFailure  fatalRun(): the run started but could not
- *                      complete (peer death, lost connection,
- *                      incomplete fleet coverage) — retryable
+ *                      complete (an external resource failed
+ *                      mid-run) — retryable
  *   2  exitUsageError  fatal(): user/configuration error (bad flags,
  *                      malformed input) — retrying identical
  *                      invocations cannot succeed
@@ -103,9 +103,9 @@ fatal(Args &&...args)
 
 /**
  * Exit(exitRunFailure) when a correctly-configured run cannot
- * complete: a fleet peer died past recovery, coverage cannot close,
- * an external resource vanished mid-run.  Distinct from fatal() so
- * orchestration can retry run failures but not usage errors.
+ * complete: an external resource vanished mid-run.  Distinct from
+ * fatal() so orchestration can retry run failures but not usage
+ * errors.
  */
 template <typename... Args>
 [[noreturn]] void

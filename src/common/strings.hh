@@ -1,10 +1,8 @@
 /**
  * @file
- * Small string helpers shared by the CLI drivers and the grid parser.
- *
- * These existed as per-binary copies (bench_runner had its own
- * splitList); hoisted here so GridSpec parsing, preset lookup, and the
- * benches share one tested implementation.
+ * Small string helpers shared by the CLI driver and the grid parser,
+ * so GridSpec parsing, preset lookup, and the driver share one tested
+ * implementation.
  */
 
 #ifndef GRIFFIN_COMMON_STRINGS_HH

@@ -148,8 +148,8 @@ class Accelerator
      * derived as mixSeed(mixSeed(opt.seed, net.name), layerIndex) —
      * independent of which layers ran before it — so a network result
      * assembled from per-layer calls in *any* order (or from any
-     * thread) is bit-identical to run().  This is the entry point the
-     * runtime/ layer-sharded sweeps fan out over.
+     * thread) is bit-identical to run().  This is the entry point
+     * runtime/ sweeps fan out over, one pool task per layer.
      */
     LayerResult runLayer(const NetworkSpec &net, std::size_t layerIndex,
                          DnnCategory cat,

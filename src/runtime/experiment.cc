@@ -232,8 +232,6 @@ runExperiment(const Experiment &exp, const ExperimentRunConfig &config)
     if (exp.setup) {
         SweepSpec spec = buildExperimentSpec(exp, config.run,
                                              config.gridOverride);
-        spec.shardLayers = config.layerShard;
-        spec.batchArchs = config.batchArchs;
         spec.collectTimings = config.collectTimings;
         spec.shardIndex = config.shardIndex;
         spec.shardCount = config.shardCount;
@@ -280,6 +278,15 @@ resolveFidelity(const Cli &cli, double default_sample,
     run.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
     run.weightLaneBias = cli.getDouble("lanebias");
     return run;
+}
+
+int
+resolveThreads(const Cli &cli)
+{
+    const auto threads = cli.getInt("threads");
+    if (threads < 1 || threads > maxThreads)
+        fatal("--threads must be in 1..", maxThreads, ", got ", threads);
+    return static_cast<int>(threads);
 }
 
 void

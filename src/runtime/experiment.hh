@@ -12,9 +12,10 @@
  *     SweepSpec it expands over — from the resolved RunOptions.  The
  *     driver expands the plan and executes it through runSweep, so
  *     every registered experiment is parallel (`--threads`), workset-
- *     cached (`--workset-cache-file`), and fleet-shardable
- *     (`--grid-shard i/n`) for free.  A null setup declares a render-only experiment (the
- *     static paper tables) that runs no sweep.
+ *     cached (`--workset-cache-file`), and shardable across machines
+ *     (`--grid-shard i/n`) for free.  A null setup declares a
+ *     render-only experiment (the static paper tables) that runs no
+ *     sweep.
  *
  *   - `render` reduces the merged SweepResult into the experiment's
  *     Table(s).  SweepResult::slice plus the ExperimentContext geomean
@@ -143,16 +144,10 @@ struct ExperimentRunConfig
 {
     RunOptions run;
     int threads = 1;
-    bool layerShard = false;
-    /** Batch multiple GEMMs per job: one sub-job per layer sweeps
-     *  every architecture of a (network, category, options) grid
-     *  point, so worksets generate once per point (see
-     *  SweepSpec::batchArchs).  Bit-identical results. */
-    bool batchArchs = false;
     /** Wall-clock every job so sinks can emit elapsed_ms rows
      *  (--timings; see SweepSpec::collectTimings). */
     bool collectTimings = false;
-    /** Fleet shard (--grid-shard i/n); (0, 1) runs everything. */
+    /** Grid shard (--grid-shard i/n); (0, 1) runs everything. */
     std::size_t shardIndex = 0;
     std::size_t shardCount = 1;
     /** --grid override text, applied over the experiment's expanded
@@ -178,20 +173,19 @@ struct ExperimentOutcome
  * Expand one experiment's plan into the sweep spec it runs: setup at
  * the resolved fidelity, the --grid override merged over the plan's
  * own axes (same-named unlocked axes replaced in place, new axes
- * appended), and the grid expanded onto the base.  No sharding or
- * batching fields are set — runExperiment applies those; the merge
- * subcommand re-derives shard expectations from the same spec.
- * fatal() on a render-only experiment (no setup).
+ * appended), and the grid expanded onto the base.  No sharding
+ * fields are set — runExperiment applies those; the merge subcommand
+ * re-derives shard expectations from the same spec.  fatal() on a
+ * render-only experiment (no setup).
  */
 SweepSpec buildExperimentSpec(const Experiment &experiment,
                               const RunOptions &run,
                               const std::string &gridOverride = "");
 
 /**
- * Execute one experiment: expand its plan (grid override, fleet
- * sharding, layer sharding, arch batching applied), run the sweep on
- * the pool, and render.  Render-only experiments skip straight to
- * render.
+ * Execute one experiment: expand its plan (grid override and grid
+ * sharding applied), run the sweep on the pool, and render.
+ * Render-only experiments skip straight to render.
  */
 ExperimentOutcome runExperiment(const Experiment &experiment,
                                 const ExperimentRunConfig &config);
@@ -218,6 +212,20 @@ void addFidelityFlags(Cli &cli);
  */
 RunOptions resolveFidelity(const Cli &cli, double default_sample,
                            std::int64_t default_rowcap);
+
+/**
+ * Ceiling on --threads: far above any host's core count, and low
+ * enough that a mistyped value cannot try to start millions of
+ * threads.
+ */
+constexpr std::int64_t maxThreads = 1024;
+
+/**
+ * Read --threads back as a pool size; fatal() unless it is in
+ * 1..maxThreads (checked before narrowing to int, so a huge value
+ * cannot wrap to a small one).
+ */
+int resolveThreads(const Cli &cli);
 
 /**
  * Parse a `--grid-shard` value "i/n" (0 <= i < n); fatal() with the

@@ -275,7 +275,7 @@ void
 writeCsv(std::ostream &os, const std::vector<ResultRow> &rows)
 {
     // The experiment column only appears when some row is labeled, so
-    // unlabeled documents (bench_runner) keep their layout.  Same for
+    // unlabeled documents (library sweeps) keep their layout.  Same for
     // elapsed_ms: only `--timings` documents grow the column.
     bool labeled = false;
     bool timed = false;
@@ -495,8 +495,8 @@ ResultSink::flush() const
             writeCsv(os, plain);
     } else if (jsonl) {
         // JSON Lines rows always carry their annotations — the format
-        // exists for shard-concatenated fleet output, where rows must
-        // be self-describing with no enclosing document.
+        // exists for shard-concatenated --grid-shard output, where rows
+        // must be self-describing with no enclosing document.
         writeJsonLines(os, rows_);
     } else {
         if (annotated)

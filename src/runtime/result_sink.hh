@@ -115,7 +115,7 @@ void writeCsv(std::ostream &os, const SweepResult &sweep);
  * the pretty writer.  Because the document has no enclosing array,
  * concatenating the files of a sharded sweep (`--grid-shard i/n`, in
  * shard order) is byte-identical to the unsharded file — this is the
- * fleet-run output format.
+ * sharded-run output format.
  */
 void writeJsonLines(std::ostream &os, const std::vector<ResultRow> &rows);
 void writeJsonLines(std::ostream &os, const SweepResult &sweep);

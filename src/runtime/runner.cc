@@ -1,12 +1,13 @@
 #include "runtime/runner.hh"
 
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "runtime/telemetry.hh"
 #include "runtime/thread_pool.hh"
 
@@ -23,6 +24,36 @@ coordsLabel(const std::vector<AxisCoordinate> &coords)
     }
     return out;
 }
+
+namespace {
+
+/**
+ * User-facing range checks on one RunOptions variant, named by its grid
+ * axis.  The generators and the tile sampler assert the same ranges,
+ * so a bad --lanebias/--sample or --grid value must stop here, with a
+ * diagnostic, before any work; a non-finite value would also reach the
+ * result rows as bare JSON `nan`/`inf` that merge cannot read back.
+ */
+void
+validateOptions(const RunOptions &opt)
+{
+    const std::pair<const char *, double> fields[] = {
+        {"weight_lane_bias", opt.weightLaneBias},
+        {"act_run_length", opt.actRunLength},
+        {"sample_fraction", opt.sim.sampleFraction},
+    };
+    for (const auto &[axis, value] : fields)
+        if (!std::isfinite(value))
+            fatal("sweep option ", axis, " ", value, " is not finite");
+    if (opt.weightLaneBias < 0.0 || opt.weightLaneBias > 1.0)
+        fatal("sweep option weight_lane_bias ", opt.weightLaneBias,
+              " is outside [0, 1]");
+    if (opt.sim.sampleFraction <= 0.0 || opt.sim.sampleFraction > 1.0)
+        fatal("sweep option sample_fraction ", opt.sim.sampleFraction,
+              " is outside (0, 1]");
+}
+
+} // namespace
 
 std::size_t
 SweepSpec::jobCount() const
@@ -52,6 +83,8 @@ SweepSpec::validate() const
     if (shardIndex >= shardCount)
         fatal("sweep shard index ", shardIndex, " out of range for ",
               shardCount, " shards (need 0 <= i < n)");
+    for (const auto &opt : optionVariants)
+        validateOptions(opt);
     for (const auto &arch : archs)
         arch.validate();
     for (const auto &net : networks)
@@ -77,9 +110,6 @@ expandSweep(const SweepSpec &spec)
                     job.options = spec.optionVariants[o];
                     if (!spec.optionCoords.empty())
                         job.coords = spec.optionCoords[o];
-                    if (spec.perArchSeeds)
-                        job.options.seed = Rng::mixSeed(
-                            job.options.seed, spec.archs[a].name);
                     if (spec.jobFilter && !spec.jobFilter(job))
                         continue;
                     jobs.push_back(std::move(job));
@@ -99,25 +129,6 @@ expandSweep(const SweepSpec &spec)
                    jobs.end());
         jobs.erase(jobs.begin(),
                    jobs.begin() + static_cast<std::ptrdiff_t>(lo));
-    }
-    if (spec.rangeBegin != 0 || spec.rangeEnd != SweepSpec::rangeNpos) {
-        // Explicit lease slice.  Bounds outside the expanded list mean
-        // the leasing coordinator and this process expanded different
-        // grids — fail loudly rather than silently running a wrong or
-        // empty slice.
-        const std::size_t hi = spec.rangeEnd == SweepSpec::rangeNpos
-                                   ? jobs.size()
-                                   : spec.rangeEnd;
-        if (hi > jobs.size() || spec.rangeBegin > hi)
-            fatal("sweep job range [", spec.rangeBegin, ", ", hi,
-                  ") out of bounds for ", jobs.size(),
-                  " expanded jobs — coordinator and worker expanded "
-                  "different grids?");
-        jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(hi),
-                   jobs.end());
-        jobs.erase(jobs.begin(),
-                   jobs.begin() +
-                       static_cast<std::ptrdiff_t>(spec.rangeBegin));
     }
     return jobs;
 }
@@ -151,8 +162,8 @@ runSweep(const SweepSpec &spec, int threads, WorksetCache *worksets)
         accelerators.emplace_back(arch);
 
     // Per-job wall-time accumulators (--timings).  Atomics because a
-    // batched sub-job adds into several jobs' slots from one worker
-    // while other workers add into the same job from other layers.
+    // batch task adds into several jobs' slots from one worker while
+    // other workers add into the same jobs from other layers.
     std::unique_ptr<std::atomic<std::int64_t>[]> job_ns;
     if (spec.collectTimings) {
         job_ns =
@@ -175,86 +186,36 @@ runSweep(const SweepSpec &spec, int threads, WorksetCache *worksets)
     const std::uint64_t sweep_start_ns = monotonicNowNs();
     ThreadPool::Stats pool_stats;
 
-    // Each (sub-)job writes only its own slot: no result lock needed,
-    // and the merge is the identity — submission order is result order.
-    std::vector<NetworkResult> results(jobs.size());
-    if (spec.batchArchs) {
-        // Batched multi-GEMM jobs: group the jobs of one (network,
-        // category, options) grid point — the arch axis — in
-        // submission order, then run one sub-job per (batch, layer)
-        // that sweeps every architecture of the batch over that
-        // layer's workset while it is warm in the cache.
-        std::map<std::tuple<std::size_t, std::size_t, std::size_t>,
-                 std::size_t>
-            batch_of;
-        std::vector<std::vector<std::size_t>> batches;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const auto key =
-                std::make_tuple(jobs[i].networkIndex,
-                                jobs[i].categoryIndex,
-                                jobs[i].optionsIndex);
-            auto [it, fresh] =
-                batch_of.emplace(key, batches.size());
-            if (fresh)
-                batches.emplace_back();
-            batches[it->second].push_back(i);
-        }
-        std::vector<std::vector<LayerResult>> layer_results(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            layer_results[i].resize(
-                spec.networks[jobs[i].networkIndex].layerCount());
-        {
-            ThreadPool pool(threads);
-            for (const auto &batch : batches) {
-                const auto layer_count =
-                    layer_results[batch.front()].size();
-                for (std::size_t l = 0; l < layer_count; ++l) {
-                    pool.submit([&spec, &jobs, &accelerators,
-                                 &layer_results, &jobOptions, &batch,
-                                 &timeInto, l] {
-                        for (const std::size_t i : batch) {
-                            const SweepJob &job = jobs[i];
-                            timeInto(i, [&] {
-                                layer_results[i][l] =
-                                    accelerators[job.archIndex]
-                                        .runLayer(
-                                            spec.networks
-                                                [job.networkIndex],
-                                            l,
-                                            spec.categories
-                                                [job.categoryIndex],
-                                            jobOptions(job));
-                            });
-                        }
-                    });
-                }
-            }
-            pool.wait();
-            pool_stats = pool.stats();
-        }
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const SweepJob &job = jobs[i];
-            results[i] = accelerators[job.archIndex].reduceLayers(
-                spec.networks[job.networkIndex],
-                spec.categories[job.categoryIndex],
-                std::move(layer_results[i]), jobOptions(job));
-        }
-    } else if (spec.shardLayers) {
-        // Layer granularity: one sub-job per (job, layer) pair, all
-        // independent (runLayer derives its stream from the layer index
-        // alone), reduced per job in layer order afterwards.
-        std::vector<std::vector<LayerResult>> layer_results(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            layer_results[i].resize(
-                spec.networks[jobs[i].networkIndex].layerCount());
-        {
-            ThreadPool pool(threads);
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                const auto layer_count = layer_results[i].size();
-                for (std::size_t l = 0; l < layer_count; ++l) {
-                    pool.submit([&spec, &jobs, &accelerators,
-                                 &layer_results, &jobOptions, &timeInto,
-                                 i, l] {
+    // Group the jobs of one (network, category, options) grid point —
+    // the arch axis — in submission order.
+    std::map<std::tuple<std::size_t, std::size_t, std::size_t>, std::size_t>
+        batch_of;
+    std::vector<std::vector<std::size_t>> batches;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const auto key = std::make_tuple(jobs[i].networkIndex,
+                                         jobs[i].categoryIndex,
+                                         jobs[i].optionsIndex);
+        auto [it, fresh] = batch_of.emplace(key, batches.size());
+        if (fresh)
+            batches.emplace_back();
+        batches[it->second].push_back(i);
+    }
+
+    // Each task writes only its own (job, layer) slots: no result lock
+    // needed, and the merge is the identity — submission order is
+    // result order.
+    std::vector<std::vector<LayerResult>> layer_results(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        layer_results[i].resize(
+            spec.networks[jobs[i].networkIndex].layerCount());
+    {
+        ThreadPool pool(threads);
+        for (const auto &batch : batches) {
+            const auto layer_count = layer_results[batch.front()].size();
+            for (std::size_t l = 0; l < layer_count; ++l) {
+                pool.submit([&spec, &jobs, &accelerators, &layer_results,
+                             &jobOptions, &timeInto, &batch, l] {
+                    for (const std::size_t i : batch) {
                         const SweepJob &job = jobs[i];
                         timeInto(i, [&] {
                             layer_results[i][l] =
@@ -263,35 +224,21 @@ runSweep(const SweepSpec &spec, int threads, WorksetCache *worksets)
                                     spec.categories[job.categoryIndex],
                                     jobOptions(job));
                         });
-                    });
-                }
-            }
-            pool.wait();
-            pool_stats = pool.stats();
-        }
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const SweepJob &job = jobs[i];
-            results[i] = accelerators[job.archIndex].reduceLayers(
-                spec.networks[job.networkIndex],
-                spec.categories[job.categoryIndex],
-                std::move(layer_results[i]), jobOptions(job));
-        }
-    } else {
-        ThreadPool pool(threads);
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            pool.submit([&spec, &jobs, &accelerators, &results,
-                         &jobOptions, &timeInto, i] {
-                const SweepJob &job = jobs[i];
-                timeInto(i, [&] {
-                    results[i] = accelerators[job.archIndex].run(
-                        spec.networks[job.networkIndex],
-                        spec.categories[job.categoryIndex],
-                        jobOptions(job));
+                    }
                 });
-            });
+            }
         }
         pool.wait();
         pool_stats = pool.stats();
+    }
+
+    std::vector<NetworkResult> results(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepJob &job = jobs[i];
+        results[i] = accelerators[job.archIndex].reduceLayers(
+            spec.networks[job.networkIndex],
+            spec.categories[job.categoryIndex],
+            std::move(layer_results[i]), jobOptions(job));
     }
 
     const std::uint64_t sweep_ns = monotonicNowNs() - sweep_start_ns;

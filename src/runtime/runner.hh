@@ -20,22 +20,20 @@
  * opt.seed and the network name), and results land in a slot indexed
  * by submission order — so the merged output is bit-identical no
  * matter how many threads ran it or how work-stealing interleaved the
- * jobs.  Accelerator::run is const and shares no mutable state, which
- * is what makes the fan-out safe.  With SweepSpec::shardLayers the
- * fan-out goes one level deeper — one sub-job per network layer via
- * Accelerator::runLayer, whose streams depend only on (seed, network,
- * layer index) — and the per-job reduce reassembles NetworkResult in
- * layer order, preserving the same bit-identity guarantee.
+ * jobs.  Accelerator is const and shares no mutable state, which is
+ * what makes the fan-out safe.
  *
- * A workset cache shared across the sweep (workset_cache.hh) memoizes
- * the pipeline's stage-1 artifact, whole layer worksets, between jobs;
- * it is an optimization only and does not change any result.
- * Per-tile schedules are recomputed by every job.  With
- * SweepSpec::batchArchs the runner additionally batches multiple GEMMs
- * per job — every architecture of one (network, category, options)
- * grid point shares one sub-job per layer, so each workset is
- * generated once and swept across the whole arch axis while still
- * warm.
+ * Execution: the jobs of one (network, category, options) grid
+ * point — the jobs that differ only along the architecture axis —
+ * form a batch, and each (batch, layer) pair is one pool task that
+ * runs every architecture of the batch over that layer
+ * (Accelerator::runLayer, whose streams depend only on seed, network,
+ * and layer index).  The first architecture generates the
+ * layer's operand workset and the rest reuse it from the workset cache
+ * (workset_cache.hh) while it is warm; a per-job reduce
+ * (Accelerator::reduceLayers) then reassembles each NetworkResult in
+ * layer order.  The cache is an optimization only and changes no
+ * result; per-tile schedules are recomputed by every job.
  */
 
 #ifndef GRIFFIN_RUNTIME_RUNNER_HH
@@ -111,47 +109,11 @@ struct SweepSpec
     std::vector<std::vector<AxisCoordinate>> optionCoords;
 
     /**
-     * When true, each job's seed is re-derived as
-     * mixSeed(options.seed, arch name) so architectures see
-     * independent tensors; default keeps the per-variant seed so
-     * architectures are compared on identical tensors (the paper's
-     * methodology).
-     */
-    bool perArchSeeds = false;
-
-    /**
-     * When true, every job fans out further into one sub-job per
-     * network layer (Accelerator::runLayer), so even a single-network
-     * sweep saturates the pool.  Each layer's randomness is derived
-     * from (seed, network, layer index) alone and the per-job reduce
-     * (Accelerator::reduceLayers) runs in layer order, so the merged
-     * output stays bit-identical to serial Accelerator::run for any
-     * thread count.
-     */
-    bool shardLayers = false;
-
-    /**
-     * When true, the runner batches multiple GEMMs per job: all jobs
-     * of one (network, category, options) grid point — i.e. the jobs
-     * that differ only along the *architecture* axis — form one batch,
-     * and each (batch, layer) pair becomes one pool sub-job that runs
-     * every architecture of the batch over that layer in submission
-     * order.  The first architecture generates the layer workset and
-     * the rest reuse it straight from the workset cache (same
-     * generation parameters, still warm), so a batched arch-axis sweep
-     * generates each operand tensor once instead of once per design
-     * point.  Batching implies layer-granular sub-jobs, so it subsumes
-     * shardLayers; results stay bit-identical to the unbatched serial
-     * run for any thread count.
-     */
-    bool batchArchs = false;
-
-    /**
      * Optional job predicate: expandSweep() drops jobs it rejects.
      * This is how an experiment runs a non-rectangular grid (e.g. each
      * architecture only in its own category) without paying for the
      * full cross product.  Null keeps every job.  The filter runs on
-     * the fully-resolved job, before fleet sharding, so sharded and
+     * the fully-resolved job, before grid sharding, so sharded and
      * unsharded expansions see the same filtered list.
      */
     std::function<bool(const SweepJob &)> jobFilter;
@@ -166,7 +128,7 @@ struct SweepSpec
     bool collectTimings = false;
 
     /**
-     * Fleet sharding: expandSweep() keeps only the shardIndex-th of
+     * Grid sharding: expandSweep() keeps only the shardIndex-th of
      * shardCount contiguous blocks of the (filtered) job list.  Blocks
      * partition the list in submission order, so the concatenation of
      * every shard's results in shard order is byte-identical to the
@@ -177,28 +139,19 @@ struct SweepSpec
     std::size_t shardCount = 1;
 
     /**
-     * Fleet leases: run only the half-open [rangeBegin, rangeEnd)
-     * slice of the (filtered, sharded) job list.  Unlike the
-     * equal-block --grid-shard split, the bounds are explicit job
-     * indices, so a coordinator can lease arbitrary contiguous chunks
-     * and re-lease them after a worker death.  npos (the default
-     * rangeEnd) means "to the end"; out-of-range bounds are a fatal()
-     * — they mean the two sides expanded different grids (version or
-     * flag skew between coordinator and worker).
-     */
-    static constexpr std::size_t rangeNpos =
-        static_cast<std::size_t>(-1);
-    std::size_t rangeBegin = 0;
-    std::size_t rangeEnd = rangeNpos;
-
-    /**
      * Expanded job count of the full cartesian product
      * (archs * networks * categories * options) — before jobFilter
-     * and fleet sharding are applied; expandSweep().size() is the
+     * and grid sharding are applied; expandSweep().size() is the
      * post-filter, post-shard count.
      */
     std::size_t jobCount() const;
 
+    /**
+     * fatal() unless every identity axis is non-empty, optionCoords
+     * matches optionVariants, the shard is in range, and every
+     * RunOptions variant is usable: finite doubles, weightLaneBias in
+     * [0, 1], sim.sampleFraction in (0, 1].  expandSweep() calls it.
+     */
     void validate() const;
 };
 
@@ -248,9 +201,8 @@ class SweepResult
 
     /**
      * Per-job wall-time in milliseconds, parallel to jobs() — empty
-     * unless the sweep ran with SweepSpec::collectTimings.  Under
-     * layer sharding / arch batching a job's time is the sum of its
-     * sub-jobs' runLayer times (reduce excluded).
+     * unless the sweep ran with SweepSpec::collectTimings.  A job's
+     * time is the sum of its runLayer calls (reduce excluded).
      */
     const std::vector<double> &jobElapsedMs() const
     {

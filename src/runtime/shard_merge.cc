@@ -162,8 +162,11 @@ checkOptionsMatch(const RunOptions &expected, const RunOptions &got,
     return true;
 }
 
-} // namespace
-
+/**
+ * One --out .jsonl line back into the ResultRow the sink serialized.
+ * fatal() on malformed JSON or missing/mistyped fields, naming `where`
+ * (a "file:line" locator).
+ */
 ResultRow
 parseResultRowLine(const std::string &line, const std::string &where)
 {
@@ -175,6 +178,12 @@ parseResultRowLine(const std::string &line, const std::string &where)
     return parseRow(doc, where);
 }
 
+/**
+ * Check that `row` embodies exactly the expanded `job` of `spec`: same
+ * network, architecture, category, grid coordinates, and serialized
+ * RunOptions fields.  Returns false with `error` naming the first
+ * divergent field.
+ */
 bool
 validateRowAgainstJob(const ResultRow &row, const SweepSpec &spec,
                       const SweepJob &job, std::string &error)
@@ -212,6 +221,8 @@ validateRowAgainstJob(const ResultRow &row, const SweepSpec &spec,
     return checkOptionsMatch(job.options, row.options, error);
 }
 
+} // namespace
+
 std::vector<ResultRow>
 readShardRows(const std::vector<std::string> &paths)
 {
@@ -247,7 +258,7 @@ mergeShardRows(const std::vector<ResultRow> &rows,
                const std::string &gridOverride)
 {
     // Group by experiment, first-appearance order.  A multi-experiment
-    // fleet run interleaves experiments across shard files (each file
+    // sharded run interleaves experiments across shard files (each file
     // holds every experiment's slice); grouping re-concatenates each
     // experiment's slices in file = shard order, which is exactly the
     // submission order positional validation expects.

@@ -1,8 +1,9 @@
 /**
  * @file
- * Post-hoc merging of fleet-sharded result documents.
+ * Post-hoc merging of grid-sharded result documents.
  *
- * A fleet run covers one experiment grid with N processes
+ * A sharded run covers one experiment grid with N processes on one
+ * or more machines
  * (`griffin_bench run <exp> --grid-shard i/n --out shard_i.jsonl`);
  * each shard emits result rows only, because its slice of the grid
  * cannot render correct aggregate tables.  This module reads the
@@ -42,27 +43,6 @@ namespace griffin {
  */
 std::vector<ResultRow>
 readShardRows(const std::vector<std::string> &paths);
-
-/**
- * Parse one --out .jsonl line back into the ResultRow the sink
- * serialized.  fatal() on malformed JSON or missing/mistyped fields,
- * naming `where` (a "file:line"-style locator).  Shared by the
- * offline merge path and the fleet coordinator, which validates each
- * worker-streamed row online with the same parser.
- */
-ResultRow
-parseResultRowLine(const std::string &line, const std::string &where);
-
-/**
- * Check that `row` embodies exactly the expanded `job` of `spec`:
- * same network, architecture, category, grid coordinates, and
- * serialized RunOptions fields.  Returns false with `error` naming
- * the first divergent field; the offline merge wraps the error in a
- * fatal(), the fleet coordinator in a run failure.
- */
-bool
-validateRowAgainstJob(const ResultRow &row, const SweepSpec &spec,
-                      const SweepJob &job, std::string &error);
 
 /** One experiment's reassembled sweep. */
 struct MergedExperiment

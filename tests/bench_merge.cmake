@@ -83,7 +83,7 @@ execute_process(
 if(rc EQUAL 0)
     message(FATAL_ERROR "merge accepted a duplicated shard")
 endif()
-# ...and shards merged without the fleet's --grid override.
+# ...and shards merged without their --grid override.
 execute_process(
     COMMAND "${GRIFFIN_BENCH}" merge
             "${WORK_DIR}/shard0.jsonl" "${WORK_DIR}/shard1.jsonl"

@@ -1,46 +1,47 @@
 # CTest script: the acceptance bar for the named-axis grid CLI.  Run
-# bench_runner with a --grid spec on 1 and 8 threads and assert the
-# JSON documents (a) are byte-identical and (b) carry the axis
-# coordinates of every variant, so rows are self-describing.
+# `griffin_bench run fig5` with a --grid override that adds a
+# weight_lane_bias axis on 1 and 8 threads and assert the .jsonl
+# documents (a) are byte-identical and (b) carry the axis coordinates
+# of every variant, so rows are self-describing.
 #
 # Invoked as:
-#   cmake -DBENCH_RUNNER=<path> -DWORK_DIR=<dir> -P grid_cli.cmake
+#   cmake -DGRIFFIN_BENCH=<path> -DWORK_DIR=<dir> -P grid_cli.cmake
 
-if(NOT BENCH_RUNNER OR NOT WORK_DIR)
-    message(FATAL_ERROR "need -DBENCH_RUNNER=... and -DWORK_DIR=...")
+if(NOT GRIFFIN_BENCH OR NOT WORK_DIR)
+    message(FATAL_ERROR "need -DGRIFFIN_BENCH=... and -DWORK_DIR=...")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(common_args
-    --grid "weight_lane_bias=0:1:0.5"
-    --archs Sparse.B* --networks alexnet --cats b
+    run fig5
+    --grid "arch=Sparse.B*,network=alexnet,weight_lane_bias=0:1:0.5"
     --sample 0.02 --rowcap 32)
 
 foreach(threads 1 8)
     execute_process(
-        COMMAND "${BENCH_RUNNER}" ${common_args} --threads ${threads}
-                --json "${WORK_DIR}/grid_t${threads}.json"
+        COMMAND "${GRIFFIN_BENCH}" ${common_args} --threads ${threads}
+                --out "${WORK_DIR}/grid_t${threads}.jsonl"
         OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR
-                "bench_runner --grid failed on ${threads} threads "
+                "griffin_bench run --grid failed on ${threads} threads "
                 "(${rc}):\n${err}")
     endif()
 endforeach()
 
-file(READ "${WORK_DIR}/grid_t1.json" doc1)
-file(READ "${WORK_DIR}/grid_t8.json" doc8)
+file(READ "${WORK_DIR}/grid_t1.jsonl" doc1)
+file(READ "${WORK_DIR}/grid_t8.jsonl" doc8)
 if(NOT doc1 STREQUAL doc8)
     message(FATAL_ERROR
-            "--grid sweep JSON differs between --threads 1 and 8")
+            "--grid sweep .jsonl differs between --threads 1 and 8")
 endif()
 
 foreach(value 0 0.5 1)
     if(NOT doc1 MATCHES "\"coords\": {\"weight_lane_bias\": \"${value}\"}")
         message(FATAL_ERROR
-                "JSON rows lack the weight_lane_bias=${value} axis "
+                "rows lack the weight_lane_bias=${value} axis "
                 "coordinate:\n${doc1}")
     endif()
 endforeach()

@@ -1,4 +1,4 @@
-# CTest script: the acceptance bar for fleet sharding.  One experiment
+# CTest script: the acceptance bar for grid sharding.  One experiment
 # (fig5, narrowed by a --grid override to three design points on one
 # network) is run
 #   (a) unsharded on 1 and 8 threads   -> byte-identical .jsonl docs

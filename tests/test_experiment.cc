@@ -2,9 +2,9 @@
  * @file
  * Tests for the experiment registry (runtime/experiment.hh):
  * registration and lookup, duplicate-name rejection, list/describe
- * output, fidelity-flag resolution, --grid-shard parsing, fleet-shard
- * job slicing (shard concatenation == unsharded expansion), and
- * non-rectangular grids via SweepSpec::jobFilter.
+ * output, fidelity- and threads-flag resolution, --grid-shard
+ * parsing, grid-shard job slicing (shard concatenation == unsharded
+ * expansion), and non-rectangular grids via SweepSpec::jobFilter.
  *
  * The registry in the core library starts empty — the paper
  * experiments register from bench/experiments/, which only
@@ -202,6 +202,26 @@ TEST(CacheFlagsDeathTest, OutOfRangeWorksetBudgetIsFatal)
     load("17592186044415");
 }
 
+TEST(ThreadsFlagDeathTest, OutOfRangeThreadsAreFatal)
+{
+    const auto resolve = [](const char *threads) {
+        Cli cli("test");
+        cli.addInt("threads", 1, "pool size");
+        const char *argv[] = {"prog", "--threads", threads};
+        cli.parse(3, argv);
+        return resolveThreads(cli);
+    };
+    // 2^32 + 1 and 2^32 + 2 would narrow to 1 and 2 threads; 10^8 would
+    // try to start them all.
+    for (const char *bad : {"0", "-1", "1025", "100000000", "4294967297",
+                            "4294967298"})
+        EXPECT_EXIT(resolve(bad), testing::ExitedWithCode(exitUsageError),
+                    "--threads must be in 1\\.\\.1024")
+            << bad;
+    EXPECT_EQ(resolve("1"), 1);
+    EXPECT_EQ(resolve("1024"), static_cast<int>(maxThreads));
+}
+
 // ---- shard spec parsing ---------------------------------------------
 
 TEST(ShardSpec, ParsesIndexAndCount)
@@ -227,7 +247,7 @@ TEST(ShardSpecDeathTest, MalformedSpecsAreFatal)
             << bad;
 }
 
-// ---- fleet sharding of the job list ---------------------------------
+// ---- grid sharding of the job list ----------------------------------
 
 SweepSpec
 shardableSpec()

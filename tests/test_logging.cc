@@ -25,15 +25,15 @@ TEST(LoggingDeathTest, PanicAborts)
 TEST(LoggingDeathTest, FatalExitsWithUsageErrorStatus)
 {
     // fatal() is the user-error path; its status is distinct from
-    // fatalRun()'s so fleet scripts can branch on $? alone.
+    // fatalRun()'s so scripts can branch on $? alone.
     EXPECT_EXIT(fatal("bad config"),
                 testing::ExitedWithCode(exitUsageError), "bad config");
 }
 
 TEST(LoggingDeathTest, FatalRunExitsWithRunFailureStatus)
 {
-    EXPECT_EXIT(fatalRun("worker died"),
-                testing::ExitedWithCode(exitRunFailure), "worker died");
+    EXPECT_EXIT(fatalRun("input vanished"),
+                testing::ExitedWithCode(exitRunFailure), "input vanished");
 }
 
 TEST(Logging, ExitStatusesAreDistinctAndDocumented)

@@ -10,12 +10,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <thread>
 
 #include "arch/presets.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
 #include "runtime/thread_pool.hh"
@@ -163,20 +163,6 @@ TEST(Runner, ExpansionOrderIsOptionsArchNetworkCategory)
     }
 }
 
-TEST(Runner, PerArchSeedDerivationIsPinned)
-{
-    // Pin the documented derivation — mixSeed(variant seed, arch name)
-    // — so a runner or grid refactor cannot silently change which
-    // tensors each architecture draws.
-    auto spec = smallSweep();
-    spec.perArchSeeds = true;
-    const auto base_seed = spec.optionVariants[0].seed;
-    for (const auto &job : expandSweep(spec))
-        EXPECT_EQ(job.options.seed,
-                  Rng::mixSeed(base_seed,
-                               spec.archs[job.archIndex].name));
-}
-
 TEST(RunnerDeathTest, MismatchedOptionCoordsAreFatal)
 {
     auto spec = smallSweep();
@@ -215,13 +201,15 @@ TEST(Runner, ParallelIsBitIdenticalToSerial)
     EXPECT_EQ(ser.str(), par.str());
 }
 
-TEST(Runner, LayerShardedIsBitIdenticalToSerialAcceleratorRun)
+TEST(Runner, SweepIsBitIdenticalToSerialAcceleratorRun)
 {
-    // The acceptance bar for layer granularity: layer-sharded sweeps on
+    // The acceptance bar for the one execution path (one pool task per
+    // (grid point, layer), sweeping every arch of the point): sweeps on
     // 1, 2, and 8 threads all reproduce the serial Accelerator::run
-    // byte for byte.
+    // loop byte for byte, and the shared workset cache actually got
+    // reuse across the arch axis (both archs share the tile height, so
+    // every layer's workset generates once per (network, category)).
     auto spec = smallSweep();
-    spec.shardLayers = true;
 
     // Ground truth: the serial quadruple loop through run().
     std::vector<NetworkResult> serial;
@@ -235,57 +223,21 @@ TEST(Runner, LayerShardedIsBitIdenticalToSerialAcceleratorRun)
     std::ostringstream serial_doc;
     writeJson(serial_doc, serial);
 
+    std::size_t layer_total = 0;
+    for (const auto &net : spec.networks)
+        layer_total += net.layerCount();
     for (const int threads : {1, 2, 8}) {
         const auto sweep = runSweep(spec, threads);
         ASSERT_EQ(sweep.results().size(), serial.size()) << threads;
         std::ostringstream doc;
         writeJson(doc, sweep.results());
         EXPECT_EQ(doc.str(), serial_doc.str())
-            << "layer-sharded sweep diverged on " << threads
-            << " threads";
-    }
-}
-
-TEST(Runner, LayerShardingMatchesNetworkGranularity)
-{
-    auto spec = smallSweep();
-    const auto whole = runSweep(spec, 4);
-    spec.shardLayers = true;
-    const auto sharded = runSweep(spec, 4);
-    std::ostringstream a, b;
-    writeJson(a, whole.results());
-    writeJson(b, sharded.results());
-    EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(Runner, BatchedArchsAreBitIdenticalToSerial)
-{
-    // The acceptance bar for batched multi-GEMM jobs: an arch-batched
-    // sweep on 1, 2, and 8 threads reproduces the unbatched serial run
-    // byte for byte, and the shared workset cache actually got reuse
-    // across the arch axis (both archs share the tile height, so every
-    // layer's workset generates once per (network, category)).
-    auto spec = smallSweep();
-    const auto serial = runSweep(spec, 1);
-    std::ostringstream serial_doc;
-    writeJson(serial_doc, serial.results());
-
-    spec.batchArchs = true;
-    for (const int threads : {1, 2, 8}) {
-        const auto batched = runSweep(spec, threads);
-        ASSERT_EQ(batched.results().size(), serial.results().size());
-        std::ostringstream doc;
-        writeJson(doc, batched.results());
-        EXPECT_EQ(doc.str(), serial_doc.str())
-            << "batched sweep diverged on " << threads << " threads";
-        EXPECT_GT(batched.worksetStats().hits, 0u);
-        // 2 archs x shared worksets: at most one generation per
-        // (network, category, layer) key — fewer when categories
-        // share a layer's effective sparsity pair.
-        std::size_t layer_total = 0;
-        for (const auto &net : spec.networks)
-            layer_total += net.layerCount();
-        EXPECT_LE(batched.worksetStats().misses,
+            << "sweep diverged on " << threads << " threads";
+        EXPECT_GT(sweep.worksetStats().hits, 0u);
+        // At most one generation per (network, category, layer) key —
+        // fewer when categories share a layer's effective sparsity
+        // pair.
+        EXPECT_LE(sweep.worksetStats().misses,
                   layer_total * spec.categories.size());
     }
 }
@@ -295,7 +247,6 @@ TEST(Runner, BatchedArchsComposeWithFleetShards)
     // Batching regroups jobs inside a shard only; the shard slices
     // still concatenate to the unsharded document.
     auto spec = smallSweep();
-    spec.batchArchs = true;
     const auto whole = runSweep(spec, 4);
     std::vector<NetworkResult> stitched;
     spec.shardCount = 3;
@@ -390,15 +341,43 @@ TEST(Runner, CollectTimingsProducesPerJobElapsed)
     }
 }
 
-TEST(Runner, PerArchSeedsDecoupleTensors)
+TEST(RunnerDeathTest, OutOfRangeOptionsAreFatal)
 {
-    auto spec = smallSweep();
-    spec.perArchSeeds = true;
-    auto jobs = expandSweep(spec);
-    EXPECT_NE(jobs[0].options.seed, jobs[4].options.seed)
-        << "different archs must draw different seeds";
-    EXPECT_EQ(jobs[0].options.seed, jobs[1].options.seed)
-        << "same arch keeps one seed across categories";
+    // Each value would otherwise trip a generator or tile-sampler assert
+    // (SIGABRT) mid-sweep, or land in the rows as a bare JSON nan/inf
+    // that merge rejects; validate() makes them usage errors up front.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto expand = [](double lane_bias, double run_length,
+                           double sample) {
+        auto spec = smallSweep();
+        spec.optionVariants[0].weightLaneBias = lane_bias;
+        spec.optionVariants[0].actRunLength = run_length;
+        spec.optionVariants[0].sim.sampleFraction = sample;
+        return expandSweep(spec).size();
+    };
+    const struct
+    {
+        double laneBias, runLength, sample;
+        const char *message;
+    } cases[] = {
+        {2.0, 2.0, 0.5, "weight_lane_bias 2 is outside"},
+        {-0.5, 2.0, 0.5, "weight_lane_bias -0.5 is outside"},
+        {nan, 2.0, 0.5, "weight_lane_bias nan is not finite"},
+        {inf, 2.0, 0.5, "weight_lane_bias inf is not finite"},
+        {0.5, inf, 0.5, "act_run_length inf is not finite"},
+        {0.5, nan, 0.5, "act_run_length nan is not finite"},
+        {0.5, 2.0, nan, "sample_fraction nan is not finite"},
+        {0.5, 2.0, 0.0, "sample_fraction 0 is outside"},
+        {0.5, 2.0, 1.5, "sample_fraction 1.5 is outside"},
+    };
+    for (const auto &c : cases)
+        EXPECT_EXIT(expand(c.laneBias, c.runLength, c.sample),
+                    testing::ExitedWithCode(exitUsageError), c.message)
+            << c.message;
+    // The closed ends of both ranges stay valid.
+    EXPECT_EQ(expand(0.0, 1.0, 1.0), 8u);
+    EXPECT_EQ(expand(1.0, 2.0, 0.02), 8u);
 }
 
 TEST(RunnerDeathTest, EmptySpecIsFatal)
@@ -574,7 +553,7 @@ TEST(ResultSink, JsonLinesIsOneCompactRowPerLineWithLabel)
     EXPECT_NE(first.find("\"layers\": [{"), std::string::npos);
 
     // Splitting a row list anywhere and concatenating the parts
-    // reproduces the document — the property fleet sharding relies on.
+    // reproduces the document — the property grid sharding relies on.
     std::ostringstream part1, part2;
     writeJsonLines(part1, {rows[0]});
     writeJsonLines(part2, {rows[1]});

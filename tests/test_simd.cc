@@ -116,9 +116,10 @@ TEST(SimdKernels, LeMaskMatchesScalarAndClearsHighBits)
                 << name << " leMask diverges at n " << n;
             // Bits at and above n must be zero, not stale garbage —
             // the schedulers popcount whole words.
-            if (n % 64 != 0)
+            if (n % 64 != 0) {
                 EXPECT_EQ(got[words - 1] >> (n % 64), 0u)
                     << name << " left stale high bits at n " << n;
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
  * as machine-checked rules.
  *
  * The reproduction's headline claims — byte-identical parallel vs
- * serial sweeps, shard-ordered fleet merges, pinned bench/baselines/
+ * serial sweeps, shard-ordered merges, pinned bench/baselines/
  * diffs — all rest on source-level invariants that used to live in
  * comments.  This checker makes them findings:
  *
