@@ -15,11 +15,11 @@
  * experiment's tuned fidelity), parallelism (--threads), grid
  * overrides (--grid, applied over the experiment's own axes: any axis
  * the experiment does not lock can be swept, e.g.
- * `run fig5 --grid "arch=Griffin,network=resnet50,seed=1..2"`),
- * workset-cache persistence (--workset-cache-file/--workset-budget-mb
- * for generated operand worksets), and output (--csv tables, --json
- * table JSON Lines, --out result-row document: .json/.csv/.jsonl by
- * suffix).
+ * `run fig5 --grid "arch=Griffin,network=resnet50,seed=1..2"`), and
+ * output (--csv tables, --json table JSON Lines, --out result-row
+ * document: .json/.csv/.jsonl by suffix).  One `run` is one plan: the
+ * experiments it names share one pool, and a layer workset several of
+ * them use is generated once.
  *
  * Multi-machine runs: --grid-shard i/n slices every sweep's job list
  * into n contiguous blocks and runs block i, so n processes cover a
@@ -244,11 +244,12 @@ benchKernels()
 }
 
 /**
- * `perf` subcommand: run the pinned suite with Aggregate telemetry and
- * a fresh workset cache per experiment, and write the schema-versioned
- * BENCH_perf.json trajectory artifact.  With --kernels, the SIMD
- * kernel micro-benchmarks run too (and alone when no experiment names
- * are given), landing as the artifact's "kernels" section.
+ * `perf` subcommand: run the pinned suite with Aggregate telemetry,
+ * one experiment per sweep so each profile is that experiment's own,
+ * and write the schema-versioned BENCH_perf.json trajectory artifact.
+ * With --kernels, the SIMD kernel micro-benchmarks run too (and alone
+ * when no experiment names are given), landing as the artifact's
+ * "kernels" section.
  */
 int
 runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
@@ -261,26 +262,23 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
 
     ExperimentRunConfig config;
     config.threads = resolveThreads(cli);
-    config.run = resolveFidelity(cli, perfDefaultSample,
-                                 perfDefaultRowCap);
-    // A fresh workset cache per experiment (the config cache stays
-    // null): the artifact's hit rates then describe each experiment's
-    // own reuse, not whatever the previous suite entry happened to warm.
+    const RunOptions run =
+        resolveFidelity(cli, perfDefaultSample, perfDefaultRowCap);
 
     Telemetry::setMode(Telemetry::Mode::Aggregate);
     MetricsRegistry &reg = MetricsRegistry::instance();
 
     PerfDocument doc;
     doc.threads = config.threads;
-    doc.sample = config.run.sim.sampleFraction;
-    doc.rowCap = config.run.rowCap;
-    doc.seed = config.run.seed;
+    doc.sample = run.sim.sampleFraction;
+    doc.rowCap = run.rowCap;
+    doc.seed = run.seed;
 
     const std::uint64_t suite_start_ns = monotonicNowNs();
     for (const auto &name : suite) {
         const Experiment &exp = experimentOrDie(name);
         Telemetry::clear();
-        const auto outcome = runExperiment(exp, config);
+        const auto outcome = runExperiment(exp, run, config);
         if (!outcome.hasSweep) {
             inform("perf: skipping render-only experiment '", name,
                    "'");
@@ -298,7 +296,6 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
         for (const auto &stage : Telemetry::stageBreakdown())
             entry.stages.push_back(
                 {stage.stage, stage.count, stage.totalMs()});
-        entry.worksetCache = outcome.sweep.worksetStats();
         doc.suite.push_back(std::move(entry));
     }
     if (kernels_mode) {
@@ -350,7 +347,6 @@ main(int argc, char **argv)
     cli.addString("grid-shard", "",
                   "run shard i of n (\"i/n\"): contiguous slice of "
                   "every sweep's job list; emits result rows only");
-    addCacheFlags(cli);
     cli.addBool("csv", false, "emit CSV tables instead of boxed ones");
     cli.addString("json", "",
                   "write each rendered table to this path as JSON "
@@ -364,9 +360,9 @@ main(int argc, char **argv)
                   "trace-event JSON file here (open in Perfetto; "
                   "result rows stay byte-identical)");
     cli.addBool("stats", false,
-                "print the unified metrics registry (sweep, pool, and "
-                "cache counters, peak RSS) as one JSON line on stdout "
-                "after each experiment");
+                "print the unified metrics registry (sweep and pool "
+                "counters, peak RSS) as one JSON line on stdout after "
+                "the tables");
     cli.addBool("timings", false,
                 "add per-job elapsed_ms to --out result rows "
                 "(machine-dependent, so off by default to keep "
@@ -522,17 +518,12 @@ main(int argc, char **argv)
     config.threads = resolveThreads(cli);
     config.collectTimings = cli.getBool("timings");
     config.gridOverride = cli.getString("grid");
-    // Resolve every name and check every sweep spec up front, so a
-    // typo or an out-of-range option fails before hours of sweeping,
-    // not after.
+    std::vector<ExperimentRequest> requests;
     for (const auto &name : names) {
         const Experiment &exp = experimentOrDie(name);
-        if (exp.setup)
-            buildExperimentSpec(exp,
-                                resolveFidelity(cli, exp.defaultSample,
-                                                exp.defaultRowCap),
-                                config.gridOverride)
-                .validate();
+        requests.push_back(
+            {&exp, resolveFidelity(cli, exp.defaultSample,
+                                   exp.defaultRowCap)});
     }
 
     // --trace turns span recording on for the whole run; the spans
@@ -552,10 +543,6 @@ main(int argc, char **argv)
               "(.jsonl, so shard files concatenate to the unsharded "
               "document)");
 
-    WorksetCache worksets;
-    loadCachesFromFlags(cli, worksets);
-    config.worksetCache = &worksets;
-
     TableEmitter emitter;
     emitter.csv = cli.getBool("csv");
     emitter.jsonPath = cli.getString("json");
@@ -564,22 +551,23 @@ main(int argc, char **argv)
     if (!cli.getString("out").empty())
         sink = std::make_unique<ResultSink>(cli.getString("out"));
 
-    for (const auto &name : names) {
-        const Experiment &exp = experimentOrDie(name);
-        config.run = resolveFidelity(cli, exp.defaultSample,
-                                     exp.defaultRowCap);
-        const auto outcome = runExperiment(exp, config);
-        for (const auto &table : outcome.tables)
+    // One plan for every named experiment: each spec is built and
+    // validated before the first sweep starts, so a typo or an
+    // out-of-range option fails before hours of sweeping, not after.
+    const auto outcomes = runExperiments(requests, config);
+    bool swept = false;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        for (const auto &table : outcomes[i].tables)
             emitter.show(table);
-        if (outcome.hasSweep && sink)
-            sink->add(outcome.sweep, exp.name);
-        // The registry line carries the sweep/pool/cache counters the
-        // sweep just published — the machine-readable form of stats
-        // that merge and the table renderers drop.
-        if (outcome.hasSweep && cli.getBool("stats"))
-            writeMetricsJsonLine(std::cout,
-                                 MetricsRegistry::instance());
+        if (outcomes[i].hasSweep && sink)
+            sink->add(outcomes[i].sweep, requests[i].experiment->name);
+        swept = swept || outcomes[i].hasSweep;
     }
+    // The registry line carries the sweep/pool counters the run just
+    // published — the machine-readable form of stats that merge and the
+    // table renderers drop.
+    if (swept && cli.getBool("stats"))
+        writeMetricsJsonLine(std::cout, MetricsRegistry::instance());
 
     if (!trace_path.empty()) {
         std::ofstream os(trace_path);
@@ -592,16 +580,10 @@ main(int argc, char **argv)
                trace_path);
     }
 
-    // Flush the results document before the cache save: a fatal() on
-    // an unwritable cache path must not discard completed sweeps.
     if (sink) {
         sink->flush();
         inform("wrote ", sink->rows().size(), " result rows to ",
                cli.getString("out"));
     }
-
-    // Machine-readable cache counters land on stdout: the workset ctest
-    // asserts warm runs report load_hits > 0.
-    saveCachesFromFlags(cli, worksets);
     return 0;
 }

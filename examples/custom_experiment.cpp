@@ -7,8 +7,8 @@
  * The descriptor names the study, declares its grid (here: lane bias
  * x shuffle on/off on one network), and renders the reduced result;
  * runExperiment() handles expansion, the thread pool, and (in
- * griffin_bench) cache persistence and --grid-shard slicing
- * uniformly.
+ * griffin_bench) --grid-shard slicing uniformly, through the same
+ * runExperiments() path `griffin_bench run` takes.
  *
  *   ./custom_experiment
  */
@@ -48,15 +48,16 @@ main()
              return std::vector<Table>{t};
          }});
 
-    ExperimentRunConfig config;
     const Experiment &exp = *findExperiment("shuffle_vs_bias");
-    config.run.sim.sampleFraction = exp.defaultSample;
-    config.run.sim.minSampledTiles = 4;
-    config.run.rowCap = exp.defaultRowCap;
+    RunOptions run;
+    run.sim.sampleFraction = exp.defaultSample;
+    run.sim.minSampledTiles = 4;
+    run.rowCap = exp.defaultRowCap;
+    ExperimentRunConfig config;
     config.threads = 4;
 
     std::cout << describeExperiment(exp) << '\n';
-    const auto outcome = runExperiment(exp, config);
+    const auto outcome = runExperiment(exp, run, config);
     for (const auto &table : outcome.tables) {
         table.print(std::cout);
         std::cout << '\n';

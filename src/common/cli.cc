@@ -1,5 +1,6 @@
 #include "common/cli.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -119,12 +120,17 @@ Cli::getInt(const std::string &name) const
 {
     const auto &flag = find(name, Kind::Int);
     char *end = nullptr;
+    errno = 0;
     const auto v = std::strtoll(flag.value.c_str(), &end, 10);
     // end == start catches the empty value ("--iters="): strtoll
     // consumes nothing but still leaves *end == '\0' there.
     if (end == flag.value.c_str() || *end != '\0')
         fatal("flag --", name, " expects an integer, got '", flag.value,
               "'");
+    // Out of range, strtoll clamps to INT64_MIN/MAX and sets ERANGE.
+    if (errno == ERANGE)
+        fatal("flag --", name, " value '", flag.value,
+              "' is out of range for a 64-bit integer");
     return v;
 }
 

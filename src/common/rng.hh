@@ -208,9 +208,9 @@ class Rng
 
     /**
      * Deterministically fold `salt` into `seed` (splitmix64 finalizer).
-     * Order-independent job seeding for the parallel runner and the
-     * content hashing of the workset cache both flow through this, so
-     * derived streams never depend on which thread asked first.
+     * Order-independent layer seeding for the parallel runner flows
+     * through this, so derived streams never depend on which thread
+     * asked first.
      */
     static std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t salt);
 

@@ -9,7 +9,6 @@
 #include "common/stats.hh"
 #include "power/cost_model.hh"
 #include "runtime/telemetry.hh"
-#include "runtime/workset_cache.hh"
 
 namespace griffin {
 
@@ -87,12 +86,11 @@ LayerResult
 Accelerator::runLayer(const NetworkSpec &net, std::size_t layerIndex,
                       DnnCategory cat, const RunOptions &opt) const
 {
-    // Stage 1: obtain the layer workset (shared cache when the run
-    // provides one, local generation otherwise — bit-identical either
-    // way), then hand off to the staged simulation.
-    const auto params = layerWorksetParams(net, layerIndex, cat, opt);
-    const auto workset = obtainWorkset(opt.worksetCache, params);
-    return runLayer(net, layerIndex, cat, opt, *workset);
+    // Stage 1: generate the layer workset, then hand off to the staged
+    // simulation.
+    return runLayer(net, layerIndex, cat, opt,
+                    generateLayerWorkset(layerWorksetParams(
+                        net, layerIndex, cat, opt)));
 }
 
 LayerResult

@@ -34,8 +34,6 @@
 
 namespace griffin {
 
-class WorksetCache; // runtime/workset_cache.hh
-
 /** Knobs for an end-to-end network run. */
 struct RunOptions
 {
@@ -79,15 +77,6 @@ struct RunOptions
      * Zero (the default) disables spill accounting entirely.
      */
     std::int64_t sramBudgetBytes = 0;
-
-    /**
-     * Optional shared memoization of layer operand generation (not
-     * owned).  Cached and freshly-generated worksets are bit-identical
-     * — this only skips regenerating tensors another job with the same
-     * generation parameters already produced (the arch axis of a sweep
-     * grid).  nullptr generates every workset locally.
-     */
-    WorksetCache *worksetCache = nullptr;
 };
 
 /** Per-layer outcome (cycles are whole-layer, scaled). */
@@ -148,8 +137,8 @@ class Accelerator
      * derived as mixSeed(mixSeed(opt.seed, net.name), layerIndex) —
      * independent of which layers ran before it — so a network result
      * assembled from per-layer calls in *any* order (or from any
-     * thread) is bit-identical to run().  This is the entry point
-     * runtime/ sweeps fan out over, one pool task per layer.
+     * thread) is bit-identical to run().  runtime/ sweeps fan out over
+     * the same per-layer split, through the workset overload below.
      */
     LayerResult runLayer(const NetworkSpec &net, std::size_t layerIndex,
                          DnnCategory cat,
@@ -160,7 +149,7 @@ class Accelerator
      * domain of operand generation — the row-capped slice height, the
      * category-resolved sparsity rates, the generation knobs, and the
      * layer stream seed.  Equal records generate bit-identical
-     * worksets; the workset cache keys on exactly this.
+     * worksets; the sweep runner groups work by exactly this.
      */
     WorksetParams layerWorksetParams(const NetworkSpec &net,
                                      std::size_t layerIndex,
@@ -172,8 +161,9 @@ class Accelerator
      * this architecture and scale the row slice back to the whole
      * layer.  `workset` must have been generated from
      * layerWorksetParams(net, layerIndex, cat, opt) — runLayer() is
-     * exactly this composition with stage 1 (cache or generate)
-     * in front.
+     * exactly this composition with stage 1 (generateLayerWorkset)
+     * in front, and a sweep hands one workset to every consumer that
+     * shares its parameters.
      */
     LayerResult runLayer(const NetworkSpec &net, std::size_t layerIndex,
                          DnnCategory cat, const RunOptions &opt,

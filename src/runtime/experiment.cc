@@ -1,12 +1,9 @@
 #include "runtime/experiment.hh"
 
 #include <algorithm>
-#include <iostream>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "runtime/cache_store.hh"
-#include "runtime/result_sink.hh"
 
 namespace griffin {
 
@@ -222,33 +219,57 @@ buildExperimentSpec(const Experiment &exp, const RunOptions &run,
     return grid.axes().empty() ? plan.base : grid.toSweepSpec(plan.base);
 }
 
-ExperimentOutcome
-runExperiment(const Experiment &exp, const ExperimentRunConfig &config)
+std::vector<ExperimentOutcome>
+runExperiments(const std::vector<ExperimentRequest> &requests,
+               const ExperimentRunConfig &config)
 {
-    ExperimentOutcome outcome;
-    ExperimentContext ctx;
-    ctx.run = config.run;
-
-    if (exp.setup) {
-        SweepSpec spec = buildExperimentSpec(exp, config.run,
+    std::vector<SweepSpec> specs;
+    std::vector<std::size_t> swept; // request index of each spec
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const Experiment &exp = *requests[i].experiment;
+        if (!exp.setup)
+            continue;
+        SweepSpec spec = buildExperimentSpec(exp, requests[i].run,
                                              config.gridOverride);
         spec.collectTimings = config.collectTimings;
         spec.shardIndex = config.shardIndex;
         spec.shardCount = config.shardCount;
-        outcome.sweep =
-            runSweep(spec, config.threads, config.worksetCache);
-        outcome.spec = std::move(spec);
+        specs.push_back(std::move(spec));
+        swept.push_back(i);
+    }
+    auto sweeps = runSweeps(specs, config.threads);
+
+    std::vector<ExperimentOutcome> outcomes(requests.size());
+    for (std::size_t k = 0; k < swept.size(); ++k) {
+        ExperimentOutcome &outcome = outcomes[swept[k]];
         outcome.hasSweep = true;
-        ctx.spec = &outcome.spec;
-        ctx.sweep = &outcome.sweep;
+        outcome.spec = std::move(specs[k]);
+        outcome.sweep = std::move(sweeps[k]);
     }
 
     // A shard sees only its slice of the grid, so rendered aggregate
     // tables would silently mix complete and missing slices — sharded
     // runs emit result rows only.
-    if (config.shardCount <= 1)
-        outcome.tables = exp.render(ctx);
-    return outcome;
+    if (config.shardCount > 1)
+        return outcomes;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        ExperimentOutcome &outcome = outcomes[i];
+        ExperimentContext ctx;
+        ctx.run = requests[i].run;
+        if (outcome.hasSweep) {
+            ctx.spec = &outcome.spec;
+            ctx.sweep = &outcome.sweep;
+        }
+        outcome.tables = requests[i].experiment->render(ctx);
+    }
+    return outcomes;
+}
+
+ExperimentOutcome
+runExperiment(const Experiment &exp, const RunOptions &run,
+              const ExperimentRunConfig &config)
+{
+    return std::move(runExperiments({{&exp, run}}, config).front());
 }
 
 void
@@ -271,11 +292,14 @@ resolveFidelity(const Cli &cli, double default_sample,
 {
     RunOptions run;
     const double sample = cli.getDouble("sample");
-    run.sim.sampleFraction = sample < 0.0 ? default_sample : sample;
+    run.sim.sampleFraction = sample == -1.0 ? default_sample : sample;
     run.sim.minSampledTiles = defaultMinSampledTiles;
     const auto rowcap = cli.getInt("rowcap");
-    run.rowCap = rowcap < 0 ? default_rowcap : rowcap;
-    run.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
+    run.rowCap = rowcap == -1 ? default_rowcap : rowcap;
+    const auto seed = cli.getInt("seed");
+    if (seed < 0)
+        fatal("--seed must be non-negative, got ", seed);
+    run.seed = static_cast<std::uint64_t>(seed);
     run.weightLaneBias = cli.getDouble("lanebias");
     return run;
 }
@@ -287,54 +311,6 @@ resolveThreads(const Cli &cli)
     if (threads < 1 || threads > maxThreads)
         fatal("--threads must be in 1..", maxThreads, ", got ", threads);
     return static_cast<int>(threads);
-}
-
-void
-addCacheFlags(Cli &cli)
-{
-    cli.addString("workset-cache-file", "",
-                  "persist generated layer worksets to this GRFW file "
-                  "(loaded before the run, saved after)");
-    cli.addInt("workset-budget-mb",
-               static_cast<std::int64_t>(defaultWorksetByteBudget >>
-                                         20),
-               "workset-cache byte budget in MiB (0 = unbounded; "
-               "worksets hold whole weight matrices, so the default "
-               "is bounded)");
-}
-
-void
-loadCachesFromFlags(const Cli &cli, WorksetCache &worksets)
-{
-    // MiB to bytes must not wrap: a huge value would silently become a
-    // tiny budget.
-    const auto budget_mb = cli.getInt("workset-budget-mb");
-    if (budget_mb < 0 ||
-        static_cast<std::uint64_t>(budget_mb) > (UINT64_MAX >> 20))
-        fatal("--workset-budget-mb must be in 0..", UINT64_MAX >> 20,
-              ", got ", budget_mb);
-    if (budget_mb > 0)
-        worksets.setByteBudget(static_cast<std::uint64_t>(budget_mb)
-                               << 20);
-
-    const auto workset_path = cli.getString("workset-cache-file");
-    if (!workset_path.empty())
-        inform("workset cache: loaded ",
-               loadWorksetCacheFile(workset_path, worksets),
-               " entries from ", workset_path);
-}
-
-void
-saveCachesFromFlags(const Cli &cli, const WorksetCache &worksets)
-{
-    const auto workset_path = cli.getString("workset-cache-file");
-    if (!workset_path.empty()) {
-        inform("workset cache: stored ",
-               saveWorksetCacheFile(workset_path, worksets),
-               " entries to ", workset_path);
-        writeCacheStatsJsonLine(std::cout, worksets.stats(),
-                                "workset_cache_stats");
-    }
 }
 
 void

@@ -10,12 +10,12 @@
  *
  *   - `setup` builds an ExperimentPlan — a GridSpec plus the base
  *     SweepSpec it expands over — from the resolved RunOptions.  The
- *     driver expands the plan and executes it through runSweep, so
- *     every registered experiment is parallel (`--threads`), workset-
- *     cached (`--workset-cache-file`), and shardable across machines
- *     (`--grid-shard i/n`) for free.  A null setup declares a
- *     render-only experiment (the static paper tables) that runs no
- *     sweep.
+ *     driver expands the plan and executes it through runSweeps, so
+ *     every registered experiment is parallel (`--threads`), shares
+ *     operand generation with the other experiments of its run, and
+ *     is shardable across machines (`--grid-shard i/n`) for free.  A
+ *     null setup declares a render-only experiment (the static paper
+ *     tables) that runs no sweep.
  *
  *   - `render` reduces the merged SweepResult into the experiment's
  *     Table(s).  SweepResult::slice plus the ExperimentContext geomean
@@ -139,10 +139,10 @@ Table experimentListTable();
  */
 std::string describeExperiment(const Experiment &experiment);
 
-/** Execution knobs the driver resolves from its flags. */
+/** Execution knobs the driver resolves from its flags, shared by
+ *  every experiment of one run. */
 struct ExperimentRunConfig
 {
-    RunOptions run;
     int threads = 1;
     /** Wall-clock every job so sinks can emit elapsed_ms rows
      *  (--timings; see SweepSpec::collectTimings). */
@@ -153,8 +153,14 @@ struct ExperimentRunConfig
     /** --grid override text, applied over the experiment's expanded
      *  spec (empty = none). */
     std::string gridOverride;
-    /** Shared workset cache; null = per-run cache. */
-    WorksetCache *worksetCache = nullptr;
+};
+
+/** One experiment of a run and the fidelity it runs at. */
+struct ExperimentRequest
+{
+    const Experiment *experiment = nullptr;
+    /** Resolved fidelity options (seed, sample, rowcap, lane bias). */
+    RunOptions run;
 };
 
 /** One experiment's executed outcome. */
@@ -174,7 +180,7 @@ struct ExperimentOutcome
  * the resolved fidelity, the --grid override merged over the plan's
  * own axes (same-named unlocked axes replaced in place, new axes
  * appended), and the grid expanded onto the base.  No sharding
- * fields are set — runExperiment applies those; the merge subcommand
+ * fields are set — runExperiments applies those; the merge subcommand
  * re-derives shard expectations from the same spec.  fatal() on a
  * render-only experiment (no setup).
  */
@@ -183,12 +189,20 @@ SweepSpec buildExperimentSpec(const Experiment &experiment,
                               const std::string &gridOverride = "");
 
 /**
- * Execute one experiment: expand its plan (grid override and grid
- * sharding applied), run the sweep on the pool, and render.
- * Render-only experiments skip straight to render.
+ * Execute several experiments as one plan: expand every plan (grid
+ * override and grid sharding applied), run all the sweeps through one
+ * runSweeps() call, so a layer workset that several experiments share
+ * is generated once, and render each.  Render-only experiments skip
+ * straight to render.  outcomes[i] is requests[i]'s.
  */
+std::vector<ExperimentOutcome>
+runExperiments(const std::vector<ExperimentRequest> &requests,
+               const ExperimentRunConfig &config);
+
+/** The one-experiment case of runExperiments(). */
 ExperimentOutcome runExperiment(const Experiment &experiment,
-                                const ExperimentRunConfig &config);
+                                const RunOptions &run,
+                                const ExperimentRunConfig &config = {});
 
 /**
  * Fidelity floor applied by every driver-resolved RunOptions: the
@@ -208,7 +222,8 @@ void addFidelityFlags(Cli &cli);
 
 /**
  * Read the fidelity flags back, substituting `default_sample` /
- * `default_rowcap` where the sentinel was left untouched.
+ * `default_rowcap` where the flag holds the -1 sentinel.  fatal() on a
+ * negative --seed; every other range is SweepSpec::validate()'s.
  */
 RunOptions resolveFidelity(const Cli &cli, double default_sample,
                            std::int64_t default_rowcap);
@@ -233,29 +248,6 @@ int resolveThreads(const Cli &cli);
  */
 void parseShardSpec(const std::string &text, std::size_t &index,
                     std::size_t &count);
-
-/**
- * Declare the shared workset-cache persistence/budget flags
- * (--workset-cache-file, --workset-budget-mb), the same set for every
- * sweep driver.
- */
-void addCacheFlags(Cli &cli);
-
-/**
- * Read the cache flags back: validate and apply the byte budget and
- * load the cache file, if any, into `worksets` (inform() on load).
- * fatal() on a negative budget or one whose byte count overflows.
- */
-void loadCachesFromFlags(const Cli &cli, WorksetCache &worksets);
-
-/**
- * The save half: when a cache file is flagged, store the cache to it
- * and print the machine-readable "workset_cache_stats" line on stdout
- * — the line the workset ctest asserts warm-run load_hits on.  Call
- * after flushing result sinks: a fatal() on an unwritable cache path
- * must not discard completed sweeps.
- */
-void saveCachesFromFlags(const Cli &cli, const WorksetCache &worksets);
 
 } // namespace griffin
 

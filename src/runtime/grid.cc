@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <system_error>
 
 #include "arch/category.hh"
@@ -56,6 +57,18 @@ parseIntToken(const std::string &token)
     return v;
 }
 
+/** An integer token in [0, max]; the diagnostic names the axis. */
+std::int64_t
+parseNonNegativeIntToken(const std::string &token, const char *axis,
+                         std::int64_t max)
+{
+    const auto v = parseIntToken(token);
+    if (v < 0 || v > max)
+        fatal("grid value '", token, "' on axis '", axis,
+              "' is outside 0..", max);
+    return v;
+}
+
 bool
 parseBoolToken(const std::string &token)
 {
@@ -89,7 +102,8 @@ const AxisDesc kAxes[] = {
      }},
     {"seed", AxisKind::Int,
      [](RunOptions &o, const std::string &v) {
-         o.seed = static_cast<std::uint64_t>(parseIntToken(v));
+         o.seed = static_cast<std::uint64_t>(
+             parseNonNegativeIntToken(v, "seed", INT64_MAX));
      }},
     {"enforce_dram_bound", AxisKind::Bool,
      [](RunOptions &o, const std::string &v) {
@@ -101,7 +115,10 @@ const AxisDesc kAxes[] = {
      }},
     {"sram_budget_kb", AxisKind::Int,
      [](RunOptions &o, const std::string &v) {
-         o.sramBudgetBytes = parseIntToken(v) * 1024;
+         // Checked before the multiply, which must not overflow.
+         o.sramBudgetBytes =
+             parseNonNegativeIntToken(v, "sram_budget_kb", INT64_MAX / 1024) *
+             1024;
      }},
 };
 
@@ -125,9 +142,40 @@ isNumeric(AxisKind kind)
     return kind == AxisKind::Double || kind == AxisKind::Int;
 }
 
+[[noreturn]] void
+tooManyValues(const AxisDesc &desc, const std::string &token)
+{
+    fatal("range '", token, "' on axis '", desc.name,
+          "' expands to more than ", maxGridAxisValues, " values");
+}
+
+/**
+ * lo, lo + step, ... up to hi inclusive (lo <= hi, step > 0), counted
+ * before anything is built.
+ */
+std::vector<std::string>
+intRange(const AxisDesc &desc, const std::string &token, std::int64_t lo,
+         std::int64_t hi, std::int64_t step)
+{
+    // Unsigned arithmetic: hi - lo and lo + i * step stay defined at the
+    // int64 extremes, where the signed forms overflow.
+    const auto ulo = static_cast<std::uint64_t>(lo);
+    const auto ustep = static_cast<std::uint64_t>(step);
+    const std::uint64_t steps =
+        (static_cast<std::uint64_t>(hi) - ulo) / ustep;
+    if (!(steps < maxGridAxisValues))
+        tooManyValues(desc, token);
+    std::vector<std::string> out;
+    for (std::uint64_t i = 0; i <= steps; ++i)
+        out.push_back(
+            std::to_string(static_cast<std::int64_t>(ulo + i * ustep)));
+    return out;
+}
+
 /**
  * Expand one value token of a numeric axis: "a..b" inclusive integer
  * range, "lo:hi:step" inclusive stepped range, or a single literal.
+ * Values are checked by the axis's own parser afterwards.
  */
 std::vector<std::string>
 expandNumericToken(const AxisDesc &desc, const std::string &token)
@@ -148,17 +196,13 @@ expandNumericToken(const AxisDesc &desc, const std::string &token)
         if (lo > hi)
             fatal("malformed range '", token, "' on axis '", desc.name,
                   "': lower bound exceeds upper bound");
-        std::vector<std::string> out;
-        for (std::int64_t v = lo; v <= hi; ++v)
-            out.push_back(std::to_string(v));
-        return out;
+        return intRange(desc, token, lo, hi, 1);
     }
     if (token.find(':') != std::string::npos) {
         const auto parts = splitList(token, ':');
         if (parts.size() != 3)
             fatal("malformed range '", token, "' on axis '", desc.name,
                   "': expected <lo>:<hi>:<step>");
-        std::vector<std::string> out;
         if (desc.kind == AxisKind::Int) {
             const auto lo = parseIntToken(parts[0]);
             const auto hi = parseIntToken(parts[1]);
@@ -167,33 +211,28 @@ expandNumericToken(const AxisDesc &desc, const std::string &token)
                 fatal("malformed range '", token, "' on axis '",
                       desc.name,
                       "': need step > 0 and lo <= hi");
-            for (std::int64_t v = lo; v <= hi; v += step)
-                out.push_back(std::to_string(v));
-        } else {
-            const auto lo = parseDoubleToken(parts[0]);
-            const auto hi = parseDoubleToken(parts[1]);
-            const auto step = parseDoubleToken(parts[2]);
-            if (!(step > 0.0) || lo > hi)
-                fatal("malformed range '", token, "' on axis '",
-                      desc.name,
-                      "': need step > 0 and lo <= hi");
-            // Integer stepping (lo + i*step) avoids accumulation
-            // drift; the epsilon keeps hi inclusive when (hi-lo) is a
-            // near-exact multiple of step (0:1:0.25 ends at 1).
-            const auto count = static_cast<std::int64_t>(
-                std::floor((hi - lo) / step + 1e-9));
-            for (std::int64_t i = 0; i <= count; ++i)
-                out.push_back(
-                    formatShortestDouble(lo + static_cast<double>(i) *
-                                                  step));
+            return intRange(desc, token, lo, hi, step);
         }
+        const auto lo = parseDoubleToken(parts[0]);
+        const auto hi = parseDoubleToken(parts[1]);
+        const auto step = parseDoubleToken(parts[2]);
+        if (!(step > 0.0) || lo > hi)
+            fatal("malformed range '", token, "' on axis '", desc.name,
+                  "': need step > 0 and lo <= hi");
+        // Integer stepping (lo + i*step) avoids accumulation drift; the
+        // epsilon keeps hi inclusive when (hi-lo) is a near-exact
+        // multiple of step (0:1:0.25 ends at 1).  The negated test also
+        // rejects a NaN or infinite step count.
+        const double steps = std::floor((hi - lo) / step + 1e-9);
+        if (!(steps < static_cast<double>(maxGridAxisValues)))
+            tooManyValues(desc, token);
+        std::vector<std::string> out;
+        for (std::int64_t i = 0; i <= static_cast<std::int64_t>(steps);
+             ++i)
+            out.push_back(formatShortestDouble(
+                lo + static_cast<double>(i) * step));
         return out;
     }
-    // Literal: validate the parse now so a typo names its token.
-    if (desc.kind == AxisKind::Int)
-        parseIntToken(token);
-    else
-        parseDoubleToken(token);
     return {token};
 }
 
@@ -262,11 +301,19 @@ GridSpec::axis(const std::string &name, std::vector<std::string> values)
         if (t.empty())
             continue;
         if (isNumeric(desc.kind)) {
-            for (auto &v : expandNumericToken(desc, t))
+            for (auto &v : expandNumericToken(desc, t)) {
+                // Parse now, with the axis's own checks, so a typo or
+                // an out-of-range value names its token.
+                RunOptions probe;
+                desc.apply(probe, v);
                 ax.values.push_back(std::move(v));
+            }
         } else {
             ax.values.push_back(checkLiteralToken(desc, t));
         }
+        if (ax.values.size() > maxGridAxisValues)
+            fatal("grid axis '", name, "' has more than ",
+                  maxGridAxisValues, " values");
     }
     if (ax.values.empty())
         fatal("grid axis '", name, "' has no values");

@@ -40,8 +40,9 @@
  * merge.
  *
  * Every malformed input is a fatal() with a real diagnostic: unknown
- * axis names suggest the nearest valid name, malformed ranges and
- * unparsable values report the offending token.
+ * axis names suggest the nearest valid name, malformed ranges,
+ * unparsable or out-of-range values report the offending token, and no
+ * axis expands past maxGridAxisValues.
  */
 
 #ifndef GRIFFIN_RUNTIME_GRID_HH
@@ -55,6 +56,13 @@
 #include "runtime/runner.hh"
 
 namespace griffin {
+
+/**
+ * Most values one axis may hold after range expansion.  Far above any
+ * real sweep, and low enough that a mistyped range (`seed=1..3e9`)
+ * fails at once instead of building billions of value strings.
+ */
+constexpr std::size_t maxGridAxisValues = 65536;
 
 /** One named sweep axis: canonical name + value tokens in sweep order. */
 struct ParamAxis

@@ -9,22 +9,6 @@
 
 namespace griffin {
 
-namespace {
-
-void
-writeCacheObject(std::ostream &os, const CacheStats &stats)
-{
-    os << "{\"hits\": " << stats.hits << ", \"misses\": " << stats.misses
-       << ", \"hit_rate\": " << jsonNumber(stats.hitRate())
-       << ", \"entries\": " << stats.entries
-       << ", \"resident_bytes\": " << stats.residentBytes
-       << ", \"evictions\": " << stats.evictions
-       << ", \"loaded_entries\": " << stats.loadedEntries
-       << ", \"load_hits\": " << stats.loadHits << "}";
-}
-
-} // namespace
-
 void
 writePerfJson(std::ostream &os, const PerfDocument &doc)
 {
@@ -74,11 +58,7 @@ writePerfJson(std::ostream &os, const PerfDocument &doc)
         }
         if (!e.stages.empty())
             os << "\n      ";
-        os << "],\n"
-           << "      \"caches\": {\n"
-           << "        \"workset\": ";
-        writeCacheObject(os, e.worksetCache);
-        os << "\n      }\n    }";
+        os << "]\n    }";
     }
     if (!doc.suite.empty())
         os << "\n  ";
@@ -149,24 +129,6 @@ requireString(const JsonValue &obj, const std::string &key,
     }
     into = v->asString();
     return true;
-}
-
-bool
-parseCacheObject(const JsonValue &obj, const char *where,
-                 CacheStats &into, std::string &error)
-{
-    double ignored_rate = 0.0;
-    return requireUint(obj, "hits", where, into.hits, error) &&
-           requireUint(obj, "misses", where, into.misses, error) &&
-           requireNumber(obj, "hit_rate", where, ignored_rate, error) &&
-           requireUint(obj, "entries", where, into.entries, error) &&
-           requireUint(obj, "resident_bytes", where, into.residentBytes,
-                       error) &&
-           requireUint(obj, "evictions", where, into.evictions,
-                       error) &&
-           requireUint(obj, "loaded_entries", where, into.loadedEntries,
-                       error) &&
-           requireUint(obj, "load_hits", where, into.loadHits, error);
 }
 
 } // namespace
@@ -293,18 +255,7 @@ parsePerfDocument(const std::string &text, PerfDocument &out,
                 return false;
             e.stages.push_back(std::move(s));
         }
-        // v1/v2 documents also carry "schedule" and "a_schedule"
-        // panels; only "workset" is read.
-        const JsonValue *caches =
-            requireMember(item, "caches", "suite entry", error);
-        const JsonValue *workset =
-            caches == nullptr
-                ? nullptr
-                : requireMember(*caches, "workset", "\"caches\"", error);
-        if (workset == nullptr ||
-            !parseCacheObject(*workset, "\"caches.workset\"",
-                              e.worksetCache, error))
-            return false;
+        // v1–v3 entries also carry a "caches" object; it is ignored.
         out.suite.push_back(std::move(e));
     }
     return true;

@@ -4,8 +4,8 @@
  *
  * `griffin_bench perf` runs a pinned microbench suite and serializes
  * its execution profile — per-stage wall-time breakdown (from
- * Telemetry::stageBreakdown), workset-cache hit rates, and thread-pool
- * utilization — as a schema-versioned JSON document.  The document is
+ * Telemetry::stageBreakdown) and thread-pool utilization — as a
+ * schema-versioned JSON document.  The document is
  * the repo's perf trajectory: CI produces one per run, and
  * `perf --compare old.json new.json` renders the run-over-run deltas
  * that let a scheduler or SIMD change be judged against the checked-in
@@ -28,18 +28,17 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "runtime/content_cache.hh"
 
 namespace griffin {
 
 constexpr const char *perfSchemaName = "griffin_bench_perf";
 /** v2 added the optional "kernels" micro-benchmark section
  *  (`griffin_bench perf --kernels`); v3 dropped the "schedule" and
- *  "a_schedule" cache panels along with those caches.  v1 and v2
- *  documents — no kernels key, extra cache panels — still parse (the
- *  panels are ignored), so historical seeds keep working as compare
- *  inputs. */
-constexpr int perfSchemaVersion = 3;
+ *  "a_schedule" cache panels along with those caches; v4 dropped the
+ *  per-entry "caches" object along with the workset cache.  v1–v3
+ *  documents — no kernels key, cache panels — still parse (the panels
+ *  are ignored), so historical seeds keep working as compare inputs. */
+constexpr int perfSchemaVersion = 4;
 
 /** One pipeline stage's merged wall-time total within one entry. */
 struct PerfStage
@@ -61,7 +60,6 @@ struct PerfEntry
     std::uint64_t poolSteals = 0;
     double poolBusyMs = 0.0;
     std::vector<PerfStage> stages; ///< stage-name order
-    CacheStats worksetCache;
 };
 
 /**

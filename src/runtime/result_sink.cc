@@ -380,21 +380,6 @@ writeTableJsonLine(std::ostream &os, const Table &table)
 }
 
 void
-writeCacheStatsJsonLine(std::ostream &os, const CacheStats &stats,
-                        const std::string &label)
-{
-    os << "{\"" << jsonEscape(label) << "\": {"
-       << "\"hits\": " << stats.hits << ", "
-       << "\"misses\": " << stats.misses << ", "
-       << "\"hit_rate\": " << jsonNumber(stats.hitRate()) << ", "
-       << "\"entries\": " << stats.entries << ", "
-       << "\"resident_bytes\": " << stats.residentBytes << ", "
-       << "\"evictions\": " << stats.evictions << ", "
-       << "\"loaded_entries\": " << stats.loadedEntries << ", "
-       << "\"load_hits\": " << stats.loadHits << "}}\n";
-}
-
-void
 writeMetricsJsonLine(std::ostream &os, const MetricsRegistry &registry,
                      const std::string &label)
 {

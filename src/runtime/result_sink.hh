@@ -123,14 +123,6 @@ void writeJsonLines(std::ostream &os, const SweepResult &sweep);
 /** One Table as a single-line JSON object (for JSON Lines streams). */
 void writeTableJsonLine(std::ostream &os, const Table &table);
 
-/**
- * Cache counters as a single-line JSON object ({"<label>": {...}}),
- * load/store accounting included — the machine-readable stats line the
- * sweep drivers print after saving a cache file.
- */
-void writeCacheStatsJsonLine(std::ostream &os, const CacheStats &stats,
-                             const std::string &label);
-
 class MetricsRegistry;
 
 /**

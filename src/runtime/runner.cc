@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cmath>
 #include <map>
-#include <memory>
-#include <tuple>
 #include <utility>
 
 #include "common/logging.hh"
@@ -51,6 +49,11 @@ validateOptions(const RunOptions &opt)
     if (opt.sim.sampleFraction <= 0.0 || opt.sim.sampleFraction > 1.0)
         fatal("sweep option sample_fraction ", opt.sim.sampleFraction,
               " is outside (0, 1]");
+    if (opt.rowCap <= 0)
+        fatal("sweep option row_cap ", opt.rowCap, " is not positive");
+    if (opt.sramBudgetBytes < 0)
+        fatal("sweep option SRAM budget of ", opt.sramBudgetBytes,
+              " bytes is negative");
 }
 
 } // namespace
@@ -133,140 +136,157 @@ expandSweep(const SweepSpec &spec)
     return jobs;
 }
 
-SweepResult
-runSweep(const SweepSpec &spec, int threads, WorksetCache *worksets)
+namespace {
+
+/** One (spec, job, layer) that consumes a group's workset. */
+struct Consumer
 {
-    auto jobs = expandSweep(spec);
+    std::size_t spec = 0;
+    std::size_t job = 0;
+    std::size_t layer = 0;
+};
 
-    std::unique_ptr<WorksetCache> owned_worksets;
-    if (worksets == nullptr) {
-        // Bounded by default: worksets hold whole weight matrices, and
-        // an unbounded per-sweep cache would retain every generated
-        // tensor until the sweep ends.  Callers wanting a different
-        // bound (or none) pass their own cache.
-        owned_worksets = std::make_unique<WorksetCache>();
-        owned_worksets->setByteBudget(defaultWorksetByteBudget);
-        worksets = owned_worksets.get();
+/**
+ * A group's key.  The workset is a pure function of the
+ * WorksetParams; the category is in the key only to keep tasks small:
+ * where a layer's own sparsity makes one operand dense, categories
+ * share a workset, and merging them makes fewer, longer tasks and a
+ * longer tail.
+ */
+using GroupKey = std::pair<DnnCategory, WorksetParams>;
+using Groups = std::map<GroupKey, std::vector<Consumer>>;
+
+} // namespace
+
+std::vector<SweepResult>
+runSweeps(const std::vector<SweepSpec> &specs, int threads)
+{
+    if (specs.empty())
+        return {};
+    // Expand (and so validate) every spec before any work starts.
+    std::vector<std::vector<SweepJob>> jobs;
+    jobs.reserve(specs.size());
+    for (const auto &spec : specs)
+        jobs.push_back(expandSweep(spec));
+
+    // One Accelerator per (spec, architecture), shared read-only by
+    // every job of the spec.
+    std::vector<std::vector<Accelerator>> accelerators(specs.size());
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        accelerators[s].reserve(specs[s].archs.size());
+        for (const auto &arch : specs[s].archs)
+            accelerators[s].emplace_back(arch);
     }
-
-    const auto jobOptions = [&](const SweepJob &job) {
-        RunOptions opt = job.options;
-        opt.worksetCache = worksets;
-        return opt;
-    };
-
-    // One Accelerator per architecture, shared read-only by every job.
-    std::vector<Accelerator> accelerators;
-    accelerators.reserve(spec.archs.size());
-    for (const auto &arch : spec.archs)
-        accelerators.emplace_back(arch);
-
-    // Per-job wall-time accumulators (--timings).  Atomics because a
-    // batch task adds into several jobs' slots from one worker while
-    // other workers add into the same jobs from other layers.
-    std::unique_ptr<std::atomic<std::int64_t>[]> job_ns;
-    if (spec.collectTimings) {
-        job_ns =
-            std::make_unique<std::atomic<std::int64_t>[]>(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            job_ns[i].store(0, std::memory_order_relaxed);
-    }
-    const auto timeInto = [&job_ns](std::size_t i, auto &&body) {
-        if (job_ns == nullptr) {
-            body();
-            return;
-        }
-        const std::uint64_t start = monotonicNowNs();
-        body();
-        job_ns[i].fetch_add(
-            static_cast<std::int64_t>(monotonicNowNs() - start),
-            std::memory_order_relaxed);
-    };
 
     const std::uint64_t sweep_start_ns = monotonicNowNs();
-    ThreadPool::Stats pool_stats;
 
-    // Group the jobs of one (network, category, options) grid point —
-    // the arch axis — in submission order.
-    std::map<std::tuple<std::size_t, std::size_t, std::size_t>, std::size_t>
-        batch_of;
-    std::vector<std::vector<std::size_t>> batches;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const auto key = std::make_tuple(jobs[i].networkIndex,
-                                         jobs[i].categoryIndex,
-                                         jobs[i].optionsIndex);
-        auto [it, fresh] = batch_of.emplace(key, batches.size());
-        if (fresh)
-            batches.emplace_back();
-        batches[it->second].push_back(i);
+    // The plan: every (spec, job, layer) joins the group of its
+    // (category, workset parameters), and groups keep first-seen order.
+    // Each task writes only its consumers' (job, layer) slots: no
+    // result lock needed, and the merge is the identity — expansion
+    // order is result order.
+    Groups groups;
+    std::vector<Groups::const_iterator> order;
+    std::vector<std::vector<std::vector<LayerResult>>> layer_results(
+        specs.size());
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        layer_results[s].resize(jobs[s].size());
+        for (std::size_t i = 0; i < jobs[s].size(); ++i) {
+            const SweepJob &job = jobs[s][i];
+            const NetworkSpec &net = specs[s].networks[job.networkIndex];
+            const DnnCategory cat = specs[s].categories[job.categoryIndex];
+            layer_results[s][i].resize(net.layerCount());
+            for (std::size_t l = 0; l < net.layerCount(); ++l) {
+                const auto [it, fresh] = groups.try_emplace(GroupKey{
+                    cat, accelerators[s][job.archIndex].layerWorksetParams(
+                             net, l, cat, job.options)});
+                if (fresh)
+                    order.push_back(it);
+                it->second.push_back({s, i, l});
+            }
+        }
     }
 
-    // Each task writes only its own (job, layer) slots: no result lock
-    // needed, and the merge is the identity — submission order is
-    // result order.
-    std::vector<std::vector<LayerResult>> layer_results(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        layer_results[i].resize(
-            spec.networks[jobs[i].networkIndex].layerCount());
+    // Per-job wall time (--timings), flat over every spec's jobs:
+    // atomics because one job's layers run in different groups, on
+    // different workers.  A clock read per consumer is noise next to
+    // its runLayer call, so every job is timed and only the specs that
+    // asked report it.
+    std::vector<std::size_t> job_base(specs.size() + 1, 0);
+    for (std::size_t s = 0; s < specs.size(); ++s)
+        job_base[s + 1] = job_base[s] + jobs[s].size();
+    std::vector<std::atomic<std::int64_t>> job_ns(job_base.back());
+
+    ThreadPool::Stats pool_stats;
     {
         ThreadPool pool(threads);
-        for (const auto &batch : batches) {
-            const auto layer_count = layer_results[batch.front()].size();
-            for (std::size_t l = 0; l < layer_count; ++l) {
-                pool.submit([&spec, &jobs, &accelerators, &layer_results,
-                             &jobOptions, &timeInto, &batch, l] {
-                    for (const std::size_t i : batch) {
-                        const SweepJob &job = jobs[i];
-                        timeInto(i, [&] {
-                            layer_results[i][l] =
-                                accelerators[job.archIndex].runLayer(
-                                    spec.networks[job.networkIndex], l,
-                                    spec.categories[job.categoryIndex],
-                                    jobOptions(job));
-                        });
-                    }
-                });
-            }
+        for (const auto &group : order) {
+            pool.submit([&specs, &jobs, &accelerators, &layer_results,
+                         &job_base, &job_ns, group] {
+                std::uint64_t mark = monotonicNowNs();
+                const LayerWorkset workset =
+                    generateLayerWorkset(group->first.second);
+                for (const Consumer &c : group->second) {
+                    const SweepSpec &spec = specs[c.spec];
+                    const SweepJob &job = jobs[c.spec][c.job];
+                    layer_results[c.spec][c.job][c.layer] =
+                        accelerators[c.spec][job.archIndex].runLayer(
+                            spec.networks[job.networkIndex], c.layer,
+                            spec.categories[job.categoryIndex],
+                            job.options, workset);
+                    // The first consumer also pays for generation.
+                    const std::uint64_t now = monotonicNowNs();
+                    job_ns[job_base[c.spec] + c.job].fetch_add(
+                        static_cast<std::int64_t>(now - mark),
+                        std::memory_order_relaxed);
+                    mark = now;
+                }
+            });
         }
         pool.wait();
         pool_stats = pool.stats();
     }
 
-    std::vector<NetworkResult> results(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const SweepJob &job = jobs[i];
-        results[i] = accelerators[job.archIndex].reduceLayers(
-            spec.networks[job.networkIndex],
-            spec.categories[job.categoryIndex],
-            std::move(layer_results[i]), jobOptions(job));
+    std::vector<SweepResult> sweeps;
+    sweeps.reserve(specs.size());
+    std::vector<double> all_elapsed_ms;
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        const SweepSpec &spec = specs[s];
+        std::vector<NetworkResult> results(jobs[s].size());
+        std::vector<double> job_elapsed_ms;
+        for (std::size_t i = 0; i < jobs[s].size(); ++i) {
+            const SweepJob &job = jobs[s][i];
+            results[i] = accelerators[s][job.archIndex].reduceLayers(
+                spec.networks[job.networkIndex],
+                spec.categories[job.categoryIndex],
+                std::move(layer_results[s][i]), job.options);
+            if (spec.collectTimings)
+                job_elapsed_ms.push_back(
+                    static_cast<double>(job_ns[job_base[s] + i].load(
+                        std::memory_order_relaxed)) /
+                    1e6);
+        }
+        all_elapsed_ms.insert(all_elapsed_ms.end(), job_elapsed_ms.begin(),
+                              job_elapsed_ms.end());
+        sweeps.emplace_back(std::move(jobs[s]), std::move(results),
+                            std::move(job_elapsed_ms));
     }
 
     const std::uint64_t sweep_ns = monotonicNowNs() - sweep_start_ns;
 
-    std::vector<double> job_elapsed_ms;
-    if (job_ns != nullptr) {
-        job_elapsed_ms.reserve(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            job_elapsed_ms.push_back(
-                static_cast<double>(
-                    job_ns[i].load(std::memory_order_relaxed)) /
-                1e6);
-    }
-
-    // Publish the sweep's execution profile to the process registry —
+    // Publish the run's execution profile to the process registry —
     // the one source of truth the `--stats` line and `griffin_bench
     // perf` both read.  Pure observation: nothing below feeds back into
     // a result.
     {
         MetricsRegistry &reg = MetricsRegistry::instance();
+        const double job_count = static_cast<double>(job_base.back());
         const double wall_ms = static_cast<double>(sweep_ns) / 1e6;
         const double wall_s = static_cast<double>(sweep_ns) / 1e9;
-        reg.gauge("sweep.jobs").set(static_cast<double>(jobs.size()));
+        reg.gauge("sweep.jobs").set(job_count);
         reg.gauge("sweep.wall_ms").set(wall_ms);
         reg.gauge("sweep.jobs_per_sec")
-            .set(wall_s > 0.0
-                     ? static_cast<double>(jobs.size()) / wall_s
-                     : 0.0);
+            .set(wall_s > 0.0 ? job_count / wall_s : 0.0);
         reg.gauge("pool.threads").set(static_cast<double>(threads));
         reg.gauge("pool.executed_jobs")
             .set(static_cast<double>(pool_stats.executed));
@@ -281,17 +301,21 @@ runSweep(const SweepSpec &spec, int threads, WorksetCache *worksets)
                      ? static_cast<double>(pool_stats.busyNs) /
                            capacity_ns
                      : 0.0);
-        reg.publishCacheStats("workset_cache", worksets->stats());
         reg.gauge("process.peak_rss_mb").set(peakRssMb());
-        if (!job_elapsed_ms.empty()) {
+        if (!all_elapsed_ms.empty()) {
             Histogram &h = reg.histogram("pool.job_us");
-            for (const double ms : job_elapsed_ms)
+            for (const double ms : all_elapsed_ms)
                 h.record(static_cast<std::uint64_t>(ms * 1e3));
         }
     }
 
-    return SweepResult(std::move(jobs), std::move(results),
-                       worksets->stats(), std::move(job_elapsed_ms));
+    return sweeps;
+}
+
+SweepResult
+runSweep(const SweepSpec &spec, int threads)
+{
+    return std::move(runSweeps({spec}, threads).front());
 }
 
 } // namespace griffin

@@ -23,17 +23,19 @@
  * jobs.  Accelerator is const and shares no mutable state, which is
  * what makes the fan-out safe.
  *
- * Execution: the jobs of one (network, category, options) grid
- * point — the jobs that differ only along the architecture axis —
- * form a batch, and each (batch, layer) pair is one pool task that
- * runs every architecture of the batch over that layer
- * (Accelerator::runLayer, whose streams depend only on seed, network,
- * and layer index).  The first architecture generates the
- * layer's operand workset and the rest reuse it from the workset cache
- * (workset_cache.hh) while it is warm; a per-job reduce
+ * Execution: runSweeps() plans the work before it runs any.  It
+ * computes the operand parameters (Accelerator::layerWorksetParams) of
+ * every (spec, job, layer) and groups the triples by (category,
+ * WorksetParams) in first-seen order.  Each group is one pool task: it
+ * generates the layer's workset once, runs every consumer's
+ * Accelerator::runLayer over it, and frees it, so at most one workset
+ * per worker is resident.  A group's consumers are the architectures
+ * of a grid point, the option variants that leave the operands alone
+ * (DRAM bound, schedule policy, SRAM budget) and, across specs, other
+ * experiments over the same layers.  A per-job reduce
  * (Accelerator::reduceLayers) then reassembles each NetworkResult in
- * layer order.  The cache is an optimization only and changes no
- * result; per-tile schedules are recomputed by every job.
+ * layer order.  Grouping changes no result; per-tile schedules are
+ * recomputed by every consumer.
  */
 
 #ifndef GRIFFIN_RUNTIME_RUNNER_HH
@@ -45,7 +47,6 @@
 #include <vector>
 
 #include "griffin/accelerator.hh"
-#include "runtime/workset_cache.hh"
 
 namespace griffin {
 
@@ -119,7 +120,7 @@ struct SweepSpec
     std::function<bool(const SweepJob &)> jobFilter;
 
     /**
-     * When true, runSweep() wall-clocks every job (SweepResult::
+     * When true, the runner wall-clocks every job (SweepResult::
      * jobElapsedMs) so sinks can emit `elapsed_ms` rows (`--timings`).
      * Timing is observation only — it never feeds back into any
      * simulated result.  Default off keeps baseline outputs free of
@@ -150,7 +151,8 @@ struct SweepSpec
      * fatal() unless every identity axis is non-empty, optionCoords
      * matches optionVariants, the shard is in range, and every
      * RunOptions variant is usable: finite doubles, weightLaneBias in
-     * [0, 1], sim.sampleFraction in (0, 1].  expandSweep() calls it.
+     * [0, 1], sim.sampleFraction in (0, 1], a positive rowCap, and a
+     * non-negative sramBudgetBytes.  expandSweep() calls it.
      */
     void validate() const;
 };
@@ -162,10 +164,8 @@ class SweepResult
     SweepResult() = default;
     SweepResult(std::vector<SweepJob> jobs,
                 std::vector<NetworkResult> results,
-                WorksetCache::Stats workset_stats = {},
                 std::vector<double> job_elapsed_ms = {})
         : jobs_(std::move(jobs)), results_(std::move(results)),
-          worksetStats_(workset_stats),
           jobElapsedMs_(std::move(job_elapsed_ms))
     {
     }
@@ -193,16 +193,11 @@ class SweepResult
         return out;
     }
 
-    /** Workset-cache counters of the sweep (generation reuse). */
-    const WorksetCache::Stats &worksetStats() const
-    {
-        return worksetStats_;
-    }
-
     /**
      * Per-job wall-time in milliseconds, parallel to jobs() — empty
      * unless the sweep ran with SweepSpec::collectTimings.  A job's
-     * time is the sum of its runLayer calls (reduce excluded).
+     * time is the sum of its runLayer calls (reduce excluded), plus
+     * the generation of every workset whose group it was first in.
      */
     const std::vector<double> &jobElapsedMs() const
     {
@@ -212,7 +207,6 @@ class SweepResult
   private:
     std::vector<SweepJob> jobs_;
     std::vector<NetworkResult> results_;
-    WorksetCache::Stats worksetStats_;
     std::vector<double> jobElapsedMs_;
 };
 
@@ -223,15 +217,17 @@ class SweepResult
 std::vector<SweepJob> expandSweep(const SweepSpec &spec);
 
 /**
- * Run the sweep on `threads` workers (1 = serial through the same
- * code path).  A workset cache is shared across jobs; pass `worksets`
- * to reuse one across sweeps (or for disk persistence), or nullptr for
- * a per-sweep cache bounded at defaultWorksetByteBudget, so a sweep
- * never retains unbounded generated tensors.  Either way the merged
- * results are bit-identical.
+ * Run several sweeps as one plan on `threads` workers (1 = serial
+ * through the same code path): every spec is expanded and validated
+ * before any work starts, and a workset shared by specs is generated
+ * once.  Element i of the result is specs[i]'s outcome, bit-identical
+ * to runSweep(specs[i], threads) at any thread count.
  */
-SweepResult runSweep(const SweepSpec &spec, int threads,
-                     WorksetCache *worksets = nullptr);
+std::vector<SweepResult> runSweeps(const std::vector<SweepSpec> &specs,
+                                   int threads);
+
+/** The one-spec case of runSweeps(). */
+SweepResult runSweep(const SweepSpec &spec, int threads);
 
 } // namespace griffin
 

@@ -38,8 +38,7 @@ namespace griffin {
  * argument order.  fatal() on unreadable files, malformed JSON, rows
  * missing required fields, or rows without an experiment label
  * (unlabeled documents cannot be validated against the registry).
- * Cache-stats lines are not expected in --out documents and are
- * rejected like any other non-row object.
+ * Any non-row object is rejected.
  */
 std::vector<ResultRow>
 readShardRows(const std::vector<std::string> &paths);

@@ -260,24 +260,6 @@ MetricsRegistry::snapshot() const
 }
 
 void
-MetricsRegistry::publishCacheStats(const std::string &prefix,
-                                   const CacheStats &stats)
-{
-    gauge(prefix + ".hits").set(static_cast<double>(stats.hits));
-    gauge(prefix + ".misses").set(static_cast<double>(stats.misses));
-    gauge(prefix + ".hit_rate").set(stats.hitRate());
-    gauge(prefix + ".entries").set(static_cast<double>(stats.entries));
-    gauge(prefix + ".resident_bytes")
-        .set(static_cast<double>(stats.residentBytes));
-    gauge(prefix + ".evictions")
-        .set(static_cast<double>(stats.evictions));
-    gauge(prefix + ".loaded_entries")
-        .set(static_cast<double>(stats.loadedEntries));
-    gauge(prefix + ".load_hits")
-        .set(static_cast<double>(stats.loadHits));
-}
-
-void
 MetricsRegistry::reset()
 {
     MutexLock lock(mu_);

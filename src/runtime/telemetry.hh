@@ -6,10 +6,9 @@
  *
  *   - MetricsRegistry: named counters, gauges, and histograms behind
  *     stable references.  The runner publishes its previously ad-hoc
- *     stats here once per sweep — workset cache counters
- *     (content_cache.hh CacheStats), thread-pool steal/execution
- *     totals, jobs-per-second and utilization, and the process's peak
- *     RSS — so every consumer (the `--stats` JSON line,
+ *     stats here once per runSweeps() call — thread-pool
+ *     steal/execution totals, jobs-per-second and utilization, and the
+ *     process's peak RSS — so every consumer (the `--stats` JSON line,
  *     `griffin_bench perf`) reads one source of truth instead of
  *     scraping driver stdout.  Metric updates are lock-free atomics;
  *     registration (name -> slot) takes a mutex and is expected once
@@ -50,7 +49,6 @@
 #include <vector>
 
 #include "common/mutex.hh"
-#include "runtime/content_cache.hh"
 
 namespace griffin {
 
@@ -180,10 +178,6 @@ class MetricsRegistry
     /** Every registered metric, sorted by name. */
     std::vector<MetricSnapshot> snapshot() const;
 
-    /** Gauge the full CacheStats record under "<prefix>.<field>" —
-     *  the registry form of writeCacheStatsJsonLine's object. */
-    void publishCacheStats(const std::string &prefix,
-                           const CacheStats &stats);
 
     /** Zero every value (registrations and references survive). */
     void reset();

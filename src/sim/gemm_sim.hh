@@ -133,7 +133,7 @@ GemmSimResult simulateGemm(const GemmOperands &operands,
                            const SimOptions &opt = {});
 
 /** The monolithic convenience form: stage 1 (makeGemmOperands) plus
- *  the staged simulation, for callers without a cached workset. */
+ *  the staged simulation, for callers without a prepared workset. */
 GemmSimResult simulateGemm(const MatrixI8 &a, const MatrixI8 &b,
                            const ArchConfig &arch, DnnCategory cat,
                            const SimOptions &opt = {});

@@ -9,9 +9,9 @@
  * seed of the tile-sampling phase.  The workset is a pure function of
  * WorksetParams: along the architecture axis of any sweep grid, every
  * design point with the same tile height replays *bit-identical*
- * operand generation, which is why worksets are content-addressed and
- * cacheable (runtime/workset_cache.hh) rather than regenerated inside
- * every Accelerator::runLayer call.
+ * operand generation, which is why the sweep runner (runtime/runner.hh)
+ * groups a sweep's layers by WorksetParams and generates each distinct
+ * workset once for all of its consumers.
  *
  * Convolution layers are already lowered to GEMM shapes by the
  * workload tables (tensor/im2col.hh does the lowering; workloads/
@@ -23,7 +23,7 @@
 #define GRIFFIN_TENSOR_WORKSET_HH
 
 #include <cstdint>
-#include <iosfwd>
+#include <tuple>
 
 #include "tensor/matrix.hh"
 
@@ -32,7 +32,7 @@ namespace griffin {
 /**
  * The complete input domain of layer operand generation.  Two equal
  * parameter records generate bit-identical worksets on any platform;
- * the content key of the workset cache hashes exactly these fields.
+ * the sweep runner groups work by exactly these fields.
  */
 struct WorksetParams
 {
@@ -44,15 +44,33 @@ struct WorksetParams
     /** Lane-imbalance depth of the weight mask (sparsity.hh). */
     double weightLaneBias = 0.0;
     /** Effective mean zero-run length (already clamped to >= 1, so
-     *  equivalent inputs share one cache entry). */
+     *  equivalent inputs share one workset). */
     double actRunLength = 1.0;
     /** Modulation period of laneBiasedSparse (crossbar granularity). */
     int lanePeriod = 4;
     /** Layer stream seed: mixSeed(mixSeed(run seed, net name), layer). */
     std::uint64_t seed = 0;
 
-    bool operator==(const WorksetParams &o) const;
+    /** Every field, in one place for equality and ordering. */
+    auto
+    fields() const
+    {
+        return std::tie(m, k, n, weightSparsity, actSparsity,
+                        weightLaneBias, actRunLength, lanePeriod, seed);
+    }
+
+    bool
+    operator==(const WorksetParams &o) const
+    {
+        return fields() == o.fields();
+    }
     bool operator!=(const WorksetParams &o) const { return !(*this == o); }
+    /** Field-wise order, so records can key an ordered map. */
+    bool
+    operator<(const WorksetParams &o) const
+    {
+        return fields() < o.fields();
+    }
 };
 
 /** The stage-1 artifact: generated operands + their content statistics. */
@@ -67,28 +85,6 @@ struct LayerWorkset
     std::int64_t effectualOps = 0;
     /** Nonzero count of B (compressed-stream payload size). */
     std::int64_t nnzB = 0;
-
-    /** Approximate resident footprint, the workset-cache byte unit. */
-    std::size_t
-    approxBytes() const
-    {
-        return a.size() + b.size() + sizeof(LayerWorkset);
-    }
-
-    /**
-     * Fixed-width little-endian binary form (common/binio.hh units):
-     * both matrix geometries and raw element bytes, then the derived
-     * seed and statistics.  deserialize() reproduces a bit-identical
-     * workset on any platform.
-     */
-    void serialize(std::ostream &os) const;
-
-    /**
-     * Read one serialize()d workset.  Returns false (leaving `out`
-     * unspecified) on truncated or structurally inconsistent input —
-     * callers treat that as a corrupt cache file, not a fatal error.
-     */
-    static bool deserialize(std::istream &is, LayerWorkset &out);
 };
 
 /** Count MACs where both operands are nonzero, in O(MK + KN). */
@@ -98,7 +94,8 @@ std::int64_t countEffectualOps(const MatrixI8 &a, const MatrixI8 &b);
  * Generate the workset for one parameter record: clustered-sparse
  * activations, lane-biased weights, then the forked sampling seed —
  * the exact stream Accelerator::runLayer historically drew inline, so
- * pipelined and monolithic runs are bit-identical.
+ * pipelined and monolithic runs are bit-identical.  Recorded as the
+ * `operand_gen` telemetry span.
  */
 LayerWorkset generateLayerWorkset(const WorksetParams &params);
 

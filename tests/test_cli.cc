@@ -134,6 +134,23 @@ TEST(CliDeathTest, NonNumericIntIsFatal)
     cli.parse(2, argv);
     EXPECT_EXIT(cli.getInt("iters"), testing::ExitedWithCode(exitUsageError),
                 "expects an integer");
+
+    // strtoll clamps an out-of-range value to INT64_MAX/MIN; it must
+    // not run as that clamped number.
+    for (const char *huge :
+         {"--iters=99999999999999999999", "--iters=-99999999999999999999"}) {
+        auto wide = makeCli();
+        const char *argv_huge[] = {"prog", huge};
+        wide.parse(2, argv_huge);
+        EXPECT_EXIT(wide.getInt("iters"),
+                    testing::ExitedWithCode(exitUsageError),
+                    "is out of range for a 64-bit integer")
+            << huge;
+    }
+    auto edge = makeCli();
+    const char *argv_edge[] = {"prog", "--iters=9223372036854775807"};
+    edge.parse(2, argv_edge);
+    EXPECT_EQ(edge.getInt("iters"), INT64_MAX);
 }
 
 TEST(CliDeathTest, EmptyIntValueIsFatal)

@@ -183,23 +183,28 @@ TEST(ExperimentFlags, ExplicitFlagsOverrideDefaults)
     EXPECT_EQ(run.weightLaneBias, 0.25);
 }
 
-TEST(CacheFlagsDeathTest, OutOfRangeWorksetBudgetIsFatal)
+TEST(ExperimentFlags, OnlyMinusOneIsTheSentinel)
 {
-    const auto load = [](const char *budget_mb) {
-        Cli cli("test");
-        addCacheFlags(cli);
-        const char *argv[] = {"prog", "--workset-budget-mb", budget_mb};
-        cli.parse(3, argv);
-        WorksetCache worksets;
-        loadCachesFromFlags(cli, worksets);
-    };
-    // 2^44 + 1 MiB would wrap to a 1 MiB budget; the largest value
-    // whose byte count fits in 64 bits is 2^44 - 1.
-    for (const char *bad : {"-1", "17592186044416", "17592186044417"})
-        EXPECT_EXIT(load(bad), testing::ExitedWithCode(exitUsageError),
-                    "workset-budget-mb")
-            << bad;
-    load("17592186044415");
+    // Other negative values pass through, for SweepSpec::validate() to
+    // reject, instead of silently running at the default fidelity.
+    Cli cli("test");
+    addFidelityFlags(cli);
+    const char *argv[] = {"prog", "--sample", "-0.5", "--rowcap", "-5"};
+    cli.parse(5, argv);
+    const auto run = resolveFidelity(cli, 0.02, 8);
+    EXPECT_EQ(run.sim.sampleFraction, -0.5);
+    EXPECT_EQ(run.rowCap, -5);
+}
+
+TEST(ExperimentFlagsDeathTest, NegativeSeedIsFatal)
+{
+    Cli cli("test");
+    addFidelityFlags(cli);
+    const char *argv[] = {"prog", "--seed", "-1"};
+    cli.parse(3, argv);
+    EXPECT_EXIT(resolveFidelity(cli, 0.02, 8),
+                testing::ExitedWithCode(exitUsageError),
+                "--seed must be non-negative, got -1");
 }
 
 TEST(ThreadsFlagDeathTest, OutOfRangeThreadsAreFatal)
@@ -343,14 +348,22 @@ TEST(JobFilter, DropsRejectedJobsBeforeSharding)
 
 // ---- end-to-end runExperiment ---------------------------------------
 
+/** Smoke fidelity for the end-to-end runs. */
+RunOptions
+tinyRun()
+{
+    RunOptions run;
+    run.sim.sampleFraction = 0.02;
+    run.sim.minSampledTiles = 4;
+    run.rowCap = 8;
+    return run;
+}
+
 TEST(RunExperiment, RenderSeesSweepAndShardedRunsSkipTables)
 {
     const Experiment &exp = *findExperiment("zz_tiny");
     ExperimentRunConfig config;
-    config.run.sim.sampleFraction = 0.02;
-    config.run.sim.minSampledTiles = 4;
-    config.run.rowCap = 8;
-    const auto outcome = runExperiment(exp, config);
+    const auto outcome = runExperiment(exp, tinyRun(), config);
     ASSERT_TRUE(outcome.hasSweep);
     ASSERT_EQ(outcome.tables.size(), 1u);
     EXPECT_EQ(outcome.tables[0].cell(0, 0), "Sparse.B*");
@@ -363,7 +376,7 @@ TEST(RunExperiment, RenderSeesSweepAndShardedRunsSkipTables)
         auto shard_config = config;
         shard_config.shardIndex = i;
         shard_config.shardCount = 2;
-        const auto shard = runExperiment(exp, shard_config);
+        const auto shard = runExperiment(exp, tinyRun(), shard_config);
         EXPECT_TRUE(shard.tables.empty());
         const auto rows = sweepRows(shard.sweep, exp.name);
         concat.insert(concat.end(), rows.begin(), rows.end());
@@ -379,11 +392,8 @@ TEST(RunExperiment, GridOverrideReplacesAxes)
 {
     const Experiment &exp = *findExperiment("zz_tiny");
     ExperimentRunConfig config;
-    config.run.sim.sampleFraction = 0.02;
-    config.run.sim.minSampledTiles = 4;
-    config.run.rowCap = 8;
     config.gridOverride = "seed=1..3";
-    const auto outcome = runExperiment(exp, config);
+    const auto outcome = runExperiment(exp, tinyRun(), config);
     EXPECT_EQ(outcome.sweep.results().size(), 3u);
     EXPECT_EQ(outcome.spec.optionVariants.size(), 3u);
 }
@@ -395,11 +405,8 @@ TEST(RunExperiment, GridOverrideMergesIntoTheOwnAxes)
     // the expansion stays a single merged grid with full coordinates.
     const Experiment &exp = *findExperiment("zz_axes");
     ExperimentRunConfig config;
-    config.run.sim.sampleFraction = 0.02;
-    config.run.sim.minSampledTiles = 4;
-    config.run.rowCap = 8;
     config.gridOverride = "weight_lane_bias=0.5,seed=1..2";
-    const auto outcome = runExperiment(exp, config);
+    const auto outcome = runExperiment(exp, tinyRun(), config);
     ASSERT_EQ(outcome.spec.optionVariants.size(), 2u);
     EXPECT_EQ(outcome.spec.optionVariants[0].weightLaneBias, 0.5);
     EXPECT_EQ(outcome.spec.optionVariants[0].seed, 1u);
@@ -414,18 +421,15 @@ TEST(RunExperimentDeathTest, OverridingALockedAxisIsFatal)
 {
     const Experiment &exp = *findExperiment("zz_axes");
     ExperimentRunConfig config;
-    config.run.sim.sampleFraction = 0.02;
-    config.run.sim.minSampledTiles = 4;
-    config.run.rowCap = 8;
     config.gridOverride = "arch=Griffin";
-    EXPECT_EXIT(runExperiment(exp, config),
+    EXPECT_EXIT(runExperiment(exp, tinyRun(), config),
                 testing::ExitedWithCode(exitUsageError), "structural");
 }
 
 TEST(RunExperiment, RenderOnlyExperimentHasNoSweep)
 {
     const Experiment &exp = *findExperiment("aa_static");
-    const auto outcome = runExperiment(exp, ExperimentRunConfig{});
+    const auto outcome = runExperiment(exp, RunOptions{});
     EXPECT_FALSE(outcome.hasSweep);
     ASSERT_EQ(outcome.tables.size(), 1u);
     EXPECT_EQ(outcome.tables[0].rows(), 0u);

@@ -262,6 +262,40 @@ TEST(GridDeathTest, MalformedRangesReportTheToken)
     EXPECT_EXIT(GridSpec::parse("weight_lane_bias=0.5..1.5"),
                 testing::ExitedWithCode(exitUsageError),
                 "'..' ranges are integer-only");
+
+    // Each range is counted before it is expanded: a huge one fails at
+    // once rather than building billions of strings, and a NaN or
+    // infinite step count fails too.
+    EXPECT_EXIT(GridSpec::parse("seed=1..3000000000"),
+                testing::ExitedWithCode(exitUsageError),
+                "range '1..3000000000' on axis 'seed' expands to more "
+                "than 65536 values");
+    EXPECT_EXIT(GridSpec::parse("sample_fraction=0:1e18:1e-9"),
+                testing::ExitedWithCode(exitUsageError),
+                "range '0:1e18:1e-9' on axis 'sample_fraction' expands "
+                "to more than 65536 values");
+    EXPECT_EXIT(GridSpec::parse("act_run_length=1:inf:1"),
+                testing::ExitedWithCode(exitUsageError),
+                "expands to more than 65536 values");
+    EXPECT_EXIT(GridSpec::parse("seed=1..40000,50001..90000"),
+                testing::ExitedWithCode(exitUsageError),
+                "grid axis 'seed' has more than 65536 values");
+
+    // Ranges ending at INT64_MAX stop there instead of overflowing.
+    EXPECT_EQ(GridSpec::parse("seed=9223372036854775806.."
+                              "9223372036854775807")
+                  .axes()[0]
+                  .values,
+              (std::vector<std::string>{"9223372036854775806",
+                                        "9223372036854775807"}));
+    EXPECT_EQ(GridSpec::parse("seed=9223372036854775800:"
+                              "9223372036854775807:5")
+                  .axes()[0]
+                  .values,
+              (std::vector<std::string>{"9223372036854775800",
+                                        "9223372036854775805"}));
+    const auto cap = GridSpec::parse("seed=1..65536");
+    EXPECT_EQ(cap.axes()[0].values.size(), maxGridAxisValues);
 }
 
 TEST(GridDeathTest, BadValuesReportTheToken)
@@ -272,6 +306,34 @@ TEST(GridDeathTest, BadValuesReportTheToken)
     EXPECT_EXIT(GridSpec::parse("enforce_dram_bound=maybe"),
                 testing::ExitedWithCode(exitUsageError),
                 "'maybe' is not a boolean");
+
+    // Integer axes are range-checked where they are parsed: a negative
+    // seed used to run as 2^64 - 3, and sram_budget_kb must fit its
+    // byte count.  A zero row cap, which used to die once per worker
+    // mid-sweep, is the expanded spec's validate() error.
+    EXPECT_EXIT(GridSpec::parse("seed=-3"),
+                testing::ExitedWithCode(exitUsageError),
+                "grid value '-3' on axis 'seed' is outside "
+                "0..9223372036854775807");
+    EXPECT_EXIT(GridSpec::parse("seed=-2..2"),
+                testing::ExitedWithCode(exitUsageError),
+                "grid value '-2' on axis 'seed' is outside");
+    EXPECT_EXIT(GridSpec::parse("row_cap=0").toSweepSpec(tinyBase()),
+                testing::ExitedWithCode(exitUsageError),
+                "sweep option row_cap 0 is not positive");
+    EXPECT_EXIT(GridSpec::parse("sram_budget_kb=-64"),
+                testing::ExitedWithCode(exitUsageError),
+                "grid value '-64' on axis 'sram_budget_kb' is outside "
+                "0..9007199254740991");
+    EXPECT_EXIT(GridSpec::parse("sram_budget_kb=9007199254740992"),
+                testing::ExitedWithCode(exitUsageError),
+                "grid value '9007199254740992' on axis 'sram_budget_kb' "
+                "is outside");
+    EXPECT_EQ(GridSpec::parse("sram_budget_kb=9007199254740991")
+                  .toSweepSpec(tinyBase())
+                  .optionVariants[0]
+                  .sramBudgetBytes,
+              INT64_MAX - 1023);
 }
 
 TEST(GridDeathTest, StructuralErrorsAreFatal)

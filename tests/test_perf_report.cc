@@ -80,21 +80,20 @@ TEST(PerfReport, KernelsKeyOmittedWhenEmpty)
 TEST(PerfReport, CheckedInV1SeedParsesAndGatesACurrentDocument)
 {
     // The checked-in seed is a real v1 document: no "kernels" key, and
-    // "schedule"/"a_schedule" cache panels this build no longer
-    // writes.  CI's perf-smoke gates a fresh artifact against it.
+    // "caches" panels this build no longer writes.  CI's perf-smoke
+    // gates a fresh artifact against it.
     const PerfDocument seed = loadPerfDocument(GRIFFIN_PERF_SEED);
     EXPECT_EQ(seed.schemaVersion, 1);
     EXPECT_TRUE(seed.kernels.empty());
     ASSERT_EQ(seed.suite.size(), 3u);
     EXPECT_EQ(seed.suite[0].experiment, "fig5");
-    EXPECT_EQ(seed.suite[0].worksetCache.misses, 277u);
 
-    // The same numbers through the current writer: a v3 document
-    // without the dropped panels, which gates clean against the seed.
+    // The same numbers through the current writer: a document without
+    // the dropped cache panels, which gates clean against the seed.
     PerfDocument current = seed;
     current.schemaVersion = perfSchemaVersion;
     const std::string text = renderJson(current);
-    EXPECT_NE(text.find("\"workset\": {"), std::string::npos);
+    EXPECT_EQ(text.find("\"caches\""), std::string::npos);
     EXPECT_EQ(text.find("\"schedule\": {"), std::string::npos);
     EXPECT_EQ(text.find("\"a_schedule\": {"), std::string::npos);
     PerfDocument back;

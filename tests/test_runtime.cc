@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the runtime/ subsystem: work-stealing pool semantics,
- * parallel-vs-serial determinism of the experiment runner, and
- * result-sink serialization.
+ * parallel-vs-serial determinism of the experiment runner, one
+ * operand generation per planned workset, and result-sink
+ * serialization.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "common/logging.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
+#include "runtime/telemetry.hh"
 #include "runtime/thread_pool.hh"
 
 namespace griffin {
@@ -201,45 +204,118 @@ TEST(Runner, ParallelIsBitIdenticalToSerial)
     EXPECT_EQ(ser.str(), par.str());
 }
 
+/**
+ * operand_gen spans recorded while `body` runs, under Aggregate
+ * telemetry; the caller's telemetry mode is restored afterwards.
+ */
+std::uint64_t
+countGenerations(const std::function<void()> &body)
+{
+    const Telemetry::Mode mode = Telemetry::mode();
+    Telemetry::setMode(Telemetry::Mode::Aggregate);
+    Telemetry::clear();
+    body();
+    std::uint64_t count = 0;
+    for (const auto &stage : Telemetry::stageBreakdown())
+        if (stage.stage == "operand_gen")
+            count = stage.count;
+    Telemetry::clear();
+    Telemetry::setMode(mode);
+    return count;
+}
+
+std::size_t
+layerTotal(const SweepSpec &spec)
+{
+    std::size_t total = 0;
+    for (const auto &net : spec.networks)
+        total += net.layerCount();
+    return total;
+}
+
 TEST(Runner, SweepIsBitIdenticalToSerialAcceleratorRun)
 {
     // The acceptance bar for the one execution path (one pool task per
-    // (grid point, layer), sweeping every arch of the point): sweeps on
-    // 1, 2, and 8 threads all reproduce the serial Accelerator::run
-    // loop byte for byte, and the shared workset cache actually got
-    // reuse across the arch axis (both archs share the tile height, so
-    // every layer's workset generates once per (network, category)).
+    // (category, workset) group): sweeps on 1, 2, and 8 threads all
+    // reproduce the serial Accelerator::run loop byte for byte, and
+    // each layer's workset is generated exactly once per category —
+    // both archs share the tile height, so they share every workset.
     auto spec = smallSweep();
 
     // Ground truth: the serial quadruple loop through run().
-    std::vector<NetworkResult> serial;
-    for (const auto &opt : spec.optionVariants)
-        for (const auto &arch : spec.archs) {
-            Accelerator acc(arch);
-            for (const auto &net : spec.networks)
-                for (const auto cat : spec.categories)
-                    serial.push_back(acc.run(net, cat, opt));
-        }
-    std::ostringstream serial_doc;
-    writeJson(serial_doc, serial);
+    const auto serialDoc = [](const SweepSpec &sweep_spec) {
+        std::vector<NetworkResult> serial;
+        for (const auto &opt : sweep_spec.optionVariants)
+            for (const auto &arch : sweep_spec.archs) {
+                Accelerator acc(arch);
+                for (const auto &net : sweep_spec.networks)
+                    for (const auto cat : sweep_spec.categories)
+                        serial.push_back(acc.run(net, cat, opt));
+            }
+        std::ostringstream doc;
+        writeJson(doc, serial);
+        return doc.str();
+    };
 
-    std::size_t layer_total = 0;
-    for (const auto &net : spec.networks)
-        layer_total += net.layerCount();
+    const std::size_t generations =
+        layerTotal(spec) * spec.categories.size();
+    const std::string expected = serialDoc(spec);
     for (const int threads : {1, 2, 8}) {
-        const auto sweep = runSweep(spec, threads);
-        ASSERT_EQ(sweep.results().size(), serial.size()) << threads;
+        SweepResult sweep;
+        EXPECT_EQ(countGenerations([&] { sweep = runSweep(spec, threads); }),
+                  generations)
+            << threads << " threads";
         std::ostringstream doc;
         writeJson(doc, sweep.results());
-        EXPECT_EQ(doc.str(), serial_doc.str())
+        EXPECT_EQ(doc.str(), expected)
             << "sweep diverged on " << threads << " threads";
-        EXPECT_GT(sweep.worksetStats().hits, 0u);
-        // At most one generation per (network, category, layer) key —
-        // fewer when categories share a layer's effective sparsity
-        // pair.
-        EXPECT_LE(sweep.worksetStats().misses,
-                  layer_total * spec.categories.size());
     }
+
+    // A DRAM-bound variant doubles the jobs but leaves every operand
+    // alone, so it joins the same groups.
+    spec.optionVariants.push_back(spec.optionVariants[0]);
+    spec.optionVariants[1].enforceDramBound = true;
+    SweepResult doubled;
+    EXPECT_EQ(countGenerations([&] { doubled = runSweep(spec, 4); }),
+              generations);
+    ASSERT_EQ(doubled.jobs().size(), 16u);
+    std::ostringstream doc;
+    writeJson(doc, doubled.results());
+    EXPECT_EQ(doc.str(), serialDoc(spec));
+}
+
+TEST(Runner, RunSweepsSharesWorksetsAcrossSpecs)
+{
+    // Two specs over shared networks: one plan generates each shared
+    // (category, workset) once, and each spec's results are
+    // byte-identical to its own runSweep call.
+    const SweepSpec first = smallSweep();
+    SweepSpec second = smallSweep();
+    second.archs = {griffinArch()};
+    second.networks = {alexNet()};
+    second.categories = {DnnCategory::AB};
+
+    std::vector<SweepResult> planned;
+    EXPECT_EQ(countGenerations([&] {
+                  planned = runSweeps({first, second}, 4);
+              }),
+              layerTotal(first) * first.categories.size());
+    ASSERT_EQ(planned.size(), 2u);
+
+    std::uint64_t separate_generations = 0;
+    for (std::size_t s = 0; s < 2; ++s) {
+        const SweepSpec &spec = s == 0 ? first : second;
+        SweepResult alone;
+        separate_generations +=
+            countGenerations([&] { alone = runSweep(spec, 2); });
+        std::ostringstream a, b;
+        writeJsonLines(a, alone);
+        writeJsonLines(b, planned[s]);
+        EXPECT_EQ(a.str(), b.str()) << "spec " << s;
+    }
+    EXPECT_EQ(separate_generations,
+              layerTotal(first) * first.categories.size() +
+                  layerTotal(second) * second.categories.size());
 }
 
 TEST(Runner, BatchedArchsComposeWithFleetShards)
@@ -259,22 +335,6 @@ TEST(Runner, BatchedArchsComposeWithFleetShards)
     std::ostringstream a, b;
     writeJson(a, whole.results());
     writeJson(b, stitched);
-    EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(Runner, SharedWorksetCachePersistsAcrossSweeps)
-{
-    auto spec = smallSweep();
-    WorksetCache worksets;
-    const auto first = runSweep(spec, 2, &worksets);
-    const auto cold_misses = first.worksetStats().misses;
-    EXPECT_GT(cold_misses, 0u);
-    const auto second = runSweep(spec, 2, &worksets);
-    // Every generation of the second sweep is served by the first's.
-    EXPECT_EQ(second.worksetStats().misses, cold_misses);
-    std::ostringstream a, b;
-    writeJson(a, first.results());
-    writeJson(b, second.results());
     EXPECT_EQ(a.str(), b.str());
 }
 
@@ -304,11 +364,11 @@ TEST(Runner, RunLayerIsOrderIndependent)
     EXPECT_EQ(reduced.topsPerWatt, direct.topsPerWatt);
 }
 
-TEST(Runner, CacheDoesNotChangeResults)
+TEST(Runner, GroupingDoesNotChangeResults)
 {
     auto spec = smallSweep();
     const auto sweep = runSweep(spec, 2);
-    // Re-run one job directly with no cache attached.
+    // Re-run one job directly, generating its own worksets.
     const auto &job = sweep.jobs()[3];
     Accelerator acc(spec.archs[job.archIndex]);
     const auto direct = acc.run(spec.networks[job.networkIndex],
@@ -378,6 +438,25 @@ TEST(RunnerDeathTest, OutOfRangeOptionsAreFatal)
     // The closed ends of both ranges stay valid.
     EXPECT_EQ(expand(0.0, 1.0, 1.0), 8u);
     EXPECT_EQ(expand(1.0, 2.0, 0.02), 8u);
+
+    // Integer options: a row cap must be positive (a zero cap used to
+    // die once per worker thread, mid-sweep), and a negative SRAM
+    // budget would silently turn spill accounting off.
+    const auto expandInts = [](std::int64_t row_cap,
+                               std::int64_t sram_budget_bytes) {
+        auto spec = smallSweep();
+        spec.optionVariants[0].rowCap = row_cap;
+        spec.optionVariants[0].sramBudgetBytes = sram_budget_bytes;
+        return expandSweep(spec).size();
+    };
+    EXPECT_EXIT(expandInts(0, 0), testing::ExitedWithCode(exitUsageError),
+                "row_cap 0 is not positive");
+    EXPECT_EXIT(expandInts(-5, 0), testing::ExitedWithCode(exitUsageError),
+                "row_cap -5 is not positive");
+    EXPECT_EXIT(expandInts(32, -65536),
+                testing::ExitedWithCode(exitUsageError),
+                "SRAM budget of -65536 bytes is negative");
+    EXPECT_EQ(expandInts(1, 0), 8u);
 }
 
 TEST(RunnerDeathTest, EmptySpecIsFatal)
@@ -601,7 +680,7 @@ tinyTimedSweep()
                          {{"weight_lane_bias", "0.75"}}};
     auto jobs = expandSweep(spec);
     return SweepResult(std::move(jobs), {tinyResult(), tinyResult()},
-                       WorksetCache::Stats{}, {1.5, 2.5});
+                       {1.5, 2.5});
 }
 
 TEST(ResultSink, TimedRowsEmitElapsedMs)

@@ -86,28 +86,6 @@ TEST(MetricsRegistry, SnapshotIsNameSorted)
     EXPECT_EQ(snap[2].name, "zeta");
 }
 
-TEST(MetricsRegistry, PublishCacheStatsGaugesEveryField)
-{
-    MetricsRegistry reg;
-    CacheStats stats;
-    stats.hits = 9;
-    stats.misses = 1;
-    stats.entries = 4;
-    stats.residentBytes = 1024;
-    stats.evictions = 2;
-    stats.loadedEntries = 3;
-    stats.loadHits = 5;
-    reg.publishCacheStats("c", stats);
-    EXPECT_DOUBLE_EQ(reg.gauge("c.hits").value(), 9.0);
-    EXPECT_DOUBLE_EQ(reg.gauge("c.misses").value(), 1.0);
-    EXPECT_DOUBLE_EQ(reg.gauge("c.hit_rate").value(), 0.9);
-    EXPECT_DOUBLE_EQ(reg.gauge("c.entries").value(), 4.0);
-    EXPECT_DOUBLE_EQ(reg.gauge("c.resident_bytes").value(), 1024.0);
-    EXPECT_DOUBLE_EQ(reg.gauge("c.evictions").value(), 2.0);
-    EXPECT_DOUBLE_EQ(reg.gauge("c.loaded_entries").value(), 3.0);
-    EXPECT_DOUBLE_EQ(reg.gauge("c.load_hits").value(), 5.0);
-}
-
 TEST(MetricsRegistryDeathTest, KindCollisionPanics)
 {
     MetricsRegistry reg;
@@ -316,8 +294,6 @@ samplePerfDocument()
     entry.poolBusyMs = 372.9;
     entry.stages.push_back({"b_schedule", 24144, 48086.8});
     entry.stages.push_back({"tile_sim", 6648, 48173.5});
-    entry.worksetCache.hits = 6371;
-    entry.worksetCache.misses = 277;
     doc.suite.push_back(std::move(entry));
     return doc;
 }
@@ -346,8 +322,6 @@ TEST(PerfReport, WriteParsesBackIdentically)
     ASSERT_EQ(e.stages.size(), 2u);
     EXPECT_EQ(e.stages[0].stage, "b_schedule");
     EXPECT_EQ(e.stages[0].count, 24144u);
-    EXPECT_EQ(e.worksetCache.hits, 6371u);
-    EXPECT_EQ(e.worksetCache.misses, 277u);
 
     // Serialization of equal documents is deterministic.
     std::ostringstream again;

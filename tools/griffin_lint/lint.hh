@@ -53,8 +53,8 @@
  *     declares a serialize() member, or carries a
  *     "// griffin-lint: serialized" marker — must have a default
  *     initializer.  An uninitialized padding byte or field that lands
- *     in a GRFW file or JSONL row is a nondeterminism bug ASan cannot
- *     see.
+ *     in a JSONL row or a perf document is a nondeterminism bug ASan
+ *     cannot see.
  *
  * Suppressions: a finding is allowlisted by a comment on the same
  * line, or a comment line directly above the offending line, of the
