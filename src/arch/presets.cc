@@ -201,12 +201,16 @@ routingDistance(const std::string &token, const std::string &spec)
     int v = 0;
     bool any = false;
     for (; pos < t.size() && t[pos] >= '0' && t[pos] <= '9'; ++pos) {
-        v = v * 10 + (t[pos] - '0');
+        if (v <= maxRoutingDistance) // stops growing: cannot overflow
+            v = v * 10 + (t[pos] - '0');
         any = true;
     }
     if (!any || pos != t.size())
         fatal("bad routing distance '", token, "' in arch spec '", spec,
               "'");
+    if (v > maxRoutingDistance)
+        fatal("routing distance '", token, "' in arch spec '", spec,
+              "' exceeds ", maxRoutingDistance);
     return v;
 }
 

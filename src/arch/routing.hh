@@ -25,6 +25,13 @@
 
 namespace griffin {
 
+/**
+ * Largest distance an arch spec string may name (archByName): presets
+ * reach 15 and the design-space explorer 8.  It bounds the schedulers'
+ * window depth and steal scans for user-supplied specs.
+ */
+constexpr int maxRoutingDistance = 64;
+
 /** Borrowing distances along (time, lane, cross-PE) for one matrix. */
 struct Borrow
 {

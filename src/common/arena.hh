@@ -3,11 +3,11 @@
  * Bump-pointer arena for per-layer scheduling worksets.
  *
  * The hot scheduling path builds the same transient structures for
- * every tile — occupancy masks, CSR slot queues, cursor arrays — and
- * used to hit the global allocator for each of them (a vector of
- * vectors per SlotQueues, reallocating op vectors).  The arena turns
- * that into pointer bumps: allocations are uninitialized, contiguous,
- * and freed wholesale by rewinding to a marker when the tile is done.
+ * every tile — occupancy masks, the engines' live slot bitsets, steal
+ * masks, stream-cell scratch — and would otherwise hit the global
+ * allocator for each of them.  The arena turns that into pointer
+ * bumps: allocations are uninitialized, contiguous, and freed
+ * wholesale by rewinding to a marker when the tile is done.
  *
  * Thread safety: an Arena is single-threaded by design.  The intended
  * use is the per-thread `workArena()`, so concurrent tiles on the

@@ -375,6 +375,7 @@ GridSpec::toSweepSpec(const SweepSpec &base) const
         fatal("grid expansion needs exactly one base RunOptions "
               "variant, got ",
               base.optionVariants.size());
+
     SweepSpec spec = base;
     spec.optionCoords.clear();
 
@@ -403,6 +404,10 @@ GridSpec::toSweepSpec(const SweepSpec &base) const
                 spec.categories.push_back(categoryFromString(v));
             break;
           default: {
+            // Counted before it is built, so it cannot overflow.
+            if (variants.size() > maxGridVariants / ax.values.size())
+                fatal("grid expands to more than ", maxGridVariants,
+                      " RunOptions variants");
             std::vector<RunOptions> next_variants;
             std::vector<std::vector<AxisCoordinate>> next_coords;
             next_variants.reserve(variants.size() * ax.values.size());
@@ -422,6 +427,13 @@ GridSpec::toSweepSpec(const SweepSpec &base) const
             break;
           }
         }
+    }
+    std::size_t jobs = variants.size();
+    for (const std::size_t n :
+         {spec.archs.size(), spec.networks.size(), spec.categories.size()}) {
+        if (n != 0 && jobs > maxGridJobs / n)
+            fatal("grid expands to more than ", maxGridJobs, " jobs");
+        jobs *= n;
     }
     spec.optionVariants = std::move(variants);
     spec.optionCoords = std::move(coords);

@@ -41,8 +41,9 @@
  *
  * Every malformed input is a fatal() with a real diagnostic: unknown
  * axis names suggest the nearest valid name, malformed ranges,
- * unparsable or out-of-range values report the offending token, and no
- * axis expands past maxGridAxisValues.
+ * unparsable or out-of-range values report the offending token, no
+ * axis expands past maxGridAxisValues, and no grid past maxGridVariants
+ * variants or maxGridJobs jobs.
  */
 
 #ifndef GRIFFIN_RUNTIME_GRID_HH
@@ -63,6 +64,14 @@ namespace griffin {
  * fails at once instead of building billions of value strings.
  */
 constexpr std::size_t maxGridAxisValues = 65536;
+
+/**
+ * Most RunOptions variants (the product of the RunOptions axes) and
+ * jobs (variants x archs x networks x categories) a grid may expand
+ * to; the largest checked-in grid has 10 variants and 252 jobs.
+ */
+constexpr std::size_t maxGridVariants = maxGridAxisValues;
+constexpr std::size_t maxGridJobs = std::size_t{1} << 20;
 
 /** One named sweep axis: canonical name + value tokens in sweep order. */
 struct ParamAxis
@@ -110,7 +119,8 @@ class GridSpec
      * the RunOptions axes do not touch.  The result's optionVariants
      * is the cartesian product of the RunOptions axes in declaration
      * order (first axis outermost), with optionCoords recording each
-     * variant's (axis, value) coordinates.
+     * variant's (axis, value) coordinates.  fatal() when the expansion
+     * would exceed maxGridVariants variants or maxGridJobs jobs.
      */
     SweepSpec toSweepSpec(const SweepSpec &base) const;
 

@@ -107,15 +107,11 @@ class BSchedule
     }
 
     /**
-     * Flat raw-extent tables indexed `cycle * cols() + col` — the bulk
-     * counterpart of rawLo()/rawHi() for the engine's per-cycle
-     * eligibility filter.
+     * Flat raw-extent table indexed `cycle * cols() + col` — the bulk
+     * counterpart of rawHi() for the dual engine's per-entry ABUF
+     * residency test.
      */
-    const std::int64_t *rawLoData() const { return raw_lo_.data(); }
     const std::int64_t *rawHiData() const { return raw_hi_.data(); }
-
-    /** Streaming cost of each compressed entry in raw A steps. */
-    std::vector<std::int64_t> stepCosts() const;
 
     /** Compressed payload size: one INT8 per scheduled element. */
     std::int64_t dataBytes() const { return elems_; }
@@ -174,6 +170,11 @@ class BSchedule
  */
 BSchedule preprocessB(const TileViewB &b, const Borrow &db,
                       const Shuffler &shuffler, bool record);
+
+/** preprocessB()'s packing statistics without the stream (`cycles`
+ *  is its length): all single-sparse B simulation needs. */
+ScheduleStats scheduleB(const TileViewB &b, const Borrow &db,
+                        const Shuffler &shuffler);
 
 } // namespace griffin
 

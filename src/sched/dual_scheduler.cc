@@ -1,7 +1,6 @@
 #include "sched/dual_scheduler.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/arena.hh"
 #include "sched/window_scheduler.hh"
@@ -10,9 +9,6 @@
 namespace griffin {
 
 namespace {
-
-constexpr std::int64_t kDrained =
-    std::numeric_limits<std::int64_t>::max();
 
 /**
  * Asynchronous two-level engine for preprocessed dual sparsity.
@@ -52,93 +48,55 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
 
     // Fig. 3 steps 2-3: zero masks of A filtered by B's metadata — a
     // pair survives only where the stream has an element *and* the
-    // matching A operand is nonzero.  The A tile's occupancy masks
-    // (bit m of occA[flat k]) turn the per-pair test into one popcount
-    // per stream element; queues build CSR (count / prefix / fill),
-    // per (lane, row) slot within each column, values ascending entry
-    // indices.
+    // matching A operand is nonzero.  Pairs go into one live mask per
+    // (entry, column), whole words per column (one for a 4 x 16
+    // column), lane-major — bit l * rows + m — so a stream cell's row
+    // mask occA[flat k] lands with one shift.  occA[-1] = 0 serves the
+    // empty cells (flat k -1).
     const std::int64_t flat_steps = a.steps() * k0;
     auto *occA = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(flat_steps));
+                     static_cast<std::size_t>(flat_steps + 1)) +
+                 1;
+    occA[-1] = 0;
     simd::aTileOccupancy(a.matrix(), a.unitBase(), rows, a.steps(), k0,
                          occA);
 
     const std::int64_t col_slots =
         static_cast<std::int64_t>(rows) * lanes;
+    const std::int64_t cw = (col_slots + 63) / 64;
     const std::int64_t nslots = col_slots * cols;
-    const auto slot_of = [&](int l, int m, int j) {
-        return (static_cast<std::int64_t>(j) * rows + m) * lanes + l;
+    auto *live = arena.allocZeroed<std::uint64_t>(
+        static_cast<std::size_t>(entries * cols * cw));
+    auto live_of = [&](std::int64_t e, int j) {
+        return live + (e * cols + j) * cw;
     };
-    auto *offsets = arena.allocZeroed<std::int64_t>(
-        static_cast<std::size_t>(nslots + 1));
-    auto *remaining = arena.allocZeroed<std::int64_t>(
-        static_cast<std::size_t>(entries * cols));
-    for (std::int64_t c = 0; c < entries; ++c) {
+    for (std::int64_t e = 0; e < entries; ++e) {
         for (int j = 0; j < cols; ++j) {
-            const std::int64_t *slice = stream.flatKLanes(c, j);
-            std::int64_t pairs = 0;
+            const std::int64_t *slice = stream.flatKLanes(e, j);
+            std::uint64_t *mask = live_of(e, j);
             for (int l = 0; l < lanes; ++l) {
-                const auto flat_k = slice[l];
-                if (flat_k < 0)
-                    continue;
-                std::uint64_t mask = occA[flat_k];
-                pairs += simd::popcount64(mask);
-                while (mask != 0) {
-                    const int m = simd::ctz64(mask);
-                    mask &= mask - 1;
-                    ++offsets[slot_of(l, m, j) + 1];
-                }
+                const std::uint64_t row_mask = occA[slice[l]];
+                const std::int64_t at = static_cast<std::int64_t>(l) * rows;
+                mask[at >> 6] |= row_mask << (at & 63);
+                if ((at & 63) + rows > 64) // straddles two words
+                    mask[(at >> 6) + 1] |= row_mask >> (64 - (at & 63));
             }
-            remaining[static_cast<std::size_t>(c * cols + j)] = pairs;
+            for (std::int64_t i = 0; i < cw; ++i)
+                out.effectualPairs += simd::popcount64(mask[i]);
         }
     }
-    for (std::int64_t s = 0; s < nslots; ++s)
-        offsets[s + 1] += offsets[s];
-    out.effectualPairs = offsets[nslots];
     if (out.effectualPairs == 0)
         return out;
-    auto *values = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(out.effectualPairs));
-    auto *fill = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    for (std::int64_t s = 0; s < nslots; ++s)
-        fill[s] = offsets[s];
-    for (std::int64_t c = 0; c < entries; ++c) {
-        for (int j = 0; j < cols; ++j) {
-            const std::int64_t *slice = stream.flatKLanes(c, j);
-            for (int l = 0; l < lanes; ++l) {
-                const auto flat_k = slice[l];
-                if (flat_k < 0)
-                    continue;
-                std::uint64_t mask = occA[flat_k];
-                while (mask != 0) {
-                    const int m = simd::ctz64(mask);
-                    mask &= mask - 1;
-                    values[fill[slot_of(l, m, j)]++] = c;
-                }
-            }
-        }
-    }
 
-    // Per-slot cursors and head entries (kDrained once empty), per-
-    // column stream pointers, shared raw window.
-    auto *cursor = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    auto *heads = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    for (std::int64_t s = 0; s < nslots; ++s) {
-        cursor[s] = offsets[s];
-        heads[s] = offsets[s] < offsets[s + 1] ? values[offsets[s]]
-                                               : kDrained;
-    }
+    // head[j]: the column's oldest entry with a pair left (its BBUF
+    // tail); every entry before it is drained.
     auto *head =
         arena.allocZeroed<std::int64_t>(static_cast<std::size_t>(cols));
     auto skip_drained = [&](int j) {
-        auto &p = head[j];
-        while (p < entries &&
-               remaining[static_cast<std::size_t>(p * cols + j)] == 0) {
-            ++p;
-        }
+        while (head[j] < entries &&
+               std::all_of(live_of(head[j], j), live_of(head[j], j) + cw,
+                           [](std::uint64_t x) { return x == 0; }))
+            ++head[j];
     };
     for (int j = 0; j < cols; ++j)
         skip_drained(j);
@@ -148,138 +106,87 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
         std::min<std::int64_t>(abuf_raw_depth - 1, max_raw);
     double bw_budget = 0.0;
 
-    struct Offset { int dl, dr; std::int64_t delta; };
-    std::vector<Offset> steals;
-    for (int dl = 0; dl <= cfg.a.d2; ++dl)
-        for (int dr = 0; dr <= cfg.a.d3; ++dr)
-            if (dl || dr)
-                steals.push_back(
-                    {dl, dr,
-                     dl + static_cast<std::int64_t>(dr) * lanes});
-
-    const simd::KernelTable &kern = simd::kernels();
-    const std::int64_t col_words = (col_slots + 63) / 64;
-    auto *elig = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(col_words));
-    auto *pass1 = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(col_words));
+    // Steals scan consumers in ascending m * lanes + l order, so they
+    // run on row-major copies of pass 1's masks; lane_bit maps a
+    // row-major slot to its lane-major live bit.
+    const StealPass steals(SlotGrid{0, lanes, rows, 1}, cfg.a.d2,
+                           cfg.a.d3, 0, arena);
+    auto *lane_bit =
+        arena.alloc<std::int64_t>(static_cast<std::size_t>(col_slots));
+    for (std::int64_t s = 0; s < col_slots; ++s)
+        lane_bit[s] = s % lanes * rows + s / lanes;
+    // ran/elig of ownPass, and their row-major copies.
+    auto *ran = arena.alloc<std::uint64_t>(static_cast<std::size_t>(4 * cw));
+    std::uint64_t *elig = ran + cw, *ran_rm = ran + 2 * cw;
+    std::uint64_t *elig_rm = ran + 3 * cw;
+    auto to_row_major = [&](const std::uint64_t *from, std::uint64_t *to) {
+        std::fill(to, to + cw, 0);
+        for (std::int64_t s = 0; s < col_slots; ++s)
+            to[s >> 6] |= (from[lane_bit[s] >> 6] >> (lane_bit[s] & 63) & 1u)
+                          << (s & 63);
+    };
+    // Record mode emits pass-1 ops in slot order from each entry's
+    // take words.
+    auto *takes = record ? arena.alloc<std::uint64_t>(
+                               static_cast<std::size_t>(bbuf_depth * cw))
+                         : nullptr;
+    auto record_op = [&](std::int64_t e, int j, std::int64_t s,
+                         std::int64_t cycle) {
+        const int l = static_cast<int>(s % lanes);
+        out.ops.push_back({stream.flatK(e, l, j),
+                           static_cast<int>(s / lanes),
+                           stream.homeCol(e, l, j), cycle});
+    };
     const std::int64_t *raw_hi = stream.rawHiData();
 
     std::int64_t left = out.effectualPairs;
     auto &st = out.stage2;
     while (left > 0) {
-        ++st.cycles;
+        const std::int64_t cycle = st.cycles++;
         std::int64_t consumed_now = 0;
 
         for (int j = 0; j < cols; ++j) {
-            const std::int64_t base = static_cast<std::int64_t>(j) *
-                                      col_slots;
             // An entry is executable when it is inside its column's
             // BBUF window and its raw span has streamed into the ABUF.
-            // The BBUF test is one masked compare over the column's
-            // head entries; the ABUF test then prunes only the
-            // survivors (raw-extent lookups are a gather, left
-            // scalar).
-            const std::int64_t limit = head[j] + bbuf_depth - 1;
-            kern.leMask(heads + base, col_slots, limit, elig);
-            std::int64_t elig_count = 0;
-            for (std::int64_t i = 0; i < col_words; ++i) {
-                std::uint64_t word = elig[i];
-                std::uint64_t keep = word;
-                while (word != 0) {
-                    const int bit = simd::ctz64(word);
-                    word &= word - 1;
-                    const std::int64_t e = heads[base + i * 64 + bit];
-                    if (raw_hi[static_cast<std::size_t>(e * cols + j)] >
-                        frontier)
-                        keep &= ~(std::uint64_t{1} << bit);
-                }
-                elig[i] = keep;
-                elig_count += simd::popcount64(keep);
-            }
-            if (elig_count == 0)
-                continue; // idle slots tallied once per cycle below
-
-            auto consume = [&](std::int64_t src, int j_col, bool own) {
-                const std::int64_t e = heads[src];
-                const std::int64_t next = ++cursor[src];
-                heads[src] =
-                    next < offsets[src + 1] ? values[next] : kDrained;
-                const std::int64_t local = src - base;
-                const std::uint64_t bit = std::uint64_t{1}
-                                          << (local & 63);
-                if (heads[src] > limit ||
-                    raw_hi[static_cast<std::size_t>(heads[src] * cols +
-                                                    j_col)] > frontier) {
-                    elig[local >> 6] &= ~bit;
-                    --elig_count;
-                }
-                --remaining[static_cast<std::size_t>(e * cols + j_col)];
-                --left;
-                ++consumed_now;
-                ++st.ops;
-                if (own)
-                    ++st.ownOps;
-                else
-                    ++st.stolenOps;
-                if (record) {
-                    const int src_lane =
-                        static_cast<int>(local % lanes);
-                    const int src_row =
-                        static_cast<int>(local / lanes % rows);
-                    const auto flat_k =
-                        stream.flatK(e, src_lane, j_col);
-                    out.ops.push_back({flat_k, src_row,
-                                       stream.homeCol(e, src_lane,
-                                                      j_col),
-                                       st.cycles - 1});
-                }
+            const std::int64_t first = head[j];
+            const std::int64_t depth =
+                std::min<std::int64_t>(bbuf_depth, entries - first);
+            auto resident = [&](std::int64_t d) {
+                return raw_hi[(first + d) * cols + j] <= frontier;
             };
-
-            // Pass 1: own queues.  Ascending set-bit order over the
-            // column mask is ascending (m, l) — local slot index is
-            // m * lanes + l.
-            for (std::int64_t i = 0; i < col_words; ++i) {
-                std::uint64_t word = elig[i];
-                pass1[i] = word;
-                while (word != 0) {
-                    const int bit = simd::ctz64(word);
-                    word &= word - 1;
-                    consume(base + i * 64 + bit, j, true);
-                }
+            std::uint64_t *window_live = live_of(first, j);
+            const std::int64_t stride = cols * cw;
+            const std::int64_t own = ownPass(window_live, stride, depth, cw,
+                                             resident, ran, elig, takes);
+            for (std::int64_t s = 0; record && s < col_slots; ++s) {
+                const std::int64_t b = lane_bit[s];
+                const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+                if ((ran[b >> 6] & bit) == 0)
+                    continue;
+                std::int64_t d = 0;
+                while ((takes[d * cw + (b >> 6)] & bit) == 0)
+                    ++d;
+                record_op(first + d, j, s, cycle);
             }
-
-            // Pass 2: lane/row stealing within the column.
-            if (!steals.empty() && elig_count > 0) {
-                for (std::int64_t i = 0;
-                     i < col_words && elig_count > 0; ++i) {
-                    std::uint64_t idle = ~pass1[i];
-                    if (i == col_words - 1 && (col_slots & 63) != 0)
-                        idle &= (std::uint64_t{1}
-                                 << (col_slots & 63)) -
-                                1;
-                    while (idle != 0 && elig_count > 0) {
-                        const int bit = simd::ctz64(idle);
-                        idle &= idle - 1;
-                        const std::int64_t local = i * 64 + bit;
-                        const int l = static_cast<int>(local % lanes);
-                        const int m = static_cast<int>(local / lanes);
-                        for (const auto &off : steals) {
-                            if (l + off.dl >= lanes ||
-                                m + off.dr >= rows)
-                                continue;
-                            const std::int64_t src_local =
-                                local + off.delta;
-                            if ((elig[src_local >> 6] >>
-                                 (src_local & 63) & 1u) == 0)
-                                continue;
-                            consume(base + src_local, j, false);
-                            break;
-                        }
-                    }
-                }
+            // Lane/row stealing within the column.
+            std::int64_t stolen = 0;
+            if (!steals.empty()) {
+                to_row_major(ran, ran_rm);
+                to_row_major(elig, elig_rm);
+                steals.run(window_live, stride, depth, resident, lane_bit,
+                           ran_rm, elig_rm,
+                           [&](std::int64_t d, std::int64_t src, std::int64_t) {
+                               if (record)
+                                   record_op(first + d, j, src, cycle);
+                               ++stolen;
+                           });
             }
+            consumed_now += own + stolen;
+            st.ownOps += own;
+            st.stolenOps += stolen;
         }
+        left -= consumed_now;
+        st.ops += consumed_now;
         st.idleSlotCycles += nslots - consumed_now;
         if (left == 0)
             break;
@@ -327,86 +234,21 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
     GRIFFIN_ASSERT(a.steps() == b.steps(),
                    "A tile has ", a.steps(), " steps, B tile ",
                    b.steps());
-    SlotGrid grid;
-    grid.steps = a.steps();
-    grid.lanes = a.lanes();
-    grid.rows = a.units();
-    grid.cols = b.units();
+    const SlotGrid grid{a.steps(), a.lanes(), a.units(), b.units()};
 
     // Pairwise occupancy: a slot gets an element at step k1 exactly
     // when both the A mask (bit m) and the B mask (bit j) are set at
-    // that flat k.  CSR count / prefix / fill in flat-k-major order;
-    // one k2 per (step, lane) keeps per-slot values ascending.
+    // that flat k.
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    const std::int64_t flat = grid.steps * grid.lanes;
-    const std::int64_t nslots = grid.slots();
-    auto *occA =
-        arena.alloc<std::uint64_t>(static_cast<std::size_t>(flat));
-    auto *occB =
-        arena.alloc<std::uint64_t>(static_cast<std::size_t>(flat));
+    const auto flat = static_cast<std::size_t>(grid.steps * grid.lanes);
+    auto *occA = arena.alloc<std::uint64_t>(flat);
+    auto *occB = arena.alloc<std::uint64_t>(flat);
     simd::aTileOccupancy(a.matrix(), a.unitBase(), grid.rows,
                          grid.steps, grid.lanes, occA);
     simd::bTileOccupancy(b.matrix(), b.unitBase(), grid.cols,
                          grid.steps, grid.lanes, occB);
-
-    auto *offsets = arena.allocZeroed<std::int64_t>(
-        static_cast<std::size_t>(nslots + 1));
-    for (std::int64_t f = 0; f < flat; ++f) {
-        std::uint64_t mask_a = occA[f];
-        if (mask_a == 0 || occB[f] == 0)
-            continue;
-        const std::int64_t k1 = f / grid.lanes;
-        const int lane =
-            shuffler.apply(k1, static_cast<int>(f % grid.lanes));
-        while (mask_a != 0) {
-            const int m = simd::ctz64(mask_a);
-            mask_a &= mask_a - 1;
-            std::uint64_t mask_b = occB[f];
-            while (mask_b != 0) {
-                const int j = simd::ctz64(mask_b);
-                mask_b &= mask_b - 1;
-                ++offsets[(static_cast<std::int64_t>(j) * grid.rows +
-                           m) *
-                              grid.lanes +
-                          lane + 1];
-            }
-        }
-    }
-    for (std::int64_t s = 0; s < nslots; ++s)
-        offsets[s + 1] += offsets[s];
-    auto *values = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(offsets[nslots]));
-    auto *fill = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    for (std::int64_t s = 0; s < nslots; ++s)
-        fill[s] = offsets[s];
-    for (std::int64_t f = 0; f < flat; ++f) {
-        std::uint64_t mask_a = occA[f];
-        if (mask_a == 0 || occB[f] == 0)
-            continue;
-        const std::int64_t k1 = f / grid.lanes;
-        const int lane =
-            shuffler.apply(k1, static_cast<int>(f % grid.lanes));
-        while (mask_a != 0) {
-            const int m = simd::ctz64(mask_a);
-            mask_a &= mask_a - 1;
-            std::uint64_t mask_b = occB[f];
-            while (mask_b != 0) {
-                const int j = simd::ctz64(mask_b);
-                mask_b &= mask_b - 1;
-                values[fill[(static_cast<std::int64_t>(j) * grid.rows +
-                             m) *
-                                grid.lanes +
-                            lane]++] = k1;
-            }
-        }
-    }
-
-    SlotQueueSpans queues;
-    queues.grid = grid;
-    queues.offsets = offsets;
-    queues.values = values;
+    const SlotQueues queues = tileQueues(grid, occA, occB, shuffler, arena);
 
     DualSchedule out;
     out.effectualPairs = queues.totalElements();

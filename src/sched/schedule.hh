@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/arena.hh"
 #include "common/logging.hh"
+#include "simd/occupancy.hh"
 
 namespace griffin {
 
@@ -104,57 +106,82 @@ struct ScheduleResult
 };
 
 /**
- * Per-slot FIFO queues of effectual element steps.  Elements must be
- * pushed in increasing step order per slot (the hardware's priority
- * encoders scan in stream order).
+ * Per-slot FIFO queues of effectual element steps, stored as
+ * steps x wordsPerStep() words: bit s of step t is set iff slot s has
+ * an element at step t.  A slot's head is its lowest step whose bit is
+ * still set, so the engines pick operands from per-step occupancy words
+ * like the hardware's priority encoders pick them from zero masks.
  */
 class SlotQueues
 {
   public:
+    /** Empty queues owning their storage. */
     explicit SlotQueues(const SlotGrid &grid)
-        : grid_(grid), queues_(static_cast<std::size_t>(grid.slots()))
+        : grid_(grid), words_((grid.slots() + 63) / 64),
+          own_(static_cast<std::size_t>(grid.steps * words_), 0),
+          bits_(own_.data())
     {
     }
 
+    /** Empty queues in `arena` memory: the hot path's per-tile queues,
+     *  valid while the arena's current scope lasts. */
+    SlotQueues(const SlotGrid &grid, Arena &arena)
+        : grid_(grid), words_((grid.slots() + 63) / 64),
+          bits_(arena.allocZeroed<std::uint64_t>(
+              static_cast<std::size_t>(grid.steps * words_)))
+    {
+    }
+
+    SlotQueues(SlotQueues &&) = default;
+    SlotQueues(const SlotQueues &) = delete;
+    SlotQueues &operator=(const SlotQueues &) = delete;
+
     const SlotGrid &grid() const { return grid_; }
 
+    std::int64_t wordsPerStep() const { return words_; }
+
+    /** Append one element, validated: per slot, steps must increase
+     *  (the hardware's priority encoders scan in stream order). */
     void
     push(std::int64_t step, int lane, int row, int col)
     {
         GRIFFIN_ASSERT(step >= 0 && step < grid_.steps,
                        "step ", step, " outside grid of ", grid_.steps);
-        auto &q = queues_[static_cast<std::size_t>(
-            grid_.slotIndex(lane, row, col))];
-        GRIFFIN_ASSERT(q.empty() || q.back() < step,
-                       "elements must be pushed in increasing step "
-                       "order per slot");
-        q.push_back(step);
+        const std::int64_t s = grid_.slotIndex(lane, row, col);
+        for (std::int64_t t = step; t < grid_.steps; ++t)
+            GRIFFIN_ASSERT((stepWords(t)[s >> 6] >> (s & 63) & 1u) == 0,
+                           "elements must be pushed in increasing step "
+                           "order per slot");
+        stepWords(step)[s >> 6] |= std::uint64_t{1} << (s & 63);
     }
 
-    const std::vector<std::int64_t> &
-    queue(int lane, int row, int col) const
+    /** Slot words of one step; builders OR element bits in directly. */
+    std::uint64_t *
+    stepWords(std::int64_t step)
     {
-        return queues_[static_cast<std::size_t>(
-            grid_.slotIndex(lane, row, col))];
+        return bits_ + step * words_;
+    }
+
+    const std::uint64_t *
+    stepWords(std::int64_t step) const
+    {
+        return bits_ + step * words_;
     }
 
     std::int64_t
     totalElements() const
     {
         std::int64_t n = 0;
-        for (const auto &q : queues_)
-            n += static_cast<std::int64_t>(q.size());
+        for (std::int64_t i = 0; i < grid_.steps * words_; ++i)
+            n += simd::popcount64(bits_[i]);
         return n;
-    }
-
-    const std::vector<std::vector<std::int64_t>> &raw() const
-    {
-        return queues_;
     }
 
   private:
     SlotGrid grid_;
-    std::vector<std::vector<std::int64_t>> queues_;
+    std::int64_t words_;
+    std::vector<std::uint64_t> own_;
+    std::uint64_t *bits_;
 };
 
 } // namespace griffin

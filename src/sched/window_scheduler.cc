@@ -1,39 +1,15 @@
 #include "sched/window_scheduler.hh"
 
 #include <algorithm>
-#include <limits>
-
-#include "common/arena.hh"
-#include "simd/occupancy.hh"
+#include <cstring>
 
 namespace griffin {
 
-namespace {
-
-constexpr std::int64_t kEmptyHead =
-    std::numeric_limits<std::int64_t>::max();
-
-/**
- * One pre-enumerated steal offset: lexicographic (dl, dr, dc) priority
- * with the flat slot-index delta folded in, so the scan is an add and
- * three bounds checks per candidate.
- */
-struct StealOffset
+ScheduleStats
+runWindowSchedule(const SlotQueues &queues, const BorrowWindow &window,
+                  const CycleSink &sink)
 {
-    int dl;
-    int dr;
-    int dc;
-    std::int64_t delta;
-};
-
-} // namespace
-
-ScheduleResult
-runWindowSchedule(const SlotQueueSpans &queues,
-                  const BorrowWindow &window, bool record,
-                  const std::vector<std::int64_t> *step_costs)
-{
-    const SlotGrid &grid = queues.grid;
+    const SlotGrid &grid = queues.grid();
     GRIFFIN_ASSERT(window.steps >= 1, "window of ", window.steps,
                    " steps");
     GRIFFIN_ASSERT(window.advanceCap > 0.0,
@@ -42,199 +18,97 @@ runWindowSchedule(const SlotQueueSpans &queues,
                    "budget ceiling below one step cost");
     GRIFFIN_ASSERT(window.laneDist >= 0 && window.rowDist >= 0 &&
                    window.colDist >= 0, "negative borrow distance");
-    if (step_costs != nullptr) {
-        GRIFFIN_ASSERT(
-            static_cast<std::int64_t>(step_costs->size()) == grid.steps,
-            "step cost vector size ", step_costs->size(),
-            " != steps ", grid.steps);
-        for (auto c : *step_costs)
-            GRIFFIN_ASSERT(c >= 0 && static_cast<double>(c) <=
-                           window.budgetCeiling,
-                           "step cost ", c, " exceeds buffer capacity ",
-                           window.budgetCeiling);
-    }
 
-    ScheduleResult result;
+    ScheduleStats stats;
     std::int64_t remaining = queues.totalElements();
     if (remaining == 0)
-        return result;
-    if (record)
-        result.ops.reserve(static_cast<std::size_t>(remaining));
+        return stats;
 
+    const std::int64_t steps = grid.steps;
     const std::int64_t nslots = grid.slots();
-    const std::int64_t words = (nslots + 63) / 64;
-
+    const std::int64_t words = queues.wordsPerStep();
     Arena &arena = workArena();
     ArenaScope scope(arena);
+    auto scratch = [&](std::int64_t n) {
+        return arena.alloc<std::uint64_t>(static_cast<std::size_t>(n));
+    };
+    // The engine clears a slot's bit as its element runs, so it works
+    // on a private copy of the queue bits.
+    std::uint64_t *live = scratch(steps * words);
+    std::memcpy(live, queues.stepWords(0),
+                static_cast<std::size_t>(steps * words) *
+                    sizeof(std::uint64_t));
+    std::uint64_t *ran = scratch(words);
+    std::uint64_t *elig = scratch(words);
+    const StealPass steals(grid, window.laneDist, window.rowDist,
+                           window.colDist, arena);
+    // What the sink sees: each window step's take words and the
+    // steals, at most one per slot.
+    std::uint64_t *takes =
+        sink ? scratch(std::min<std::int64_t>(window.steps, steps) * words)
+             : nullptr;
+    auto *stolen =
+        sink ? arena.alloc<StolenOp>(static_cast<std::size_t>(nslots))
+             : nullptr;
+    auto always = [](std::int64_t) { return true; };
 
-    // Dense head-step array (kEmptyHead marks a drained queue): pass-1
-    // eligibility is one masked compare over it, and the window
-    // advance's min-head scan is one SIMD reduction.
-    auto *cursor = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    auto *heads = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    auto *elig = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(words));
-    auto *pass1 = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(words));
-    for (std::int64_t s = 0; s < nslots; ++s) {
-        cursor[s] = queues.offsets[s];
-        heads[s] = queues.offsets[s] < queues.offsets[s + 1]
-                       ? queues.values[queues.offsets[s]]
-                       : kEmptyHead;
-    }
-
-    std::vector<StealOffset> steals;
-    for (int dl = 0; dl <= window.laneDist; ++dl)
-        for (int dr = 0; dr <= window.rowDist; ++dr)
-            for (int dc = 0; dc <= window.colDist; ++dc)
-                if (dl || dr || dc)
-                    steals.push_back(
-                        {dl, dr, dc,
-                         dl + static_cast<std::int64_t>(dr) *
-                                  grid.lanes +
-                             static_cast<std::int64_t>(dc) *
-                                 grid.lanes * grid.rows});
-
-    const simd::KernelTable &kern = simd::kernels();
-    const std::int64_t w_limit = window.steps; // max step advance/cycle
     std::int64_t w = 0;
     // The first window's worth of operands is loaded during pipeline
     // fill (accounted by the tile simulator), so the streaming budget
     // starts empty and accrues advanceCap per cycle.
     double budget = 0.0;
 
-    // Advancing the window base from w to w+1 brings step w+W into
-    // residence; that is the data that must stream in.  Past the end
-    // of the grid nothing enters, so draining the tail is free.
-    auto entering_cost = [&](std::int64_t base) -> double {
-        const std::int64_t entering = base + window.steps;
-        if (entering >= grid.steps)
-            return 0.0;
-        return step_costs == nullptr
-                   ? 1.0
-                   : static_cast<double>((
-                         *step_costs)[static_cast<std::size_t>(
-                         entering)]);
-    };
-
     while (remaining > 0) {
-        ++result.stats.cycles;
-        const std::int64_t horizon = w + window.steps - 1;
-        std::int64_t consumed_this_cycle = 0;
+        const std::int64_t cycle = stats.cycles++;
+        // Every live element sits at a step >= w, so w < steps here.
+        const std::int64_t depth =
+            std::min<std::int64_t>(window.steps, steps - w);
+        std::uint64_t *window_live = live + w * words;
+        const std::int64_t own = ownPass(window_live, words, depth, words,
+                                         always, ran, elig, takes);
+        // Only slots that ran can still hold window elements, so the
+        // idle slots are ~ran.
+        std::int64_t nsteal = 0;
+        if (!steals.empty())
+            steals.run(window_live, words, depth, always, nullptr, ran, elig,
+                       [&](std::int64_t d, std::int64_t src, std::int64_t con) {
+                           if (stolen)
+                               stolen[nsteal] = {w + d, src, con};
+                           ++nsteal;
+                       });
 
-        // Eligibility = head within the window.  Drained slots carry
-        // the kEmptyHead sentinel, which can never be <= horizon, so
-        // one compare covers both conditions.
-        kern.leMask(heads, nslots, horizon, elig);
-        std::int64_t elig_count = 0;
-        for (std::int64_t i = 0; i < words; ++i)
-            elig_count += simd::popcount64(elig[i]);
-
-        // Consume slot src's head on consumer slot `s`; updates the
-        // head and its eligibility bit (a steal may drain the source
-        // for later stealers in the same cycle).
-        auto consume = [&](std::int64_t src, int src_lane, int src_row,
-                           int src_col, int con_lane, int con_row,
-                           int con_col, bool own) {
-            const std::int64_t step = heads[src];
-            const std::int64_t next = ++cursor[src];
-            heads[src] = next < queues.offsets[src + 1]
-                             ? queues.values[next]
-                             : kEmptyHead;
-            const std::uint64_t bit = std::uint64_t{1} << (src & 63);
-            if (heads[src] > horizon) {
-                elig[src >> 6] &= ~bit;
-                --elig_count;
-            }
-            --remaining;
-            ++consumed_this_cycle;
-            ++result.stats.ops;
-            if (own)
-                ++result.stats.ownOps;
-            else
-                ++result.stats.stolenOps;
-            if (record) {
-                result.ops.push_back({step, src_lane, src_row, src_col,
-                                      con_lane, con_row, con_col,
-                                      result.stats.cycles - 1});
-            }
-        };
-
-        // Pass 1: every slot takes its own head if it is in window.
-        // Ascending set-bit order over the mask IS ascending
-        // (col, row, lane) order — slotIndex is exactly that mixed
-        // radix — so ops record in the same order as ever.
-        for (std::int64_t i = 0; i < words; ++i) {
-            std::uint64_t word = elig[i];
-            pass1[i] = word;
-            while (word != 0) {
-                const std::int64_t s =
-                    i * 64 + simd::ctz64(word);
-                word &= word - 1;
-                const int lane = static_cast<int>(s % grid.lanes);
-                const std::int64_t rest = s / grid.lanes;
-                const int row = static_cast<int>(rest % grid.rows);
-                const int col = static_cast<int>(rest / grid.rows);
-                consume(s, lane, row, col, lane, row, col, true);
-            }
-        }
-
-        // Pass 2: idle slots steal the earliest eligible neighbour
-        // head, scanning offsets in fixed priority order.  Only slots
-        // busy in pass 1 can be sources (an idle slot's head is past
-        // the horizon by definition), so idle = ~pass1.
-        if (!steals.empty() && elig_count > 0) {
-            for (std::int64_t i = 0; i < words && elig_count > 0;
-                 ++i) {
-                std::uint64_t idle = ~pass1[i];
-                if (i == words - 1 && (nslots & 63) != 0)
-                    idle &= (std::uint64_t{1} << (nslots & 63)) - 1;
-                while (idle != 0 && elig_count > 0) {
-                    const std::int64_t s =
-                        i * 64 + simd::ctz64(idle);
-                    idle &= idle - 1;
-                    const int lane = static_cast<int>(s % grid.lanes);
-                    const std::int64_t rest = s / grid.lanes;
-                    const int row = static_cast<int>(rest % grid.rows);
-                    const int col =
-                        static_cast<int>(rest / grid.rows);
-                    for (const auto &off : steals) {
-                        const int sl = lane + off.dl;
-                        const int sr = row + off.dr;
-                        const int sc = col + off.dc;
-                        if (sl >= grid.lanes || sr >= grid.rows ||
-                            sc >= grid.cols) {
-                            continue;
-                        }
-                        const std::int64_t src = s + off.delta;
-                        if ((elig[src >> 6] >>
-                             (src & 63) & 1u) == 0)
-                            continue;
-                        consume(src, sl, sr, sc, lane, row, col,
-                                false);
-                        break;
-                    }
-                }
-            }
-        }
-
-        result.stats.idleSlotCycles += nslots - consumed_this_cycle;
+        const std::int64_t consumed = own + nsteal;
+        remaining -= consumed;
+        stats.ops += consumed;
+        stats.ownOps += own;
+        stats.stolenOps += nsteal;
+        stats.idleSlotCycles += nslots - consumed;
+        if (sink)
+            sink({cycle, w, depth, words, takes, stolen, nsteal});
         if (remaining == 0)
             break;
 
         // Advance the window tail toward the earliest outstanding
         // element, bounded by buffer turnover (window depth) and the
-        // SRAM bandwidth budget.
-        const std::int64_t min_head = kern.minI64(heads, nslots);
+        // SRAM bandwidth budget.  The advance is at most W steps, so
+        // the earliest-element scan looks no further (and, with
+        // elements left, stops inside the grid).
+        std::int64_t min_head = w;
+        while (min_head < w + window.steps &&
+               std::all_of(live + min_head * words,
+                           live + (min_head + 1) * words,
+                           [](std::uint64_t x) { return x == 0; }))
+            ++min_head;
 
         budget = std::min(budget + window.advanceCap,
                           window.budgetCeiling);
         std::int64_t advanced = 0;
         bool bw_limited = false;
-        while (w < min_head && advanced < w_limit) {
-            const double c = entering_cost(w);
+        while (w < min_head && advanced < window.steps) {
+            // Advancing the base from w to w+1 brings step w+W into
+            // residence; past the end of the grid nothing enters, so
+            // draining the tail is free.
+            const double c = w + window.steps >= steps ? 0.0 : 1.0;
             if (budget >= c) {
                 budget -= c;
                 ++w;
@@ -245,47 +119,125 @@ runWindowSchedule(const SlotQueueSpans &queues,
             }
         }
         if (bw_limited)
-            ++result.stats.bwLimitedCycles;
+            ++stats.bwLimitedCycles;
     }
 
-    return result;
+    return stats;
+}
+
+StealPass::StealPass(const SlotGrid &grid, int lane_dist, int row_dist,
+                     int col_dist, Arena &arena)
+    : words_((grid.slots() + 63) / 64)
+{
+    const int max_dl = std::min(lane_dist, grid.lanes - 1);
+    const int max_dr = std::min(row_dist, grid.rows - 1);
+    const int max_dc = std::min(col_dist, grid.cols - 1);
+    const std::int64_t offsets =
+        static_cast<std::int64_t>(max_dl + 1) * (max_dr + 1) * (max_dc + 1) -
+        1;
+    if (offsets == 0)
+        return;
+    delta_ = arena.alloc<std::int64_t>(static_cast<std::size_t>(offsets));
+    inside_ = arena.allocZeroed<std::uint64_t>(
+        static_cast<std::size_t>(offsets * words_));
+    reach_ = arena.alloc<std::uint64_t>(static_cast<std::size_t>(words_));
+    for (int dl = 0; dl <= max_dl; ++dl)
+        for (int dr = 0; dr <= max_dr; ++dr)
+            for (int dc = 0; dc <= max_dc; ++dc) {
+                if (!dl && !dr && !dc)
+                    continue;
+                delta_[count_] = grid.slotIndex(dl, dr, dc);
+                std::uint64_t *inside = inside_ + count_++ * words_;
+                for (int c = 0; c + dc < grid.cols; ++c)
+                    for (int r = 0; r + dr < grid.rows; ++r)
+                        for (int l = 0; l + dl < grid.lanes; ++l) {
+                            const std::int64_t s = grid.slotIndex(l, r, c);
+                            inside[s >> 6] |= std::uint64_t{1} << (s & 63);
+                        }
+            }
 }
 
 ScheduleResult
 runWindowSchedule(const SlotQueues &queues, const BorrowWindow &window,
-                  bool record,
-                  const std::vector<std::int64_t> *step_costs)
+                  bool record)
 {
-    // Compatibility shim over the CSR engine: flatten the per-slot
-    // vectors into arena-backed spans.  Hot callers build spans
-    // directly; this path serves tests and external callers.
-    const SlotGrid &grid = queues.grid();
-    const std::int64_t nslots = grid.slots();
+    ScheduleResult result;
+    auto recorder = [&](const WindowCycle &c) {
+        appendCycleOps(queues.grid(), c, result.ops);
+    };
+    result.stats = runWindowSchedule(queues, window,
+                                     record ? CycleSink(recorder) : nullptr);
+    return result;
+}
 
-    Arena &arena = workArena();
-    ArenaScope scope(arena);
-    auto *offsets = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots + 1));
-    std::int64_t total = 0;
-    const auto &raw = queues.raw();
-    for (std::int64_t s = 0; s < nslots; ++s) {
-        offsets[s] = total;
-        total += static_cast<std::int64_t>(
-            raw[static_cast<std::size_t>(s)].size());
+void
+appendCycleOps(const SlotGrid &grid, const WindowCycle &c,
+               std::vector<ScheduledOp> &ops)
+{
+    auto op = [&](std::int64_t step, std::int64_t src, std::int64_t con) {
+        const std::int64_t src_unit = src / grid.lanes;
+        const std::int64_t con_unit = con / grid.lanes;
+        ops.push_back({step, static_cast<int>(src % grid.lanes),
+                       static_cast<int>(src_unit % grid.rows),
+                       static_cast<int>(src_unit / grid.rows),
+                       static_cast<int>(con % grid.lanes),
+                       static_cast<int>(con_unit % grid.rows),
+                       static_cast<int>(con_unit / grid.rows), c.cycle});
+    };
+    for (std::int64_t i = 0; i < c.words; ++i) {
+        std::uint64_t ran = 0;
+        for (std::int64_t d = 0; d < c.depth; ++d)
+            ran |= c.takes[d * c.words + i];
+        for (; ran != 0; ran &= ran - 1) {
+            const int bit = simd::ctz64(ran);
+            std::int64_t d = 0;
+            while ((c.takes[d * c.words + i] >> bit & 1u) == 0)
+                ++d;
+            op(c.base + d, i * 64 + bit, i * 64 + bit);
+        }
     }
-    offsets[nslots] = total;
-    auto *values =
-        arena.alloc<std::int64_t>(static_cast<std::size_t>(total));
-    std::int64_t at = 0;
-    for (std::int64_t s = 0; s < nslots; ++s)
-        for (const auto step : raw[static_cast<std::size_t>(s)])
-            values[at++] = step;
+    for (std::int64_t k = 0; k < c.stealCount; ++k)
+        op(c.steals[k].step, c.steals[k].src, c.steals[k].consumer);
+}
 
-    SlotQueueSpans spans;
-    spans.grid = grid;
-    spans.offsets = offsets;
-    spans.values = values;
-    return runWindowSchedule(spans, window, record, step_costs);
+SlotQueues
+tileQueues(const SlotGrid &grid, const std::uint64_t *row_masks,
+           const std::uint64_t *col_masks, const Shuffler &shuffler,
+           Arena &arena)
+{
+    GRIFFIN_ASSERT((row_masks != nullptr || grid.rows == 1) &&
+                   (col_masks != nullptr || grid.cols == 1),
+                   "a missing mask array needs a single unit");
+    // The shuffle rotates lanes by step mod group size, so its lane
+    // maps repeat with that period.
+    const int period = shuffler.enabled() ? shuffler.groupSize() : 1;
+    SlotQueues queues(grid, arena);
+    int *lane_of =
+        arena.alloc<int>(static_cast<std::size_t>(period * grid.lanes));
+    for (int r = 0; r < period; ++r)
+        for (int k2 = 0; k2 < grid.lanes; ++k2)
+            lane_of[r * grid.lanes + k2] = shuffler.apply(r, k2);
+
+    for (std::int64_t k1 = 0; k1 < grid.steps; ++k1) {
+        std::uint64_t *words = queues.stepWords(k1);
+        const int *lanes = lane_of + (k1 % period) * grid.lanes;
+        for (int k2 = 0; k2 < grid.lanes; ++k2) {
+            const std::int64_t f = k1 * grid.lanes + k2;
+            const std::uint64_t cols = col_masks ? col_masks[f] : 1;
+            for (std::uint64_t rm = row_masks ? row_masks[f] : 1;
+                 rm != 0 && cols != 0; rm &= rm - 1) {
+                for (std::uint64_t cm = cols; cm != 0; cm &= cm - 1) {
+                    const std::int64_t s =
+                        (simd::ctz64(cm) * std::int64_t{grid.rows} +
+                         simd::ctz64(rm)) *
+                            grid.lanes +
+                        lanes[k2];
+                    words[s >> 6] |= std::uint64_t{1} << (s & 63);
+                }
+            }
+        }
+    }
+    return queues;
 }
 
 } // namespace griffin

@@ -11,61 +11,197 @@
  *     (laneDist, rowDist, colDist), scanning offsets lexicographically
  *     — a priority-encoder chain like Bit-Tactical's.
  *  3. The window tail then advances past drained steps, at most
- *     `advanceCap` step-costs per cycle (SRAM bandwidth), with unused
+ *     `advanceCap` steps per cycle (SRAM bandwidth), with unused
  *     budget accumulating up to `budgetCeiling` (buffer capacity).
  *
  * Consequences: max speedup = W (paper observation VI-A(1)); lane
  * imbalance stalls the window unless laneDist / shuffle spreads load;
  * cross-PE borrowing needs the extra adder trees accounted elsewhere.
  *
- * An optional per-step cost vector supports dual-sparse stage 2, where
- * each "step" is a compressed B entry spanning several raw A steps.
+ * Queues are per-step slot bitsets (SlotQueues).  Both passes work on
+ * any window of live slot bitsets, so the dual engine shares them.
  */
 
 #ifndef GRIFFIN_SCHED_WINDOW_SCHEDULER_HH
 #define GRIFFIN_SCHED_WINDOW_SCHEDULER_HH
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "common/arena.hh"
 #include "sched/schedule.hh"
+#include "simd/occupancy.hh"
+#include "tensor/shuffle.hh"
 
 namespace griffin {
 
 /**
- * Borrowed (CSR) view of per-slot element queues: slot s owns
- * values[offsets[s] .. offsets[s+1]), ascending.  The hot builders
- * (b_preprocess / a_arbiter / dual on-the-fly) assemble this directly
- * in the per-thread work arena from occupancy bitmasks — no per-slot
- * vector allocation.
+ * Pass 1 over a window of `depth` entries (entry d at live + d * stride),
+ * a word at a time: walking the entries in order, live & ~seen are the
+ * slots whose head sits there; they run it when ready(d).  Fills ran,
+ * elig (steal sources: new head in the window and ready) and, when
+ * given, takes[d * words + i].  Returns how many slots ran.
  */
-struct SlotQueueSpans
+template <class Ready>
+std::int64_t
+ownPass(std::uint64_t *live, std::int64_t stride, std::int64_t depth,
+        std::int64_t words, Ready &&ready, std::uint64_t *ran,
+        std::uint64_t *elig, std::uint64_t *takes)
 {
-    SlotGrid grid;
-    const std::int64_t *offsets = nullptr; ///< grid.slots() + 1 entries
-    const std::int64_t *values = nullptr;  ///< offsets[grid.slots()]
-
-    std::int64_t
-    totalElements() const
-    {
-        return offsets[static_cast<std::size_t>(grid.slots())];
+    std::int64_t own = 0;
+    for (std::int64_t i = 0; i < words; ++i) {
+        std::uint64_t seen = 0, seen_after = 0, ran_i = 0, elig_i = 0;
+        for (std::int64_t d = 0; d < depth; ++d) {
+            std::uint64_t &mask = live[d * stride + i];
+            const bool ok = ready(d);
+            const std::uint64_t take = ok ? mask & ~seen : 0;
+            seen |= mask;
+            mask &= ~take;
+            elig_i |= ok ? mask & ~seen_after : 0;
+            seen_after |= mask;
+            ran_i |= take;
+            if (takes != nullptr)
+                takes[d * words + i] = take;
+        }
+        ran[i] = ran_i;
+        elig[i] = elig_i;
+        own += simd::popcount64(ran_i);
     }
-};
+    return own;
+}
 
 /**
- * Run the window schedule to completion.
- *
- * @param queues     per-slot effectual element steps (consumed FIFO)
- * @param window     borrow window and bandwidth parameters
- * @param record     when true, every executed op lands in result.ops
- * @param step_costs optional cost to stream past each step (default 1
- *                   each); size must equal grid.steps when given
+ * Pass 2: each idle slot, in ascending order, takes the head of the
+ * first eligible source among its (dl, dr, dc) offsets in
+ * lexicographic priority.  Each offset keeps the mask of consumers it
+ * stays inside the grid for, and a word-parallel reach test (the
+ * sources shifted back by each offset) skips idle slots no source can
+ * serve; sources only drain within a cycle, so that skips nothing.
  */
-ScheduleResult runWindowSchedule(
-    const SlotQueues &queues, const BorrowWindow &window, bool record,
-    const std::vector<std::int64_t> *step_costs = nullptr);
+class StealPass
+{
+  public:
+    /** Scratch comes from `arena`, which must outlive the pass. */
+    StealPass(const SlotGrid &grid, int lane_dist, int row_dist,
+              int col_dist, Arena &arena);
 
-/** The same engine over a CSR queue view (the hot-path entry). */
-ScheduleResult runWindowSchedule(
-    const SlotQueueSpans &queues, const BorrowWindow &window,
-    bool record, const std::vector<std::int64_t> *step_costs = nullptr);
+    bool empty() const { return count_ == 0; }
+
+    /**
+     * One cycle's steals over ownPass's window and outputs; slot s
+     * lives at bit bit_of[s] of the window's words (bit s when null).
+     * A steal clears the source's earliest live entry d and calls
+     * on_steal(d, src, consumer).
+     */
+    template <class Ready, class OnSteal>
+    void
+    run(std::uint64_t *live, std::int64_t stride, std::int64_t depth,
+        Ready &&ready, const std::int64_t *bit_of,
+        const std::uint64_t *ran, std::uint64_t *elig,
+        OnSteal &&on_steal) const
+    {
+        std::int64_t sources = 0;
+        for (std::int64_t i = 0; i < words_; ++i) {
+            reach_[i] = 0;
+            sources += simd::popcount64(elig[i]);
+        }
+        for (std::int64_t k = 0; k < count_ && sources > 0; ++k) {
+            const std::int64_t q = delta_[k] >> 6;
+            const int r = static_cast<int>(delta_[k] & 63);
+            for (std::int64_t i = 0; i + q < words_; ++i) {
+                std::uint64_t src = elig[i + q] >> r;
+                if (r != 0 && i + q + 1 < words_)
+                    src |= elig[i + q + 1] << (64 - r);
+                reach_[i] |= src & inside_[k * words_ + i];
+            }
+        }
+        for (std::int64_t i = 0; i < words_ && sources > 0; ++i) {
+            for (std::uint64_t cand = reach_[i] & ~ran[i];
+                 cand != 0 && sources > 0; cand &= cand - 1) {
+                const std::int64_t s = i * 64 + simd::ctz64(cand);
+                for (std::int64_t k = 0; k < count_; ++k) {
+                    const std::int64_t src = s + delta_[k];
+                    const std::uint64_t src_bit = std::uint64_t{1}
+                                                  << (src & 63);
+                    if ((inside_[k * words_ + i] >> (s & 63) & 1u) == 0 ||
+                        (elig[src >> 6] & src_bit) == 0)
+                        continue;
+                    const std::int64_t b = bit_of ? bit_of[src] : src;
+                    const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+                    std::uint64_t *word = live + (b >> 6);
+                    std::int64_t d = 0;
+                    while ((word[d * stride] & bit) == 0)
+                        ++d;
+                    word[d * stride] &= ~bit;
+                    on_steal(d, src, s);
+                    // Still a source while its next live entry is in
+                    // the window and ready.
+                    std::int64_t next = d + 1;
+                    while (next < depth && (word[next * stride] & bit) == 0)
+                        ++next;
+                    if (next == depth || !ready(next)) {
+                        elig[src >> 6] &= ~src_bit;
+                        --sources;
+                    }
+                    break;
+                }
+            }
+        }
+    }
+
+  private:
+    std::int64_t words_;
+    std::int64_t count_ = 0;
+    std::int64_t *delta_ = nullptr;   ///< slot-index delta per offset
+    std::uint64_t *inside_ = nullptr; ///< count_ x words_ masks
+    std::uint64_t *reach_ = nullptr;  ///< words_ scratch
+};
+
+/** One steal: the head of `src` at `step` ran on `consumer`. */
+struct StolenOp
+{
+    std::int64_t step, src, consumer;
+};
+
+/** One cycle's picks: takes[d * words + i] holds the slots (word i)
+ *  that ran their own head at step base + d; steals follow in the
+ *  order the idle slots claimed them. */
+struct WindowCycle
+{
+    std::int64_t cycle, base, depth, words;
+    const std::uint64_t *takes;
+    const StolenOp *steals;
+    std::int64_t stealCount;
+};
+
+/** Per-cycle observer of the engine (op recording, B stream cells). */
+using CycleSink = std::function<void(const WindowCycle &)>;
+
+/** Run the window schedule to completion; `sink`, when set, sees every
+ *  cycle.  With `record`, every executed op lands in result.ops. */
+ScheduleStats runWindowSchedule(const SlotQueues &queues,
+                                const BorrowWindow &window,
+                                const CycleSink &sink);
+ScheduleResult runWindowSchedule(const SlotQueues &queues,
+                                 const BorrowWindow &window, bool record);
+
+/** Append one cycle's ops in record order: pass-1 ops by ascending
+ *  slot, each with its own step, then the steals. */
+void appendCycleOps(const SlotGrid &grid, const WindowCycle &c,
+                    std::vector<ScheduledOp> &ops);
+
+/**
+ * Queues of a tile, straight from its occupancy masks: at flat k
+ * f = k1 * lanes + k2, bit m of row_masks[f] and bit j of col_masks[f]
+ * queue an element on slot (j * rows + m) * lanes +
+ * shuffler.apply(k1, k2) of step k1, one per (m, j) pair.  A null mask
+ * array stands for one always-present unit (rows or cols == 1).  The
+ * queues live in `arena` (see SlotQueues).
+ */
+SlotQueues tileQueues(const SlotGrid &grid, const std::uint64_t *row_masks,
+                      const std::uint64_t *col_masks,
+                      const Shuffler &shuffler, Arena &arena);
 
 } // namespace griffin
 

@@ -89,19 +89,20 @@ simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
     std::int64_t sum = 0;
     for (const auto &t : picks) {
         TileViewB vb(*stage.ops.b, stage.shape, t.row * stage.shape.n0);
-        const BSchedule stream =
-            packStream(vb, stage.routing.b, stage.shuffler);
+        ScheduleStats stats;
+        { // the b_schedule stage; nothing here reads stream cells
+            ScopedSpan span("b_schedule");
+            stats = scheduleB(vb, stage.routing.b, stage.shuffler);
+        }
         // Runtime is bandwidth-capped even though packing is offline:
         // replaying the stream can consume at most `bw` raw A steps
         // per cycle.
-        std::int64_t cycles = stream.cycles();
         const double min_cycles =
             static_cast<double>(vb.steps()) / stage.bw;
-        cycles = std::max<std::int64_t>(
-            cycles,
+        sum += std::max<std::int64_t>(
+            stats.cycles,
             static_cast<std::int64_t>(std::ceil(min_cycles)));
-        sum += cycles;
-        accumulate(result.sched, stream.stats());
+        accumulate(result.sched, stats);
     }
     result.computeCycles =
         scaleUp(sum, static_cast<std::int64_t>(picks.size()),

@@ -7,8 +7,10 @@
  * occupancy becomes one bitmask word per temporal position (bit n set
  * iff the byte is nonzero), extracted with compare-to-zero + movemask
  * on AVX2, `vceqq`/narrowing on NEON, and a portable scalar loop
- * everywhere else.  The schedulers then walk set bits instead of
- * calling bounds-checked `nonzero()` per element.
+ * everywhere else.  The schedulers keep these words as their queues —
+ * per-step slot bitsets after the shuffler's lane permutation — and
+ * run their cycle loops a word at a time instead of calling
+ * bounds-checked `nonzero()` per element.
  *
  * Dispatch: the backend is chosen once per process.  Order:
  *
@@ -71,7 +73,8 @@ struct KernelTable
 
     /**
      * Pack bit s of out[s/64] = (heads[s] <= horizon) for s in [0, n).
-     * Bits at and above n in the last word are zero.
+     * Bits at and above n in the last word are zero.  No scheduler
+     * calls leMask or minI64 any more; the benchmark replay times them.
      */
     void (*leMask)(const std::int64_t *heads, std::int64_t n,
                    std::int64_t horizon, std::uint64_t *out);

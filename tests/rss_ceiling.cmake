@@ -1,18 +1,32 @@
-# CTest script: bounded memory.  Runs every registered experiment at
-# the baseline (smoke) fidelity with --stats and fails if the peak RSS
-# the last metrics line reports (process.peak_rss_mb, a process-wide
-# high-water mark) exceeds CEILING_MB.
+# CTest script: bounded memory and the baseline oracle.  Runs every
+# registered experiment at the baseline (smoke) fidelity with --stats
+# and --out, then
+#
+#   1. fails if the peak RSS the last metrics line reports
+#      (process.peak_rss_mb, a process-wide high-water mark) exceeds
+#      CEILING_MB, and
+#   2. byte-compares the result rows with bench/baselines/*.jsonl,
+#      concatenated in byte-sorted bare-name order (the registry's
+#      emission order, and how CI's bench-smoke job assembles them),
+#      printing the first differing line on failure.
 #
 # Invoked as:
-#   cmake -DGRIFFIN_BENCH=<path> -DCEILING_MB=<MiB> -P rss_ceiling.cmake
+#   cmake -DGRIFFIN_BENCH=<path> -DCEILING_MB=<MiB> -DWORK_DIR=<dir>
+#         -DBASELINES_DIR=<dir> -P rss_ceiling.cmake
 
-if(NOT GRIFFIN_BENCH OR NOT CEILING_MB)
-    message(FATAL_ERROR "need -DGRIFFIN_BENCH=... and -DCEILING_MB=...")
+if(NOT GRIFFIN_BENCH OR NOT CEILING_MB OR NOT WORK_DIR OR NOT BASELINES_DIR)
+    message(FATAL_ERROR "need -DGRIFFIN_BENCH=... -DCEILING_MB=... "
+                        "-DWORK_DIR=... and -DBASELINES_DIR=...")
 endif()
+
+file(REMOVE_RECURSE "${WORK_DIR}")
+file(MAKE_DIRECTORY "${WORK_DIR}")
+set(actual "${WORK_DIR}/results.jsonl")
+set(expected "${WORK_DIR}/baselines.jsonl")
 
 execute_process(
     COMMAND "${GRIFFIN_BENCH}" run --all --sample 0.01 --rowcap 4
-            --threads 4 --stats
+            --threads 4 --stats --out "${actual}"
     OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "griffin_bench run --all failed (${rc}):\n${err}")
@@ -30,5 +44,64 @@ if(peak_mb GREATER CEILING_MB)
             "run --all peaked at ${peak_mb} MiB RSS, above the "
             "${CEILING_MB} MiB ceiling")
 endif()
-
 message(STATUS "rss ceiling OK: peak ${peak_mb} MiB <= ${CEILING_MB} MiB")
+
+# -- baseline oracle --------------------------------------------------
+
+file(GLOB names RELATIVE "${BASELINES_DIR}" "${BASELINES_DIR}/*.jsonl")
+set(bare)
+foreach(name ${names})
+    string(REGEX REPLACE "\\.jsonl$" "" name "${name}")
+    list(APPEND bare "${name}")
+endforeach()
+list(SORT bare)
+file(WRITE "${expected}" "")
+foreach(name ${bare})
+    file(READ "${BASELINES_DIR}/${name}.jsonl" rows)
+    file(APPEND "${expected}" "${rows}")
+endforeach()
+
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files "${expected}" "${actual}"
+    RESULT_VARIABLE differ)
+if(NOT differ EQUAL 0)
+    # Binary-search the common prefix, then print the line around its
+    # end from both documents.
+    file(READ "${expected}" want)
+    file(READ "${actual}" got)
+    string(LENGTH "${want}" want_len)
+    string(LENGTH "${got}" got_len)
+    set(lo 0)
+    set(hi ${want_len})
+    if(got_len LESS want_len)
+        set(hi ${got_len})
+    endif()
+    while(lo LESS hi)
+        math(EXPR mid "(${lo} + ${hi} + 1) / 2")
+        string(SUBSTRING "${want}" 0 ${mid} want_head)
+        string(SUBSTRING "${got}" 0 ${mid} got_head)
+        if(want_head STREQUAL got_head)
+            set(lo ${mid})
+        else()
+            math(EXPR hi "${mid} - 1")
+        endif()
+    endwhile()
+    string(SUBSTRING "${want}" 0 ${lo} prefix)
+    string(REGEX MATCHALL "\n" newlines "${prefix}")
+    list(LENGTH newlines line)
+    math(EXPR line "${line} + 1")
+    string(FIND "${prefix}" "\n" start REVERSE)
+    math(EXPR start "${start} + 1")
+    foreach(doc want got)
+        string(SUBSTRING "${${doc}}" ${start} -1 rest)
+        string(FIND "${rest}" "\n" stop)
+        string(SUBSTRING "${rest}" 0 ${stop} ${doc}_line)
+    endforeach()
+    message(FATAL_ERROR
+            "run --all rows differ from ${BASELINES_DIR}/*.jsonl "
+            "(regenerate them only for an intended behaviour change; see "
+            "bench/baselines/README.md).  First difference, line ${line}:\n"
+            "baseline: ${want_line}\n"
+            "actual:   ${got_line}")
+endif()
+message(STATUS "baseline oracle OK: rows match ${BASELINES_DIR}")

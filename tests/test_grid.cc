@@ -336,6 +336,31 @@ TEST(GridDeathTest, BadValuesReportTheToken)
               INT64_MAX - 1023);
 }
 
+TEST(GridDeathTest, ExpansionIsCappedBeforeItIsBuilt)
+{
+    // 3.6e9 variants: counted and refused, never allocated.
+    EXPECT_EXIT(GridSpec::parse("seed=1..60000,act_run_length=1:60000:1")
+                    .toSweepSpec(tinyBase()),
+                testing::ExitedWithCode(exitUsageError),
+                "grid expands to more than 65536 RunOptions variants");
+    EXPECT_EXIT(GridSpec::parse("seed=1..257,row_cap=1..256")
+                    .toSweepSpec(tinyBase()),
+                testing::ExitedWithCode(exitUsageError),
+                "more than 65536 RunOptions variants");
+    // 65536 variants x 6 networks x 3 categories = 1179648 jobs.
+    EXPECT_EXIT(GridSpec::parse("seed=1..65536,network=alexnet,resnet50,"
+                                "googlenet,inceptionv3,mobilenetv2,bert,"
+                                "category=a,b,ab")
+                    .toSweepSpec(tinyBase()),
+                testing::ExitedWithCode(exitUsageError),
+                "grid expands to more than 1048576 jobs");
+    // Both caps are inclusive.
+    EXPECT_EQ(GridSpec::parse("seed=1..256,row_cap=1..256")
+                  .toSweepSpec(tinyBase())
+                  .optionVariants.size(),
+              maxGridVariants);
+}
+
 TEST(GridDeathTest, StructuralErrorsAreFatal)
 {
     EXPECT_EXIT(GridSpec::parse(""), testing::ExitedWithCode(exitUsageError),

@@ -82,6 +82,26 @@ TEST(PresetsDeathTest, ArchByNameRejectsMalformedSpecs)
                 "bad routing distance");
     EXPECT_EXIT(archByName("B(4,0,1,maybe)"),
                 testing::ExitedWithCode(exitUsageError), "bad shuffle flag");
+    // Distances past maxRoutingDistance: no int overflow, no window of
+    // -2^31 steps, no scan over millions of steal offsets.
+    EXPECT_EXIT(archByName("B(99999999999,0,0,off)"),
+                testing::ExitedWithCode(exitUsageError),
+                "routing distance '99999999999' .* exceeds 64");
+    EXPECT_EXIT(archByName("B(2147483647,0,0,off)"),
+                testing::ExitedWithCode(exitUsageError),
+                "routing distance '2147483647' .* exceeds 64");
+    EXPECT_EXIT(archByName("B(4,0,3000000,off)"),
+                testing::ExitedWithCode(exitUsageError),
+                "routing distance '3000000' .* exceeds 64");
+    EXPECT_EXIT(archByName("AB(2,3000,3000,2,0,1,on)"),
+                testing::ExitedWithCode(exitUsageError),
+                "routing distance '3000' .* exceeds 64");
+}
+
+TEST(Presets, ArchByNameAcceptsDistancesUpToTheCap)
+{
+    EXPECT_EQ(archByName("B(64,0,64,off)").routing.b, (Borrow{64, 0, 64}));
+    EXPECT_EQ(archByName("A(0,64,1,on)").routing.a, (Borrow{0, 64, 1}));
 }
 
 TEST(Presets, SparTenIsMacGridWithDeepBuffers)

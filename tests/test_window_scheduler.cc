@@ -187,25 +187,6 @@ TEST(WindowScheduler, FractionalBandwidthAccumulates)
     EXPECT_LE(result.stats.cycles, 21);
 }
 
-TEST(WindowScheduler, StepCostsChargeRawBandwidth)
-{
-    // Two "compressed" steps, the second costing 5 raw steps.  With
-    // 1 raw step/cycle bandwidth the scheduler must idle ~4 cycles
-    // before consuming the second element.
-    SlotGrid grid{2, 1, 1, 1};
-    SlotQueues q(grid);
-    q.push(0, 0, 0, 0);
-    q.push(1, 0, 0, 0);
-    std::vector<std::int64_t> costs{1, 5};
-    auto w = window(1);
-    w.advanceCap = 1.0;
-    w.budgetCeiling = 5.0;
-    auto cheap = runWindowSchedule(q, w, false, nullptr);
-    EXPECT_EQ(cheap.stats.cycles, 2);
-    auto costly = runWindowSchedule(q, w, false, &costs);
-    EXPECT_GE(costly.stats.cycles, 5);
-}
-
 TEST(WindowScheduler, RecordsOpsExactlyWhenAsked)
 {
     SlotGrid grid{4, 2, 1, 1};
@@ -246,10 +227,6 @@ TEST(WindowSchedulerDeathTest, InvalidParametersPanic)
     w = window(2);
     w.advanceCap = 0.0;
     EXPECT_DEATH(runWindowSchedule(q, w, false), "advance cap");
-    w = window(2);
-    std::vector<std::int64_t> bad_costs{1, 1, 1}; // size mismatch
-    EXPECT_DEATH(runWindowSchedule(q, w, false, &bad_costs),
-                 "cost vector size");
 }
 
 TEST(WindowSchedulerDeathTest, QueuePushValidation)
