@@ -2,57 +2,43 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <vector>
 
+#include "common/arena.hh"
+#include "simd/kernels.hh"
 #include "tensor/tile.hh"
 
 namespace griffin {
 
 namespace {
 
-/** Bit-packed nonzero masks of the K axis. */
-class KMasks
+/**
+ * Transpose a 64 x 64 bit matrix in place: bit j of word i moves to
+ * bit i of word j (Hacker's Delight, 2nd ed., section 7-3).  Round s
+ * (32, 16, ..., 1) swaps the off-diagonal s x s blocks of every
+ * 2s x 2s block.
+ */
+void
+transpose64(std::uint64_t *words)
 {
-  public:
-    KMasks(std::size_t vectors, std::size_t k)
-        : words_((k + 63) / 64),
-          bits_(vectors * words_, 0)
-    {
+    std::uint64_t mask = 0x00000000FFFFFFFFULL;
+    for (int s = 32; s != 0; s >>= 1, mask ^= mask << s) {
+        for (int i = 0; i < 64; i = ((i | s) + 1) & ~s) {
+            const std::uint64_t t =
+                ((words[i] >> s) ^ words[i | s]) & mask;
+            words[i] ^= t << s;
+            words[i | s] ^= t;
+        }
     }
+}
 
-    void
-    set(std::size_t vec, std::size_t k)
-    {
-        bits_[vec * words_ + k / 64] |= std::uint64_t{1} << (k % 64);
-    }
-
-    std::size_t words() const { return words_; }
-
-    const std::uint64_t *
-    vec(std::size_t v) const
-    {
-        return &bits_[v * words_];
-    }
-
-  private:
-    std::size_t words_;
-    std::vector<std::uint64_t> bits_;
-};
-
-/** Popcount of the AND of a row mask with a column mask. */
-std::int64_t
-overlap(const KMasks &rows, std::size_t row, const KMasks &cols,
-        std::size_t col)
+/** All ones over [0, k): the mask of a side the routing does not skip. */
+void
+onesMask(std::int64_t k, std::int64_t words, std::uint64_t *out)
 {
-    GRIFFIN_ASSERT(rows.words() == cols.words(),
-                   "mask width mismatch");
-    std::int64_t count = 0;
-    const auto *px = rows.vec(row);
-    const auto *py = cols.vec(col);
-    for (std::size_t w = 0; w < rows.words(); ++w)
-        count += __builtin_popcountll(px[w] & py[w]);
-    return count;
+    for (std::int64_t w = 0; w < words; ++w)
+        out[w] = ~std::uint64_t{0};
+    if (k % 64 != 0)
+        out[words - 1] = (std::uint64_t{1} << (k % 64)) - 1;
 }
 
 } // namespace
@@ -86,52 +72,100 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
     // SparTen matches against a dense mask on the other operand.
     const bool skip_a = routing.sparseA();
     const bool skip_b = routing.sparseB();
-    KMasks rows(static_cast<std::size_t>(m), static_cast<std::size_t>(k));
-    KMasks cols(static_cast<std::size_t>(n), static_cast<std::size_t>(k));
-    for (std::size_t mi = 0; mi < a.rows(); ++mi)
-        for (std::size_t ki = 0; ki < a.cols(); ++ki)
-            if (!skip_a || a.at(mi, ki) != 0)
-                rows.set(mi, ki);
-    for (std::size_t ki = 0; ki < b.rows(); ++ki)
-        for (std::size_t ni = 0; ni < b.cols(); ++ni)
-            if (!skip_b || b.at(ki, ni) != 0)
-                cols.set(ni, ki);
-    result.effectualOps = 0;
+    const std::int64_t words = (k + 63) / 64;
+    const simd::KernelTable &kern = simd::kernels();
+    Arena &arena = workArena();
+    ArenaScope scope(arena);
+
+    // A's row masks over k.
+    auto *rows = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(m * words));
+    std::int64_t nnz_a = 0;
+    for (std::int64_t mi = 0; mi < m; ++mi) {
+        std::uint64_t *mask = rows + mi * words;
+        if (!skip_a) {
+            onesMask(k, words, mask);
+            continue;
+        }
+        simd::detail::rowNonzeroMasks(a.data() + mi * k, k, mask);
+        for (std::int64_t w = 0; w < words; ++w)
+            nnz_a += simd::popcount64(mask[w]);
+    }
+
+    // B in 64-column slabs: one occupancy word per k row (bit j is
+    // column base + j, zero past k and past n), transposed 64 rows at
+    // a time into each column's k mask.  Then one overlap count per
+    // (A row, slab column), stored in output order.
+    auto *slab = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(words * 64));
+    auto *cols = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(64 * words));
+    auto *work = arena.alloc<std::int32_t>(static_cast<std::size_t>(m * n));
+    if (!skip_b)
+        for (int j = 0; j < 64; ++j)
+            onesMask(k, words, cols + j * words);
+    std::int64_t nnz_b = 0;
+    for (std::int64_t base = 0; base < n; base += 64) {
+        const auto width = std::min<std::int64_t>(64, n - base);
+        if (skip_b) {
+            simd::bTileOccupancy(b, base, 64, words, 64, slab);
+            for (std::int64_t w = 0; w < words; ++w) {
+                std::uint64_t *block = slab + w * 64;
+                for (int i = 0; i < 64; ++i)
+                    nnz_b += simd::popcount64(block[i]);
+                transpose64(block);
+                for (std::int64_t j = 0; j < width; ++j)
+                    cols[j * words + w] = block[j];
+            }
+        }
+        for (std::int64_t mi = 0; mi < m; ++mi)
+            kern.andPopcount(rows + mi * words, cols, words, width,
+                             work + mi * n + base);
+    }
 
     // Least-loaded assignment of outputs to MACs, in output order.
-    const auto macs =
-        static_cast<std::size_t>(arch.tile.macsPerCycle());
-    std::priority_queue<std::pair<std::int64_t, std::size_t>,
-                        std::vector<std::pair<std::int64_t, std::size_t>>,
-                        std::greater<>>
-        bins;
-    for (std::size_t i = 0; i < macs; ++i)
-        bins.push({0, i});
-    for (std::int64_t mi = 0; mi < m; ++mi) {
-        for (std::int64_t ni = 0; ni < n; ++ni) {
-            const auto work =
-                overlap(rows, static_cast<std::size_t>(mi), cols,
-                        static_cast<std::size_t>(ni)) +
-                sparTenOutputOverhead;
-            result.effectualOps += work - sparTenOutputOverhead;
-            auto [load, idx] = bins.top();
-            bins.pop();
-            bins.push({load + work, idx});
+    // Each output takes one least-loaded MAC and puts it back at
+    // load + work, so the multiset of loads after every step — and
+    // computeCycles, its final maximum — is the same whichever
+    // least-loaded MAC a tie-break picks; no MAC identity is kept.
+    // Every load lies in [least, least + k + sparTenOutputOverhead],
+    // so a ring of k + sparTenOutputOverhead + 1 counters, indexed by
+    // load modulo the ring size, holds the whole multiset; `least`
+    // only ever rises.
+    const std::int64_t ring_size = k + sparTenOutputOverhead + 1;
+    auto *ring =
+        arena.allocZeroed<std::int32_t>(static_cast<std::size_t>(ring_size));
+    ring[0] = static_cast<std::int32_t>(arch.tile.macsPerCycle());
+    std::int64_t least = 0;
+    std::int64_t head = 0; // least % ring_size
+    std::int64_t effectual = 0;
+    for (std::int64_t o = 0; o < m * n; ++o) {
+        effectual += work[o];
+        std::int64_t slot = head + work[o] + sparTenOutputOverhead;
+        if (slot >= ring_size)
+            slot -= ring_size;
+        --ring[head];
+        ++ring[slot];
+        while (ring[head] == 0) {
+            ++least;
+            if (++head == ring_size)
+                head = 0;
         }
     }
-    std::int64_t max_load = 0;
-    while (!bins.empty()) {
-        max_load = std::max(max_load, bins.top().first);
-        bins.pop();
+    std::int64_t max_load = least;
+    for (std::int64_t d = ring_size - 1; d > 0; --d) {
+        if (ring[(head + d) % ring_size] != 0) {
+            max_load = least + d;
+            break;
+        }
     }
+    result.effectualOps = effectual;
     result.computeCycles = max_load;
     result.simulatedTiles = result.totalTiles;
 
     // SparTen's compressed format: values plus one mask bit per
     // element, on every side the hardware skips; dense sides stream
-    // raw.
-    const auto nnz_a = static_cast<std::int64_t>(a.nnz());
-    const auto nnz_b = static_cast<std::int64_t>(b.nnz());
+    // raw.  A skipped side's mask popcounts are its nonzero count.
     const std::int64_t a_bytes =
         skip_a ? nnz_a + (m * k + 7) / 8 : m * k;
     const std::int64_t b_bytes =

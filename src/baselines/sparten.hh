@@ -16,6 +16,19 @@
  * arrival order (the coarse-grain balancing of [18]); the grid
  * finishes when the most loaded MAC drains, plus a fixed per-output
  * match/writeback overhead.
+ *
+ * Every whole-matrix pass runs 64 bits at a time.  A's row masks over
+ * k come from the SIMD `nonzeroMasks` kernel; B is read in 64-column
+ * slabs as one occupancy word per k row, and a 64 x 64 bit transpose
+ * turns each block of 64 rows into the slab columns' k masks.  A side
+ * the routing does not skip is all ones up to k.  The `andPopcount`
+ * kernel then counts every output's effectual pairs, one call per
+ * (A row, slab).  The balancer needs no heap: each output removes one
+ * least-loaded MAC and returns it at load + work, so the multiset of
+ * loads after every step does not depend on which of several
+ * least-loaded MACs is picked, and its final maximum is the compute
+ * time.  All loads lie within k + sparTenOutputOverhead of the least
+ * one, so the multiset is a ring of per-load counters.
  */
 
 #ifndef GRIFFIN_BASELINES_SPARTEN_HH

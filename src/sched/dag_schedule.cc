@@ -173,13 +173,15 @@ exactOrder(const NetworkSpec &net,
     NodeMask full(n);
     for (std::size_t i = 0; i < n; ++i)
         full.set(i);
-    std::vector<std::size_t> order(n);
+    // Walk the parents back from the full set, last node first.
+    std::vector<std::size_t> order;
     NodeMask cursor = full;
-    for (std::size_t step = n; step-- > 0;) {
+    for (std::size_t step = 0; step < n; ++step) {
         const ExactState &state = states.at(cursor);
-        order[step] = state.chosen;
+        order.push_back(state.chosen);
         cursor = state.parent;
     }
+    std::reverse(order.begin(), order.end());
     return order;
 }
 

@@ -2,9 +2,10 @@
  * @file
  * AVX2 kernels: compare-to-zero + movemask turns 32 occupancy bytes
  * into 32 mask bits per instruction pair.  Functions carry the
- * target("avx2") attribute so this TU builds without a global -mavx2
- * and the choice stays a *runtime* cpuid decision — the same binary
- * runs (scalar) on pre-AVX2 hardware.
+ * target("avx2") attribute (plus "popcnt" for the overlap counts) so
+ * this TU builds without a global -mavx2 and the choice stays a
+ * *runtime* cpuid decision — the same binary runs (scalar) on
+ * pre-AVX2 hardware.
  *
  * Byte-exactness against kernels_scalar.cc is pinned by
  * tests/test_simd.cc; none of these kernels reads outside the ranges
@@ -20,6 +21,7 @@
 #include <limits>
 
 #define GRIFFIN_AVX2 __attribute__((target("avx2")))
+#define GRIFFIN_AVX2_POPCNT __attribute__((target("avx2,popcnt")))
 
 namespace griffin {
 namespace simd {
@@ -248,17 +250,35 @@ mtTwistAvx2(std::uint64_t *state)
     }
 }
 
+GRIFFIN_AVX2_POPCNT void
+andPopcountAvx2(const std::uint64_t *x, const std::uint64_t *ys,
+                std::int64_t words, std::int64_t count,
+                std::int32_t *out)
+{
+    // The scalar body, compiled with POPCNT enabled: the Release build
+    // has no -mpopcnt, so outside this attribute popcount64 is a
+    // bit-twiddling sequence.
+    for (std::int64_t i = 0; i < count; ++i) {
+        const std::uint64_t *y = ys + i * words;
+        std::int32_t n = 0;
+        for (std::int64_t w = 0; w < words; ++w)
+            n += popcount64(x[w] & y[w]);
+        out[i] = n;
+    }
+}
+
 } // namespace
 
 const KernelTable *
 avx2Table()
 {
-    if (!__builtin_cpu_supports("avx2"))
+    if (!__builtin_cpu_supports("avx2") ||
+        !__builtin_cpu_supports("popcnt"))
         return nullptr;
     static const KernelTable table = {
         nonzeroMasksAvx2, countNonzeroAvx2, accumulateNonzeroAvx2,
         leMaskAvx2,       minI64Avx2,       mtTemperAvx2,
-        mtTwistAvx2,
+        mtTwistAvx2,      andPopcountAvx2,
     };
     return &table;
 }

@@ -4,7 +4,9 @@
  * bit-select/horizontal-add narrowing to turn 16 bytes into 16 mask
  * bits; the int64 head-compare, min and MT19937-64 twist kernels
  * delegate to the scalar reference — they are not the bottleneck
- * there, and the byte-exactness contract is trivially kept.
+ * there, and the byte-exactness contract is trivially kept.  So does
+ * AND-popcount: the scalar popcount64 already compiles to cnt + addv
+ * on AArch64.
  *
  * Compiled to the nullptr stub everywhere else (including the x86 CI
  * fleet); tests/test_simd.cc exercises whichever backends the build
@@ -138,7 +140,7 @@ neonTable()
         nonzeroMasksNeon,          countNonzeroNeon,
         accumulateNonzeroNeon,     scalarTable().leMask,
         scalarTable().minI64,      mtTemperNeon,
-        scalarTable().mtTwist,
+        scalarTable().mtTwist,     scalarTable().andPopcount,
     };
     return &table;
 }

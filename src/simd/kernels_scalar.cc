@@ -111,6 +111,20 @@ mtTwistScalar(std::uint64_t *state)
     state[kN - 1] = state[kM - 1] ^ twisted(state[kN - 1], state[0]);
 }
 
+void
+andPopcountScalar(const std::uint64_t *x, const std::uint64_t *ys,
+                  std::int64_t words, std::int64_t count,
+                  std::int32_t *out)
+{
+    for (std::int64_t i = 0; i < count; ++i) {
+        const std::uint64_t *y = ys + i * words;
+        std::int32_t n = 0;
+        for (std::int64_t w = 0; w < words; ++w)
+            n += popcount64(x[w] & y[w]);
+        out[i] = n;
+    }
+}
+
 } // namespace
 
 const KernelTable &
@@ -119,7 +133,7 @@ scalarTable()
     static const KernelTable table = {
         nonzeroMasksScalar, countNonzeroScalar, accumulateNonzeroScalar,
         leMaskScalar,       minI64Scalar,       mtTemperScalar,
-        mtTwistScalar,
+        mtTwistScalar,      andPopcountScalar,
     };
     return table;
 }

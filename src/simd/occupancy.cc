@@ -96,6 +96,19 @@ neonKernels()
 }
 
 void
+detail::rowNonzeroMasks(const std::int8_t *row, std::int64_t len,
+                        std::uint64_t *out)
+{
+    const auto &k = kernels();
+    const std::int64_t full = len / 64;
+    if (full > 0)
+        k.nonzeroMasks(row, 64, 64, full, out);
+    if (len % 64 != 0)
+        k.nonzeroMasks(row + full * 64, 0, static_cast<int>(len % 64), 1,
+                       out + full);
+}
+
+void
 bTileOccupancy(const MatrixI8 &b, std::int64_t col_base, int units,
                std::int64_t steps, int k0, std::uint64_t *out)
 {
@@ -146,7 +159,6 @@ aTileOccupancy(const MatrixI8 &a, std::int64_t row_base, int units,
     const std::int64_t chunks = (cols + 63) / 64;
     std::uint64_t *row_masks = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(chunks));
-    const auto &k = kernels();
     for (int m = 0; m < units; ++m) {
         const std::int64_t r = row_base + m;
         if (r >= rows)
@@ -154,13 +166,7 @@ aTileOccupancy(const MatrixI8 &a, std::int64_t row_base, int units,
         const std::int8_t *row =
             a.data() + static_cast<std::size_t>(r) *
                            static_cast<std::size_t>(cols);
-        const std::int64_t full = cols / 64;
-        if (full > 0)
-            k.nonzeroMasks(row, 64, 64, full, row_masks);
-        if (cols % 64 != 0)
-            k.nonzeroMasks(row + full * 64, 0,
-                           static_cast<int>(cols % 64), 1,
-                           row_masks + full);
+        detail::rowNonzeroMasks(row, cols, row_masks);
         const std::uint64_t unit_bit = std::uint64_t{1} << m;
         for (std::int64_t c = 0; c < chunks; ++c) {
             std::uint64_t word = row_masks[c];

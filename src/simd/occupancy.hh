@@ -10,7 +10,9 @@
  * everywhere else.  The schedulers keep these words as their queues —
  * per-step slot bitsets after the shuffler's lane permutation — and
  * run their cycle loops a word at a time instead of calling
- * bounds-checked `nonzero()` per element.
+ * bounds-checked `nonzero()` per element.  The SparTen baseline asks
+ * one more: how many k positions a row mask shares with each column
+ * mask (`andPopcount`).
  *
  * Dispatch: the backend is chosen once per process.  Order:
  *
@@ -99,6 +101,18 @@ struct KernelTable
      * except for the last word, which reads the new state[0].
      */
     void (*mtTwist)(std::uint64_t *state);
+
+    /**
+     * Overlap counts of one bit vector against `count` others, each
+     * `words` 64-bit words long: out[i] = sum over w < words of
+     * popcount(x[w] & ys[i*words + w]) for i in [0, count).  Reads
+     * only [x, x + words) and [ys, ys + count*words); `words` may be
+     * 0 (every count is 0) and is below 2^25, so a count fits int32.
+     * No pointer needs any alignment beyond its element type's.
+     */
+    void (*andPopcount)(const std::uint64_t *x, const std::uint64_t *ys,
+                        std::int64_t words, std::int64_t count,
+                        std::int32_t *out);
 };
 
 /** The backend picked by the dispatch order above (cached). */

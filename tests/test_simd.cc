@@ -209,6 +209,68 @@ TEST(SimdKernels, MtTwistMatchesTextbookRecurrenceOnEveryBackend)
     }
 }
 
+/** Bit-by-bit overlap count, independent of every popcount. */
+std::int32_t
+bruteOverlap(const std::uint64_t *x, const std::uint64_t *y,
+             std::int64_t words)
+{
+    std::int32_t n = 0;
+    for (std::int64_t w = 0; w < words; ++w)
+        for (int bit = 0; bit < 64; ++bit)
+            n += static_cast<std::int32_t>((x[w] & y[w]) >> bit & 1u);
+    return n;
+}
+
+TEST(SimdKernels, AndPopcountMatchesScalarOnEveryBackend)
+{
+    Rng rng(1010);
+    const auto draw = [&rng](int kind) -> std::uint64_t {
+        switch (kind) {
+          case 0:
+            return 0;
+          case 1:
+            return ~0ull;
+          default:
+            return rng.engine()();
+        }
+    };
+    // kind 0: all-zero words, 1: all-ones, 2: random; counts are odd
+    // and the pointers sit one or more elements past an allocation's
+    // start, off any vector alignment.
+    for (const std::int64_t words : {0, 1, 3, 144}) {
+        for (const std::int64_t count : {1, 3, 7, 65}) {
+            for (int kind = 0; kind < 3; ++kind) {
+                std::vector<std::uint64_t> xbuf(words + 1);
+                std::vector<std::uint64_t> ybuf(count * words + 3);
+                for (auto &w : xbuf)
+                    w = draw(kind);
+                for (auto &w : ybuf)
+                    w = draw(kind == 0 ? 1 : kind);
+                const std::uint64_t *x = xbuf.data() + 1;
+                const std::uint64_t *ys = ybuf.data() + 3;
+                std::vector<std::int32_t> want(count + 2, -7);
+                simd::scalarKernels().andPopcount(x, ys, words, count,
+                                                  want.data() + 1);
+                EXPECT_EQ(want.front(), -7);
+                EXPECT_EQ(want.back(), -7)
+                    << "scalar wrote past count " << count;
+                for (std::int64_t i = 0; i < count; ++i)
+                    ASSERT_EQ(want[i + 1],
+                              bruteOverlap(x, ys + i * words, words))
+                        << "scalar words " << words << " i " << i;
+                for (const auto &[name, table] : availableBackends()) {
+                    std::vector<std::int32_t> got(count + 2, -7);
+                    table->andPopcount(x, ys, words, count,
+                                       got.data() + 1);
+                    EXPECT_EQ(want, got)
+                        << name << " diverges at words " << words
+                        << " count " << count << " kind " << kind;
+                }
+            }
+        }
+    }
+}
+
 // ---- occupancy extraction vs brute force ----------------------------
 
 MatrixI8
@@ -330,6 +392,7 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
     EXPECT_NE(active.nonzeroMasks, nullptr);
     EXPECT_NE(active.mtTemper, nullptr);
     EXPECT_NE(active.mtTwist, nullptr);
+    EXPECT_NE(active.andPopcount, nullptr);
 }
 
 } // namespace

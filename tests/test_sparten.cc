@@ -1,14 +1,20 @@
 /**
  * @file
- * Tests for the SparTen-style MAC-grid simulator.
+ * Tests for the SparTen-style MAC-grid simulator, including an
+ * exact-equivalence oracle: the word-parallel simulator must match the
+ * element-by-element, heap-balanced reference in
+ * tests/support/sparten_reference.* on every GemmSimResult field.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "arch/presets.hh"
 #include "baselines/sparten.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "support/sparten_reference.hh"
 #include "tensor/sparsity.hh"
 
 namespace griffin {
@@ -97,6 +103,117 @@ TEST(SparTen, ImbalancedColumnsHurtLoadBalancing)
     // 4 outputs x 4096 pairs each, on 1024 MACs: bounded below by one
     // whole output per MAC.
     EXPECT_GE(r.computeCycles, 4096);
+}
+
+// ---- exact-equivalence oracle ---------------------------------------
+
+void
+expectSameResult(const GemmSimResult &got, const GemmSimResult &want,
+                 const std::string &what)
+{
+    EXPECT_EQ(got.denseCycles, want.denseCycles) << what;
+    EXPECT_EQ(got.computeCycles, want.computeCycles) << what;
+    EXPECT_EQ(got.dramCycles, want.dramCycles) << what;
+    EXPECT_EQ(got.totalCycles, want.totalCycles) << what;
+    EXPECT_EQ(got.dramBytes, want.dramBytes) << what;
+    EXPECT_EQ(got.denseOps, want.denseOps) << what;
+    EXPECT_EQ(got.effectualOps, want.effectualOps) << what;
+    EXPECT_EQ(got.simulatedTiles, want.simulatedTiles) << what;
+    EXPECT_EQ(got.totalTiles, want.totalTiles) << what;
+    EXPECT_EQ(got.sched.cycles, want.sched.cycles) << what;
+    EXPECT_EQ(got.sched.ops, want.sched.ops) << what;
+    EXPECT_EQ(got.sched.ownOps, want.sched.ownOps) << what;
+    EXPECT_EQ(got.sched.stolenOps, want.sched.stolenOps) << what;
+    EXPECT_EQ(got.sched.idleSlotCycles, want.sched.idleSlotCycles)
+        << what;
+    EXPECT_EQ(got.sched.bwLimitedCycles, want.sched.bwLimitedCycles)
+        << what;
+}
+
+/** Zero rate: mostly mid-range, with fully dense and all-zero mixed in. */
+double
+drawSparsity(Rng &rng)
+{
+    switch (rng.uniformInt(0, 5)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return 1.0;
+      default:
+        return rng.uniform01();
+    }
+}
+
+TEST(SparTenOracle, MatchesReferenceOnEveryField)
+{
+    // k and n straddle the 64-bit word and slab edges; m x n runs from
+    // one output to 14,000 (13.7x the 1024 MACs), and every fifth case
+    // shrinks the grid to 8 MACs, so outputs outnumber MACs up to
+    // 1750-fold.  Presets and categories rotate independently, so
+    // SparTen.A and SparTen.B (whose dense side is all ones) each run
+    // under all four categories.
+    const std::int64_t ks[] = {1, 63, 64, 65, 130, 4097};
+    const std::int64_t ns[] = {1, 63, 64, 65, 200};
+    const std::int64_t ms[] = {1, 3, 32, 70};
+    const ArchConfig presets[] = {sparTenA(), sparTenB(), sparTenAB()};
+    Rng rng(1806);
+    int cases = 0;
+    for (const std::int64_t k : ks)
+        for (const std::int64_t n : ns)
+            for (const std::int64_t m : ms)
+                for (int rep = 0; rep < 2; ++rep, ++cases) {
+                    ArchConfig arch = presets[cases % 3];
+                    const DnnCategory cat = allCategories[(cases / 3) % 4];
+                    if (cases % 5 == 4)
+                        arch.tile = TileShape{1, 2, 4};
+                    MatrixI8 a = randomSparse(
+                        static_cast<std::size_t>(m),
+                        static_cast<std::size_t>(k), drawSparsity(rng),
+                        rng);
+                    MatrixI8 b = randomSparse(
+                        static_cast<std::size_t>(k),
+                        static_cast<std::size_t>(n), drawSparsity(rng),
+                        rng);
+                    if (cases % 7 == 3) {
+                        // One heavy column among empty ones: every
+                        // other output ties at the bare overhead.
+                        b = MatrixI8(static_cast<std::size_t>(k),
+                                     static_cast<std::size_t>(n));
+                        const auto col = static_cast<std::size_t>(
+                            rng.uniformInt(0, n - 1));
+                        for (std::size_t ki = 0; ki < b.rows(); ++ki)
+                            b.at(ki, col) = 1;
+                    }
+                    const std::string what =
+                        "case " + std::to_string(cases) + ": " +
+                        arch.name + " macs=" +
+                        std::to_string(arch.tile.macsPerCycle()) +
+                        " cat=" + std::to_string(static_cast<int>(cat)) +
+                        " m=" + std::to_string(m) +
+                        " k=" + std::to_string(k) +
+                        " n=" + std::to_string(n);
+                    expectSameResult(simulateSparTen(a, b, arch, cat),
+                                     reference::simulateSparTen(a, b, arch,
+                                                                cat),
+                                     what);
+                }
+    EXPECT_GE(cases, 200);
+}
+
+TEST(SparTenOracle, EmptyExtentsReturnTheDenseFieldsOnly)
+{
+    const std::int64_t shapes[][3] = {{0, 5, 7}, {5, 0, 7}, {5, 7, 0}};
+    for (const auto &shape : shapes) {
+        const auto a = mk(shape[0], shape[1], 0.5, 14);
+        const auto b = mk(shape[1], shape[2], 0.5, 15);
+        for (const DnnCategory cat : allCategories)
+            expectSameResult(
+                simulateSparTen(a, b, sparTenAB(), cat),
+                reference::simulateSparTen(a, b, sparTenAB(), cat),
+                "m=" + std::to_string(shape[0]) +
+                    " k=" + std::to_string(shape[1]) +
+                    " n=" + std::to_string(shape[2]));
+    }
 }
 
 TEST(SparTenDeathTest, VectorCoreConfigRejected)
