@@ -551,6 +551,17 @@ main(int argc, char **argv)
     if (!cli.getString("out").empty())
         sink = std::make_unique<ResultSink>(cli.getString("out"));
 
+    // The writers open their paths only after the sweep, so probe each
+    // one now: an unwritable path fails before the work, not after.
+    // Append mode creates a missing file and never truncates one.
+    const std::pair<std::string, const char *> outputs[] = {
+        {cli.getString("out"), "result sink path"},
+        {emitter.jsonPath, "--json path"},
+        {trace_path, "--trace path"}};
+    for (const auto &[path, what] : outputs)
+        if (!path.empty() && !std::ofstream(path, std::ios::app))
+            fatal("cannot open ", what, " '", path, "'");
+
     // One plan for every named experiment: each spec is built and
     // validated before the first sweep starts, so a typo or an
     // out-of-range option fails before hours of sweeping, not after.

@@ -9,7 +9,7 @@
  * Operand generation draws one or two values per matrix element, so
  * the engine and the per-element draws are written without branches
  * on random bits.  Each rewrite keeps every value of the historical
- * std::mt19937_64 + libstdc++ distribution path, for three reasons:
+ * std::mt19937_64 + libstdc++ distribution path, for four reasons:
  *
  *  1. Twist recurrence.  [rand.eng.mers] defines x_{i+n} from x_i,
  *     x_{i+1} and x_{i+m} only (n = 312, m = 156), so a refill can
@@ -27,9 +27,25 @@
  *     libstdc++: value (u * 255) >> 64, rejecting u only when the low
  *     product word is below 2^64 mod 255 = 1, i.e. only u = 0.
  *     nonzeroInt8FromDraw() is that map with the zero skipped.
+ *  4. Keep/value roles.  A lane-biased weight element takes a keep
+ *     draw and, when kept, a value draw, so with K the keep bits of a
+ *     run of draws, the draws S that start an element obey
+ *     S[j+1] = !(S[j] & K[j]).  Over a 64-draw word this is the
+ *     odd-run escape scan of simdjson (Langdale & Lemire, VLDB J.
+ *     2019), with carry = 1 when the word's first draw is a value
+ *     draw and EVEN = 0x5555...:
+ *         K &= ~carry;  follows = K << 1 | carry;
+ *         odd = K & ~EVEN & ~follows;
+ *         V = (EVEN ^ ((odd + K) << 1)) & follows;
+ *     V marks the value draws (S = ~V) and the overflow of odd + K is
+ *     the next word's carry.  simd::KernelTable::keepDecode restarts
+ *     each word at an element start, so its carry in is 0 and its
+ *     carry out marks a kept element on the word's last draw.
  *
- * tests/test_rng.cc and tests/test_sparsity.cc pin all three against
- * the std engine, the std distribution and the per-draw generators.
+ * tests/test_rng.cc and tests/test_sparsity.cc pin the first three
+ * against the std engine, the std distribution and the per-draw
+ * generators; tests/test_simd.cc pins the fourth against a decoder
+ * that takes one element at a time.
  */
 
 #ifndef GRIFFIN_COMMON_RNG_HH
@@ -85,7 +101,15 @@ class Mt64
      */
     const std::uint64_t *block() const { return out_; }
     int pos() const { return pos_; }
-    void consume(int n) { pos_ += n; }
+
+    /** Take the next n buffered draws; n must not pass the block end. */
+    void
+    consume(int n)
+    {
+        GRIFFIN_ASSERT(n >= 0 && n <= kN - pos_, "consume(", n,
+                       ") with ", kN - pos_, " draws left in the block");
+        pos_ += n;
+    }
 
   private:
     void refill();

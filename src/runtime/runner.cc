@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <utility>
 
@@ -219,10 +220,15 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
 
     ThreadPool::Stats pool_stats;
     {
-        ThreadPool pool(threads);
+        // The plan goes to the pool as one batch, so every worker runs
+        // its share of the groups in plan order: which worksets are
+        // resident together, and so the sweep's peak RSS, follows from
+        // the plan and the thread count, not from thread timing.
+        std::vector<std::function<void()>> tasks;
+        tasks.reserve(order.size());
         for (const auto &group : order) {
-            pool.submit([&specs, &jobs, &accelerators, &layer_results,
-                         &job_base, &job_ns, group] {
+            tasks.push_back([&specs, &jobs, &accelerators, &layer_results,
+                             &job_base, &job_ns, group] {
                 std::uint64_t mark = monotonicNowNs();
                 const LayerWorkset workset =
                     generateLayerWorkset(group->first.second);
@@ -243,6 +249,8 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
                 }
             });
         }
+        ThreadPool pool(threads);
+        pool.submitAll(std::move(tasks));
         pool.wait();
         pool_stats = pool.stats();
     }

@@ -38,22 +38,34 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> job)
 {
-    GRIFFIN_ASSERT(job != nullptr, "null job submitted");
-    std::size_t target;
+    std::vector<std::function<void()>> batch;
+    batch.push_back(std::move(job));
+    submitAll(std::move(batch));
+}
+
+void
+ThreadPool::submitAll(std::vector<std::function<void()>> jobs)
+{
     {
+        // Placing under mu_ holds back every worker that is asleep,
+        // and one that is awake blocks here (to count its job started)
+        // after its first pop, so each deque is consumed in batch
+        // order from its front.  Lock order: mu_, then a worker's mu;
+        // no path takes them the other way round.
         MutexLock lock(mu_);
         if (stopping_)
             panic("submit() on a stopping thread pool");
-        ++unfinished_;
-        ++queued_;
-        target = nextWorker_;
-        nextWorker_ = (nextWorker_ + 1) % workers_.size();
+        for (auto &job : jobs) {
+            GRIFFIN_ASSERT(job != nullptr, "null job submitted");
+            Worker &target = *workers_[nextWorker_];
+            nextWorker_ = (nextWorker_ + 1) % workers_.size();
+            MutexLock worker_lock(target.mu);
+            target.jobs.push_back(std::move(job));
+        }
+        unfinished_ += jobs.size();
+        queued_ += jobs.size();
     }
-    {
-        MutexLock lock(workers_[target]->mu);
-        workers_[target]->jobs.push_back(std::move(job));
-    }
-    workCv_.notifyOne();
+    workCv_.notifyAll();
 }
 
 void
@@ -95,8 +107,8 @@ ThreadPool::popOwn(std::size_t self, std::function<void()> &job)
     MutexLock lock(w.mu);
     if (w.jobs.empty())
         return false;
-    job = std::move(w.jobs.back());
-    w.jobs.pop_back();
+    job = std::move(w.jobs.front());
+    w.jobs.pop_front();
     return true;
 }
 
@@ -148,9 +160,9 @@ ThreadPool::workerLoop(std::size_t self)
         bool rescan = false;
         {
             MutexLock lock(mu_);
-            // queued_ > 0 with empty deques means a submit() is
-            // between its counter bump and its deque push: rescan,
-            // don't sleep.
+            // queued_ > 0 after an empty scan means a batch was placed
+            // after the scan, or another worker has popped a job and
+            // not yet counted it: rescan, don't sleep.
             if (queued_ > 0) {
                 rescan = true;
             } else if (stopping_) {

@@ -2,14 +2,20 @@
  * @file
  * Work-stealing thread pool for the experiment runner.
  *
- * Each worker owns a deque: it pops its own work LIFO (hot caches) and
- * steals FIFO from a victim when empty (oldest jobs first, so long
- * sweeps drain from the front).  Submission round-robins across the
- * worker deques, which spreads a burst of jobs without a global queue
- * becoming the contention point.
+ * Each worker owns a deque and runs its own jobs in submission order;
+ * when its deque is empty it steals a victim's oldest job.  Submission
+ * round-robins across the worker deques, which spreads a burst of jobs
+ * without a global queue becoming the contention point.
  *
- * Scheduling order is *not* deterministic — any worker may run any
- * job.  Determinism is the runner's problem, and it solves it by
+ * submitAll() places a whole batch before any worker starts one of its
+ * jobs, so in a fresh pool worker w runs jobs w, w + threads,
+ * w + 2 * threads, ... until the deques run dry and the steals at the
+ * tail begin.  Which jobs run side by side, and so the peak memory of
+ * a sweep, is then a function of the batch and the thread count rather
+ * than of how the workers' wake-ups race the submission.
+ *
+ * Which worker runs which tail job is still *not* deterministic.
+ * Result determinism is the runner's problem, and it solves it by
  * giving every job an order-independent seed and merging results by
  * submission index (runner.hh).
  */
@@ -53,6 +59,15 @@ class ThreadPool
      * Submitting after shutdown began is a panic().
      */
     void submit(std::function<void()> job);
+
+    /**
+     * Enqueue a batch, round-robin from the submit cursor.  No worker
+     * starts a job of the batch before the whole batch is placed, so
+     * each worker runs its share in batch order.  (A worker awake
+     * during the placement may pick its first job early: its own, or
+     * a victim's if its deque is still empty.)
+     */
+    void submitAll(std::vector<std::function<void()>> jobs);
 
     /** Block until every job submitted so far has finished. */
     void wait();

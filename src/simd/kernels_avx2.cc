@@ -2,10 +2,10 @@
  * @file
  * AVX2 kernels: compare-to-zero + movemask turns 32 occupancy bytes
  * into 32 mask bits per instruction pair.  Functions carry the
- * target("avx2") attribute (plus "popcnt" for the overlap counts) so
- * this TU builds without a global -mavx2 and the choice stays a
- * *runtime* cpuid decision — the same binary runs (scalar) on
- * pre-AVX2 hardware.
+ * target("avx2") attribute (plus "popcnt" for the overlap counts and
+ * the draw decoder) so this TU builds without a global -mavx2 and the
+ * choice stays a *runtime* cpuid decision — the same binary runs
+ * (scalar) on pre-AVX2 hardware.
  *
  * Byte-exactness against kernels_scalar.cc is pinned by
  * tests/test_simd.cc; none of these kernels reads outside the ranges
@@ -18,7 +18,11 @@
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+#include <algorithm>
+#include <cstring>
 #include <limits>
+
+#include "common/rng.hh"
 
 #define GRIFFIN_AVX2 __attribute__((target("avx2")))
 #define GRIFFIN_AVX2_POPCNT __attribute__((target("avx2,popcnt")))
@@ -267,6 +271,110 @@ andPopcountAvx2(const std::uint64_t *x, const std::uint64_t *ys,
     }
 }
 
+/** Bits [0, k) set, for k in [0, 64]. */
+inline std::uint64_t
+lowBits(int k)
+{
+    return k >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+}
+
+/** Position of set bit k (counting from 0) of x; x has more than k. */
+GRIFFIN_AVX2_POPCNT inline int
+selectBit(std::uint64_t x, std::int64_t k)
+{
+    for (; k > 0; --k)
+        x &= x - 1;
+    return ctz64(x);
+}
+
+GRIFFIN_AVX2_POPCNT std::int64_t
+keepDecodeAvx2(const std::uint64_t *draws, std::int64_t len,
+               std::uint64_t below, bool always, std::int64_t want,
+               std::int8_t *out, std::int64_t *used)
+{
+    constexpr std::uint64_t kEven = 0x5555555555555555ULL;
+    constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+    // u < below as a signed compare of both sides with the sign
+    // flipped (AVX2 has no unsigned 64-bit compare).
+    const __m256i sign =
+        _mm256_set1_epi64x(static_cast<long long>(kSign));
+    const __m256i bound =
+        _mm256_set1_epi64x(static_cast<long long>(below ^ kSign));
+    const __m256i zero = _mm256_setzero_si256();
+    std::int64_t n = 0;
+    std::int64_t pos = 0;
+    // Each chunk starts at an element start, so the role scan below
+    // needs no carry in; its carry out marks a kept element on the
+    // chunk's last draw, which the next chunk restarts at.
+    while (n < want && pos < len) {
+        const std::int64_t left = want - n;
+        const int width = static_cast<int>(std::min<std::int64_t>(
+            {64, len - pos, left > 32 ? 64 : 2 * left}));
+        const std::uint64_t *u = draws + pos;
+        std::uint64_t keep = 0;
+        __m256i zeros = zero;
+        int i = 0;
+        for (; width - i >= 4; i += 4) {
+            const __m256i v = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(u + i));
+            const __m256i lt =
+                _mm256_cmpgt_epi64(bound, _mm256_xor_si256(v, sign));
+            keep |= static_cast<std::uint64_t>(_mm256_movemask_pd(
+                        _mm256_castsi256_pd(lt)))
+                    << i;
+            zeros = _mm256_or_si256(zeros, _mm256_cmpeq_epi64(v, zero));
+        }
+        bool any_zero = !_mm256_testz_si256(zeros, zeros);
+        for (; i < width; ++i) {
+            keep |= static_cast<std::uint64_t>(u[i] < below) << i;
+            any_zero |= u[i] == 0;
+        }
+        if (always)
+            keep = lowBits(width);
+        // A zero draw comes once in 2^64; find where only when one came.
+        std::uint64_t ends = width < 64 ? std::uint64_t{1} << width : 0;
+        if (any_zero)
+            for (int j = 0; j < width; ++j)
+                ends |= static_cast<std::uint64_t>(u[j] == 0) << j;
+
+        // value bit j: draw j is a kept element's value draw
+        // (common/rng.hh, point 4).
+        const std::uint64_t follows = keep << 1;
+        const std::uint64_t odd = keep & ~kEven & ~follows;
+        std::uint64_t sum = 0;
+        const bool carry = __builtin_add_overflow(odd, keep, &sum);
+        const std::uint64_t value = (kEven ^ (sum << 1)) & follows;
+
+        // Cut before the first kept element whose value draw is 0 or
+        // lies past the chunk, then after `left` elements.
+        const std::uint64_t bad = value & ends;
+        int cut = bad != 0 ? ctz64(bad) - 1 : width - carry;
+        std::uint64_t starts = ~value & lowBits(cut);
+        std::int64_t count = popcount64(starts);
+        if (count > left) {
+            cut = selectBit(starts, left);
+            starts &= lowBits(cut);
+            count = left;
+        }
+
+        // Element e's byte is out[n + e]: zero them all, then write the
+        // kept ones at the rank of their start.
+        std::memset(out + n, 0, static_cast<std::size_t>(count));
+        for (std::uint64_t kept = starts & keep; kept != 0;
+             kept &= kept - 1) {
+            const std::uint64_t earlier = (kept - 1) & ~kept;
+            out[n + popcount64(starts & earlier)] =
+                Rng::nonzeroInt8FromDraw(u[ctz64(kept) + 1]);
+        }
+        n += count;
+        pos += cut;
+        if (bad != 0)
+            break;
+    }
+    *used = pos;
+    return n;
+}
+
 } // namespace
 
 const KernelTable *
@@ -278,7 +386,7 @@ avx2Table()
     static const KernelTable table = {
         nonzeroMasksAvx2, countNonzeroAvx2, accumulateNonzeroAvx2,
         leMaskAvx2,       minI64Avx2,       mtTemperAvx2,
-        mtTwistAvx2,      andPopcountAvx2,
+        mtTwistAvx2,      andPopcountAvx2,  keepDecodeAvx2,
     };
     return &table;
 }

@@ -4,9 +4,10 @@
  * bit-select/horizontal-add narrowing to turn 16 bytes into 16 mask
  * bits; the int64 head-compare, min and MT19937-64 twist kernels
  * delegate to the scalar reference — they are not the bottleneck
- * there, and the byte-exactness contract is trivially kept.  So does
- * AND-popcount: the scalar popcount64 already compiles to cnt + addv
- * on AArch64.
+ * there, and the byte-exactness contract is trivially kept.  So do
+ * AND-popcount, whose scalar popcount64 already compiles to cnt + addv
+ * on AArch64, and the draw decoder (keepDecode): no ARM build has
+ * measured a vector one.
  *
  * Compiled to the nullptr stub everywhere else (including the x86 CI
  * fleet); tests/test_simd.cc exercises whichever backends the build
@@ -141,6 +142,7 @@ neonTable()
         accumulateNonzeroNeon,     scalarTable().leMask,
         scalarTable().minI64,      mtTemperNeon,
         scalarTable().mtTwist,     scalarTable().andPopcount,
+        scalarTable().keepDecode,
     };
     return &table;
 }

@@ -11,6 +11,8 @@
 
 #include <limits>
 
+#include "common/rng.hh"
+
 namespace griffin {
 namespace simd {
 namespace detail {
@@ -125,6 +127,34 @@ andPopcountScalar(const std::uint64_t *x, const std::uint64_t *ys,
     }
 }
 
+std::int64_t
+keepDecodeScalar(const std::uint64_t *draws, std::int64_t len,
+                 std::uint64_t below, bool always, std::int64_t want,
+                 std::int8_t *out, std::int64_t *used)
+{
+    // One element per step, reading its keep draw and the draw after
+    // it whether kept or not, so the step has no branch on the random
+    // keep bit; only the last draw of the run is read alone.
+    std::int64_t n = 0;
+    std::int64_t pos = 0;
+    for (; n < want && len - pos >= 2; ++n) {
+        const bool kept = (draws[pos] < below) | always;
+        const std::uint64_t v = draws[pos + 1];
+        if (kept & (v == 0))
+            break;
+        out[n] = static_cast<std::int8_t>(Rng::nonzeroInt8FromDraw(v) &
+                                          -static_cast<int>(kept));
+        pos += 1 + static_cast<int>(kept);
+    }
+    // An element on the last draw finishes only when it is not kept.
+    if (n < want && len - pos == 1 && !((draws[pos] < below) | always)) {
+        out[n++] = 0;
+        ++pos;
+    }
+    *used = pos;
+    return n;
+}
+
 } // namespace
 
 const KernelTable &
@@ -133,7 +163,7 @@ scalarTable()
     static const KernelTable table = {
         nonzeroMasksScalar, countNonzeroScalar, accumulateNonzeroScalar,
         leMaskScalar,       minI64Scalar,       mtTemperScalar,
-        mtTwistScalar,      andPopcountScalar,
+        mtTwistScalar,      andPopcountScalar,  keepDecodeScalar,
     };
     return table;
 }

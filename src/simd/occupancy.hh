@@ -12,7 +12,10 @@
  * run their cycle loops a word at a time instead of calling
  * bounds-checked `nonzero()` per element.  The SparTen baseline asks
  * one more: how many k positions a row mask shares with each column
- * mask (`andPopcount`).
+ * mask (`andPopcount`).  Operand generation uses two more: the
+ * MT19937-64 refill (`mtTwist`, `mtTemper`) and the weight generator's
+ * draw decoder (`keepDecode`), which finds which buffered draws start
+ * an element a 64-bit word at a time.
  *
  * Dispatch: the backend is chosen once per process.  Order:
  *
@@ -113,6 +116,26 @@ struct KernelTable
     void (*andPopcount)(const std::uint64_t *x, const std::uint64_t *ys,
                         std::int64_t words, std::int64_t count,
                         std::int32_t *out);
+
+    /**
+     * Decode a run of raw MT19937-64 draws into lane-biased weight
+     * elements, in order from draws[0].  An element's first draw u is
+     * its keep draw: the element is kept iff u < below || always (the
+     * BernoulliThreshold test).  A kept element takes the next draw v
+     * as its value, Rng::nonzeroInt8FromDraw(v); the rest are 0.
+     *
+     * Decoding stops after `want` elements, and before the first
+     * element that cannot finish inside [0, len): a kept element whose
+     * value draw would sit at `len`, or whose value draw is 0 (which
+     * Rng::nonzeroInt8() rejects and draws again).  Writes out[0, n)
+     * and nothing at or past n, stores the draws consumed in *used and
+     * returns n.  Reads only draws[0, min(len, 2*want)); len and want
+     * may be 0.
+     */
+    std::int64_t (*keepDecode)(const std::uint64_t *draws,
+                               std::int64_t len, std::uint64_t below,
+                               bool always, std::int64_t want,
+                               std::int8_t *out, std::int64_t *used);
 };
 
 /** The backend picked by the dispatch order above (cached). */

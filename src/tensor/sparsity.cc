@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "simd/occupancy.hh"
+
 namespace griffin {
 
 namespace {
@@ -16,12 +18,12 @@ valueOrZero(std::uint64_t u, bool keep)
 }
 
 /**
- * Generate one row element by element with the same draws as the
- * per-draw generator, but read from the engine's buffered block in
- * place.  `fast(u, c)` handles element c from draws u[0] and u[1] (an
- * element takes one or two) and returns how many it took, or -1 when
- * nonzeroInt8() would reject its value draw.  The element then goes
- * to `slow(c)`, which draws through `rng` as usual — as does every
+ * Generate one row of clusteredSparse element by element with the same
+ * draws as the per-draw generator, but read from the engine's buffered
+ * block in place.  `fast(u, c)` handles element c from draws u[0] and
+ * u[1] (an element takes one or two) and returns how many it took, or
+ * -1 when nonzeroInt8() would reject its value draw.  The element then
+ * goes to `slow(c)`, which draws through `rng` as usual — as does every
  * element met with fewer than two draws left in the block.
  */
 template <typename Fast, typename Slow>
@@ -153,23 +155,28 @@ laneBiasedSparse(std::size_t rows, std::size_t cols, double sparsity,
             std::clamp(density * (1.0 + bias * centered), 0.0, 1.0));
     }
     MatrixI8 m(rows, cols);
+    const simd::KernelTable &kern = simd::kernels();
+    Mt64 &engine = rng.engine();
     for (std::size_t r = 0; r < rows; ++r) {
         const BernoulliThreshold keep = keep_by_phase[r % period];
         std::int8_t *row = m.data() + r * cols;
-        // Per element: a keep draw, then a value draw if kept.
-        walkRow(
-            rng, cols,
-            [&](const std::uint64_t *u, std::size_t c) {
-                const bool kept = keep(u[0]);
-                if (kept & (u[1] == 0))
-                    return -1;
-                row[c] = valueOrZero(u[1], kept);
-                return 1 + static_cast<int>(kept);
-            },
-            [&](std::size_t c) {
+        // Per element: a keep draw, then a value draw if kept.  The
+        // kernel decodes the engine's buffered draws in place; the
+        // element it cannot finish draws through `rng`, which refills
+        // the engine when the block runs out.
+        for (std::size_t c = 0; c < cols;) {
+            std::int64_t used = 0;
+            c += static_cast<std::size_t>(kern.keepDecode(
+                engine.block() + engine.pos(), Mt64::kN - engine.pos(),
+                keep.below, keep.always,
+                static_cast<std::int64_t>(cols - c), row + c, &used));
+            engine.consume(static_cast<int>(used));
+            if (c < cols) {
                 if (rng.bernoulli(keep))
                     row[c] = rng.nonzeroInt8();
-            });
+                ++c;
+            }
+        }
     }
     return m;
 }

@@ -9,6 +9,13 @@
  * magnitude pruning and ReLU-induced activation sparsity.  A clustered
  * generator is also provided to stress load-balancing behaviour
  * (shuffle and d2 borrowing) beyond the i.i.d. case.
+ *
+ * The two generators on the workset path read the random engine's
+ * buffered block in place: laneBiasedSparse (the weights) decodes it 64
+ * draws at a time through simd::KernelTable::keepDecode, and
+ * clusteredSparse (the activations) walks it element by element.  Both
+ * produce the same bytes, and leave the engine at the same position,
+ * as one Rng call per draw would.
  */
 
 #ifndef GRIFFIN_TENSOR_SPARSITY_HH

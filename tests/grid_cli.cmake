@@ -2,7 +2,8 @@
 # `griffin_bench run fig5` with a --grid override that adds a
 # weight_lane_bias axis on 1 and 8 threads and assert the .jsonl
 # documents (a) are byte-identical and (b) carry the axis coordinates
-# of every variant, so rows are self-describing.
+# of every variant, so rows are self-describing.  Also assert that an
+# unwritable --out, --json or --trace path fails before the sweep runs.
 #
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DWORK_DIR=<dir> -P grid_cli.cmake
@@ -46,4 +47,24 @@ foreach(value 0 0.5 1)
     endif()
 endforeach()
 
-message(STATUS "grid CLI OK: coordinates present, thread-count invariant")
+# An unwritable output path exits 2 with the writer's diagnostic before
+# any sweep: stdout stays empty because no table was rendered.
+set(diag_out "cannot open result sink path")
+set(diag_json "cannot open --json path")
+set(diag_trace "cannot open --trace path")
+foreach(flag out json trace)
+    execute_process(
+        COMMAND "${GRIFFIN_BENCH}" run fig6 --sample 0.01 --rowcap 4
+                --${flag} "${WORK_DIR}/missing/x.jsonl"
+        OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 2 OR NOT err MATCHES "${diag_${flag}}"
+       OR NOT out STREQUAL "")
+        message(FATAL_ERROR
+                "--${flag} to a missing directory must exit 2 with "
+                "'${diag_${flag}}' and no stdout; got ${rc}:\n${err}\n"
+                "stdout:\n${out}")
+    endif()
+endforeach()
+
+message(STATUS "grid CLI OK: coordinates present, thread-count "
+               "invariant, unwritable outputs fail before the sweep")

@@ -57,6 +57,19 @@ TEST(Mt64, BlockAccessMatchesDrawOrder)
     EXPECT_EQ(bulk(), ref()); // refills past the block end
 }
 
+TEST(Mt64DeathTest, ConsumePastTheBlockEndIsFatal)
+{
+    // An overrun would make the next draw refill early and shift the
+    // rest of the stream; it must die instead.
+    Mt64 engine(7);
+    engine();
+    EXPECT_DEATH(engine.consume(Mt64::kN - engine.pos() + 1),
+                 "draws left in the block");
+    EXPECT_DEATH(engine.consume(-1), "draws left in the block");
+    engine.consume(Mt64::kN - engine.pos());
+    EXPECT_DEATH(engine.consume(1), "draws left in the block");
+}
+
 /** A UniformRandomBitGenerator replaying a fixed list of draws. */
 struct ScriptedEngine
 {

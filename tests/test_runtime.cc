@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the runtime/ subsystem: work-stealing pool semantics,
- * parallel-vs-serial determinism of the experiment runner, one
- * operand generation per planned workset, and result-sink
+ * Tests for the runtime/ subsystem: work-stealing pool semantics and
+ * job order, parallel-vs-serial determinism of the experiment runner,
+ * one operand generation per planned workset, and result-sink
  * serialization.
  */
 
@@ -11,8 +11,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <limits>
+#include <map>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -93,6 +97,61 @@ TEST(ThreadPool, StealsAcrossWorkers)
         });
     pool.wait();
     EXPECT_EQ(count.load(), 16);
+}
+
+TEST(ThreadPool, EachWorkerRunsItsShareInSubmissionOrder)
+{
+    // Park every worker inside a job, place a batch, then let them go:
+    // worker w's first job of the batch must be job w, the front of its
+    // round-robin share.  A LIFO pop would start each worker on its last
+    // job, and which sweep worksets are resident together would then
+    // depend on thread timing.  Jobs 0..3 wait for each other, so no
+    // worker drains a slower one's deque before it wakes.
+    constexpr int kThreads = 4;
+    ThreadPool pool(kThreads);
+    std::mutex mu;
+    std::condition_variable cv;
+    int parked = 0;
+    bool release = false;
+    std::vector<std::function<void()>> park;
+    for (int i = 0; i < kThreads; ++i)
+        park.push_back([&] {
+            std::unique_lock<std::mutex> lock(mu);
+            ++parked;
+            cv.notify_all();
+            cv.wait(lock, [&] { return release; });
+        });
+    pool.submitAll(std::move(park));
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return parked == kThreads; });
+    }
+
+    std::map<std::thread::id, int> first_job;
+    int fronts_started = 0;
+    std::vector<std::function<void()>> batch;
+    for (int i = 0; i < 8 * kThreads; ++i)
+        batch.push_back([&, i] {
+            std::unique_lock<std::mutex> lock(mu);
+            first_job.emplace(std::this_thread::get_id(), i);
+            if (i < kThreads) {
+                ++fronts_started;
+                cv.notify_all();
+                cv.wait(lock, [&] { return fronts_started == kThreads; });
+            }
+        });
+    pool.submitAll(std::move(batch));
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        release = true;
+    }
+    cv.notify_all();
+    pool.wait();
+
+    std::set<int> firsts;
+    for (const auto &entry : first_job)
+        firsts.insert(entry.second);
+    EXPECT_EQ(firsts, (std::set<int>{0, 1, 2, 3}));
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive)

@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -271,6 +273,129 @@ TEST(SimdKernels, AndPopcountMatchesScalarOnEveryBackend)
     }
 }
 
+/**
+ * keepDecode's contract (occupancy.hh), one element at a time: out
+ * holds the n decoded bytes and `used` the draws they took.
+ */
+std::int64_t
+bruteKeepDecode(const std::uint64_t *draws, std::int64_t len,
+                std::uint64_t below, bool always, std::int64_t want,
+                std::vector<std::int8_t> &out, std::int64_t &used)
+{
+    out.clear();
+    std::int64_t pos = 0;
+    while (static_cast<std::int64_t>(out.size()) < want && pos < len) {
+        if (draws[pos] >= below && !always) {
+            out.push_back(0);
+            pos += 1;
+            continue;
+        }
+        if (pos + 1 == len || draws[pos + 1] == 0)
+            break;
+        out.push_back(Rng::nonzeroInt8FromDraw(draws[pos + 1]));
+        pos += 2;
+    }
+    used = pos;
+    return static_cast<std::int64_t>(out.size());
+}
+
+enum class ZeroAt { Nowhere, KeepDraw, ValueDraw, LastDraw };
+
+/**
+ * Made-up draws for keepDecode (a real MT stream draws 0 once in
+ * 2^64): random words mixed with the threshold's neighbours, and one 0
+ * on the first keep or value draw of the second half, or on the last.
+ */
+std::vector<std::uint64_t>
+keepDecodeDraws(Rng &rng, std::int64_t len, std::uint64_t below,
+                bool always, ZeroAt zero_at)
+{
+    std::vector<std::uint64_t> draws(len);
+    const std::uint64_t near[] = {below - 1, below, below + 1};
+    for (auto &u : draws) {
+        const auto pick = rng.uniformInt(0, 3);
+        u = pick == 3 ? rng.engine()() : near[pick];
+        if (u == 0)
+            u = ~std::uint64_t{0}; // zeros go only where placed
+    }
+    if (zero_at == ZeroAt::LastDraw && len > 0)
+        draws[len - 1] = 0;
+    bool start = true;
+    for (std::int64_t p = 0; p < len; ++p) {
+        if (p >= len / 2 && ((zero_at == ZeroAt::KeepDraw && start) ||
+                             (zero_at == ZeroAt::ValueDraw && !start))) {
+            draws[p] = 0;
+            break;
+        }
+        start = !(start && (draws[p] < below || always));
+    }
+    return draws;
+}
+
+/**
+ * Every backend's keepDecode on `stream` against bruteKeepDecode: n,
+ * *used and every byte, with sentinel bytes on both sides of out.
+ */
+void
+checkKeepDecode(const std::vector<std::uint64_t> &stream,
+                std::uint64_t below, bool always, std::int64_t want,
+                const std::string &where)
+{
+    constexpr std::int64_t kPad = 16;
+    const auto len = static_cast<std::int64_t>(stream.size());
+    // The readable draws end an exactly sized heap buffer, so an
+    // over-read trips ASan.
+    const std::int64_t readable = std::min(len, 2 * want);
+    const auto draws = std::make_unique<std::uint64_t[]>(readable);
+    std::copy_n(stream.begin(), readable, draws.get());
+    std::vector<std::int8_t> ref;
+    std::int64_t ref_used = -1;
+    const std::int64_t ref_n = bruteKeepDecode(draws.get(), len, below,
+                                               always, want, ref, ref_used);
+    for (const auto &[name, table] : availableBackends())
+        for (const std::int8_t fill : {std::int8_t{0x55}, std::int8_t{-0x56}}) {
+            std::vector<std::int8_t> out(want + 2 * kPad, fill);
+            std::vector<std::int8_t> expect(out);
+            std::copy(ref.begin(), ref.end(), expect.begin() + kPad);
+            std::int64_t used = -1;
+            ASSERT_EQ(table->keepDecode(draws.get(), len, below, always, want,
+                                        out.data() + kPad, &used),
+                      ref_n)
+                << name << where;
+            ASSERT_EQ(used, ref_used) << name << where;
+            ASSERT_EQ(out, expect) << name << where;
+        }
+}
+
+TEST(SimdKernels, KeepDecodeMatchesBruteForceOnEveryBackend)
+{
+    Rng rng(1111);
+    const std::uint64_t belows[] = {0, 1, std::uint64_t{1} << 63,
+                                    ~std::uint64_t{0}};
+    const ZeroAt zero_ats[] = {ZeroAt::Nowhere, ZeroAt::KeepDraw,
+                               ZeroAt::ValueDraw, ZeroAt::LastDraw};
+    for (const std::int64_t len :
+         {0, 1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 311, 312})
+        for (const std::uint64_t below : belows)
+            for (const bool always : {false, true})
+                for (const ZeroAt zero_at : zero_ats)
+                    for (int trial = 0; trial < 2; ++trial) {
+                        const auto stream = keepDecodeDraws(
+                            rng, len, below, always, zero_at);
+                        for (const std::int64_t want :
+                             {std::int64_t{0}, std::int64_t{1},
+                              std::int64_t{2}, len / 2, len, 2 * len + 1})
+                            ASSERT_NO_FATAL_FAILURE(checkKeepDecode(
+                                stream, below, always, want,
+                                " len " + std::to_string(len) + " want " +
+                                    std::to_string(want) + " below " +
+                                    std::to_string(below) + " always " +
+                                    std::to_string(always) + " zero_at " +
+                                    std::to_string(
+                                        static_cast<int>(zero_at))));
+                    }
+}
+
 // ---- occupancy extraction vs brute force ----------------------------
 
 MatrixI8
@@ -393,6 +518,7 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
     EXPECT_NE(active.mtTemper, nullptr);
     EXPECT_NE(active.mtTwist, nullptr);
     EXPECT_NE(active.andPopcount, nullptr);
+    EXPECT_NE(active.keepDecode, nullptr);
 }
 
 } // namespace

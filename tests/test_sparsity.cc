@@ -15,7 +15,7 @@ namespace {
 
 // ---- byte identity with the per-draw generators ----------------------
 //
-// The generators walk the engine's 312-draw block in place with integer
+// The generators read the engine's 312-draw block in place with integer
 // thresholds; these are the plain loops they replace, one Rng call per
 // draw.  Row widths straddle the block edge, and the draw after the
 // matrix (what generateLayerWorkset forks the sampling seed from) must
@@ -67,6 +67,11 @@ perDrawLaneBiased(std::size_t rows, std::size_t cols, double sparsity,
 const std::uint64_t kSeeds[] = {0, 1, Rng::defaultSeed, ~std::uint64_t{0}};
 const double kRates[] = {0.0, 0x1p-64, 0.37, 0.5, 0.8333, 1.0};
 const std::size_t kWidths[] = {1, 311, 312, 313, 1000};
+// The lane-biased kernel decodes 64-draw words: add widths at and
+// around the word edges.
+const std::size_t kLaneBiasedWidths[] = {1,   2,   31,  32,  33,
+                                         63,  64,  65,  127, 128,
+                                         129, 311, 312, 313, 1000};
 
 TEST(SparsityIdentity, ClusteredEqualsPerDrawLoop)
 {
@@ -96,7 +101,7 @@ TEST(SparsityIdentity, LaneBiasedEqualsPerDrawLoop)
         for (const double rate : kRates)
             for (const double bias : {0.0, 0.5, 1.0})
                 for (const int period : {1, 4, 16})
-                    for (const std::size_t cols : kWidths) {
+                    for (const std::size_t cols : kLaneBiasedWidths) {
                         Rng fast(seed), ref(seed);
                         ASSERT_EQ(laneBiasedSparse(kRows, cols, rate, bias,
                                                    period, fast),
