@@ -6,9 +6,8 @@
  *
  * The descriptor names the study, declares its grid (here: lane bias
  * x shuffle on/off on one network), and renders the reduced result;
- * runExperiment() handles expansion, the thread pool, and (in
- * griffin_bench) --grid-shard slicing uniformly, through the same
- * runExperiments() path `griffin_bench run` takes.
+ * runExperiment() handles expansion and the thread pool uniformly,
+ * through the same runExperiments() path `griffin_bench run` takes.
  *
  *   ./custom_experiment
  */

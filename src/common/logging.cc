@@ -54,10 +54,11 @@ timestamp()
 /**
  * One log record as a single fwrite + fflush under the lock.  fprintf
  * may issue several underlying writes for one format string, which can
- * shear against another *process* sharing the stream (grid shards) or
- * against an unlocked stdio on some platforms even though our own
- * threads hold the mutex — so the whole record is materialised first
- * and handed to stdio as one buffer, flushed before the lock drops.
+ * shear against another *process* sharing the stream (two runs logging
+ * to one file) or against an unlocked stdio on some platforms even
+ * though our own threads hold the mutex — so the whole record is
+ * materialised first and handed to stdio as one buffer, flushed before
+ * the lock drops.
  */
 void
 emit(const std::string &record)

@@ -13,9 +13,9 @@
  *                 arguments, malformed input files.  Exits with
  *                 exitUsageError (2).
  *   - fatalRun(): a correctly-configured run *failed* — an external
- *                 resource vanished mid-flight.  Exits with
- *                 exitRunFailure (1).  Retrying may succeed; fixing
- *                 flags will not.
+ *                 resource failed mid-flight (an output file's disk
+ *                 filled up).  Exits with exitRunFailure (1).
+ *                 Retrying may succeed; fixing flags will not.
  *
  * Two status paths:
  *   - warn():   something works but not as well as it should; if odd

@@ -166,9 +166,15 @@ describeExperiment(const Experiment &exp)
     return out;
 }
 
+namespace {
+
+/**
+ * The plan at `run` fidelity, `over` merged into its own grid and the
+ * result expanded onto the base.  An empty `over` overrides nothing.
+ */
 SweepSpec
-buildExperimentSpec(const Experiment &exp, const RunOptions &run,
-                    const std::string &gridOverride)
+expandPlan(const Experiment &exp, const RunOptions &run,
+           const GridSpec &over)
 {
     if (!exp.setup)
         fatal("experiment '", exp.name,
@@ -181,13 +187,12 @@ buildExperimentSpec(const Experiment &exp, const RunOptions &run,
               "sweeps must be grid axes");
     plan.base.optionVariants = {run};
     GridSpec grid = std::move(plan.grid);
-    if (!gridOverride.empty()) {
+    if (!over.axes().empty()) {
         // Merge the override into the plan's own grid *before*
         // expansion: same-named axes take the override's values in
         // place, new axes append after the plan's — so experiments
         // whose plans already declare RunOptions axes stay
         // overridable, and the merged coordinates stay complete.
-        const GridSpec over = GridSpec::parse(gridOverride);
         for (const auto &axis : over.axes())
             for (const auto &locked : plan.lockedAxes)
                 if (axis.name == locked)
@@ -219,21 +224,35 @@ buildExperimentSpec(const Experiment &exp, const RunOptions &run,
     return grid.axes().empty() ? plan.base : grid.toSweepSpec(plan.base);
 }
 
+/** Parsed --grid text; empty text is the empty (no-op) override. */
+GridSpec
+parseOverride(const std::string &text)
+{
+    return text.empty() ? GridSpec{} : GridSpec::parse(text);
+}
+
+} // namespace
+
+SweepSpec
+buildExperimentSpec(const Experiment &exp, const RunOptions &run,
+                    const std::string &gridOverride)
+{
+    return expandPlan(exp, run, parseOverride(gridOverride));
+}
+
 std::vector<ExperimentOutcome>
 runExperiments(const std::vector<ExperimentRequest> &requests,
                const ExperimentRunConfig &config)
 {
+    const GridSpec over = parseOverride(config.gridOverride);
     std::vector<SweepSpec> specs;
     std::vector<std::size_t> swept; // request index of each spec
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const Experiment &exp = *requests[i].experiment;
         if (!exp.setup)
             continue;
-        SweepSpec spec = buildExperimentSpec(exp, requests[i].run,
-                                             config.gridOverride);
+        SweepSpec spec = expandPlan(exp, requests[i].run, over);
         spec.collectTimings = config.collectTimings;
-        spec.shardIndex = config.shardIndex;
-        spec.shardCount = config.shardCount;
         specs.push_back(std::move(spec));
         swept.push_back(i);
     }
@@ -247,11 +266,6 @@ runExperiments(const std::vector<ExperimentRequest> &requests,
         outcome.sweep = std::move(sweeps[k]);
     }
 
-    // A shard sees only its slice of the grid, so rendered aggregate
-    // tables would silently mix complete and missing slices — sharded
-    // runs emit result rows only.
-    if (config.shardCount > 1)
-        return outcomes;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         ExperimentOutcome &outcome = outcomes[i];
         ExperimentContext ctx;
@@ -311,39 +325,6 @@ resolveThreads(const Cli &cli)
     if (threads < 1 || threads > maxThreads)
         fatal("--threads must be in 1..", maxThreads, ", got ", threads);
     return static_cast<int>(threads);
-}
-
-void
-parseShardSpec(const std::string &text, std::size_t &index,
-               std::size_t &count)
-{
-    index = 0;
-    count = 1;
-    if (text.empty())
-        return;
-    const auto slash = text.find('/');
-    bool ok = slash != std::string::npos && slash > 0 &&
-              slash + 1 < text.size();
-    std::size_t i = 0;
-    std::size_t n = 0;
-    if (ok) {
-        try {
-            std::size_t pos = 0;
-            i = std::stoul(text.substr(0, slash), &pos);
-            ok = pos == slash;
-            std::size_t pos2 = 0;
-            const auto rest = text.substr(slash + 1);
-            n = std::stoul(rest, &pos2);
-            ok = ok && pos2 == rest.size();
-        } catch (...) {
-            ok = false;
-        }
-    }
-    if (!ok || n == 0 || i >= n)
-        fatal("--grid-shard '", text,
-              "' is not of the form i/n with 0 <= i < n");
-    index = i;
-    count = n;
 }
 
 } // namespace griffin

@@ -11,11 +11,10 @@
  *   - `setup` builds an ExperimentPlan — a GridSpec plus the base
  *     SweepSpec it expands over — from the resolved RunOptions.  The
  *     driver expands the plan and executes it through runSweeps, so
- *     every registered experiment is parallel (`--threads`), shares
- *     operand generation with the other experiments of its run, and
- *     is shardable across machines (`--grid-shard i/n`) for free.  A
- *     null setup declares a render-only experiment (the static paper
- *     tables) that runs no sweep.
+ *     every registered experiment is parallel (`--threads`) and
+ *     shares operand generation with the other experiments of its run
+ *     for free.  A null setup declares a render-only experiment (the
+ *     static paper tables) that runs no sweep.
  *
  *   - `render` reduces the merged SweepResult into the experiment's
  *     Table(s).  SweepResult::slice plus the ExperimentContext geomean
@@ -147,9 +146,6 @@ struct ExperimentRunConfig
     /** Wall-clock every job so sinks can emit elapsed_ms rows
      *  (--timings; see SweepSpec::collectTimings). */
     bool collectTimings = false;
-    /** Grid shard (--grid-shard i/n); (0, 1) runs everything. */
-    std::size_t shardIndex = 0;
-    std::size_t shardCount = 1;
     /** --grid override text, applied over the experiment's expanded
      *  spec (empty = none). */
     std::string gridOverride;
@@ -169,9 +165,7 @@ struct ExperimentOutcome
     bool hasSweep = false;
     SweepSpec spec;
     SweepResult sweep;
-    /** Rendered tables, print order.  Empty for sharded runs: a shard
-     *  holds only its slice of the grid, so aggregate tables would be
-     *  wrong — sharded runs emit result rows, not tables. */
+    /** Rendered tables, print order. */
     std::vector<Table> tables;
 };
 
@@ -179,9 +173,7 @@ struct ExperimentOutcome
  * Expand one experiment's plan into the sweep spec it runs: setup at
  * the resolved fidelity, the --grid override merged over the plan's
  * own axes (same-named unlocked axes replaced in place, new axes
- * appended), and the grid expanded onto the base.  No sharding
- * fields are set — runExperiments applies those; the merge subcommand
- * re-derives shard expectations from the same spec.  fatal() on a
+ * appended), and the grid expanded onto the base.  fatal() on a
  * render-only experiment (no setup).
  */
 SweepSpec buildExperimentSpec(const Experiment &experiment,
@@ -190,10 +182,12 @@ SweepSpec buildExperimentSpec(const Experiment &experiment,
 
 /**
  * Execute several experiments as one plan: expand every plan (grid
- * override and grid sharding applied), run all the sweeps through one
- * runSweeps() call, so a layer workset that several experiments share
- * is generated once, and render each.  Render-only experiments skip
- * straight to render.  outcomes[i] is requests[i]'s.
+ * override applied), run all the sweeps through one runSweeps() call,
+ * so a layer workset that several experiments share is generated once,
+ * and render each.  Render-only experiments skip straight to render.
+ * A non-empty override is parsed once, before any plan, so malformed
+ * text is fatal() even when no named experiment sweeps.  outcomes[i]
+ * is requests[i]'s.
  */
 std::vector<ExperimentOutcome>
 runExperiments(const std::vector<ExperimentRequest> &requests,
@@ -205,20 +199,18 @@ ExperimentOutcome runExperiment(const Experiment &experiment,
                                 const ExperimentRunConfig &config = {});
 
 /**
- * Fidelity floor applied by every driver-resolved RunOptions: the
- * minimum tiles simulated per layer regardless of --sample.  The shard
- * merger reconstructs run options from serialized rows, which do not
- * carry this field, so both sides must share the one constant.
- */
-constexpr std::int64_t defaultMinSampledTiles = 4;
-
-/**
  * Declare the shared fidelity flags (--sample, --rowcap, --seed,
  * --lanebias).  `sample`/`rowcap` default to -1, the "use the
  * experiment's default" sentinel, so one flag set serves experiments
  * with different tuned fidelities.
  */
 void addFidelityFlags(Cli &cli);
+
+/**
+ * Fidelity floor applied by every resolveFidelity() result: the
+ * minimum tiles simulated per layer regardless of --sample.
+ */
+constexpr std::int64_t defaultMinSampledTiles = 4;
 
 /**
  * Read the fidelity flags back, substituting `default_sample` /
@@ -241,13 +233,6 @@ constexpr std::int64_t maxThreads = 1024;
  * cannot wrap to a small one).
  */
 int resolveThreads(const Cli &cli);
-
-/**
- * Parse a `--grid-shard` value "i/n" (0 <= i < n); fatal() with the
- * expected form otherwise.  Empty text means unsharded (0, 1).
- */
-void parseShardSpec(const std::string &text, std::size_t &index,
-                    std::size_t &count);
 
 } // namespace griffin
 

@@ -334,8 +334,6 @@ GridSpec::axis(const std::string &name,
 GridSpec
 GridSpec::parse(const std::string &text)
 {
-    if (trim(text).empty())
-        fatal("empty grid spec");
     GridSpec grid;
     std::string current_axis;
     std::vector<std::string> current_values;
@@ -365,6 +363,10 @@ GridSpec::parse(const std::string &text)
         }
     }
     flush();
+    // Blank text and bare separators (",") name no axis: an empty
+    // override would silently sweep the experiment's own grid.
+    if (grid.axes_.empty())
+        fatal("empty grid spec");
     return grid;
 }
 

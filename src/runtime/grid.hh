@@ -86,7 +86,7 @@ class GridSpec
     GridSpec() = default;
 
     /** Parse the compact text syntax (see file comment); fatal() with
-     *  a diagnostic on any malformed item. */
+     *  a diagnostic on any malformed item or on text naming no axis. */
     static GridSpec parse(const std::string &text);
 
     /**

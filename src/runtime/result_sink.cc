@@ -479,9 +479,8 @@ ResultSink::flush() const
         else
             writeCsv(os, plain);
     } else if (jsonl) {
-        // JSON Lines rows always carry their annotations — the format
-        // exists for shard-concatenated --grid-shard output, where rows
-        // must be self-describing with no enclosing document.
+        // JSON Lines rows always carry their annotations: with no
+        // enclosing document, every row must describe itself.
         writeJsonLines(os, rows_);
     } else {
         if (annotated)
@@ -489,8 +488,11 @@ ResultSink::flush() const
         else
             writeJson(os, plain);
     }
+    // close() flushes: checking before it would miss a failure that
+    // only the final flush of a small document reports.
+    os.close();
     if (!os)
-        fatal("write to result sink path '", path_, "' failed");
+        fatalRun("write to result sink path '", path_, "' failed");
 }
 
 } // namespace griffin

@@ -3,11 +3,11 @@
  * Structured serialization of run results.
  *
  * Benches and the experiment runner historically emitted boxed ASCII
- * tables only; perf-trajectory tooling needs the same results machine-
- * readable.  This sink renders NetworkResult / LayerResult trees as
- * JSON documents and flat CSV, and Table objects as JSON Lines
- * records (one object per table, append-friendly across a bench's
- * multiple tables).
+ * tables only; the baseline oracle and the benchmark need the same
+ * results machine-readable.  This sink renders NetworkResult /
+ * LayerResult trees as JSON documents and flat CSV, and Table objects
+ * as JSON Lines records (one object per table, append-friendly across
+ * a bench's multiple tables).
  *
  * Sweep output is written per ResultRow: the result plus the resolved
  * RunOptions values and grid AxisCoordinates of the job that produced
@@ -113,9 +113,8 @@ void writeCsv(std::ostream &os, const SweepResult &sweep);
 /**
  * JSON Lines: one compact object per row per line, same key order as
  * the pretty writer.  Because the document has no enclosing array,
- * concatenating the files of a sharded sweep (`--grid-shard i/n`, in
- * shard order) is byte-identical to the unsharded file — this is the
- * sharded-run output format.
+ * documents concatenate: the per-experiment files under
+ * bench/baselines/ concatenate to the `run --all` document.
  */
 void writeJsonLines(std::ostream &os, const std::vector<ResultRow> &rows);
 void writeJsonLines(std::ostream &os, const SweepResult &sweep);
@@ -138,10 +137,9 @@ void writeMetricsJsonLine(std::ostream &os, const MetricsRegistry &registry,
 /**
  * File-backed sink: collects rows and writes one document on flush().
  * Format is chosen by the path suffix: ".csv" writes CSV, ".jsonl"
- * writes JSON Lines (one row per line, shard-concatenation-safe),
- * anything else a pretty JSON array.  Rows added from a SweepResult
- * are annotated with their job's options and coordinates; bare
- * NetworkResults are not.
+ * writes JSON Lines (one row per line), anything else a pretty JSON
+ * array.  Rows added from a SweepResult are annotated with their job's
+ * options and coordinates; bare NetworkResults are not.
  */
 class ResultSink
 {
@@ -152,12 +150,16 @@ class ResultSink
     void add(const std::vector<NetworkResult> &results);
     void add(const SweepResult &sweep,
              const std::string &experiment = "");
-    /** A preformed row (e.g. parsed back by the shard merger). */
+    /** A preformed row, written as given. */
     void add(ResultRow row);
 
     const std::vector<ResultRow> &rows() const { return rows_; }
 
-    /** Write the collected document; fatal() on an unwritable path. */
+    /**
+     * Write the collected document: fatal() when the path cannot be
+     * opened, fatalRun() when writing or closing it fails (a full
+     * disk), so no failed write is lost in the stream buffer.
+     */
     void flush() const;
 
   private:

@@ -31,7 +31,7 @@ namespace {
  * axis.  The generators and the tile sampler assert the same ranges,
  * so a bad --lanebias/--sample or --grid value must stop here, with a
  * diagnostic, before any work; a non-finite value would also reach the
- * result rows as bare JSON `nan`/`inf` that merge cannot read back.
+ * result rows as bare `nan`/`inf`, which is not JSON.
  */
 void
 validateOptions(const RunOptions &opt)
@@ -82,11 +82,6 @@ SweepSpec::validate() const
         fatal("sweep spec has ", optionCoords.size(),
               " axis-coordinate records for ", optionVariants.size(),
               " RunOptions variants (must match, or be empty)");
-    if (shardCount == 0)
-        fatal("sweep shard count must be positive");
-    if (shardIndex >= shardCount)
-        fatal("sweep shard index ", shardIndex, " out of range for ",
-              shardCount, " shards (need 0 <= i < n)");
     for (const auto &opt : optionVariants)
         validateOptions(opt);
     for (const auto &arch : archs)
@@ -120,19 +115,6 @@ expandSweep(const SweepSpec &spec)
                 }
             }
         }
-    }
-    if (spec.shardCount > 1) {
-        // Contiguous blocks, not modulo striping: concatenating the
-        // shards' job lists in shard order must reproduce the
-        // unsharded submission order byte-for-byte.
-        const std::size_t total = jobs.size();
-        const std::size_t lo = total * spec.shardIndex / spec.shardCount;
-        const std::size_t hi =
-            total * (spec.shardIndex + 1) / spec.shardCount;
-        jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(hi),
-                   jobs.end());
-        jobs.erase(jobs.begin(),
-                   jobs.begin() + static_cast<std::ptrdiff_t>(lo));
     }
     return jobs;
 }
@@ -283,9 +265,8 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
     const std::uint64_t sweep_ns = monotonicNowNs() - sweep_start_ns;
 
     // Publish the run's execution profile to the process registry —
-    // the one source of truth the `--stats` line and `griffin_bench
-    // perf` both read.  Pure observation: nothing below feeds back into
-    // a result.
+    // the one source of truth the `--stats` line reads.  Pure
+    // observation: nothing below feeds back into a result.
     {
         MetricsRegistry &reg = MetricsRegistry::instance();
         const double job_count = static_cast<double>(job_base.back());

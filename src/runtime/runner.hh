@@ -1,7 +1,7 @@
 /**
  * @file
  * Declarative experiment sweeps over the (architecture x network x
- * category x RunOptions) grid, sharded across a work-stealing pool.
+ * category x RunOptions) grid, run on a work-stealing pool.
  *
  * The seed benches walk this grid serially through
  * Accelerator::runSuite; sparse-optimization studies sweep grids far
@@ -114,8 +114,7 @@ struct SweepSpec
      * This is how an experiment runs a non-rectangular grid (e.g. each
      * architecture only in its own category) without paying for the
      * full cross product.  Null keeps every job.  The filter runs on
-     * the fully-resolved job, before grid sharding, so sharded and
-     * unsharded expansions see the same filtered list.
+     * the fully-resolved job.
      */
     std::function<bool(const SweepJob &)> jobFilter;
 
@@ -129,30 +128,18 @@ struct SweepSpec
     bool collectTimings = false;
 
     /**
-     * Grid sharding: expandSweep() keeps only the shardIndex-th of
-     * shardCount contiguous blocks of the (filtered) job list.  Blocks
-     * partition the list in submission order, so the concatenation of
-     * every shard's results in shard order is byte-identical to the
-     * unsharded run — N processes can cover one grid disjointly
-     * (`--grid-shard i/n`).  Defaults run everything.
-     */
-    std::size_t shardIndex = 0;
-    std::size_t shardCount = 1;
-
-    /**
      * Expanded job count of the full cartesian product
-     * (archs * networks * categories * options) — before jobFilter
-     * and grid sharding are applied; expandSweep().size() is the
-     * post-filter, post-shard count.
+     * (archs * networks * categories * options) — before jobFilter is
+     * applied; expandSweep().size() is the post-filter count.
      */
     std::size_t jobCount() const;
 
     /**
      * fatal() unless every identity axis is non-empty, optionCoords
-     * matches optionVariants, the shard is in range, and every
-     * RunOptions variant is usable: finite doubles, weightLaneBias in
-     * [0, 1], sim.sampleFraction in (0, 1], a positive rowCap, and a
-     * non-negative sramBudgetBytes.  expandSweep() calls it.
+     * matches optionVariants, and every RunOptions variant is usable:
+     * finite doubles, weightLaneBias in [0, 1], sim.sampleFraction in
+     * (0, 1], a positive rowCap, and a non-negative sramBudgetBytes.
+     * expandSweep() calls it.
      */
     void validate() const;
 };

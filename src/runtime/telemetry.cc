@@ -1,10 +1,6 @@
 #include "runtime/telemetry.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <string_view>
-#include <unordered_map>
 
 #include <sys/resource.h>
 
@@ -34,23 +30,6 @@ struct ThreadTrace
     };
     std::vector<Event> events GRIFFIN_GUARDED_BY(mu);
     std::uint64_t droppedEvents GRIFFIN_GUARDED_BY(mu) = 0;
-
-    struct Agg
-    {
-        std::uint64_t count = 0;
-        std::uint64_t totalNs = 0;
-    };
-    /**
-     * Keyed by name *content* (a string_view over the span's literal,
-     * which outlives the buffers by the ScopedSpan contract), never by
-     * the literal's address: two call sites naming one stage — even
-     * from different translation units, where the linker may or may
-     * not fold the identical literals — are one entry.  Pointer keys
-     * here would make the stage count depend on build details
-     * (pinned by test_telemetry's two-TU merge test).
-     */
-    std::unordered_map<std::string_view, Agg> aggs
-        GRIFFIN_GUARDED_BY(mu);
 };
 
 /**
@@ -281,25 +260,17 @@ MetricsRegistry::reset()
 
 // ---- Telemetry ------------------------------------------------------
 
-std::atomic<int> &
-Telemetry::modeFlag()
+std::atomic<bool> &
+Telemetry::enabledFlag()
 {
-    static std::atomic<int> mode{static_cast<int>(Mode::Off)};
-    return mode;
-}
-
-Telemetry::Mode
-Telemetry::mode()
-{
-    return static_cast<Mode>(
-        modeFlag().load(std::memory_order_relaxed));
+    static std::atomic<bool> enabled{false};
+    return enabled;
 }
 
 void
-Telemetry::setMode(Mode mode)
+Telemetry::setEnabled(bool on)
 {
-    modeFlag().store(static_cast<int>(mode),
-                     std::memory_order_relaxed);
+    enabledFlag().store(on, std::memory_order_relaxed);
 }
 
 void
@@ -308,42 +279,11 @@ Telemetry::record(const char *name, std::uint64_t start_ns,
 {
     ThreadTrace &trace = threadTrace();
     MutexLock lock(trace.mu);
-    auto &agg = trace.aggs[std::string_view(name)];
-    ++agg.count;
-    agg.totalNs += dur_ns;
-    if (mode() != Mode::Full)
-        return;
     if (trace.events.size() >= maxEventsPerThread) {
         ++trace.droppedEvents;
         return;
     }
     trace.events.push_back({name, start_ns, dur_ns});
-}
-
-std::vector<StageAgg>
-Telemetry::stageBreakdown()
-{
-    // Merge every thread's per-stage totals; the std::map is the
-    // deterministic (name-sorted) order every consumer renders in.
-    std::map<std::string, StageAgg> merged;
-    TraceGlobal &g = traceGlobal();
-    MutexLock glock(g.mu);
-    for (const auto &thread : g.threads) {
-        MutexLock lock(thread->mu);
-        for (const auto &[name, agg] : thread->aggs) {
-            StageAgg &into = merged[std::string(name)];
-            into.stage = std::string(name);
-            into.count += agg.count;
-            into.totalNs += agg.totalNs;
-        }
-    }
-    std::vector<StageAgg> out;
-    out.reserve(merged.size());
-    for (auto &[name, agg] : merged) {
-        static_cast<void>(name);
-        out.push_back(std::move(agg));
-    }
-    return out;
 }
 
 void
@@ -357,7 +297,7 @@ Telemetry::writeChromeTrace(std::ostream &os)
     for (const auto &thread : g.threads) {
         MutexLock lock(thread->mu);
         dropped += thread->droppedEvents;
-        if (thread->events.empty() && thread->aggs.empty())
+        if (thread->events.empty())
             continue;
         os << (first ? "\n" : ",\n")
            << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << thread->tid
@@ -407,7 +347,6 @@ Telemetry::clear()
     for (const auto &thread : g.threads) {
         MutexLock lock(thread->mu);
         thread->events.clear();
-        thread->aggs.clear();
         thread->droppedEvents = 0;
     }
 }

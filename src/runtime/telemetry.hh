@@ -8,11 +8,10 @@
  *     stable references.  The runner publishes its previously ad-hoc
  *     stats here once per runSweeps() call — thread-pool
  *     steal/execution totals, jobs-per-second and utilization, and the
- *     process's peak RSS — so every consumer (the `--stats` JSON line,
- *     `griffin_bench perf`) reads one source of truth instead of
- *     scraping driver stdout.  Metric updates are lock-free atomics;
- *     registration (name -> slot) takes a mutex and is expected once
- *     per site, not per update.
+ *     process's peak RSS — so the `--stats` JSON line reads one source
+ *     of truth instead of scraping griffin_bench's stdout.  Metric
+ *     updates are lock-free atomics; registration (name -> slot) takes
+ *     a mutex and is expected once per site, not per update.
  *
  *   - Telemetry + ScopedSpan: per-thread scoped wall-time spans over
  *     the pipeline seams (operand_gen, b_schedule, a_schedule,
@@ -20,17 +19,11 @@
  *     the nested schedule span).  Spans are compiled in but
  *     off-by-default cheap: a disabled span is one relaxed atomic load
  *     and two pointer writes — no clock read, no allocation.  Enabled
- *     spans record into thread-local buffers (no cross-thread
- *     contention on the hot path) that merge at export time:
- *
- *       Mode::Aggregate keeps per-stage (count, total-ns) totals only
- *       — what `griffin_bench perf` turns into the per-stage wall-time
- *       breakdown of BENCH_perf.json.
- *
- *       Mode::Full additionally retains every span as an event and
- *       exports Chrome trace-event JSON (writeChromeTrace) that opens
- *       directly in Perfetto / chrome://tracing — the `--trace <file>`
- *       flag.
+ *     spans (the `--trace <file>` flag) record every span as an event
+ *     into thread-local buffers (no cross-thread contention on the hot
+ *     path) that merge at export time into Chrome trace-event JSON
+ *     (writeChromeTrace), which opens directly in Perfetto /
+ *     chrome://tracing.
  *
  * Telemetry never feeds back into simulation: enabling it changes no
  * RNG stream, no schedule, no result byte.  The trace ctest pins this
@@ -205,21 +198,6 @@ class MetricsRegistry
     std::map<std::string, Slot> slots_ GRIFFIN_GUARDED_BY(mu_);
 };
 
-/** Merged per-stage span totals (Telemetry::stageBreakdown). */
-// griffin-lint: serialized (--timings table and perf JSON)
-struct StageAgg
-{
-    std::string stage;
-    std::uint64_t count = 0;
-    std::uint64_t totalNs = 0;
-
-    double
-    totalMs() const
-    {
-        return static_cast<double>(totalNs) / 1e6;
-    }
-};
-
 /**
  * Process-wide tracing control and export.  All static: spans from any
  * thread land in that thread's buffer; export merges under the
@@ -228,51 +206,34 @@ struct StageAgg
 class Telemetry
 {
   public:
-    enum class Mode
-    {
-        Off,       ///< spans are a relaxed load, nothing recorded
-        Aggregate, ///< per-stage totals only (griffin_bench perf)
-        Full       ///< totals + every event, for --trace export
-    };
-
-    static Mode mode();
-    static void setMode(Mode mode);
+    /** Turn span recording on or off (off by default). */
+    static void setEnabled(bool on);
 
     static bool
     enabled()
     {
-        return modeFlag().load(std::memory_order_relaxed) !=
-               static_cast<int>(Mode::Off);
+        return enabledFlag().load(std::memory_order_relaxed);
     }
-
-    /**
-     * Merge every thread's per-stage totals, sorted by stage name.
-     * Stage identity is the span's name *string* (two call sites using
-     * one name merge into one stage).
-     */
-    static std::vector<StageAgg> stageBreakdown();
 
     /**
      * Chrome trace-event JSON ("X" complete events, microsecond
      * timestamps relative to process start, one tid per traced
      * thread, thread_name metadata) — load the file in Perfetto or
-     * chrome://tracing.  Spans recorded under Mode::Aggregate carry no
-     * events, so a trace written after an Aggregate-only run holds
-     * metadata only.
+     * chrome://tracing.
      */
     static void writeChromeTrace(std::ostream &os);
 
     /** Retained events across all threads (tests and sizing). */
     static std::uint64_t eventCount();
 
-    /** Drop all recorded events and stage totals (thread registrations
-     *  and the mode survive). */
+    /** Drop all recorded events (thread registrations and the on/off
+     *  switch survive). */
     static void clear();
 
   private:
     friend class ScopedSpan;
 
-    static std::atomic<int> &modeFlag();
+    static std::atomic<bool> &enabledFlag();
     static void record(const char *name, std::uint64_t start_ns,
                        std::uint64_t dur_ns);
 };

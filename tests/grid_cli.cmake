@@ -2,8 +2,11 @@
 # `griffin_bench run fig5` with a --grid override that adds a
 # weight_lane_bias axis on 1 and 8 threads and assert the .jsonl
 # documents (a) are byte-identical and (b) carry the axis coordinates
-# of every variant, so rows are self-describing.  Also assert that an
-# unwritable --out, --json or --trace path fails before the sweep runs.
+# of every variant, so rows are self-describing.  Also assert that
+# grid text naming no axis, or malformed text on a run with no sweep,
+# exits 2; that an unwritable --out, --json or --trace path fails
+# before the sweep runs; that a write to a full device exits 1; and
+# that unknown names suggest the nearest valid spelling.
 #
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DWORK_DIR=<dir> -P grid_cli.cmake
@@ -66,5 +69,68 @@ foreach(flag out json trace)
     endif()
 endforeach()
 
+# Grid text is parsed once, before any plan: text naming no axis is an
+# error rather than "no override", and a run whose experiments have no
+# sweep still rejects malformed text.
+set(diag_comma "empty grid spec")
+set(diag_foo "'foo' appears before any 'axis=value' item")
+foreach(case "fig5;comma;," "table1;foo;foo")
+    list(GET case 0 exp)
+    list(GET case 1 name)
+    list(GET case 2 text)
+    execute_process(
+        COMMAND "${GRIFFIN_BENCH}" run ${exp} --sample 0.01 --rowcap 4
+                --grid "${text}"
+        OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 2 OR NOT err MATCHES "${diag_${name}}"
+       OR NOT out STREQUAL "")
+        message(FATAL_ERROR
+                "run ${exp} --grid \"${text}\" must exit 2 with "
+                "'${diag_${name}}' and no stdout; got ${rc}:\n${err}\n"
+                "stdout:\n${out}")
+    endif()
+endforeach()
+
+# A write that fails after the sweep (the device is full) exits 1, the
+# run-failure status, even when the whole document fits in the stream
+# buffer and only the final flush reports the error.
+if(EXISTS "/dev/full")
+    set(diag_out "write to result sink path '/dev/full' failed")
+    set(diag_json "write to --json path '/dev/full' failed")
+    set(diag_trace "write to --trace path '/dev/full' failed")
+    foreach(flag out json trace)
+        execute_process(
+            COMMAND "${GRIFFIN_BENCH}" run fig6 --sample 0.01 --rowcap 1
+                    --grid network=alexnet,arch=Griffin
+                    --${flag} /dev/full
+            OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+        if(NOT rc EQUAL 1 OR NOT err MATCHES "${diag_${flag}}")
+            message(FATAL_ERROR
+                    "--${flag} /dev/full must exit 1 with "
+                    "'${diag_${flag}}'; got ${rc}:\n${err}")
+        endif()
+    endforeach()
+else()
+    message(STATUS "no /dev/full: full-device write checks skipped")
+endif()
+
+# Unknown experiment, network and subcommand names exit 2 and suggest
+# the nearest registered spelling.
+foreach(case "describe;fig55;fig5" "run;tabel4;table4" "descibe;fig5;describe")
+    list(GET case 0 command)
+    list(GET case 1 name)
+    list(GET case 2 want)
+    execute_process(
+        COMMAND "${GRIFFIN_BENCH}" ${command} ${name}
+        OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 2 OR NOT err MATCHES "did you mean '${want}'")
+        message(FATAL_ERROR
+                "'${command} ${name}' must exit 2 suggesting '${want}'; "
+                "got ${rc}:\n${err}")
+    endif()
+endforeach()
+
 message(STATUS "grid CLI OK: coordinates present, thread-count "
-               "invariant, unwritable outputs fail before the sweep")
+               "invariant, empty and malformed grid text rejected, "
+               "unwritable outputs fail before the sweep, failed "
+               "writes exit 1, unknown names get suggestions")

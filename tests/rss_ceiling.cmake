@@ -1,21 +1,31 @@
-# CTest script: bounded memory and the baseline oracle.  Runs every
-# registered experiment at the baseline (smoke) fidelity with --stats
-# and --out, then
+# CTest script: bounded memory, the work counts and the baseline
+# oracle.  Runs every registered experiment at the baseline (smoke)
+# fidelity with --stats and --out, then
 #
 #   1. fails if the peak RSS the last metrics line reports
 #      (process.peak_rss_mb, a process-wide high-water mark) exceeds
-#      CEILING_MB, and
-#   2. byte-compares the result rows with bench/baselines/*.jsonl,
+#      CEILING_MB,
+#   2. fails unless that line reports exactly SWEEP_JOBS planned jobs
+#      (sweep.jobs) and POOL_TASKS pool tasks (pool.executed_jobs, one
+#      per distinct workset).  Both counts depend on the registry and
+#      the planner only, never on the machine or the thread count, so
+#      a change that plans more host work fails here on every box;
+#      changing them is a declared behaviour change, like
+#      regenerating a baseline, and
+#   3. byte-compares the result rows with bench/baselines/*.jsonl,
 #      concatenated in byte-sorted bare-name order (the registry's
 #      emission order, and how CI's bench-smoke job assembles them),
 #      printing the first differing line on failure.
 #
 # Invoked as:
-#   cmake -DGRIFFIN_BENCH=<path> -DCEILING_MB=<MiB> -DWORK_DIR=<dir>
-#         -DBASELINES_DIR=<dir> -P rss_ceiling.cmake
+#   cmake -DGRIFFIN_BENCH=<path> -DCEILING_MB=<MiB> -DSWEEP_JOBS=<n>
+#         -DPOOL_TASKS=<n> -DWORK_DIR=<dir> -DBASELINES_DIR=<dir>
+#         -P rss_ceiling.cmake
 
-if(NOT GRIFFIN_BENCH OR NOT CEILING_MB OR NOT WORK_DIR OR NOT BASELINES_DIR)
+if(NOT GRIFFIN_BENCH OR NOT CEILING_MB OR NOT SWEEP_JOBS OR NOT POOL_TASKS
+   OR NOT WORK_DIR OR NOT BASELINES_DIR)
     message(FATAL_ERROR "need -DGRIFFIN_BENCH=... -DCEILING_MB=... "
+                        "-DSWEEP_JOBS=... -DPOOL_TASKS=... "
                         "-DWORK_DIR=... and -DBASELINES_DIR=...")
 endif()
 
@@ -45,6 +55,28 @@ if(peak_mb GREATER CEILING_MB)
             "${CEILING_MB} MiB ceiling")
 endif()
 message(STATUS "rss ceiling OK: peak ${peak_mb} MiB <= ${CEILING_MB} MiB")
+
+# -- work counts ------------------------------------------------------
+
+string(REGEX MATCHALL "{\"metrics\": [^\n]*" lines "${out}")
+list(GET lines -1 metrics)
+foreach(pin "sweep.jobs;${SWEEP_JOBS}" "pool.executed_jobs;${POOL_TASKS}")
+    list(GET pin 0 name)
+    list(GET pin 1 want)
+    string(REPLACE "." "\\." pattern "${name}")
+    if(NOT metrics MATCHES "\"${pattern}\": ([0-9]+)[,}]")
+        message(FATAL_ERROR "no integer ${name} in the --stats line:\n"
+                            "${metrics}")
+    endif()
+    if(NOT CMAKE_MATCH_1 EQUAL want)
+        message(FATAL_ERROR
+                "run --all reported ${name} = ${CMAKE_MATCH_1}, pinned at "
+                "${want}: the plan does different work (update the pin "
+                "in CMakeLists.txt only for an intended change)")
+    endif()
+endforeach()
+message(STATUS "work counts OK: sweep.jobs ${SWEEP_JOBS}, "
+               "pool.executed_jobs ${POOL_TASKS}")
 
 # -- baseline oracle --------------------------------------------------
 

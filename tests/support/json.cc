@@ -1,4 +1,4 @@
-#include "common/json.hh"
+#include "support/json.hh"
 
 #include <cctype>
 #include <cerrno>

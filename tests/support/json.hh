@@ -1,10 +1,11 @@
 /**
  * @file
- * Minimal JSON parsing for the repo's own machine-readable outputs.
+ * Minimal JSON parsing for tests of the repo's own machine-readable
+ * outputs (test-only, never linked into libgriffin).
  *
- * The result sinks (runtime/result_sink.hh) emit deterministic JSON /
- * JSON Lines documents; the shard-merge tooling needs to read them
- * back to validate coverage and re-render aggregate tables post hoc.
+ * The result sinks (runtime/result_sink.hh) and the Chrome trace
+ * writer (runtime/telemetry.hh) emit deterministic JSON / JSON Lines
+ * documents; the tests read them back to check their structure.
  * This is a small recursive-descent parser over RFC 8259 — objects,
  * arrays, strings with the escapes our writer emits (plus \uXXXX),
  * numbers, booleans, null — returning an ordered document tree.
@@ -14,8 +15,8 @@
  * than truncating a double).
  */
 
-#ifndef GRIFFIN_COMMON_JSON_HH
-#define GRIFFIN_COMMON_JSON_HH
+#ifndef GRIFFIN_TESTS_SUPPORT_JSON_HH
+#define GRIFFIN_TESTS_SUPPORT_JSON_HH
 
 #include <cstdint>
 #include <string>
@@ -75,4 +76,4 @@ bool parseJson(const std::string &text, JsonValue &out,
 
 } // namespace griffin
 
-#endif // GRIFFIN_COMMON_JSON_HH
+#endif // GRIFFIN_TESTS_SUPPORT_JSON_HH

@@ -2,9 +2,8 @@
  * @file
  * Tests for the experiment registry (runtime/experiment.hh):
  * registration and lookup, duplicate-name rejection, list/describe
- * output, fidelity- and threads-flag resolution, --grid-shard
- * parsing, grid-shard job slicing (shard concatenation == unsharded
- * expansion), and non-rectangular grids via SweepSpec::jobFilter.
+ * output, fidelity- and threads-flag resolution, non-rectangular
+ * grids via SweepSpec::jobFilter, and --grid overrides.
  *
  * The registry in the core library starts empty — the paper
  * experiments register from bench/experiments/, which only
@@ -13,14 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <sstream>
 
 #include "arch/presets.hh"
 #include "common/logging.hh"
 #include "runtime/experiment.hh"
-#include "runtime/result_sink.hh"
 #include "workloads/network.hh"
 
 namespace griffin {
@@ -227,102 +223,16 @@ TEST(ThreadsFlagDeathTest, OutOfRangeThreadsAreFatal)
     EXPECT_EQ(resolve("1024"), static_cast<int>(maxThreads));
 }
 
-// ---- shard spec parsing ---------------------------------------------
+// ---- job filter -----------------------------------------------------
 
-TEST(ShardSpec, ParsesIndexAndCount)
-{
-    std::size_t index = 99;
-    std::size_t count = 99;
-    parseShardSpec("", index, count);
-    EXPECT_EQ(index, 0u);
-    EXPECT_EQ(count, 1u);
-    parseShardSpec("2/5", index, count);
-    EXPECT_EQ(index, 2u);
-    EXPECT_EQ(count, 5u);
-}
-
-TEST(ShardSpecDeathTest, MalformedSpecsAreFatal)
-{
-    std::size_t index = 0;
-    std::size_t count = 1;
-    for (const char *bad : {"3", "a/b", "1/", "/2", "2/2", "5/3",
-                            "1/0", "1/2x"})
-        EXPECT_EXIT(parseShardSpec(bad, index, count),
-                    testing::ExitedWithCode(exitUsageError), "grid-shard")
-            << bad;
-}
-
-// ---- grid sharding of the job list ----------------------------------
-
-SweepSpec
-shardableSpec()
+TEST(JobFilter, DropsRejectedJobs)
 {
     SweepSpec spec;
     spec.archs = {sparseBStar(), sparseAStar()};
     spec.networks = {networkByName("alexnet"),
                      networkByName("googlenet")};
     spec.categories = {DnnCategory::B, DnnCategory::A};
-    return spec;
-}
-
-TEST(FleetShard, ContiguousShardsConcatenateToUnshardedOrder)
-{
-    const auto all = expandSweep(shardableSpec());
-    ASSERT_EQ(all.size(), 8u);
-    for (std::size_t n = 1; n <= all.size() + 1; ++n) {
-        std::vector<SweepJob> concat;
-        for (std::size_t i = 0; i < n; ++i) {
-            auto spec = shardableSpec();
-            spec.shardIndex = i;
-            spec.shardCount = n;
-            const auto shard = expandSweep(spec);
-            concat.insert(concat.end(), shard.begin(), shard.end());
-        }
-        ASSERT_EQ(concat.size(), all.size()) << n << " shards";
-        for (std::size_t j = 0; j < all.size(); ++j) {
-            EXPECT_EQ(concat[j].archIndex, all[j].archIndex);
-            EXPECT_EQ(concat[j].networkIndex, all[j].networkIndex);
-            EXPECT_EQ(concat[j].categoryIndex, all[j].categoryIndex);
-            EXPECT_EQ(concat[j].optionsIndex, all[j].optionsIndex);
-        }
-    }
-}
-
-TEST(FleetShard, ShardsAreBalancedWithinOne)
-{
-    for (std::size_t n : {2u, 3u, 5u, 7u}) {
-        std::size_t min_size = SIZE_MAX;
-        std::size_t max_size = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            auto spec = shardableSpec();
-            spec.shardIndex = i;
-            spec.shardCount = n;
-            const auto size = expandSweep(spec).size();
-            min_size = std::min(min_size, size);
-            max_size = std::max(max_size, size);
-        }
-        EXPECT_LE(max_size - min_size, 1u) << n << " shards";
-    }
-}
-
-TEST(FleetShardDeathTest, OutOfRangeShardIsFatal)
-{
-    auto spec = shardableSpec();
-    spec.shardIndex = 3;
-    spec.shardCount = 3;
-    EXPECT_EXIT(expandSweep(spec), testing::ExitedWithCode(exitUsageError),
-                "out of range");
-    spec.shardIndex = 0;
-    spec.shardCount = 0;
-    EXPECT_EXIT(expandSweep(spec), testing::ExitedWithCode(exitUsageError),
-                "shard count");
-}
-
-// ---- job filter -----------------------------------------------------
-
-TEST(JobFilter, DropsRejectedJobsBeforeSharding)
-{
-    auto spec = shardableSpec();
+    ASSERT_EQ(expandSweep(spec).size(), 8u);
     // Non-rectangular pairing: each arch only in its own category.
     spec.jobFilter = [](const SweepJob &job) {
         return job.archIndex == job.categoryIndex;
@@ -331,19 +241,6 @@ TEST(JobFilter, DropsRejectedJobsBeforeSharding)
     ASSERT_EQ(jobs.size(), 4u);
     for (const auto &job : jobs)
         EXPECT_EQ(job.archIndex, job.categoryIndex);
-
-    // Shards slice the filtered list.
-    std::vector<SweepJob> concat;
-    for (std::size_t i = 0; i < 3; ++i) {
-        auto shard_spec = spec;
-        shard_spec.shardIndex = i;
-        shard_spec.shardCount = 3;
-        const auto shard = expandSweep(shard_spec);
-        concat.insert(concat.end(), shard.begin(), shard.end());
-    }
-    ASSERT_EQ(concat.size(), jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-        EXPECT_EQ(concat[j].networkIndex, jobs[j].networkIndex);
 }
 
 // ---- end-to-end runExperiment ---------------------------------------
@@ -359,33 +256,14 @@ tinyRun()
     return run;
 }
 
-TEST(RunExperiment, RenderSeesSweepAndShardedRunsSkipTables)
+TEST(RunExperiment, RenderSeesTheSweep)
 {
     const Experiment &exp = *findExperiment("zz_tiny");
-    ExperimentRunConfig config;
-    const auto outcome = runExperiment(exp, tinyRun(), config);
+    const auto outcome = runExperiment(exp, tinyRun());
     ASSERT_TRUE(outcome.hasSweep);
     ASSERT_EQ(outcome.tables.size(), 1u);
     EXPECT_EQ(outcome.tables[0].cell(0, 0), "Sparse.B*");
     ASSERT_EQ(outcome.sweep.results().size(), 1u);
-
-    // The same run sharded 2-ways: tables suppressed, and the two
-    // shards' rows concatenate to the unsharded row list.
-    std::vector<ResultRow> concat;
-    for (std::size_t i = 0; i < 2; ++i) {
-        auto shard_config = config;
-        shard_config.shardIndex = i;
-        shard_config.shardCount = 2;
-        const auto shard = runExperiment(exp, tinyRun(), shard_config);
-        EXPECT_TRUE(shard.tables.empty());
-        const auto rows = sweepRows(shard.sweep, exp.name);
-        concat.insert(concat.end(), rows.begin(), rows.end());
-    }
-    std::ostringstream sharded;
-    writeJsonLines(sharded, concat);
-    std::ostringstream unsharded;
-    writeJsonLines(unsharded, sweepRows(outcome.sweep, exp.name));
-    EXPECT_EQ(sharded.str(), unsharded.str());
 }
 
 TEST(RunExperiment, GridOverrideReplacesAxes)
@@ -424,6 +302,18 @@ TEST(RunExperimentDeathTest, OverridingALockedAxisIsFatal)
     config.gridOverride = "arch=Griffin";
     EXPECT_EXIT(runExperiment(exp, tinyRun(), config),
                 testing::ExitedWithCode(exitUsageError), "structural");
+}
+
+TEST(RunExperimentDeathTest, MalformedOverrideIsFatalWithoutASweep)
+{
+    // The override is parsed before any plan, so a render-only run
+    // rejects it too instead of ignoring it.
+    const Experiment &exp = *findExperiment("aa_static");
+    ExperimentRunConfig config;
+    config.gridOverride = "foo";
+    EXPECT_EXIT(runExperiment(exp, RunOptions{}, config),
+                testing::ExitedWithCode(exitUsageError),
+                "'foo' appears before any 'axis=value' item");
 }
 
 TEST(RunExperiment, RenderOnlyExperimentHasNoSweep)

@@ -2,16 +2,22 @@
  * @file
  * Tests for the named-axis grid API (runtime/grid.hh): compact-syntax
  * parsing, range expansion, builder chaining, deterministic expansion
- * onto SweepSpec with axis-coordinate records, and the fatal()
- * diagnostics for malformed specs.
+ * onto SweepSpec with axis-coordinate records, the fatal()
+ * diagnostics for malformed specs, and a seeded mutation fuzz of the
+ * grid text.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <iterator>
 #include <sstream>
+
+#include <sys/wait.h>
 
 #include "arch/presets.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "runtime/grid.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
@@ -234,6 +240,88 @@ TEST(GridSweep, AnnotatedJsonIsThreadCountInvariant)
     EXPECT_EQ(serial.str(), parallel.str());
 }
 
+// ---- mutation fuzz --------------------------------------------------
+
+/** Valid grid texts the mutations start from: every axis kind, every
+ *  range form, routing-spec arch names and padding. */
+const char *const kValidGrids[] = {
+    "weight_lane_bias=0:1:0.25,seed=1..4",
+    "arch=Griffin,Sparse.B*,category=b,ab",
+    "arch=B(2,0,0,off),B(2,1,0,on),seed=7",
+    "enforce_dram_bound=on,off,row_cap=16:64:16",
+    "network=alexnet,bert,act_run_length=1:4:1.5",
+    "schedule_policy=declaration,recompute,sram_budget_kb=64,128",
+    " seed = 2..3 , row_cap = 8 ",
+    "sample_fraction=0.01,0.02,category=dense,a",
+};
+
+/** Bytes the mutations insert: the grammar's own punctuation, digits,
+ *  letters, blanks and a high byte. */
+constexpr char kMutationBytes[] = "=,.:()*+-eE019aBx \t\xff";
+
+/** `text` with 1..3 random byte deletions, insertions, replacements
+ *  or duplicated spans. */
+std::string
+mutate(std::string text, Rng &rng)
+{
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    };
+    const auto byte = [&] {
+        return kMutationBytes[pick(sizeof(kMutationBytes) - 1)];
+    };
+    const auto edits = rng.uniformInt(1, 3);
+    for (std::int64_t e = 0; e < edits; ++e) {
+        const std::size_t at = pick(text.size() + 1);
+        switch (rng.uniformInt(0, 3)) {
+          case 0:
+            if (at < text.size())
+                text.erase(at, 1);
+            break;
+          case 1:
+            text.insert(at, 1, byte());
+            break;
+          case 2:
+            if (at < text.size())
+                text[at] = byte();
+            break;
+          default:
+            text.insert(at, text.substr(at, pick(8) + 1));
+            break;
+        }
+    }
+    return text;
+}
+
+TEST(GridFuzzDeathTest, MutatedTextExitsZeroOrTwo)
+{
+    // Grid text is the one structured external input griffin_bench
+    // parses, so every byte string must either expand (exit 0) or be
+    // rejected with a diagnostic (exit 2): never an abort, a sanitizer
+    // report or a signal.  Each mutation runs in its own child; the
+    // suite is declared before GridDeathTest so it runs first, while
+    // the forked process is still small (about 15 ms a case under
+    // ASan, three times that after the expansion-cap cases).
+    const auto zero_or_two = [](int status) {
+        return WIFEXITED(status) && (WEXITSTATUS(status) == exitSuccess ||
+                                     WEXITSTATUS(status) == exitUsageError);
+    };
+    Rng rng(20);
+    for (int i = 0; i < 300; ++i) {
+        const std::string text = mutate(
+            kValidGrids[static_cast<std::size_t>(i) % std::size(kValidGrids)],
+            rng);
+        EXPECT_EXIT(
+            {
+                expandSweep(GridSpec::parse(text).toSweepSpec(tinyBase()));
+                std::exit(exitSuccess);
+            },
+            zero_or_two, "")
+            << "mutation " << i << ": '" << text << "'";
+    }
+}
+
 // ---- diagnostics ----------------------------------------------------
 
 TEST(GridDeathTest, UnknownAxisSuggestsNearestName)
@@ -363,8 +451,11 @@ TEST(GridDeathTest, ExpansionIsCappedBeforeItIsBuilt)
 
 TEST(GridDeathTest, StructuralErrorsAreFatal)
 {
-    EXPECT_EXIT(GridSpec::parse(""), testing::ExitedWithCode(exitUsageError),
-                "empty grid spec");
+    for (const char *empty : {"", " ", ",", " , ,"})
+        EXPECT_EXIT(GridSpec::parse(empty),
+                    testing::ExitedWithCode(exitUsageError),
+                    "empty grid spec")
+            << "'" << empty << "'";
     EXPECT_EXIT(GridSpec::parse("0.5,seed=1"),
                 testing::ExitedWithCode(exitUsageError),
                 "before any 'axis=value' item");

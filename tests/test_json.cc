@@ -1,16 +1,16 @@
 /**
  * @file
- * Tests for the minimal JSON parser (common/json.hh): the documents
- * our own result sinks emit must round-trip, and malformed input must
- * be rejected with a located error.
+ * Tests for the minimal JSON parser (tests/support/json.hh): the
+ * documents our own result sinks emit must round-trip, and malformed
+ * input must be rejected with a located error.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "common/json.hh"
 #include "runtime/result_sink.hh"
+#include "support/json.hh"
 
 namespace griffin {
 namespace {
@@ -88,8 +88,8 @@ TEST(Json, RejectsRunawayNesting)
 
 TEST(Json, RoundTripsSinkOutput)
 {
-    // A real sink row parses back with the fields the merge tooling
-    // reads.
+    // A real sink row parses back with every field it was written
+    // with.
     NetworkResult r;
     r.network = "alex,net\"x"; // exercise escaping
     r.arch = "B(4,0,1,on)";

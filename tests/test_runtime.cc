@@ -264,22 +264,25 @@ TEST(Runner, ParallelIsBitIdenticalToSerial)
 }
 
 /**
- * operand_gen spans recorded while `body` runs, under Aggregate
- * telemetry; the caller's telemetry mode is restored afterwards.
+ * operand_gen events in the Chrome trace of `body`, run with tracing
+ * on; tracing is off and the buffers empty afterwards.
  */
 std::uint64_t
 countGenerations(const std::function<void()> &body)
 {
-    const Telemetry::Mode mode = Telemetry::mode();
-    Telemetry::setMode(Telemetry::Mode::Aggregate);
     Telemetry::clear();
+    Telemetry::setEnabled(true);
     body();
-    std::uint64_t count = 0;
-    for (const auto &stage : Telemetry::stageBreakdown())
-        if (stage.stage == "operand_gen")
-            count = stage.count;
+    Telemetry::setEnabled(false);
+    std::ostringstream trace;
+    Telemetry::writeChromeTrace(trace);
     Telemetry::clear();
-    Telemetry::setMode(mode);
+    const std::string doc = trace.str();
+    const std::string event = "\"name\": \"operand_gen\"";
+    std::uint64_t count = 0;
+    for (auto at = doc.find(event); at != std::string::npos;
+         at = doc.find(event, at + event.size()))
+        ++count;
     return count;
 }
 
@@ -377,26 +380,6 @@ TEST(Runner, RunSweepsSharesWorksetsAcrossSpecs)
                   layerTotal(second) * second.categories.size());
 }
 
-TEST(Runner, BatchedArchsComposeWithFleetShards)
-{
-    // Batching regroups jobs inside a shard only; the shard slices
-    // still concatenate to the unsharded document.
-    auto spec = smallSweep();
-    const auto whole = runSweep(spec, 4);
-    std::vector<NetworkResult> stitched;
-    spec.shardCount = 3;
-    for (std::size_t s = 0; s < spec.shardCount; ++s) {
-        spec.shardIndex = s;
-        const auto shard = runSweep(spec, 2);
-        stitched.insert(stitched.end(), shard.results().begin(),
-                        shard.results().end());
-    }
-    std::ostringstream a, b;
-    writeJson(a, whole.results());
-    writeJson(b, stitched);
-    EXPECT_EQ(a.str(), b.str());
-}
-
 TEST(Runner, RunLayerIsOrderIndependent)
 {
     // The per-layer entry point must not depend on which layers ran
@@ -463,8 +446,8 @@ TEST(Runner, CollectTimingsProducesPerJobElapsed)
 TEST(RunnerDeathTest, OutOfRangeOptionsAreFatal)
 {
     // Each value would otherwise trip a generator or tile-sampler assert
-    // (SIGABRT) mid-sweep, or land in the rows as a bare JSON nan/inf
-    // that merge rejects; validate() makes them usage errors up front.
+    // (SIGABRT) mid-sweep, or land in the rows as a bare nan/inf, which
+    // is not JSON; validate() makes them usage errors up front.
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     const auto expand = [](double lane_bias, double run_length,
@@ -691,7 +674,8 @@ TEST(ResultSink, JsonLinesIsOneCompactRowPerLineWithLabel)
     EXPECT_NE(first.find("\"layers\": [{"), std::string::npos);
 
     // Splitting a row list anywhere and concatenating the parts
-    // reproduces the document — the property grid sharding relies on.
+    // reproduces the document — the property the per-experiment
+    // baseline files rely on.
     std::ostringstream part1, part2;
     writeJsonLines(part1, {rows[0]});
     writeJsonLines(part2, {rows[1]});

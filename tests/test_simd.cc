@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -503,6 +504,28 @@ TEST(SimdOccupancy, SingleElementMatrix)
     got.assign(4, ~0ull);
     simd::bTileOccupancy(zero, 0, 1, 2, 2, got.data());
     EXPECT_EQ(got, std::vector<std::uint64_t>(4, 0));
+}
+
+TEST(SimdDispatchDeathTest, ForceScalarPinsTheScalarBackend)
+{
+    // The dispatch is chosen once per process, so the check runs in a
+    // fresh one: the threadsafe style re-executes this binary, and the
+    // child inherits the variable.  The forced-scalar CI leg and the
+    // simd_dispatch ctest rely on the knob really rerouting dispatch.
+    const char *saved = std::getenv("GRIFFIN_FORCE_SCALAR");
+    const std::string previous = saved != nullptr ? saved : "";
+    const std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    setenv("GRIFFIN_FORCE_SCALAR", "1", 1);
+    EXPECT_EXIT(std::exit(simd::activeBackend() == simd::Backend::Scalar
+                              ? 0
+                              : 1),
+                testing::ExitedWithCode(0), "");
+    if (saved != nullptr)
+        setenv("GRIFFIN_FORCE_SCALAR", previous.c_str(), 1);
+    else
+        unsetenv("GRIFFIN_FORCE_SCALAR");
+    ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 TEST(SimdDispatch, ActiveBackendHasAStableName)

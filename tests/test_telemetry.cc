@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the telemetry layer: metric registry semantics, span
- * recording across modes and threads, Chrome trace export, the
- * metrics JSON line, and the BENCH_perf.json schema round-trip.
+ * recording on and off and across threads, Chrome trace export, and
+ * the metrics JSON line.
  *
  * Telemetry state is process-global; every test that records spans
- * restores Mode::Off and clears the buffers so tests stay independent
- * in any order.
+ * switches recording off and clears the buffers afterwards so tests
+ * stay independent in any order.
  */
 
 #include <gtest/gtest.h>
@@ -16,22 +16,15 @@
 #include <thread>
 #include <vector>
 
-#include "common/json.hh"
-#include "runtime/perf_report.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/telemetry.hh"
-
-namespace griffin_test_support {
-// tests/support/telemetry_tu2.cc — spells the "cross_tu_stage"
-// literal in its own object file.
-void recordCrossTuSpan();
-} // namespace griffin_test_support
+#include "support/json.hh"
 
 namespace griffin {
 namespace {
 
-/** RAII guard: whatever a test does, later tests start from Off and
- *  empty buffers. */
+/** RAII guard: whatever a test does, later tests start with recording
+ *  off and empty buffers. */
 struct TelemetryReset
 {
     TelemetryReset() { reset(); }
@@ -40,7 +33,7 @@ struct TelemetryReset
     static void
     reset()
     {
-        Telemetry::setMode(Telemetry::Mode::Off);
+        Telemetry::setEnabled(false);
         Telemetry::clear();
     }
 };
@@ -110,37 +103,23 @@ TEST(Histogram, BucketsArePowersOfTwo)
     EXPECT_EQ(snap.max, 4u);
 }
 
-TEST(Telemetry, OffModeRecordsNothing)
+TEST(Telemetry, DisabledRecordsNothing)
 {
     TelemetryReset guard;
     {
         ScopedSpan span("tile_sim");
     }
     EXPECT_EQ(Telemetry::eventCount(), 0u);
-    EXPECT_TRUE(Telemetry::stageBreakdown().empty());
+    std::ostringstream os;
+    Telemetry::writeChromeTrace(os);
+    EXPECT_EQ(os.str(),
+              "{\"displayTimeUnit\": \"ms\", \"traceEvents\": []}\n");
 }
 
-TEST(Telemetry, AggregateModeKeepsTotalsButNoEvents)
+TEST(Telemetry, EnabledNestsSpansAndExportsChromeTrace)
 {
     TelemetryReset guard;
-    Telemetry::setMode(Telemetry::Mode::Aggregate);
-    {
-        ScopedSpan span("tile_sim");
-    }
-    {
-        ScopedSpan span("tile_sim");
-    }
-    EXPECT_EQ(Telemetry::eventCount(), 0u);
-    const auto stages = Telemetry::stageBreakdown();
-    ASSERT_EQ(stages.size(), 1u);
-    EXPECT_EQ(stages[0].stage, "tile_sim");
-    EXPECT_EQ(stages[0].count, 2u);
-}
-
-TEST(Telemetry, FullModeNestsSpansAndExportsChromeTrace)
-{
-    TelemetryReset guard;
-    Telemetry::setMode(Telemetry::Mode::Full);
+    Telemetry::setEnabled(true);
     {
         ScopedSpan outer("tile_sim");
         {
@@ -186,10 +165,10 @@ TEST(Telemetry, FullModeNestsSpansAndExportsChromeTrace)
               inner_ev->find("tid")->asInt());
 }
 
-TEST(Telemetry, ThreadsMergeIntoOneBreakdownButKeepOwnTids)
+TEST(Telemetry, ThreadsMergeIntoOneTraceButKeepOwnTids)
 {
     TelemetryReset guard;
-    Telemetry::setMode(Telemetry::Mode::Full);
+    Telemetry::setEnabled(true);
     constexpr int threads = 4;
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t)
@@ -201,11 +180,8 @@ TEST(Telemetry, ThreadsMergeIntoOneBreakdownButKeepOwnTids)
     {
         ScopedSpan span("memory_model");
     }
-
-    const auto stages = Telemetry::stageBreakdown();
-    ASSERT_EQ(stages.size(), 1u);
-    EXPECT_EQ(stages[0].stage, "memory_model");
-    EXPECT_EQ(stages[0].count, static_cast<std::uint64_t>(threads + 1));
+    EXPECT_EQ(Telemetry::eventCount(),
+              static_cast<std::uint64_t>(threads + 1));
 
     std::ostringstream os;
     Telemetry::writeChromeTrace(os);
@@ -219,38 +195,18 @@ TEST(Telemetry, ThreadsMergeIntoOneBreakdownButKeepOwnTids)
     EXPECT_EQ(tids.size(), static_cast<std::size_t>(threads + 1));
 }
 
-TEST(Telemetry, SameSpanNameFromTwoTranslationUnitsIsOneStage)
+TEST(Telemetry, ClearDropsEventsButKeepsRecording)
 {
     TelemetryReset guard;
-    Telemetry::setMode(Telemetry::Mode::Aggregate);
-    {
-        ScopedSpan span("cross_tu_stage");
-    }
-    ::griffin_test_support::recordCrossTuSpan();
-
-    // One stage, count 2 — even if the two TUs' identical literals
-    // were NOT folded to one address by the linker.  Pointer-keyed
-    // aggregation would report two entries (or one, depending on
-    // build flags), making stage counts a build artifact.
-    const auto stages = Telemetry::stageBreakdown();
-    ASSERT_EQ(stages.size(), 1u);
-    EXPECT_EQ(stages[0].stage, "cross_tu_stage");
-    EXPECT_EQ(stages[0].count, 2u);
-}
-
-TEST(Telemetry, ClearDropsEventsAndTotals)
-{
-    TelemetryReset guard;
-    Telemetry::setMode(Telemetry::Mode::Full);
+    Telemetry::setEnabled(true);
     {
         ScopedSpan span("reduce");
     }
     EXPECT_EQ(Telemetry::eventCount(), 1u);
     Telemetry::clear();
     EXPECT_EQ(Telemetry::eventCount(), 0u);
-    EXPECT_TRUE(Telemetry::stageBreakdown().empty());
-    // Mode survives clear().
-    EXPECT_EQ(Telemetry::mode(), Telemetry::Mode::Full);
+    // The switch survives clear().
+    EXPECT_TRUE(Telemetry::enabled());
 }
 
 TEST(ResultSinkMetrics, MetricsJsonLineIsSortedAndParses)
@@ -273,112 +229,6 @@ TEST(ResultSinkMetrics, MetricsJsonLineIsSortedAndParses)
     EXPECT_EQ(metrics->find("sweep.jobs")->asInt(), 3);
     EXPECT_DOUBLE_EQ(metrics->find("sweep.wall_ms")->asDouble(), 1.5);
     EXPECT_EQ(metrics->find("pool.job_us")->find("count")->asInt(), 1);
-}
-
-PerfDocument
-samplePerfDocument()
-{
-    PerfDocument doc;
-    doc.threads = 4;
-    doc.sample = 0.02;
-    doc.rowCap = 8;
-    doc.seed = 1;
-    doc.totalWallMs = 123.5;
-    PerfEntry entry;
-    entry.experiment = "fig5";
-    entry.jobs = 144;
-    entry.wallMs = 100.25;
-    entry.jobsPerSec = 1436.4;
-    entry.threadUtilization = 0.93;
-    entry.poolSteals = 7;
-    entry.poolBusyMs = 372.9;
-    entry.stages.push_back({"b_schedule", 24144, 48086.8});
-    entry.stages.push_back({"tile_sim", 6648, 48173.5});
-    doc.suite.push_back(std::move(entry));
-    return doc;
-}
-
-TEST(PerfReport, WriteParsesBackIdentically)
-{
-    const PerfDocument doc = samplePerfDocument();
-    std::ostringstream os;
-    writePerfJson(os, doc);
-
-    PerfDocument parsed;
-    std::string error;
-    ASSERT_TRUE(parsePerfDocument(os.str(), parsed, error)) << error;
-    EXPECT_EQ(parsed.schemaVersion, perfSchemaVersion);
-    EXPECT_EQ(parsed.threads, doc.threads);
-    EXPECT_DOUBLE_EQ(parsed.sample, doc.sample);
-    EXPECT_EQ(parsed.rowCap, doc.rowCap);
-    EXPECT_EQ(parsed.seed, doc.seed);
-    EXPECT_DOUBLE_EQ(parsed.totalWallMs, doc.totalWallMs);
-    ASSERT_EQ(parsed.suite.size(), 1u);
-    const PerfEntry &e = parsed.suite[0];
-    EXPECT_EQ(e.experiment, "fig5");
-    EXPECT_EQ(e.jobs, 144u);
-    EXPECT_DOUBLE_EQ(e.wallMs, 100.25);
-    EXPECT_EQ(e.poolSteals, 7u);
-    ASSERT_EQ(e.stages.size(), 2u);
-    EXPECT_EQ(e.stages[0].stage, "b_schedule");
-    EXPECT_EQ(e.stages[0].count, 24144u);
-
-    // Serialization of equal documents is deterministic.
-    std::ostringstream again;
-    writePerfJson(again, parsed);
-    EXPECT_EQ(os.str(), again.str());
-}
-
-TEST(PerfReport, ValidationRejectsBadDocuments)
-{
-    PerfDocument parsed;
-    std::string error;
-
-    EXPECT_FALSE(parsePerfDocument("{not json", parsed, error));
-    EXPECT_FALSE(error.empty());
-
-    EXPECT_FALSE(parsePerfDocument("{}", parsed, error));
-    EXPECT_NE(error.find("schema"), std::string::npos);
-
-    EXPECT_FALSE(parsePerfDocument(
-        R"({"schema": "something_else", "schema_version": 1})", parsed,
-        error));
-    EXPECT_NE(error.find("griffin_bench_perf"), std::string::npos);
-
-    // A future schema version must be rejected, not half-read.
-    std::ostringstream os;
-    PerfDocument doc = samplePerfDocument();
-    doc.schemaVersion = perfSchemaVersion + 1;
-    writePerfJson(os, doc);
-    EXPECT_FALSE(parsePerfDocument(os.str(), parsed, error));
-    EXPECT_NE(error.find("schema_version"), std::string::npos);
-
-    // A suite entry missing a required field fails the whole parse.
-    EXPECT_FALSE(parsePerfDocument(
-        R"({"schema": "griffin_bench_perf", "schema_version": 1,
-            "threads": 1,
-            "fidelity": {"sample": 0.02, "rowcap": 8, "seed": 1},
-            "total_wall_ms": 1.0,
-            "suite": [{"experiment": "fig5"}]})",
-        parsed, error));
-    EXPECT_NE(error.find("suite entry"), std::string::npos);
-}
-
-TEST(PerfReport, CompareRendersSummaryAndStageTables)
-{
-    const PerfDocument old_doc = samplePerfDocument();
-    PerfDocument new_doc = samplePerfDocument();
-    new_doc.suite[0].wallMs = 50.125; // 2x faster
-    new_doc.suite[0].stages[0].totalMs = 24043.4;
-
-    const auto tables = renderPerfCompare(old_doc, new_doc);
-    ASSERT_EQ(tables.size(), 2u);
-    EXPECT_EQ(tables[0].rows(), 1u);
-    EXPECT_EQ(tables[0].cell(0, 0), "fig5");
-    EXPECT_EQ(tables[0].cell(0, 3), "-50.0%");
-    EXPECT_EQ(tables[1].rows(), 2u);
-    EXPECT_EQ(tables[1].cell(0, 1), "b_schedule");
-    EXPECT_EQ(tables[1].cell(0, 4), "-50.0%");
 }
 
 } // namespace

@@ -4,7 +4,7 @@
  * as machine-checked rules.
  *
  * The reproduction's headline claims — byte-identical parallel vs
- * serial sweeps, shard-ordered merges, pinned bench/baselines/
+ * serial sweeps, thread-count-invariant rows, pinned bench/baselines/
  * diffs — all rest on source-level invariants that used to live in
  * comments.  This checker makes them findings:
  *
@@ -53,7 +53,7 @@
  *     declares a serialize() member, or carries a
  *     "// griffin-lint: serialized" marker — must have a default
  *     initializer.  An uninitialized padding byte or field that lands
- *     in a JSONL row or a perf document is a nondeterminism bug ASan
+ *     in a JSONL row or a metrics line is a nondeterminism bug ASan
  *     cannot see.
  *
  * Suppressions: a finding is allowlisted by a comment on the same
