@@ -63,7 +63,6 @@ render(const ExperimentContext &ctx)
         ArchConfig arch = denseBaseline();
         arch.routing = p.cfg;
         arch.name = p.cfg.str();
-        arch.mem.dramGBs = 1e6; // isolate the datapath
         const auto sim = simulateGemm(a, b, arch, p.cat);
         const double model =
             analyticSpeedup(p.cfg, shape, p.asp, p.bsp);

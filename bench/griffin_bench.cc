@@ -134,6 +134,18 @@ struct TableEmitter
     }
 };
 
+/** The exit status of a subcommand that succeeded: stdout is flushed
+ *  and checked first, so a lost table or listing (a full device, a
+ *  closed pipe) fails the run instead of exiting 0. */
+int
+stdoutStatus()
+{
+    std::cout.flush();
+    if (!std::cout)
+        fatalRun("write to stdout failed");
+    return exitSuccess;
+}
+
 } // namespace
 
 int
@@ -185,14 +197,14 @@ main(int argc, char **argv)
         if (!names.empty())
             fatal("list takes no arguments");
         experimentListTable().print(std::cout);
-        return 0;
+        return stdoutStatus();
     }
 
     if (command == "networks") {
         if (!names.empty())
             fatal("networks takes no arguments");
         networkListTable().print(std::cout);
-        return 0;
+        return stdoutStatus();
     }
 
     if (command == "describe") {
@@ -219,7 +231,7 @@ main(int argc, char **argv)
                   "'; did you mean '", nearestName(name, candidates),
                   "'? (see griffin_bench list / networks)");
         }
-        return 0;
+        return stdoutStatus();
     }
 
     if (command != "run")
@@ -307,5 +319,5 @@ main(int argc, char **argv)
         inform("wrote ", sink->rows().size(), " result rows to ",
                cli.getString("out"));
     }
-    return 0;
+    return stdoutStatus();
 }

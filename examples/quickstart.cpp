@@ -16,6 +16,7 @@
 #include "sched/verify.hh"
 #include "sim/gemm_sim.hh"
 #include "tensor/sparsity.hh"
+#include "tensor/workset.hh"
 
 using namespace griffin;
 
@@ -33,9 +34,9 @@ main()
     const auto result = simulateGemm(a, b, arch, DnnCategory::AB);
     std::cout << "Griffin on a (128x512x64) dual-sparse GEMM\n"
               << "  dense cycles   : " << result.denseCycles << "\n"
-              << "  griffin cycles : " << result.totalCycles << "\n"
+              << "  griffin cycles : " << result.computeCycles << "\n"
               << "  speedup        : " << result.speedup() << "x\n"
-              << "  effectual MACs : " << result.effectualOps << " of "
+              << "  effectual MACs : " << countEffectualOps(a, b) << " of "
               << result.denseOps << "\n";
 
     // 2. The analytical model predicts the same design point without

@@ -1,7 +1,6 @@
 #include "baselines/sparten.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/arena.hh"
 #include "simd/kernels.hh"
@@ -80,16 +79,12 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
     // A's row masks over k.
     auto *rows = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(m * words));
-    std::int64_t nnz_a = 0;
     for (std::int64_t mi = 0; mi < m; ++mi) {
         std::uint64_t *mask = rows + mi * words;
-        if (!skip_a) {
+        if (skip_a)
+            simd::detail::rowNonzeroMasks(a.data() + mi * k, k, mask);
+        else
             onesMask(k, words, mask);
-            continue;
-        }
-        simd::detail::rowNonzeroMasks(a.data() + mi * k, k, mask);
-        for (std::int64_t w = 0; w < words; ++w)
-            nnz_a += simd::popcount64(mask[w]);
     }
 
     // B in 64-column slabs: one occupancy word per k row (bit j is
@@ -104,15 +99,12 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
     if (!skip_b)
         for (int j = 0; j < 64; ++j)
             onesMask(k, words, cols + j * words);
-    std::int64_t nnz_b = 0;
     for (std::int64_t base = 0; base < n; base += 64) {
         const auto width = std::min<std::int64_t>(64, n - base);
         if (skip_b) {
             simd::bTileOccupancy(b, base, 64, words, 64, slab);
             for (std::int64_t w = 0; w < words; ++w) {
                 std::uint64_t *block = slab + w * 64;
-                for (int i = 0; i < 64; ++i)
-                    nnz_b += simd::popcount64(block[i]);
                 transpose64(block);
                 for (std::int64_t j = 0; j < width; ++j)
                     cols[j * words + w] = block[j];
@@ -162,20 +154,6 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
     result.effectualOps = effectual;
     result.computeCycles = max_load;
     result.simulatedTiles = result.totalTiles;
-
-    // SparTen's compressed format: values plus one mask bit per
-    // element, on every side the hardware skips; dense sides stream
-    // raw.  A skipped side's mask popcounts are its nonzero count.
-    const std::int64_t a_bytes =
-        skip_a ? nnz_a + (m * k + 7) / 8 : m * k;
-    const std::int64_t b_bytes =
-        skip_b ? nnz_b + (k * n + 7) / 8 : k * n;
-    result.dramBytes = a_bytes + b_bytes + m * n;
-    result.dramCycles = static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(result.dramBytes) /
-                  arch.mem.dramBytesPerCycle()));
-    result.totalCycles = std::max(result.computeCycles,
-                                  result.dramCycles);
     return result;
 }
 

@@ -15,7 +15,8 @@
  * Timing model: outputs are assigned to the least-loaded MAC in
  * arrival order (the coarse-grain balancing of [18]); the grid
  * finishes when the most loaded MAC drains, plus a fixed per-output
- * match/writeback overhead.
+ * match/writeback overhead.  The result is compute cycles only; DRAM
+ * traffic is priced per layer by Accelerator::runLayer.
  *
  * Every whole-matrix pass runs 64 bits at a time.  A's row masks over
  * k come from the SIMD `nonzeroMasks` kernel; B is read in 64-column

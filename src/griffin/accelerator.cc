@@ -121,7 +121,7 @@ Accelerator::runLayer(const NetworkSpec &net, std::size_t layerIndex,
     const auto sim =
         mac_grid ? simulateSparTen(workset.a, workset.b, config_, cat,
                                    sim_opt)
-                 : simulateGemm(gemmOperands(workset), config_, cat,
+                 : simulateGemm(workset.a, workset.b, config_, cat,
                                 sim_opt);
 
     LayerResult lr;
@@ -145,13 +145,6 @@ Accelerator::runLayer(const NetworkSpec &net, std::size_t layerIndex,
                            static_cast<double>(lr.totalCycles)
                      : 1.0;
     return lr;
-}
-
-NetworkResult
-Accelerator::reduceLayers(const NetworkSpec &net, DnnCategory cat,
-                          std::vector<LayerResult> layers) const
-{
-    return reduceLayers(net, cat, std::move(layers), RunOptions{});
 }
 
 NetworkResult
@@ -229,23 +222,6 @@ Accelerator::run(const NetworkSpec &net, DnnCategory cat,
     for (std::size_t l = 0; l < net.layerCount(); ++l)
         layers.push_back(runLayer(net, l, cat, opt));
     return reduceLayers(net, cat, std::move(layers), opt);
-}
-
-std::vector<NetworkResult>
-Accelerator::runSuite(DnnCategory cat, const RunOptions &opt) const
-{
-    return runSuite(benchmarkSuite(), cat, opt);
-}
-
-std::vector<NetworkResult>
-Accelerator::runSuite(const std::vector<NetworkSpec> &nets,
-                      DnnCategory cat, const RunOptions &opt) const
-{
-    std::vector<NetworkResult> results;
-    results.reserve(nets.size());
-    for (const auto &net : nets)
-        results.push_back(run(net, cat, opt));
-    return results;
 }
 
 double

@@ -128,7 +128,11 @@ class Accelerator
 
     const ArchConfig &config() const { return config_; }
 
-    /** Run one network in a workload category. */
+    /**
+     * Run one network in a workload category.  run() is const and
+     * keeps no per-call state, so concurrent calls on one Accelerator
+     * are safe (the runtime/ subsystem relies on this).
+     */
     NetworkResult run(const NetworkSpec &net, DnnCategory cat,
                       const RunOptions &opt = {}) const;
 
@@ -158,8 +162,10 @@ class Accelerator
 
     /**
      * Stages 2–3 over a prepared workset: simulate the layer's GEMM on
-     * this architecture and scale the row slice back to the whole
-     * layer.  `workset` must have been generated from
+     * this architecture, scale the row slice's compute cycles back to
+     * the whole layer, and price the whole layer's DRAM traffic (the
+     * library's one memory model; RunOptions::enforceDramBound).
+     * `workset` must have been generated from
      * layerWorksetParams(net, layerIndex, cat, opt) — runLayer() is
      * exactly this composition with stage 1 (generateLayerWorkset)
      * in front, and a sweep hands one workset to every consumer that
@@ -174,38 +180,15 @@ class Accelerator
      * order, one per net node) into the NetworkResult run() would have
      * produced.  run(net, cat, opt) is exactly
      * reduceLayers(net, cat, {runLayer(net, 0..L-1, cat, opt)}, opt).
-     * The two-argument overload reduces under default RunOptions
-     * (declaration schedule, no budget).
-     */
-    NetworkResult reduceLayers(const NetworkSpec &net, DnnCategory cat,
-                               std::vector<LayerResult> layers) const;
-
-    /**
-     * Schedule-aware reduce: additionally prices the layer-execution
-     * schedule opt.schedulePolicy selects (peak live bytes, spill
-     * cycles against opt.sramBudgetBytes, recompute cycles) and folds
-     * the overhead cycles into the network totals.  A declaration
-     * policy with no budget reduces exactly like the legacy overload.
+     * It also prices the layer-execution schedule opt.schedulePolicy
+     * selects (peak live bytes, spill cycles against
+     * opt.sramBudgetBytes, recompute cycles) and folds the overhead
+     * cycles into the network totals; a declaration policy with no
+     * budget adds none.
      */
     NetworkResult reduceLayers(const NetworkSpec &net, DnnCategory cat,
                                std::vector<LayerResult> layers,
                                const RunOptions &opt) const;
-
-    /**
-     * Run the whole benchmark suite in one category and also return
-     * the geometric-mean speedup (the paper's aggregate, Section V).
-     */
-    std::vector<NetworkResult> runSuite(DnnCategory cat,
-                                        const RunOptions &opt = {}) const;
-
-    /**
-     * Run an explicit network list in one category.  run() is const
-     * and keeps no per-call state, so concurrent calls on one
-     * Accelerator are safe (the runtime/ subsystem relies on this).
-     */
-    std::vector<NetworkResult>
-    runSuite(const std::vector<NetworkSpec> &nets, DnnCategory cat,
-             const RunOptions &opt = {}) const;
 
   private:
     ArchConfig config_;

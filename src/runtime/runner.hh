@@ -3,10 +3,8 @@
  * Declarative experiment sweeps over the (architecture x network x
  * category x RunOptions) grid, run on a work-stealing pool.
  *
- * The seed benches walk this grid serially through
- * Accelerator::runSuite; sparse-optimization studies sweep grids far
- * larger than six networks, so the runner turns the grid into
- * independent jobs:
+ * Sparse-optimization studies sweep grids far larger than six
+ * networks, so the runner turns the grid into independent jobs:
  *
  *   SweepSpec spec;
  *   spec.archs = {sparseBStar(), griffinArch()};

@@ -15,10 +15,10 @@
  *
  *   - Telemetry + ScopedSpan: per-thread scoped wall-time spans over
  *     the pipeline seams (operand_gen, b_schedule, a_schedule,
- *     tile_sim, memory_model, reduce, and — on schedule-aware runs —
- *     the nested schedule span).  Spans are compiled in but
- *     off-by-default cheap: a disabled span is one relaxed atomic load
- *     and two pointer writes — no clock read, no allocation.  Enabled
+ *     tile_sim, reduce, and — on schedule-aware runs — the nested
+ *     schedule span).  Spans are compiled in but off-by-default
+ *     cheap: a disabled span is one relaxed atomic load and two
+ *     pointer writes — no clock read, no allocation.  Enabled
  *     spans (the `--trace <file>` flag) record every span as an event
  *     into thread-local buffers (no cross-thread contention on the hot
  *     path) that merge at export time into Chrome trace-event JSON

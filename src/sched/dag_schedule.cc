@@ -399,21 +399,6 @@ topologicalOrder(const NetworkSpec &net)
     return order;
 }
 
-std::vector<NodeAttributes>
-nodeAttributes(const NetworkSpec &net)
-{
-    const auto consumers = consumersOf(net);
-    std::vector<NodeAttributes> attrs(net.nodes.size());
-    for (std::size_t v = 0; v < net.nodes.size(); ++v) {
-        attrs[v].outputBytes = net.nodes[v].outputBytes;
-        for (const std::size_t u : uniqueInputs(net.nodes[v]))
-            if (consumers[u].size() == 1)
-                attrs[v].freeableInputBytes += net.nodes[u].outputBytes;
-        attrs[v].impact = attrs[v].outputBytes - attrs[v].freeableInputBytes;
-    }
-    return attrs;
-}
-
 ScheduleEval
 evaluateSchedule(const NetworkSpec &net,
                  const std::vector<ScheduleEntry> &entries)

@@ -81,19 +81,6 @@ struct ScheduleEval
     std::vector<std::int64_t> entryLiveBytes;
 };
 
-/** Static per-node scheduling attributes. */
-struct NodeAttributes
-{
-    /** Bytes the node's output occupies while live. */
-    std::int64_t outputBytes = 0;
-    /** Bytes of producer buffers freed if this node runs while being
-     *  the last pending consumer of every input. */
-    std::int64_t freeableInputBytes = 0;
-    /** outputBytes - freeableInputBytes: the best-case change in live
-     *  bytes from executing the node.  Greedy order sorts on this. */
-    std::int64_t impact = 0;
-};
-
 /** A priced sequential schedule. */
 struct DagSchedule
 {
@@ -117,9 +104,6 @@ void validateDag(const NetworkSpec &net);
 /** Kahn topological order, smallest node index first among ready
  *  nodes.  fatal() on a cycle. */
 std::vector<std::size_t> topologicalOrder(const NetworkSpec &net);
-
-/** Per-node attributes (output bytes, freeable input bytes, impact). */
-std::vector<NodeAttributes> nodeAttributes(const NetworkSpec &net);
 
 /**
  * Price a schedule: peak live bytes and per-entry live bytes under

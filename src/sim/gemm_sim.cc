@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "arch/overhead.hh"
 #include "runtime/telemetry.hh"
 #include "sched/a_arbiter.hh"
 #include "sched/b_preprocess.hh"
@@ -13,7 +12,6 @@
 #include "sim/sampling.hh"
 #include "tensor/shuffle.hh"
 #include "tensor/tile.hh"
-#include "tensor/workset.hh"
 
 namespace griffin {
 
@@ -69,7 +67,8 @@ scaleUp(std::int64_t sampled_sum, std::int64_t sampled_count,
  */
 struct ComputeStage
 {
-    const GemmOperands &ops;
+    const MatrixI8 &a;
+    const MatrixI8 &b;
     const SimOptions &opt;
     const TileShape &shape;
     const RoutingConfig &routing;
@@ -88,7 +87,7 @@ simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
                              stage.opt.minSampledTiles, stage.opt.seed);
     std::int64_t sum = 0;
     for (const auto &t : picks) {
-        TileViewB vb(*stage.ops.b, stage.shape, t.row * stage.shape.n0);
+        TileViewB vb(stage.b, stage.shape, t.row * stage.shape.n0);
         ScheduleStats stats;
         { // the b_schedule stage; nothing here reads stream cells
             ScopedSpan span("b_schedule");
@@ -120,7 +119,7 @@ simulateSparseA(const ComputeStage &stage, GemmSimResult &result)
                              stage.opt.minSampledTiles, stage.opt.seed);
     std::int64_t sum = 0;
     for (const auto &t : picks) {
-        TileViewA va(*stage.ops.a, stage.shape, t.row * stage.shape.m0);
+        TileViewA va(stage.a, stage.shape, t.row * stage.shape.m0);
         const auto stats =
             arbiterStats(va, stage.routing.a, stage.shuffler, stage.bw);
         sum += stats.cycles;
@@ -149,8 +148,8 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
     std::vector<std::pair<std::int64_t, BSchedule>> streams;
     std::int64_t sum = 0;
     for (const auto &t : picks) {
-        TileViewA va(*stage.ops.a, stage.shape, t.row * stage.shape.m0);
-        TileViewB vb(*stage.ops.b, stage.shape, t.col * stage.shape.n0);
+        TileViewA va(stage.a, stage.shape, t.row * stage.shape.m0);
+        TileViewB vb(stage.b, stage.shape, t.col * stage.shape.n0);
         const BSchedule *stream = nullptr;
         if (stage.routing.preprocessB) {
             auto it = std::lower_bound(
@@ -175,62 +174,10 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
     result.simulatedTiles = static_cast<std::int64_t>(picks.size());
 }
 
-/**
- * Stage 3 reduction, memory model: DRAM traffic of the whole GEMM —
- * A and C stream dense; B streams dense or as the compressed payload
- * plus metadata when preprocessed — and the layer total under double
- * buffering.
- */
-void
-applyMemoryModel(const GemmOperands &ops, const ArchConfig &arch,
-                 const RoutingConfig &routing, std::int64_t m,
-                 std::int64_t k, std::int64_t n, const SimOptions &opt,
-                 GemmSimResult &result)
-{
-    ScopedSpan span("memory_model");
-    const auto hw = computeOverhead(routing, arch.tile);
-    std::int64_t b_bytes = k * n;
-    if (routing.preprocessB) {
-        const auto nnz_b = ops.nnzB;
-        b_bytes = nnz_b + (nnz_b * hw.metadataBits + 7) / 8;
-    }
-    result.dramBytes = m * k + b_bytes + m * n;
-    result.dramCycles = static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(result.dramBytes) /
-                  arch.mem.dramBytesPerCycle()));
-
-    result.totalCycles =
-        std::max(result.computeCycles, result.dramCycles) +
-        static_cast<std::int64_t>(opt.drainCyclesPerTile) *
-            result.totalTiles;
-}
-
 } // namespace
 
-GemmOperands
-makeGemmOperands(const MatrixI8 &a, const MatrixI8 &b)
-{
-    GemmOperands ops;
-    ops.a = &a;
-    ops.b = &b;
-    ops.effectualOps = countEffectualOps(a, b);
-    ops.nnzB = static_cast<std::int64_t>(b.nnz());
-    return ops;
-}
-
-GemmOperands
-gemmOperands(const LayerWorkset &workset)
-{
-    GemmOperands ops;
-    ops.a = &workset.a;
-    ops.b = &workset.b;
-    ops.effectualOps = workset.effectualOps;
-    ops.nnzB = workset.nnzB;
-    return ops;
-}
-
 GemmSimResult
-simulateGemm(const GemmOperands &operands, const ArchConfig &arch,
+simulateGemm(const MatrixI8 &a, const MatrixI8 &b, const ArchConfig &arch,
              DnnCategory cat, const SimOptions &opt)
 {
     arch.validate();
@@ -238,10 +185,6 @@ simulateGemm(const GemmOperands &operands, const ArchConfig &arch,
         fatal("simulateGemm handles vector-core architectures; use the "
               "SparTen simulator in src/baselines for '",
               arch.name, "'");
-    GRIFFIN_ASSERT(operands.a != nullptr && operands.b != nullptr,
-                   "simulateGemm needs both operand matrices");
-    const MatrixI8 &a = *operands.a;
-    const MatrixI8 &b = *operands.b;
     GRIFFIN_ASSERT(a.cols() == b.rows(), "GEMM shape mismatch: A ",
                    a.rows(), "x", a.cols(), ", B ", b.rows(), "x",
                    b.cols());
@@ -258,49 +201,35 @@ simulateGemm(const GemmOperands &operands, const ArchConfig &arch,
     GemmSimResult result;
     result.denseCycles = denseCycles(m, k, n, shape);
     result.denseOps = m * k * n;
-    result.effectualOps = operands.effectualOps;
     const std::int64_t row_tiles = (m + shape.m0 - 1) / shape.m0;
     const std::int64_t col_tiles = (n + shape.n0 - 1) / shape.n0;
     result.totalTiles = row_tiles * col_tiles;
-    if (result.totalTiles == 0 || k == 0) {
-        result.totalCycles = 0;
+    if (result.totalTiles == 0 || k == 0)
         return result;
-    }
 
     Shuffler shuffler(routing.shuffle, shape.k0);
-    const ComputeStage stage{operands, opt,       shape,    routing,
-                             shuffler, bw,        row_tiles, col_tiles};
+    const ComputeStage stage{a,        b,  opt,       shape,    routing,
+                             shuffler, bw, row_tiles, col_tiles};
 
-    {
-        // b_schedule / a_schedule spans nest inside this one; the
-        // trace shows scheduling as sub-slices of tile simulation.
-        ScopedSpan span("tile_sim");
-        switch (routing.mode) {
-          case SparsityMode::Dense:
-            result.computeCycles = result.denseCycles;
-            result.simulatedTiles = result.totalTiles;
-            break;
-          case SparsityMode::B:
-            simulateSparseB(stage, result);
-            break;
-          case SparsityMode::A:
-            simulateSparseA(stage, result);
-            break;
-          case SparsityMode::AB:
-            simulateDualSparse(stage, result);
-            break;
-        }
+    // b_schedule / a_schedule spans nest inside this one; the trace
+    // shows scheduling as sub-slices of tile simulation.
+    ScopedSpan span("tile_sim");
+    switch (routing.mode) {
+      case SparsityMode::Dense:
+        result.computeCycles = result.denseCycles;
+        result.simulatedTiles = result.totalTiles;
+        break;
+      case SparsityMode::B:
+        simulateSparseB(stage, result);
+        break;
+      case SparsityMode::A:
+        simulateSparseA(stage, result);
+        break;
+      case SparsityMode::AB:
+        simulateDualSparse(stage, result);
+        break;
     }
-
-    applyMemoryModel(operands, arch, routing, m, k, n, opt, result);
     return result;
-}
-
-GemmSimResult
-simulateGemm(const MatrixI8 &a, const MatrixI8 &b, const ArchConfig &arch,
-             DnnCategory cat, const SimOptions &opt)
-{
-    return simulateGemm(makeGemmOperands(a, b), arch, cat, opt);
 }
 
 } // namespace griffin

@@ -1,15 +1,8 @@
 /**
  * @file
- * Cycle-level simulation of one GEMM on a vector-core architecture,
- * structured as a staged pipeline with first-class intermediate
- * artifacts:
- *
- *   1. *Operand statistics* (GemmOperands): the A/B matrices plus the
- *      content statistics the later stages consume — effectual MACs
- *      and B nonzeros.  When the operands come from a LayerWorkset
- *      (tensor/workset.hh) the statistics were computed once at
- *      generation time and are reused verbatim; makeGemmOperands()
- *      computes them for free-standing matrices.
+ * Cycle-level simulation of one GEMM on a vector-core architecture.
+ * It consumes the operand matrices of stage 1 (tensor/workset.hh) and
+ * runs the two later stages of the pipeline:
  *
  *   2. *Tiling + per-side schedule computation*: column tiles of B
  *      preprocess into compressed streams, row tiles of A run the
@@ -18,13 +11,14 @@
  *      hashing the tile to look a stored one up.
  *
  *   3. *Tile(-pair) cycle simulation + reduction*: the sampled tiles
- *      replay their schedules, sampled sums scale back to the full
- *      grid, and the memory model folds in DRAM streaming — A and C
- *      stream dense, B dense or compressed + metadata; the layer runs
- *      at max(compute, DRAM transfer) under double buffering.  Window
- *      advance is capped by the provisioned SRAM bandwidth
- *      (ArchConfig::effectiveBwScale), the paper's "SRAM BW must
- *      scale with speedup" constraint.
+ *      replay their schedules and sampled sums scale back to the full
+ *      grid.  Window advance is capped by the provisioned SRAM
+ *      bandwidth (ArchConfig::effectiveBwScale), the paper's "SRAM BW
+ *      must scale with speedup" constraint.
+ *
+ * The result is datapath (compute) cycles only.  DRAM traffic is
+ * priced once per layer, by Accelerator::runLayer
+ * (griffin/accelerator.hh).
  *
  * Schedule reuse within one GEMM mirrors the hardware:
  *
@@ -50,8 +44,6 @@
 
 namespace griffin {
 
-struct LayerWorkset; // tensor/workset.hh
-
 /** Simulation knobs. */
 struct SimOptions
 {
@@ -67,46 +59,17 @@ struct SimOptions
 
     /** Seed for the sampling phase (not for data generation). */
     std::uint64_t seed = 1;
-
-    /**
-     * Extra cycles per output tile for pipeline fill and accumulator
-     * drain (output synchronization).  The paper's dense latencies are
-     * compute-dominated, so the default is 0.
-     */
-    int drainCyclesPerTile = 0;
 };
-
-/**
- * Stage-1 artifact: operand views plus their content statistics.  The
- * matrices are borrowed, not owned — the caller (a LayerWorkset held
- * by shared_ptr, or stack matrices in tests) must outlive the
- * simulation call.
- */
-struct GemmOperands
-{
-    const MatrixI8 *a = nullptr;
-    const MatrixI8 *b = nullptr;
-    std::int64_t effectualOps = 0; ///< MACs with both operands nonzero
-    std::int64_t nnzB = 0;         ///< nonzeros of B (payload bytes)
-};
-
-/** Compute the stage-1 statistics of two free-standing matrices. */
-GemmOperands makeGemmOperands(const MatrixI8 &a, const MatrixI8 &b);
-
-/** View a generated workset as stage-1 operands (statistics reused,
- *  nothing recomputed).  The workset must outlive the view. */
-GemmOperands gemmOperands(const LayerWorkset &workset);
 
 /** Result of simulating one GEMM. */
 struct GemmSimResult
 {
     std::int64_t denseCycles = 0;   ///< dense-baseline cycles
     std::int64_t computeCycles = 0; ///< datapath cycles on this arch
-    std::int64_t dramCycles = 0;    ///< DRAM streaming time
-    std::int64_t totalCycles = 0;   ///< max(compute, dram) + drain
-    std::int64_t dramBytes = 0;     ///< A + B(+metadata) + C traffic
     std::int64_t denseOps = 0;      ///< M*K*N MACs
-    std::int64_t effectualOps = 0;  ///< MACs with both operands nonzero
+    /** MACs the SparTen grid executes (simulateSparTen only; 0 from
+     *  simulateGemm, see countEffectualOps in tensor/workset.hh). */
+    std::int64_t effectualOps = 0;
     ScheduleStats sched;            ///< summed over simulated tiles
                                     ///< (unscaled)
     std::int64_t simulatedTiles = 0;
@@ -116,24 +79,17 @@ struct GemmSimResult
     double
     speedup() const
     {
-        return totalCycles > 0 ? static_cast<double>(denseCycles) /
-                                     static_cast<double>(totalCycles)
-                               : 1.0;
+        return computeCycles > 0 ? static_cast<double>(denseCycles) /
+                                       static_cast<double>(computeCycles)
+                                 : 1.0;
     }
 };
 
 /**
- * Stages 2 + 3 over prepared operands: simulate C = A x B on `arch`
- * running in workload category `cat` (the category selects Griffin's
- * morph and the bandwidth provisioning; non-hybrid architectures use
- * their fixed routing).
+ * Simulate C = A x B on `arch` running in workload category `cat` (the
+ * category selects Griffin's morph and the bandwidth provisioning;
+ * non-hybrid architectures use their fixed routing).
  */
-GemmSimResult simulateGemm(const GemmOperands &operands,
-                           const ArchConfig &arch, DnnCategory cat,
-                           const SimOptions &opt = {});
-
-/** The monolithic convenience form: stage 1 (makeGemmOperands) plus
- *  the staged simulation, for callers without a prepared workset. */
 GemmSimResult simulateGemm(const MatrixI8 &a, const MatrixI8 &b,
                            const ArchConfig &arch, DnnCategory cat,
                            const SimOptions &opt = {});

@@ -49,8 +49,6 @@ generateLayerWorkset(const WorksetParams &params)
                             params.lanePeriod, rng);
     ws.simSeed = static_cast<std::uint64_t>(
         rng.fork().uniformInt(0, 1 << 30));
-    ws.effectualOps = countEffectualOps(ws.a, ws.b);
-    ws.nnzB = static_cast<std::int64_t>(ws.b.nnz());
     return ws;
 }
 

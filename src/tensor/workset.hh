@@ -4,14 +4,15 @@
  *
  * One layer's simulation consumes a *workset* — the synthetic A
  * (activation) and B (weight) matrices generated at the layer's
- * sparsity ratios, plus the operand statistics the memory model and
- * the result record need (effectual MACs, B nonzeros) and the derived
- * seed of the tile-sampling phase.  The workset is a pure function of
- * WorksetParams: along the architecture axis of any sweep grid, every
- * design point with the same tile height replays *bit-identical*
- * operand generation, which is why the sweep runner (runtime/runner.hh)
- * groups a sweep's layers by WorksetParams and generates each distinct
- * workset once for all of its consumers.
+ * sparsity ratios, plus the derived seed of the tile-sampling phase.
+ * Generation computes no statistics of the matrices, because no later
+ * stage reads one; countEffectualOps is here for callers that want
+ * the count.  The workset is a pure function of WorksetParams: along
+ * the architecture axis of any sweep grid, every design point with the
+ * same tile height replays *bit-identical* operand generation, which
+ * is why the sweep runner (runtime/runner.hh) groups a sweep's layers
+ * by WorksetParams and generates each distinct workset once for all of
+ * its consumers.
  *
  * Convolution layers are already lowered to GEMM shapes by the
  * workload tables (tensor/im2col.hh does the lowering; workloads/
@@ -73,7 +74,7 @@ struct WorksetParams
     }
 };
 
-/** The stage-1 artifact: generated operands + their content statistics. */
+/** The stage-1 artifact: the generated operands. */
 struct LayerWorkset
 {
     MatrixI8 a; ///< activations, m x k
@@ -81,10 +82,6 @@ struct LayerWorkset
     /** Seed of the tile-sampling phase (forked from the generation
      *  stream, so it is part of the workset, not of the simulation). */
     std::uint64_t simSeed = 0;
-    /** MACs where both operands are nonzero. */
-    std::int64_t effectualOps = 0;
-    /** Nonzero count of B (compressed-stream payload size). */
-    std::int64_t nnzB = 0;
 };
 
 /** Count MACs where both operands are nonzero, in O(MK + KN). */

@@ -110,6 +110,23 @@ if(EXISTS "/dev/full")
                     "'${diag_${flag}}'; got ${rc}:\n${err}")
         endif()
     endforeach()
+    # So does a lost stdout write: every subcommand flushes and checks
+    # stdout before it reports success, with one error line.
+    foreach(args "list" "networks" "describe;fig5" "run;table1")
+        execute_process(
+            COMMAND "${GRIFFIN_BENCH}" ${args}
+            OUTPUT_FILE /dev/full ERROR_VARIABLE err RESULT_VARIABLE rc)
+        string(REGEX MATCHALL "error:" errors "${err}")
+        list(LENGTH errors n_errors)
+        if(NOT rc EQUAL 1 OR NOT n_errors EQUAL 1
+           OR NOT err MATCHES "write to stdout failed")
+            string(REPLACE ";" " " shown "${args}")
+            message(FATAL_ERROR
+                    "'${shown}' with stdout on /dev/full must exit 1 "
+                    "with one 'write to stdout failed' error; got "
+                    "${rc}:\n${err}")
+        endif()
+    endforeach()
 else()
     message(STATUS "no /dev/full: full-device write checks skipped")
 endif()

@@ -1,7 +1,6 @@
 #include "support/sparten_reference.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 #include <vector>
 
@@ -126,22 +125,6 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
     }
     result.computeCycles = max_load;
     result.simulatedTiles = result.totalTiles;
-
-    // SparTen's compressed format: values plus one mask bit per
-    // element, on every side the hardware skips; dense sides stream
-    // raw.
-    const auto nnz_a = static_cast<std::int64_t>(a.nnz());
-    const auto nnz_b = static_cast<std::int64_t>(b.nnz());
-    const std::int64_t a_bytes =
-        skip_a ? nnz_a + (m * k + 7) / 8 : m * k;
-    const std::int64_t b_bytes =
-        skip_b ? nnz_b + (k * n + 7) / 8 : k * n;
-    result.dramBytes = a_bytes + b_bytes + m * n;
-    result.dramCycles = static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(result.dramBytes) /
-                  arch.mem.dramBytesPerCycle()));
-    result.totalCycles = std::max(result.computeCycles,
-                                  result.dramCycles);
     return result;
 }
 

@@ -1,7 +1,7 @@
 # CTest script: end-to-end telemetry smoke.
 #
 #  (a) `run fig5 fig6 --trace` emits a Chrome-trace JSON covering all
-#      six pipeline stages (fig5 exercises the B-side five, fig6 adds
+#      five pipeline stages (fig5 exercises the B-side four, fig6 adds
 #      a_schedule) while the --out row document stays byte-identical
 #      to an untraced run at a different thread count — telemetry must
 #      be observation only.  A schedule-aware run (ablation_memory_peak)
@@ -53,8 +53,7 @@ file(READ "${WORK_DIR}/trace.json" trace)
 if(NOT trace MATCHES "\"traceEvents\"")
     message(FATAL_ERROR "trace file is not a Chrome trace document")
 endif()
-foreach(stage operand_gen b_schedule a_schedule tile_sim memory_model
-        reduce)
+foreach(stage operand_gen b_schedule a_schedule tile_sim reduce)
     if(NOT trace MATCHES "\"${stage}\"")
         message(FATAL_ERROR "trace has no '${stage}' spans")
     endif()

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/presets.hh"
 #include "common/logging.hh"
 #include "griffin/accelerator.hh"
@@ -124,16 +126,87 @@ TEST(Accelerator, ShuffleHelpsOnLaneBiasedWeights)
     EXPECT_GT(r_on.speedup, 1.05 * r_off.speedup);
 }
 
-TEST(Accelerator, RunSuiteCoversAllSixNetworks)
+TEST(Accelerator, SuiteCoversAllSixNetworks)
 {
     auto opt = fastOptions();
     opt.rowCap = 32;
     opt.sim.sampleFraction = 0.02;
     opt.sim.minSampledTiles = 2;
     Accelerator acc(sparseBStar());
-    auto results = acc.runSuite(DnnCategory::B, opt);
+    std::vector<NetworkResult> results;
+    for (const auto &net : benchmarkSuite())
+        results.push_back(acc.run(net, DnnCategory::B, opt));
     ASSERT_EQ(results.size(), 6u);
     EXPECT_GT(geomeanSpeedup(results), 1.2);
+}
+
+TEST(Accelerator, DramCyclesMatchClosedFormByteCounts)
+{
+    // runLayer is the one memory model: whole-layer bytes are A (m*k,
+    // dense on every architecture) + B + C (m*n), times groups and
+    // repeats, at 50 GB/s / 0.8 GHz = 62.5 bytes per cycle.  B streams
+    // k*n dense, nnz + nnz * 4 / 8 as Griffin's conf.B stream (4
+    // metadata bits per nonzero), or nnz + k*n / 8 as SparTen's values
+    // plus one mask bit per element.  At 87.5% weight sparsity a
+    // 64 x 32 B has 256 nonzeros and a 64 x 64 B has 512.
+    NetworkSpec net;
+    net.name = "dram-probe";
+    net.weightSparsity = 0.875;
+    net.actSparsity = 0.5;
+    LayerSpec fc;
+    fc.name = "fc";
+    fc.m = 8;
+    fc.k = 64;
+    fc.n = 32;
+    fc.groups = 2;
+    fc.repeat = 3;
+    net.chainLayer(fc);
+    LayerSpec conv;
+    conv.name = "conv";
+    conv.m = 64;
+    conv.k = 64;
+    conv.n = 64;
+    net.chainLayer(conv);
+
+    struct Case
+    {
+        ArchConfig arch;
+        DnnCategory cat;
+        std::int64_t fcDram;
+        std::int64_t convDram;
+    };
+    const Case cases[] = {
+        // (512 + 2048 + 256) * 6 = 16896 B; 4096 * 3 = 12288 B.
+        {denseBaseline(), DnnCategory::Dense, 271, 197},
+        // (512 + 384 + 256) * 6 = 6912 B; 4096 + 768 + 4096 = 8960 B.
+        {griffinArch(), DnnCategory::B, 111, 144},
+        // (512 + 512 + 256) * 6 = 7680 B; 4096 + 1024 + 4096 = 9216 B.
+        {sparTenAB(), DnnCategory::AB, 123, 148},
+    };
+    for (const auto &c : cases) {
+        const Accelerator acc(c.arch);
+        auto opt = fastOptions();
+        for (const bool bound : {false, true}) {
+            opt.enforceDramBound = bound;
+            const auto fc_r = acc.runLayer(net, 0, c.cat, opt);
+            const auto conv_r = acc.runLayer(net, 1, c.cat, opt);
+            EXPECT_EQ(fc_r.dramCycles, c.fcDram) << c.arch.name;
+            EXPECT_EQ(conv_r.dramCycles, c.convDram) << c.arch.name;
+            for (const auto &lr : {fc_r, conv_r})
+                EXPECT_EQ(lr.totalCycles,
+                          bound ? std::max(lr.computeCycles, lr.dramCycles)
+                                : lr.computeCycles)
+                    << c.arch.name << " " << lr.name;
+        }
+    }
+    // Both sides of the max occur: on the dense core the fc layer is
+    // DRAM-bound (96 compute cycles against 271), the conv layer
+    // compute-bound (256 against 197).
+    const Accelerator dense(denseBaseline());
+    EXPECT_EQ(dense.runLayer(net, 0, DnnCategory::Dense).computeCycles,
+              96);
+    EXPECT_EQ(dense.runLayer(net, 1, DnnCategory::Dense).computeCycles,
+              256);
 }
 
 TEST(Accelerator, RunLayerPlusReduceEqualsRun)
@@ -146,8 +219,8 @@ TEST(Accelerator, RunLayerPlusReduceEqualsRun)
     std::vector<LayerResult> layers;
     for (std::size_t l = 0; l < net.layerCount(); ++l)
         layers.push_back(acc.runLayer(net, l, DnnCategory::AB, opt));
-    const auto reduced =
-        acc.reduceLayers(net, DnnCategory::AB, std::move(layers));
+    const auto reduced = acc.reduceLayers(net, DnnCategory::AB,
+                                          std::move(layers), RunOptions{});
     const auto direct = acc.run(net, DnnCategory::AB, opt);
     EXPECT_EQ(reduced.denseCycles, direct.denseCycles);
     EXPECT_EQ(reduced.totalCycles, direct.totalCycles);
@@ -174,7 +247,7 @@ TEST(AcceleratorDeathTest, ReduceLayerCountMismatchIsFatal)
 {
     Accelerator acc(denseBaseline());
     const auto net = networkByName("alexnet");
-    EXPECT_EXIT(acc.reduceLayers(net, DnnCategory::Dense, {}),
+    EXPECT_EXIT(acc.reduceLayers(net, DnnCategory::Dense, {}, RunOptions{}),
                 testing::ExitedWithCode(exitUsageError), "layer results");
 }
 

@@ -113,7 +113,6 @@ TEST_P(AnalyticVsSimulator, AgreesWithinBand)
     ArchConfig arch = denseBaseline();
     arch.name = "dse-point";
     arch.routing = c.cfg;
-    arch.mem.dramGBs = 1e6; // isolate the datapath
     const auto sim = simulateGemm(a, b, arch, c.cat);
     const double predicted =
         analyticSpeedup(c.cfg, kShape, c.asp, c.bsp);

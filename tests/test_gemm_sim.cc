@@ -1,16 +1,19 @@
 /**
  * @file
  * Tests for the GEMM-level cycle simulator: speedup bounds, sampling
- * accuracy, bandwidth effects, and category-driven morphing.
+ * accuracy, bandwidth effects, category-driven morphing, and the
+ * physical bound every engine's compute cycles must respect.
  */
 
 #include <gtest/gtest.h>
 
 #include "arch/presets.hh"
+#include "baselines/sparten.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sim/gemm_sim.hh"
 #include "tensor/sparsity.hh"
+#include "tensor/workset.hh"
 
 namespace griffin {
 namespace {
@@ -32,20 +35,6 @@ makeTensors(std::int64_t m, std::int64_t k, std::int64_t n,
                          static_cast<std::size_t>(n), b_sp, rng)};
 }
 
-/**
- * Datapath-isolation helper: the unit-test GEMMs are much thinner than
- * the paper's layers, so at the real 50 GB/s they would be DRAM-bound
- * and every architecture would measure alike.  Tests that probe the
- * datapath raise the DRAM ceiling; DramBytesAccountCompressedB and
- * ThrottledBandwidthReducesSpeedup cover the memory side explicitly.
- */
-ArchConfig
-unboundDram(ArchConfig cfg)
-{
-    cfg.mem.dramGBs = 1e6;
-    return cfg;
-}
-
 TEST(GemmSim, DenseBaselineMatchesClosedForm)
 {
     auto t = makeTensors(64, 256, 64, 0.0, 0.0, 11);
@@ -54,13 +43,13 @@ TEST(GemmSim, DenseBaselineMatchesClosedForm)
     EXPECT_EQ(r.denseCycles, 16 * 4 * 16);
     EXPECT_DOUBLE_EQ(r.speedup(), 1.0);
     EXPECT_EQ(r.denseOps, 64 * 256 * 64);
-    EXPECT_EQ(r.effectualOps, r.denseOps);
+    EXPECT_EQ(countEffectualOps(t.a, t.b), r.denseOps);
 }
 
 TEST(GemmSim, SparseBSpeedupWithinIdealBound)
 {
     auto t = makeTensors(32, 512, 32, 0.0, 0.8, 12);
-    auto r = simulateGemm(t.a, t.b, unboundDram(sparseBStar()),
+    auto r = simulateGemm(t.a, t.b, sparseBStar(),
                           DnnCategory::B);
     // Ideal bound is the window depth 1 + db1 = 5.
     EXPECT_GT(r.speedup(), 1.3);
@@ -70,7 +59,7 @@ TEST(GemmSim, SparseBSpeedupWithinIdealBound)
 TEST(GemmSim, SparseBOnDenseDataIsNeutral)
 {
     auto t = makeTensors(16, 256, 32, 0.0, 0.0, 13);
-    auto r = simulateGemm(t.a, t.b, unboundDram(sparseBStar()),
+    auto r = simulateGemm(t.a, t.b, sparseBStar(),
                           DnnCategory::Dense);
     EXPECT_EQ(r.computeCycles, r.denseCycles);
 }
@@ -78,7 +67,7 @@ TEST(GemmSim, SparseBOnDenseDataIsNeutral)
 TEST(GemmSim, SparseASpeedupTracksActivationSparsity)
 {
     auto t = makeTensors(64, 512, 32, 0.5, 0.0, 14);
-    auto r = simulateGemm(t.a, t.b, unboundDram(sparseAStar()),
+    auto r = simulateGemm(t.a, t.b, sparseAStar(),
                           DnnCategory::A);
     EXPECT_GT(r.speedup(), 1.2);
     EXPECT_LE(r.speedup(), 3.0); // window depth 1 + da1 = 3
@@ -87,9 +76,9 @@ TEST(GemmSim, SparseASpeedupTracksActivationSparsity)
 TEST(GemmSim, DualSpeedupCompoundsBothSparsities)
 {
     auto t = makeTensors(32, 512, 32, 0.5, 0.8, 15);
-    auto dual = simulateGemm(t.a, t.b, unboundDram(sparseABStar()),
+    auto dual = simulateGemm(t.a, t.b, sparseABStar(),
                              DnnCategory::AB);
-    auto b_only = simulateGemm(t.a, t.b, unboundDram(sparseBStar()),
+    auto b_only = simulateGemm(t.a, t.b, sparseBStar(),
                                DnnCategory::B);
     EXPECT_GT(dual.speedup(), b_only.speedup());
     EXPECT_LE(dual.speedup(), 9.0); // L = (1+2)(1+2)
@@ -97,7 +86,7 @@ TEST(GemmSim, DualSpeedupCompoundsBothSparsities)
 
 TEST(GemmSim, MoreSparsityNeverSlowsTheSameArch)
 {
-    const auto arch = unboundDram(sparseBStar());
+    const auto arch = sparseBStar();
     double prev = 0.0;
     for (double sp : {0.0, 0.4, 0.7, 0.9}) {
         auto t = makeTensors(16, 512, 32, 0.0, sp, 16);
@@ -112,9 +101,9 @@ TEST(GemmSim, GriffinMorphsToWiderWindowOnSingleSparse)
     // On a weight-only workload Griffin (conf.B window 9) must beat
     // the rigid dual design (effective window 3 on the B side).
     auto t = makeTensors(16, 768, 32, 0.0, 0.9, 17);
-    auto rigid = simulateGemm(t.a, t.b, unboundDram(sparseABStar()),
+    auto rigid = simulateGemm(t.a, t.b, sparseABStar(),
                               DnnCategory::B);
-    auto hybrid = simulateGemm(t.a, t.b, unboundDram(griffinArch()),
+    auto hybrid = simulateGemm(t.a, t.b, griffinArch(),
                                DnnCategory::B);
     EXPECT_GT(hybrid.speedup(), rigid.speedup());
 }
@@ -123,11 +112,11 @@ TEST(GemmSim, SamplingApproximatesExact)
 {
     auto t = makeTensors(128, 256, 128, 0.5, 0.8, 18);
     SimOptions exact;
-    auto full = simulateGemm(t.a, t.b, unboundDram(sparseABStar()),
+    auto full = simulateGemm(t.a, t.b, sparseABStar(),
                              DnnCategory::AB, exact);
     SimOptions sampled;
     sampled.sampleFraction = 0.1;
-    auto approx = simulateGemm(t.a, t.b, unboundDram(sparseABStar()),
+    auto approx = simulateGemm(t.a, t.b, sparseABStar(),
                                DnnCategory::AB, sampled);
     EXPECT_LT(approx.simulatedTiles, full.simulatedTiles);
     const double rel =
@@ -140,35 +129,12 @@ TEST(GemmSim, SamplingApproximatesExact)
 TEST(GemmSim, ThrottledBandwidthReducesSpeedup)
 {
     auto t = makeTensors(16, 1024, 32, 0.0, 0.9, 19);
-    auto arch = unboundDram(sparseBStar());
+    auto arch = sparseBStar();
     auto free_bw = simulateGemm(t.a, t.b, arch, DnnCategory::B);
     arch.bwScale = 1.5;
     auto tight = simulateGemm(t.a, t.b, arch, DnnCategory::B);
     EXPECT_LT(tight.speedup(), free_bw.speedup());
     EXPECT_LE(tight.speedup(), 1.5 + 0.01);
-}
-
-TEST(GemmSim, DramBytesAccountCompressedB)
-{
-    auto t = makeTensors(8, 256, 16, 0.0, 0.9, 20);
-    auto dense_run =
-        simulateGemm(t.a, t.b, denseBaseline(), DnnCategory::Dense);
-    auto sparse_run =
-        simulateGemm(t.a, t.b, sparseBStar(), DnnCategory::B);
-    // Compressed B (10% nnz + metadata) must beat dense K*N traffic.
-    EXPECT_LT(sparse_run.dramBytes, dense_run.dramBytes);
-    EXPECT_GE(sparse_run.dramBytes,
-              static_cast<std::int64_t>(t.a.rows() * t.a.cols()));
-}
-
-TEST(GemmSim, DrainCyclesAddPerTileOverhead)
-{
-    auto t = makeTensors(64, 64, 64, 0.0, 0.0, 21);
-    SimOptions opt;
-    opt.drainCyclesPerTile = 4;
-    auto r = simulateGemm(t.a, t.b, denseBaseline(), DnnCategory::Dense,
-                          opt);
-    EXPECT_EQ(r.totalCycles, r.denseCycles + 4 * r.totalTiles);
 }
 
 TEST(GemmSim, EffectualOpsCountsPairs)
@@ -179,8 +145,7 @@ TEST(GemmSim, EffectualOpsCountsPairs)
     b.at(0, 0) = 5; // pairs with a(0,0) for n=0
     b.at(2, 1) = 7; // pairs with a(1,2) for n=1
     b.at(3, 0) = 2; // no nonzero a in column k=3
-    auto r = simulateGemm(a, b, denseBaseline(), DnnCategory::Dense);
-    EXPECT_EQ(r.effectualOps, 2);
+    EXPECT_EQ(countEffectualOps(a, b), 2);
 }
 
 TEST(GemmSimDeathTest, MacGridIsRejected)
@@ -204,43 +169,44 @@ TEST(GemmSim, DegenerateShapes)
 {
     MatrixI8 a(0, 16), b(16, 8);
     auto r = simulateGemm(a, b, denseBaseline(), DnnCategory::Dense);
-    EXPECT_EQ(r.totalCycles, 0);
+    EXPECT_EQ(r.computeCycles, 0);
     EXPECT_EQ(r.totalTiles, 0);
 }
 
-// ---- staged pipeline ------------------------------------------------
-
-void
-expectResultsEq(const GemmSimResult &x, const GemmSimResult &y)
+TEST(GemmSim, NoEngineBeatsOneEffectualMacPerMacPerCycle)
 {
-    EXPECT_EQ(x.denseCycles, y.denseCycles);
-    EXPECT_EQ(x.computeCycles, y.computeCycles);
-    EXPECT_EQ(x.dramCycles, y.dramCycles);
-    EXPECT_EQ(x.totalCycles, y.totalCycles);
-    EXPECT_EQ(x.dramBytes, y.dramBytes);
-    EXPECT_EQ(x.denseOps, y.denseOps);
-    EXPECT_EQ(x.effectualOps, y.effectualOps);
-    EXPECT_EQ(x.simulatedTiles, y.simulatedTiles);
-    EXPECT_EQ(x.totalTiles, y.totalTiles);
-    EXPECT_EQ(x.sched.cycles, y.sched.cycles);
-    EXPECT_EQ(x.sched.ops, y.sched.ops);
-    EXPECT_EQ(x.sched.stolenOps, y.sched.stolenOps);
-}
-
-TEST(GemmSim, StagedOperandsMatchMonolithicEntryPoint)
-{
-    auto t = makeTensors(32, 128, 48, 0.5, 0.8, 31);
-    for (const auto &arch :
-         {unboundDram(sparseBStar()), unboundDram(sparseAStar()),
-          unboundDram(griffinArch())}) {
-        SimOptions opt;
-        opt.sampleFraction = 1.0;
-        const auto mono =
-            simulateGemm(t.a, t.b, arch, DnnCategory::AB, opt);
-        const auto staged = simulateGemm(makeGemmOperands(t.a, t.b),
-                                         arch, DnnCategory::AB, opt);
-        expectResultsEq(staged, mono);
-    }
+    // Physical bound: with every tile simulated, no engine can finish
+    // in fewer cycles than its MACs need to execute every effectual
+    // pair once.  Shapes straddle the 4 x 16 x 16 tile edges, and the
+    // largest have 4x more outputs than SparTen has MACs; zero rates
+    // include fully dense, where the bound is tightest.
+    const std::int64_t ms[] = {1, 5, 64};
+    const std::int64_t ks[] = {1, 17, 64, 200};
+    const std::int64_t ns[] = {1, 16, 65};
+    const double rates[] = {0.0, 0.0, 0.5, 0.9, 1.0};
+    Rng rng(2107);
+    std::uint64_t seed = 100;
+    for (const std::int64_t m : ms)
+        for (const std::int64_t k : ks)
+            for (const std::int64_t n : ns) {
+                const double a_sp = rates[rng.uniformInt(0, 4)];
+                const double b_sp = rates[rng.uniformInt(0, 4)];
+                const auto t = makeTensors(m, k, n, a_sp, b_sp, seed++);
+                const std::int64_t effectual = countEffectualOps(t.a, t.b);
+                for (const auto &arch : allPresets())
+                    for (const DnnCategory cat : allCategories) {
+                        const std::int64_t macs = arch.tile.macsPerCycle();
+                        const auto cycles =
+                            arch.style == DatapathStyle::MacGrid
+                                ? simulateSparTen(t.a, t.b, arch, cat)
+                                      .computeCycles
+                                : simulateGemm(t.a, t.b, arch, cat)
+                                      .computeCycles;
+                        EXPECT_GE(cycles, (effectual + macs - 1) / macs)
+                            << arch.name << " cat=" << toString(cat)
+                            << " m=" << m << " k=" << k << " n=" << n;
+                    }
+            }
 }
 
 } // namespace

@@ -399,7 +399,8 @@ TEST(Runner, RunLayerIsOrderIndependent)
     EXPECT_EQ(last_first.computeCycles, in_order.back().computeCycles);
 
     const auto reduced =
-        acc.reduceLayers(net, DnnCategory::B, std::move(in_order));
+        acc.reduceLayers(net, DnnCategory::B, std::move(in_order),
+                         RunOptions{});
     const auto direct = acc.run(net, DnnCategory::B, opt);
     EXPECT_EQ(reduced.totalCycles, direct.totalCycles);
     EXPECT_EQ(reduced.speedup, direct.speedup);

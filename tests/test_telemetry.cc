@@ -173,12 +173,12 @@ TEST(Telemetry, ThreadsMergeIntoOneTraceButKeepOwnTids)
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t)
         workers.emplace_back([] {
-            ScopedSpan span("memory_model");
+            ScopedSpan span("reduce");
         });
     for (auto &w : workers)
         w.join();
     {
-        ScopedSpan span("memory_model");
+        ScopedSpan span("reduce");
     }
     EXPECT_EQ(Telemetry::eventCount(),
               static_cast<std::uint64_t>(threads + 1));
