@@ -3,32 +3,12 @@
 #include <algorithm>
 
 #include "common/arena.hh"
-#include "simd/kernels.hh"
+#include "simd/occupancy.hh"
 #include "tensor/tile.hh"
 
 namespace griffin {
 
 namespace {
-
-/**
- * Transpose a 64 x 64 bit matrix in place: bit j of word i moves to
- * bit i of word j (Hacker's Delight, 2nd ed., section 7-3).  Round s
- * (32, 16, ..., 1) swaps the off-diagonal s x s blocks of every
- * 2s x 2s block.
- */
-void
-transpose64(std::uint64_t *words)
-{
-    std::uint64_t mask = 0x00000000FFFFFFFFULL;
-    for (int s = 32; s != 0; s >>= 1, mask ^= mask << s) {
-        for (int i = 0; i < 64; i = ((i | s) + 1) & ~s) {
-            const std::uint64_t t =
-                ((words[i] >> s) ^ words[i | s]) & mask;
-            words[i] ^= t << s;
-            words[i | s] ^= t;
-        }
-    }
-}
 
 /** All ones over [0, k): the mask of a side the routing does not skip. */
 void
@@ -79,20 +59,14 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
     // A's row masks over k.
     auto *rows = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(m * words));
-    for (std::int64_t mi = 0; mi < m; ++mi) {
-        std::uint64_t *mask = rows + mi * words;
-        if (skip_a)
-            simd::detail::rowNonzeroMasks(a.data() + mi * k, k, mask);
-        else
-            onesMask(k, words, mask);
-    }
+    if (skip_a)
+        simd::aRowMasks(a, 0, m, words, rows);
+    else
+        for (std::int64_t mi = 0; mi < m; ++mi)
+            onesMask(k, words, rows + mi * words);
 
-    // B in 64-column slabs: one occupancy word per k row (bit j is
-    // column base + j, zero past k and past n), transposed 64 rows at
-    // a time into each column's k mask.  Then one overlap count per
-    // (A row, slab column), stored in output order.
-    auto *slab = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(words * 64));
+    // B in 64-column slabs of column k masks (zero past k), then one
+    // overlap count per (A row, slab column), stored in output order.
     auto *cols = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(64 * words));
     auto *work = arena.alloc<std::int32_t>(static_cast<std::size_t>(m * n));
@@ -101,15 +75,9 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
             onesMask(k, words, cols + j * words);
     for (std::int64_t base = 0; base < n; base += 64) {
         const auto width = std::min<std::int64_t>(64, n - base);
-        if (skip_b) {
-            simd::bTileOccupancy(b, base, 64, words, 64, slab);
-            for (std::int64_t w = 0; w < words; ++w) {
-                std::uint64_t *block = slab + w * 64;
-                transpose64(block);
-                for (std::int64_t j = 0; j < width; ++j)
-                    cols[j * words + w] = block[j];
-            }
-        }
+        if (skip_b)
+            simd::bColumnMasks(b, base, static_cast<int>(width), words,
+                               cols);
         for (std::int64_t mi = 0; mi < m; ++mi)
             kern.andPopcount(rows + mi * words, cols, words, width,
                              work + mi * n + base);

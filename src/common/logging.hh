@@ -79,27 +79,48 @@ void informImpl(const std::string &msg);
 
 } // namespace detail
 
+// panic, fatal and fatalRun are class templates so that each record
+// names its call site: a default argument of __builtin_FILE() /
+// __builtin_LINE() is evaluated where the call is written, and the
+// deduction guides let a call deduce its argument pack, which a
+// defaulted parameter after a function parameter pack cannot.  A call
+// reads like a function call and never returns.
+
 /**
  * Abort on an internal invariant violation.  Arguments are streamed
  * together, e.g. panic("bad lane ", lane, " of ", lanes).
  */
 template <typename... Args>
-[[noreturn]] void
-panic(Args &&...args)
+struct panic
 {
-    detail::panicImpl(__FILE__, __LINE__,
-                      detail::concat(std::forward<Args>(args)...));
-}
+    [[noreturn]] explicit panic(Args &&...args,
+                                const char *file = __builtin_FILE(),
+                                int line = __builtin_LINE())
+    {
+        detail::panicImpl(file, line,
+                          detail::concat(std::forward<Args>(args)...));
+    }
+};
+
+template <typename... Args>
+panic(Args &&...) -> panic<Args...>;
 
 /** Exit(exitUsageError) on an unrecoverable user error (bad config,
  *  bad input). */
 template <typename... Args>
-[[noreturn]] void
-fatal(Args &&...args)
+struct fatal
 {
-    detail::fatalImpl(__FILE__, __LINE__,
-                      detail::concat(std::forward<Args>(args)...));
-}
+    [[noreturn]] explicit fatal(Args &&...args,
+                                const char *file = __builtin_FILE(),
+                                int line = __builtin_LINE())
+    {
+        detail::fatalImpl(file, line,
+                          detail::concat(std::forward<Args>(args)...));
+    }
+};
+
+template <typename... Args>
+fatal(Args &&...) -> fatal<Args...>;
 
 /**
  * Exit(exitRunFailure) when a correctly-configured run cannot
@@ -108,12 +129,19 @@ fatal(Args &&...args)
  * errors.
  */
 template <typename... Args>
-[[noreturn]] void
-fatalRun(Args &&...args)
+struct fatalRun
 {
-    detail::fatalRunImpl(__FILE__, __LINE__,
-                         detail::concat(std::forward<Args>(args)...));
-}
+    [[noreturn]] explicit fatalRun(Args &&...args,
+                                   const char *file = __builtin_FILE(),
+                                   int line = __builtin_LINE())
+    {
+        detail::fatalRunImpl(file, line,
+                             detail::concat(std::forward<Args>(args)...));
+    }
+};
+
+template <typename... Args>
+fatalRun(Args &&...) -> fatalRun<Args...>;
 
 /** Non-fatal warning to stderr. */
 template <typename... Args>

@@ -4,7 +4,6 @@
 
 #include "common/arena.hh"
 #include "sched/window_scheduler.hh"
-#include "simd/occupancy.hh"
 
 namespace griffin {
 
@@ -12,23 +11,13 @@ ScheduleResult
 scheduleA(const TileViewA &a, const Borrow &da, const Shuffler &shuffler,
           double advance_cap, bool record)
 {
-    GRIFFIN_ASSERT(shuffler.lanes() == a.lanes(),
-                   "shuffler is ", shuffler.lanes(), " lanes wide, tile ",
-                   a.lanes());
     GRIFFIN_ASSERT(advance_cap > 0.0, "non-positive advance cap");
 
-    const SlotGrid grid{a.steps(), a.lanes(), a.units(), 1};
-
-    // Bulk occupancy (bit m of occ[flat k]) into slot m * lanes +
-    // post-shuffle lane: one word per step for the default 4 x 16 tile.
+    // Slot m * lanes + post-shuffle lane: one word per step for the
+    // default 4 x 16 tile.
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    auto *occ = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(grid.steps * grid.lanes));
-    simd::aTileOccupancy(a.matrix(), a.unitBase(), grid.rows,
-                         grid.steps, grid.lanes, occ);
-    const SlotQueues queues =
-        tileQueues(grid, occ, nullptr, shuffler, arena);
+    const SlotQueues queues = tileQueues(&a, nullptr, shuffler, arena);
 
     BorrowWindow window;
     window.steps = 1 + da.d1;

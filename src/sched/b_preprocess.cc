@@ -11,25 +11,6 @@ namespace griffin {
 
 namespace {
 
-/**
- * Packing queues of one B tile: slot n * lanes + lane of step k1 holds
- * column n's element at (k1, k2), lane being k2's post-shuffle lane.
- */
-SlotQueues
-packingQueues(const TileViewB &b, const Shuffler &shuffler, Arena &arena)
-{
-    GRIFFIN_ASSERT(shuffler.lanes() == b.lanes(),
-                   "shuffler is ", shuffler.lanes(), " lanes wide, tile ",
-                   b.lanes());
-    const SlotGrid grid{b.steps(), b.lanes(), 1, b.units()};
-
-    auto *occ = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(grid.steps * grid.lanes));
-    simd::bTileOccupancy(b.matrix(), b.unitBase(), grid.cols,
-                         grid.steps, grid.lanes, occ);
-    return tileQueues(grid, nullptr, occ, shuffler, arena);
-}
-
 BorrowWindow
 packingWindow(const Borrow &db)
 {
@@ -45,116 +26,6 @@ packingWindow(const Borrow &db)
     return window;
 }
 
-/**
- * Writes each packing cycle's stream cells from its take words into
- * arena tables sized for grid.steps cycles: every packing cycle moves
- * the window base at least one step, so the stream is never longer
- * than the tile.  The cell of consumer slot s at cycle c is
- * c * slots + s (rows == 1).  Each slot's lane and column, each step's
- * shuffle rotation and each (rotation, lane)'s original k2 are
- * precomputed.
- */
-class StreamWriter
-{
-  public:
-    StreamWriter(const SlotGrid &grid, const Shuffler &shuffler,
-                 Arena &arena, std::vector<ScheduledOp> *ops)
-        : grid_(grid), nslots_(grid.slots()), ops_(ops),
-          period_(shuffler.enabled() ? shuffler.groupSize() : 1)
-    {
-        auto table = [&](auto *&at, std::int64_t size) {
-            at = arena.alloc<std::remove_reference_t<decltype(*at)>>(
-                static_cast<std::size_t>(size));
-        };
-        table(flatk, grid.steps * nslots_);
-        table(homecol, grid.steps * nslots_);
-        table(rawLo, grid.steps * grid.cols);
-        table(rawHi, grid.steps * grid.cols);
-        table(rawEnd, grid.steps);
-        table(packed_, (nslots_ + 63) / 64);
-        table(slotLane_, nslots_);
-        table(slotCol_, nslots_);
-        table(rot_, grid.steps);
-        table(origLane_, period_ * grid.lanes);
-        for (std::int64_t s = 0; s < nslots_; ++s) {
-            slotLane_[s] = static_cast<int>(s % grid.lanes);
-            slotCol_[s] = static_cast<std::int16_t>(s / grid.lanes);
-        }
-        for (std::int64_t k1 = 0; k1 < grid.steps; ++k1)
-            rot_[k1] = static_cast<int>(k1 % period_) * grid.lanes;
-        for (int r = 0; r < period_; ++r)
-            for (int l = 0; l < grid.lanes; ++l)
-                origLane_[r * grid.lanes + l] = shuffler.invert(r, l);
-    }
-
-    void cycle(const WindowCycle &c)
-    {
-        GRIFFIN_ASSERT(c.cycle < grid_.steps,
-                       "packing ran past the tile's ", grid_.steps,
-                       " steps");
-        cell_ = c.cycle * nslots_;
-        col_ = c.cycle * grid_.cols;
-        std::fill(flatk + cell_, flatk + cell_ + nslots_, -1);
-        std::fill(homecol + cell_, homecol + cell_ + nslots_, -1);
-        std::fill(rawLo + col_, rawLo + col_ + grid_.cols, -1);
-        std::fill(rawHi + col_, rawHi + col_ + grid_.cols, -1);
-        std::fill(packed_, packed_ + c.words, 0);
-        // The raw frontier is cumulative.
-        end_ = c.cycle > 0 ? rawEnd[c.cycle - 1] : -1;
-        for (std::int64_t d = 0; d < c.depth; ++d)
-            for (std::int64_t i = 0; i < c.words; ++i)
-                for (std::uint64_t take = c.takes[d * c.words + i];
-                     take != 0; take &= take - 1) {
-                    const std::int64_t s = i * 64 + simd::ctz64(take);
-                    put(c.base + d, s, s);
-                }
-        for (std::int64_t k = 0; k < c.stealCount; ++k)
-            put(c.steals[k].step, c.steals[k].src, c.steals[k].consumer);
-        rawEnd[c.cycle] = end_;
-        if (ops_ != nullptr)
-            appendCycleOps(grid_, c, *ops_);
-    }
-
-    std::int64_t *flatk;
-    std::int16_t *homecol;
-    std::int64_t *rawLo;
-    std::int64_t *rawHi;
-    std::int64_t *rawEnd;
-
-  private:
-    void
-    put(std::int64_t step, std::int64_t src, std::int64_t consumer)
-    {
-        const std::uint64_t bit = std::uint64_t{1} << (consumer & 63);
-        GRIFFIN_ASSERT((packed_[consumer >> 6] & bit) == 0,
-                       "two elements packed into one stream slot");
-        packed_[consumer >> 6] |= bit;
-        // The element's lane is post-shuffle; the original k2 forms
-        // the flat k index used for A pairing.
-        flatk[cell_ + consumer] =
-            step * grid_.lanes + origLane_[rot_[step] + slotLane_[src]];
-        homecol[cell_ + consumer] = slotCol_[src];
-        std::int64_t &lo = rawLo[col_ + slotCol_[consumer]];
-        std::int64_t &hi = rawHi[col_ + slotCol_[consumer]];
-        lo = lo < 0 ? step : std::min(lo, step);
-        hi = std::max(hi, step);
-        end_ = std::max(end_, step);
-    }
-
-    const SlotGrid &grid_;
-    std::int64_t nslots_;
-    std::vector<ScheduledOp> *ops_; ///< recorded ops, when asked
-    int period_;
-    std::int64_t cell_ = 0; ///< first cell of the current cycle
-    std::int64_t col_ = 0;  ///< first (cycle, col) extent of it
-    std::int64_t end_ = -1; ///< its raw frontier so far
-    std::uint64_t *packed_; ///< its consumer slots written so far
-    int *slotLane_;
-    std::int16_t *slotCol_;
-    int *rot_; ///< (step mod group) * lanes
-    int *origLane_;
-};
-
 } // namespace
 
 BSchedule
@@ -163,26 +34,151 @@ preprocessB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
 {
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    const SlotQueues queues = packingQueues(b, shuffler, arena);
+    // Slot n * lanes + post-shuffle lane of step k1 holds column n's
+    // element at (k1, k2).
+    const SlotQueues queues = tileQueues(nullptr, &b, shuffler, arena);
     const SlotGrid &grid = queues.grid();
+    const BorrowWindow window = packingWindow(db);
     BSchedule sched;
-    StreamWriter writer(grid, shuffler, arena,
-                        record ? &sched.ops_ : nullptr);
-    sched.stats_ =
-        runWindowSchedule(queues, packingWindow(db),
-                          [&writer](const WindowCycle &c) { writer.cycle(c); });
-    sched.cycles_ = sched.stats_.cycles;
+    sched.steps_ = grid.steps;
     sched.lanes_ = grid.lanes;
     sched.cols_ = grid.cols;
+    sched.words_ = queues.wordsPerStep();
+    sched.window_ = std::min<std::int64_t>(window.steps, grid.steps);
+    sched.shuffler_ = shuffler;
+
+    // Tables sized for grid.steps cycles: every packing cycle moves the
+    // window base at least one step, so the stream is never longer
+    // than the tile.  Steals are few, so they go straight to the
+    // schedule.
+    const std::int64_t steps = grid.steps;
+    const std::int64_t words = sched.words_;
+    const std::int64_t row = sched.window_ * words;
+    const int lanes = grid.lanes;
+    const int cols = grid.cols;
+    auto table = [&](auto *&at, std::int64_t size) {
+        at = arena.alloc<std::remove_reference_t<decltype(*at)>>(
+            static_cast<std::size_t>(size));
+    };
+    std::int64_t *base, *steal_at, *raw_lo, *raw_hi, *raw_end;
+    std::uint64_t *takes, *packed;
+    table(base, steps);
+    table(takes, steps * row);
+    table(steal_at, steps + 1);
+    table(raw_lo, steps * cols);
+    table(raw_hi, steps * cols);
+    table(raw_end, steps);
+    table(packed, words);
+    steal_at[0] = 0;
+
+    auto on_cycle = [&](const WindowCycle &c) {
+        GRIFFIN_ASSERT(c.cycle < steps, "packing ran past the tile's ",
+                       steps, " steps");
+        GRIFFIN_ASSERT(c.depth == std::min(sched.window_, steps - c.base),
+                       "window of depth ", c.depth, " at base ", c.base);
+        base[c.cycle] = c.base;
+        std::uint64_t *rows = takes + c.cycle * row;
+        std::copy(c.takes, c.takes + c.depth * words, rows);
+        std::fill(rows + c.depth * words, rows + row, 0);
+        sched.steals_.insert(sched.steals_.end(), c.steals,
+                             c.steals + c.stealCount);
+        steal_at[c.cycle + 1] = steal_at[c.cycle] + c.stealCount;
+
+        // Each stream slot holds at most one element.
+        std::fill(packed, packed + words, 0);
+        for (std::int64_t d = 0; d < c.depth; ++d)
+            for (std::int64_t i = 0; i < words; ++i) {
+                const std::uint64_t take = c.takes[d * words + i];
+                GRIFFIN_ASSERT((packed[i] & take) == 0,
+                               "two elements packed into one stream slot");
+                packed[i] |= take;
+            }
+        for (std::int64_t k = 0; k < c.stealCount; ++k) {
+            const std::int64_t s = c.steals[k].consumer;
+            const std::uint64_t bit = std::uint64_t{1} << (s & 63);
+            GRIFFIN_ASSERT((packed[s >> 6] & bit) == 0,
+                           "two elements packed into one stream slot");
+            packed[s >> 6] |= bit;
+        }
+
+        // Raw extents: the lowest / highest step each column holds;
+        // the frontier is cumulative.
+        std::int64_t *lo = raw_lo + c.cycle * cols;
+        std::int64_t *hi = raw_hi + c.cycle * cols;
+        std::int64_t end = c.cycle > 0 ? raw_end[c.cycle - 1] : -1;
+        for (int j = 0; j < cols; ++j) {
+            lo[j] = hi[j] = -1;
+            for (std::int64_t d = 0; d < c.depth; ++d) {
+                if (simd::readField(c.takes + d * words,
+                                    std::int64_t{j} * lanes, lanes) == 0)
+                    continue;
+                if (lo[j] < 0)
+                    lo[j] = c.base + d;
+                hi[j] = c.base + d;
+            }
+            end = std::max(end, hi[j]);
+        }
+        for (std::int64_t k = 0; k < c.stealCount; ++k) {
+            const std::int64_t step = c.steals[k].step;
+            const auto j =
+                static_cast<std::size_t>(c.steals[k].consumer / lanes);
+            lo[j] = lo[j] < 0 ? step : std::min(lo[j], step);
+            hi[j] = std::max(hi[j], step);
+            end = std::max(end, step);
+        }
+        raw_end[c.cycle] = end;
+        if (record)
+            appendCycleOps(grid, c, sched.ops_);
+    };
+    sched.stats_ = runWindowSchedule(queues, window, on_cycle);
+
+    const std::int64_t cycles = sched.stats_.cycles;
+    sched.cycles_ = cycles;
     sched.elems_ = sched.stats_.ops;
-    const std::int64_t cells = sched.cycles_ * grid.slots();
-    const std::int64_t col_cells = sched.cycles_ * grid.cols;
-    sched.flatk_.assign(writer.flatk, writer.flatk + cells);
-    sched.homecol_.assign(writer.homecol, writer.homecol + cells);
-    sched.raw_lo_.assign(writer.rawLo, writer.rawLo + col_cells);
-    sched.raw_hi_.assign(writer.rawHi, writer.rawHi + col_cells);
-    sched.raw_end_.assign(writer.rawEnd, writer.rawEnd + sched.cycles_);
+    sched.base_.assign(base, base + cycles);
+    sched.takes_.assign(takes, takes + cycles * row);
+    sched.steal_at_.assign(steal_at, steal_at + cycles + 1);
+    sched.steals_.shrink_to_fit();
+    sched.raw_lo_.assign(raw_lo, raw_lo + cycles * cols);
+    sched.raw_hi_.assign(raw_hi, raw_hi + cycles * cols);
+    sched.raw_end_.assign(raw_end, raw_end + cycles);
     return sched;
+}
+
+StolenOp
+BSchedule::cell(std::int64_t cycle, int lane, int col) const
+{
+    GRIFFIN_ASSERT(lane >= 0 && lane < lanes_ && col >= 0 && col < cols_,
+                   "stream slot (", cycle, ",", lane, ",", col,
+                   ") out of range");
+    const std::int64_t s = std::int64_t{col} * lanes_ + lane;
+    const std::uint64_t *rows = takes(cycle);
+    for (std::int64_t d = 0; d < depth(cycle); ++d)
+        if (rows[d * words_ + (s >> 6)] >> (s & 63) & 1u)
+            return {base(cycle) + d, s, s};
+    for (const StolenOp *k = stealsBegin(cycle); k != stealsEnd(cycle); ++k)
+        if (k->consumer == s)
+            return *k;
+    return {-1, -1, s};
+}
+
+std::int64_t
+BSchedule::flatK(std::int64_t cycle, int lane, int col) const
+{
+    // The element's lane is post-shuffle; the original k2 forms the
+    // flat k index used for A pairing.
+    const StolenOp c = cell(cycle, lane, col);
+    if (c.step < 0)
+        return -1;
+    return c.step * lanes_ +
+           shuffler_.invert(c.step, static_cast<int>(c.src % lanes_));
+}
+
+int
+BSchedule::homeCol(std::int64_t cycle, int lane, int col) const
+{
+    const StolenOp c = cell(cycle, lane, col);
+    return c.step < 0 ? -1 : static_cast<int>(c.src / lanes_);
 }
 
 ScheduleStats
@@ -190,7 +186,7 @@ scheduleB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler)
 {
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    return runWindowSchedule(packingQueues(b, shuffler, arena),
+    return runWindowSchedule(tileQueues(nullptr, &b, shuffler, arena),
                              packingWindow(db), nullptr);
 }
 

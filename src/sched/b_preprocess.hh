@@ -10,6 +10,14 @@
  * borrowed across columns — which accumulator the partial product
  * belongs to.
  *
+ * The stream is kept the way the packer produced it, as bits: per
+ * packing cycle, the window base (the depth follows from it), one
+ * take word row per window step (bit col * lanes + lane set when that
+ * stream slot ran its own element at step base + d) and the list of
+ * cross-slot steals.  A slot's flat k and home column are computed from these on
+ * demand (record mode, verification, the visualizer); the dual engine
+ * filters A's zero masks against the take words directly.
+ *
  * The compressed stream is what lands in BSRAM: `dataBytes()` nonzero
  * values plus `metadataBytes()` of routing bits, typically far smaller
  * than the dense tile.
@@ -18,6 +26,7 @@
 #ifndef GRIFFIN_SCHED_B_PREPROCESS_HH
 #define GRIFFIN_SCHED_B_PREPROCESS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,8 +38,8 @@
 namespace griffin {
 
 /**
- * The compressed form of one B tile: a dense (cycle x lane x column)
- * table of scheduled elements, -1 where a slot is empty.
+ * The compressed form of one B tile: per packing cycle, the take words
+ * and steals that place elements on (lane, column) stream slots.
  */
 class BSchedule
 {
@@ -41,19 +50,62 @@ class BSchedule
     int lanes() const { return lanes_; }
     int cols() const { return cols_; }
 
+    /** Temporal steps (k1 extent) of the packed tile. */
+    std::int64_t steps() const { return steps_; }
+
+    /** The lane shuffle the stream was packed under. */
+    const Shuffler &shuffler() const { return shuffler_; }
+
     /** Flat original k index of the element at a stream slot; -1 if
-     *  the slot is empty. */
+     *  the slot is empty.  Computed from the take words and steals. */
+    std::int64_t flatK(std::int64_t cycle, int lane, int col) const;
+
+    /** Original output column of the element (ADT routing target);
+     *  -1 if the slot is empty. */
+    int homeCol(std::int64_t cycle, int lane, int col) const;
+
+    /** Window base of packing cycle `cycle`: its own-slot takes sit
+     *  at steps base .. base + depth - 1. */
     std::int64_t
-    flatK(std::int64_t cycle, int lane, int col) const
+    base(std::int64_t cycle) const
     {
-        return flatk_[index(cycle, lane, col)];
+        return base_[cycleIndex(cycle)];
     }
 
-    /** Original output column of the element (ADT routing target). */
-    int
-    homeCol(std::int64_t cycle, int lane, int col) const
+    /** Window depth of packing cycle `cycle`: the window's steps,
+     *  clipped at the tile's end. */
+    std::int64_t
+    depth(std::int64_t cycle) const
     {
-        return homecol_[index(cycle, lane, col)];
+        return std::min(window_, steps_ - base(cycle));
+    }
+
+    /** Words of one take row: (lanes * cols + 63) / 64. */
+    std::int64_t takeWords() const { return words_; }
+
+    /**
+     * Take rows of one packing cycle, depth(cycle) x takeWords(): bit
+     * s of row d is set iff stream slot s = col * lanes + lane ran
+     * its own element, the one at step base + d.
+     */
+    const std::uint64_t *
+    takes(std::int64_t cycle) const
+    {
+        return takes_.data() + cycleIndex(cycle) * window_ * words_;
+    }
+
+    /** Steals of one packing cycle, [stealsBegin, stealsEnd): the
+     *  element of slot src at `step` ran on slot `consumer`. */
+    const StolenOp *
+    stealsBegin(std::int64_t cycle) const
+    {
+        return steals_.data() + steal_at_[cycleIndex(cycle)];
+    }
+
+    const StolenOp *
+    stealsEnd(std::int64_t cycle) const
+    {
+        return steals_.data() + steal_at_[cycleIndex(cycle) + 1];
     }
 
     /** Scheduling statistics of the packing pass. */
@@ -72,7 +124,7 @@ class BSchedule
      */
     std::int64_t rawEnd(std::int64_t cycle) const
     {
-        return raw_end_[static_cast<std::size_t>(cycle)];
+        return raw_end_[cycleIndex(cycle)];
     }
 
     /**
@@ -92,18 +144,6 @@ class BSchedule
     rawHi(std::int64_t cycle, int col) const
     {
         return raw_hi_[colIndex(cycle, col)];
-    }
-
-    /**
-     * Contiguous per-lane flat-k span of one (cycle, col) stream slice
-     * — `lanes()` values, -1 on empty slots.  The dual-sparse engine
-     * walks whole slices; this keeps the range check per slice rather
-     * than per element.
-     */
-    const std::int64_t *
-    flatKLanes(std::int64_t cycle, int col) const
-    {
-        return flatk_.data() + index(cycle, 0, col);
     }
 
     /**
@@ -128,14 +168,11 @@ class BSchedule
                                  const Shuffler &, bool);
 
     std::size_t
-    index(std::int64_t cycle, int lane, int col) const
+    cycleIndex(std::int64_t cycle) const
     {
-        GRIFFIN_ASSERT(cycle >= 0 && cycle < cycles_ && lane >= 0 &&
-                       lane < lanes_ && col >= 0 && col < cols_,
-                       "stream slot (", cycle, ",", lane, ",", col,
-                       ") out of range");
-        return static_cast<std::size_t>((cycle * cols_ + col) * lanes_ +
-                                        lane);
+        GRIFFIN_ASSERT(cycle >= 0 && cycle < cycles_, "stream cycle ",
+                       cycle, " out of range");
+        return static_cast<std::size_t>(cycle);
     }
 
     std::size_t
@@ -148,13 +185,24 @@ class BSchedule
         return static_cast<std::size_t>(cycle * cols_ + col);
     }
 
+    /** The element on slot (lane, col) at `cycle` as a steal record
+     *  (an own take has src == consumer); step -1 when empty. */
+    StolenOp cell(std::int64_t cycle, int lane, int col) const;
+
     std::int64_t cycles_ = 0;
+    std::int64_t steps_ = 0;
     int lanes_ = 0;
     int cols_ = 0;
+    std::int64_t words_ = 0;  ///< take words per row
+    std::int64_t window_ = 0; ///< take rows per cycle: the window
+                              ///< depth, at most steps_
     std::int64_t elems_ = 0;
+    Shuffler shuffler_{false, 1};
     ScheduleStats stats_;
-    std::vector<std::int64_t> flatk_;
-    std::vector<std::int16_t> homecol_;
+    std::vector<std::int64_t> base_;
+    std::vector<std::uint64_t> takes_;      ///< cycles x window_ rows
+    std::vector<std::int64_t> steal_at_;    ///< cycles + 1 offsets
+    std::vector<StolenOp> steals_;
     std::vector<std::int64_t> raw_end_;
     std::vector<std::int64_t> raw_lo_;
     std::vector<std::int64_t> raw_hi_;

@@ -11,6 +11,47 @@ namespace griffin {
 namespace {
 
 /**
+ * A lanes-wide field t repeated across the rows of a row-major bit
+ * vector (bit m * lanes + l), one 64-bit word at a time: word i is
+ * t * times_[i] — a shifted copy per row field starting in word i,
+ * which never overlap, so the product carries nothing — OR'd with
+ * the top of a row field that starts in word i - 1 and straddles into
+ * word i, (t >> carry_[i]) & carryMask_[i].
+ */
+class RowRepeat
+{
+  public:
+    RowRepeat(int rows, int lanes, std::int64_t words, Arena &arena)
+        : times_(arena.allocZeroed<std::uint64_t>(
+              static_cast<std::size_t>(words))),
+          carry_(arena.allocZeroed<int>(static_cast<std::size_t>(words))),
+          carryMask_(arena.allocZeroed<std::uint64_t>(
+              static_cast<std::size_t>(words)))
+    {
+        for (std::int64_t at = 0; at < std::int64_t{rows} * lanes;
+             at += lanes) {
+            const int r = static_cast<int>(at & 63);
+            times_[at >> 6] |= std::uint64_t{1} << r;
+            if (r + lanes > 64) {
+                carry_[(at >> 6) + 1] = 64 - r;
+                carryMask_[(at >> 6) + 1] = ~std::uint64_t{0};
+            }
+        }
+    }
+
+    std::uint64_t
+    operator()(std::int64_t i, std::uint64_t t) const
+    {
+        return t * times_[i] | (t >> carry_[i] & carryMask_[i]);
+    }
+
+  private:
+    std::uint64_t *times_;
+    int *carry_;
+    std::uint64_t *carryMask_;
+};
+
+/**
  * Asynchronous two-level engine for preprocessed dual sparsity.
  *
  * Each PE column owns a BBUF of (1 + da1) compressed entries of its
@@ -29,7 +70,6 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
                      const BSchedule &stream, double advance_cap,
                      bool record)
 {
-    const int k0 = a.lanes();
     const int lanes = stream.lanes();
     const int rows = a.units();
     const int cols = stream.cols();
@@ -37,6 +77,10 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
     const int bbuf_depth = 1 + cfg.a.d1;
     const std::int64_t abuf_raw_depth =
         static_cast<std::int64_t>(1 + cfg.a.d1) * (1 + cfg.b.d1);
+    GRIFFIN_ASSERT(a.steps() == stream.steps() && a.lanes() == lanes,
+                   "A tile of ", a.steps(), " x ", a.lanes(),
+                   " steps x lanes, B stream of ", stream.steps(), " x ",
+                   lanes);
 
     DualSchedule out;
     out.stage1 = stream.stats();
@@ -48,42 +92,53 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
 
     // Fig. 3 steps 2-3: zero masks of A filtered by B's metadata — a
     // pair survives only where the stream has an element *and* the
-    // matching A operand is nonzero.  Pairs go into one live mask per
-    // (entry, column), whole words per column (one for a 4 x 16
-    // column), lane-major — bit l * rows + m — so a stream cell's row
-    // mask occA[flat k] lands with one shift.  occA[-1] = 0 serves the
-    // empty cells (flat k -1).
-    const std::int64_t flat_steps = a.steps() * k0;
-    auto *occA = arena.alloc<std::uint64_t>(
-                     static_cast<std::size_t>(flat_steps + 1)) +
-                 1;
-    occA[-1] = 0;
-    simd::aTileOccupancy(a.matrix(), a.unitBase(), rows, a.steps(), k0,
-                         occA);
-
-    const std::int64_t col_slots =
-        static_cast<std::int64_t>(rows) * lanes;
-    const std::int64_t cw = (col_slots + 63) / 64;
-    const std::int64_t nslots = col_slots * cols;
+    // matching A operand is nonzero.  A's queue under the stream's
+    // shuffle holds, at step k1, bit m * lanes + l for A's element in
+    // row m at post-shuffle lane l — the lane the stream's take words
+    // use.  So one (entry, column) live mask, row-major over the
+    // column's rows x lanes slots, is the OR over the entry's window
+    // steps of A's queue word AND the column's take field repeated
+    // across rows, plus one bit per row for each stolen cell (A's bit
+    // at the source lane, set at the consumer lane).
+    const SlotQueues a_queue =
+        tileQueues(&a, nullptr, stream.shuffler(), arena);
+    const std::int64_t cw = a_queue.wordsPerStep();
+    const std::int64_t tw = stream.takeWords();
+    const std::int64_t nslots = static_cast<std::int64_t>(rows) * lanes * cols;
     auto *live = arena.allocZeroed<std::uint64_t>(
         static_cast<std::size_t>(entries * cols * cw));
     auto live_of = [&](std::int64_t e, int j) {
         return live + (e * cols + j) * cw;
     };
+    const RowRepeat repeat(rows, lanes, cw, arena);
     for (std::int64_t e = 0; e < entries; ++e) {
+        const std::uint64_t *take_rows = stream.takes(e);
+        const std::uint64_t *a_words = a_queue.stepWords(stream.base(e));
+        const std::int64_t depth = stream.depth(e);
         for (int j = 0; j < cols; ++j) {
-            const std::int64_t *slice = stream.flatKLanes(e, j);
             std::uint64_t *mask = live_of(e, j);
-            for (int l = 0; l < lanes; ++l) {
-                const std::uint64_t row_mask = occA[slice[l]];
-                const std::int64_t at = static_cast<std::int64_t>(l) * rows;
-                mask[at >> 6] |= row_mask << (at & 63);
-                if ((at & 63) + rows > 64) // straddles two words
-                    mask[(at >> 6) + 1] |= row_mask >> (64 - (at & 63));
+            for (std::int64_t d = 0; d < depth; ++d) {
+                const std::uint64_t take = simd::readField(
+                    take_rows + d * tw, std::int64_t{j} * lanes, lanes);
+                for (std::int64_t i = 0; i < cw; ++i)
+                    mask[i] |= a_words[d * cw + i] & repeat(i, take);
             }
-            for (std::int64_t i = 0; i < cw; ++i)
-                out.effectualPairs += simd::popcount64(mask[i]);
         }
+        for (const StolenOp *k = stream.stealsBegin(e);
+             k != stream.stealsEnd(e); ++k) {
+            const std::uint64_t *a_word = a_queue.stepWords(k->step);
+            std::uint64_t *mask =
+                live_of(e, static_cast<int>(k->consumer / lanes));
+            const std::int64_t from = k->src % lanes;
+            const std::int64_t to = k->consumer % lanes;
+            for (std::int64_t at = 0; at < std::int64_t{rows} * lanes;
+                 at += lanes)
+                mask[(at + to) >> 6] |=
+                    (a_word[(at + from) >> 6] >> ((at + from) & 63) & 1u)
+                    << ((at + to) & 63);
+        }
+        for (std::int64_t i = 0; i < cols * cw; ++i)
+            out.effectualPairs += simd::popcount64(live_of(e, 0)[i]);
     }
     if (out.effectualPairs == 0)
         return out;
@@ -106,25 +161,12 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
         std::min<std::int64_t>(abuf_raw_depth - 1, max_raw);
     double bw_budget = 0.0;
 
-    // Steals scan consumers in ascending m * lanes + l order, so they
-    // run on row-major copies of pass 1's masks; lane_bit maps a
-    // row-major slot to its lane-major live bit.
+    // Live masks are row-major, slot m * lanes + l, which is the
+    // steal pass's slot order.
     const StealPass steals(SlotGrid{0, lanes, rows, 1}, cfg.a.d2,
                            cfg.a.d3, 0, arena);
-    auto *lane_bit =
-        arena.alloc<std::int64_t>(static_cast<std::size_t>(col_slots));
-    for (std::int64_t s = 0; s < col_slots; ++s)
-        lane_bit[s] = s % lanes * rows + s / lanes;
-    // ran/elig of ownPass, and their row-major copies.
-    auto *ran = arena.alloc<std::uint64_t>(static_cast<std::size_t>(4 * cw));
-    std::uint64_t *elig = ran + cw, *ran_rm = ran + 2 * cw;
-    std::uint64_t *elig_rm = ran + 3 * cw;
-    auto to_row_major = [&](const std::uint64_t *from, std::uint64_t *to) {
-        std::fill(to, to + cw, 0);
-        for (std::int64_t s = 0; s < col_slots; ++s)
-            to[s >> 6] |= (from[lane_bit[s] >> 6] >> (lane_bit[s] & 63) & 1u)
-                          << (s & 63);
-    };
+    auto *ran = arena.alloc<std::uint64_t>(static_cast<std::size_t>(2 * cw));
+    std::uint64_t *elig = ran + cw;
     // Record mode emits pass-1 ops in slot order from each entry's
     // take words.
     auto *takes = record ? arena.alloc<std::uint64_t>(
@@ -158,23 +200,19 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
             const std::int64_t stride = cols * cw;
             const std::int64_t own = ownPass(window_live, stride, depth, cw,
                                              resident, ran, elig, takes);
-            for (std::int64_t s = 0; record && s < col_slots; ++s) {
-                const std::int64_t b = lane_bit[s];
-                const std::uint64_t bit = std::uint64_t{1} << (b & 63);
-                if ((ran[b >> 6] & bit) == 0)
-                    continue;
-                std::int64_t d = 0;
-                while ((takes[d * cw + (b >> 6)] & bit) == 0)
-                    ++d;
-                record_op(first + d, j, s, cycle);
-            }
+            for (std::int64_t i = 0; record && i < cw; ++i)
+                for (std::uint64_t bits = ran[i]; bits != 0;
+                     bits &= bits - 1) {
+                    const int bit = simd::ctz64(bits);
+                    std::int64_t d = 0;
+                    while ((takes[d * cw + i] >> bit & 1u) == 0)
+                        ++d;
+                    record_op(first + d, j, i * 64 + bit, cycle);
+                }
             // Lane/row stealing within the column.
             std::int64_t stolen = 0;
             if (!steals.empty()) {
-                to_row_major(ran, ran_rm);
-                to_row_major(elig, elig_rm);
-                steals.run(window_live, stride, depth, resident, lane_bit,
-                           ran_rm, elig_rm,
+                steals.run(window_live, stride, depth, resident, ran, elig,
                            [&](std::int64_t d, std::int64_t src, std::int64_t) {
                                if (record)
                                    record_op(first + d, j, src, cycle);
@@ -236,19 +274,12 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
                    b.steps());
     const SlotGrid grid{a.steps(), a.lanes(), a.units(), b.units()};
 
-    // Pairwise occupancy: a slot gets an element at step k1 exactly
-    // when both the A mask (bit m) and the B mask (bit j) are set at
-    // that flat k.
+    // Pairwise queues: slot (j * rows + m) * lanes + lane gets an
+    // element at step k1 exactly when A's row m and B's column j are
+    // both nonzero at that flat k.
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    const auto flat = static_cast<std::size_t>(grid.steps * grid.lanes);
-    auto *occA = arena.alloc<std::uint64_t>(flat);
-    auto *occB = arena.alloc<std::uint64_t>(flat);
-    simd::aTileOccupancy(a.matrix(), a.unitBase(), grid.rows,
-                         grid.steps, grid.lanes, occA);
-    simd::bTileOccupancy(b.matrix(), b.unitBase(), grid.cols,
-                         grid.steps, grid.lanes, occB);
-    const SlotQueues queues = tileQueues(grid, occA, occB, shuffler, arena);
+    const SlotQueues queues = tileQueues(&a, &b, shuffler, arena);
 
     DualSchedule out;
     out.effectualPairs = queues.totalElements();

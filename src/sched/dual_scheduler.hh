@@ -9,8 +9,11 @@
  *    7-step pipeline of Fig. 3 at runtime — zero masks of A are
  *    filtered by B's metadata and surviving pairs are window-scheduled
  *    over *compressed* cycles with the (da1,da2,da3) window.  The
- *    effective lookahead compounds: ABUF spans
- *    (1+da1)(1+db1) raw steps.
+ *    filter is a word AND: a (stream entry, PE column) live mask is
+ *    A's queue word at each window step AND the column's take field
+ *    for that step, repeated across the column's rows, plus the
+ *    stream's stolen cells.  The effective lookahead compounds: ABUF
+ *    spans (1+da1)(1+db1) raw steps.
  *
  *  - On-the-fly (TensorDash-style): both operands are matched at
  *    runtime in one pass over raw steps; lookahead is limited by the

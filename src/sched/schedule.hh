@@ -86,6 +86,13 @@ struct ScheduledOp
     std::int64_t cycle;
 };
 
+/** One steal: the head of slot `src` at `step` ran on slot
+ *  `consumer`. */
+struct StolenOp
+{
+    std::int64_t step, src, consumer;
+};
+
 /** Aggregate counters of one scheduling pass. */
 struct ScheduleStats
 {

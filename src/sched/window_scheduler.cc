@@ -70,7 +70,7 @@ runWindowSchedule(const SlotQueues &queues, const BorrowWindow &window,
         // idle slots are ~ran.
         std::int64_t nsteal = 0;
         if (!steals.empty())
-            steals.run(window_live, words, depth, always, nullptr, ran, elig,
+            steals.run(window_live, words, depth, always, ran, elig,
                        [&](std::int64_t d, std::int64_t src, std::int64_t con) {
                            if (stolen)
                                stolen[nsteal] = {w + d, src, con};
@@ -200,42 +200,101 @@ appendCycleOps(const SlotGrid &grid, const WindowCycle &c,
         op(c.steals[k].step, c.steals[k].src, c.steals[k].consumer);
 }
 
+namespace {
+
+/**
+ * The shuffle as a map of lanes-wide fields: bit k2 of a step-k1 field
+ * moves to bit shuffler.apply(k1, k2), each group of G lanes rotating
+ * left by k1 mod G.  stay_[r] holds the lanes that rotation r keeps
+ * inside their group without wrapping.
+ */
+class LaneRotation
+{
+  public:
+    LaneRotation(const Shuffler &shuffler, int lanes, Arena &arena)
+        : group_(shuffler.enabled() ? shuffler.groupSize() : 1),
+          stay_(arena.alloc<std::uint64_t>(static_cast<std::size_t>(group_)))
+    {
+        for (int r = 0; r < group_; ++r) {
+            stay_[r] = 0;
+            for (int l = 0; l < lanes; ++l)
+                if (l % group_ + r < group_)
+                    stay_[r] |= std::uint64_t{1} << l;
+        }
+    }
+
+    std::uint64_t
+    operator()(std::int64_t k1, std::uint64_t field) const
+    {
+        const int r = static_cast<int>(k1 % group_);
+        if (r == 0)
+            return field;
+        return (field & stay_[r]) << r | (field & ~stay_[r]) >> (group_ - r);
+    }
+
+  private:
+    int group_;
+    std::uint64_t *stay_;
+};
+
+} // namespace
+
 SlotQueues
-tileQueues(const SlotGrid &grid, const std::uint64_t *row_masks,
-           const std::uint64_t *col_masks, const Shuffler &shuffler,
+tileQueues(const TileViewA *a, const TileViewB *b, const Shuffler &shuffler,
            Arena &arena)
 {
-    GRIFFIN_ASSERT((row_masks != nullptr || grid.rows == 1) &&
-                   (col_masks != nullptr || grid.cols == 1),
-                   "a missing mask array needs a single unit");
-    // The shuffle rotates lanes by step mod group size, so its lane
-    // maps repeat with that period.
-    const int period = shuffler.enabled() ? shuffler.groupSize() : 1;
-    SlotQueues queues(grid, arena);
-    int *lane_of =
-        arena.alloc<int>(static_cast<std::size_t>(period * grid.lanes));
-    for (int r = 0; r < period; ++r)
-        for (int k2 = 0; k2 < grid.lanes; ++k2)
-            lane_of[r * grid.lanes + k2] = shuffler.apply(r, k2);
+    GRIFFIN_ASSERT(a != nullptr || b != nullptr, "a tile needs a view");
+    GRIFFIN_ASSERT(a == nullptr || b == nullptr ||
+                   (a->steps() == b->steps() && a->lanes() == b->lanes()),
+                   "A and B tiles disagree on k");
+    const SlotGrid grid{a ? a->steps() : b->steps(),
+                        a ? a->lanes() : b->lanes(), a ? a->units() : 1,
+                        b ? b->units() : 1};
+    const int lanes = grid.lanes;
+    GRIFFIN_ASSERT(lanes <= 64, "a step's ", lanes,
+                   " lanes must fit one 64-bit field");
+    GRIFFIN_ASSERT(shuffler.lanes() == lanes, "shuffler is ",
+                   shuffler.lanes(), " lanes wide, tile ", lanes);
+    const std::int64_t words = (grid.steps * lanes + 63) / 64;
+    auto masks = [&](int units) {
+        return arena.alloc<std::uint64_t>(
+            static_cast<std::size_t>(units * words));
+    };
+    std::uint64_t *rows = nullptr, *cols = nullptr;
+    if (a != nullptr) {
+        rows = masks(grid.rows);
+        simd::aRowMasks(a->matrix(), a->unitBase(), grid.rows, words, rows);
+    }
+    if (b != nullptr) {
+        cols = masks(grid.cols);
+        simd::bColumnMasks(b->matrix(), b->unitBase(), grid.cols, words,
+                           cols);
+    }
+    const LaneRotation rotate(shuffler, lanes, arena);
+    const std::uint64_t all =
+        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    auto *row_field =
+        arena.alloc<std::uint64_t>(static_cast<std::size_t>(grid.rows));
+    auto *col_field =
+        arena.alloc<std::uint64_t>(static_cast<std::size_t>(grid.cols));
+    auto fields = [&](const std::uint64_t *unit_masks, int units,
+                      std::int64_t k1, std::uint64_t *out) {
+        for (int u = 0; u < units; ++u)
+            out[u] = unit_masks == nullptr
+                         ? all
+                         : rotate(k1, simd::readField(unit_masks + u * words,
+                                                      k1 * lanes, lanes));
+    };
 
+    SlotQueues queues(grid, arena);
     for (std::int64_t k1 = 0; k1 < grid.steps; ++k1) {
-        std::uint64_t *words = queues.stepWords(k1);
-        const int *lanes = lane_of + (k1 % period) * grid.lanes;
-        for (int k2 = 0; k2 < grid.lanes; ++k2) {
-            const std::int64_t f = k1 * grid.lanes + k2;
-            const std::uint64_t cols = col_masks ? col_masks[f] : 1;
-            for (std::uint64_t rm = row_masks ? row_masks[f] : 1;
-                 rm != 0 && cols != 0; rm &= rm - 1) {
-                for (std::uint64_t cm = cols; cm != 0; cm &= cm - 1) {
-                    const std::int64_t s =
-                        (simd::ctz64(cm) * std::int64_t{grid.rows} +
-                         simd::ctz64(rm)) *
-                            grid.lanes +
-                        lanes[k2];
-                    words[s >> 6] |= std::uint64_t{1} << (s & 63);
-                }
-            }
-        }
+        fields(rows, grid.rows, k1, row_field);
+        fields(cols, grid.cols, k1, col_field);
+        std::uint64_t *step = queues.stepWords(k1);
+        std::int64_t at = 0;
+        for (int j = 0; j < grid.cols; ++j)
+            for (int m = 0; m < grid.rows; ++m, at += lanes)
+                simd::orField(step, at, lanes, row_field[m] & col_field[j]);
     }
     return queues;
 }

@@ -18,8 +18,11 @@
  * imbalance stalls the window unless laneDist / shuffle spreads load;
  * cross-PE borrowing needs the extra adder trees accounted elsewhere.
  *
- * Queues are per-step slot bitsets (SlotQueues).  Both passes work on
- * any window of live slot bitsets, so the dual engine shares them.
+ * Queues are per-step slot bitsets (SlotQueues), built by tileQueues
+ * from one nonzero mask over k per tile unit (an A row, a B column):
+ * each unit contributes one lanes-wide field per step.  Both passes
+ * work on any window of live slot bitsets, so the dual engine shares
+ * them.
  */
 
 #ifndef GRIFFIN_SCHED_WINDOW_SCHEDULER_HH
@@ -33,6 +36,7 @@
 #include "sched/schedule.hh"
 #include "simd/occupancy.hh"
 #include "tensor/shuffle.hh"
+#include "tensor/tile.hh"
 
 namespace griffin {
 
@@ -90,15 +94,14 @@ class StealPass
 
     /**
      * One cycle's steals over ownPass's window and outputs; slot s
-     * lives at bit bit_of[s] of the window's words (bit s when null).
-     * A steal clears the source's earliest live entry d and calls
-     * on_steal(d, src, consumer).
+     * lives at bit s of the window's words.  A steal clears the
+     * source's earliest live entry d and calls on_steal(d, src,
+     * consumer).
      */
     template <class Ready, class OnSteal>
     void
     run(std::uint64_t *live, std::int64_t stride, std::int64_t depth,
-        Ready &&ready, const std::int64_t *bit_of,
-        const std::uint64_t *ran, std::uint64_t *elig,
+        Ready &&ready, const std::uint64_t *ran, std::uint64_t *elig,
         OnSteal &&on_steal) const
     {
         std::int64_t sources = 0;
@@ -127,18 +130,17 @@ class StealPass
                     if ((inside_[k * words_ + i] >> (s & 63) & 1u) == 0 ||
                         (elig[src >> 6] & src_bit) == 0)
                         continue;
-                    const std::int64_t b = bit_of ? bit_of[src] : src;
-                    const std::uint64_t bit = std::uint64_t{1} << (b & 63);
-                    std::uint64_t *word = live + (b >> 6);
+                    std::uint64_t *word = live + (src >> 6);
                     std::int64_t d = 0;
-                    while ((word[d * stride] & bit) == 0)
+                    while ((word[d * stride] & src_bit) == 0)
                         ++d;
-                    word[d * stride] &= ~bit;
+                    word[d * stride] &= ~src_bit;
                     on_steal(d, src, s);
                     // Still a source while its next live entry is in
                     // the window and ready.
                     std::int64_t next = d + 1;
-                    while (next < depth && (word[next * stride] & bit) == 0)
+                    while (next < depth &&
+                           (word[next * stride] & src_bit) == 0)
                         ++next;
                     if (next == depth || !ready(next)) {
                         elig[src >> 6] &= ~src_bit;
@@ -156,12 +158,6 @@ class StealPass
     std::int64_t *delta_ = nullptr;   ///< slot-index delta per offset
     std::uint64_t *inside_ = nullptr; ///< count_ x words_ masks
     std::uint64_t *reach_ = nullptr;  ///< words_ scratch
-};
-
-/** One steal: the head of `src` at `step` ran on `consumer`. */
-struct StolenOp
-{
-    std::int64_t step, src, consumer;
 };
 
 /** One cycle's picks: takes[d * words + i] holds the slots (word i)
@@ -192,15 +188,17 @@ void appendCycleOps(const SlotGrid &grid, const WindowCycle &c,
                     std::vector<ScheduledOp> &ops);
 
 /**
- * Queues of a tile, straight from its occupancy masks: at flat k
- * f = k1 * lanes + k2, bit m of row_masks[f] and bit j of col_masks[f]
- * queue an element on slot (j * rows + m) * lanes +
- * shuffler.apply(k1, k2) of step k1, one per (m, j) pair.  A null mask
- * array stands for one always-present unit (rows or cols == 1).  The
- * queues live in `arena` (see SlotQueues).
+ * Queues of a tile, straight from its per-unit nonzero masks over flat
+ * k (simd::aRowMasks, simd::bColumnMasks): the element at (k1, k2) of
+ * A row m and B column j queues on slot (j * rows + m) * lanes +
+ * shuffler.apply(k1, k2) of step k1 when both are nonzero.  Each unit
+ * contributes one lanes-wide field per step, rotated by the shuffle's
+ * group rotation, and a pair's field is its row field AND its column
+ * field.  A null view stands for one always-present unit: rows (cols)
+ * == 1.  At least one view is given; lanes <= 64.  The queues live in
+ * `arena` (see SlotQueues).
  */
-SlotQueues tileQueues(const SlotGrid &grid, const std::uint64_t *row_masks,
-                      const std::uint64_t *col_masks,
+SlotQueues tileQueues(const TileViewA *a, const TileViewB *b,
                       const Shuffler &shuffler, Arena &arena);
 
 } // namespace griffin

@@ -1,5 +1,6 @@
 #include "simd/occupancy.hh"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/arena.hh"
@@ -96,19 +97,6 @@ neonKernels()
 }
 
 void
-detail::rowNonzeroMasks(const std::int8_t *row, std::int64_t len,
-                        std::uint64_t *out)
-{
-    const auto &k = kernels();
-    const std::int64_t full = len / 64;
-    if (full > 0)
-        k.nonzeroMasks(row, 64, 64, full, out);
-    if (len % 64 != 0)
-        k.nonzeroMasks(row + full * 64, 0, static_cast<int>(len % 64), 1,
-                       out + full);
-}
-
-void
 bTileOccupancy(const MatrixI8 &b, std::int64_t col_base, int units,
                std::int64_t steps, int k0, std::uint64_t *out)
 {
@@ -135,47 +123,88 @@ bTileOccupancy(const MatrixI8 &b, std::int64_t col_base, int units,
 }
 
 void
-aTileOccupancy(const MatrixI8 &a, std::int64_t row_base, int units,
-               std::int64_t steps, int k0, std::uint64_t *out)
+aRowMasks(const MatrixI8 &a, std::int64_t row_base, std::int64_t units,
+          std::int64_t words, std::uint64_t *out)
 {
-    GRIFFIN_ASSERT(units >= 1 && units <= 64,
-                   "A occupancy needs 1..64 units, got ", units);
     GRIFFIN_ASSERT(row_base >= 0, "negative row base ", row_base);
-    const std::int64_t flat = steps * k0;
-    for (std::int64_t f = 0; f < flat; ++f)
-        out[f] = 0;
     const auto rows = static_cast<std::int64_t>(a.rows());
     const auto cols = static_cast<std::int64_t>(a.cols());
-    if (cols == 0)
-        return;
-    GRIFFIN_ASSERT(flat >= cols, "A occupancy buffer of ", flat,
-                   " flat steps cannot cover k = ", cols);
+    GRIFFIN_ASSERT(words * 64 >= cols, words, " mask words cannot cover k = ",
+                   cols);
+    // A rows are contiguous along k: whole 64-byte chunks, then the
+    // ragged tail, one nonzeroMasks call each.
+    const KernelTable &k = kernels();
+    const std::int64_t full = cols / 64;
+    for (std::int64_t m = 0; m < units; ++m) {
+        std::uint64_t *mask = out + m * words;
+        std::int64_t done = 0;
+        if (row_base + m < rows) {
+            const std::int8_t *row =
+                a.data() + static_cast<std::size_t>(row_base + m) *
+                               static_cast<std::size_t>(cols);
+            if (full > 0)
+                k.nonzeroMasks(row, 64, 64, full, mask);
+            if (cols % 64 != 0)
+                k.nonzeroMasks(row + full * 64, 0,
+                               static_cast<int>(cols % 64), 1, mask + full);
+            done = (cols + 63) / 64;
+        }
+        std::fill(mask + done, mask + words, 0);
+    }
+}
 
-    // A rows are contiguous along k: extract each unit's row as 64-bit
-    // chunk masks, then scatter set bits into the per-flat-k masks —
-    // proportional to nnz, not to the tile volume.
+namespace {
+
+/**
+ * Transpose a 64 x 64 bit matrix in place when every word holds bits
+ * [0, p) only, p a power of two: afterwards bit i of word j < p is bit
+ * j of input word i (words p.. are left unspecified).  This is the
+ * recursive transpose of Hacker's Delight (2nd ed., section 7-3),
+ * whose round s swaps the off-diagonal s x s blocks of every 2s x 2s
+ * block.  On such a matrix the rounds s >= p only gather — bits
+ * [b * p, b * p + p) of word r come from word b * p + r — so they are
+ * one pass of shifts, and rounds p/2 .. 1 run on words [0, p).
+ */
+void
+transposeLow(std::uint64_t *words, int p)
+{
+    for (int r = 0; r < p; ++r)
+        for (int b = p; b < 64; b += p)
+            words[r] |= words[b + r] << b;
+    std::uint64_t mask = 0x00000000FFFFFFFFULL;
+    for (int s = 32; s != 0; s >>= 1, mask ^= mask << s) {
+        if (s >= p)
+            continue;
+        for (int i = 0; i < p; i = ((i | s) + 1) & ~s) {
+            const std::uint64_t t =
+                ((words[i] >> s) ^ words[i | s]) & mask;
+            words[i] ^= t << s;
+            words[i | s] ^= t;
+        }
+    }
+}
+
+} // namespace
+
+void
+bColumnMasks(const MatrixI8 &b, std::int64_t col_base, int units,
+             std::int64_t words, std::uint64_t *out)
+{
+    // One occupancy word per k row (bit n is column col_base + n),
+    // transposed 64 rows at a time into each column's k mask.
+    int p = 1;
+    while (p < units)
+        p *= 2;
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    const std::int64_t chunks = (cols + 63) / 64;
-    std::uint64_t *row_masks = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(chunks));
-    for (int m = 0; m < units; ++m) {
-        const std::int64_t r = row_base + m;
-        if (r >= rows)
-            break;
-        const std::int8_t *row =
-            a.data() + static_cast<std::size_t>(r) *
-                           static_cast<std::size_t>(cols);
-        detail::rowNonzeroMasks(row, cols, row_masks);
-        const std::uint64_t unit_bit = std::uint64_t{1} << m;
-        for (std::int64_t c = 0; c < chunks; ++c) {
-            std::uint64_t word = row_masks[c];
-            while (word != 0) {
-                const int j = ctz64(word);
-                word &= word - 1;
-                out[c * 64 + j] |= unit_bit;
-            }
-        }
+    auto *slab = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(words * 64));
+    bTileOccupancy(b, col_base, units, words, 64, slab);
+    for (std::int64_t w = 0; w < words; ++w) {
+        std::uint64_t *block = slab + w * 64;
+        transposeLow(block, p);
+        for (int n = 0; n < units; ++n)
+            out[n * words + w] = block[n];
     }
 }
 

@@ -7,12 +7,16 @@
  * occupancy becomes one bitmask word per temporal position (bit n set
  * iff the byte is nonzero), extracted with compare-to-zero + movemask
  * on AVX2, `vceqq`/narrowing on NEON, and a portable scalar loop
- * everywhere else.  The schedulers keep these words as their queues —
- * per-step slot bitsets after the shuffler's lane permutation — and
- * run their cycle loops a word at a time instead of calling
- * bounds-checked `nonzero()` per element.  The SparTen baseline asks
- * one more: how many k positions a row mask shares with each column
- * mask (`andPopcount`).  Operand generation uses two more: the
+ * everywhere else.  The schedulers read each tile unit (an A row, a B
+ * column) as one mask over k (`aRowMasks`, `bColumnMasks`, the latter
+ * a 64 x 64 bit transpose of `bTileOccupancy`), cut it into one
+ * lanes-wide field per step (`readField`) and keep those fields as
+ * their queues — per-step slot bitsets after the shuffler's lane
+ * rotation — so their cycle loops run a word at a time instead of
+ * calling bounds-checked `nonzero()` per element.  The SparTen
+ * baseline reads the same masks and asks one more question: how many
+ * k positions a row mask shares with each column mask
+ * (`andPopcount`).  Operand generation uses two more: the
  * MT19937-64 refill (`mtTwist`, `mtTemper`) and the weight generator's
  * draw decoder (`keepDecode`), which finds which buffered draws start
  * an element a 64-bit word at a time.
@@ -61,8 +65,8 @@ struct KernelTable
     /**
      * Nonzero masks of `groups` rows, each `width` (1..64) bytes,
      * starting `stride` bytes apart: bit j of out[g] is set iff
-     * src[g*stride + j] != 0.  Reads only [src + g*stride,
-     * src + g*stride + width) per group.
+     * src[g*stride + j] != 0; bits at and above `width` are 0.
+     * Reads only [src + g*stride, src + g*stride + width) per group.
      */
     void (*nonzeroMasks)(const std::int8_t *src, std::size_t stride,
                          int width, std::int64_t groups,
@@ -186,6 +190,33 @@ ctz64(std::uint64_t word)
 }
 
 /**
+ * Bits [at, at + width) of a bit vector (bit i of word i / 64 is bit
+ * i % 64), width 1..64, as the low bits of one word.  Reads only the
+ * words holding those bits.
+ */
+inline std::uint64_t
+readField(const std::uint64_t *bits, std::int64_t at, int width)
+{
+    const int r = static_cast<int>(at & 63);
+    std::uint64_t x = bits[at >> 6] >> r;
+    if (r + width > 64)
+        x |= bits[(at >> 6) + 1] << (64 - r);
+    return width == 64 ? x : x & ((std::uint64_t{1} << width) - 1);
+}
+
+/** OR the low `width` (1..64) bits of `field` into bits [at, at +
+ *  width) of a bit vector; bits of `field` above width must be 0. */
+inline void
+orField(std::uint64_t *bits, std::int64_t at, int width,
+        std::uint64_t field)
+{
+    const int r = static_cast<int>(at & 63);
+    bits[at >> 6] |= field << r;
+    if (r + width > 64)
+        bits[(at >> 6) + 1] |= field >> (64 - r);
+}
+
+/**
  * B-tile occupancy: out[k1*k0 + k2] bit n set iff the tile element
  * (k1, k2, n) — matrix cell (k1*k0 + k2, col_base + n) — is nonzero.
  * `out` holds steps*k0 words.  Positions past the matrix edge (rows
@@ -196,13 +227,23 @@ void bTileOccupancy(const MatrixI8 &b, std::int64_t col_base, int units,
                     std::int64_t steps, int k0, std::uint64_t *out);
 
 /**
- * A-tile occupancy: out[k1*k0 + k2] bit m set iff the tile element
- * (k1, k2, m) — matrix cell (row_base + m, k1*k0 + k2) — is nonzero.
- * `out` holds steps*k0 words; zero-padded like the TileViewA.
- * Requires units <= 64.
+ * A-tile row masks over k: bit i of out[m * words + w] is set iff the
+ * matrix cell (row_base + m, w * 64 + i) is nonzero.  `out` holds
+ * units * words words.  Rows past the matrix edge and k at or past
+ * a.cols() read as zero, matching the zero-padded TileViewA.
+ * Requires words * 64 >= a.cols().
  */
-void aTileOccupancy(const MatrixI8 &a, std::int64_t row_base, int units,
-                    std::int64_t steps, int k0, std::uint64_t *out);
+void aRowMasks(const MatrixI8 &a, std::int64_t row_base,
+               std::int64_t units, std::int64_t words, std::uint64_t *out);
+
+/**
+ * B-tile column masks over k, bTileOccupancy transposed: bit i of
+ * out[n * words + w] is set iff the matrix cell (w * 64 + i,
+ * col_base + n) is nonzero.  `out` holds units * words words;
+ * zero-padded like bTileOccupancy.  Requires units <= 64.
+ */
+void bColumnMasks(const MatrixI8 &b, std::int64_t col_base, int units,
+                  std::int64_t words, std::uint64_t *out);
 
 } // namespace simd
 } // namespace griffin

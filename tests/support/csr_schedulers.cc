@@ -14,6 +14,24 @@ namespace {
 constexpr std::int64_t kEmptyHead =
     std::numeric_limits<std::int64_t>::max();
 
+/**
+ * A-tile occupancy, one element at a time: out[k1*k0 + k2] bit m is
+ * set iff the tile element (k1, k2, m) — matrix cell (row_base + m,
+ * k1*k0 + k2) — is nonzero; zero-padded like the TileViewA.
+ */
+void
+aTileOccupancy(const MatrixI8 &a, std::int64_t row_base, int units,
+               std::int64_t steps, int k0, std::uint64_t *out)
+{
+    for (std::int64_t f = 0; f < steps * k0; ++f) {
+        out[f] = 0;
+        for (int m = 0; m < units; ++m)
+            if (a.atOrZero(static_cast<std::size_t>(row_base + m),
+                           static_cast<std::size_t>(f)) != 0)
+                out[f] |= std::uint64_t{1} << m;
+    }
+}
+
 struct StealOffset
 {
     int dl;
@@ -98,7 +116,7 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
     const std::int64_t flat_steps = a.steps() * k0;
     auto *occA = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(flat_steps));
-    simd::aTileOccupancy(a.matrix(), a.unitBase(), rows, a.steps(), k0,
+    aTileOccupancy(a.matrix(), a.unitBase(), rows, a.steps(), k0,
                          occA);
 
     const std::int64_t col_slots =
@@ -113,10 +131,9 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
         static_cast<std::size_t>(entries * cols));
     for (std::int64_t c = 0; c < entries; ++c) {
         for (int j = 0; j < cols; ++j) {
-            const std::int64_t *slice = stream.flatKLanes(c, j);
             std::int64_t pairs = 0;
             for (int l = 0; l < lanes; ++l) {
-                const auto flat_k = slice[l];
+                const auto flat_k = stream.flatK(c, l, j);
                 if (flat_k < 0)
                     continue;
                 std::uint64_t mask = occA[flat_k];
@@ -143,9 +160,8 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
         fill[s] = offsets[s];
     for (std::int64_t c = 0; c < entries; ++c) {
         for (int j = 0; j < cols; ++j) {
-            const std::int64_t *slice = stream.flatKLanes(c, j);
             for (int l = 0; l < lanes; ++l) {
-                const auto flat_k = slice[l];
+                const auto flat_k = stream.flatK(c, l, j);
                 if (flat_k < 0)
                     continue;
                 std::uint64_t mask = occA[flat_k];
@@ -360,7 +376,7 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
         arena.alloc<std::uint64_t>(static_cast<std::size_t>(flat));
     auto *occB =
         arena.alloc<std::uint64_t>(static_cast<std::size_t>(flat));
-    simd::aTileOccupancy(a.matrix(), a.unitBase(), grid.rows,
+    aTileOccupancy(a.matrix(), a.unitBase(), grid.rows,
                          grid.steps, grid.lanes, occA);
     simd::bTileOccupancy(b.matrix(), b.unitBase(), grid.cols,
                          grid.steps, grid.lanes, occB);
@@ -701,7 +717,7 @@ scheduleA(const TileViewA &a, const Borrow &da, const Shuffler &shuffler,
     ArenaScope scope(arena);
     auto *occ = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(grid.steps * grid.lanes));
-    simd::aTileOccupancy(a.matrix(), a.unitBase(), grid.rows,
+    aTileOccupancy(a.matrix(), a.unitBase(), grid.rows,
                          grid.steps, grid.lanes, occ);
     const auto queues = buildSingle(grid, occ, shuffler, grid.lanes,
                                     arena);

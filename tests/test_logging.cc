@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.hh"
 
 namespace griffin {
@@ -63,6 +65,21 @@ TEST(LoggingDeathTest, LinesCarryMonotonicTimestamp)
                  "panic: \\[\\+[0-9]+\\.[0-9][0-9][0-9]s\\] stamped");
     EXPECT_EXIT(fatal("stamped too"), testing::ExitedWithCode(exitUsageError),
                 "fatal: \\[\\+[0-9]+\\.[0-9][0-9][0-9]s\\] stamped too");
+}
+
+TEST(LoggingDeathTest, RecordsNameTheCallSite)
+{
+    // The "@ file:line" line names the code that called panic, fatal
+    // or fatalRun — this file, on the line of each call — not the
+    // logging header that implements them.
+    const auto at = [](int line) {
+        return "@ [^\n]*test_logging\\.cc:" + std::to_string(line) + "\n";
+    };
+    const auto usage_error = testing::ExitedWithCode(exitUsageError);
+    const auto run_failure = testing::ExitedWithCode(exitRunFailure);
+    EXPECT_DEATH(panic("located"), at(__LINE__));
+    EXPECT_EXIT(fatal("located"), usage_error, at(__LINE__));
+    EXPECT_EXIT(fatalRun("located"), run_failure, at(__LINE__));
 }
 
 TEST(Logging, WarnAndInformDoNotTerminate)

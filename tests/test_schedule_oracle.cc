@@ -5,7 +5,10 @@
  * Every engine runs on seeded random tiles next to the CSR-queue
  * reference engines in tests/support/csr_schedulers.*, and must match
  * them exactly: all six ScheduleStats fields, cycles and effectual
- * pairs, every recorded op in order, and every B stream cell.  Inputs
+ * pairs, every recorded op in order, and every B stream cell.  Apart
+ * from the reference, every engine must also run exactly the elements
+ * its tile queues (work conservation) in no fewer cycles than its
+ * slots allow (the physical bound).  Inputs
  * cover steals on every axis, shuffle off and on (group sizes 4 and
  * 16), binding bandwidth caps, all-zero / dense / ragged tiles, the
  * schedule visualizer's k0 = 4, n0 = 2, m0 = 1 geometry,
@@ -160,6 +163,83 @@ expectSameDual(const DualSchedule &got, const DualSchedule &want,
         ASSERT_TRUE(g.flatK == w.flatK && g.m == w.m &&
                     g.homeCol == w.homeCol && g.cycle == w.cycle)
             << what << ": op " << i << " differs";
+    }
+}
+
+/** Nonzero elements of a whole matrix (each case's tile). */
+std::int64_t
+nonzeros(const MatrixI8 &x)
+{
+    std::int64_t n = 0;
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        for (std::size_t c = 0; c < x.cols(); ++c)
+            n += x.at(r, c) != 0;
+    return n;
+}
+
+/** Effectual pairs of a whole GEMM: A[m][k] and B[k][n] both nonzero. */
+std::int64_t
+effectualPairs(const MatrixI8 &a, const MatrixI8 &b)
+{
+    std::int64_t n = 0;
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+        std::int64_t col = 0, row = 0;
+        for (std::size_t m = 0; m < a.rows(); ++m)
+            col += a.at(m, k) != 0;
+        for (std::size_t j = 0; j < b.cols(); ++j)
+            row += b.at(k, j) != 0;
+        n += col * row;
+    }
+    return n;
+}
+
+/** Work conservation and the physical bound of one pass: it ran every
+ *  queued element, and each of its `slots` runs at most one a cycle. */
+void
+expectConservedAndBounded(const ScheduleStats &stats, std::int64_t cycles,
+                          std::int64_t queued, std::int64_t slots,
+                          const std::string &what)
+{
+    EXPECT_EQ(stats.ops, queued) << what;
+    EXPECT_GE(cycles, (queued + slots - 1) / slots) << what;
+}
+
+TEST(ScheduleOracle, EveryEngineRunsWhatItQueuesWithinItsSlots)
+{
+    for (int t = 0; t < kTiles; ++t) {
+        const Case c = drawCase(0xc000 + static_cast<std::uint64_t>(t));
+        const std::string what = c.describe();
+        const auto sh = c.shuffler();
+        const auto va = c.va();
+        const auto vb = c.vb();
+        const std::int64_t lanes = c.shape.k0;
+        const std::int64_t a_slots = lanes * c.shape.m0;
+        const std::int64_t b_slots = lanes * c.shape.n0;
+        const std::int64_t pairs = effectualPairs(c.a, c.b);
+
+        const auto a = scheduleA(va, c.da, sh, c.bw, false).stats;
+        expectConservedAndBounded(a, a.cycles, nonzeros(c.a), a_slots,
+                                  what + " scheduleA");
+        const BSchedule stream = preprocessB(vb, c.db, sh, false);
+        expectConservedAndBounded(stream.stats(), stream.cycles(),
+                                  nonzeros(c.b), b_slots,
+                                  what + " preprocessB");
+        const auto b = scheduleB(vb, c.db, sh);
+        expectConservedAndBounded(b, b.cycles, nonzeros(c.b), b_slots,
+                                  what + " scheduleB");
+        for (const bool pre : {true, false}) {
+            const auto cfg = RoutingConfig::sparseAB(
+                c.da.d1, c.da.d2, c.da.d3, c.db.d1, c.db.d2, c.db.d3,
+                c.shuffle, pre);
+            const auto dual =
+                scheduleDual(va, vb, cfg, sh, pre ? &stream : nullptr, c.bw,
+                             false);
+            const std::string flavour =
+                what + (pre ? " preprocessed dual" : " on-the-fly dual");
+            EXPECT_EQ(dual.effectualPairs, pairs) << flavour;
+            expectConservedAndBounded(dual.stage2, dual.cycles, pairs,
+                                      a_slots * c.shape.n0, flavour);
+        }
     }
 }
 

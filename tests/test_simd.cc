@@ -427,19 +427,31 @@ bruteB(const MatrixI8 &b, std::int64_t col_base, int units,
     return out;
 }
 
+/** Row masks over k, one element at a time (aRowMasks' contract). */
 std::vector<std::uint64_t>
-bruteA(const MatrixI8 &a, std::int64_t row_base, int units,
-       std::int64_t steps, int k0)
+bruteRows(const MatrixI8 &a, std::int64_t row_base, int units,
+          std::int64_t words)
 {
-    std::vector<std::uint64_t> out(steps * k0, 0);
-    for (std::int64_t f = 0; f < steps * k0; ++f)
-        for (int m = 0; m < units; ++m) {
-            const std::size_t r =
-                static_cast<std::size_t>(row_base + m);
-            const std::size_t c = static_cast<std::size_t>(f);
-            if (r < a.rows() && c < a.cols() && a.at(r, c) != 0)
-                out[f] |= std::uint64_t{1} << m;
-        }
+    std::vector<std::uint64_t> out(units * words, 0);
+    for (int m = 0; m < units; ++m)
+        for (std::int64_t k = 0; k < words * 64; ++k)
+            if (a.atOrZero(static_cast<std::size_t>(row_base + m),
+                           static_cast<std::size_t>(k)) != 0)
+                out[m * words + k / 64] |= std::uint64_t{1} << (k % 64);
+    return out;
+}
+
+/** Column masks over k, one element at a time (bColumnMasks'). */
+std::vector<std::uint64_t>
+bruteCols(const MatrixI8 &b, std::int64_t col_base, int units,
+          std::int64_t words)
+{
+    std::vector<std::uint64_t> out(units * words, 0);
+    for (int n = 0; n < units; ++n)
+        for (std::int64_t k = 0; k < words * 64; ++k)
+            if (b.atOrZero(static_cast<std::size_t>(k),
+                           static_cast<std::size_t>(col_base + n)) != 0)
+                out[n * words + k / 64] |= std::uint64_t{1} << (k % 64);
     return out;
 }
 
@@ -457,15 +469,50 @@ TEST(SimdOccupancy, BTileMatchesBruteForceWhenKOverhangsK0)
     }
 }
 
-TEST(SimdOccupancy, ATileMatchesBruteForceWhenKOverhangsK0)
+TEST(SimdOccupancy, FieldsRoundTripAcrossWordEdges)
 {
+    // Every (offset, width) pair over three words: orField writes
+    // exactly the field's bits, readField reads them back.
+    Rng rng(909);
+    for (int width = 1; width <= 64; ++width)
+        for (std::int64_t at = 0; at + width <= 192; ++at) {
+            const std::uint64_t draw = rng.engine()();
+            const std::uint64_t field =
+                width == 64 ? draw
+                            : draw & ((std::uint64_t{1} << width) - 1);
+            std::uint64_t bits[3] = {0, 0, 0};
+            simd::orField(bits, at, width, field);
+            ASSERT_EQ(simd::readField(bits, at, width), field)
+                << "at " << at << " width " << width;
+            for (std::int64_t i = 0; i < 192; ++i) {
+                const bool inside = i >= at && i < at + width;
+                const bool set = bits[i / 64] >> (i % 64) & 1u;
+                ASSERT_TRUE(inside || !set)
+                    << "bit " << i << " set outside [" << at << ", "
+                    << at + width << ")";
+            }
+        }
+}
+
+TEST(SimdOccupancy, UnitMasksMatchBruteForceAcrossWordEdges)
+{
+    // k on both sides of the 64-bit word, units up to 64, bases past
+    // the matrix edge (all-zero units) and spare mask words.
     Rng rng(707);
-    const MatrixI8 a = randomMatrix(rng, 21, 13, 0.5);
-    for (const std::int64_t row_base : {0, 8, 16}) {
-        std::vector<std::uint64_t> got(16, ~0ull);
-        simd::aTileOccupancy(a, row_base, 8, 4, 4, got.data());
-        EXPECT_EQ(got, bruteA(a, row_base, 8, 4, 4))
-            << "row_base " << row_base;
+    for (const std::size_t k : {1u, 13u, 63u, 64u, 65u, 130u, 200u}) {
+        const MatrixI8 a = randomMatrix(rng, 21, k, 0.5);
+        const MatrixI8 b = randomMatrix(rng, k, 70, 0.5);
+        const auto words = static_cast<std::int64_t>((k + 63) / 64) + 1;
+        for (const std::int64_t base : {0, 8, 16, 64}) {
+            std::vector<std::uint64_t> got(8 * words, ~0ull);
+            simd::aRowMasks(a, base, 8, words, got.data());
+            EXPECT_EQ(got, bruteRows(a, base, 8, words))
+                << "k " << k << " row_base " << base;
+            got.assign(64 * words, ~0ull);
+            simd::bColumnMasks(b, base, 64, words, got.data());
+            EXPECT_EQ(got, bruteCols(b, base, 64, words))
+                << "k " << k << " col_base " << base;
+        }
     }
 }
 
@@ -481,12 +528,14 @@ TEST(SimdOccupancy, AllZeroAndDenseExtremes)
     simd::bTileOccupancy(dense, 0, 9, 5, 4, got.data());
     EXPECT_EQ(got, bruteB(dense, 0, 9, 5, 4));
 
+    got.assign(17, ~0ull);
+    simd::aRowMasks(zero, 0, 17, 1, got.data());
+    EXPECT_EQ(got, std::vector<std::uint64_t>(17, 0));
+    simd::aRowMasks(dense, 0, 17, 1, got.data());
+    EXPECT_EQ(got, std::vector<std::uint64_t>(17, 0x1ff));
     got.assign(9, ~0ull);
-    simd::aTileOccupancy(zero, 0, 17, 3, 3, got.data());
-    EXPECT_EQ(got, std::vector<std::uint64_t>(9, 0));
-    got.assign(9, ~0ull);
-    simd::aTileOccupancy(dense, 0, 17, 3, 3, got.data());
-    EXPECT_EQ(got, bruteA(dense, 0, 17, 3, 3));
+    simd::bColumnMasks(dense, 0, 9, 1, got.data());
+    EXPECT_EQ(got, std::vector<std::uint64_t>(9, 0x1ffff));
 }
 
 TEST(SimdOccupancy, SingleElementMatrix)
@@ -496,9 +545,12 @@ TEST(SimdOccupancy, SingleElementMatrix)
     std::vector<std::uint64_t> got(4, ~0ull);
     simd::bTileOccupancy(one, 0, 1, 2, 2, got.data());
     EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 0, 0, 0}));
-    got.assign(4, ~0ull);
-    simd::aTileOccupancy(one, 0, 1, 2, 2, got.data());
-    EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 0, 0, 0}));
+    got.assign(2, ~0ull);
+    simd::aRowMasks(one, 0, 1, 2, got.data());
+    EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 0}));
+    got.assign(2, ~0ull);
+    simd::bColumnMasks(one, 0, 1, 2, got.data());
+    EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 0}));
 
     MatrixI8 zero(1, 1);
     got.assign(4, ~0ull);
