@@ -140,7 +140,10 @@ class Arena
     {
         Block b;
         b.size = std::max(blockBytes_, at_least);
-        b.data = std::make_unique<unsigned char[]>(b.size);
+        // Default-initialized: make_unique would zero the block and so
+        // touch every page of it, though alloc() hands out
+        // uninitialized memory and allocZeroed() zeroes what it needs.
+        b.data.reset(new unsigned char[b.size]);
         blocks_.push_back(std::move(b));
     }
 

@@ -82,7 +82,10 @@ Cli::parse(int argc, const char *const *argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
-            std::fputs(usage().c_str(), stdout);
+            // The usage is the whole output: a lost write fails the run.
+            if (std::fputs(usage().c_str(), stdout) == EOF ||
+                std::fflush(stdout) != 0)
+                fatalRun("write to stdout failed");
             std::exit(0);
         }
         if (arg.rfind("--", 0) != 0) {

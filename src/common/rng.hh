@@ -13,9 +13,10 @@
  *
  *  1. Twist recurrence.  [rand.eng.mers] defines x_{i+n} from x_i,
  *     x_{i+1} and x_{i+m} only (n = 312, m = 156), so a refill can
- *     twist four words at a time (simd::KernelTable::mtTwist) and
- *     temper the whole block (mtTemper).  The conditional xor with
- *     `a` becomes a mask of the low bit.
+ *     twist four words at a time on AVX2 and eight on AVX-512
+ *     (simd::KernelTable::mtTwist) and temper the whole block
+ *     (mtTemper).  The conditional xor with `a` becomes a mask of the
+ *     low bit.
  *  2. Threshold monotonicity.  bernoulli(p) is uniform01() < p, and
  *     uniform01() is a non-decreasing function of the raw 64-bit draw
  *     u (u64 -> double rounding, an exact power-of-two scale and a
@@ -40,7 +41,12 @@
  *     V marks the value draws (S = ~V) and the overflow of odd + K is
  *     the next word's carry.  simd::KernelTable::keepDecode restarts
  *     each word at an element start, so its carry in is 0 and its
- *     carry out marks a kept element on the word's last draw.
+ *     carry out marks a kept element on the word's last draw.  The
+ *     AVX2 kernel writes each kept value byte at the popcount rank of
+ *     its element's start; the AVX-512 kernel computes the value
+ *     bytes of all 64 draws, moves each down one draw onto its keep
+ *     draw, zeroes the elements not kept and packs the bytes of the
+ *     starts S into element order with a byte compress (vpcompressb).
  *
  * tests/test_rng.cc and tests/test_sparsity.cc pin the first three
  * against the std engine, the std distribution and the per-draw

@@ -5,7 +5,9 @@
  * target("avx2") attribute (plus "popcnt" for the overlap counts and
  * the draw decoder) so this TU builds without a global -mavx2 and the
  * choice stays a *runtime* cpuid decision — the same binary runs
- * (scalar) on pre-AVX2 hardware.
+ * (scalar) on pre-AVX2 hardware.  Where the CPU also has AVX-512
+ * F/BW/VL/DQ/VBMI/VBMI2, kernels_avx512.cc replaces this table's
+ * three operand-generation kernels (mtTemper, mtTwist, keepDecode).
  *
  * Byte-exactness against kernels_scalar.cc is pinned by
  * tests/test_simd.cc; none of these kernels reads outside the ranges
@@ -200,12 +202,6 @@ mtTemperAvx2(const std::uint64_t *src, std::int64_t n,
     }
 }
 
-constexpr int kMtN = 312;
-constexpr int kMtM = 156;
-constexpr std::uint64_t kMtUpper = 0xFFFFFFFF80000000ULL;
-constexpr std::uint64_t kMtLower = 0x7FFFFFFFULL;
-constexpr std::uint64_t kMtMatrixA = 0xB5026F5AA96619E9ULL;
-
 /** state[i..i+4) becomes far[0..4) ^ twist(state[i..i+5)). */
 GRIFFIN_AVX2 inline void
 mtTwist4(std::uint64_t *state, int i, const std::uint64_t *far)
@@ -271,28 +267,11 @@ andPopcountAvx2(const std::uint64_t *x, const std::uint64_t *ys,
     }
 }
 
-/** Bits [0, k) set, for k in [0, 64]. */
-inline std::uint64_t
-lowBits(int k)
-{
-    return k >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
-}
-
-/** Position of set bit k (counting from 0) of x; x has more than k. */
-GRIFFIN_AVX2_POPCNT inline int
-selectBit(std::uint64_t x, std::int64_t k)
-{
-    for (; k > 0; --k)
-        x &= x - 1;
-    return ctz64(x);
-}
-
 GRIFFIN_AVX2_POPCNT std::int64_t
 keepDecodeAvx2(const std::uint64_t *draws, std::int64_t len,
                std::uint64_t below, bool always, std::int64_t want,
                std::int8_t *out, std::int64_t *used)
 {
-    constexpr std::uint64_t kEven = 0x5555555555555555ULL;
     constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
     // u < below as a signed compare of both sides with the sign
     // flipped (AVX2 has no unsigned 64-bit compare).
@@ -303,9 +282,8 @@ keepDecodeAvx2(const std::uint64_t *draws, std::int64_t len,
     const __m256i zero = _mm256_setzero_si256();
     std::int64_t n = 0;
     std::int64_t pos = 0;
-    // Each chunk starts at an element start, so the role scan below
-    // needs no carry in; its carry out marks a kept element on the
-    // chunk's last draw, which the next chunk restarts at.
+    // Each chunk starts where keepChunk cut the last one: at an
+    // element start.
     while (n < want && pos < len) {
         const std::int64_t left = want - n;
         const int width = static_cast<int>(std::min<std::int64_t>(
@@ -336,39 +314,20 @@ keepDecodeAvx2(const std::uint64_t *draws, std::int64_t len,
         if (any_zero)
             for (int j = 0; j < width; ++j)
                 ends |= static_cast<std::uint64_t>(u[j] == 0) << j;
-
-        // value bit j: draw j is a kept element's value draw
-        // (common/rng.hh, point 4).
-        const std::uint64_t follows = keep << 1;
-        const std::uint64_t odd = keep & ~kEven & ~follows;
-        std::uint64_t sum = 0;
-        const bool carry = __builtin_add_overflow(odd, keep, &sum);
-        const std::uint64_t value = (kEven ^ (sum << 1)) & follows;
-
-        // Cut before the first kept element whose value draw is 0 or
-        // lies past the chunk, then after `left` elements.
-        const std::uint64_t bad = value & ends;
-        int cut = bad != 0 ? ctz64(bad) - 1 : width - carry;
-        std::uint64_t starts = ~value & lowBits(cut);
-        std::int64_t count = popcount64(starts);
-        if (count > left) {
-            cut = selectBit(starts, left);
-            starts &= lowBits(cut);
-            count = left;
-        }
+        const KeepChunk chunk = keepChunk(keep, ends, width, left);
 
         // Element e's byte is out[n + e]: zero them all, then write the
         // kept ones at the rank of their start.
-        std::memset(out + n, 0, static_cast<std::size_t>(count));
-        for (std::uint64_t kept = starts & keep; kept != 0;
+        std::memset(out + n, 0, static_cast<std::size_t>(chunk.count));
+        for (std::uint64_t kept = chunk.starts & keep; kept != 0;
              kept &= kept - 1) {
             const std::uint64_t earlier = (kept - 1) & ~kept;
-            out[n + popcount64(starts & earlier)] =
+            out[n + popcount64(chunk.starts & earlier)] =
                 Rng::nonzeroInt8FromDraw(u[ctz64(kept) + 1]);
         }
-        n += count;
-        pos += cut;
-        if (bad != 0)
+        n += chunk.count;
+        pos += chunk.cut;
+        if (chunk.stop)
             break;
     }
     *used = pos;

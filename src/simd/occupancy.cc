@@ -67,6 +67,10 @@ kernels()
     static const KernelTable &table = []() -> const KernelTable & {
         switch (activeBackend()) {
           case Backend::Avx2:
+            // AVX-512 serves operand generation where the CPU has it;
+            // the backend and its name stay "avx2".
+            if (detail::avx512Table() != nullptr)
+                return *detail::avx512Table();
             return *detail::avx2Table();
           case Backend::Neon:
             return *detail::neonTable();
@@ -88,6 +92,12 @@ const KernelTable *
 avx2Kernels()
 {
     return detail::avx2Table();
+}
+
+const KernelTable *
+avx512Kernels()
+{
+    return detail::avx512Table();
 }
 
 const KernelTable *

@@ -19,14 +19,19 @@
  * (`andPopcount`).  Operand generation uses two more: the
  * MT19937-64 refill (`mtTwist`, `mtTemper`) and the weight generator's
  * draw decoder (`keepDecode`), which finds which buffered draws start
- * an element a 64-bit word at a time.
+ * an element a 64-bit word at a time.  On AVX-512 these three run
+ * eight draws per vector, and the decoder packs the kept value bytes
+ * into element order with a byte compress.
  *
  * Dispatch: the backend is chosen once per process.  Order:
  *
  *   1. `GRIFFIN_FORCE_SCALAR` (CMake option or a non-empty, non-"0"
  *      environment variable) pins the scalar fallback;
  *   2. AVX2 when the CPU reports it (cpuid via
- *      __builtin_cpu_supports);
+ *      __builtin_cpu_supports).  When the CPU also reports AVX-512
+ *      F/BW/VL/DQ/VBMI/VBMI2, the backend (still Backend::Avx2,
+ *      "avx2") runs the AVX-512 table: the AVX2 kernels with AVX-512
+ *      mtTemper, mtTwist and keepDecode (avx512Kernels());
  *   3. NEON when compiled for an ARM target that has it;
  *   4. scalar.
  *
@@ -153,6 +158,13 @@ const KernelTable &scalarKernels();
 
 /** AVX2 kernels, or nullptr when the CPU/build lacks AVX2. */
 const KernelTable *avx2Kernels();
+
+/**
+ * The AVX2 kernels with AVX-512 mtTemper, mtTwist and keepDecode, or
+ * nullptr when the CPU/build lacks AVX2 or any of AVX-512
+ * F/BW/VL/DQ/VBMI/VBMI2.
+ */
+const KernelTable *avx512Kernels();
 
 /** NEON kernels, or nullptr when not built for an ARM NEON target. */
 const KernelTable *neonKernels();

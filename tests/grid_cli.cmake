@@ -5,8 +5,9 @@
 # of every variant, so rows are self-describing.  Also assert that
 # grid text naming no axis, or malformed text on a run with no sweep,
 # exits 2; that an unwritable --out, --json or --trace path fails
-# before the sweep runs; that a write to a full device exits 1; and
-# that unknown names suggest the nearest valid spelling.
+# before the sweep runs; that a write to a full device exits 1, --help
+# included; that --help prints the usage; and that unknown names
+# suggest the nearest valid spelling.
 #
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DWORK_DIR=<dir> -P grid_cli.cmake
@@ -110,9 +111,10 @@ if(EXISTS "/dev/full")
                     "'${diag_${flag}}'; got ${rc}:\n${err}")
         endif()
     endforeach()
-    # So does a lost stdout write: every subcommand flushes and checks
-    # stdout before it reports success, with one error line.
-    foreach(args "list" "networks" "describe;fig5" "run;table1")
+    # So does a lost stdout write: every subcommand, and --help, flushes
+    # and checks stdout before it reports success, with one error line.
+    foreach(args "list" "networks" "describe;fig5" "run;table1" "--help"
+                 "run;table1;--help")
         execute_process(
             COMMAND "${GRIFFIN_BENCH}" ${args}
             OUTPUT_FILE /dev/full ERROR_VARIABLE err RESULT_VARIABLE rc)
@@ -130,6 +132,19 @@ if(EXISTS "/dev/full")
 else()
     message(STATUS "no /dev/full: full-device write checks skipped")
 endif()
+
+# --help prints the usage to stdout and exits 0.
+foreach(args "--help" "run;table1;--help")
+    execute_process(
+        COMMAND "${GRIFFIN_BENCH}" ${args}
+        OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0 OR NOT out MATCHES "\n\nflags:\n  --")
+        string(REPLACE ";" " " shown "${args}")
+        message(FATAL_ERROR
+                "'${shown}' must exit 0 and print the usage; got "
+                "${rc}:\n${out}${err}")
+    endif()
+endforeach()
 
 # Unknown experiment, network and subcommand names exit 2 and suggest
 # the nearest registered spelling.
@@ -150,4 +165,5 @@ endforeach()
 message(STATUS "grid CLI OK: coordinates present, thread-count "
                "invariant, empty and malformed grid text rejected, "
                "unwritable outputs fail before the sweep, failed "
-               "writes exit 1, unknown names get suggestions")
+               "writes exit 1, --help prints the usage, unknown names "
+               "get suggestions")

@@ -1,15 +1,17 @@
 # CTest script: SIMD dispatch equivalence, end to end.
 #
 # The same fig5 and fig6 slices run twice — once under whatever backend
-# the CPU dispatches (AVX2 here, NEON on ARM, scalar elsewhere) and once
-# with GRIFFIN_FORCE_SCALAR=1 pinning the portable reference — and the
-# result-row documents must be byte-identical.  This is the whole-run
-# closure of the per-kernel equivalence tests in tests/test_simd.cc:
-# the SIMD layer is a pure speedup, never a behaviour change.  fig5 has
-# dense activations and fig6 sparse ones, so between them they cover
-# both operand generators' sparse and dense rows.  That the knob
-# really reroutes dispatch, rather than just being read, is test_simd's
-# SimdDispatchDeathTest.
+# the CPU dispatches (AVX2 on x86, with the AVX-512 operand-generation
+# kernels where the CPU has AVX-512 F/BW/VL/DQ/VBMI/VBMI2; NEON on ARM;
+# scalar elsewhere) and once with GRIFFIN_FORCE_SCALAR=1 pinning the
+# portable reference — and the result-row documents must be
+# byte-identical.  This is the whole-run closure of the per-kernel
+# equivalence tests in tests/test_simd.cc: the SIMD layer is a pure
+# speedup, never a behaviour change.  fig5 has dense activations and
+# fig6 sparse ones, so between them they cover both operand generators'
+# sparse and dense rows.  That the knob really reroutes dispatch,
+# rather than just being read, and that an AVX-512 CPU really gets the
+# AVX-512 table, is test_simd's SimdDispatchDeathTest.
 #
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DWORK_DIR=<dir> -P simd_dispatch.cmake

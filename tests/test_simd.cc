@@ -39,6 +39,8 @@ availableBackends()
     tables.push_back({"scalar", &simd::scalarKernels()});
     if (simd::avx2Kernels() != nullptr)
         tables.push_back({"avx2", simd::avx2Kernels()});
+    if (simd::avx512Kernels() != nullptr)
+        tables.push_back({"avx512", simd::avx512Kernels()});
     if (simd::neonKernels() != nullptr)
         tables.push_back({"neon", simd::neonKernels()});
     return tables;
@@ -558,26 +560,57 @@ TEST(SimdOccupancy, SingleElementMatrix)
     EXPECT_EQ(got, std::vector<std::uint64_t>(4, 0));
 }
 
-TEST(SimdDispatchDeathTest, ForceScalarPinsTheScalarBackend)
+/**
+ * Expect `check` to hold in a fresh process whose GRIFFIN_FORCE_SCALAR
+ * is `force_scalar` (nullptr: unset).  The dispatch is chosen once per
+ * process, so only a fresh one sees the knob: the threadsafe
+ * death-test style re-executes this binary, and the child inherits
+ * the variable.
+ */
+void
+expectInFreshProcess(const char *force_scalar, bool (*check)())
 {
-    // The dispatch is chosen once per process, so the check runs in a
-    // fresh one: the threadsafe style re-executes this binary, and the
-    // child inherits the variable.  The forced-scalar CI leg and the
-    // simd_dispatch ctest rely on the knob really rerouting dispatch.
     const char *saved = std::getenv("GRIFFIN_FORCE_SCALAR");
     const std::string previous = saved != nullptr ? saved : "";
     const std::string style = ::testing::FLAGS_gtest_death_test_style;
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    setenv("GRIFFIN_FORCE_SCALAR", "1", 1);
-    EXPECT_EXIT(std::exit(simd::activeBackend() == simd::Backend::Scalar
-                              ? 0
-                              : 1),
-                testing::ExitedWithCode(0), "");
+    if (force_scalar != nullptr)
+        setenv("GRIFFIN_FORCE_SCALAR", force_scalar, 1);
+    else
+        unsetenv("GRIFFIN_FORCE_SCALAR");
+    EXPECT_EXIT(std::exit(check() ? 0 : 1), testing::ExitedWithCode(0),
+                "");
     if (saved != nullptr)
         setenv("GRIFFIN_FORCE_SCALAR", previous.c_str(), 1);
     else
         unsetenv("GRIFFIN_FORCE_SCALAR");
     ::testing::FLAGS_gtest_death_test_style = style;
+}
+
+TEST(SimdDispatchDeathTest, ForceScalarPinsTheScalarBackend)
+{
+    // The forced-scalar CI leg and the simd_dispatch ctest rely on the
+    // knob really rerouting dispatch.
+    expectInFreshProcess("1", [] {
+        return simd::activeBackend() == simd::Backend::Scalar &&
+               &simd::kernels() == &simd::scalarKernels();
+    });
+}
+
+TEST(SimdDispatchDeathTest, Avx512CpusGetTheAvx512Table)
+{
+#if defined(GRIFFIN_FORCE_SCALAR)
+    GTEST_SKIP() << "built with GRIFFIN_FORCE_SCALAR";
+#else
+    if (simd::avx512Kernels() == nullptr)
+        GTEST_SKIP() << "no AVX-512 F/BW/VL/DQ/VBMI/VBMI2 on this CPU";
+    // Without the knob, the x86 backend (still named "avx2") dispatches
+    // the AVX-512 table; a silent fall back to plain AVX2 fails here.
+    expectInFreshProcess(nullptr, [] {
+        return simd::activeBackend() == simd::Backend::Avx2 &&
+               &simd::kernels() == simd::avx512Kernels();
+    });
+#endif
 }
 
 TEST(SimdDispatch, ActiveBackendHasAStableName)
@@ -586,8 +619,9 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
         simd::backendName(simd::activeBackend());
     EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "neon")
         << name;
-    // The dispatched table is one of the concrete tables, never a
-    // mixture assembled per call.
+    // The dispatched table is one of the concrete tables (scalar,
+    // avx2, avx512 — the AVX2 table with AVX-512 operand generation —
+    // or neon), never a mixture assembled per call.
     const KernelTable &active = simd::kernels();
     EXPECT_NE(active.nonzeroMasks, nullptr);
     EXPECT_NE(active.mtTemper, nullptr);
