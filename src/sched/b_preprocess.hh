@@ -147,10 +147,11 @@ class BSchedule
     }
 
     /**
-     * Flat raw-extent table indexed `cycle * cols() + col` — the bulk
-     * counterpart of rawHi() for the dual engine's per-entry ABUF
-     * residency test.
+     * Flat raw-extent tables indexed `cycle * cols() + col` — the bulk
+     * counterparts of rawLo() and rawHi(), which the dual engine reads
+     * as entries enter its BBUF windows.
      */
+    const std::int64_t *rawLoData() const { return raw_lo_.data(); }
     const std::int64_t *rawHiData() const { return raw_hi_.data(); }
 
     /** Compressed payload size: one INT8 per scheduled element. */

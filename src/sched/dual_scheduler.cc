@@ -52,6 +52,269 @@ class RowRepeat
 };
 
 /**
+ * Fig. 3 steps 2-3: zero masks of A filtered by B's metadata — a pair
+ * survives only where the stream has an element *and* the matching A
+ * operand is nonzero.  A's queue under the stream's shuffle holds, at
+ * step k1, bit m * lanes + l for A's element in row m at post-shuffle
+ * lane l — the lane the stream's take words use.  So one (entry, PE
+ * column) live mask, row-major over the column's rows x lanes slots,
+ * is the OR over the entry's window steps of A's queue word AND the
+ * column's take field repeated across rows, plus one bit per row for
+ * each stolen cell (A's bit at the source lane, set at the consumer
+ * lane).  Writes word i of entry e's mask for column j to
+ * live[(e * cols + j) * words + i], words = a_queue.wordsPerStep().
+ */
+template <int kColWords>
+void
+buildLiveMasks(const BSchedule &stream, const SlotQueues &a_queue, int rows,
+               Arena &arena, std::uint64_t *live)
+{
+    const int lanes = stream.lanes();
+    const std::int64_t col_slots = std::int64_t{stream.cols()} * lanes;
+    const std::int64_t cw =
+        kColWords > 0 ? kColWords : a_queue.wordsPerStep();
+    const std::int64_t tw = stream.takeWords();
+    const RowRepeat repeat(rows, lanes, cw, arena);
+    const std::uint64_t field_mask =
+        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    // Stream slot s = col * lanes + lane.  col = s / lanes is s times
+    // m = ceil(2^32 / lanes), shifted down 32 bits: with m * lanes =
+    // 2^32 + r, r < lanes, the product overshoots s / lanes by s * r /
+    // (lanes * 2^32) < 1 / lanes for every s < 2^26, which leaves the
+    // floor alone.  Slots stay below 64 * 64.
+    const std::uint64_t recip =
+        ((std::uint64_t{1} << 32) + static_cast<unsigned>(lanes) - 1) /
+        static_cast<unsigned>(lanes);
+    auto column_of = [recip](std::int64_t s) {
+        return static_cast<std::int64_t>(static_cast<std::uint64_t>(s) *
+                                             recip >>
+                                         32);
+    };
+    for (std::int64_t e = 0; e < stream.cycles(); ++e) {
+        const std::uint64_t *take_rows = stream.takes(e);
+        const std::uint64_t *a_words = a_queue.stepWords(stream.base(e));
+        const std::int64_t depth = stream.depth(e);
+        std::uint64_t *const entry_masks = live + e * stream.cols() * cw;
+        // The column whose take field starts at stream slot `at`: its
+        // accumulator stays in a register across the entry's window
+        // steps; the field is bits r.. of take word at / 64, plus the
+        // low bits of the next word when it straddles into it.
+        std::uint64_t *mask = entry_masks;
+        for (std::int64_t at = 0; at < col_slots; at += lanes, mask += cw) {
+            const std::uint64_t *row = take_rows + (at >> 6);
+            const int r = static_cast<int>(at & 63);
+            const bool straddles = r + lanes > 64;
+            for (std::int64_t i = 0; i < cw; ++i) {
+                std::uint64_t acc = 0;
+                for (std::int64_t d = 0; d < depth; ++d) {
+                    std::uint64_t take = row[d * tw] >> r;
+                    if (straddles)
+                        take |= row[d * tw + 1] << (64 - r);
+                    acc |= a_words[d * cw + i] & repeat(i, take & field_mask);
+                }
+                mask[i] = acc;
+            }
+        }
+        // Stolen cells: A's bit at the source lane of every row, moved
+        // to the consumer lane of the same row — the row-major mask
+        // shifted by to - from, carried across words.
+        for (const StolenOp *k = stream.stealsBegin(e);
+             k != stream.stealsEnd(e); ++k) {
+            const std::int64_t col = column_of(k->consumer);
+            std::uint64_t *const col_mask = entry_masks + col * cw;
+            const std::int64_t from = k->src - column_of(k->src) * lanes;
+            const int shift =
+                static_cast<int>(k->consumer - col * lanes - from);
+            const std::uint64_t src_lane = std::uint64_t{1} << from;
+            const std::uint64_t *a_word = a_queue.stepWords(k->step);
+            std::uint64_t carry = 0;
+            if (shift >= 0) {
+                for (std::int64_t i = 0; i < cw; ++i) {
+                    const std::uint64_t cell =
+                        a_word[i] & repeat(i, src_lane);
+                    col_mask[i] |= cell << shift | carry;
+                    carry = shift == 0 ? 0 : cell >> (64 - shift);
+                }
+            } else {
+                for (std::int64_t i = cw - 1; i >= 0; --i) {
+                    const std::uint64_t cell =
+                        a_word[i] & repeat(i, src_lane);
+                    col_mask[i] |= cell >> -shift | carry;
+                    carry = cell << (64 + shift);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * schedulePreprocessed's engine, given a non-empty stream, A's queue
+ * and the steal pass.  kPlain: one-word column masks, no steals and
+ * no record mode, known at compile time, so pass 1 drops its steal
+ * sources and take words and the word loops unroll.
+ */
+template <bool kPlain>
+DualSchedule
+runPreprocessed(const TileViewA &a, const RoutingConfig &cfg,
+                const BSchedule &stream, const SlotQueues &a_queue,
+                const StealPass &steals, double advance_cap, bool record,
+                Arena &arena)
+{
+    const int lanes = stream.lanes();
+    const int rows = a.units();
+    const int cols = stream.cols();
+    const std::int64_t entries = stream.cycles();
+    const std::int64_t depth = 1 + cfg.a.d1;
+    const std::int64_t abuf_raw_depth = depth * (1 + cfg.b.d1);
+    const std::int64_t cw = kPlain ? 1 : a_queue.wordsPerStep();
+    auto words = [&](std::int64_t n) {
+        return arena.alloc<std::uint64_t>(static_cast<std::size_t>(n));
+    };
+
+    DualSchedule out;
+    out.stage1 = stream.stats();
+    // Live masks of entry e: every column's side by side, `width`
+    // words from live + e * width.
+    const std::int64_t width = cols * cw;
+    std::uint64_t *const live = words(entries * width);
+    buildLiveMasks<kPlain ? 1 : 0>(stream, a_queue, rows, arena, live);
+    auto any = [cw](const std::uint64_t *w) {
+        std::uint64_t x = 0;
+        for (std::int64_t i = 0; i < cw; ++i)
+            x |= w[i];
+        return x != 0;
+    };
+    auto skip_empty = [&](std::int64_t e, int j) {
+        while (e < entries && !any(live + e * width + j * cw))
+            ++e;
+        return e;
+    };
+
+    // Column j's BBUF window is entries head[j] .. head[j] + depth - 1,
+    // clipped at the stream's end, where head[j] is its oldest entry
+    // with a pair left (entries once the column is done).  Its pairs
+    // drain in place in the live masks: window step d is the word run
+    // at live + (head[j] + d) * width + j * cw.
+    auto *const head =
+        arena.alloc<std::int64_t>(static_cast<std::size_t>(cols));
+    std::int64_t active = 0;
+    for (int j = 0; j < cols; ++j) {
+        head[j] = skip_empty(0, j);
+        active += head[j] < entries;
+    }
+    if (active == 0)
+        return out;
+
+    const std::int64_t *const raw_lo = stream.rawLoData();
+    const std::int64_t *const raw_hi = stream.rawHiData();
+    const std::int64_t max_raw = stream.rawEnd(entries - 1);
+    std::int64_t frontier =
+        std::min<std::int64_t>(abuf_raw_depth - 1, max_raw);
+    double bw_budget = 0.0;
+
+    std::uint64_t *const ran = words(cw);
+    std::uint64_t *const elig =
+        kPlain || steals.empty() ? nullptr : words(cw);
+    // Record mode emits pass-1 ops in slot order from the take words.
+    std::uint64_t *const takes =
+        !kPlain && record ? words(depth * cw) : nullptr;
+    auto record_op = [&](std::int64_t e, int j, std::int64_t s,
+                         std::int64_t cycle) {
+        const int l = static_cast<int>(s % lanes);
+        out.ops.push_back({stream.flatK(e, l, j),
+                           static_cast<int>(s / lanes),
+                           stream.homeCol(e, l, j), cycle});
+    };
+
+    auto &st = out.stage2;
+    for (;;) {
+        const std::int64_t cycle = st.cycles++;
+        const std::int64_t now = frontier;
+        // The tail of the shared raw window: the lowest raw step any
+        // column's oldest live entry still needs.  That entry holds a
+        // pair, so its column slice is not empty.
+        std::int64_t tail = max_raw;
+        for (int j = 0; j < cols; ++j) {
+            const std::int64_t first = head[j];
+            if (first == entries)
+                continue;
+            std::uint64_t *const window = live + first * width + j * cw;
+            const std::int64_t *const window_hi = raw_hi + first * cols + j;
+            const std::int64_t depth_j =
+                std::min<std::int64_t>(depth, entries - first);
+            // An entry is executable when it is inside its column's
+            // BBUF window and its raw span has streamed into the ABUF.
+            auto resident = [window_hi, cols, now](std::int64_t d) {
+                return window_hi[d * cols] <= now;
+            };
+            const std::int64_t own = ownPass(window, width, depth_j, cw,
+                                             resident, ran, elig, takes);
+            st.ownOps += own;
+            st.ops += own;
+            for (std::int64_t i = 0; !kPlain && record && i < cw; ++i)
+                for (std::uint64_t bits = ran[i]; bits != 0;
+                     bits &= bits - 1) {
+                    const int bit = simd::ctz64(bits);
+                    std::int64_t d = 0;
+                    while ((takes[d * cw + i] >> bit & 1u) == 0)
+                        ++d;
+                    record_op(first + d, j, i * 64 + bit, cycle);
+                }
+            // Lane/row stealing within the column.
+            if (!kPlain && !steals.empty())
+                steals.run(window, width, depth_j, resident, ran, elig,
+                           [&](std::int64_t d, std::int64_t src,
+                               std::int64_t) {
+                               if (record)
+                                   record_op(first + d, j, src, cycle);
+                               ++st.stolenOps;
+                               ++st.ops;
+                           });
+
+            // Retire the drained entries at the window's head; past a
+            // fully drained window, skip the empty entries after it.
+            std::int64_t drained = 0;
+            while (drained < depth_j && !any(window + drained * width))
+                ++drained;
+            const std::int64_t next =
+                drained < depth_j ? first + drained
+                                  : skip_empty(first + depth_j, j);
+            head[j] = next;
+            if (next == entries)
+                --active;
+            else
+                tail = std::min(tail, raw_lo[next * cols + j]);
+        }
+        if (active == 0)
+            break;
+
+        // Slide the shared raw window: the frontier streams forward at
+        // the ASRAM rate into the ABUF capacity past the tail.
+        bw_budget += advance_cap;
+        bool limited = false;
+        while (frontier < max_raw &&
+               frontier < tail + abuf_raw_depth - 1) {
+            if (bw_budget >= 1.0) {
+                bw_budget -= 1.0;
+                ++frontier;
+            } else {
+                limited = true;
+                break;
+            }
+        }
+        if (limited)
+            ++st.bwLimitedCycles;
+        bw_budget = std::min(bw_budget,
+                             static_cast<double>(abuf_raw_depth));
+    }
+    // Every pair runs exactly once, so the pairs are the ops executed.
+    out.cycles = st.cycles;
+    out.effectualPairs = st.ops;
+    st.idleSlotCycles = std::int64_t{rows} * lanes * cols * st.cycles - st.ops;
+    return out;
+}
+
+/**
  * Asynchronous two-level engine for preprocessed dual sparsity.
  *
  * Each PE column owns a BBUF of (1 + da1) compressed entries of its
@@ -70,198 +333,31 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
                      const BSchedule &stream, double advance_cap,
                      bool record)
 {
-    const int lanes = stream.lanes();
-    const int rows = a.units();
-    const int cols = stream.cols();
-    const std::int64_t entries = stream.cycles();
-    const int bbuf_depth = 1 + cfg.a.d1;
-    const std::int64_t abuf_raw_depth =
-        static_cast<std::int64_t>(1 + cfg.a.d1) * (1 + cfg.b.d1);
-    GRIFFIN_ASSERT(a.steps() == stream.steps() && a.lanes() == lanes,
+    GRIFFIN_ASSERT(a.steps() == stream.steps() &&
+                   a.lanes() == stream.lanes(),
                    "A tile of ", a.steps(), " x ", a.lanes(),
                    " steps x lanes, B stream of ", stream.steps(), " x ",
-                   lanes);
-
-    DualSchedule out;
-    out.stage1 = stream.stats();
-    if (entries == 0)
+                   stream.lanes());
+    if (stream.cycles() == 0) {
+        DualSchedule out;
+        out.stage1 = stream.stats();
         return out;
-
+    }
     Arena &arena = workArena();
     ArenaScope scope(arena);
-
-    // Fig. 3 steps 2-3: zero masks of A filtered by B's metadata — a
-    // pair survives only where the stream has an element *and* the
-    // matching A operand is nonzero.  A's queue under the stream's
-    // shuffle holds, at step k1, bit m * lanes + l for A's element in
-    // row m at post-shuffle lane l — the lane the stream's take words
-    // use.  So one (entry, column) live mask, row-major over the
-    // column's rows x lanes slots, is the OR over the entry's window
-    // steps of A's queue word AND the column's take field repeated
-    // across rows, plus one bit per row for each stolen cell (A's bit
-    // at the source lane, set at the consumer lane).
     const SlotQueues a_queue =
         tileQueues(&a, nullptr, stream.shuffler(), arena);
-    const std::int64_t cw = a_queue.wordsPerStep();
-    const std::int64_t tw = stream.takeWords();
-    const std::int64_t nslots = static_cast<std::int64_t>(rows) * lanes * cols;
-    auto *live = arena.allocZeroed<std::uint64_t>(
-        static_cast<std::size_t>(entries * cols * cw));
-    auto live_of = [&](std::int64_t e, int j) {
-        return live + (e * cols + j) * cw;
-    };
-    const RowRepeat repeat(rows, lanes, cw, arena);
-    for (std::int64_t e = 0; e < entries; ++e) {
-        const std::uint64_t *take_rows = stream.takes(e);
-        const std::uint64_t *a_words = a_queue.stepWords(stream.base(e));
-        const std::int64_t depth = stream.depth(e);
-        for (int j = 0; j < cols; ++j) {
-            std::uint64_t *mask = live_of(e, j);
-            for (std::int64_t d = 0; d < depth; ++d) {
-                const std::uint64_t take = simd::readField(
-                    take_rows + d * tw, std::int64_t{j} * lanes, lanes);
-                for (std::int64_t i = 0; i < cw; ++i)
-                    mask[i] |= a_words[d * cw + i] & repeat(i, take);
-            }
-        }
-        for (const StolenOp *k = stream.stealsBegin(e);
-             k != stream.stealsEnd(e); ++k) {
-            const std::uint64_t *a_word = a_queue.stepWords(k->step);
-            std::uint64_t *mask =
-                live_of(e, static_cast<int>(k->consumer / lanes));
-            const std::int64_t from = k->src % lanes;
-            const std::int64_t to = k->consumer % lanes;
-            for (std::int64_t at = 0; at < std::int64_t{rows} * lanes;
-                 at += lanes)
-                mask[(at + to) >> 6] |=
-                    (a_word[(at + from) >> 6] >> ((at + from) & 63) & 1u)
-                    << ((at + to) & 63);
-        }
-        for (std::int64_t i = 0; i < cols * cw; ++i)
-            out.effectualPairs += simd::popcount64(live_of(e, 0)[i]);
-    }
-    if (out.effectualPairs == 0)
-        return out;
-
-    // head[j]: the column's oldest entry with a pair left (its BBUF
-    // tail); every entry before it is drained.
-    auto *head =
-        arena.allocZeroed<std::int64_t>(static_cast<std::size_t>(cols));
-    auto skip_drained = [&](int j) {
-        while (head[j] < entries &&
-               std::all_of(live_of(head[j], j), live_of(head[j], j) + cw,
-                           [](std::uint64_t x) { return x == 0; }))
-            ++head[j];
-    };
-    for (int j = 0; j < cols; ++j)
-        skip_drained(j);
-
-    const std::int64_t max_raw = stream.rawEnd(entries - 1);
-    std::int64_t frontier =
-        std::min<std::int64_t>(abuf_raw_depth - 1, max_raw);
-    double bw_budget = 0.0;
-
-    // Live masks are row-major, slot m * lanes + l, which is the
-    // steal pass's slot order.
-    const StealPass steals(SlotGrid{0, lanes, rows, 1}, cfg.a.d2,
+    // Live masks are row-major, slot m * lanes + l, which is the steal
+    // pass's slot order.
+    const StealPass steals(SlotGrid{0, a.lanes(), a.units(), 1}, cfg.a.d2,
                            cfg.a.d3, 0, arena);
-    auto *ran = arena.alloc<std::uint64_t>(static_cast<std::size_t>(2 * cw));
-    std::uint64_t *elig = ran + cw;
-    // Record mode emits pass-1 ops in slot order from each entry's
-    // take words.
-    auto *takes = record ? arena.alloc<std::uint64_t>(
-                               static_cast<std::size_t>(bbuf_depth * cw))
-                         : nullptr;
-    auto record_op = [&](std::int64_t e, int j, std::int64_t s,
-                         std::int64_t cycle) {
-        const int l = static_cast<int>(s % lanes);
-        out.ops.push_back({stream.flatK(e, l, j),
-                           static_cast<int>(s / lanes),
-                           stream.homeCol(e, l, j), cycle});
-    };
-    const std::int64_t *raw_hi = stream.rawHiData();
-
-    std::int64_t left = out.effectualPairs;
-    auto &st = out.stage2;
-    while (left > 0) {
-        const std::int64_t cycle = st.cycles++;
-        std::int64_t consumed_now = 0;
-
-        for (int j = 0; j < cols; ++j) {
-            // An entry is executable when it is inside its column's
-            // BBUF window and its raw span has streamed into the ABUF.
-            const std::int64_t first = head[j];
-            const std::int64_t depth =
-                std::min<std::int64_t>(bbuf_depth, entries - first);
-            auto resident = [&](std::int64_t d) {
-                return raw_hi[(first + d) * cols + j] <= frontier;
-            };
-            std::uint64_t *window_live = live_of(first, j);
-            const std::int64_t stride = cols * cw;
-            const std::int64_t own = ownPass(window_live, stride, depth, cw,
-                                             resident, ran, elig, takes);
-            for (std::int64_t i = 0; record && i < cw; ++i)
-                for (std::uint64_t bits = ran[i]; bits != 0;
-                     bits &= bits - 1) {
-                    const int bit = simd::ctz64(bits);
-                    std::int64_t d = 0;
-                    while ((takes[d * cw + i] >> bit & 1u) == 0)
-                        ++d;
-                    record_op(first + d, j, i * 64 + bit, cycle);
-                }
-            // Lane/row stealing within the column.
-            std::int64_t stolen = 0;
-            if (!steals.empty()) {
-                steals.run(window_live, stride, depth, resident, ran, elig,
-                           [&](std::int64_t d, std::int64_t src, std::int64_t) {
-                               if (record)
-                                   record_op(first + d, j, src, cycle);
-                               ++stolen;
-                           });
-            }
-            consumed_now += own + stolen;
-            st.ownOps += own;
-            st.stolenOps += stolen;
-        }
-        left -= consumed_now;
-        st.ops += consumed_now;
-        st.idleSlotCycles += nslots - consumed_now;
-        if (left == 0)
-            break;
-
-        // Retire drained entries per column, then slide the shared raw
-        // window: the tail is the lowest raw step any column's oldest
-        // live entry still needs; the frontier streams forward at the
-        // ASRAM rate into the remaining ABUF capacity.
-        std::int64_t tail = max_raw;
-        for (int j = 0; j < cols; ++j) {
-            skip_drained(j);
-            const auto p = head[j];
-            if (p < entries) {
-                const auto lo = stream.rawLo(p, j);
-                if (lo >= 0)
-                    tail = std::min(tail, lo);
-            }
-        }
-        bw_budget += advance_cap;
-        bool limited = false;
-        while (frontier < max_raw &&
-               frontier < tail + abuf_raw_depth - 1) {
-            if (bw_budget >= 1.0) {
-                bw_budget -= 1.0;
-                ++frontier;
-            } else {
-                limited = true;
-                break;
-            }
-        }
-        if (limited)
-            ++st.bwLimitedCycles;
-        bw_budget = std::min(bw_budget,
-                             static_cast<double>(abuf_raw_depth));
-    }
-    out.cycles = st.cycles;
-    return out;
+    // Every preprocessed point of fig7 and fig8 is plain: 4 x 16
+    // columns, da2 = da3 = 0, no record.
+    return a_queue.wordsPerStep() == 1 && steals.empty() && !record
+               ? runPreprocessed<true>(a, cfg, stream, a_queue, steals,
+                                       advance_cap, record, arena)
+               : runPreprocessed<false>(a, cfg, stream, a_queue, steals,
+                                        advance_cap, record, arena);
 }
 
 DualSchedule
@@ -281,9 +377,6 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
     ArenaScope scope(arena);
     const SlotQueues queues = tileQueues(&a, &b, shuffler, arena);
 
-    DualSchedule out;
-    out.effectualPairs = queues.totalElements();
-
     BorrowWindow window;
     window.steps = 1 + std::min(cfg.a.d1, cfg.b.d1);
     window.laneDist = cfg.a.d2 + cfg.b.d2;
@@ -294,8 +387,10 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
     window.budgetCeiling = window.steps;
 
     auto result = runWindowSchedule(queues, window, record);
+    DualSchedule out;
     out.cycles = result.stats.cycles;
     out.stage2 = result.stats;
+    out.effectualPairs = result.stats.ops;
     if (record) {
         out.ops.reserve(result.ops.size());
         for (const auto &op : result.ops) {

@@ -12,8 +12,13 @@
  *    filter is a word AND: a (stream entry, PE column) live mask is
  *    A's queue word at each window step AND the column's take field
  *    for that step, repeated across the column's rows, plus the
- *    stream's stolen cells.  The effective lookahead compounds: ABUF
- *    spans (1+da1)(1+db1) raw steps.
+ *    stream's stolen cells.  Each PE column's BBUF window is its
+ *    1 + da1 oldest entries with a pair left, drained in place in
+ *    those masks.  Every cycle, one loop over the columns runs pass 1
+ *    on each window (an entry runs only once its raw span is resident
+ *    in the ABUF), then that column's steals and record-mode ops, then
+ *    moves its head past the drained entries.  The effective
+ *    lookahead compounds: ABUF spans (1+da1)(1+db1) raw steps.
  *
  *  - On-the-fly (TensorDash-style): both operands are matched at
  *    runtime in one pass over raw steps; lookahead is limited by the
@@ -55,6 +60,8 @@ struct DualSchedule
     std::int64_t cycles = 0;   ///< runtime cycles of the tile
     ScheduleStats stage1;      ///< offline B packing stats
     ScheduleStats stage2;      ///< runtime pair-matching stats
+    /** Pairs with A and B both nonzero.  Every one runs exactly once,
+     *  so this is stage2.ops, the ops executed. */
     std::int64_t effectualPairs = 0;
     std::vector<DualOp> ops;   ///< recorded when asked
 };

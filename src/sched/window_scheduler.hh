@@ -43,9 +43,12 @@ namespace griffin {
 /**
  * Pass 1 over a window of `depth` entries (entry d at live + d * stride),
  * a word at a time: walking the entries in order, live & ~seen are the
- * slots whose head sits there; they run it when ready(d).  Fills ran,
- * elig (steal sources: new head in the window and ready) and, when
- * given, takes[d * words + i].  Returns how many slots ran.
+ * slots whose head sits there; they run it when ready(d).  An entry
+ * that is not ready still hides its slots' later entries, because a
+ * slot runs its elements in stream order, and it is no steal source.
+ * Fills ran and, when given, elig (steal sources: new head in the
+ * window and ready) and takes[d * words + i].  Returns how many slots
+ * ran.
  */
 template <class Ready>
 std::int64_t
@@ -69,7 +72,8 @@ ownPass(std::uint64_t *live, std::int64_t stride, std::int64_t depth,
                 takes[d * words + i] = take;
         }
         ran[i] = ran_i;
-        elig[i] = elig_i;
+        if (elig != nullptr)
+            elig[i] = elig_i;
         own += simd::popcount64(ran_i);
     }
     return own;

@@ -2,12 +2,14 @@
  * @file
  * AVX2 kernels: compare-to-zero + movemask turns 32 occupancy bytes
  * into 32 mask bits per instruction pair.  Functions carry the
- * target("avx2") attribute (plus "popcnt" for the overlap counts and
- * the draw decoder) so this TU builds without a global -mavx2 and the
- * choice stays a *runtime* cpuid decision — the same binary runs
- * (scalar) on pre-AVX2 hardware.  Where the CPU also has AVX-512
- * F/BW/VL/DQ/VBMI/VBMI2, kernels_avx512.cc replaces this table's
- * three operand-generation kernels (mtTemper, mtTwist, keepDecode).
+ * target("avx2") attribute (plus "popcnt" for the draw decoder) so
+ * this TU builds without a global -mavx2 and the choice stays a
+ * *runtime* cpuid decision — the same binary runs (scalar) on
+ * pre-AVX2 hardware.  The overlap counts reuse the scalar kernel:
+ * POPCNT is part of the x86-64 build baseline (CMakeLists.txt).
+ * Where the CPU also has AVX-512 F/BW/VL/DQ/VBMI/VBMI2,
+ * kernels_avx512.cc replaces this table's three operand-generation
+ * kernels (mtTemper, mtTwist, keepDecode).
  *
  * Byte-exactness against kernels_scalar.cc is pinned by
  * tests/test_simd.cc; none of these kernels reads outside the ranges
@@ -250,23 +252,6 @@ mtTwistAvx2(std::uint64_t *state)
     }
 }
 
-GRIFFIN_AVX2_POPCNT void
-andPopcountAvx2(const std::uint64_t *x, const std::uint64_t *ys,
-                std::int64_t words, std::int64_t count,
-                std::int32_t *out)
-{
-    // The scalar body, compiled with POPCNT enabled: the Release build
-    // has no -mpopcnt, so outside this attribute popcount64 is a
-    // bit-twiddling sequence.
-    for (std::int64_t i = 0; i < count; ++i) {
-        const std::uint64_t *y = ys + i * words;
-        std::int32_t n = 0;
-        for (std::int64_t w = 0; w < words; ++w)
-            n += popcount64(x[w] & y[w]);
-        out[i] = n;
-    }
-}
-
 GRIFFIN_AVX2_POPCNT std::int64_t
 keepDecodeAvx2(const std::uint64_t *draws, std::int64_t len,
                std::uint64_t below, bool always, std::int64_t want,
@@ -345,7 +330,8 @@ avx2Table()
     static const KernelTable table = {
         nonzeroMasksAvx2, countNonzeroAvx2, accumulateNonzeroAvx2,
         leMaskAvx2,       minI64Avx2,       mtTemperAvx2,
-        mtTwistAvx2,      andPopcountAvx2,  keepDecodeAvx2,
+        mtTwistAvx2,      scalarTable().andPopcount,
+        keepDecodeAvx2,
     };
     return &table;
 }

@@ -383,5 +383,75 @@ TEST(ScheduleOracle, OnTheFlyDualMatchesCsr)
     EXPECT_GT(limited, 0) << "no tile hit the bandwidth cap";
 }
 
+/**
+ * Long tiles for the dual engines: 32 to 96 steps, so BBUF windows
+ * slide far past their first fill.  A's zeros come in runs of 4 to 16
+ * along k, so whole windows drain at once and PE columns drift apart.
+ * Case t takes shape kShapes[t % 4] and steals on the A side (da2,
+ * da3) when t / 4 is odd.
+ */
+Case
+drawLongCase(int t)
+{
+    Rng rng(0x10c6 + static_cast<std::uint64_t>(t));
+    Case c;
+    c.shape = kShapes[t % 4];
+    const auto k = static_cast<std::size_t>(
+        rng.uniformInt(32 * c.shape.k0, 96 * c.shape.k0));
+    const auto m = static_cast<std::size_t>(rng.uniformInt(1, c.shape.m0));
+    const auto n = static_cast<std::size_t>(rng.uniformInt(1, c.shape.n0));
+    c.a = clusteredSparse(m, k, 0.3 + 0.65 * rng.uniform01(),
+                          static_cast<double>(rng.uniformInt(4, 16)), rng);
+    c.b = drawMatrix(k, n, rng);
+    c.shuffle = rng.bernoulli(0.6);
+    c.group = c.shape.k0 % 16 == 0 && rng.bernoulli(0.5) ? 16 : 4;
+    const bool steal = t / 4 % 2 == 1;
+    c.da = Borrow{static_cast<int>(rng.uniformInt(0, 6)),
+                  steal ? static_cast<int>(rng.uniformInt(0, 3)) : 0,
+                  steal ? static_cast<int>(rng.uniformInt(0, 3)) : 0};
+    c.db = Borrow{static_cast<int>(rng.uniformInt(0, 6)),
+                  static_cast<int>(rng.uniformInt(0, 3)),
+                  static_cast<int>(rng.uniformInt(0, 3))};
+    const double caps[] = {0.25, 0.5, 1.0, 1.5, 3.0, 9.0};
+    c.bw = caps[rng.uniformInt(0, 5)];
+    return c;
+}
+
+TEST(ScheduleOracle, DualEnginesMatchCsrOnLongTiles)
+{
+    std::int64_t stolen = 0;
+    std::int64_t limited = 0;
+    for (int t = 0; t < 100; ++t) {
+        const Case c = drawLongCase(t);
+        const std::string what = c.describe();
+        const auto sh = c.shuffler();
+        const auto va = c.va();
+        const auto vb = c.vb();
+        const std::int64_t pairs = effectualPairs(c.a, c.b);
+        for (const bool pre : {true, false}) {
+            const auto cfg = RoutingConfig::sparseAB(
+                c.da.d1, c.da.d2, c.da.d3, c.db.d1, c.db.d2, c.db.d3,
+                c.shuffle, pre);
+            const BSchedule stream = preprocessB(vb, cfg.b, sh, false);
+            const BSchedule *b_stream = pre ? &stream : nullptr;
+            const std::string flavour =
+                what + (pre ? " preprocessed" : " on-the-fly");
+            const auto want =
+                csr::scheduleDual(va, vb, cfg, sh, b_stream, c.bw, true);
+            EXPECT_EQ(want.effectualPairs, pairs) << flavour;
+            expectSameDual(scheduleDual(va, vb, cfg, sh, b_stream, c.bw, true),
+                           want, flavour);
+            auto quiet = scheduleDual(va, vb, cfg, sh, b_stream, c.bw, false);
+            EXPECT_TRUE(quiet.ops.empty());
+            quiet.ops = want.ops;
+            expectSameDual(quiet, want, flavour + " unrecorded");
+            stolen += want.stage2.stolenOps;
+            limited += want.stage2.bwLimitedCycles;
+        }
+    }
+    EXPECT_GT(stolen, 0) << "no tile exercised a steal";
+    EXPECT_GT(limited, 0) << "no tile hit the bandwidth cap";
+}
+
 } // namespace
 } // namespace griffin

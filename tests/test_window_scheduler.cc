@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the generic sliding-window scheduler: cycle accounting,
- * borrowing semantics, bandwidth capping, and the paper's speedup
- * bounds.
+ * borrowing semantics, bandwidth capping, the paper's speedup bounds,
+ * and pass 1's readiness contract, which the dual engine relies on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hh"
 #include "sched/window_scheduler.hh"
 
 namespace griffin {
@@ -214,6 +217,93 @@ TEST(WindowScheduler, OwnPlusStolenEqualsTotal)
     EXPECT_EQ(result.stats.ownOps + result.stats.stolenOps,
               result.stats.ops);
     EXPECT_EQ(result.stats.ops, q.totalElements());
+}
+
+TEST(OwnPass, UnreadyHeadHidesLaterEntriesAndIsNoStealSource)
+{
+    // Three window entries over one word, entry 0 not ready.  Slots 0
+    // and 2 have their head at entry 0, so their entries 1 and 2 stay
+    // put; slots 1, 3 and 4 run their head at entry 1 or 2, and slot 3
+    // keeps a ready entry behind it, so it alone is a steal source.
+    std::uint64_t live[3] = {0b00101, 0b01011, 0b11100};
+    std::uint64_t ran = 0, elig = 0, takes[3] = {};
+    auto entry0_waits = [](std::int64_t d) { return d != 0; };
+    EXPECT_EQ(ownPass(live, 1, 3, 1, entry0_waits, &ran, &elig, takes), 3);
+    EXPECT_EQ(ran, 0b11010u);
+    EXPECT_EQ(takes[0], 0u);
+    EXPECT_EQ(takes[1], 0b01010u);
+    EXPECT_EQ(takes[2], 0b10000u);
+    EXPECT_EQ(live[0], 0b00101u);
+    EXPECT_EQ(live[1], 0b00001u);
+    EXPECT_EQ(live[2], 0b01100u);
+    EXPECT_EQ(elig, 0b01000u);
+
+    // Entry 1 not ready: slot 0 runs entry 0, and its next head waits
+    // at entry 1, so its ready entry 2 is no steal source either.
+    std::uint64_t chain[3] = {0b1, 0b1, 0b1};
+    auto entry1_waits = [](std::int64_t d) { return d != 1; };
+    EXPECT_EQ(ownPass(chain, 1, 3, 1, entry1_waits, &ran, &elig, takes), 1);
+    EXPECT_EQ(ran, 0b1u);
+    EXPECT_EQ(elig, 0u);
+
+    // The steal pass takes nothing from a slot whose head waits: lane
+    // 0 is idle and may borrow from lane 1, whose head is at entry 0.
+    std::uint64_t lanes[2] = {0b10, 0b10};
+    Arena arena;
+    const StealPass steals(SlotGrid{0, 2, 1, 1}, 1, 0, 0, arena);
+    ASSERT_FALSE(steals.empty());
+    EXPECT_EQ(ownPass(lanes, 1, 2, 1, entry0_waits, &ran, &elig, takes), 0);
+    std::int64_t stolen = 0;
+    steals.run(lanes, 1, 2, entry0_waits, &ran, &elig,
+               [&](std::int64_t, std::int64_t, std::int64_t) { ++stolen; });
+    EXPECT_EQ(stolen, 0);
+    EXPECT_EQ(lanes[0], 0b10u);
+    EXPECT_EQ(lanes[1], 0b10u);
+}
+
+TEST(OwnPass, ReadyEverywhereReplaysTheWindowEngine)
+{
+    // Random queues over two slot words, window 3, no steals: pass 1
+    // with every entry ready, replayed on the engine's window bases,
+    // picks exactly the engine's take words and drains every queue.
+    const SlotGrid grid{40, 8, 3, 4};
+    SlotQueues q(grid);
+    Rng rng(11);
+    for (std::int64_t s = 0; s < grid.steps; ++s)
+        for (int c = 0; c < grid.cols; ++c)
+            for (int r = 0; r < grid.rows; ++r)
+                for (int l = 0; l < grid.lanes; ++l)
+                    if (rng.bernoulli(0.4))
+                        q.push(s, l, r, c);
+    const std::int64_t words = q.wordsPerStep();
+    ASSERT_EQ(words, 2);
+    struct Picks
+    {
+        std::int64_t base, depth;
+        std::vector<std::uint64_t> takes;
+    };
+    std::vector<Picks> cycles;
+    const ScheduleStats stats = runWindowSchedule(
+        q, window(3), [&](const WindowCycle &c) {
+            cycles.push_back(
+                {c.base, c.depth, {c.takes, c.takes + c.depth * c.words}});
+        });
+    ASSERT_EQ(static_cast<std::int64_t>(cycles.size()), stats.cycles);
+
+    std::vector<std::uint64_t> live(q.stepWords(0),
+                                    q.stepWords(0) + grid.steps * words);
+    std::vector<std::uint64_t> ran(words), takes(3 * words);
+    auto always = [](std::int64_t) { return true; };
+    std::int64_t ops = 0;
+    for (const Picks &c : cycles) {
+        ops += ownPass(live.data() + c.base * words, words, c.depth, words,
+                       always, ran.data(), nullptr, takes.data());
+        EXPECT_TRUE(std::equal(c.takes.begin(), c.takes.end(), takes.begin()))
+            << "cycle at base " << c.base;
+    }
+    EXPECT_EQ(ops, stats.ops);
+    EXPECT_TRUE(std::all_of(live.begin(), live.end(),
+                            [](std::uint64_t x) { return x == 0; }));
 }
 
 TEST(WindowSchedulerDeathTest, InvalidParametersPanic)
