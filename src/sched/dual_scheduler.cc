@@ -75,8 +75,6 @@ buildLiveMasks(const BSchedule &stream, const SlotQueues &a_queue, int rows,
         kColWords > 0 ? kColWords : a_queue.wordsPerStep();
     const std::int64_t tw = stream.takeWords();
     const RowRepeat repeat(rows, lanes, cw, arena);
-    const std::uint64_t field_mask =
-        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
     // Stream slot s = col * lanes + lane.  col = s / lanes is s times
     // m = ceil(2^32 / lanes), shifted down 32 bits: with m * lanes =
     // 2^32 + r, r < lanes, the product overshoots s / lanes by s * r /
@@ -97,21 +95,15 @@ buildLiveMasks(const BSchedule &stream, const SlotQueues &a_queue, int rows,
         std::uint64_t *const entry_masks = live + e * stream.cols() * cw;
         // The column whose take field starts at stream slot `at`: its
         // accumulator stays in a register across the entry's window
-        // steps; the field is bits r.. of take word at / 64, plus the
-        // low bits of the next word when it straddles into it.
+        // steps.
         std::uint64_t *mask = entry_masks;
         for (std::int64_t at = 0; at < col_slots; at += lanes, mask += cw) {
-            const std::uint64_t *row = take_rows + (at >> 6);
-            const int r = static_cast<int>(at & 63);
-            const bool straddles = r + lanes > 64;
             for (std::int64_t i = 0; i < cw; ++i) {
                 std::uint64_t acc = 0;
-                for (std::int64_t d = 0; d < depth; ++d) {
-                    std::uint64_t take = row[d * tw] >> r;
-                    if (straddles)
-                        take |= row[d * tw + 1] << (64 - r);
-                    acc |= a_words[d * cw + i] & repeat(i, take & field_mask);
-                }
+                for (std::int64_t d = 0; d < depth; ++d)
+                    acc |= a_words[d * cw + i] &
+                           repeat(i, simd::readField(take_rows + d * tw,
+                                                     at, lanes));
                 mask[i] = acc;
             }
         }

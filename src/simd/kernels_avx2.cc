@@ -2,11 +2,11 @@
  * @file
  * AVX2 kernels: compare-to-zero + movemask turns 32 occupancy bytes
  * into 32 mask bits per instruction pair.  Functions carry the
- * target("avx2") attribute (plus "popcnt" for the draw decoder) so
- * this TU builds without a global -mavx2 and the choice stays a
- * *runtime* cpuid decision — the same binary runs (scalar) on
- * pre-AVX2 hardware.  The overlap counts reuse the scalar kernel:
- * POPCNT is part of the x86-64 build baseline (CMakeLists.txt).
+ * target("avx2") attribute so this TU builds without a global -mavx2
+ * and the choice stays a *runtime* cpuid decision — the same binary
+ * runs (scalar) on pre-AVX2 hardware.  POPCNT is part of the x86-64
+ * build baseline (CMakeLists.txt), so the draw decoder's popcounts
+ * and the scalar overlap-count kernel this table reuses compile to it.
  * Where the CPU also has AVX-512 F/BW/VL/DQ/VBMI/VBMI2,
  * kernels_avx512.cc replaces this table's three operand-generation
  * kernels (mtTemper, mtTwist, keepDecode).
@@ -29,7 +29,6 @@
 #include "common/rng.hh"
 
 #define GRIFFIN_AVX2 __attribute__((target("avx2")))
-#define GRIFFIN_AVX2_POPCNT __attribute__((target("avx2,popcnt")))
 
 namespace griffin {
 namespace simd {
@@ -252,7 +251,7 @@ mtTwistAvx2(std::uint64_t *state)
     }
 }
 
-GRIFFIN_AVX2_POPCNT std::int64_t
+GRIFFIN_AVX2 std::int64_t
 keepDecodeAvx2(const std::uint64_t *draws, std::int64_t len,
                std::uint64_t below, bool always, std::int64_t want,
                std::int8_t *out, std::int64_t *used)
@@ -324,8 +323,7 @@ keepDecodeAvx2(const std::uint64_t *draws, std::int64_t len,
 const KernelTable *
 avx2Table()
 {
-    if (!__builtin_cpu_supports("avx2") ||
-        !__builtin_cpu_supports("popcnt"))
+    if (!__builtin_cpu_supports("avx2"))
         return nullptr;
     static const KernelTable table = {
         nonzeroMasksAvx2, countNonzeroAvx2, accumulateNonzeroAvx2,

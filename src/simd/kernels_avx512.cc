@@ -27,8 +27,8 @@
 #include <algorithm>
 
 #define GRIFFIN_AVX512                                                  \
-    __attribute__((target("avx2,popcnt,avx512f,avx512bw,avx512vl,"      \
-                          "avx512dq,avx512vbmi,avx512vbmi2")))
+    __attribute__((target("avx2,avx512f,avx512bw,avx512vl,avx512dq,"   \
+                          "avx512vbmi,avx512vbmi2")))
 
 namespace griffin {
 namespace simd {

@@ -147,8 +147,19 @@ TEST(DualAsync, RecordedOpsCoverEveryEffectualPair)
     auto b = randomSparse(256, 16, 0.7, rng);
     const auto cfg = RoutingConfig::sparseAB(2, 1, 1, 2, 1, 1, true);
     auto dual = runDual(a, b, cfg, 9.0, true);
-    EXPECT_EQ(static_cast<std::int64_t>(dual.ops.size()),
-              dual.effectualPairs);
+    // The pairs counted from the matrices (one tile): A[m][k] and
+    // B[k][n] both nonzero.
+    std::int64_t pairs = 0;
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+        std::int64_t in_a = 0, in_b = 0;
+        for (std::size_t m = 0; m < a.rows(); ++m)
+            in_a += a.at(m, k) != 0;
+        for (std::size_t j = 0; j < b.cols(); ++j)
+            in_b += b.at(k, j) != 0;
+        pairs += in_a * in_b;
+    }
+    EXPECT_EQ(dual.effectualPairs, pairs);
+    EXPECT_EQ(static_cast<std::int64_t>(dual.ops.size()), pairs);
     auto got = replayDualSchedule(dual.ops, a, b, 0, 0, kShape);
     auto want = referenceTile(a, b, 0, 0, kShape);
     EXPECT_EQ(got, want);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/overhead.hh"
 #include "common/rng.hh"
 #include "sched/a_arbiter.hh"
@@ -173,6 +175,29 @@ TEST_P(ScheduleEquivalence, AArbiterReplaysToReferenceGemm)
 
 // --- Dual engine, preprocessed (Griffin) ------------------------------
 
+/** Effectual pairs of the output tile at (row_base, col_base), counted
+ *  from the matrices: the (m, k, n) with A[m][k] and B[k][n] both
+ *  nonzero. */
+std::int64_t
+tilePairs(const MatrixI8 &a, const MatrixI8 &b, std::int64_t row_base,
+          std::int64_t col_base)
+{
+    const auto rows = std::min<std::int64_t>(
+        static_cast<std::int64_t>(a.rows()), row_base + kShape.m0);
+    const auto cols = std::min<std::int64_t>(
+        static_cast<std::int64_t>(b.cols()), col_base + kShape.n0);
+    std::int64_t n = 0;
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+        std::int64_t in_a = 0, in_b = 0;
+        for (auto m = row_base; m < rows; ++m)
+            in_a += a.at(static_cast<std::size_t>(m), k) != 0;
+        for (auto j = col_base; j < cols; ++j)
+            in_b += b.at(k, static_cast<std::size_t>(j)) != 0;
+        n += in_a * in_b;
+    }
+    return n;
+}
+
 TEST_P(ScheduleEquivalence, DualPreprocessedReplaysToReferenceGemm)
 {
     const auto cfg = RoutingConfig::sparseAB(2, 0, 0, 2, 0, 1,
@@ -189,8 +214,10 @@ TEST_P(ScheduleEquivalence, DualPreprocessedReplaysToReferenceGemm)
             TileViewA va(a_, kShape, row_base);
             auto dual = scheduleDual(va, vb, cfg, sh, &stream, 9.0,
                                      true);
-            EXPECT_EQ(static_cast<std::int64_t>(dual.ops.size()),
-                      dual.effectualPairs);
+            const std::int64_t pairs =
+                tilePairs(a_, b_, row_base, col_base);
+            EXPECT_EQ(dual.effectualPairs, pairs);
+            EXPECT_EQ(static_cast<std::int64_t>(dual.ops.size()), pairs);
             auto got = replayDualSchedule(dual.ops, a_, b_, row_base,
                                           col_base, kShape);
             auto want = referenceTile(a_, b_, row_base, col_base,
