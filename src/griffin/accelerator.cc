@@ -54,12 +54,9 @@ Accelerator::layerWorksetParams(const NetworkSpec &net,
                                 std::size_t layerIndex, DnnCategory cat,
                                 const RunOptions &opt) const
 {
-    net.validate();
     if (opt.rowCap <= 0)
         fatal("rowCap must be positive, got ", opt.rowCap);
-    if (layerIndex >= net.layerCount())
-        fatal("layer index ", layerIndex, " out of range for ", net.name,
-              " (", net.layerCount(), " layers)");
+    net.validateLayer(layerIndex);
 
     const LayerSpec &layer = net.layer(layerIndex);
 
@@ -98,10 +95,7 @@ Accelerator::runLayer(const NetworkSpec &net, std::size_t layerIndex,
                       DnnCategory cat, const RunOptions &opt,
                       const LayerWorkset &workset) const
 {
-    net.validate();
-    if (layerIndex >= net.layerCount())
-        fatal("layer index ", layerIndex, " out of range for ", net.name,
-              " (", net.layerCount(), " layers)");
+    net.validateLayer(layerIndex);
 
     const LayerSpec &layer = net.layer(layerIndex);
     const TileShape &shape = config_.tile;
@@ -121,8 +115,7 @@ Accelerator::runLayer(const NetworkSpec &net, std::size_t layerIndex,
     const auto sim =
         mac_grid ? simulateSparTen(workset.a, workset.b, config_, cat,
                                    sim_opt)
-                 : simulateGemm(workset.a, workset.b, config_, cat,
-                                sim_opt);
+                 : simulateGemm(workset, config_, cat, sim_opt);
 
     LayerResult lr;
     lr.name = layer.name;

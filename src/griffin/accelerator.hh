@@ -143,6 +143,9 @@ class Accelerator
      * assembled from per-layer calls in *any* order (or from any
      * thread) is bit-identical to run().  runtime/ sweeps fan out over
      * the same per-layer split, through the workset overload below.
+     * Both overloads check only the layer they run
+     * (NetworkSpec::validateLayer); run() and the sweep runner check
+     * the whole network once, before any layer.
      */
     LayerResult runLayer(const NetworkSpec &net, std::size_t layerIndex,
                          DnnCategory cat,
@@ -169,7 +172,9 @@ class Accelerator
      * layerWorksetParams(net, layerIndex, cat, opt) — runLayer() is
      * exactly this composition with stage 1 (generateLayerWorkset)
      * in front, and a sweep hands one workset to every consumer that
-     * shares its parameters.
+     * shares its parameters.  The consumers share the workset's tile
+     * queues too (LayerWorkset::memo), so one thread at a time runs
+     * layers over a given workset.
      */
     LayerResult runLayer(const NetworkSpec &net, std::size_t layerIndex,
                          DnnCategory cat, const RunOptions &opt,

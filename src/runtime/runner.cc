@@ -199,6 +199,9 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
     for (std::size_t s = 0; s < specs.size(); ++s)
         job_base[s + 1] = job_base[s] + jobs[s].size();
     std::vector<std::atomic<std::int64_t>> job_ns(job_base.back());
+    // The worksets' queue memos, summed over groups (--stats): both
+    // counts follow from the plan alone.
+    std::atomic<std::int64_t> queue_requests{0}, queue_builds{0};
 
     ThreadPool::Stats pool_stats;
     {
@@ -210,7 +213,8 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
         tasks.reserve(order.size());
         for (const auto &group : order) {
             tasks.push_back([&specs, &jobs, &accelerators, &layer_results,
-                             &job_base, &job_ns, group] {
+                             &job_base, &job_ns, &queue_requests,
+                             &queue_builds, group] {
                 std::uint64_t mark = monotonicNowNs();
                 const LayerWorkset workset =
                     generateLayerWorkset(group->first.second);
@@ -229,6 +233,10 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
                         std::memory_order_relaxed);
                     mark = now;
                 }
+                queue_requests.fetch_add(workset.memo.requests(),
+                                         std::memory_order_relaxed);
+                queue_builds.fetch_add(workset.memo.builds(),
+                                       std::memory_order_relaxed);
             });
         }
         ThreadPool pool(threads);
@@ -290,6 +298,10 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
                      ? static_cast<double>(pool_stats.busyNs) /
                            capacity_ns
                      : 0.0);
+        reg.gauge("memo.queue_requests")
+            .set(static_cast<double>(queue_requests.load()));
+        reg.gauge("memo.queue_builds")
+            .set(static_cast<double>(queue_builds.load()));
         reg.gauge("process.peak_rss_mb").set(peakRssMb());
         if (!all_elapsed_ms.empty()) {
             Histogram &h = reg.histogram("pool.job_us");

@@ -32,8 +32,12 @@
  * (DRAM bound, schedule policy, SRAM budget) and, across specs, other
  * experiments over the same layers.  A per-job reduce
  * (Accelerator::reduceLayers) then reassembles each NetworkResult in
- * layer order.  Grouping changes no result; per-tile schedules are
- * recomputed by every consumer.
+ * layer order.  Grouping changes no result.  A group's consumers
+ * share the workset's slot queues of each sampled tile
+ * (LayerWorkset::memo); per-tile schedules, which depend on the
+ * design point, are recomputed by every consumer.  The `--stats` line
+ * reports the queue requests and builds (memo.queue_requests,
+ * memo.queue_builds) summed over the groups.
  */
 
 #ifndef GRIFFIN_RUNTIME_RUNNER_HH

@@ -14,9 +14,9 @@
  *     a mutex and is expected once per site, not per update.
  *
  *   - Telemetry + ScopedSpan: per-thread scoped wall-time spans over
- *     the pipeline seams (operand_gen, b_schedule, a_schedule,
- *     tile_sim, reduce, and — on schedule-aware runs — the nested
- *     schedule span).  Spans are compiled in but off-by-default
+ *     the pipeline seams (operand_gen, tile_queues, b_schedule,
+ *     a_schedule, dual_schedule, tile_sim, reduce, and — on
+ *     schedule-aware runs — the nested schedule span).  Spans are compiled in but off-by-default
  *     cheap: a disabled span is one relaxed atomic load and two
  *     pointer writes — no clock read, no allocation.  Enabled
  *     spans (the `--trace <file>` flag) record every span as an event

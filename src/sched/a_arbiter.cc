@@ -8,17 +8,10 @@
 namespace griffin {
 
 ScheduleResult
-scheduleA(const TileViewA &a, const Borrow &da, const Shuffler &shuffler,
-          double advance_cap, bool record)
+scheduleA(const SlotQueues &queues, const Borrow &da, double advance_cap,
+          bool record)
 {
     GRIFFIN_ASSERT(advance_cap > 0.0, "non-positive advance cap");
-
-    // Slot m * lanes + post-shuffle lane: one word per step for the
-    // default 4 x 16 tile.
-    Arena &arena = workArena();
-    ArenaScope scope(arena);
-    const SlotQueues queues = tileQueues(&a, nullptr, shuffler, arena);
-
     BorrowWindow window;
     window.steps = 1 + da.d1;
     window.laneDist = da.d2;
@@ -28,6 +21,18 @@ scheduleA(const TileViewA &a, const Borrow &da, const Shuffler &shuffler,
     window.budgetCeiling = window.steps;
 
     return runWindowSchedule(queues, window, record);
+}
+
+ScheduleResult
+scheduleA(const TileViewA &a, const Borrow &da, const Shuffler &shuffler,
+          double advance_cap, bool record)
+{
+    // Slot m * lanes + post-shuffle lane: one word per step for the
+    // default 4 x 16 tile.
+    Arena &arena = workArena();
+    ArenaScope scope(arena);
+    return scheduleA(tileQueues(a, shuffler, arena), da, advance_cap,
+                     record);
 }
 
 } // namespace griffin

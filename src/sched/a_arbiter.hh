@@ -22,7 +22,8 @@
 namespace griffin {
 
 /**
- * Schedule one A tile under the (da1,da2,da3) borrow window.
+ * Schedule one A tile under the (da1,da2,da3) borrow window, given the
+ * tile's queues (tileQueues of the A tile under the shuffle).
  *
  * The result's op list (when recorded) identifies elements by their
  * post-shuffle lane; use the shuffler to recover original k indices.
@@ -30,6 +31,10 @@ namespace griffin {
  * @param advance_cap ASRAM bandwidth in A steps per cycle
  * @param record      keep per-op routing for verification
  */
+ScheduleResult scheduleA(const SlotQueues &queues, const Borrow &da,
+                         double advance_cap, bool record);
+
+/** scheduleA over the tile's queues, built here under `shuffler`. */
 ScheduleResult scheduleA(const TileViewA &a, const Borrow &da,
                          const Shuffler &shuffler, double advance_cap,
                          bool record);

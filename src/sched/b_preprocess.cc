@@ -29,15 +29,17 @@ packingWindow(const Borrow &db)
 } // namespace
 
 BSchedule
-preprocessB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
-            bool record)
+preprocessB(const SlotQueues &queues, const Borrow &db,
+            const Shuffler &shuffler, bool record)
 {
     Arena &arena = workArena();
     ArenaScope scope(arena);
     // Slot n * lanes + post-shuffle lane of step k1 holds column n's
     // element at (k1, k2).
-    const SlotQueues queues = tileQueues(nullptr, &b, shuffler, arena);
     const SlotGrid &grid = queues.grid();
+    GRIFFIN_ASSERT(grid.rows == 1 && shuffler.lanes() == grid.lanes,
+                   "preprocessB takes a B tile's queues under its "
+                   "shuffle");
     const BorrowWindow window = packingWindow(db);
     BSchedule sched;
     sched.steps_ = grid.steps;
@@ -181,13 +183,28 @@ BSchedule::homeCol(std::int64_t cycle, int lane, int col) const
     return c.step < 0 ? -1 : static_cast<int>(c.src / lanes_);
 }
 
+BSchedule
+preprocessB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
+            bool record)
+{
+    Arena &arena = workArena();
+    ArenaScope scope(arena);
+    return preprocessB(tileQueues(b, shuffler, arena), db, shuffler,
+                       record);
+}
+
+ScheduleStats
+scheduleB(const SlotQueues &queues, const Borrow &db)
+{
+    return runWindowSchedule(queues, packingWindow(db), nullptr);
+}
+
 ScheduleStats
 scheduleB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler)
 {
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    return runWindowSchedule(tileQueues(nullptr, &b, shuffler, arena),
-                             packingWindow(db), nullptr);
+    return scheduleB(tileQueues(b, shuffler, arena), db);
 }
 
 } // namespace griffin

@@ -165,7 +165,7 @@ class BSchedule
     }
 
   private:
-    friend BSchedule preprocessB(const TileViewB &, const Borrow &,
+    friend BSchedule preprocessB(const SlotQueues &, const Borrow &,
                                  const Shuffler &, bool);
 
     std::size_t
@@ -212,16 +212,25 @@ class BSchedule
 
 /**
  * Pack one B tile into its compressed stream under the (db1,db2,db3)
- * borrow window.  Preprocessing is offline, so no bandwidth cap
- * applies — the window depth itself is the only packing limit.
+ * borrow window, given the tile's queues (tileQueues of the B tile
+ * under `shuffler`, the shuffle the stream records).  Preprocessing is
+ * offline, so no bandwidth cap applies — the window depth itself is
+ * the only packing limit.
  *
  * @param record keep the raw packing ops for verification
  */
+BSchedule preprocessB(const SlotQueues &queues, const Borrow &db,
+                      const Shuffler &shuffler, bool record);
+
+/** preprocessB over the tile's queues, built here under `shuffler`. */
 BSchedule preprocessB(const TileViewB &b, const Borrow &db,
                       const Shuffler &shuffler, bool record);
 
 /** preprocessB()'s packing statistics without the stream (`cycles`
  *  is its length): all single-sparse B simulation needs. */
+ScheduleStats scheduleB(const SlotQueues &queues, const Borrow &db);
+
+/** scheduleB over the tile's queues, built here under `shuffler`. */
 ScheduleStats scheduleB(const TileViewB &b, const Borrow &db,
                         const Shuffler &shuffler);
 

@@ -147,13 +147,12 @@ buildLiveMasks(const BSchedule &stream, const SlotQueues &a_queue, int rows,
  */
 template <bool kPlain>
 DualSchedule
-runPreprocessed(const TileViewA &a, const RoutingConfig &cfg,
-                const BSchedule &stream, const SlotQueues &a_queue,
-                const StealPass &steals, double advance_cap, bool record,
-                Arena &arena)
+runPreprocessed(const RoutingConfig &cfg, const BSchedule &stream,
+                const SlotQueues &a_queue, const StealPass &steals,
+                double advance_cap, bool record, Arena &arena)
 {
     const int lanes = stream.lanes();
-    const int rows = a.units();
+    const int rows = a_queue.grid().rows;
     const int cols = stream.cols();
     const std::int64_t entries = stream.cycles();
     const std::int64_t depth = 1 + cfg.a.d1;
@@ -321,15 +320,16 @@ runPreprocessed(const TileViewA &a, const RoutingConfig &cfg,
  * (cross-column routing was already consumed by stage-1 packing).
  */
 DualSchedule
-schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
+schedulePreprocessed(const SlotQueues &a_queue, const RoutingConfig &cfg,
                      const BSchedule &stream, double advance_cap,
                      bool record)
 {
-    GRIFFIN_ASSERT(a.steps() == stream.steps() &&
-                   a.lanes() == stream.lanes(),
-                   "A tile of ", a.steps(), " x ", a.lanes(),
-                   " steps x lanes, B stream of ", stream.steps(), " x ",
-                   stream.lanes());
+    const SlotGrid &grid = a_queue.grid();
+    GRIFFIN_ASSERT(grid.cols == 1 && grid.steps == stream.steps() &&
+                   grid.lanes == stream.lanes(),
+                   "A queues of ", grid.steps, " x ", grid.lanes, " x ",
+                   grid.cols, " steps x lanes x columns, B stream of ",
+                   stream.steps(), " x ", stream.lanes(), " x 1");
     if (stream.cycles() == 0) {
         DualSchedule out;
         out.stage1 = stream.stats();
@@ -337,37 +337,31 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
     }
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    const SlotQueues a_queue =
-        tileQueues(&a, nullptr, stream.shuffler(), arena);
     // Live masks are row-major, slot m * lanes + l, which is the steal
     // pass's slot order.
-    const StealPass steals(SlotGrid{0, a.lanes(), a.units(), 1}, cfg.a.d2,
+    const StealPass steals(SlotGrid{0, grid.lanes, grid.rows, 1}, cfg.a.d2,
                            cfg.a.d3, 0, arena);
     // Every preprocessed point of fig7 and fig8 is plain: 4 x 16
     // columns, da2 = da3 = 0, no record.
     return a_queue.wordsPerStep() == 1 && steals.empty() && !record
-               ? runPreprocessed<true>(a, cfg, stream, a_queue, steals,
+               ? runPreprocessed<true>(cfg, stream, a_queue, steals,
                                        advance_cap, record, arena)
-               : runPreprocessed<false>(a, cfg, stream, a_queue, steals,
+               : runPreprocessed<false>(cfg, stream, a_queue, steals,
                                         advance_cap, record, arena);
 }
 
 DualSchedule
-scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
+scheduleOnTheFly(const SlotQueues &a_queue, const SlotQueues &b_queue,
                  const RoutingConfig &cfg, const Shuffler &shuffler,
                  double advance_cap, bool record)
 {
-    GRIFFIN_ASSERT(a.steps() == b.steps(),
-                   "A tile has ", a.steps(), " steps, B tile ",
-                   b.steps());
-    const SlotGrid grid{a.steps(), a.lanes(), a.units(), b.units()};
-
     // Pairwise queues: slot (j * rows + m) * lanes + lane gets an
     // element at step k1 exactly when A's row m and B's column j are
     // both nonzero at that flat k.
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    const SlotQueues queues = tileQueues(&a, &b, shuffler, arena);
+    const SlotQueues queues = pairQueues(a_queue, b_queue, arena);
+    const int lanes = queues.grid().lanes;
 
     BorrowWindow window;
     window.steps = 1 + std::min(cfg.a.d1, cfg.b.d1);
@@ -387,8 +381,8 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
         out.ops.reserve(result.ops.size());
         for (const auto &op : result.ops) {
             const int orig_k2 = shuffler.invert(op.step, op.lane);
-            out.ops.push_back({op.step * grid.lanes + orig_k2, op.row,
-                               op.col, op.cycle});
+            out.ops.push_back({op.step * lanes + orig_k2, op.row, op.col,
+                               op.cycle});
         }
     }
     return out;
@@ -397,7 +391,7 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
 } // namespace
 
 DualSchedule
-scheduleDual(const TileViewA &a, const TileViewB &b,
+scheduleDual(const SlotQueues &a_queue, const SlotQueues *b_queue,
              const RoutingConfig &cfg, const Shuffler &shuffler,
              const BSchedule *b_stream, double advance_cap, bool record)
 {
@@ -409,10 +403,39 @@ scheduleDual(const TileViewA &a, const TileViewB &b,
         GRIFFIN_ASSERT(b_stream != nullptr,
                        "preprocessed dual scheduling needs the B "
                        "stream");
-        return schedulePreprocessed(a, cfg, *b_stream, advance_cap,
+        GRIFFIN_ASSERT(shuffler.enabled() == b_stream->shuffler().enabled() &&
+                       shuffler.groupSize() ==
+                           b_stream->shuffler().groupSize(),
+                       "A's queues and the B stream disagree on the "
+                       "shuffle");
+        return schedulePreprocessed(a_queue, cfg, *b_stream, advance_cap,
                                     record);
     }
-    return scheduleOnTheFly(a, b, cfg, shuffler, advance_cap, record);
+    GRIFFIN_ASSERT(b_queue != nullptr,
+                   "on-the-fly dual scheduling needs B's queues");
+    return scheduleOnTheFly(a_queue, *b_queue, cfg, shuffler, advance_cap,
+                            record);
+}
+
+DualSchedule
+scheduleDual(const TileViewA &a, const TileViewB &b,
+             const RoutingConfig &cfg, const Shuffler &shuffler,
+             const BSchedule *b_stream, double advance_cap, bool record)
+{
+    // A preprocessed stream fixes the shuffle A's queues are built
+    // under.
+    const Shuffler &sh = cfg.preprocessB && b_stream != nullptr
+                             ? b_stream->shuffler()
+                             : shuffler;
+    Arena &arena = workArena();
+    ArenaScope scope(arena);
+    const SlotQueues a_queue = tileQueues(a, sh, arena);
+    if (cfg.preprocessB)
+        return scheduleDual(a_queue, nullptr, cfg, sh, b_stream,
+                            advance_cap, record);
+    const SlotQueues b_queue = tileQueues(b, sh, arena);
+    return scheduleDual(a_queue, &b_queue, cfg, sh, nullptr, advance_cap,
+                        record);
 }
 
 } // namespace griffin

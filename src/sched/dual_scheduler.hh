@@ -22,7 +22,15 @@
  *
  *  - On-the-fly (TensorDash-style): both operands are matched at
  *    runtime in one pass over raw steps; lookahead is limited by the
- *    shallower of the two raw buffers.
+ *    shallower of the two raw buffers.  The pairwise queues are A's
+ *    row fields AND B's column fields (pairQueues).
+ *
+ * Both engines read the tiles' single-side queues, which depend only
+ * on the operands, the tile and the shuffle.  So the simulator takes
+ * them from the workset's QueueMemo (sched/window_scheduler.hh): a row
+ * tile's A queues are built once, not once per (row tile, column
+ * tile) pair or per design point.  The tile-view overload builds them
+ * itself.
  *
  * The A stream is dense in both cases, so stage 2's window advance is
  * charged per *raw* A step against the ASRAM bandwidth budget.
@@ -68,14 +76,30 @@ struct DualSchedule
 
 /**
  * Schedule one tile pair under a dual-sparse routing config
- * (cfg.mode must be Sparse.AB).
+ * (cfg.mode must be Sparse.AB), given the pair's single-side queues
+ * under `shuffler` (tileQueues of the A tile and of the B tile).
  *
- * @param b_stream   preprocessed B stream for this column tile; may be
- *                   null for on-the-fly configs (it is ignored), must
- *                   be non-null for preprocessed ones — callers build
- *                   it once per column tile and reuse it across every
- *                   row tile.
+ * @param a_queue    the A tile's queues
+ * @param b_queue    the B tile's queues: needed by on-the-fly configs,
+ *                   which AND them with A's into pairwise queues;
+ *                   ignored (may be null) for preprocessed ones
+ * @param b_stream   preprocessed B stream for this column tile, packed
+ *                   under `shuffler`: needed by preprocessed configs,
+ *                   ignored (may be null) for on-the-fly ones —
+ *                   callers build it once per column tile and reuse it
+ *                   across every row tile
  * @param advance_cap ASRAM bandwidth in raw A steps per cycle
+ */
+DualSchedule scheduleDual(const SlotQueues &a_queue,
+                          const SlotQueues *b_queue,
+                          const RoutingConfig &cfg,
+                          const Shuffler &shuffler,
+                          const BSchedule *b_stream, double advance_cap,
+                          bool record);
+
+/**
+ * scheduleDual over the tiles' queues, built here: under the stream's
+ * shuffle for preprocessed configs, under `shuffler` otherwise.
  */
 DualSchedule scheduleDual(const TileViewA &a, const TileViewB &b,
                           const RoutingConfig &cfg,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "runtime/telemetry.hh"
+
 namespace griffin {
 
 ScheduleStats
@@ -237,66 +239,121 @@ class LaneRotation
     std::uint64_t *stay_;
 };
 
-} // namespace
-
+/**
+ * tileQueues' body: `units` unit masks over flat k, written by
+ * masks(words, out), cut into one rotated lanes-wide field per unit
+ * and step.  The queues go to `arena` before the scratch scope opens,
+ * so they outlive it when `arena` is workArena().
+ */
+template <class Masks>
 SlotQueues
-tileQueues(const TileViewA *a, const TileViewB *b, const Shuffler &shuffler,
-           Arena &arena)
+sideQueues(const SlotGrid &grid, int units, const Shuffler &shuffler,
+           Arena &arena, Masks &&masks)
 {
-    GRIFFIN_ASSERT(a != nullptr || b != nullptr, "a tile needs a view");
-    GRIFFIN_ASSERT(a == nullptr || b == nullptr ||
-                   (a->steps() == b->steps() && a->lanes() == b->lanes()),
-                   "A and B tiles disagree on k");
-    const SlotGrid grid{a ? a->steps() : b->steps(),
-                        a ? a->lanes() : b->lanes(), a ? a->units() : 1,
-                        b ? b->units() : 1};
     const int lanes = grid.lanes;
     GRIFFIN_ASSERT(lanes <= 64, "a step's ", lanes,
                    " lanes must fit one 64-bit field");
     GRIFFIN_ASSERT(shuffler.lanes() == lanes, "shuffler is ",
                    shuffler.lanes(), " lanes wide, tile ", lanes);
-    const std::int64_t words = (grid.steps * lanes + 63) / 64;
-    auto masks = [&](int units) {
-        return arena.alloc<std::uint64_t>(
-            static_cast<std::size_t>(units * words));
-    };
-    std::uint64_t *rows = nullptr, *cols = nullptr;
-    if (a != nullptr) {
-        rows = masks(grid.rows);
-        simd::aRowMasks(a->matrix(), a->unitBase(), grid.rows, words, rows);
-    }
-    if (b != nullptr) {
-        cols = masks(grid.cols);
-        simd::bColumnMasks(b->matrix(), b->unitBase(), grid.cols, words,
-                           cols);
-    }
-    const LaneRotation rotate(shuffler, lanes, arena);
-    const std::uint64_t all =
-        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-    auto *row_field =
-        arena.alloc<std::uint64_t>(static_cast<std::size_t>(grid.rows));
-    auto *col_field =
-        arena.alloc<std::uint64_t>(static_cast<std::size_t>(grid.cols));
-    auto fields = [&](const std::uint64_t *unit_masks, int units,
-                      std::int64_t k1, std::uint64_t *out) {
-        for (int u = 0; u < units; ++u)
-            out[u] = unit_masks == nullptr
-                         ? all
-                         : rotate(k1, simd::readField(unit_masks + u * words,
-                                                      k1 * lanes, lanes));
-    };
-
     SlotQueues queues(grid, arena);
+    Arena &scratch = workArena();
+    ArenaScope scope(scratch);
+    const std::int64_t words = (grid.steps * lanes + 63) / 64;
+    auto *unit_masks = scratch.alloc<std::uint64_t>(
+        static_cast<std::size_t>(units * words));
+    masks(words, unit_masks);
+    const LaneRotation rotate(shuffler, lanes, scratch);
     for (std::int64_t k1 = 0; k1 < grid.steps; ++k1) {
-        fields(rows, grid.rows, k1, row_field);
-        fields(cols, grid.cols, k1, col_field);
         std::uint64_t *step = queues.stepWords(k1);
-        std::int64_t at = 0;
-        for (int j = 0; j < grid.cols; ++j)
-            for (int m = 0; m < grid.rows; ++m, at += lanes)
-                simd::orField(step, at, lanes, row_field[m] & col_field[j]);
+        for (int u = 0; u < units; ++u)
+            simd::orField(step, std::int64_t{u} * lanes, lanes,
+                          rotate(k1, simd::readField(unit_masks + u * words,
+                                                     k1 * lanes, lanes)));
     }
     return queues;
+}
+
+} // namespace
+
+SlotQueues
+tileQueues(const TileViewA &a, const Shuffler &shuffler, Arena &arena)
+{
+    const int rows = a.units();
+    return sideQueues(SlotGrid{a.steps(), a.lanes(), rows, 1}, rows,
+                      shuffler, arena,
+                      [&](std::int64_t words, std::uint64_t *out) {
+                          simd::aRowMasks(a.matrix(), a.unitBase(), rows,
+                                          words, out);
+                      });
+}
+
+SlotQueues
+tileQueues(const TileViewB &b, const Shuffler &shuffler, Arena &arena)
+{
+    const int cols = b.units();
+    return sideQueues(SlotGrid{b.steps(), b.lanes(), 1, cols}, cols,
+                      shuffler, arena,
+                      [&](std::int64_t words, std::uint64_t *out) {
+                          simd::bColumnMasks(b.matrix(), b.unitBase(), cols,
+                                             words, out);
+                      });
+}
+
+SlotQueues
+pairQueues(const SlotQueues &a, const SlotQueues &b, Arena &arena)
+{
+    const SlotGrid &ga = a.grid();
+    const SlotGrid &gb = b.grid();
+    GRIFFIN_ASSERT(ga.cols == 1 && gb.rows == 1, "pairQueues takes an A "
+                   "side and a B side, got ", ga.rows, "x", ga.cols,
+                   " and ", gb.rows, "x", gb.cols);
+    GRIFFIN_ASSERT(ga.steps == gb.steps && ga.lanes == gb.lanes,
+                   "A and B tiles disagree on k");
+    const int lanes = ga.lanes;
+    SlotQueues queues(SlotGrid{ga.steps, lanes, ga.rows, gb.cols}, arena);
+    for (std::int64_t k1 = 0; k1 < ga.steps; ++k1) {
+        const std::uint64_t *rows = a.stepWords(k1);
+        const std::uint64_t *cols = b.stepWords(k1);
+        std::uint64_t *step = queues.stepWords(k1);
+        std::int64_t at = 0;
+        for (int j = 0; j < gb.cols; ++j) {
+            const std::uint64_t col =
+                simd::readField(cols, std::int64_t{j} * lanes, lanes);
+            for (int m = 0; m < ga.rows; ++m, at += lanes)
+                simd::orField(step, at, lanes,
+                              simd::readField(rows, std::int64_t{m} * lanes,
+                                              lanes) &
+                                  col);
+        }
+    }
+    return queues;
+}
+
+template <class View>
+const SlotQueues &
+QueueMemo::lookup(bool b_side, const View &view, const Shuffler &shuffler)
+{
+    ++requests_;
+    const Key key{b_side, view.unitBase(), view.units(), view.lanes(),
+                  shuffler.enabled() ? shuffler.groupSize() : 0};
+    auto it = queues_.find(key);
+    if (it == queues_.end()) {
+        ScopedSpan span("tile_queues");
+        it = queues_.emplace(key, tileQueues(view, shuffler, *arena_)).first;
+    }
+    return it->second;
+}
+
+const SlotQueues &
+QueueMemo::get(const TileViewA &a, const Shuffler &shuffler)
+{
+    return lookup(false, a, shuffler);
+}
+
+const SlotQueues &
+QueueMemo::get(const TileViewB &b, const Shuffler &shuffler)
+{
+    return lookup(true, b, shuffler);
 }
 
 } // namespace griffin

@@ -18,11 +18,15 @@
  * imbalance stalls the window unless laneDist / shuffle spreads load;
  * cross-PE borrowing needs the extra adder trees accounted elsewhere.
  *
- * Queues are per-step slot bitsets (SlotQueues), built by tileQueues
- * from one nonzero mask over k per tile unit (an A row, a B column):
- * each unit contributes one lanes-wide field per step.  Both passes
- * work on any window of live slot bitsets, so the dual engine shares
- * them.
+ * Queues are per-step slot bitsets (SlotQueues).  tileQueues builds
+ * one tile side's from one nonzero mask over k per tile unit (an A
+ * row, a B column): each unit contributes one lanes-wide field per
+ * step.  A dual tile's pairwise queues are its two sides' fields
+ * ANDed (pairQueues).  A side's queues depend only on the operands,
+ * the tile and the shuffle, never on the borrow window, so one
+ * workset's QueueMemo builds each sampled tile's once and every
+ * design point run on that workset reads it.  Both passes work on any
+ * window of live slot bitsets, so the dual engine shares them.
  */
 
 #ifndef GRIFFIN_SCHED_WINDOW_SCHEDULER_HH
@@ -30,6 +34,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/arena.hh"
@@ -192,18 +199,66 @@ void appendCycleOps(const SlotGrid &grid, const WindowCycle &c,
                     std::vector<ScheduledOp> &ops);
 
 /**
- * Queues of a tile, straight from its per-unit nonzero masks over flat
- * k (simd::aRowMasks, simd::bColumnMasks): the element at (k1, k2) of
- * A row m and B column j queues on slot (j * rows + m) * lanes +
- * shuffler.apply(k1, k2) of step k1 when both are nonzero.  Each unit
+ * Queues of one tile side, straight from its per-unit nonzero masks
+ * over flat k (simd::aRowMasks, simd::bColumnMasks): the element at
+ * (k1, k2) of unit u (an A row, a B column) queues on slot u * lanes +
+ * shuffler.apply(k1, k2) of step k1 when it is nonzero.  Each unit
  * contributes one lanes-wide field per step, rotated by the shuffle's
- * group rotation, and a pair's field is its row field AND its column
- * field.  A null view stands for one always-present unit: rows (cols)
- * == 1.  At least one view is given; lanes <= 64.  The queues live in
- * `arena` (see SlotQueues).
+ * group rotation.  A's grid is M0 rows x 1 column, B's 1 row x N0
+ * columns; lanes <= 64.  The queues live in `arena`; scratch comes
+ * from workArena(), so `arena` may be that one.
  */
-SlotQueues tileQueues(const TileViewA *a, const TileViewB *b,
-                      const Shuffler &shuffler, Arena &arena);
+SlotQueues tileQueues(const TileViewA &a, const Shuffler &shuffler,
+                      Arena &arena);
+SlotQueues tileQueues(const TileViewB &b, const Shuffler &shuffler,
+                      Arena &arena);
+
+/**
+ * A dual tile's pairwise queues from its A side's and B side's queues
+ * under one shuffle: slot (j * rows + m) * lanes + l of step k1 is set
+ * when A row m and B column j both have an element there — row m's
+ * field AND column j's field.  The queues live in `arena`.
+ */
+SlotQueues pairQueues(const SlotQueues &a, const SlotQueues &b,
+                      Arena &arena);
+
+/**
+ * One workset's single-side tile queues.  The first request for a
+ * tile side under a (tile geometry, lanes, shuffle) builds its queues
+ * with tileQueues (the `tile_queues` span); every later request with
+ * that key returns the same queues, which no engine writes.  Every
+ * view must be over the workset's own matrices.  The memo holds only
+ * what was asked for, the sampled tiles, until it is destroyed; it is
+ * not synchronized, so one thread uses it at a time.
+ */
+class QueueMemo
+{
+  public:
+    const SlotQueues &get(const TileViewA &a, const Shuffler &shuffler);
+    const SlotQueues &get(const TileViewB &b, const Shuffler &shuffler);
+
+    /** Requests served so far, and how many of them built queues. */
+    std::int64_t requests() const { return requests_; }
+    std::int64_t
+    builds() const
+    {
+        return static_cast<std::int64_t>(queues_.size());
+    }
+
+  private:
+    /** (B side, first unit, units, lanes, shuffle group or 0 when
+     *  the shuffle is off). */
+    using Key = std::tuple<bool, std::int64_t, int, int, int>;
+
+    template <class View>
+    const SlotQueues &lookup(bool b_side, const View &view,
+                             const Shuffler &shuffler);
+
+    /** Holds every queue's words; behind a pointer so the memo moves. */
+    std::unique_ptr<Arena> arena_ = std::make_unique<Arena>();
+    std::map<Key, SlotQueues> queues_;
+    std::int64_t requests_ = 0;
+};
 
 } // namespace griffin
 

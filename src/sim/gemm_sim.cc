@@ -12,6 +12,7 @@
 #include "sim/sampling.hh"
 #include "tensor/shuffle.hh"
 #include "tensor/tile.hh"
+#include "tensor/workset.hh"
 
 namespace griffin {
 
@@ -28,23 +29,14 @@ accumulate(ScheduleStats &into, const ScheduleStats &from)
     into.bwLimitedCycles += from.bwLimitedCycles;
 }
 
-/** Preprocess one B tile into its compressed stream (the b_schedule
- *  stage). */
+/** Preprocess one B tile's queues into its compressed stream (the
+ *  b_schedule stage). */
 BSchedule
-packStream(const TileViewB &vb, const Borrow &db, const Shuffler &shuffler)
+packStream(const SlotQueues &queues, const Borrow &db,
+           const Shuffler &shuffler)
 {
     ScopedSpan span("b_schedule");
-    return preprocessB(vb, db, shuffler, false);
-}
-
-/** Arbiter-schedule one A tile (the a_schedule stage); the stats record
- *  is the only part single-sparse simulation consumes. */
-ScheduleStats
-arbiterStats(const TileViewA &va, const Borrow &da, const Shuffler &shuffler,
-             double advance_cap)
-{
-    ScopedSpan span("a_schedule");
-    return scheduleA(va, da, shuffler, advance_cap, false).stats;
+    return preprocessB(queues, db, shuffler, false);
 }
 
 /** Scale a sampled cycle total back to the full population. */
@@ -69,6 +61,7 @@ struct ComputeStage
 {
     const MatrixI8 &a;
     const MatrixI8 &b;
+    QueueMemo &memo; ///< queues of a's and b's tiles
     const SimOptions &opt;
     const TileShape &shape;
     const RoutingConfig &routing;
@@ -88,10 +81,11 @@ simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
     std::int64_t sum = 0;
     for (const auto &t : picks) {
         TileViewB vb(stage.b, stage.shape, t.row * stage.shape.n0);
+        const SlotQueues &queues = stage.memo.get(vb, stage.shuffler);
         ScheduleStats stats;
         { // the b_schedule stage; nothing here reads stream cells
             ScopedSpan span("b_schedule");
-            stats = scheduleB(vb, stage.routing.b, stage.shuffler);
+            stats = scheduleB(queues, stage.routing.b);
         }
         // Runtime is bandwidth-capped even though packing is offline:
         // replaying the stream can consume at most `bw` raw A steps
@@ -120,8 +114,12 @@ simulateSparseA(const ComputeStage &stage, GemmSimResult &result)
     std::int64_t sum = 0;
     for (const auto &t : picks) {
         TileViewA va(stage.a, stage.shape, t.row * stage.shape.m0);
-        const auto stats =
-            arbiterStats(va, stage.routing.a, stage.shuffler, stage.bw);
+        const SlotQueues &queues = stage.memo.get(va, stage.shuffler);
+        ScheduleStats stats;
+        { // the a_schedule stage
+            ScopedSpan span("a_schedule");
+            stats = scheduleA(queues, stage.routing.a, stage.bw, false).stats;
+        }
         sum += stats.cycles;
         accumulate(result.sched, stats);
     }
@@ -134,7 +132,8 @@ simulateSparseA(const ComputeStage &stage, GemmSimResult &result)
 }
 
 /** Stage 2+3, SparsityMode::AB: dual schedules are per tile pair; the
- *  B-side streams still compute per distinct column tile. */
+ *  B-side streams compute per distinct column tile, and both sides'
+ *  queues come from the memo. */
 void
 simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
 {
@@ -150,6 +149,8 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
     for (const auto &t : picks) {
         TileViewA va(stage.a, stage.shape, t.row * stage.shape.m0);
         TileViewB vb(stage.b, stage.shape, t.col * stage.shape.n0);
+        const SlotQueues &a_queue = stage.memo.get(va, stage.shuffler);
+        const SlotQueues *b_queue = nullptr;
         const BSchedule *stream = nullptr;
         if (stage.routing.preprocessB) {
             auto it = std::lower_bound(
@@ -159,13 +160,20 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
                 });
             if (it == streams.end() || it->first != t.col)
                 it = streams.insert(
-                    it, {t.col, packStream(vb, stage.routing.b,
+                    it, {t.col, packStream(stage.memo.get(vb, stage.shuffler),
+                                           stage.routing.b,
                                            stage.shuffler)});
             // Valid until the next insert, which is after this tile.
             stream = &it->second;
+        } else {
+            b_queue = &stage.memo.get(vb, stage.shuffler);
         }
-        auto dual = scheduleDual(va, vb, stage.routing, stage.shuffler,
-                                 stream, stage.bw, false);
+        DualSchedule dual;
+        {
+            ScopedSpan span("dual_schedule");
+            dual = scheduleDual(a_queue, b_queue, stage.routing,
+                                stage.shuffler, stream, stage.bw, false);
+        }
         sum += dual.cycles;
         accumulate(result.sched, dual.stage2);
     }
@@ -174,11 +182,9 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
     result.simulatedTiles = static_cast<std::int64_t>(picks.size());
 }
 
-} // namespace
-
 GemmSimResult
-simulateGemm(const MatrixI8 &a, const MatrixI8 &b, const ArchConfig &arch,
-             DnnCategory cat, const SimOptions &opt)
+simulate(const MatrixI8 &a, const MatrixI8 &b, QueueMemo &memo,
+         const ArchConfig &arch, DnnCategory cat, const SimOptions &opt)
 {
     arch.validate();
     if (arch.style != DatapathStyle::VectorCore)
@@ -208,11 +214,12 @@ simulateGemm(const MatrixI8 &a, const MatrixI8 &b, const ArchConfig &arch,
         return result;
 
     Shuffler shuffler(routing.shuffle, shape.k0);
-    const ComputeStage stage{a,        b,  opt,       shape,    routing,
-                             shuffler, bw, row_tiles, col_tiles};
+    const ComputeStage stage{a,       b,        memo, opt,       shape,
+                             routing, shuffler, bw,   row_tiles, col_tiles};
 
-    // b_schedule / a_schedule spans nest inside this one; the trace
-    // shows scheduling as sub-slices of tile simulation.
+    // tile_queues and the b_schedule / a_schedule / dual_schedule spans
+    // nest inside this one; the trace shows them as sub-slices of tile
+    // simulation.
     ScopedSpan span("tile_sim");
     switch (routing.mode) {
       case SparsityMode::Dense:
@@ -230,6 +237,23 @@ simulateGemm(const MatrixI8 &a, const MatrixI8 &b, const ArchConfig &arch,
         break;
     }
     return result;
+}
+
+} // namespace
+
+GemmSimResult
+simulateGemm(const MatrixI8 &a, const MatrixI8 &b, const ArchConfig &arch,
+             DnnCategory cat, const SimOptions &opt)
+{
+    QueueMemo memo;
+    return simulate(a, b, memo, arch, cat, opt);
+}
+
+GemmSimResult
+simulateGemm(const LayerWorkset &ws, const ArchConfig &arch,
+             DnnCategory cat, const SimOptions &opt)
+{
+    return simulate(ws.a, ws.b, ws.memo, arch, cat, opt);
 }
 
 } // namespace griffin

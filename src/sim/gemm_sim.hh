@@ -4,11 +4,14 @@
  * It consumes the operand matrices of stage 1 (tensor/workset.hh) and
  * runs the two later stages of the pipeline:
  *
- *   2. *Tiling + per-side schedule computation*: column tiles of B
- *      preprocess into compressed streams, row tiles of A run the
- *      arbiter scheduler.  Both are recomputed per GEMM: after the
- *      SIMD occupancy kernels, packing a stream is cheaper than
- *      hashing the tile to look a stored one up.
+ *   2. *Tiling + per-side schedule computation*: each sampled tile
+ *      side's slot queues come from the workset's QueueMemo
+ *      (sched/window_scheduler.hh), built by the first design point
+ *      that asks and read by the rest.  Column tiles of B then
+ *      preprocess into compressed streams and row tiles of A run the
+ *      arbiter scheduler.  Those depend on the borrow window, so they
+ *      are recomputed per GEMM: packing a stream from its queues is
+ *      cheaper than hashing the tile to look a stored one up.
  *
  *   3. *Tile(-pair) cycle simulation + reduction*: the sampled tiles
  *      replay their schedules and sampled sums scale back to the full
@@ -27,7 +30,8 @@
  *   - Sparse.A schedules are computed once per row tile and reused by
  *     every column tile.
  *   - Dual schedules are per tile pair; deterministic sampling keeps
- *     large layers tractable (sim/sampling.hh).
+ *     large layers tractable (sim/sampling.hh).  A row tile's A
+ *     queues serve every pair it is in.
  *
  * MacGrid architectures (SparTen) have their own simulator in
  * src/baselines; this one panics on them.
@@ -43,6 +47,8 @@
 #include "tensor/matrix.hh"
 
 namespace griffin {
+
+struct LayerWorkset;
 
 /** Simulation knobs. */
 struct SimOptions
@@ -93,6 +99,15 @@ struct GemmSimResult
 GemmSimResult simulateGemm(const MatrixI8 &a, const MatrixI8 &b,
                            const ArchConfig &arch, DnnCategory cat,
                            const SimOptions &opt = {});
+
+/**
+ * simulateGemm over a workset's operands, with the sampled tiles'
+ * queues taken from (and added to) ws.memo, so every consumer of the
+ * workset builds each one at most once.  The result equals the
+ * two-matrix form's, whatever the memo held before.
+ */
+GemmSimResult simulateGemm(const LayerWorkset &ws, const ArchConfig &arch,
+                           DnnCategory cat, const SimOptions &opt = {});
 
 } // namespace griffin
 

@@ -12,7 +12,13 @@
  * same tile height replays *bit-identical* operand generation, which
  * is why the sweep runner (runtime/runner.hh) groups a sweep's layers
  * by WorksetParams and generates each distinct workset once for all of
- * its consumers.
+ * its consumers.  The consumers then share more than the operands:
+ * the slot queues of a sampled tile side depend only on the operands,
+ * the tile and the shuffle, not on the borrow window a design point
+ * varies, so the workset carries a QueueMemo
+ * (sched/window_scheduler.hh).  The first consumer that asks for a
+ * tile's queues builds them and the rest of the group reads them;
+ * they go when the workset does.
  *
  * Convolution layers are already lowered to GEMM shapes by the
  * workload tables (tensor/im2col.hh does the lowering; workloads/
@@ -26,6 +32,7 @@
 #include <cstdint>
 #include <tuple>
 
+#include "sched/window_scheduler.hh"
 #include "tensor/matrix.hh"
 
 namespace griffin {
@@ -82,6 +89,13 @@ struct LayerWorkset
     /** Seed of the tile-sampling phase (forked from the generation
      *  stream, so it is part of the workset, not of the simulation). */
     std::uint64_t simSeed = 0;
+    /**
+     * Queues of the tiles the consumers sampled, over a and b
+     * (simulateGemm fills it).  Not part of the workset's value, so
+     * consumers that hold the workset const fill it too; like the
+     * memo, a workset serves one thread at a time.
+     */
+    mutable QueueMemo memo;
 };
 
 /** Count MACs where both operands are nonzero, in O(MK + KN). */

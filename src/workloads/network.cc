@@ -94,6 +94,22 @@ NetworkSpec::validate() const
                       "' (index ", i, ") consumes node ", input,
                       " which is not an earlier node");
     }
+    validateRates();
+}
+
+void
+NetworkSpec::validateLayer(std::size_t index) const
+{
+    if (index >= nodes.size())
+        fatal("layer index ", index, " out of range for ", name, " (",
+              nodes.size(), " layers)");
+    nodes[index].layer.validate();
+    validateRates();
+}
+
+void
+NetworkSpec::validateRates() const
+{
     if (weightSparsity < 0.0 || weightSparsity > 1.0 ||
         actSparsity < 0.0 || actSparsity > 1.0) {
         fatal("network '", name, "' sparsity outside [0,1]");

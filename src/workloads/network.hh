@@ -98,7 +98,20 @@ struct NetworkSpec
     double layerActSparsity(const LayerSpec &layer,
                             DnnCategory cat) const;
 
+    /** fatal() unless every node, edge and rate is well formed:
+     *  O(layers). */
     void validate() const;
+
+    /**
+     * The O(1) part of validate() one layer's simulation needs:
+     * fatal() unless `index` names a node, its layer is well formed
+     * and the network's sparsity rates are in [0, 1].  Other nodes and
+     * the edges go unchecked.
+     */
+    void validateLayer(std::size_t index) const;
+
+  private:
+    void validateRates() const;
 };
 
 /** AlexNet, 89%/53% sparse, 1.0e6 dense cycles. */

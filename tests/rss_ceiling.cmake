@@ -6,12 +6,15 @@
 #      (process.peak_rss_mb, a process-wide high-water mark) exceeds
 #      CEILING_MB,
 #   2. fails unless that line reports exactly SWEEP_JOBS planned jobs
-#      (sweep.jobs) and POOL_TASKS pool tasks (pool.executed_jobs, one
-#      per distinct workset).  Both counts depend on the registry and
-#      the planner only, never on the machine or the thread count, so
-#      a change that plans more host work fails here on every box;
-#      changing them is a declared behaviour change, like
-#      regenerating a baseline, and
+#      (sweep.jobs), POOL_TASKS pool tasks (pool.executed_jobs, one
+#      per distinct workset), QUEUE_REQUESTS tile-queue requests
+#      (memo.queue_requests) and QUEUE_BUILDS of them that built
+#      queues (memo.queue_builds; the rest were shared within a
+#      workset).  The counts depend on the registry, the planner and
+#      the sampler only, never on the machine or the thread count, so
+#      a change that plans more host work or stops sharing queues
+#      fails here on every box; changing them is a declared behaviour
+#      change, like regenerating a baseline, and
 #   3. byte-compares the result rows with bench/baselines/*.jsonl,
 #      concatenated in byte-sorted bare-name order (the registry's
 #      emission order, and how CI's bench-smoke job assembles them),
@@ -19,13 +22,15 @@
 #
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DCEILING_MB=<MiB> -DSWEEP_JOBS=<n>
-#         -DPOOL_TASKS=<n> -DWORK_DIR=<dir> -DBASELINES_DIR=<dir>
-#         -P rss_ceiling.cmake
+#         -DPOOL_TASKS=<n> -DQUEUE_REQUESTS=<n> -DQUEUE_BUILDS=<n>
+#         -DWORK_DIR=<dir> -DBASELINES_DIR=<dir> -P rss_ceiling.cmake
 
 if(NOT GRIFFIN_BENCH OR NOT CEILING_MB OR NOT SWEEP_JOBS OR NOT POOL_TASKS
-   OR NOT WORK_DIR OR NOT BASELINES_DIR)
+   OR NOT QUEUE_REQUESTS OR NOT QUEUE_BUILDS OR NOT WORK_DIR
+   OR NOT BASELINES_DIR)
     message(FATAL_ERROR "need -DGRIFFIN_BENCH=... -DCEILING_MB=... "
                         "-DSWEEP_JOBS=... -DPOOL_TASKS=... "
+                        "-DQUEUE_REQUESTS=... -DQUEUE_BUILDS=... "
                         "-DWORK_DIR=... and -DBASELINES_DIR=...")
 endif()
 
@@ -60,7 +65,9 @@ message(STATUS "rss ceiling OK: peak ${peak_mb} MiB <= ${CEILING_MB} MiB")
 
 string(REGEX MATCHALL "{\"metrics\": [^\n]*" lines "${out}")
 list(GET lines -1 metrics)
-foreach(pin "sweep.jobs;${SWEEP_JOBS}" "pool.executed_jobs;${POOL_TASKS}")
+foreach(pin "sweep.jobs;${SWEEP_JOBS}" "pool.executed_jobs;${POOL_TASKS}"
+            "memo.queue_requests;${QUEUE_REQUESTS}"
+            "memo.queue_builds;${QUEUE_BUILDS}")
     list(GET pin 0 name)
     list(GET pin 1 want)
     string(REPLACE "." "\\." pattern "${name}")
@@ -76,7 +83,8 @@ foreach(pin "sweep.jobs;${SWEEP_JOBS}" "pool.executed_jobs;${POOL_TASKS}")
     endif()
 endforeach()
 message(STATUS "work counts OK: sweep.jobs ${SWEEP_JOBS}, "
-               "pool.executed_jobs ${POOL_TASKS}")
+               "pool.executed_jobs ${POOL_TASKS}, memo.queue_requests "
+               "${QUEUE_REQUESTS}, memo.queue_builds ${QUEUE_BUILDS}")
 
 # -- baseline oracle --------------------------------------------------
 

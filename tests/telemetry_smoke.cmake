@@ -1,11 +1,13 @@
 # CTest script: end-to-end telemetry smoke.
 #
-#  (a) `run fig5 fig6 --trace` emits a Chrome-trace JSON covering all
-#      five pipeline stages (fig5 exercises the B-side four, fig6 adds
-#      a_schedule) while the --out row document stays byte-identical
-#      to an untraced run at a different thread count — telemetry must
-#      be observation only.  A schedule-aware run (ablation_memory_peak)
-#      additionally emits the nested 'schedule' span.
+#  (a) `run fig5 fig6 fig7 --trace` emits a Chrome-trace JSON
+#      covering every pipeline stage (fig5 exercises operand_gen,
+#      tile_queues, b_schedule, tile_sim and reduce, fig6 adds
+#      a_schedule, fig7 dual_schedule) while the --out row document
+#      stays byte-identical to an untraced run at a different thread
+#      count — telemetry must be observation only.  A schedule-aware
+#      run (ablation_memory_peak) additionally emits the nested
+#      'schedule' span.
 #  (b) `run --timings` grows elapsed_ms fields; the default does not.
 #
 # Invoked as:
@@ -23,7 +25,7 @@ set(fidelity --sample 0.01 --rowcap 4)
 # -- (a) traced vs untraced rows --------------------------------------
 
 execute_process(
-    COMMAND "${GRIFFIN_BENCH}" run fig5 fig6 ${fidelity}
+    COMMAND "${GRIFFIN_BENCH}" run fig5 fig6 fig7 ${fidelity}
             --threads 2 --out "${WORK_DIR}/plain.jsonl"
     OUTPUT_VARIABLE out1 ERROR_VARIABLE err1 RESULT_VARIABLE rc1)
 if(NOT rc1 EQUAL 0)
@@ -31,7 +33,7 @@ if(NOT rc1 EQUAL 0)
 endif()
 
 execute_process(
-    COMMAND "${GRIFFIN_BENCH}" run fig5 fig6 ${fidelity}
+    COMMAND "${GRIFFIN_BENCH}" run fig5 fig6 fig7 ${fidelity}
             --threads 4 --trace "${WORK_DIR}/trace.json"
             --out "${WORK_DIR}/traced.jsonl"
     OUTPUT_VARIABLE out2 ERROR_VARIABLE err2 RESULT_VARIABLE rc2)
@@ -53,7 +55,8 @@ file(READ "${WORK_DIR}/trace.json" trace)
 if(NOT trace MATCHES "\"traceEvents\"")
     message(FATAL_ERROR "trace file is not a Chrome trace document")
 endif()
-foreach(stage operand_gen b_schedule a_schedule tile_sim reduce)
+foreach(stage operand_gen tile_queues b_schedule a_schedule dual_schedule
+              tile_sim reduce)
     if(NOT trace MATCHES "\"${stage}\"")
         message(FATAL_ERROR "trace has no '${stage}' spans")
     endif()
@@ -94,5 +97,5 @@ if(NOT rows_timed MATCHES "\"elapsed_ms\": ")
     message(FATAL_ERROR "--timings run emitted no elapsed_ms fields")
 endif()
 
-message(STATUS "telemetry smoke OK: identical rows, six-stage trace, "
+message(STATUS "telemetry smoke OK: identical rows, eight-stage trace, "
                "opt-in timings")

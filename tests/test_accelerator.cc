@@ -243,6 +243,24 @@ TEST(AcceleratorDeathTest, RunLayerIndexOutOfRangeIsFatal)
                 testing::ExitedWithCode(exitUsageError), "out of range");
 }
 
+TEST(AcceleratorDeathTest, RunLayerNamesABadLayer)
+{
+    // runLayer checks the layer it runs, not the whole network: a bad
+    // layer still fails by name, through both overloads.
+    Accelerator acc(denseBaseline());
+    auto net = networkByName("alexnet");
+    net.nodes[2].layer.name = "conv3_broken";
+    net.nodes[2].layer.k = 0;
+    EXPECT_EXIT(acc.runLayer(net, 2, DnnCategory::Dense, fastOptions()),
+                testing::ExitedWithCode(exitUsageError),
+                "layer 'conv3_broken' has non-positive GEMM dims");
+    const LayerWorkset ws = generateLayerWorkset(acc.layerWorksetParams(
+        networkByName("alexnet"), 2, DnnCategory::Dense, fastOptions()));
+    EXPECT_EXIT(acc.runLayer(net, 2, DnnCategory::Dense, fastOptions(), ws),
+                testing::ExitedWithCode(exitUsageError),
+                "layer 'conv3_broken' has non-positive GEMM dims");
+}
+
 TEST(AcceleratorDeathTest, ReduceLayerCountMismatchIsFatal)
 {
     Accelerator acc(denseBaseline());

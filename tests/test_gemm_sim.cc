@@ -1,16 +1,21 @@
 /**
  * @file
  * Tests for the GEMM-level cycle simulator: speedup bounds, sampling
- * accuracy, bandwidth effects, category-driven morphing, and the
- * physical bound every engine's compute cycles must respect.
+ * accuracy, bandwidth effects, category-driven morphing, the physical
+ * bound every engine's compute cycles must respect, and the workset's
+ * queue memo (a shared memo changes no result).
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "arch/presets.hh"
 #include "baselines/sparten.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "sched/window_scheduler.hh"
 #include "sim/gemm_sim.hh"
 #include "tensor/sparsity.hh"
 #include "tensor/workset.hh"
@@ -207,6 +212,188 @@ TEST(GemmSim, NoEngineBeatsOneEffectualMacPerMacPerCycle)
                             << " m=" << m << " k=" << k << " n=" << n;
                     }
             }
+}
+
+/** One GEMM-level consumer of a workset: a design point, its
+ *  category and its sampling. */
+struct MemoConsumer
+{
+    ArchConfig arch;
+    DnnCategory cat;
+    SimOptions opt;
+    std::string label;
+};
+
+/**
+ * Every vector-core preset on every category, the fig5 / fig6 / fig7
+ * design points on their categories and four points on three other
+ * tiles (so tile geometry varies on one workset), each with the
+ * shuffle off and on and at two sample fractions.
+ */
+std::vector<MemoConsumer>
+memoConsumers(std::uint64_t sim_seed)
+{
+    using Cats = std::vector<DnnCategory>;
+    const Cats all(allCategories.begin(), allCategories.end());
+    std::vector<std::pair<ArchConfig, Cats>> points;
+    for (const auto &arch : allPresets())
+        if (arch.style == DatapathStyle::VectorCore)
+            points.push_back({arch, all});
+    const int fig5[][3] = {{2, 0, 0}, {2, 1, 0}, {2, 2, 0}, {2, 0, 1},
+                           {2, 1, 1}, {2, 0, 2}, {4, 0, 0}, {4, 0, 1},
+                           {4, 0, 2}, {6, 0, 0}, {6, 0, 1}};
+    for (const auto &p : fig5)
+        points.push_back(
+            {archByName(RoutingConfig::sparseB(p[0], p[1], p[2], false).str()),
+             {DnnCategory::B}});
+    const int fig6[][3] = {{1, 0, 0}, {1, 1, 0}, {2, 0, 0}, {2, 1, 0},
+                           {3, 0, 0}, {3, 1, 0}, {2, 0, 1}, {2, 1, 1},
+                           {2, 1, 2}, {4, 0, 0}, {4, 0, 1}};
+    for (const auto &p : fig6)
+        points.push_back(
+            {archByName(RoutingConfig::sparseA(p[0], p[1], p[2], false).str()),
+             {DnnCategory::A}});
+    const int fig7[][6] = {{0, 0, 0, 4, 0, 1}, {0, 0, 0, 4, 0, 2},
+                           {1, 0, 0, 3, 0, 1}, {1, 0, 0, 3, 1, 0},
+                           {2, 0, 0, 2, 0, 0}, {2, 0, 0, 2, 0, 1},
+                           {2, 0, 0, 2, 0, 2}, {2, 0, 0, 3, 0, 1},
+                           {2, 0, 0, 4, 0, 1}, {2, 0, 0, 4, 0, 2}};
+    for (const auto &p : fig7)
+        points.push_back(
+            {archByName(RoutingConfig::sparseAB(p[0], p[1], p[2], p[3],
+                                                p[4], p[5], false)
+                            .str()),
+             {DnnCategory::AB, DnnCategory::A}});
+    // Other tiles: M0 and N0 alone, K0 alone, and all three.
+    for (const TileShape &tile :
+         {TileShape{2, 8, 16}, TileShape{4, 16, 8}, TileShape{2, 8, 8}})
+        for (const char *name :
+             {"AB(2,0,0,2,0,1,off)", "AB(2,0,0,2,1,1,off)[otf]",
+              "A(2,1,1,off)", "B(4,0,1,off)"}) {
+            ArchConfig arch = archByName(name);
+            arch.tile = tile;
+            arch.name += " " + std::to_string(tile.m0) + "x" +
+                         std::to_string(tile.n0) + "x" +
+                         std::to_string(tile.k0);
+            points.push_back({arch, all});
+        }
+
+    std::vector<MemoConsumer> out;
+    for (const auto &[base, cats] : points)
+        for (const bool shuffle : {false, true})
+            for (const DnnCategory cat : cats)
+                for (const double fraction : {0.25, 1.0}) {
+                    ArchConfig arch = base;
+                    arch.routing.shuffle = shuffle;
+                    SimOptions opt;
+                    opt.sampleFraction = fraction;
+                    opt.minSampledTiles = 2;
+                    opt.seed = sim_seed;
+                    out.push_back({arch, cat, opt,
+                                   arch.name + " shuffle=" +
+                                       (shuffle ? "on" : "off") + " cat=" +
+                                       toString(cat) + " sample=" +
+                                       std::to_string(fraction)});
+                }
+    return out;
+}
+
+bool
+sameResult(const GemmSimResult &x, const GemmSimResult &y)
+{
+    return x.denseCycles == y.denseCycles &&
+           x.computeCycles == y.computeCycles && x.denseOps == y.denseOps &&
+           x.effectualOps == y.effectualOps &&
+           x.sched.cycles == y.sched.cycles && x.sched.ops == y.sched.ops &&
+           x.sched.ownOps == y.sched.ownOps &&
+           x.sched.stolenOps == y.sched.stolenOps &&
+           x.sched.idleSlotCycles == y.sched.idleSlotCycles &&
+           x.sched.bwLimitedCycles == y.sched.bwLimitedCycles &&
+           x.simulatedTiles == y.simulatedTiles &&
+           x.totalTiles == y.totalTiles;
+}
+
+WorksetParams
+memoParams()
+{
+    // k and n off the tile edges of both geometries.
+    WorksetParams p;
+    p.m = 32;
+    p.k = 200;
+    p.n = 72;
+    p.weightSparsity = 0.6;
+    p.actSparsity = 0.5;
+    p.weightLaneBias = 0.5;
+    p.actRunLength = 2.0;
+    p.seed = 2522;
+    return p;
+}
+
+TEST(QueueMemo, SharedMemoChangesNoResultInEitherOrder)
+{
+    // Every consumer runs through one workset's memo, first to last
+    // and last to first, and must match its own run on a fresh memo.
+    LayerWorkset forward = generateLayerWorkset(memoParams());
+    LayerWorkset reverse = generateLayerWorkset(memoParams());
+    const auto consumers = memoConsumers(forward.simSeed);
+    std::vector<GemmSimResult> fresh;
+    for (const auto &c : consumers)
+        fresh.push_back(simulateGemm(forward.a, forward.b, c.arch, c.cat,
+                                     c.opt));
+    std::vector<std::string> failed;
+    for (std::size_t i = 0; i < consumers.size(); ++i) {
+        const auto &c = consumers[i];
+        if (!sameResult(simulateGemm(forward, c.arch, c.cat, c.opt),
+                        fresh[i]))
+            failed.push_back("forward " + c.label);
+    }
+    for (std::size_t i = consumers.size(); i-- > 0;) {
+        const auto &c = consumers[i];
+        if (!sameResult(simulateGemm(reverse, c.arch, c.cat, c.opt),
+                        fresh[i]))
+            failed.push_back("reverse " + c.label);
+    }
+    std::string first;
+    for (std::size_t i = 0; i < failed.size() && i < 5; ++i)
+        first += "\n  " + failed[i];
+    EXPECT_TRUE(failed.empty())
+        << failed.size() << " of " << 2 * consumers.size()
+        << " shared-memo runs differ from a fresh memo:" << first;
+    // The memo shared queues, and which ones it built does not depend
+    // on the order.
+    EXPECT_LT(forward.memo.builds() * 10, forward.memo.requests());
+    EXPECT_EQ(forward.memo.builds(), reverse.memo.builds());
+    EXPECT_EQ(forward.memo.requests(), reverse.memo.requests());
+}
+
+TEST(QueueMemo, OneBuildPerSideTileGeometryAndShuffle)
+{
+    const LayerWorkset ws = generateLayerWorkset(memoParams());
+    QueueMemo memo;
+    const TileShape wide{4, 16, 16}, narrow{2, 16, 16}, short_k{4, 16, 8};
+    const Shuffler off(false, 16), on(true, 16), off8(false, 8);
+    const SlotQueues &base = memo.get(TileViewA(ws.a, wide, 0), off);
+    EXPECT_EQ(&memo.get(TileViewA(ws.a, wide, 0), off), &base);
+    const SlotQueues *others[] = {
+        &memo.get(TileViewA(ws.a, wide, 0), on),
+        &memo.get(TileViewA(ws.a, narrow, 0), off),
+        &memo.get(TileViewA(ws.a, short_k, 0), off8),
+        &memo.get(TileViewA(ws.a, wide, 4), off),
+        &memo.get(TileViewB(ws.b, wide, 0), off),
+    };
+    for (const SlotQueues *q : others)
+        EXPECT_NE(q, &base);
+    EXPECT_EQ(memo.requests(), 7);
+    EXPECT_EQ(memo.builds(), 6);
+    // A memoized queue holds what tileQueues builds.
+    Arena arena;
+    const TileViewB vb(ws.b, wide, 16);
+    const SlotQueues want = tileQueues(vb, on, arena);
+    const SlotQueues &got = memo.get(vb, on);
+    ASSERT_EQ(got.wordsPerStep(), want.wordsPerStep());
+    for (std::int64_t t = 0; t < want.grid().steps; ++t)
+        for (std::int64_t i = 0; i < want.wordsPerStep(); ++i)
+            EXPECT_EQ(got.stepWords(t)[i], want.stepWords(t)[i]);
 }
 
 } // namespace
