@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/arena.hh"
+#include "runtime/telemetry.hh"
 #include "simd/occupancy.hh"
 #include "tensor/tile.hh"
 
@@ -27,6 +28,7 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
                 const ArchConfig &arch, DnnCategory cat,
                 const SimOptions &opt)
 {
+    ScopedSpan span("sparten");
     arch.validate();
     if (arch.style != DatapathStyle::MacGrid)
         fatal("simulateSparTen needs a MacGrid architecture, got '",

@@ -83,11 +83,11 @@ LayerResult
 Accelerator::runLayer(const NetworkSpec &net, std::size_t layerIndex,
                       DnnCategory cat, const RunOptions &opt) const
 {
-    // Stage 1: generate the layer workset, then hand off to the staged
-    // simulation.
+    // Stage 1 is deferred: the staged simulation generates the sides
+    // this architecture reads.
     return runLayer(net, layerIndex, cat, opt,
-                    generateLayerWorkset(layerWorksetParams(
-                        net, layerIndex, cat, opt)));
+                    LayerWorkset(layerWorksetParams(net, layerIndex, cat,
+                                                    opt)));
 }
 
 LayerResult
@@ -101,7 +101,7 @@ Accelerator::runLayer(const NetworkSpec &net, std::size_t layerIndex,
     const TileShape &shape = config_.tile;
     const double wsp = net.layerWeightSparsity(layer, cat);
 
-    const auto m_sim = static_cast<std::int64_t>(workset.a.rows());
+    const std::int64_t m_sim = workset.params().m;
     const auto row_tiles_full = (layer.m + shape.m0 - 1) / shape.m0;
     const auto row_tiles_sim = (m_sim + shape.m0 - 1) / shape.m0;
     const double row_scale = static_cast<double>(row_tiles_full) /
@@ -112,9 +112,11 @@ Accelerator::runLayer(const NetworkSpec &net, std::size_t layerIndex,
     SimOptions sim_opt = opt.sim;
     sim_opt.seed = workset.simSeed;
     const bool mac_grid = config_.style == DatapathStyle::MacGrid;
+    // SparTen reads both sides; simulateGemm generates those its mode
+    // reads.
     const auto sim =
-        mac_grid ? simulateSparTen(workset.a, workset.b, config_, cat,
-                                   sim_opt)
+        mac_grid ? simulateSparTen(workset.operandA(), workset.operandB(),
+                                   config_, cat, sim_opt)
                  : simulateGemm(workset, config_, cat, sim_opt);
 
     LayerResult lr;

@@ -168,13 +168,16 @@ class Accelerator
      * this architecture, scale the row slice's compute cycles back to
      * the whole layer, and price the whole layer's DRAM traffic (the
      * library's one memory model; RunOptions::enforceDramBound).
-     * `workset` must have been generated from
+     * `workset` must have been made from
      * layerWorksetParams(net, layerIndex, cat, opt) — runLayer() is
-     * exactly this composition with stage 1 (generateLayerWorkset)
-     * in front, and a sweep hands one workset to every consumer that
-     * shares its parameters.  The consumers share the workset's tile
-     * queues too (LayerWorkset::memo), so one thread at a time runs
-     * layers over a given workset.
+     * exactly this composition with a deferred LayerWorkset in front,
+     * and a sweep hands one workset to every consumer that shares its
+     * parameters.  The call generates each side this architecture
+     * reads that no earlier consumer generated (SparTen reads both;
+     * simulateGemm those its mode skips zeros on).  The
+     * consumers share the workset's sides and tile queues
+     * (LayerWorkset::memo), so one thread at a time runs layers over
+     * a given workset.
      */
     LayerResult runLayer(const NetworkSpec &net, std::size_t layerIndex,
                          DnnCategory cat, const RunOptions &opt,

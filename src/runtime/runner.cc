@@ -199,9 +199,10 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
     for (std::size_t s = 0; s < specs.size(); ++s)
         job_base[s + 1] = job_base[s] + jobs[s].size();
     std::vector<std::atomic<std::int64_t>> job_ns(job_base.back());
-    // The worksets' queue memos, summed over groups (--stats): both
-    // counts follow from the plan alone.
+    // The worksets' queue memos and generated sides, summed over
+    // groups (--stats): every count follows from the plan alone.
     std::atomic<std::int64_t> queue_requests{0}, queue_builds{0};
+    std::atomic<std::int64_t> a_sides{0}, b_sides{0}, elements{0};
 
     ThreadPool::Stats pool_stats;
     {
@@ -214,10 +215,11 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
         for (const auto &group : order) {
             tasks.push_back([&specs, &jobs, &accelerators, &layer_results,
                              &job_base, &job_ns, &queue_requests,
-                             &queue_builds, group] {
+                             &queue_builds, &a_sides, &b_sides, &elements,
+                             group] {
                 std::uint64_t mark = monotonicNowNs();
-                const LayerWorkset workset =
-                    generateLayerWorkset(group->first.second);
+                // Deferred: the consumers generate the sides they read.
+                const LayerWorkset workset(group->first.second);
                 for (const Consumer &c : group->second) {
                     const SweepSpec &spec = specs[c.spec];
                     const SweepJob &job = jobs[c.spec][c.job];
@@ -226,7 +228,7 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
                             spec.networks[job.networkIndex], c.layer,
                             spec.categories[job.categoryIndex],
                             job.options, workset);
-                    // The first consumer also pays for generation.
+                    // A consumer pays for the sides it generates.
                     const std::uint64_t now = monotonicNowNs();
                     job_ns[job_base[c.spec] + c.job].fetch_add(
                         static_cast<std::int64_t>(now - mark),
@@ -237,6 +239,13 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
                                          std::memory_order_relaxed);
                 queue_builds.fetch_add(workset.memo.builds(),
                                        std::memory_order_relaxed);
+                a_sides.fetch_add(workset.generatedA(),
+                                  std::memory_order_relaxed);
+                b_sides.fetch_add(workset.generatedB(),
+                                  std::memory_order_relaxed);
+                elements.fetch_add(static_cast<std::int64_t>(
+                                       workset.a.size() + workset.b.size()),
+                                   std::memory_order_relaxed);
             });
         }
         ThreadPool pool(threads);
@@ -302,6 +311,10 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
             .set(static_cast<double>(queue_requests.load()));
         reg.gauge("memo.queue_builds")
             .set(static_cast<double>(queue_builds.load()));
+        reg.gauge("gen.a_sides").set(static_cast<double>(a_sides.load()));
+        reg.gauge("gen.b_sides").set(static_cast<double>(b_sides.load()));
+        reg.gauge("gen.elements")
+            .set(static_cast<double>(elements.load()));
         reg.gauge("process.peak_rss_mb").set(peakRssMb());
         if (!all_elapsed_ms.empty()) {
             Histogram &h = reg.histogram("pool.job_us");

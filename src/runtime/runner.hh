@@ -25,19 +25,24 @@
  * computes the operand parameters (Accelerator::layerWorksetParams) of
  * every (spec, job, layer) and groups the triples by (category,
  * WorksetParams) in first-seen order.  Each group is one pool task: it
- * generates the layer's workset once, runs every consumer's
+ * makes the layer's deferred workset, runs every consumer's
  * Accelerator::runLayer over it, and frees it, so at most one workset
- * per worker is resident.  A group's consumers are the architectures
- * of a grid point, the option variants that leave the operands alone
- * (DRAM bound, schedule policy, SRAM budget) and, across specs, other
- * experiments over the same layers.  A per-job reduce
+ * per worker is resident.  The first consumer that reads a side
+ * generates it for the group, and a side no consumer reads is never
+ * generated: a group of Sparse.A design points generates no B.  A
+ * group's consumers are the architectures of a grid point, the
+ * option variants that leave the operands alone (DRAM bound, schedule
+ * policy, SRAM budget) and, across specs, other experiments over the
+ * same layers.  A per-job reduce
  * (Accelerator::reduceLayers) then reassembles each NetworkResult in
  * layer order.  Grouping changes no result.  A group's consumers
  * share the workset's slot queues of each sampled tile
  * (LayerWorkset::memo); per-tile schedules, which depend on the
  * design point, are recomputed by every consumer.  The `--stats` line
- * reports the queue requests and builds (memo.queue_requests,
- * memo.queue_builds) summed over the groups.
+ * reports, summed over the groups, the queue requests and builds
+ * (memo.queue_requests, memo.queue_builds), the A and B sides
+ * generated (gen.a_sides, gen.b_sides) and their elements
+ * (gen.elements).
  */
 
 #ifndef GRIFFIN_RUNTIME_RUNNER_HH
@@ -185,8 +190,8 @@ class SweepResult
     /**
      * Per-job wall-time in milliseconds, parallel to jobs() — empty
      * unless the sweep ran with SweepSpec::collectTimings.  A job's
-     * time is the sum of its runLayer calls (reduce excluded), plus
-     * the generation of every workset whose group it was first in.
+     * time is the sum of its runLayer calls (reduce excluded), which
+     * include generating every workset side it was first to read.
      */
     const std::vector<double> &jobElapsedMs() const
     {
@@ -208,9 +213,10 @@ std::vector<SweepJob> expandSweep(const SweepSpec &spec);
 /**
  * Run several sweeps as one plan on `threads` workers (1 = serial
  * through the same code path): every spec is expanded and validated
- * before any work starts, and a workset shared by specs is generated
- * once.  Element i of the result is specs[i]'s outcome, bit-identical
- * to runSweep(specs[i], threads) at any thread count.
+ * before any work starts, and a workset side shared by specs is
+ * generated once, when its first consumer reads it.  Element i of the
+ * result is specs[i]'s outcome, bit-identical to
+ * runSweep(specs[i], threads) at any thread count.
  */
 std::vector<SweepResult> runSweeps(const std::vector<SweepSpec> &specs,
                                    int threads);

@@ -14,16 +14,19 @@
  *     a mutex and is expected once per site, not per update.
  *
  *   - Telemetry + ScopedSpan: per-thread scoped wall-time spans over
- *     the pipeline seams (operand_gen, tile_queues, b_schedule,
- *     a_schedule, dual_schedule, tile_sim, reduce, and — on
- *     schedule-aware runs — the nested schedule span).  Spans are compiled in but off-by-default
- *     cheap: a disabled span is one relaxed atomic load and two
- *     pointer writes — no clock read, no allocation.  Enabled
- *     spans (the `--trace <file>` flag) record every span as an event
- *     into thread-local buffers (no cross-thread contention on the hot
- *     path) that merge at export time into Chrome trace-event JSON
- *     (writeChromeTrace), which opens directly in Perfetto /
- *     chrome://tracing.
+ *     the pipeline seams: gen_a and gen_b (one per operand side a
+ *     workset generates), tile_sim with one b_schedule, a_schedule or
+ *     dual_schedule span per GEMM inside it (tile_queues, and the dual
+ *     engine's b_schedule stream packing, nest in those), sparten
+ *     around the SparTen simulator, reduce, and — on schedule-aware
+ *     runs — the nested schedule span.  Spans are compiled in but
+ *     off-by-default cheap: a disabled span is one relaxed atomic
+ *     load and two pointer writes — no clock read, no allocation.
+ *     Enabled spans (the `--trace <file>` flag) record every span as
+ *     an event into thread-local buffers (no cross-thread contention
+ *     on the hot path) that merge at export time into Chrome
+ *     trace-event JSON (writeChromeTrace), which opens directly in
+ *     Perfetto / chrome://tracing.
  *
  * Telemetry never feeds back into simulation: enabling it changes no
  * RNG stream, no schedule, no result byte.  The trace ctest pins this

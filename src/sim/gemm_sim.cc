@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "runtime/telemetry.hh"
@@ -29,16 +28,6 @@ accumulate(ScheduleStats &into, const ScheduleStats &from)
     into.bwLimitedCycles += from.bwLimitedCycles;
 }
 
-/** Preprocess one B tile's queues into its compressed stream (the
- *  b_schedule stage). */
-BSchedule
-packStream(const SlotQueues &queues, const Borrow &db,
-           const Shuffler &shuffler)
-{
-    ScopedSpan span("b_schedule");
-    return preprocessB(queues, db, shuffler, false);
-}
-
 /** Scale a sampled cycle total back to the full population. */
 std::int64_t
 scaleUp(std::int64_t sampled_sum, std::int64_t sampled_count,
@@ -53,15 +42,28 @@ scaleUp(std::int64_t sampled_sum, std::int64_t sampled_count,
 }
 
 /**
+ * One GEMM's dimensions and the operand sides its mode reads; a side
+ * the mode does not read is null.
+ */
+struct Operands
+{
+    std::int64_t m;
+    std::int64_t k;
+    std::int64_t n;
+    const MatrixI8 *a;
+    const MatrixI8 *b;
+};
+
+/**
  * Everything the per-mode compute stages share: resolved geometry and
  * routing, plus the result record they fill in (computeCycles,
  * simulatedTiles, sched).
  */
 struct ComputeStage
 {
-    const MatrixI8 &a;
-    const MatrixI8 &b;
-    QueueMemo &memo; ///< queues of a's and b's tiles
+    const MatrixI8 *a; ///< null unless the mode reads A
+    const MatrixI8 *b; ///< null unless the mode reads B
+    QueueMemo &memo;   ///< queues of a's and b's tiles
     const SimOptions &opt;
     const TileShape &shape;
     const RoutingConfig &routing;
@@ -72,21 +74,19 @@ struct ComputeStage
 };
 
 /** Stage 2+3, SparsityMode::B: schedules depend only on B — simulate
- *  (a subset of) column tiles and multiply by the row-tile count. */
+ *  (a subset of) column tiles and multiply by the row-tile count.  One
+ *  b_schedule span covers the stage; queue builds nest inside it. */
 void
 simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
 {
     auto picks = sampleTiles(stage.colTiles, 1, stage.opt.sampleFraction,
                              stage.opt.minSampledTiles, stage.opt.seed);
     std::int64_t sum = 0;
+    ScopedSpan span("b_schedule"); // nothing here reads stream cells
     for (const auto &t : picks) {
-        TileViewB vb(stage.b, stage.shape, t.row * stage.shape.n0);
-        const SlotQueues &queues = stage.memo.get(vb, stage.shuffler);
-        ScheduleStats stats;
-        { // the b_schedule stage; nothing here reads stream cells
-            ScopedSpan span("b_schedule");
-            stats = scheduleB(queues, stage.routing.b);
-        }
+        TileViewB vb(*stage.b, stage.shape, t.row * stage.shape.n0);
+        const ScheduleStats stats =
+            scheduleB(stage.memo.get(vb, stage.shuffler), stage.routing.b);
         // Runtime is bandwidth-capped even though packing is offline:
         // replaying the stream can consume at most `bw` raw A steps
         // per cycle.
@@ -105,21 +105,21 @@ simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
         static_cast<std::int64_t>(picks.size()) * stage.rowTiles;
 }
 
-/** Stage 2+3, SparsityMode::A: the symmetric row-tile form. */
+/** Stage 2+3, SparsityMode::A: the symmetric row-tile form, under one
+ *  a_schedule span. */
 void
 simulateSparseA(const ComputeStage &stage, GemmSimResult &result)
 {
     auto picks = sampleTiles(stage.rowTiles, 1, stage.opt.sampleFraction,
                              stage.opt.minSampledTiles, stage.opt.seed);
     std::int64_t sum = 0;
+    ScopedSpan span("a_schedule");
     for (const auto &t : picks) {
-        TileViewA va(stage.a, stage.shape, t.row * stage.shape.m0);
-        const SlotQueues &queues = stage.memo.get(va, stage.shuffler);
-        ScheduleStats stats;
-        { // the a_schedule stage
-            ScopedSpan span("a_schedule");
-            stats = scheduleA(queues, stage.routing.a, stage.bw, false).stats;
-        }
+        TileViewA va(*stage.a, stage.shape, t.row * stage.shape.m0);
+        const ScheduleStats stats =
+            scheduleA(stage.memo.get(va, stage.shuffler), stage.routing.a,
+                      stage.bw, false)
+                .stats;
         sum += stats.cycles;
         accumulate(result.sched, stats);
     }
@@ -131,49 +131,52 @@ simulateSparseA(const ComputeStage &stage, GemmSimResult &result)
         static_cast<std::int64_t>(picks.size()) * stage.colTiles;
 }
 
-/** Stage 2+3, SparsityMode::AB: dual schedules are per tile pair; the
- *  B-side streams compute per distinct column tile, and both sides'
- *  queues come from the memo. */
+/** Stage 2+3, SparsityMode::AB: dual schedules are per tile pair, under
+ *  one dual_schedule span; the B-side streams are packed once per
+ *  distinct column tile first (a nested b_schedule span), and both
+ *  sides' queues come from the memo. */
 void
 simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
 {
     auto picks = sampleTiles(stage.rowTiles, stage.colTiles,
                              stage.opt.sampleFraction,
                              stage.opt.minSampledTiles, stage.opt.seed);
-    // One preprocessed stream per distinct column tile; the per-call
-    // memo short-circuits repeat columns of this GEMM.  A sorted flat
-    // vector beats a node-based map here: a handful of distinct
-    // columns, looked up once per sampled tile.
-    std::vector<std::pair<std::int64_t, BSchedule>> streams;
+    ScopedSpan span("dual_schedule");
+    // One preprocessed stream per distinct column tile, in column
+    // order: a handful of columns, looked up once per sampled tile.
+    std::vector<std::int64_t> cols;
+    std::vector<BSchedule> streams;
+    if (stage.routing.preprocessB) {
+        ScopedSpan pack_span("b_schedule");
+        for (const auto &t : picks)
+            cols.push_back(t.col);
+        std::sort(cols.begin(), cols.end());
+        cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+        streams.reserve(cols.size());
+        for (const std::int64_t col : cols) {
+            TileViewB vb(*stage.b, stage.shape, col * stage.shape.n0);
+            streams.push_back(preprocessB(stage.memo.get(vb, stage.shuffler),
+                                          stage.routing.b, stage.shuffler,
+                                          false));
+        }
+    }
     std::int64_t sum = 0;
     for (const auto &t : picks) {
-        TileViewA va(stage.a, stage.shape, t.row * stage.shape.m0);
-        TileViewB vb(stage.b, stage.shape, t.col * stage.shape.n0);
+        TileViewA va(*stage.a, stage.shape, t.row * stage.shape.m0);
         const SlotQueues &a_queue = stage.memo.get(va, stage.shuffler);
         const SlotQueues *b_queue = nullptr;
         const BSchedule *stream = nullptr;
         if (stage.routing.preprocessB) {
-            auto it = std::lower_bound(
-                streams.begin(), streams.end(), t.col,
-                [](const auto &e, std::int64_t col) {
-                    return e.first < col;
-                });
-            if (it == streams.end() || it->first != t.col)
-                it = streams.insert(
-                    it, {t.col, packStream(stage.memo.get(vb, stage.shuffler),
-                                           stage.routing.b,
-                                           stage.shuffler)});
-            // Valid until the next insert, which is after this tile.
-            stream = &it->second;
+            stream = &streams[static_cast<std::size_t>(
+                std::lower_bound(cols.begin(), cols.end(), t.col) -
+                cols.begin())];
         } else {
+            TileViewB vb(*stage.b, stage.shape, t.col * stage.shape.n0);
             b_queue = &stage.memo.get(vb, stage.shuffler);
         }
-        DualSchedule dual;
-        {
-            ScopedSpan span("dual_schedule");
-            dual = scheduleDual(a_queue, b_queue, stage.routing,
-                                stage.shuffler, stream, stage.bw, false);
-        }
+        const DualSchedule dual =
+            scheduleDual(a_queue, b_queue, stage.routing, stage.shuffler,
+                         stream, stage.bw, false);
         sum += dual.cycles;
         accumulate(result.sched, dual.stage2);
     }
@@ -183,43 +186,37 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
 }
 
 GemmSimResult
-simulate(const MatrixI8 &a, const MatrixI8 &b, QueueMemo &memo,
-         const ArchConfig &arch, DnnCategory cat, const SimOptions &opt)
+simulate(const Operands &ops, QueueMemo &memo, const ArchConfig &arch,
+         DnnCategory cat, const SimOptions &opt)
 {
     arch.validate();
     if (arch.style != DatapathStyle::VectorCore)
         fatal("simulateGemm handles vector-core architectures; use the "
               "SparTen simulator in src/baselines for '",
               arch.name, "'");
-    GRIFFIN_ASSERT(a.cols() == b.rows(), "GEMM shape mismatch: A ",
-                   a.rows(), "x", a.cols(), ", B ", b.rows(), "x",
-                   b.cols());
     if (opt.sampleFraction <= 0.0 || opt.sampleFraction > 1.0)
         fatal("sample fraction ", opt.sampleFraction, " outside (0,1]");
 
     const TileShape &shape = arch.tile;
     const auto routing = arch.effectiveRouting(cat);
     const double bw = arch.effectiveBwScale(cat);
-    const auto m = static_cast<std::int64_t>(a.rows());
-    const auto k = static_cast<std::int64_t>(a.cols());
-    const auto n = static_cast<std::int64_t>(b.cols());
 
     GemmSimResult result;
-    result.denseCycles = denseCycles(m, k, n, shape);
-    result.denseOps = m * k * n;
-    const std::int64_t row_tiles = (m + shape.m0 - 1) / shape.m0;
-    const std::int64_t col_tiles = (n + shape.n0 - 1) / shape.n0;
+    result.denseCycles = denseCycles(ops.m, ops.k, ops.n, shape);
+    result.denseOps = ops.m * ops.k * ops.n;
+    const std::int64_t row_tiles = (ops.m + shape.m0 - 1) / shape.m0;
+    const std::int64_t col_tiles = (ops.n + shape.n0 - 1) / shape.n0;
     result.totalTiles = row_tiles * col_tiles;
-    if (result.totalTiles == 0 || k == 0)
+    if (result.totalTiles == 0 || ops.k == 0)
         return result;
 
     Shuffler shuffler(routing.shuffle, shape.k0);
-    const ComputeStage stage{a,       b,        memo, opt,       shape,
+    const ComputeStage stage{ops.a,   ops.b,    memo, opt,       shape,
                              routing, shuffler, bw,   row_tiles, col_tiles};
 
-    // tile_queues and the b_schedule / a_schedule / dual_schedule spans
-    // nest inside this one; the trace shows them as sub-slices of tile
-    // simulation.
+    // The mode's b_schedule / a_schedule / dual_schedule span, and the
+    // tile_queues spans inside it, nest inside this one; the trace
+    // shows them as sub-slices of tile simulation.
     ScopedSpan span("tile_sim");
     switch (routing.mode) {
       case SparsityMode::Dense:
@@ -245,15 +242,28 @@ GemmSimResult
 simulateGemm(const MatrixI8 &a, const MatrixI8 &b, const ArchConfig &arch,
              DnnCategory cat, const SimOptions &opt)
 {
+    GRIFFIN_ASSERT(a.cols() == b.rows(), "GEMM shape mismatch: A ",
+                   a.rows(), "x", a.cols(), ", B ", b.rows(), "x",
+                   b.cols());
     QueueMemo memo;
-    return simulate(a, b, memo, arch, cat, opt);
+    return simulate({static_cast<std::int64_t>(a.rows()),
+                     static_cast<std::int64_t>(a.cols()),
+                     static_cast<std::int64_t>(b.cols()), &a, &b},
+                    memo, arch, cat, opt);
 }
 
 GemmSimResult
 simulateGemm(const LayerWorkset &ws, const ArchConfig &arch,
              DnnCategory cat, const SimOptions &opt)
 {
-    return simulate(ws.a, ws.b, ws.memo, arch, cat, opt);
+    // Generate the sides the mode reads here, before tile_sim opens,
+    // so gen_a and gen_b stay top-level stages.
+    const RoutingConfig routing = arch.effectiveRouting(cat);
+    const WorksetParams &p = ws.params();
+    return simulate({p.m, p.k, p.n,
+                     routing.sparseA() ? &ws.operandA() : nullptr,
+                     routing.sparseB() ? &ws.operandB() : nullptr},
+                    ws.memo, arch, cat, opt);
 }
 
 } // namespace griffin

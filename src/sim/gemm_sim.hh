@@ -2,7 +2,11 @@
  * @file
  * Cycle-level simulation of one GEMM on a vector-core architecture.
  * It consumes the operand matrices of stage 1 (tensor/workset.hh) and
- * runs the two later stages of the pipeline:
+ * runs the two later stages of the pipeline.  Over a workset it reads
+ * only the sides its mode skips zeros on (Dense none, Sparse.A A,
+ * Sparse.B B, dual both) and takes m, k and n from the workset's
+ * parameters, so a side no mode reads is never generated.  The
+ * stages:
  *
  *   2. *Tiling + per-side schedule computation*: each sampled tile
  *      side's slot queues come from the workset's QueueMemo
@@ -103,8 +107,10 @@ GemmSimResult simulateGemm(const MatrixI8 &a, const MatrixI8 &b,
 /**
  * simulateGemm over a workset's operands, with the sampled tiles'
  * queues taken from (and added to) ws.memo, so every consumer of the
- * workset builds each one at most once.  The result equals the
- * two-matrix form's, whatever the memo held before.
+ * workset builds each one at most once.  It generates the sides the
+ * mode reads (`gen_a` / `gen_b`) before the `tile_sim` span opens.
+ * The result equals the two-matrix form's on the workset's matrices,
+ * whatever the memo held before.
  */
 GemmSimResult simulateGemm(const LayerWorkset &ws, const ArchConfig &arch,
                            DnnCategory cat, const SimOptions &opt = {});

@@ -31,24 +31,61 @@ countEffectualOps(const MatrixI8 &a, const MatrixI8 &b)
     return total;
 }
 
+namespace {
+
+/** Salts that fork a layer seed into its three independent streams. */
+enum Stream : std::uint64_t
+{
+    StreamA = 0,
+    StreamB = 1,
+    StreamSampling = 2,
+};
+
+} // namespace
+
+LayerWorkset::LayerWorkset(const WorksetParams &params)
+    : simSeed(static_cast<std::uint64_t>(
+          Rng(Rng::mixSeed(params.seed, StreamSampling))
+              .uniformInt(0, 1 << 30))),
+      params_(params)
+{
+}
+
+const MatrixI8 &
+LayerWorkset::operandA() const
+{
+    if (!generatedA_) {
+        ScopedSpan span("gen_a");
+        Rng rng(Rng::mixSeed(params_.seed, StreamA));
+        a = clusteredSparse(static_cast<std::size_t>(params_.m),
+                            static_cast<std::size_t>(params_.k),
+                            params_.actSparsity, params_.actRunLength, rng);
+        generatedA_ = true;
+    }
+    return a;
+}
+
+const MatrixI8 &
+LayerWorkset::operandB() const
+{
+    if (!generatedB_) {
+        ScopedSpan span("gen_b");
+        Rng rng(Rng::mixSeed(params_.seed, StreamB));
+        b = laneBiasedSparse(static_cast<std::size_t>(params_.k),
+                             static_cast<std::size_t>(params_.n),
+                             params_.weightSparsity, params_.weightLaneBias,
+                             params_.lanePeriod, rng);
+        generatedB_ = true;
+    }
+    return b;
+}
+
 LayerWorkset
 generateLayerWorkset(const WorksetParams &params)
 {
-    // The draw order (A, then B, then the sampling fork) is frozen:
-    // it reproduces the stream Accelerator::runLayer drew before the
-    // pipeline split, and every baseline row depends on it.
-    ScopedSpan span("operand_gen");
-    LayerWorkset ws;
-    Rng rng(params.seed);
-    ws.a = clusteredSparse(static_cast<std::size_t>(params.m),
-                           static_cast<std::size_t>(params.k),
-                           params.actSparsity, params.actRunLength, rng);
-    ws.b = laneBiasedSparse(static_cast<std::size_t>(params.k),
-                            static_cast<std::size_t>(params.n),
-                            params.weightSparsity, params.weightLaneBias,
-                            params.lanePeriod, rng);
-    ws.simSeed = static_cast<std::uint64_t>(
-        rng.fork().uniformInt(0, 1 << 30));
+    LayerWorkset ws(params);
+    ws.operandA();
+    ws.operandB();
     return ws;
 }
 

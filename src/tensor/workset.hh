@@ -4,14 +4,23 @@
  *
  * One layer's simulation consumes a *workset* — the synthetic A
  * (activation) and B (weight) matrices generated at the layer's
- * sparsity ratios, plus the derived seed of the tile-sampling phase.
+ * sparsity ratios, plus the seed of the tile-sampling phase.  The
+ * layer seed forks into three independent streams,
+ * Rng::mixSeed(seed, side), one each for A, B and the sampling
+ * phase, so each side is a pure function of WorksetParams on its own
+ * and the workset generates a side only when a consumer first reads
+ * it (operandA() / operandB(), the `gen_a` and `gen_b` spans).  A
+ * consumer reads the sides its routing skips zeros on: a Sparse.A
+ * design point never generates B, a Sparse.B one never generates A,
+ * a dense one neither, and the dual and SparTen engines both.
+ * generateLayerWorkset is the same workset with both sides read.
+ *
  * Generation computes no statistics of the matrices, because no later
  * stage reads one; countEffectualOps is here for callers that want
- * the count.  The workset is a pure function of WorksetParams: along
- * the architecture axis of any sweep grid, every design point with the
- * same tile height replays *bit-identical* operand generation, which
- * is why the sweep runner (runtime/runner.hh) groups a sweep's layers
- * by WorksetParams and generates each distinct workset once for all of
+ * the count.  Along the architecture axis of any sweep grid, every
+ * design point with the same tile height shares one WorksetParams,
+ * which is why the sweep runner (runtime/runner.hh) groups a sweep's
+ * layers by WorksetParams and hands one deferred workset to all of
  * its consumers.  The consumers then share more than the operands:
  * the slot queues of a sampled tile side depend only on the operands,
  * the tile and the shuffle, not on the borrow window a design point
@@ -81,32 +90,54 @@ struct WorksetParams
     }
 };
 
-/** The stage-1 artifact: the generated operands. */
+/**
+ * The stage-1 artifact: the operands of one parameter record, each
+ * side generated the first time a consumer reads it.  `a` and `b`
+ * stay empty until operandA() / operandB() fill them; simSeed is set
+ * at construction.  Reading a side changes none of the workset's
+ * values, so consumers that hold it const fill the sides and the
+ * queue memo too; a workset serves one thread at a time, and the
+ * lazily filled fields take no lock.
+ */
 struct LayerWorkset
 {
-    MatrixI8 a; ///< activations, m x k
-    MatrixI8 b; ///< weights, k x n
-    /** Seed of the tile-sampling phase (forked from the generation
-     *  stream, so it is part of the workset, not of the simulation). */
+    /** A workset of `params` with neither side generated yet. */
+    explicit LayerWorkset(const WorksetParams &params);
+
+    /** Activations (m x k, clustered zero runs); generated on the
+     *  first call, as the `gen_a` span. */
+    const MatrixI8 &operandA() const;
+    /** Weights (k x n, lane-biased zeros); generated on the first
+     *  call, as the `gen_b` span. */
+    const MatrixI8 &operandB() const;
+
+    const WorksetParams &params() const { return params_; }
+    /** Whether operandA() / operandB() has generated that side. */
+    bool generatedA() const { return generatedA_; }
+    bool generatedB() const { return generatedB_; }
+
+    mutable MatrixI8 a; ///< activations once generated, else empty
+    mutable MatrixI8 b; ///< weights once generated, else empty
+    /** Seed of the tile-sampling phase, drawn from its own stream. */
     std::uint64_t simSeed = 0;
     /**
      * Queues of the tiles the consumers sampled, over a and b
-     * (simulateGemm fills it).  Not part of the workset's value, so
-     * consumers that hold the workset const fill it too; like the
-     * memo, a workset serves one thread at a time.
+     * (simulateGemm fills it).  Not part of the workset's value.
      */
     mutable QueueMemo memo;
+
+  private:
+    WorksetParams params_;
+    mutable bool generatedA_ = false;
+    mutable bool generatedB_ = false;
 };
 
 /** Count MACs where both operands are nonzero, in O(MK + KN). */
 std::int64_t countEffectualOps(const MatrixI8 &a, const MatrixI8 &b);
 
 /**
- * Generate the workset for one parameter record: clustered-sparse
- * activations, lane-biased weights, then the forked sampling seed —
- * the exact stream Accelerator::runLayer historically drew inline, so
- * pipelined and monolithic runs are bit-identical.  Recorded as the
- * `operand_gen` telemetry span.
+ * The workset for one parameter record with both sides generated:
+ * LayerWorkset(params) after operandA() and operandB().
  */
 LayerWorkset generateLayerWorkset(const WorksetParams &params);
 

@@ -8,13 +8,18 @@
 #   2. fails unless that line reports exactly SWEEP_JOBS planned jobs
 #      (sweep.jobs), POOL_TASKS pool tasks (pool.executed_jobs, one
 #      per distinct workset), QUEUE_REQUESTS tile-queue requests
-#      (memo.queue_requests) and QUEUE_BUILDS of them that built
+#      (memo.queue_requests), QUEUE_BUILDS of them that built
 #      queues (memo.queue_builds; the rest were shared within a
-#      workset).  The counts depend on the registry, the planner and
-#      the sampler only, never on the machine or the thread count, so
-#      a change that plans more host work or stops sharing queues
-#      fails here on every box; changing them is a declared behaviour
-#      change, like regenerating a baseline, and
+#      workset), GEN_A_SIDES and GEN_B_SIDES generated operand sides
+#      (gen.a_sides, gen.b_sides; a side no consumer reads is never
+#      generated) and GEN_ELEMENTS generated elements (gen.elements),
+#      and unless `run fig6`, whose Sparse.A engines read no weights,
+#      reports gen.b_sides 0.  The counts depend on the registry, the
+#      planner and the sampler only, never on the machine or the
+#      thread count, so a change that plans more host work, stops
+#      sharing queues or generates a side nobody reads fails here on
+#      every box; changing them is a declared behaviour change, like
+#      regenerating a baseline, and
 #   3. byte-compares the result rows with bench/baselines/*.jsonl,
 #      concatenated in byte-sorted bare-name order (the registry's
 #      emission order, and how CI's bench-smoke job assembles them),
@@ -23,15 +28,19 @@
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DCEILING_MB=<MiB> -DSWEEP_JOBS=<n>
 #         -DPOOL_TASKS=<n> -DQUEUE_REQUESTS=<n> -DQUEUE_BUILDS=<n>
+#         -DGEN_A_SIDES=<n> -DGEN_B_SIDES=<n> -DGEN_ELEMENTS=<n>
 #         -DWORK_DIR=<dir> -DBASELINES_DIR=<dir> -P rss_ceiling.cmake
 
 if(NOT GRIFFIN_BENCH OR NOT CEILING_MB OR NOT SWEEP_JOBS OR NOT POOL_TASKS
-   OR NOT QUEUE_REQUESTS OR NOT QUEUE_BUILDS OR NOT WORK_DIR
+   OR NOT QUEUE_REQUESTS OR NOT QUEUE_BUILDS OR NOT GEN_A_SIDES
+   OR NOT GEN_B_SIDES OR NOT GEN_ELEMENTS OR NOT WORK_DIR
    OR NOT BASELINES_DIR)
     message(FATAL_ERROR "need -DGRIFFIN_BENCH=... -DCEILING_MB=... "
                         "-DSWEEP_JOBS=... -DPOOL_TASKS=... "
                         "-DQUEUE_REQUESTS=... -DQUEUE_BUILDS=... "
-                        "-DWORK_DIR=... and -DBASELINES_DIR=...")
+                        "-DGEN_A_SIDES=... -DGEN_B_SIDES=... "
+                        "-DGEN_ELEMENTS=... -DWORK_DIR=... and "
+                        "-DBASELINES_DIR=...")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -63,28 +72,52 @@ message(STATUS "rss ceiling OK: peak ${peak_mb} MiB <= ${CEILING_MB} MiB")
 
 # -- work counts ------------------------------------------------------
 
-string(REGEX MATCHALL "{\"metrics\": [^\n]*" lines "${out}")
-list(GET lines -1 metrics)
-foreach(pin "sweep.jobs;${SWEEP_JOBS}" "pool.executed_jobs;${POOL_TASKS}"
-            "memo.queue_requests;${QUEUE_REQUESTS}"
-            "memo.queue_builds;${QUEUE_BUILDS}")
-    list(GET pin 0 name)
-    list(GET pin 1 want)
-    string(REPLACE "." "\\." pattern "${name}")
-    if(NOT metrics MATCHES "\"${pattern}\": ([0-9]+)[,}]")
-        message(FATAL_ERROR "no integer ${name} in the --stats line:\n"
-                            "${metrics}")
+# check_pins(<run> <stdout> name;value...): every named metric of the
+# run's last --stats line equals its pinned integer.
+function(check_pins run out)
+    string(REGEX MATCHALL "{\"metrics\": [^\n]*" lines "${out}")
+    if(NOT lines)
+        message(FATAL_ERROR "${run} printed no --stats line")
     endif()
-    if(NOT CMAKE_MATCH_1 EQUAL want)
-        message(FATAL_ERROR
-                "run --all reported ${name} = ${CMAKE_MATCH_1}, pinned at "
-                "${want}: the plan does different work (update the pin "
-                "in CMakeLists.txt only for an intended change)")
-    endif()
-endforeach()
+    list(GET lines -1 metrics)
+    foreach(pin ${ARGN})
+        string(REPLACE "=" ";" pin "${pin}")
+        list(GET pin 0 name)
+        list(GET pin 1 want)
+        string(REPLACE "." "\\." pattern "${name}")
+        if(NOT metrics MATCHES "\"${pattern}\": ([0-9]+)[,}]")
+            message(FATAL_ERROR "no integer ${name} in the --stats "
+                                "line of ${run}:\n${metrics}")
+        endif()
+        if(NOT CMAKE_MATCH_1 EQUAL want)
+            message(FATAL_ERROR
+                    "${run} reported ${name} = ${CMAKE_MATCH_1}, pinned "
+                    "at ${want}: the plan does different work (update "
+                    "the pin only for an intended change)")
+        endif()
+    endforeach()
+endfunction()
+
+check_pins("run --all" "${out}" "sweep.jobs=${SWEEP_JOBS}"
+           "pool.executed_jobs=${POOL_TASKS}"
+           "memo.queue_requests=${QUEUE_REQUESTS}"
+           "memo.queue_builds=${QUEUE_BUILDS}"
+           "gen.a_sides=${GEN_A_SIDES}" "gen.b_sides=${GEN_B_SIDES}"
+           "gen.elements=${GEN_ELEMENTS}")
+
+execute_process(
+    COMMAND "${GRIFFIN_BENCH}" run fig6 --sample 0.01 --rowcap 4
+            --threads 4 --stats
+    OUTPUT_VARIABLE out6 ERROR_VARIABLE err6 RESULT_VARIABLE rc6)
+if(NOT rc6 EQUAL 0)
+    message(FATAL_ERROR "griffin_bench run fig6 failed (${rc6}):\n${err6}")
+endif()
+check_pins("run fig6" "${out6}" "gen.b_sides=0")
 message(STATUS "work counts OK: sweep.jobs ${SWEEP_JOBS}, "
                "pool.executed_jobs ${POOL_TASKS}, memo.queue_requests "
-               "${QUEUE_REQUESTS}, memo.queue_builds ${QUEUE_BUILDS}")
+               "${QUEUE_REQUESTS}, memo.queue_builds ${QUEUE_BUILDS}, "
+               "gen.a_sides ${GEN_A_SIDES}, gen.b_sides ${GEN_B_SIDES}, "
+               "gen.elements ${GEN_ELEMENTS}; run fig6 generated no B")
 
 # -- baseline oracle --------------------------------------------------
 

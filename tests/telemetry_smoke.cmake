@@ -1,9 +1,9 @@
 # CTest script: end-to-end telemetry smoke.
 #
 #  (a) `run fig5 fig6 fig7 --trace` emits a Chrome-trace JSON
-#      covering every pipeline stage (fig5 exercises operand_gen,
-#      tile_queues, b_schedule, tile_sim and reduce, fig6 adds
-#      a_schedule, fig7 dual_schedule) while the --out row document
+#      covering every vector-core pipeline stage (fig5 exercises gen_b,
+#      tile_queues, b_schedule, tile_sim and reduce, fig6 adds gen_a
+#      and a_schedule, fig7 dual_schedule) while the --out row document
 #      stays byte-identical to an untraced run at a different thread
 #      count — telemetry must be observation only.  A schedule-aware
 #      run (ablation_memory_peak) additionally emits the nested
@@ -55,7 +55,7 @@ file(READ "${WORK_DIR}/trace.json" trace)
 if(NOT trace MATCHES "\"traceEvents\"")
     message(FATAL_ERROR "trace file is not a Chrome trace document")
 endif()
-foreach(stage operand_gen tile_queues b_schedule a_schedule dual_schedule
+foreach(stage gen_a gen_b tile_queues b_schedule a_schedule dual_schedule
               tile_sim reduce)
     if(NOT trace MATCHES "\"${stage}\"")
         message(FATAL_ERROR "trace has no '${stage}' spans")
@@ -97,5 +97,5 @@ if(NOT rows_timed MATCHES "\"elapsed_ms\": ")
     message(FATAL_ERROR "--timings run emitted no elapsed_ms fields")
 endif()
 
-message(STATUS "telemetry smoke OK: identical rows, eight-stage trace, "
+message(STATUS "telemetry smoke OK: identical rows, nine-stage trace, "
                "opt-in timings")

@@ -2,8 +2,8 @@
  * @file
  * Tests for the runtime/ subsystem: work-stealing pool semantics and
  * job order, parallel-vs-serial determinism of the experiment runner,
- * one operand generation per planned workset, and result-sink
- * serialization.
+ * one generation per operand side a planned workset's consumers read,
+ * and result-sink serialization.
  */
 
 #include <gtest/gtest.h>
@@ -263,11 +263,30 @@ TEST(Runner, ParallelIsBitIdenticalToSerial)
     EXPECT_EQ(ser.str(), par.str());
 }
 
+/** Sides generated: gen_a and gen_b events, or --stats gauges. */
+struct Generations
+{
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+
+    bool
+    operator==(const Generations &o) const
+    {
+        return a == o.a && b == o.b;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Generations &g)
+{
+    return os << "{A " << g.a << ", B " << g.b << "}";
+}
+
 /**
- * operand_gen events in the Chrome trace of `body`, run with tracing
- * on; tracing is off and the buffers empty afterwards.
+ * gen_a and gen_b events in the Chrome trace of `body`, run with
+ * tracing on; tracing is off and the buffers empty afterwards.
  */
-std::uint64_t
+Generations
 countGenerations(const std::function<void()> &body)
 {
     Telemetry::clear();
@@ -278,12 +297,15 @@ countGenerations(const std::function<void()> &body)
     Telemetry::writeChromeTrace(trace);
     Telemetry::clear();
     const std::string doc = trace.str();
-    const std::string event = "\"name\": \"operand_gen\"";
-    std::uint64_t count = 0;
-    for (auto at = doc.find(event); at != std::string::npos;
-         at = doc.find(event, at + event.size()))
-        ++count;
-    return count;
+    const auto events = [&doc](const std::string &name) {
+        const std::string event = "\"name\": \"" + name + "\"";
+        std::uint64_t count = 0;
+        for (auto at = doc.find(event); at != std::string::npos;
+             at = doc.find(event, at + event.size()))
+            ++count;
+        return count;
+    };
+    return {events("gen_a"), events("gen_b")};
 }
 
 std::size_t
@@ -300,8 +322,10 @@ TEST(Runner, SweepIsBitIdenticalToSerialAcceleratorRun)
     // The acceptance bar for the one execution path (one pool task per
     // (category, workset) group): sweeps on 1, 2, and 8 threads all
     // reproduce the serial Accelerator::run loop byte for byte, and
-    // each layer's workset is generated exactly once per category —
-    // both archs share the tile height, so they share every workset.
+    // each side of a layer's workset is generated at most once per
+    // category — both archs share the tile height, so they share every
+    // workset.  Sparse.B* reads B only; Griffin morphs to Sparse.B on
+    // DNN.B and runs dual on DNN.AB, so A is generated for DNN.AB only.
     auto spec = smallSweep();
 
     // Ground truth: the serial quadruple loop through run().
@@ -319,8 +343,7 @@ TEST(Runner, SweepIsBitIdenticalToSerialAcceleratorRun)
         return doc.str();
     };
 
-    const std::size_t generations =
-        layerTotal(spec) * spec.categories.size();
+    const Generations generations{layerTotal(spec), 2 * layerTotal(spec)};
     const std::string expected = serialDoc(spec);
     for (const int threads : {1, 2, 8}) {
         SweepResult sweep;
@@ -357,27 +380,80 @@ TEST(Runner, RunSweepsSharesWorksetsAcrossSpecs)
     second.networks = {alexNet()};
     second.categories = {DnnCategory::AB};
 
+    // first generates B on both categories and A on DNN.AB (see
+    // SweepIsBitIdenticalToSerialAcceleratorRun); second's dual
+    // Griffin reads both sides of worksets first already generated.
     std::vector<SweepResult> planned;
     EXPECT_EQ(countGenerations([&] {
                   planned = runSweeps({first, second}, 4);
               }),
-              layerTotal(first) * first.categories.size());
+              (Generations{layerTotal(first), 2 * layerTotal(first)}));
     ASSERT_EQ(planned.size(), 2u);
 
-    std::uint64_t separate_generations = 0;
+    Generations separate;
     for (std::size_t s = 0; s < 2; ++s) {
         const SweepSpec &spec = s == 0 ? first : second;
         SweepResult alone;
-        separate_generations +=
+        const Generations g =
             countGenerations([&] { alone = runSweep(spec, 2); });
+        separate.a += g.a;
+        separate.b += g.b;
         std::ostringstream a, b;
         writeJsonLines(a, alone);
         writeJsonLines(b, planned[s]);
         EXPECT_EQ(a.str(), b.str()) << "spec " << s;
     }
-    EXPECT_EQ(separate_generations,
-              layerTotal(first) * first.categories.size() +
-                  layerTotal(second) * second.categories.size());
+    EXPECT_EQ(separate,
+              (Generations{layerTotal(first) + layerTotal(second),
+                           2 * layerTotal(first) + layerTotal(second)}));
+}
+
+TEST(Runner, ConsumersGenerateOnlyTheSidesTheyRead)
+{
+    // A Sparse.A engine reads A, a Sparse.B engine B, a dense one
+    // neither and SparTen both.  The trace's gen_a / gen_b events and
+    // the --stats gauges agree, and gen.elements counts the generated
+    // sides' elements.
+    const struct
+    {
+        ArchConfig arch;
+        DnnCategory cat;
+        bool a;
+        bool b;
+    } cases[] = {
+        {sparseAStar(), DnnCategory::A, true, false},
+        {sparseBStar(), DnnCategory::B, false, true},
+        {denseBaseline(), DnnCategory::Dense, false, false},
+        {sparTenAB(), DnnCategory::AB, true, true},
+    };
+    for (const auto &c : cases) {
+        SweepSpec spec = smallSweep();
+        spec.archs = {c.arch};
+        spec.categories = {c.cat};
+        Accelerator acc(c.arch);
+        const std::uint64_t layers = layerTotal(spec);
+        std::int64_t elements = 0;
+        for (const auto &net : spec.networks)
+            for (std::size_t l = 0; l < net.layerCount(); ++l) {
+                const WorksetParams p = acc.layerWorksetParams(
+                    net, l, c.cat, spec.optionVariants[0]);
+                elements += (c.a ? p.m * p.k : 0) + (c.b ? p.k * p.n : 0);
+            }
+        const Generations want{c.a ? layers : 0, c.b ? layers : 0};
+        EXPECT_EQ(countGenerations([&] { runSweep(spec, 2); }), want)
+            << c.arch.name;
+        MetricsRegistry &reg = MetricsRegistry::instance();
+        EXPECT_EQ((Generations{
+                      static_cast<std::uint64_t>(
+                          reg.gauge("gen.a_sides").value()),
+                      static_cast<std::uint64_t>(
+                          reg.gauge("gen.b_sides").value())}),
+                  want)
+            << c.arch.name;
+        EXPECT_EQ(reg.gauge("gen.elements").value(),
+                  static_cast<double>(elements))
+            << c.arch.name;
+    }
 }
 
 TEST(Runner, RunLayerIsOrderIndependent)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the telemetry layer: metric registry semantics, span
- * recording on and off and across threads, Chrome trace export, and
- * the metrics JSON line.
+ * recording on and off and across threads, Chrome trace export, the
+ * stage spans of one layer, and the metrics JSON line.
  *
  * Telemetry state is process-global; every test that records spans
  * switches recording off and clears the buffers afterwards so tests
@@ -16,9 +16,12 @@
 #include <thread>
 #include <vector>
 
+#include "arch/presets.hh"
+#include "griffin/accelerator.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/telemetry.hh"
 #include "support/json.hh"
+#include "workloads/network.hh"
 
 namespace griffin {
 namespace {
@@ -163,6 +166,62 @@ TEST(Telemetry, EnabledNestsSpansAndExportsChromeTrace)
     // Both spans ran on this thread, so they share a tid.
     EXPECT_EQ(outer_ev->find("tid")->asInt(),
               inner_ev->find("tid")->asInt());
+}
+
+TEST(Telemetry, LayerSpansNameTheirStagesAndGenerationIsTopLevel)
+{
+    // A layer generates the sides it reads before its simulator's span
+    // opens, so gen_a and gen_b nest in no other span: on SparTen,
+    // which runs inside a sparten span, and on a dual vector core,
+    // whose stages nest inside tile_sim.
+    RunOptions opt;
+    opt.rowCap = 8;
+    opt.sim.sampleFraction = 0.25;
+    const struct
+    {
+        ArchConfig arch;
+        const char *stage;
+    } cases[] = {{sparTenAB(), "sparten"}, {griffinArch(), "tile_sim"}};
+    for (const auto &c : cases) {
+        TelemetryReset guard;
+        Telemetry::setEnabled(true);
+        Accelerator(c.arch).runLayer(alexNet(), 1, DnnCategory::AB, opt);
+        Telemetry::setEnabled(false);
+        std::ostringstream os;
+        Telemetry::writeChromeTrace(os);
+        JsonValue doc;
+        std::string error;
+        ASSERT_TRUE(parseJson(os.str(), doc, error)) << error;
+
+        struct Span
+        {
+            std::string name;
+            double start;
+            double end;
+        };
+        std::vector<Span> spans;
+        std::multiset<std::string> names;
+        for (const auto &e : doc.find("traceEvents")->items) {
+            if (e.find("ph")->asString() != "X")
+                continue;
+            const double ts = e.find("ts")->asDouble();
+            spans.push_back({e.find("name")->asString(), ts,
+                             ts + e.find("dur")->asDouble()});
+            names.insert(spans.back().name);
+        }
+        EXPECT_EQ(names.count("gen_a"), 1u) << c.arch.name;
+        EXPECT_EQ(names.count("gen_b"), 1u) << c.arch.name;
+        EXPECT_EQ(names.count(c.stage), 1u) << c.arch.name;
+        for (const Span &gen : spans) {
+            if (gen.name != "gen_a" && gen.name != "gen_b")
+                continue;
+            for (const Span &other : spans)
+                EXPECT_FALSE(&other != &gen && other.start <= gen.start &&
+                             gen.end <= other.end)
+                    << c.arch.name << ": " << gen.name << " inside "
+                    << other.name;
+        }
+    }
 }
 
 TEST(Telemetry, ThreadsMergeIntoOneTraceButKeepOwnTids)

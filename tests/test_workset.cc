@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests for the stage-1 pipeline artifact (tensor/workset.hh):
- * generation determinism, parameter sensitivity, and bit-identity of
- * Accelerator::runLayer over a supplied workset with runLayer
- * generating its own.
+ * generation determinism, parameter sensitivity, the deferred
+ * workset's contract (a side is generated on first read, from its own
+ * stream, and equals the eager workset's), and bit-identity of
+ * Accelerator::runLayer over a supplied workset with runLayer making
+ * its own.
  */
 
 #include <gtest/gtest.h>
@@ -71,10 +73,86 @@ TEST(Workset, SeedAndShapeChangeTheKeyAndTheData)
     EXPECT_NE(w1.a, w2.a);
 }
 
+TEST(Workset, EagerEqualsDeferredWithBothSidesRead)
+{
+    for (const std::uint64_t seed : {7u, 8u, 9u}) {
+        const LayerWorkset eager = generateLayerWorkset(tinyParams(seed));
+        EXPECT_TRUE(eager.generatedA() && eager.generatedB());
+        // Either read order gives the same bytes: the sides share no
+        // stream.
+        const LayerWorkset ab(tinyParams(seed));
+        ab.operandA();
+        ab.operandB();
+        const LayerWorkset ba(tinyParams(seed));
+        ba.operandB();
+        ba.operandA();
+        expectWorksetEq(eager, ab);
+        expectWorksetEq(eager, ba);
+    }
+}
+
+TEST(Workset, DeferredSidesStayEmptyUntilRead)
+{
+    const LayerWorkset ws(tinyParams());
+    EXPECT_EQ(ws.simSeed, generateLayerWorkset(tinyParams()).simSeed);
+    EXPECT_FALSE(ws.generatedA());
+    EXPECT_FALSE(ws.generatedB());
+    EXPECT_EQ(ws.a.size(), 0u);
+    EXPECT_EQ(ws.b.size(), 0u);
+
+    const MatrixI8 &b = ws.operandB();
+    EXPECT_EQ(&b, &ws.b);
+    EXPECT_EQ(b.rows(), 64u);
+    EXPECT_EQ(b.cols(), 32u);
+    EXPECT_TRUE(ws.generatedB());
+    EXPECT_FALSE(ws.generatedA());
+    EXPECT_EQ(ws.a.size(), 0u);
+
+    const MatrixI8 &a = ws.operandA();
+    EXPECT_EQ(&a, &ws.a);
+    EXPECT_EQ(a.rows(), 16u);
+    EXPECT_EQ(a.cols(), 64u);
+    // A second read returns the side already generated.
+    EXPECT_EQ(&ws.operandA(), &a);
+    EXPECT_EQ(&ws.operandB(), &b);
+}
+
+TEST(Workset, EachSideDrawsFromItsOwnStream)
+{
+    // A parameter that only one generator reads leaves the other side
+    // byte-identical, and so does the sampling seed.
+    const auto base = generateLayerWorkset(tinyParams());
+    auto weights = tinyParams();
+    weights.weightSparsity = 0.3;
+    auto bias = tinyParams();
+    bias.weightLaneBias = 0.9;
+    for (const auto &p : {weights, bias}) {
+        const auto ws = generateLayerWorkset(p);
+        EXPECT_EQ(ws.a, base.a);
+        EXPECT_NE(ws.b, base.b);
+        EXPECT_EQ(ws.simSeed, base.simSeed);
+    }
+    auto acts = tinyParams();
+    acts.actSparsity = 0.2;
+    auto runs = tinyParams();
+    runs.actRunLength = 4.0;
+    for (const auto &p : {acts, runs}) {
+        const auto ws = generateLayerWorkset(p);
+        EXPECT_EQ(ws.b, base.b);
+        EXPECT_NE(ws.a, base.a);
+        EXPECT_EQ(ws.simSeed, base.simSeed);
+    }
+    // The three streams differ from one another and from the seed's.
+    const auto other = generateLayerWorkset(tinyParams(8));
+    EXPECT_NE(other.a, base.a);
+    EXPECT_NE(other.b, base.b);
+}
+
 TEST(Workset, SuppliedWorksetRunLayerBitIdentical)
 {
-    // The sweep runner generates a workset once and hands it to every
-    // consumer: that must equal runLayer generating its own.
+    // The sweep runner hands one workset to every consumer: an eager
+    // one must equal runLayer making its own deferred one, in every
+    // category (Griffin morphs, so each reads different sides).
     const auto net = alexNet();
     const Accelerator acc(griffinArch());
     RunOptions opt;
@@ -82,19 +160,21 @@ TEST(Workset, SuppliedWorksetRunLayerBitIdentical)
     opt.sim.sampleFraction = 0.25;
     opt.sim.minSampledTiles = 2;
 
-    const auto own = acc.runLayer(net, 0, DnnCategory::AB, opt);
-    const auto workset = generateLayerWorkset(
-        acc.layerWorksetParams(net, 0, DnnCategory::AB, opt));
-    const auto supplied =
-        acc.runLayer(net, 0, DnnCategory::AB, opt, workset);
+    for (const auto cat : {DnnCategory::Dense, DnnCategory::A,
+                           DnnCategory::B, DnnCategory::AB}) {
+        const auto own = acc.runLayer(net, 0, cat, opt);
+        const auto workset =
+            generateLayerWorkset(acc.layerWorksetParams(net, 0, cat, opt));
+        const auto supplied = acc.runLayer(net, 0, cat, opt, workset);
 
-    EXPECT_EQ(supplied.name, own.name);
-    EXPECT_EQ(supplied.denseCycles, own.denseCycles);
-    EXPECT_EQ(supplied.computeCycles, own.computeCycles);
-    EXPECT_EQ(supplied.dramCycles, own.dramCycles);
-    EXPECT_EQ(supplied.totalCycles, own.totalCycles);
-    EXPECT_EQ(supplied.macs, own.macs);
-    EXPECT_DOUBLE_EQ(supplied.speedup, own.speedup);
+        EXPECT_EQ(supplied.name, own.name);
+        EXPECT_EQ(supplied.denseCycles, own.denseCycles);
+        EXPECT_EQ(supplied.computeCycles, own.computeCycles);
+        EXPECT_EQ(supplied.dramCycles, own.dramCycles);
+        EXPECT_EQ(supplied.totalCycles, own.totalCycles);
+        EXPECT_EQ(supplied.macs, own.macs);
+        EXPECT_DOUBLE_EQ(supplied.speedup, own.speedup);
+    }
 }
 
 } // namespace
