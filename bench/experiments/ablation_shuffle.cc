@@ -14,7 +14,6 @@
  */
 
 #include "arch/presets.hh"
-#include "common/rng.hh"
 #include "runtime/experiment.hh"
 #include "sched/b_preprocess.hh"
 #include "tensor/sparsity.hh"
@@ -57,8 +56,7 @@ render(const ExperimentContext &ctx)
     Table xbar("Crossbar granularity — B packing cycles on biased "
                "weights (lower is better)",
                {"granularity", "stream cycles", "vs dense steps"});
-    Rng rng(1234);
-    auto b = laneBiasedSparse(1024, 16, 0.85, 0.8, 4, rng);
+    auto b = laneBiasedSparse(1024, 16, 0.85, 0.8, 4, 1234);
     const TileShape shape{};
     TileViewB view(b, shape, 0);
     const Borrow db{6, 0, 0};

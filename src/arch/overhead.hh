@@ -3,7 +3,7 @@
  * Hardware overhead formulas (paper Table II and Section IV-A).
  *
  * Canonical reconstruction validated against every concrete value the
- * paper states (see DESIGN.md Section 2):
+ * paper states (tests/test_overhead.cc checks each one):
  *
  *   Sparse.A(d1,d2,d3):
  *     ABUF depth 1+d1, AMUX fan-in 1 + d1*(1+d2)*(1+d3),

@@ -74,8 +74,9 @@ ArchConfig
 tdashAB()
 {
     // TensorDash matches both operands at runtime: symmetric windows,
-    // no preprocessing, no shuffle.  Raw-stream co-residency limits
-    // its effective lookahead (DESIGN.md Section 3).
+    // no preprocessing, no shuffle.  Both raw streams must be resident
+    // at once, so its lookahead is the shallower of the two buffers
+    // (sched/dual_scheduler.hh).
     auto cfg = base("TDash.AB");
     cfg.routing =
         RoutingConfig::sparseAB(3, 1, 0, 3, 1, 0, false,

@@ -111,7 +111,7 @@ struct RoutingConfig
 
 /**
  * Window geometry the scheduler runs with, derived from a routing
- * config (see DESIGN.md Section 3).
+ * config (the window's semantics are in sched/window_scheduler.hh).
  *
  * steps:    how many original temporal steps are simultaneously
  *           resident in the operand buffers (ideal max speedup).

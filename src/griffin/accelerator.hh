@@ -15,8 +15,9 @@
  * real pruned models, activations with ReLU-like zero runs), the GEMM
  * is simulated cycle-level on the architecture (vector core or
  * SparTen-style MAC grid), and DRAM streaming is overlapped per layer.
- * Large layers are simulated on a statistically-equivalent row slice
- * and scaled (DESIGN.md Section 6).
+ * Large layers are simulated on a statistically-equivalent row slice,
+ * and runLayer scales its cycles linearly to the whole layer (README,
+ * "The staged simulation pipeline").
  */
 
 #ifndef GRIFFIN_GRIFFIN_ACCELERATOR_HH

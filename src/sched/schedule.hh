@@ -5,8 +5,8 @@
  * A schedule runs over a *slot grid*: one slot per (lane, row, col)
  * position of the datapath, each cycle executing at most one effectual
  * element drawn from a sliding window of temporal steps.  The borrow
- * window (DESIGN.md Section 3) bounds how far an element may be pulled
- * across each axis.
+ * window (arch/routing.hh, WindowParams) bounds how far an element may
+ * be pulled across each axis.
  */
 
 #ifndef GRIFFIN_SCHED_SCHEDULE_HH

@@ -2,7 +2,7 @@
  * @file
  * The generic sliding-window scheduler every sparse family reuses.
  *
- * Cycle-level greedy semantics (DESIGN.md Section 3):
+ * Cycle-level greedy semantics:
  *
  *  1. The window covers steps [w, w + W - 1].
  *  2. Each cycle, pass 1 lets every slot consume the head of its own

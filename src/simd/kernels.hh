@@ -3,10 +3,9 @@
  * Internal seam between the dispatcher (occupancy.cc) and the backend
  * translation units.  Each backend TU exports exactly one accessor;
  * unsupported backends return nullptr so the dispatcher needs no
- * per-architecture preprocessor logic.  Below the accessors sits what
- * the x86 backends share, with no intrinsics: MT19937-64's twist
- * parameters, and the part of the draw decoder (keepDecode) that finds
- * where a chunk of decoded draws ends.
+ * per-architecture preprocessor logic.  Below the accessors sits the
+ * one loop that is written once and compiled per backend, with no
+ * intrinsics: the weight generator's row fill (KernelTable::fillRow).
  */
 
 #ifndef GRIFFIN_SIMD_KERNELS_HH
@@ -14,6 +13,7 @@
 
 #include <cstdint>
 
+#include "common/rng.hh"
 #include "simd/occupancy.hh"
 
 namespace griffin {
@@ -27,86 +27,46 @@ const KernelTable &scalarTable();
 const KernelTable *avx2Table();
 
 /**
- * The AVX2 table with its three operand-generation kernels (mtTemper,
- * mtTwist, keepDecode) replaced by AVX-512 ones, when the build
- * targets x86 and the CPU has AVX2 and AVX-512 F/BW/VL/DQ/VBMI/VBMI2.
+ * The AVX2 table with fillRow compiled for AVX-512, when the build
+ * targets x86 and the CPU has AVX2 and AVX-512 F/BW/VL/DQ.
  */
 const KernelTable *avx512Table();
 
 /** NEON kernels when the build targets ARM with NEON. */
 const KernelTable *neonTable();
 
-/** MT19937-64's twist parameters ([rand.eng.mers]: n, m, the upper
- *  and lower masks of r = 31, and a). */
-constexpr int kMtN = 312;
-constexpr int kMtM = 156;
-constexpr std::uint64_t kMtUpper = 0xFFFFFFFF80000000ULL;
-constexpr std::uint64_t kMtLower = 0x7FFFFFFFULL;
-constexpr std::uint64_t kMtMatrixA = 0xB5026F5AA96619E9ULL;
-
-/** Bits [0, k) set, for k in [0, 64]. */
-inline std::uint64_t
-lowBits(int k)
+/**
+ * fillRow's element c, without a branch on the keep test (the scalar
+ * copy would mispredict on it).
+ */
+__attribute__((always_inline)) inline std::int8_t
+fillElement(std::uint64_t key, std::uint64_t below, std::int64_t c)
 {
-    return k >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+    const std::uint64_t h =
+        Rng::counterDraw(key, static_cast<std::uint64_t>(c));
+    return static_cast<std::int8_t>(Rng::nonzeroInt8FromDraw(h << 32) &
+                                    -static_cast<int>((h >> 32) < below));
 }
-
-/** Position of set bit k (counting from 0) of x; x has more than k. */
-inline int
-selectBit(std::uint64_t x, std::int64_t k)
-{
-    for (; k > 0; --k)
-        x &= x - 1;
-    return ctz64(x);
-}
-
-/** Where one keepDecode chunk ends; see keepChunk(). */
-struct KeepChunk
-{
-    /** Bit j: draw j starts one of the chunk's elements. */
-    std::uint64_t starts = 0;
-    /** The draws [0, cut) the chunk's elements consume. */
-    int cut = 0;
-    /** popcount(starts), at most `left`. */
-    std::int64_t count = 0;
-    /** A kept element's value draw is 0 or past the draws: stop. */
-    bool stop = false;
-};
 
 /**
- * The elements of one keepDecode chunk of `width` (1..64) draws that
- * begins at an element start.  Bit j of `keep` is draw j's keep test
- * (0 at and above width); bit j of `ends` is set when draw j is 0,
- * and bit `width` too when width < 64.  The chunk takes at most `left`
- * elements and stops before the first kept element whose value draw
- * is 0 or at `width`.
+ * KernelTable::fillRow's loop.  The scalar table compiles it for the
+ * build baseline; the AVX-512 table compiles it again under a target
+ * attribute, where the compiler vectorizes it (the elements are
+ * independent, and every step is 64-bit integer arithmetic).  Whole
+ * blocks of 64 come first: a constant trip count needs no scalar
+ * epilogue, so -O2's vectorizer (its very-cheap cost model) takes the
+ * block too, not only -O3's.
  */
-inline KeepChunk
-keepChunk(std::uint64_t keep, std::uint64_t ends, int width,
-          std::int64_t left)
+__attribute__((always_inline)) inline void
+fillRowLoop(std::uint64_t key, std::uint64_t below, std::int64_t n,
+            std::int8_t *out)
 {
-    constexpr std::uint64_t kEven = 0x5555555555555555ULL;
-    // value bit j: draw j is a kept element's value draw (common/rng.hh,
-    // point 4).  The carry out marks a kept element on draw 63, which
-    // the next chunk restarts at.
-    const std::uint64_t follows = keep << 1;
-    const std::uint64_t odd = keep & ~kEven & ~follows;
-    std::uint64_t sum = 0;
-    const bool carry = __builtin_add_overflow(odd, keep, &sum);
-    const std::uint64_t value = (kEven ^ (sum << 1)) & follows;
-
-    const std::uint64_t bad = value & ends;
-    KeepChunk chunk;
-    chunk.cut = bad != 0 ? ctz64(bad) - 1 : width - carry;
-    chunk.stop = bad != 0;
-    chunk.starts = ~value & lowBits(chunk.cut);
-    chunk.count = popcount64(chunk.starts);
-    if (chunk.count > left) {
-        chunk.cut = selectBit(chunk.starts, left);
-        chunk.starts &= lowBits(chunk.cut);
-        chunk.count = left;
-    }
-    return chunk;
+    std::int64_t c = 0;
+    for (; n - c >= 64; c += 64)
+        for (int j = 0; j < 64; ++j)
+            out[c + j] = fillElement(key, below, c + j);
+    for (; c < n; ++c)
+        out[c] = fillElement(key, below, c);
 }
 
 } // namespace detail

@@ -5,11 +5,11 @@
  * target("avx2") attribute so this TU builds without a global -mavx2
  * and the choice stays a *runtime* cpuid decision — the same binary
  * runs (scalar) on pre-AVX2 hardware.  POPCNT is part of the x86-64
- * build baseline (CMakeLists.txt), so the draw decoder's popcounts
- * and the scalar overlap-count kernel this table reuses compile to it.
- * Where the CPU also has AVX-512 F/BW/VL/DQ/VBMI/VBMI2,
- * kernels_avx512.cc replaces this table's three operand-generation
- * kernels (mtTemper, mtTwist, keepDecode).
+ * build baseline (CMakeLists.txt), so the scalar overlap-count kernel
+ * this table reuses compiles to it.  The table also reuses the scalar
+ * row fill (fillRow); an AVX2 copy earns its place only with a
+ * measured end-to-end gain.  Where the CPU also has AVX-512
+ * F/BW/VL/DQ, kernels_avx512.cc compiles the fill for AVX-512.
  *
  * Byte-exactness against kernels_scalar.cc is pinned by
  * tests/test_simd.cc; none of these kernels reads outside the ranges
@@ -22,11 +22,7 @@
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
-#include <algorithm>
-#include <cstring>
 #include <limits>
-
-#include "common/rng.hh"
 
 #define GRIFFIN_AVX2 __attribute__((target("avx2")))
 
@@ -203,121 +199,6 @@ mtTemperAvx2(const std::uint64_t *src, std::int64_t n,
     }
 }
 
-/** state[i..i+4) becomes far[0..4) ^ twist(state[i..i+5)). */
-GRIFFIN_AVX2 inline void
-mtTwist4(std::uint64_t *state, int i, const std::uint64_t *far)
-{
-    const __m256i upper =
-        _mm256_set1_epi64x(static_cast<long long>(kMtUpper));
-    const __m256i lower = _mm256_set1_epi64x(kMtLower);
-    const __m256i matrix =
-        _mm256_set1_epi64x(static_cast<long long>(kMtMatrixA));
-    const __m256i one = _mm256_set1_epi64x(1);
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(state + i));
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(state + i + 1));
-    const __m256i x = _mm256_or_si256(_mm256_and_si256(hi, upper),
-                                      _mm256_and_si256(lo, lower));
-    // -(x & 1) as a lane mask: all ones where the low bit is set.
-    const __m256i odd =
-        _mm256_cmpeq_epi64(_mm256_and_si256(x, one), one);
-    const __m256i y = _mm256_xor_si256(
-        _mm256_srli_epi64(x, 1), _mm256_and_si256(odd, matrix));
-    const __m256i f =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(far));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(state + i),
-                        _mm256_xor_si256(f, y));
-}
-
-GRIFFIN_AVX2 void
-mtTwistAvx2(std::uint64_t *state)
-{
-    // Four words per step: each reads words i..i+4 before any of them
-    // is rewritten, and its x_{i±M} partner is either not yet updated
-    // (i < N-M) or updated by an earlier step (i >= N-M).  N-M = 156
-    // is a multiple of four, so no step straddles the two halves.
-    int i = 0;
-    for (; i < kMtN - kMtM; i += 4)
-        mtTwist4(state, i, state + i + kMtM);
-    for (; i + 4 < kMtN; i += 4)
-        mtTwist4(state, i, state + i + kMtM - kMtN);
-    // The last words finish scalar; word N-1 reads the new state[0].
-    for (; i < kMtN; ++i) {
-        const std::uint64_t x = (state[i] & kMtUpper) |
-                                (state[(i + 1) % kMtN] & kMtLower);
-        state[i] = state[i + kMtM - kMtN] ^ (x >> 1) ^
-                   (-(x & 1) & kMtMatrixA);
-    }
-}
-
-GRIFFIN_AVX2 std::int64_t
-keepDecodeAvx2(const std::uint64_t *draws, std::int64_t len,
-               std::uint64_t below, bool always, std::int64_t want,
-               std::int8_t *out, std::int64_t *used)
-{
-    constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
-    // u < below as a signed compare of both sides with the sign
-    // flipped (AVX2 has no unsigned 64-bit compare).
-    const __m256i sign =
-        _mm256_set1_epi64x(static_cast<long long>(kSign));
-    const __m256i bound =
-        _mm256_set1_epi64x(static_cast<long long>(below ^ kSign));
-    const __m256i zero = _mm256_setzero_si256();
-    std::int64_t n = 0;
-    std::int64_t pos = 0;
-    // Each chunk starts where keepChunk cut the last one: at an
-    // element start.
-    while (n < want && pos < len) {
-        const std::int64_t left = want - n;
-        const int width = static_cast<int>(std::min<std::int64_t>(
-            {64, len - pos, left > 32 ? 64 : 2 * left}));
-        const std::uint64_t *u = draws + pos;
-        std::uint64_t keep = 0;
-        __m256i zeros = zero;
-        int i = 0;
-        for (; width - i >= 4; i += 4) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(u + i));
-            const __m256i lt =
-                _mm256_cmpgt_epi64(bound, _mm256_xor_si256(v, sign));
-            keep |= static_cast<std::uint64_t>(_mm256_movemask_pd(
-                        _mm256_castsi256_pd(lt)))
-                    << i;
-            zeros = _mm256_or_si256(zeros, _mm256_cmpeq_epi64(v, zero));
-        }
-        bool any_zero = !_mm256_testz_si256(zeros, zeros);
-        for (; i < width; ++i) {
-            keep |= static_cast<std::uint64_t>(u[i] < below) << i;
-            any_zero |= u[i] == 0;
-        }
-        if (always)
-            keep = lowBits(width);
-        // A zero draw comes once in 2^64; find where only when one came.
-        std::uint64_t ends = width < 64 ? std::uint64_t{1} << width : 0;
-        if (any_zero)
-            for (int j = 0; j < width; ++j)
-                ends |= static_cast<std::uint64_t>(u[j] == 0) << j;
-        const KeepChunk chunk = keepChunk(keep, ends, width, left);
-
-        // Element e's byte is out[n + e]: zero them all, then write the
-        // kept ones at the rank of their start.
-        std::memset(out + n, 0, static_cast<std::size_t>(chunk.count));
-        for (std::uint64_t kept = chunk.starts & keep; kept != 0;
-             kept &= kept - 1) {
-            const std::uint64_t earlier = (kept - 1) & ~kept;
-            out[n + popcount64(chunk.starts & earlier)] =
-                Rng::nonzeroInt8FromDraw(u[ctz64(kept) + 1]);
-        }
-        n += chunk.count;
-        pos += chunk.cut;
-        if (chunk.stop)
-            break;
-    }
-    *used = pos;
-    return n;
-}
-
 } // namespace
 
 const KernelTable *
@@ -326,10 +207,10 @@ avx2Table()
     if (!__builtin_cpu_supports("avx2"))
         return nullptr;
     static const KernelTable table = {
-        nonzeroMasksAvx2, countNonzeroAvx2, accumulateNonzeroAvx2,
-        leMaskAvx2,       minI64Avx2,       mtTemperAvx2,
-        mtTwistAvx2,      scalarTable().andPopcount,
-        keepDecodeAvx2,
+        nonzeroMasksAvx2,          countNonzeroAvx2,
+        accumulateNonzeroAvx2,     leMaskAvx2,
+        minI64Avx2,                mtTemperAvx2,
+        scalarTable().andPopcount, scalarTable().fillRow,
     };
     return &table;
 }

@@ -2,12 +2,11 @@
  * @file
  * NEON (AArch64) kernels.  Occupancy extraction uses vceqq + a
  * bit-select/horizontal-add narrowing to turn 16 bytes into 16 mask
- * bits; the int64 head-compare, min and MT19937-64 twist kernels
- * delegate to the scalar reference — they are not the bottleneck
- * there, and the byte-exactness contract is trivially kept.  So do
- * AND-popcount, whose scalar popcount64 already compiles to cnt + addv
- * on AArch64, and the draw decoder (keepDecode): no ARM build has
- * measured a vector one.
+ * bits; the int64 head-compare and min kernels delegate to the scalar
+ * reference — they are not the bottleneck there, and the
+ * byte-exactness contract is trivially kept.  So do AND-popcount,
+ * whose scalar popcount64 already compiles to cnt + addv on AArch64,
+ * and the row fill (fillRow): no ARM build has measured a vector one.
  *
  * Compiled to the nullptr stub everywhere else (including the x86 CI
  * fleet); tests/test_simd.cc exercises whichever backends the build
@@ -141,8 +140,7 @@ neonTable()
         nonzeroMasksNeon,          countNonzeroNeon,
         accumulateNonzeroNeon,     scalarTable().leMask,
         scalarTable().minI64,      mtTemperNeon,
-        scalarTable().mtTwist,     scalarTable().andPopcount,
-        scalarTable().keepDecode,
+        scalarTable().andPopcount, scalarTable().fillRow,
     };
     return &table;
 }

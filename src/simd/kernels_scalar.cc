@@ -11,8 +11,6 @@
 
 #include <limits>
 
-#include "common/rng.hh"
-
 namespace griffin {
 namespace simd {
 namespace detail {
@@ -88,32 +86,6 @@ mtTemperScalar(const std::uint64_t *src, std::int64_t n,
 }
 
 void
-mtTwistScalar(std::uint64_t *state)
-{
-    // [rand.eng.mers] with the mt19937_64 parameters (n,m,r,a): the
-    // upper 33 bits of x_i joined to the lower 31 of x_{i+1}, shifted,
-    // and xored with `a` when the low bit is set.  The mask -(x & 1)
-    // replaces that branch, which mispredicts on half the words.  In
-    // place, entry i becomes x_{i+N}, reading x_{i+M} from the
-    // already-updated prefix once i + M wraps.
-    constexpr int kN = 312;
-    constexpr int kM = 156;
-    constexpr std::uint64_t kUpper = 0xFFFFFFFF80000000ULL;
-    constexpr std::uint64_t kLower = 0x7FFFFFFFULL;
-    constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
-    const auto twisted = [](std::uint64_t hi, std::uint64_t lo) {
-        const std::uint64_t x = (hi & kUpper) | (lo & kLower);
-        return (x >> 1) ^ (-(x & 1) & kMatrixA);
-    };
-    int i = 0;
-    for (; i < kN - kM; ++i)
-        state[i] = state[i + kM] ^ twisted(state[i], state[i + 1]);
-    for (; i < kN - 1; ++i)
-        state[i] = state[i + kM - kN] ^ twisted(state[i], state[i + 1]);
-    state[kN - 1] = state[kM - 1] ^ twisted(state[kN - 1], state[0]);
-}
-
-void
 andPopcountScalar(const std::uint64_t *x, const std::uint64_t *ys,
                   std::int64_t words, std::int64_t count,
                   std::int32_t *out)
@@ -127,32 +99,11 @@ andPopcountScalar(const std::uint64_t *x, const std::uint64_t *ys,
     }
 }
 
-std::int64_t
-keepDecodeScalar(const std::uint64_t *draws, std::int64_t len,
-                 std::uint64_t below, bool always, std::int64_t want,
-                 std::int8_t *out, std::int64_t *used)
+void
+fillRowScalar(std::uint64_t key, std::uint64_t below, std::int64_t n,
+              std::int8_t *out)
 {
-    // One element per step, reading its keep draw and the draw after
-    // it whether kept or not, so the step has no branch on the random
-    // keep bit; only the last draw of the run is read alone.
-    std::int64_t n = 0;
-    std::int64_t pos = 0;
-    for (; n < want && len - pos >= 2; ++n) {
-        const bool kept = (draws[pos] < below) | always;
-        const std::uint64_t v = draws[pos + 1];
-        if (kept & (v == 0))
-            break;
-        out[n] = static_cast<std::int8_t>(Rng::nonzeroInt8FromDraw(v) &
-                                          -static_cast<int>(kept));
-        pos += 1 + static_cast<int>(kept);
-    }
-    // An element on the last draw finishes only when it is not kept.
-    if (n < want && len - pos == 1 && !((draws[pos] < below) | always)) {
-        out[n++] = 0;
-        ++pos;
-    }
-    *used = pos;
-    return n;
+    fillRowLoop(key, below, n, out);
 }
 
 } // namespace
@@ -163,7 +114,7 @@ scalarTable()
     static const KernelTable table = {
         nonzeroMasksScalar, countNonzeroScalar, accumulateNonzeroScalar,
         leMaskScalar,       minI64Scalar,       mtTemperScalar,
-        mtTwistScalar,      andPopcountScalar,  keepDecodeScalar,
+        andPopcountScalar,  fillRowScalar,
     };
     return table;
 }

@@ -67,8 +67,8 @@ kernels()
     static const KernelTable &table = []() -> const KernelTable & {
         switch (activeBackend()) {
           case Backend::Avx2:
-            // AVX-512 serves operand generation where the CPU has it;
-            // the backend and its name stay "avx2".
+            // The AVX-512 fill serves operand generation where the CPU
+            // has it; the backend and its name stay "avx2".
             if (detail::avx512Table() != nullptr)
                 return *detail::avx512Table();
             return *detail::avx2Table();

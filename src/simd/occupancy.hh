@@ -16,12 +16,11 @@
  * calling bounds-checked `nonzero()` per element.  The SparTen
  * baseline reads the same masks and asks one more question: how many
  * k positions a row mask shares with each column mask
- * (`andPopcount`).  Operand generation uses two more: the
- * MT19937-64 refill (`mtTwist`, `mtTemper`) and the weight generator's
- * draw decoder (`keepDecode`), which finds which buffered draws start
- * an element a 64-bit word at a time.  On AVX-512 these three run
- * eight draws per vector, and the decoder packs the kept value bytes
- * into element order with a byte compress.
+ * (`andPopcount`).  Operand generation asks for one more: a row of
+ * the weight generator (`fillRow`), one counter-based hash per
+ * element.  The fill is one loop without intrinsics (simd/kernels.hh)
+ * that the scalar table compiles for the build baseline and the
+ * AVX-512 table compiles again under a target attribute.
  *
  * Dispatch: the backend is chosen once per process.  Order:
  *
@@ -29,9 +28,9 @@
  *      environment variable) pins the scalar fallback;
  *   2. AVX2 when the CPU reports it (cpuid via
  *      __builtin_cpu_supports).  When the CPU also reports AVX-512
- *      F/BW/VL/DQ/VBMI/VBMI2, the backend (still Backend::Avx2,
- *      "avx2") runs the AVX-512 table: the AVX2 kernels with AVX-512
- *      mtTemper, mtTwist and keepDecode (avx512Kernels());
+ *      F/BW/VL/DQ, the backend (still Backend::Avx2, "avx2") runs the
+ *      AVX-512 table: the AVX2 kernels with fillRow compiled for
+ *      AVX-512 (avx512Kernels());
  *   3. NEON when compiled for an ARM target that has it;
  *   4. scalar.
  *
@@ -98,21 +97,13 @@ struct KernelTable
 
     /**
      * MT19937-64 output tempering of `n` raw state words (the shift /
-     * xor / mask cascade from [rand.eng.mers]).  Tempering is
-     * element-independent, so it vectorizes across the whole block.
-     * out[i] may alias nothing in [src, src + n).
+     * xor / mask cascade from [rand.eng.mers]).  out[i] may alias
+     * nothing in [src, src + n).  No code under src/ calls mtTemper
+     * any more; the benchmark replay (perfbench/replay.cc) times it,
+     * so it stays until the benchmark drops that timing.
      */
     void (*mtTemper)(const std::uint64_t *src, std::int64_t n,
                      std::uint64_t *out);
-
-    /**
-     * MT19937-64 twist of one whole 312-word state block in place:
-     * state[i] becomes x_{i+312} of the [rand.eng.mers] recurrence.
-     * Word i reads only words i, i + 1 and i ± 156, so runs of four
-     * consecutive words are independent and the recurrence vectorizes
-     * except for the last word, which reads the new state[0].
-     */
-    void (*mtTwist)(std::uint64_t *state);
 
     /**
      * Overlap counts of one bit vector against `count` others, each
@@ -127,24 +118,15 @@ struct KernelTable
                         std::int32_t *out);
 
     /**
-     * Decode a run of raw MT19937-64 draws into lane-biased weight
-     * elements, in order from draws[0].  An element's first draw u is
-     * its keep draw: the element is kept iff u < below || always (the
-     * BernoulliThreshold test).  A kept element takes the next draw v
-     * as its value, Rng::nonzeroInt8FromDraw(v); the rest are 0.
-     *
-     * Decoding stops after `want` elements, and before the first
-     * element that cannot finish inside [0, len): a kept element whose
-     * value draw would sit at `len`, or whose value draw is 0 (which
-     * Rng::nonzeroInt8() rejects and draws again).  Writes out[0, n)
-     * and nothing at or past n, stores the draws consumed in *used and
-     * returns n.  Reads only draws[0, min(len, 2*want)); len and want
-     * may be 0.
+     * One row of counter-based weights: for c in [0, n), with h =
+     * Rng::counterDraw(key, c), out[c] is
+     * Rng::nonzeroInt8FromDraw(h << 32) when h >> 32 < below, else 0.
+     * `below` is in [0, 2^32] (0 keeps nothing, 2^32 everything), the
+     * key may be any value (the counter wraps mod 2^64) and n may be
+     * 0.  Writes only [out, out + n).
      */
-    std::int64_t (*keepDecode)(const std::uint64_t *draws,
-                               std::int64_t len, std::uint64_t below,
-                               bool always, std::int64_t want,
-                               std::int8_t *out, std::int64_t *used);
+    void (*fillRow)(std::uint64_t key, std::uint64_t below,
+                    std::int64_t n, std::int8_t *out);
 };
 
 /** The backend picked by the dispatch order above (cached). */
@@ -160,9 +142,8 @@ const KernelTable &scalarKernels();
 const KernelTable *avx2Kernels();
 
 /**
- * The AVX2 kernels with AVX-512 mtTemper, mtTwist and keepDecode, or
- * nullptr when the CPU/build lacks AVX2 or any of AVX-512
- * F/BW/VL/DQ/VBMI/VBMI2.
+ * The AVX2 kernels with fillRow compiled for AVX-512, or nullptr when
+ * the CPU/build lacks AVX2 or any of AVX-512 F/BW/VL/DQ.
  */
 const KernelTable *avx512Kernels();
 

@@ -10,16 +10,22 @@
  * generator is also provided to stress load-balancing behaviour
  * (shuffle and d2 borrowing) beyond the i.i.d. case.
  *
- * The two generators on the workset path read the random engine's
- * buffered block in place: laneBiasedSparse (the weights) decodes it 64
- * draws at a time through simd::KernelTable::keepDecode, and
- * clusteredSparse (the activations) walks it element by element.  Both
- * produce the same bytes, and leave the engine at the same position,
- * as one Rng call per draw would.
+ * The two generators on the workset path are counter-based
+ * (common/rng.hh): position (r, c) takes the one draw h =
+ * Rng::counterDraw(Rng::mixSeed(seed, r), c), whose high half decides
+ * whether the position is zero and whose low half is its value,
+ * Rng::nonzeroInt8FromDraw(h << 32).  An element of laneBiasedSparse
+ * (the weights) depends on nothing but the seed and its indices, and
+ * a row of clusteredSparse (the activations) on nothing but the seed
+ * and its row, so every matrix is the top-left corner of any larger
+ * one from the same seed.  laneBiasedSparse fills its rows through
+ * simd::KernelTable::fillRow.
  */
 
 #ifndef GRIFFIN_TENSOR_SPARSITY_HH
 #define GRIFFIN_TENSOR_SPARSITY_HH
+
+#include <cstdint>
 
 #include "common/rng.hh"
 #include "tensor/matrix.hh"
@@ -40,18 +46,11 @@ MatrixI8 randomDense(std::size_t rows, std::size_t cols, Rng &rng);
  * Clustered sparsity: zeros arrive in runs of geometric mean length
  * `run_len` along each row, at overall rate `sparsity`.  Models the
  * bursty zero patterns of ReLU feature maps, which are harder to load
- * balance than i.i.d. masks.
+ * balance than i.i.d. masks.  Row r is a pure function of (seed, r).
  */
 MatrixI8 clusteredSparse(std::size_t rows, std::size_t cols,
-                         double sparsity, double run_len, Rng &rng);
-
-/**
- * Unbalanced sparsity: each row r gets its own zero rate drawn
- * uniformly from [sparsity - spread, sparsity + spread] (clamped).
- * Stresses cross-lane imbalance.
- */
-MatrixI8 unbalancedSparse(std::size_t rows, std::size_t cols,
-                          double sparsity, double spread, Rng &rng);
+                         double sparsity, double run_len,
+                         std::uint64_t seed);
 
 /**
  * Lane-biased sparsity for weight tensors: the nonzero rate of row k
@@ -64,16 +63,11 @@ MatrixI8 unbalancedSparse(std::size_t rows, std::size_t cols,
  * imbalance — the phenomenon the paper's rotation shuffle exists to
  * fix (Section III, Load Balancing).  `bias` in [0,1] scales the
  * modulation depth; period 4 aligns with the 4x4 crossbar granularity.
+ * Element (k, n) is a pure function of (seed, k, n).
  */
 MatrixI8 laneBiasedSparse(std::size_t rows, std::size_t cols,
                           double sparsity, double bias, int period,
-                          Rng &rng);
-
-/**
- * Apply a pruning mask in place: zero each element independently with
- * probability `sparsity` (used to sparsify an existing tensor).
- */
-void pruneInPlace(MatrixI8 &m, double sparsity, Rng &rng);
+                          std::uint64_t seed);
 
 } // namespace griffin
 

@@ -56,10 +56,10 @@ LayerWorkset::operandA() const
 {
     if (!generatedA_) {
         ScopedSpan span("gen_a");
-        Rng rng(Rng::mixSeed(params_.seed, StreamA));
         a = clusteredSparse(static_cast<std::size_t>(params_.m),
                             static_cast<std::size_t>(params_.k),
-                            params_.actSparsity, params_.actRunLength, rng);
+                            params_.actSparsity, params_.actRunLength,
+                            Rng::mixSeed(params_.seed, StreamA));
         generatedA_ = true;
     }
     return a;
@@ -70,11 +70,11 @@ LayerWorkset::operandB() const
 {
     if (!generatedB_) {
         ScopedSpan span("gen_b");
-        Rng rng(Rng::mixSeed(params_.seed, StreamB));
         b = laneBiasedSparse(static_cast<std::size_t>(params_.k),
                              static_cast<std::size_t>(params_.n),
                              params_.weightSparsity, params_.weightLaneBias,
-                             params_.lanePeriod, rng);
+                             params_.lanePeriod,
+                             Rng::mixSeed(params_.seed, StreamB));
         generatedB_ = true;
     }
     return b;

@@ -14,6 +14,9 @@
  * design point never generates B, a Sparse.B one never generates A,
  * a dense one neither, and the dual and SparTen engines both.
  * generateLayerWorkset is the same workset with both sides read.
+ * Within a side, generation is counter-based (tensor/sparsity.hh):
+ * each B element and each A row is a pure function of the side's
+ * seed and its indices.
  *
  * Generation computes no statistics of the matrices, because no later
  * stage reads one; countEffectualOps is here for callers that want

@@ -6,7 +6,7 @@
  * activation) sparsity ratios, accuracies and dense-latency targets
  * are Table IV's.  Synthetic tensors are generated at these rates —
  * the cycle behaviour of the simulator depends only on zero positions,
- * not values (DESIGN.md, substitutions).
+ * not values (tensor/sparsity.hh).
  *
  * A network is a vector of nodes, each one a LayerSpec plus explicit
  * producer edges and the byte size of the output buffer the node

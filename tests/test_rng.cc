@@ -3,8 +3,6 @@
  * Tests for deterministic random number generation.
  */
 
-#include <cmath>
-#include <limits>
 #include <random>
 #include <set>
 #include <vector>
@@ -18,57 +16,7 @@ namespace {
 
 constexpr std::uint64_t kMaxDraw = ~std::uint64_t{0};
 
-const std::uint64_t kSeeds[] = {0, 1, Rng::defaultSeed, kMaxDraw};
-
-TEST(Mt64, BitIdenticalToStdMt19937_64)
-{
-    // The block-buffered engine (SIMD twist and temper) must reproduce
-    // std::mt19937_64 exactly — [rand.eng.mers] pins both — across
-    // thousands of refill boundaries (312 words each) and several
-    // seeds.  Every historical baseline byte rests on this equivalence.
-    constexpr int kDraws = 1 << 20;
-    for (const std::uint64_t seed : kSeeds) {
-        std::mt19937_64 ref(seed);
-        Mt64 engine(seed);
-        for (int i = 0; i < kDraws; ++i) {
-            const std::uint64_t got = engine();
-            const std::uint64_t want = ref();
-            if (got != want) {
-                ADD_FAILURE() << "seed " << seed << " draw " << i << ": "
-                              << got << " != " << want;
-                break;
-            }
-        }
-    }
-}
-
-TEST(Mt64, BlockAccessMatchesDrawOrder)
-{
-    // block()[pos()..kN) are the next draws; consume(n) takes n of
-    // them exactly as n calls would.
-    Mt64 bulk(7), ref(7);
-    bulk();
-    ref();
-    ASSERT_EQ(bulk.pos(), 1);
-    const std::uint64_t *block = bulk.block();
-    for (int i = bulk.pos(); i < Mt64::kN; ++i)
-        EXPECT_EQ(block[i], ref());
-    bulk.consume(Mt64::kN - bulk.pos());
-    EXPECT_EQ(bulk(), ref()); // refills past the block end
-}
-
-TEST(Mt64DeathTest, ConsumePastTheBlockEndIsFatal)
-{
-    // An overrun would make the next draw refill early and shift the
-    // rest of the stream; it must die instead.
-    Mt64 engine(7);
-    engine();
-    EXPECT_DEATH(engine.consume(Mt64::kN - engine.pos() + 1),
-                 "draws left in the block");
-    EXPECT_DEATH(engine.consume(-1), "draws left in the block");
-    engine.consume(Mt64::kN - engine.pos());
-    EXPECT_DEATH(engine.consume(1), "draws left in the block");
-}
+const std::uint64_t kSeeds[] = {0, 1, 0x5eed061ff1002022ULL, kMaxDraw};
 
 /** A UniformRandomBitGenerator replaying a fixed list of draws. */
 struct ScriptedEngine
@@ -119,6 +67,14 @@ TEST(Rng, NonzeroInt8ValueMapMatchesUniformIntOnEdgeDraws)
     }
     EXPECT_EQ(Rng::nonzeroInt8FromDraw(1), -128);
     EXPECT_EQ(Rng::nonzeroInt8FromDraw(kMaxDraw), 127);
+    // The 64-bit arithmetic computes the 128-bit product's high word.
+    std::mt19937_64 draws(2022);
+    for (int i = 0; i < (1 << 16); ++i) {
+        const std::uint64_t u = i < 64 ? kMaxDraw >> i : draws();
+        const auto h = static_cast<int>((U128{u} * 255) >> 64);
+        ASSERT_EQ(Rng::nonzeroInt8FromDraw(u), h - 128 + (h >= 128))
+            << "draw " << u;
+    }
     // The -1 -> +1 crossing is edges[4 + 2 * 127 + {0, 1}].
     EXPECT_EQ(Rng::nonzeroInt8FromDraw(edges[4 + 2 * 127]), -1);
     EXPECT_EQ(Rng::nonzeroInt8FromDraw(edges[4 + 2 * 127 + 1]), 1);
@@ -131,7 +87,7 @@ TEST(Rng, NonzeroInt8MatchesUniformIntDistribution)
     constexpr int kDraws = 1 << 20;
     for (const std::uint64_t seed : kSeeds) {
         Rng rng(seed);
-        Mt64 engine(seed);
+        std::mt19937_64 engine(seed);
         for (int i = 0; i < kDraws; ++i) {
             const int got = rng.nonzeroInt8();
             const int want = stdNonzeroInt8(engine);
@@ -141,95 +97,49 @@ TEST(Rng, NonzeroInt8MatchesUniformIntDistribution)
                 break;
             }
         }
-        EXPECT_EQ(rng.engine()(), engine()) << "seed " << seed;
+        std::uniform_int_distribution<std::int64_t> next(0, 1 << 30);
+        EXPECT_EQ(rng.uniformInt(0, 1 << 30), next(engine))
+            << "seed " << seed;
     }
 }
 
-/** Threshold vs bernoulli at the bisection edge and at the ends. */
-void
-expectThresholdEdges(double p)
+TEST(Rng, Uniform01MatchesStdUniformRealDistribution)
 {
-    const BernoulliThreshold t = Rng::bernoulliThreshold(p);
-    for (const std::uint64_t u : {std::uint64_t{0}, kMaxDraw})
-        EXPECT_EQ(t(u), Rng::bernoulliFromDraw(u, p))
-            << "p " << p << " draw " << u;
-    if (t.always)
-        return;
-    EXPECT_FALSE(Rng::bernoulliFromDraw(t.below, p)) << "p " << p;
-    EXPECT_FALSE(t(t.below)) << "p " << p;
-    if (t.below > 0) {
-        EXPECT_TRUE(Rng::bernoulliFromDraw(t.below - 1, p)) << "p " << p;
-        EXPECT_TRUE(t(t.below - 1)) << "p " << p;
+    // Tile sampling and randomSparse draw through uniform01() and
+    // bernoulli(); both must stay libstdc++'s values over mt19937_64.
+    for (const std::uint64_t seed : kSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 engine(seed);
+        std::uniform_real_distribution<double> unit(0.0, 1.0);
+        for (int i = 0; i < (1 << 16); ++i)
+            ASSERT_EQ(rng.uniform01(), unit(engine))
+                << "seed " << seed << " draw " << i;
     }
 }
 
-/** Threshold vs Rng::bernoulli(p) over `draws` engine draws. */
-void
-expectThresholdStream(double p, std::uint64_t seed, int draws)
+TEST(Rng, CounterDrawIsTheSplitmix64Stream)
 {
-    const BernoulliThreshold t = Rng::bernoulliThreshold(p);
-    Rng rng(seed);
-    Mt64 engine(seed);
-    for (int i = 0; i < draws; ++i) {
-        const std::uint64_t u = engine();
-        if (t(u) != rng.bernoulli(p)) {
-            ADD_FAILURE() << "p " << p << " seed " << seed << " draw "
-                          << i << " (" << u << ")";
-            return;
-        }
+    // Vigna's reference splitmix64 (prng.di.unimi.it), sequential:
+    // counterDraw(key, i) must be its output i from state `key`.
+    const auto reference = [](std::uint64_t &x) {
+        std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    };
+    for (const std::uint64_t key : kSeeds) {
+        std::uint64_t state = key;
+        for (std::uint64_t i = 0; i < 1000; ++i)
+            ASSERT_EQ(Rng::counterDraw(key, i), reference(state))
+                << "key " << key << " draw " << i;
     }
-}
-
-TEST(Rng, BernoulliThresholdAgreesWithBernoulli)
-{
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    const double special[] = {-1.0, 0.0, 0x1p-64, 0.5, 5.0 / 6.0,
-                              std::nextafter(1.0, 0.0), 1.0, 2.0, nan};
-    for (const double p : special) {
-        expectThresholdEdges(p);
-        expectThresholdStream(p, Rng::defaultSeed, 1 << 20);
-    }
-    // Known bounds: p <= 0 and NaN never succeed, p >= 1 always does,
-    // 2^-64 succeeds on draw 0 only, and 0.5 stops where the u64 ->
-    // double rounding reaches 2^63 (ties to even round 2^63 - 2^9 up).
-    EXPECT_EQ(Rng::bernoulliThreshold(-1.0).below, 0u);
-    EXPECT_FALSE(Rng::bernoulliThreshold(0.0).always);
-    EXPECT_EQ(Rng::bernoulliThreshold(0.0).below, 0u);
-    EXPECT_EQ(Rng::bernoulliThreshold(nan).below, 0u);
-    EXPECT_FALSE(Rng::bernoulliThreshold(nan).always);
-    EXPECT_TRUE(Rng::bernoulliThreshold(1.0).always);
-    EXPECT_TRUE(Rng::bernoulliThreshold(2.0).always);
-    EXPECT_FALSE(Rng::bernoulliThreshold(std::nextafter(1.0, 0.0)).always);
-    EXPECT_EQ(Rng::bernoulliThreshold(0x1p-64).below, 1u);
-    EXPECT_EQ(Rng::bernoulliThreshold(0.5).below,
-              (std::uint64_t{1} << 63) - 512);
-
-    // 1000 random p: uniform ones and tiny ones, 1000 draws each.
-    std::mt19937_64 pick(2022);
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    for (int i = 0; i < 1000; ++i) {
-        const double p = i % 2 == 0
-                             ? unit(pick)
-                             : std::ldexp(unit(pick),
-                                          -static_cast<int>(pick() % 64));
-        expectThresholdEdges(p);
-        expectThresholdStream(p, pick(), 1000);
-    }
-}
-
-TEST(Mt64, MatchesTheStandardTenThousandthDraw)
-{
-    // [rand.eng.mers] names the 10000th consecutive value of a
-    // default-seeded mt19937_64: 9981545732273789042.
-    std::mt19937_64 std_default; // default seed 5489
-    Mt64 engine(5489);
-    std::uint64_t ours = 0, stds = 0;
-    for (int i = 0; i < 10000; ++i) {
-        ours = engine();
-        stds = std_default();
-    }
-    EXPECT_EQ(ours, 9981545732273789042ULL);
-    EXPECT_EQ(stds, ours);
+    // The published first outputs from state 1234567.
+    const std::uint64_t published[] = {
+        6457827717110365317ULL, 3203168211198807973ULL,
+        9817491932198370423ULL, 4593380528125082431ULL,
+        16408922859458223821ULL};
+    for (std::uint64_t i = 0; i < 5; ++i)
+        EXPECT_EQ(Rng::counterDraw(1234567, i), published[i]) << i;
 }
 
 TEST(Rng, SameSeedSameStream)
@@ -317,17 +227,6 @@ TEST(Rng, NonzeroInt8NeverZeroAndCoversSignRange)
     EXPECT_GT(values.size(), 200u);
 }
 
-TEST(Rng, ShufflePermutes)
-{
-    Rng rng(13);
-    std::vector<std::size_t> v{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-    auto original = v;
-    rng.shuffle(v);
-    auto sorted = v;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, original);
-}
-
 TEST(Rng, MixSeedIsDeterministicAndSaltSensitive)
 {
     EXPECT_EQ(Rng::mixSeed(1, 2), Rng::mixSeed(1, 2));
@@ -339,18 +238,6 @@ TEST(Rng, MixSeedIsDeterministicAndSaltSensitive)
               Rng::mixSeed(1, std::string("ba")));
     EXPECT_EQ(Rng::mixSeed(42, std::string("Griffin")),
               Rng::mixSeed(42, std::string("Griffin")));
-}
-
-TEST(Rng, ForkIsIndependentOfParentContinuation)
-{
-    Rng parent(77);
-    Rng child = parent.fork();
-    // The child stream must be reproducible: rebuilding the same way
-    // gives the same values.
-    Rng parent2(77);
-    Rng child2 = parent2.fork();
-    for (int i = 0; i < 20; ++i)
-        EXPECT_EQ(child.uniformInt(0, 1 << 20), child2.uniformInt(0, 1 << 20));
 }
 
 } // namespace

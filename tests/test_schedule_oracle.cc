@@ -23,6 +23,7 @@
 #include "sched/b_preprocess.hh"
 #include "sched/dual_scheduler.hh"
 #include "support/csr_schedulers.hh"
+#include "support/unbalanced_sparse.hh"
 #include "tensor/sparsity.hh"
 
 namespace griffin {
@@ -401,7 +402,8 @@ drawLongCase(int t)
     const auto m = static_cast<std::size_t>(rng.uniformInt(1, c.shape.m0));
     const auto n = static_cast<std::size_t>(rng.uniformInt(1, c.shape.n0));
     c.a = clusteredSparse(m, k, 0.3 + 0.65 * rng.uniform01(),
-                          static_cast<double>(rng.uniformInt(4, 16)), rng);
+                          static_cast<double>(rng.uniformInt(4, 16)),
+                          0x10c6 + static_cast<std::uint64_t>(t));
     c.b = drawMatrix(k, n, rng);
     c.shuffle = rng.bernoulli(0.6);
     c.group = c.shape.k0 % 16 == 0 && rng.bernoulli(0.5) ? 16 : 4;

@@ -14,11 +14,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
-#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -168,52 +167,6 @@ TEST(SimdKernels, MtTemperMatchesScalarOffVectorWidths)
     }
 }
 
-/** [rand.eng.mers] written out of place: x[i + 312] from x[i..]. */
-std::vector<std::uint64_t>
-textbookTwist(const std::vector<std::uint64_t> &state)
-{
-    std::vector<std::uint64_t> x(state);
-    x.resize(2 * 312);
-    for (int i = 0; i < 312; ++i) {
-        const std::uint64_t y = (x[i] & 0xFFFFFFFF80000000ULL) |
-                                (x[i + 1] & 0x7FFFFFFFULL);
-        std::uint64_t next = x[i + 156] ^ (y >> 1);
-        if (y & 1)
-            next ^= 0xB5026F5AA96619E9ULL;
-        x[i + 312] = next;
-    }
-    return {x.begin() + 312, x.end()};
-}
-
-TEST(SimdKernels, MtTwistMatchesTextbookRecurrenceOnEveryBackend)
-{
-    Rng rng(909);
-    std::vector<std::vector<std::uint64_t>> states = {
-        std::vector<std::uint64_t>(312, 0),
-        std::vector<std::uint64_t>(312, ~0ull),
-    };
-    std::vector<std::uint64_t> alternating(312);
-    for (int i = 0; i < 312; ++i)
-        alternating[i] = i % 2 == 0 ? 0x5555555555555555ULL
-                                    : 0xAAAAAAAAAAAAAAAAULL;
-    states.push_back(alternating);
-    for (int trial = 0; trial < 32; ++trial) {
-        std::vector<std::uint64_t> drawn(312);
-        for (auto &w : drawn)
-            w = rng.engine()();
-        states.push_back(drawn);
-    }
-    for (std::size_t s = 0; s < states.size(); ++s) {
-        const auto want = textbookTwist(states[s]);
-        for (const auto &[name, table] : availableBackends()) {
-            std::vector<std::uint64_t> got = states[s];
-            table->mtTwist(got.data());
-            EXPECT_EQ(want, got) << name << " twist diverges on state "
-                                 << s;
-        }
-    }
-}
-
 /** Bit-by-bit overlap count, independent of every popcount. */
 std::int32_t
 bruteOverlap(const std::uint64_t *x, const std::uint64_t *y,
@@ -228,15 +181,15 @@ bruteOverlap(const std::uint64_t *x, const std::uint64_t *y,
 
 TEST(SimdKernels, AndPopcountMatchesScalarOnEveryBackend)
 {
-    Rng rng(1010);
-    const auto draw = [&rng](int kind) -> std::uint64_t {
+    std::mt19937_64 bits(1010);
+    const auto draw = [&bits](int kind) -> std::uint64_t {
         switch (kind) {
           case 0:
             return 0;
           case 1:
             return ~0ull;
           default:
-            return rng.engine()();
+            return bits();
         }
     };
     // kind 0: all-zero words, 1: all-ones, 2: random; counts are odd
@@ -276,127 +229,47 @@ TEST(SimdKernels, AndPopcountMatchesScalarOnEveryBackend)
     }
 }
 
-/**
- * keepDecode's contract (occupancy.hh), one element at a time: out
- * holds the n decoded bytes and `used` the draws they took.
- */
-std::int64_t
-bruteKeepDecode(const std::uint64_t *draws, std::int64_t len,
-                std::uint64_t below, bool always, std::int64_t want,
-                std::vector<std::int8_t> &out, std::int64_t &used)
+/** fillRow's contract (occupancy.hh), one element at a time. */
+std::int8_t
+contractFill(std::uint64_t key, std::uint64_t below, std::int64_t c)
 {
-    out.clear();
-    std::int64_t pos = 0;
-    while (static_cast<std::int64_t>(out.size()) < want && pos < len) {
-        if (draws[pos] >= below && !always) {
-            out.push_back(0);
-            pos += 1;
-            continue;
-        }
-        if (pos + 1 == len || draws[pos + 1] == 0)
-            break;
-        out.push_back(Rng::nonzeroInt8FromDraw(draws[pos + 1]));
-        pos += 2;
-    }
-    used = pos;
-    return static_cast<std::int64_t>(out.size());
+    const std::uint64_t h =
+        Rng::counterDraw(key, static_cast<std::uint64_t>(c));
+    return (h >> 32) < below ? Rng::nonzeroInt8FromDraw(h << 32)
+                             : std::int8_t{0};
 }
 
-enum class ZeroAt { Nowhere, KeepDraw, ValueDraw, LastDraw };
-
-/**
- * Made-up draws for keepDecode (a real MT stream draws 0 once in
- * 2^64): random words mixed with the threshold's neighbours, and one 0
- * on the first keep or value draw of the second half, or on the last.
- */
-std::vector<std::uint64_t>
-keepDecodeDraws(Rng &rng, std::int64_t len, std::uint64_t below,
-                bool always, ZeroAt zero_at)
-{
-    std::vector<std::uint64_t> draws(len);
-    const std::uint64_t near[] = {below - 1, below, below + 1};
-    for (auto &u : draws) {
-        const auto pick = rng.uniformInt(0, 3);
-        u = pick == 3 ? rng.engine()() : near[pick];
-        if (u == 0)
-            u = ~std::uint64_t{0}; // zeros go only where placed
-    }
-    if (zero_at == ZeroAt::LastDraw && len > 0)
-        draws[len - 1] = 0;
-    bool start = true;
-    for (std::int64_t p = 0; p < len; ++p) {
-        if (p >= len / 2 && ((zero_at == ZeroAt::KeepDraw && start) ||
-                             (zero_at == ZeroAt::ValueDraw && !start))) {
-            draws[p] = 0;
-            break;
-        }
-        start = !(start && (draws[p] < below || always));
-    }
-    return draws;
-}
-
-/**
- * Every backend's keepDecode on `stream` against bruteKeepDecode: n,
- * *used and every byte, with sentinel bytes on both sides of out.
- */
-void
-checkKeepDecode(const std::vector<std::uint64_t> &stream,
-                std::uint64_t below, bool always, std::int64_t want,
-                const std::string &where)
+TEST(SimdKernels, FillRowMatchesTheContractOnEveryBackend)
 {
     constexpr std::int64_t kPad = 16;
-    const auto len = static_cast<std::int64_t>(stream.size());
-    // The readable draws end an exactly sized heap buffer, so an
-    // over-read trips ASan.
-    const std::int64_t readable = std::min(len, 2 * want);
-    const auto draws = std::make_unique<std::uint64_t[]>(readable);
-    std::copy_n(stream.begin(), readable, draws.get());
-    std::vector<std::int8_t> ref;
-    std::int64_t ref_used = -1;
-    const std::int64_t ref_n = bruteKeepDecode(draws.get(), len, below,
-                                               always, want, ref, ref_used);
-    for (const auto &[name, table] : availableBackends())
-        for (const std::int8_t fill : {std::int8_t{0x55}, std::int8_t{-0x56}}) {
-            std::vector<std::int8_t> out(want + 2 * kPad, fill);
-            std::vector<std::int8_t> expect(out);
-            std::copy(ref.begin(), ref.end(), expect.begin() + kPad);
-            std::int64_t used = -1;
-            ASSERT_EQ(table->keepDecode(draws.get(), len, below, always, want,
-                                        out.data() + kPad, &used),
-                      ref_n)
-                << name << where;
-            ASSERT_EQ(used, ref_used) << name << where;
-            ASSERT_EQ(out, expect) << name << where;
-        }
-}
-
-TEST(SimdKernels, KeepDecodeMatchesBruteForceOnEveryBackend)
-{
-    Rng rng(1111);
-    const std::uint64_t belows[] = {0, 1, std::uint64_t{1} << 63,
-                                    ~std::uint64_t{0}};
-    const ZeroAt zero_ats[] = {ZeroAt::Nowhere, ZeroAt::KeepDraw,
-                               ZeroAt::ValueDraw, ZeroAt::LastDraw};
-    for (const std::int64_t len :
-         {0, 1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 311, 312})
+    constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+    // Keep bounds at both ends and between; keys near the 2^64 wrap,
+    // one of them putting splitmix64's state on 0 at element 70.
+    const std::uint64_t belows[] = {0, 1, std::uint64_t{1} << 31,
+                                    (std::uint64_t{1} << 32) - 1,
+                                    std::uint64_t{1} << 32};
+    const std::uint64_t keys[] = {0, 1, std::uint64_t{1} << 63,
+                                  ~std::uint64_t{0} - 1, ~std::uint64_t{0},
+                                  0 - 71 * kGamma};
+    for (std::int64_t n = 0; n <= 300; ++n)
         for (const std::uint64_t below : belows)
-            for (const bool always : {false, true})
-                for (const ZeroAt zero_at : zero_ats)
-                    for (int trial = 0; trial < 2; ++trial) {
-                        const auto stream = keepDecodeDraws(
-                            rng, len, below, always, zero_at);
-                        for (const std::int64_t want :
-                             {std::int64_t{0}, std::int64_t{1},
-                              std::int64_t{2}, len / 2, len, 2 * len + 1})
-                            ASSERT_NO_FATAL_FAILURE(checkKeepDecode(
-                                stream, below, always, want,
-                                " len " + std::to_string(len) + " want " +
-                                    std::to_string(want) + " below " +
-                                    std::to_string(below) + " always " +
-                                    std::to_string(always) + " zero_at " +
-                                    std::to_string(
-                                        static_cast<int>(zero_at))));
-                    }
+            for (const std::uint64_t key : keys) {
+                std::vector<std::int8_t> want(n + 2 * kPad, 0x55);
+                for (std::int64_t c = 0; c < n; ++c)
+                    want[kPad + c] = contractFill(key, below, c);
+                for (const auto &[name, table] : availableBackends()) {
+                    std::vector<std::int8_t> got(n + 2 * kPad, 0x55);
+                    table->fillRow(key, below, n, got.data() + kPad);
+                    ASSERT_EQ(want, got)
+                        << name << " n " << n << " below " << below
+                        << " key " << key;
+                }
+            }
+    // The zero state's draw is 0: kept below any positive bound, with
+    // nonzeroInt8FromDraw(0)'s value.
+    std::int8_t at70[71];
+    simd::scalarKernels().fillRow(0 - 71 * kGamma, 1, 71, at70);
+    EXPECT_EQ(at70[70], -128);
 }
 
 // ---- occupancy extraction vs brute force ----------------------------
@@ -475,10 +348,10 @@ TEST(SimdOccupancy, FieldsRoundTripAcrossWordEdges)
 {
     // Every (offset, width) pair over three words: orField writes
     // exactly the field's bits, readField reads them back.
-    Rng rng(909);
+    std::mt19937_64 bits64(909);
     for (int width = 1; width <= 64; ++width)
         for (std::int64_t at = 0; at + width <= 192; ++at) {
-            const std::uint64_t draw = rng.engine()();
+            const std::uint64_t draw = bits64();
             const std::uint64_t field =
                 width == 64 ? draw
                             : draw & ((std::uint64_t{1} << width) - 1);
@@ -603,7 +476,7 @@ TEST(SimdDispatchDeathTest, Avx512CpusGetTheAvx512Table)
     GTEST_SKIP() << "built with GRIFFIN_FORCE_SCALAR";
 #else
     if (simd::avx512Kernels() == nullptr)
-        GTEST_SKIP() << "no AVX-512 F/BW/VL/DQ/VBMI/VBMI2 on this CPU";
+        GTEST_SKIP() << "no AVX-512 F/BW/VL/DQ on this CPU";
     // Without the knob, the x86 backend (still named "avx2") dispatches
     // the AVX-512 table; a silent fall back to plain AVX2 fails here.
     expectInFreshProcess(nullptr, [] {
@@ -620,14 +493,13 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
     EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "neon")
         << name;
     // The dispatched table is one of the concrete tables (scalar,
-    // avx2, avx512 — the AVX2 table with AVX-512 operand generation —
-    // or neon), never a mixture assembled per call.
+    // avx2, avx512 — the AVX2 table with the AVX-512 row fill — or
+    // neon), never a mixture assembled per call.
     const KernelTable &active = simd::kernels();
     EXPECT_NE(active.nonzeroMasks, nullptr);
     EXPECT_NE(active.mtTemper, nullptr);
-    EXPECT_NE(active.mtTwist, nullptr);
     EXPECT_NE(active.andPopcount, nullptr);
-    EXPECT_NE(active.keepDecode, nullptr);
+    EXPECT_NE(active.fillRow, nullptr);
 }
 
 } // namespace
