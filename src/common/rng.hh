@@ -95,10 +95,13 @@ class Rng
     }
 
     /**
-     * nonzeroInt8()'s value for an accepted raw draw `u` (any u but
-     * 0): h = (u * 255) >> 64 in [0, 254] is uniformInt(-128, 126)'s
-     * value plus 128, and h >= 128 steps over the zero so all 255
-     * nonzero values stay equally likely.
+     * The nonzero INT8 value of a 64-bit word `u`: h = (u * 255) >> 64
+     * in [0, 254] is uniformInt(-128, 126)'s value plus 128, and
+     * h >= 128 steps over the zero.  Any u is allowed; u = 0 maps to
+     * -128.  Only nonzeroInt8() rejects u = 0, which keeps it on the
+     * std distribution's path with all 255 values equally likely.  The
+     * operand generators pass a 32-bit draw shifted up (h << 32), so
+     * their 255 values are equally likely only to within 2^-32.
      */
     static std::int8_t
     nonzeroInt8FromDraw(std::uint64_t u)

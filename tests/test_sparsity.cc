@@ -240,6 +240,12 @@ TEST(Sparsity, SameSeedSameMatrix)
     EXPECT_EQ(randomSparse(30, 30, 0.5, a), randomSparse(30, 30, 0.5, b));
 }
 
+TEST(Sparsity, ClusteredHitsTargetRate)
+{
+    auto m = clusteredSparse(300, 300, 0.5, 8.0, 55);
+    EXPECT_NEAR(m.sparsity(), 0.5, 0.05);
+}
+
 TEST(Sparsity, ClusteredHasLongerRunsThanIid)
 {
     Rng rng(56);
@@ -265,6 +271,12 @@ TEST(Sparsity, UnbalancedVariesByRow)
     EXPECT_LT(min_rate, 0.3);
     EXPECT_GT(max_rate, 0.7);
     EXPECT_NEAR(m.sparsity(), 0.5, 0.06);
+}
+
+TEST(Sparsity, LaneBiasedHitsOverallTarget)
+{
+    auto m = laneBiasedSparse(400, 200, 0.8, 0.8, 4, 61);
+    EXPECT_NEAR(m.sparsity(), 0.8, 0.02);
 }
 
 TEST(Sparsity, LaneBiasedCreatesPeriodicImbalance)

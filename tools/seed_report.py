@@ -14,8 +14,7 @@ A behaviour change that should move nothing but seed noise keeps
 every delta small; ROADMAP's directions 1-3 report this table.
 
     tools/seed_report.py PARENT_BENCH CHANGE_BENCH [--seeds 1-8]
-        [--experiments fig8 ...] [--bench-args "--sample 0.01"]
-        [--max-delta PERCENT]
+        [--experiments fig8 ...] [--max-delta PERCENT]
 
 With --max-delta, the exit status is 1 when any delta's magnitude
 exceeds it (the seed_report ctest runs one binary as both sides and
@@ -27,7 +26,6 @@ import collections
 import json
 import math
 import os
-import shlex
 import statistics
 import subprocess
 import sys
@@ -50,7 +48,7 @@ def parse_seeds(text):
     return seeds
 
 
-def run_side(bench, seed, experiments, extra, workdir):
+def run_side(bench, seed, experiments, workdir):
     """One griffin_bench run: (result rows, table JSON lines)."""
     rows = os.path.join(workdir, "rows.jsonl")
     tables = os.path.join(workdir, "tables.jsonl")
@@ -59,7 +57,7 @@ def run_side(bench, seed, experiments, extra, workdir):
             os.remove(path)
     cmd = ([bench, "run"] + (experiments or ["--all"]) +
            ["--seed", str(seed), "--threads", "4", "--out", rows,
-            "--json", tables] + extra)
+            "--json", tables])
     done = subprocess.run(cmd, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
@@ -100,12 +98,9 @@ def main():
                         default=parse_seeds("1-8"))
     parser.add_argument("--experiments", nargs="+", default=None,
                         help="experiments to run (default: --all)")
-    parser.add_argument("--bench-args", default="",
-                        help="extra griffin_bench run flags, one string")
     parser.add_argument("--max-delta", type=float, default=None,
                         help="exit 1 if any |delta| exceeds this percent")
     args = parser.parse_args()
-    extra = shlex.split(args.bench_args)
 
     sums = {"parent": collections.defaultdict(float),
             "change": collections.defaultdict(float)}
@@ -114,7 +109,7 @@ def main():
         for seed in args.seeds:
             for side in ("parent", "change"):
                 rows, tables = run_side(getattr(args, side), seed,
-                                        args.experiments, extra, workdir)
+                                        args.experiments, workdir)
                 for key, value in geomeans(rows).items():
                     sums[side][key] += value
                 headlines[side].append(headline(tables))
