@@ -173,17 +173,13 @@ main(int argc, char **argv)
                   "write result rows of every sweep to this path "
                   "(.json array, .csv, or .jsonl by suffix)");
     cli.addString("trace", "",
-                  "record per-stage spans and write a Chrome "
-                  "trace-event JSON file here (open in Perfetto; "
-                  "result rows stay byte-identical)");
+                  "record per-layer and per-stage spans and write a "
+                  "Chrome trace-event JSON file here (open in "
+                  "Perfetto; result rows stay byte-identical)");
     cli.addBool("stats", false,
-                "print the unified metrics registry (sweep and pool "
-                "counters, peak RSS) as one JSON line on stdout after "
-                "the tables");
-    cli.addBool("timings", false,
-                "add per-job elapsed_ms to --out result rows "
-                "(machine-dependent, so off by default to keep "
-                "baseline documents byte-identical)");
+                "print the run's sweep, pool, memo and generation "
+                "counts and its peak RSS as one JSON line on stdout "
+                "after the tables");
     const auto positional = cli.parse(argc, argv);
 
     if (positional.empty())
@@ -248,7 +244,6 @@ main(int argc, char **argv)
         fatal("run needs experiment names or --all");
     ExperimentRunConfig config;
     config.threads = resolveThreads(cli);
-    config.collectTimings = cli.getBool("timings");
     config.gridOverride = cli.getString("grid");
     std::vector<ExperimentRequest> requests;
     for (const auto &name : names) {
@@ -287,7 +282,8 @@ main(int argc, char **argv)
     // One plan for every named experiment: each spec is built and
     // validated before the first sweep starts, so a typo or an
     // out-of-range option fails before hours of sweeping, not after.
-    const auto outcomes = runExperiments(requests, config);
+    SweepStats stats;
+    const auto outcomes = runExperiments(requests, config, &stats);
     bool swept = false;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         for (const auto &table : outcomes[i].tables)
@@ -296,11 +292,10 @@ main(int argc, char **argv)
             sink->add(outcomes[i].sweep, requests[i].experiment->name);
         swept = swept || outcomes[i].hasSweep;
     }
-    // The registry line carries the sweep/pool counters the run just
-    // published — the machine-readable form of stats the table
-    // renderers drop.
+    // The stats line carries the counts the plan's run reported — the
+    // machine-readable form of stats the table renderers drop.
     if (swept && cli.getBool("stats"))
-        writeMetricsJsonLine(std::cout, MetricsRegistry::instance());
+        writeMetricsJsonLine(std::cout, stats);
 
     if (!trace_path.empty()) {
         std::ofstream os(trace_path);

@@ -54,7 +54,6 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
     const bool skip_a = routing.sparseA();
     const bool skip_b = routing.sparseB();
     const std::int64_t words = (k + 63) / 64;
-    const simd::KernelTable &kern = simd::kernels();
     Arena &arena = workArena();
     ArenaScope scope(arena);
 
@@ -81,8 +80,8 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
             simd::bColumnMasks(b, base, static_cast<int>(width), words,
                                cols);
         for (std::int64_t mi = 0; mi < m; ++mi)
-            kern.andPopcount(rows + mi * words, cols, words, width,
-                             work + mi * n + base);
+            simd::andPopcount(rows + mi * words, cols, words, width,
+                              work + mi * n + base);
     }
 
     // Least-loaded assignment of outputs to MACs, in output order.

@@ -22,9 +22,9 @@
  * k come from the SIMD `nonzeroMasks` kernel; B is read in 64-column
  * slabs as one occupancy word per k row, and a 64 x 64 bit transpose
  * turns each block of 64 rows into the slab columns' k masks.  A side
- * the routing does not skip is all ones up to k.  The `andPopcount`
- * kernel then counts every output's effectual pairs, one call per
- * (A row, slab).  The balancer needs no heap: each output removes one
+ * the routing does not skip is all ones up to k.  `simd::andPopcount`
+ * then counts every output's effectual pairs, one call per (A row,
+ * slab).  The balancer needs no heap: each output removes one
  * least-loaded MAC and returns it at load + work, so the multiset of
  * loads after every step does not depend on which of several
  * least-loaded MACs is picked, and its final maximum is the compute

@@ -3,8 +3,8 @@
  * Clang thread-safety annotation macros (no-ops everywhere else).
  *
  * These wrap Clang's `-Wthread-safety` attribute set so the locking
- * discipline of the concurrent subsystems — ThreadPool,
- * MetricsRegistry, the telemetry thread buffers — is
+ * discipline of the concurrent subsystems — ThreadPool and the
+ * telemetry thread buffers — is
  * machine-checked at compile time under Clang and costs nothing
  * under GCC (which silently has no such attributes; every macro
  * expands to nothing there).

@@ -242,7 +242,7 @@ buildExperimentSpec(const Experiment &exp, const RunOptions &run,
 
 std::vector<ExperimentOutcome>
 runExperiments(const std::vector<ExperimentRequest> &requests,
-               const ExperimentRunConfig &config)
+               const ExperimentRunConfig &config, SweepStats *stats)
 {
     const GridSpec over = parseOverride(config.gridOverride);
     std::vector<SweepSpec> specs;
@@ -251,12 +251,10 @@ runExperiments(const std::vector<ExperimentRequest> &requests,
         const Experiment &exp = *requests[i].experiment;
         if (!exp.setup)
             continue;
-        SweepSpec spec = expandPlan(exp, requests[i].run, over);
-        spec.collectTimings = config.collectTimings;
-        specs.push_back(std::move(spec));
+        specs.push_back(expandPlan(exp, requests[i].run, over));
         swept.push_back(i);
     }
-    auto sweeps = runSweeps(specs, config.threads);
+    auto sweeps = runSweeps(specs, config.threads, stats);
 
     std::vector<ExperimentOutcome> outcomes(requests.size());
     for (std::size_t k = 0; k < swept.size(); ++k) {

@@ -143,9 +143,6 @@ std::string describeExperiment(const Experiment &experiment);
 struct ExperimentRunConfig
 {
     int threads = 1;
-    /** Wall-clock every job so sinks can emit elapsed_ms rows
-     *  (--timings; see SweepSpec::collectTimings). */
-    bool collectTimings = false;
     /** --grid override text, applied over the experiment's expanded
      *  spec (empty = none). */
     std::string gridOverride;
@@ -187,11 +184,13 @@ SweepSpec buildExperimentSpec(const Experiment &experiment,
  * and render each.  Render-only experiments skip straight to render.
  * A non-empty override is parsed once, before any plan, so malformed
  * text is fatal() even when no named experiment sweeps.  outcomes[i]
- * is requests[i]'s.
+ * is requests[i]'s.  A non-null `stats` receives the runSweeps()
+ * record of the plan (untouched when no request sweeps).
  */
 std::vector<ExperimentOutcome>
 runExperiments(const std::vector<ExperimentRequest> &requests,
-               const ExperimentRunConfig &config);
+               const ExperimentRunConfig &config,
+               SweepStats *stats = nullptr);
 
 /** The one-experiment case of runExperiments(). */
 ExperimentOutcome runExperiment(const Experiment &experiment,

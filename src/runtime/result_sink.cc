@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "runtime/telemetry.hh"
 
 namespace griffin {
 
@@ -136,9 +135,8 @@ writeJsonRow(std::ostream &os, const NetworkResult &result,
        << "," << nl
        << in1 << "\"tops_per_mm2\": " << jsonNumber(result.topsPerMm2)
        << "," << nl;
-    // Schedule fields are opt-in (like elapsed_ms): only runs that
-    // priced a schedule emit them, so default artifacts stay
-    // byte-identical.
+    // Schedule fields are opt-in: only runs that priced a schedule
+    // emit them, so default artifacts stay byte-identical.
     if (!result.scheduleLabel.empty()) {
         os << in1 << "\"schedule\": \""
            << jsonEscape(result.scheduleLabel) << "\"," << nl
@@ -149,9 +147,6 @@ writeJsonRow(std::ostream &os, const NetworkResult &result,
            << in1 << "\"recompute_cycles\": " << result.recomputeCycles
            << "," << nl;
     }
-    if (row != nullptr && row->timed)
-        os << in1 << "\"elapsed_ms\": " << jsonNumber(row->elapsedMs)
-           << "," << nl;
     os << in1 << "\"layers\": [";
     for (std::size_t i = 0; i < result.layers.size(); ++i) {
         const auto &l = result.layers[i];
@@ -204,10 +199,6 @@ sweepRows(const SweepResult &sweep, const std::string &experiment)
         row.options = sweep.jobs()[i].options;
         row.coords = sweep.jobs()[i].coords;
         row.experiment = experiment;
-        if (i < sweep.jobElapsedMs().size()) {
-            row.timed = true;
-            row.elapsedMs = sweep.jobElapsedMs()[i];
-        }
         rows.push_back(std::move(row));
     }
     return rows;
@@ -275,14 +266,11 @@ void
 writeCsv(std::ostream &os, const std::vector<ResultRow> &rows)
 {
     // The experiment column only appears when some row is labeled, so
-    // unlabeled documents (library sweeps) keep their layout.  Same for
-    // elapsed_ms: only `--timings` documents grow the column.
+    // unlabeled documents (library sweeps) keep their layout.
     bool labeled = false;
-    bool timed = false;
     bool scheduled = false;
     for (const auto &row : rows) {
         labeled = labeled || !row.experiment.empty();
-        timed = timed || row.timed;
         scheduled = scheduled || !row.result.scheduleLabel.empty();
     }
     if (labeled)
@@ -291,12 +279,10 @@ writeCsv(std::ostream &os, const std::vector<ResultRow> &rows)
           "act_run_length,sample_fraction,enforce_dram_bound,layer,"
           "dense_cycles,compute_cycles,dram_cycles,total_cycles,macs,"
           "speedup";
-    // Schedule columns are whole-network quantities; like elapsed_ms
-    // they only appear when some row priced a schedule.
+    // Schedule columns are whole-network quantities; they only appear
+    // when some row priced a schedule.
     if (scheduled)
         os << ",schedule,peak_sram_bytes,spill_cycles,recompute_cycles";
-    if (timed)
-        os << ",elapsed_ms";
     os << '\n';
     for (const auto &row : rows) {
         const auto &r = row.result;
@@ -304,9 +290,8 @@ writeCsv(std::ostream &os, const std::vector<ResultRow> &rows)
             (labeled ? csvEscape(row.experiment) + ',' : std::string()) +
             csvEscape(r.network) + ',' + csvEscape(r.arch) + ',' +
             toString(r.category) + ',' + optionsCsvCells(row) + ',';
-        // elapsed_ms is a whole-job quantity: the total row carries it,
-        // layer rows leave the cell empty.  Same for the schedule
-        // columns.
+        // The total row carries the schedule columns, layer rows leave
+        // the cells empty.
         for (const auto &l : r.layers) {
             os << prefix << csvEscape(l.name) << ',' << l.denseCycles
                << ',' << l.computeCycles << ',' << l.dramCycles << ','
@@ -314,8 +299,6 @@ writeCsv(std::ostream &os, const std::vector<ResultRow> &rows)
                << jsonNumber(l.speedup);
             if (scheduled)
                 os << ",,,,";
-            if (timed)
-                os << ',';
             os << '\n';
         }
         os << prefix << "total," << r.denseCycles << ",,,"
@@ -329,8 +312,6 @@ writeCsv(std::ostream &os, const std::vector<ResultRow> &rows)
                    << r.recomputeCycles;
             }
         }
-        if (timed)
-            os << ',' << (row.timed ? jsonNumber(row.elapsedMs) : "");
         os << '\n';
     }
 }
@@ -380,32 +361,14 @@ writeTableJsonLine(std::ostream &os, const Table &table)
 }
 
 void
-writeMetricsJsonLine(std::ostream &os, const MetricsRegistry &registry,
+writeMetricsJsonLine(std::ostream &os, const SweepStats &stats,
                      const std::string &label)
 {
     os << "{\"" << jsonEscape(label) << "\": {";
-    const auto metrics = registry.snapshot();
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        const auto &m = metrics[i];
-        if (i != 0)
-            os << ", ";
-        os << '"' << jsonEscape(m.name) << "\": ";
-        switch (m.kind) {
-          case MetricSnapshot::Kind::Counter:
-            os << m.counter;
-            break;
-          case MetricSnapshot::Kind::Gauge:
-            os << jsonNumber(m.gauge);
-            break;
-          case MetricSnapshot::Kind::Histogram:
-            os << "{\"count\": " << m.histogram.count
-               << ", \"sum\": " << m.histogram.sum
-               << ", \"min\": " << m.histogram.min
-               << ", \"max\": " << m.histogram.max
-               << ", \"mean\": " << jsonNumber(m.histogram.mean())
-               << "}";
-            break;
-        }
+    const char *sep = "";
+    for (const auto &[name, value] : stats) {
+        os << sep << '"' << jsonEscape(name) << "\": " << jsonNumber(value);
+        sep = ", ";
     }
     os << "}}\n";
 }

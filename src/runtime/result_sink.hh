@@ -72,14 +72,6 @@ struct ResultRow
     RunOptions options{};
     std::vector<AxisCoordinate> coords;
     std::string experiment;
-    /**
-     * Wall-time of the job that produced this row (`--timings`).
-     * `timed` gates serialization: an untimed row emits no elapsed_ms
-     * field at all, keeping default output byte-identical to the
-     * checked-in baselines (elapsed time is machine-dependent).
-     */
-    bool timed = false;
-    double elapsedMs = 0.0;
 };
 
 /**
@@ -122,16 +114,12 @@ void writeJsonLines(std::ostream &os, const SweepResult &sweep);
 /** One Table as a single-line JSON object (for JSON Lines streams). */
 void writeTableJsonLine(std::ostream &os, const Table &table);
 
-class MetricsRegistry;
-
 /**
- * A registry snapshot as a single-line JSON object
- * ({"<label>": {"name": value, ...}}), name-sorted so equal registry
- * states serialize identically.  Counters render as integers, gauges
- * as shortest-round-trip numbers, histograms as
- * {"count", "sum", "min", "max", "mean"} objects.
+ * A stats record as a single-line JSON object
+ * ({"<label>": {"name": value, ...}}), name-sorted so equal records
+ * serialize identically; values are shortest-round-trip numbers.
  */
-void writeMetricsJsonLine(std::ostream &os, const MetricsRegistry &registry,
+void writeMetricsJsonLine(std::ostream &os, const SweepStats &stats,
                           const std::string &label = "metrics");
 
 /**

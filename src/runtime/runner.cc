@@ -142,7 +142,8 @@ using Groups = std::map<GroupKey, std::vector<Consumer>>;
 } // namespace
 
 std::vector<SweepResult>
-runSweeps(const std::vector<SweepSpec> &specs, int threads)
+runSweeps(const std::vector<SweepSpec> &specs, int threads,
+          SweepStats *stats)
 {
     if (specs.empty())
         return {};
@@ -190,15 +191,6 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
         }
     }
 
-    // Per-job wall time (--timings), flat over every spec's jobs:
-    // atomics because one job's layers run in different groups, on
-    // different workers.  A clock read per consumer is noise next to
-    // its runLayer call, so every job is timed and only the specs that
-    // asked report it.
-    std::vector<std::size_t> job_base(specs.size() + 1, 0);
-    for (std::size_t s = 0; s < specs.size(); ++s)
-        job_base[s + 1] = job_base[s] + jobs[s].size();
-    std::vector<std::atomic<std::int64_t>> job_ns(job_base.back());
     // The worksets' queue memos and generated sides, summed over
     // groups (--stats): every count follows from the plan alone.
     std::atomic<std::int64_t> queue_requests{0}, queue_builds{0};
@@ -214,10 +206,15 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
         tasks.reserve(order.size());
         for (const auto &group : order) {
             tasks.push_back([&specs, &jobs, &accelerators, &layer_results,
-                             &job_base, &job_ns, &queue_requests,
-                             &queue_builds, &a_sides, &b_sides, &elements,
-                             group] {
-                std::uint64_t mark = monotonicNowNs();
+                             &queue_requests, &queue_builds, &a_sides,
+                             &b_sides, &elements, group] {
+                // Every consumer of a group runs the same network layer.
+                const Consumer &first = group->second.front();
+                const NetworkSpec &net =
+                    specs[first.spec]
+                        .networks[jobs[first.spec][first.job].networkIndex];
+                const ScopedSpan span(LayerTag{
+                    net.name, first.layer, net.layer(first.layer).name});
                 // Deferred: the consumers generate the sides they read.
                 const LayerWorkset workset(group->first.second);
                 for (const Consumer &c : group->second) {
@@ -228,12 +225,6 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
                             spec.networks[job.networkIndex], c.layer,
                             spec.categories[job.categoryIndex],
                             job.options, workset);
-                    // A consumer pays for the sides it generates.
-                    const std::uint64_t now = monotonicNowNs();
-                    job_ns[job_base[c.spec] + c.job].fetch_add(
-                        static_cast<std::int64_t>(now - mark),
-                        std::memory_order_relaxed);
-                    mark = now;
                 }
                 queue_requests.fetch_add(workset.memo.requests(),
                                          std::memory_order_relaxed);
@@ -256,73 +247,50 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads)
 
     std::vector<SweepResult> sweeps;
     sweeps.reserve(specs.size());
-    std::vector<double> all_elapsed_ms;
+    std::size_t job_count = 0;
     for (std::size_t s = 0; s < specs.size(); ++s) {
         const SweepSpec &spec = specs[s];
         std::vector<NetworkResult> results(jobs[s].size());
-        std::vector<double> job_elapsed_ms;
         for (std::size_t i = 0; i < jobs[s].size(); ++i) {
             const SweepJob &job = jobs[s][i];
             results[i] = accelerators[s][job.archIndex].reduceLayers(
                 spec.networks[job.networkIndex],
                 spec.categories[job.categoryIndex],
                 std::move(layer_results[s][i]), job.options);
-            if (spec.collectTimings)
-                job_elapsed_ms.push_back(
-                    static_cast<double>(job_ns[job_base[s] + i].load(
-                        std::memory_order_relaxed)) /
-                    1e6);
         }
-        all_elapsed_ms.insert(all_elapsed_ms.end(), job_elapsed_ms.begin(),
-                              job_elapsed_ms.end());
-        sweeps.emplace_back(std::move(jobs[s]), std::move(results),
-                            std::move(job_elapsed_ms));
+        job_count += jobs[s].size();
+        sweeps.emplace_back(std::move(jobs[s]), std::move(results));
     }
 
-    const std::uint64_t sweep_ns = monotonicNowNs() - sweep_start_ns;
-
-    // Publish the run's execution profile to the process registry —
-    // the one source of truth the `--stats` line reads.  Pure
-    // observation: nothing below feeds back into a result.
-    {
-        MetricsRegistry &reg = MetricsRegistry::instance();
-        const double job_count = static_cast<double>(job_base.back());
-        const double wall_ms = static_cast<double>(sweep_ns) / 1e6;
-        const double wall_s = static_cast<double>(sweep_ns) / 1e9;
-        reg.gauge("sweep.jobs").set(job_count);
-        reg.gauge("sweep.wall_ms").set(wall_ms);
-        reg.gauge("sweep.jobs_per_sec")
-            .set(wall_s > 0.0 ? job_count / wall_s : 0.0);
-        reg.gauge("pool.threads").set(static_cast<double>(threads));
-        reg.gauge("pool.executed_jobs")
-            .set(static_cast<double>(pool_stats.executed));
-        reg.gauge("pool.steals")
-            .set(static_cast<double>(pool_stats.steals));
-        reg.gauge("pool.busy_ms")
-            .set(static_cast<double>(pool_stats.busyNs) / 1e6);
-        const double capacity_ns =
-            static_cast<double>(sweep_ns) * threads;
-        reg.gauge("pool.utilization")
-            .set(capacity_ns > 0.0
-                     ? static_cast<double>(pool_stats.busyNs) /
-                           capacity_ns
-                     : 0.0);
-        reg.gauge("memo.queue_requests")
-            .set(static_cast<double>(queue_requests.load()));
-        reg.gauge("memo.queue_builds")
-            .set(static_cast<double>(queue_builds.load()));
-        reg.gauge("gen.a_sides").set(static_cast<double>(a_sides.load()));
-        reg.gauge("gen.b_sides").set(static_cast<double>(b_sides.load()));
-        reg.gauge("gen.elements")
-            .set(static_cast<double>(elements.load()));
-        reg.gauge("process.peak_rss_mb").set(peakRssMb());
-        if (!all_elapsed_ms.empty()) {
-            Histogram &h = reg.histogram("pool.job_us");
-            for (const double ms : all_elapsed_ms)
-                h.record(static_cast<std::uint64_t>(ms * 1e3));
-        }
+    if (stats != nullptr) {
+        // Pure observation: nothing here feeds back into a result.
+        const double sweep_ns =
+            static_cast<double>(monotonicNowNs() - sweep_start_ns);
+        const double capacity_ns = sweep_ns * threads;
+        const double busy_ns = static_cast<double>(pool_stats.busyNs);
+        *stats = {
+            {"sweep.jobs", static_cast<double>(job_count)},
+            {"sweep.wall_ms", sweep_ns / 1e6},
+            {"sweep.jobs_per_sec",
+             sweep_ns > 0.0 ? static_cast<double>(job_count) /
+                                  (sweep_ns / 1e9)
+                            : 0.0},
+            {"pool.threads", static_cast<double>(threads)},
+            {"pool.executed_jobs",
+             static_cast<double>(pool_stats.executed)},
+            {"pool.steals", static_cast<double>(pool_stats.steals)},
+            {"pool.busy_ms", busy_ns / 1e6},
+            {"pool.utilization",
+             capacity_ns > 0.0 ? busy_ns / capacity_ns : 0.0},
+            {"memo.queue_requests",
+             static_cast<double>(queue_requests.load())},
+            {"memo.queue_builds", static_cast<double>(queue_builds.load())},
+            {"gen.a_sides", static_cast<double>(a_sides.load())},
+            {"gen.b_sides", static_cast<double>(b_sides.load())},
+            {"gen.elements", static_cast<double>(elements.load())},
+            {"process.peak_rss_mb", peakRssMb()},
+        };
     }
-
     return sweeps;
 }
 

@@ -38,11 +38,19 @@
  * layer order.  Grouping changes no result.  A group's consumers
  * share the workset's slot queues of each sampled tile
  * (LayerWorkset::memo); per-tile schedules, which depend on the
- * design point, are recomputed by every consumer.  The `--stats` line
- * reports, summed over the groups, the queue requests and builds
+ * design point, are recomputed by every consumer.
+ *
+ * Observation: every group belongs to one network layer (the network
+ * name and the layer index seed its workset), so each task runs under one
+ * `layer` span tagged with the network, the layer index and the layer
+ * name, and a `--trace` run attributes every stage to a layer
+ * (runtime/telemetry.hh).  runSweeps() can also hand back a SweepStats
+ * record of its own execution: plan and pool sizes, wall time, the
+ * queue requests and builds summed over the groups
  * (memo.queue_requests, memo.queue_builds), the A and B sides
  * generated (gen.a_sides, gen.b_sides) and their elements
- * (gen.elements).
+ * (gen.elements), and the process's peak RSS.  Neither feeds back
+ * into a result.
  */
 
 #ifndef GRIFFIN_RUNTIME_RUNNER_HH
@@ -50,6 +58,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -126,15 +135,6 @@ struct SweepSpec
     std::function<bool(const SweepJob &)> jobFilter;
 
     /**
-     * When true, the runner wall-clocks every job (SweepResult::
-     * jobElapsedMs) so sinks can emit `elapsed_ms` rows (`--timings`).
-     * Timing is observation only — it never feeds back into any
-     * simulated result.  Default off keeps baseline outputs free of
-     * machine-dependent fields.
-     */
-    bool collectTimings = false;
-
-    /**
      * Expanded job count of the full cartesian product
      * (archs * networks * categories * options) — before jobFilter is
      * applied; expandSweep().size() is the post-filter count.
@@ -157,10 +157,8 @@ class SweepResult
   public:
     SweepResult() = default;
     SweepResult(std::vector<SweepJob> jobs,
-                std::vector<NetworkResult> results,
-                std::vector<double> job_elapsed_ms = {})
-        : jobs_(std::move(jobs)), results_(std::move(results)),
-          jobElapsedMs_(std::move(job_elapsed_ms))
+                std::vector<NetworkResult> results)
+        : jobs_(std::move(jobs)), results_(std::move(results))
     {
     }
 
@@ -187,21 +185,9 @@ class SweepResult
         return out;
     }
 
-    /**
-     * Per-job wall-time in milliseconds, parallel to jobs() — empty
-     * unless the sweep ran with SweepSpec::collectTimings.  A job's
-     * time is the sum of its runLayer calls (reduce excluded), which
-     * include generating every workset side it was first to read.
-     */
-    const std::vector<double> &jobElapsedMs() const
-    {
-        return jobElapsedMs_;
-    }
-
   private:
     std::vector<SweepJob> jobs_;
     std::vector<NetworkResult> results_;
-    std::vector<double> jobElapsedMs_;
 };
 
 /**
@@ -211,15 +197,27 @@ class SweepResult
 std::vector<SweepJob> expandSweep(const SweepSpec &spec);
 
 /**
+ * One runSweeps() call's report of its own execution, metric name to
+ * value in name order (`griffin_bench --stats` prints it as one JSON
+ * line, writeMetricsJsonLine).  Counts of the plan and of the work it
+ * generated (sweep.jobs, pool.executed_jobs, memo.*, gen.*) depend on
+ * the specs only; times, steals and peak RSS on the machine.
+ */
+using SweepStats = std::map<std::string, double>;
+
+/**
  * Run several sweeps as one plan on `threads` workers (1 = serial
  * through the same code path): every spec is expanded and validated
  * before any work starts, and a workset side shared by specs is
  * generated once, when its first consumer reads it.  Element i of the
  * result is specs[i]'s outcome, bit-identical to
- * runSweep(specs[i], threads) at any thread count.
+ * runSweep(specs[i], threads) at any thread count.  A non-null
+ * `stats` receives the run's SweepStats (untouched when `specs` is
+ * empty).
  */
 std::vector<SweepResult> runSweeps(const std::vector<SweepSpec> &specs,
-                                   int threads);
+                                   int threads,
+                                   SweepStats *stats = nullptr);
 
 /** The one-spec case of runSweeps(). */
 SweepResult runSweep(const SweepSpec &spec, int threads);

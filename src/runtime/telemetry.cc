@@ -1,11 +1,15 @@
 #include "runtime/telemetry.hh"
 
 #include <chrono>
+#include <memory>
+#include <vector>
 
 #include <sys/resource.h>
 
 #include "common/logging.hh"
+#include "common/mutex.hh"
 #include "common/strings.hh"
+#include "runtime/result_sink.hh"
 
 namespace griffin {
 
@@ -27,15 +31,18 @@ struct ThreadTrace
         const char *name;
         std::uint64_t startNs;
         std::uint64_t durNs;
+        std::uint32_t args; ///< 1 + index into `args`, 0 = none
     };
     std::vector<Event> events GRIFFIN_GUARDED_BY(mu);
+    /** Chrome-trace args objects of the events that carry some. */
+    std::vector<std::string> args GRIFFIN_GUARDED_BY(mu);
     std::uint64_t droppedEvents GRIFFIN_GUARDED_BY(mu) = 0;
 };
 
 /**
  * Cap on retained events per thread: a full-fidelity sweep can emit
  * per-tile spans by the million, and an unbounded trace would eat the
- * heap before the file is ever written.  ~4M events is ~100 MB of
+ * heap before the file is ever written.  ~4M events is ~130 MB of
  * buffer and far beyond what a trace viewer needs.
  */
 constexpr std::size_t maxEventsPerThread = std::size_t(1) << 22;
@@ -106,158 +113,6 @@ peakRssMb()
     return kib / 1024.0;
 }
 
-// ---- Histogram ------------------------------------------------------
-
-void
-Histogram::record(std::uint64_t v)
-{
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t seen = min_.load(std::memory_order_relaxed);
-    while (v < seen &&
-           !min_.compare_exchange_weak(seen, v,
-                                       std::memory_order_relaxed)) {
-    }
-    seen = max_.load(std::memory_order_relaxed);
-    while (v > seen &&
-           !max_.compare_exchange_weak(seen, v,
-                                       std::memory_order_relaxed)) {
-    }
-    int bucket = 0;
-    while (bucket + 1 < bucketCount &&
-           (std::uint64_t(1) << (bucket + 1)) <= v)
-        ++bucket;
-    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-}
-
-Histogram::Snapshot
-Histogram::snapshot() const
-{
-    Snapshot s;
-    s.count = count_.load(std::memory_order_relaxed);
-    s.sum = sum_.load(std::memory_order_relaxed);
-    const auto min = min_.load(std::memory_order_relaxed);
-    s.min = s.count == 0 ? 0 : min;
-    s.max = max_.load(std::memory_order_relaxed);
-    for (int b = 0; b < bucketCount; ++b)
-        s.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
-    return s;
-}
-
-void
-Histogram::reset()
-{
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    min_.store(UINT64_MAX, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-}
-
-// ---- MetricsRegistry ------------------------------------------------
-
-MetricsRegistry &
-MetricsRegistry::instance()
-{
-    static MetricsRegistry registry;
-    return registry;
-}
-
-MetricsRegistry::Slot &
-MetricsRegistry::slot(const std::string &name, Kind kind)
-{
-    if (name.empty())
-        panic("metric registration needs a name");
-    MutexLock lock(mu_);
-    auto it = slots_.find(name);
-    if (it == slots_.end()) {
-        Slot fresh;
-        fresh.kind = kind;
-        switch (kind) {
-          case Kind::Counter:
-            fresh.counter = std::make_unique<Counter>();
-            break;
-          case Kind::Gauge:
-            fresh.gauge = std::make_unique<Gauge>();
-            break;
-          case Kind::Histogram:
-            fresh.histogram = std::make_unique<Histogram>();
-            break;
-        }
-        it = slots_.emplace(name, std::move(fresh)).first;
-    }
-    if (it->second.kind != kind)
-        panic("metric '", name, "' registered as two different kinds");
-    return it->second;
-}
-
-Counter &
-MetricsRegistry::counter(const std::string &name)
-{
-    return *slot(name, Kind::Counter).counter;
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &name)
-{
-    return *slot(name, Kind::Gauge).gauge;
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    return *slot(name, Kind::Histogram).histogram;
-}
-
-std::vector<MetricSnapshot>
-MetricsRegistry::snapshot() const
-{
-    std::vector<MetricSnapshot> out;
-    MutexLock lock(mu_);
-    out.reserve(slots_.size());
-    for (const auto &[name, slot] : slots_) {
-        MetricSnapshot m;
-        m.name = name;
-        switch (slot.kind) {
-          case Kind::Counter:
-            m.kind = MetricSnapshot::Kind::Counter;
-            m.counter = slot.counter->value();
-            break;
-          case Kind::Gauge:
-            m.kind = MetricSnapshot::Kind::Gauge;
-            m.gauge = slot.gauge->value();
-            break;
-          case Kind::Histogram:
-            m.kind = MetricSnapshot::Kind::Histogram;
-            m.histogram = slot.histogram->snapshot();
-            break;
-        }
-        out.push_back(std::move(m));
-    }
-    return out;
-}
-
-void
-MetricsRegistry::reset()
-{
-    MutexLock lock(mu_);
-    for (auto &[name, slot] : slots_) {
-        static_cast<void>(name);
-        switch (slot.kind) {
-          case Kind::Counter:
-            slot.counter->reset();
-            break;
-          case Kind::Gauge:
-            slot.gauge->reset();
-            break;
-          case Kind::Histogram:
-            slot.histogram->reset();
-            break;
-        }
-    }
-}
-
 // ---- Telemetry ------------------------------------------------------
 
 std::atomic<bool> &
@@ -273,9 +128,23 @@ Telemetry::setEnabled(bool on)
     enabledFlag().store(on, std::memory_order_relaxed);
 }
 
+std::uint32_t
+Telemetry::keepArgs(const LayerTag &tag)
+{
+    ThreadTrace &trace = threadTrace();
+    MutexLock lock(trace.mu);
+    if (trace.events.size() >= maxEventsPerThread)
+        return 0;
+    trace.args.push_back("{\"network\": \"" + jsonEscape(tag.network) +
+                         "\", \"index\": " + std::to_string(tag.index) +
+                         ", \"layer\": \"" + jsonEscape(tag.layer) +
+                         "\"}");
+    return static_cast<std::uint32_t>(trace.args.size());
+}
+
 void
 Telemetry::record(const char *name, std::uint64_t start_ns,
-                  std::uint64_t dur_ns)
+                  std::uint64_t dur_ns, std::uint32_t args)
 {
     ThreadTrace &trace = threadTrace();
     MutexLock lock(trace.mu);
@@ -283,7 +152,10 @@ Telemetry::record(const char *name, std::uint64_t start_ns,
         ++trace.droppedEvents;
         return;
     }
-    trace.events.push_back({name, start_ns, dur_ns});
+    // An id from before a clear() names no text any more.
+    if (args > trace.args.size())
+        args = 0;
+    trace.events.push_back({name, start_ns, dur_ns, args});
 }
 
 void
@@ -313,8 +185,10 @@ Telemetry::writeChromeTrace(std::ostream &os)
                       static_cast<double>(e.startNs) / 1e3)
                << ", \"dur\": "
                << formatShortestDouble(
-                      static_cast<double>(e.durNs) / 1e3)
-               << "}";
+                      static_cast<double>(e.durNs) / 1e3);
+            if (e.args != 0)
+                os << ", \"args\": " << thread->args[e.args - 1];
+            os << "}";
         }
     }
     if (!first)
@@ -347,6 +221,7 @@ Telemetry::clear()
     for (const auto &thread : g.threads) {
         MutexLock lock(thread->mu);
         thread->events.clear();
+        thread->args.clear();
         thread->droppedEvents = 0;
     }
 }

@@ -207,10 +207,9 @@ avx2Table()
     if (!__builtin_cpu_supports("avx2"))
         return nullptr;
     static const KernelTable table = {
-        nonzeroMasksAvx2,          countNonzeroAvx2,
-        accumulateNonzeroAvx2,     leMaskAvx2,
-        minI64Avx2,                mtTemperAvx2,
-        scalarTable().andPopcount, scalarTable().fillRow,
+        nonzeroMasksAvx2,      countNonzeroAvx2, accumulateNonzeroAvx2,
+        leMaskAvx2,            minI64Avx2,       mtTemperAvx2,
+        scalarTable().fillRow,
     };
     return &table;
 }

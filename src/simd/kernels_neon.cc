@@ -137,10 +137,9 @@ const KernelTable *
 neonTable()
 {
     static const KernelTable table = {
-        nonzeroMasksNeon,          countNonzeroNeon,
-        accumulateNonzeroNeon,     scalarTable().leMask,
-        scalarTable().minI64,      mtTemperNeon,
-        scalarTable().andPopcount, scalarTable().fillRow,
+        nonzeroMasksNeon,     countNonzeroNeon,     accumulateNonzeroNeon,
+        scalarTable().leMask, scalarTable().minI64, mtTemperNeon,
+        scalarTable().fillRow,
     };
     return &table;
 }

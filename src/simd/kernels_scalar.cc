@@ -86,20 +86,6 @@ mtTemperScalar(const std::uint64_t *src, std::int64_t n,
 }
 
 void
-andPopcountScalar(const std::uint64_t *x, const std::uint64_t *ys,
-                  std::int64_t words, std::int64_t count,
-                  std::int32_t *out)
-{
-    for (std::int64_t i = 0; i < count; ++i) {
-        const std::uint64_t *y = ys + i * words;
-        std::int32_t n = 0;
-        for (std::int64_t w = 0; w < words; ++w)
-            n += popcount64(x[w] & y[w]);
-        out[i] = n;
-    }
-}
-
-void
 fillRowScalar(std::uint64_t key, std::uint64_t below, std::int64_t n,
               std::int8_t *out)
 {
@@ -114,7 +100,7 @@ scalarTable()
     static const KernelTable table = {
         nonzeroMasksScalar, countNonzeroScalar, accumulateNonzeroScalar,
         leMaskScalar,       minI64Scalar,       mtTemperScalar,
-        andPopcountScalar,  fillRowScalar,
+        fillRowScalar,
     };
     return table;
 }

@@ -14,16 +14,12 @@ namespace {
 bool
 forceScalar()
 {
-#if defined(GRIFFIN_FORCE_SCALAR)
-    return true;
-#else
     // A set, non-empty, non-"0" GRIFFIN_FORCE_SCALAR pins the scalar
     // backend — the e2e dispatch test and the forced-scalar CI leg
     // both drive this knob.
     const char *env = std::getenv("GRIFFIN_FORCE_SCALAR");
     return env != nullptr && env[0] != '\0' &&
            !(env[0] == '0' && env[1] == '\0');
-#endif
 }
 
 Backend
@@ -195,6 +191,19 @@ transposeLow(std::uint64_t *words, int p)
 }
 
 } // namespace
+
+void
+andPopcount(const std::uint64_t *x, const std::uint64_t *ys,
+            std::int64_t words, std::int64_t count, std::int32_t *out)
+{
+    for (std::int64_t i = 0; i < count; ++i) {
+        const std::uint64_t *y = ys + i * words;
+        std::int32_t n = 0;
+        for (std::int64_t w = 0; w < words; ++w)
+            n += popcount64(x[w] & y[w]);
+        out[i] = n;
+    }
+}
 
 void
 bColumnMasks(const MatrixI8 &b, std::int64_t col_base, int units,

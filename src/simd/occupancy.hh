@@ -24,8 +24,8 @@
  *
  * Dispatch: the backend is chosen once per process.  Order:
  *
- *   1. `GRIFFIN_FORCE_SCALAR` (CMake option or a non-empty, non-"0"
- *      environment variable) pins the scalar fallback;
+ *   1. `GRIFFIN_FORCE_SCALAR` (a non-empty, non-"0" environment
+ *      variable) pins the scalar fallback;
  *   2. AVX2 when the CPU reports it (cpuid via
  *      __builtin_cpu_supports).  When the CPU also reports AVX-512
  *      F/BW/VL/DQ, the backend (still Backend::Avx2, "avx2") runs the
@@ -104,18 +104,6 @@ struct KernelTable
      */
     void (*mtTemper)(const std::uint64_t *src, std::int64_t n,
                      std::uint64_t *out);
-
-    /**
-     * Overlap counts of one bit vector against `count` others, each
-     * `words` 64-bit words long: out[i] = sum over w < words of
-     * popcount(x[w] & ys[i*words + w]) for i in [0, count).  Reads
-     * only [x, x + words) and [ys, ys + count*words); `words` may be
-     * 0 (every count is 0) and is below 2^25, so a count fits int32.
-     * No pointer needs any alignment beyond its element type's.
-     */
-    void (*andPopcount)(const std::uint64_t *x, const std::uint64_t *ys,
-                        std::int64_t words, std::int64_t count,
-                        std::int32_t *out);
 
     /**
      * One row of counter-based weights: for c in [0, n), with h =
@@ -234,6 +222,18 @@ void bTileOccupancy(const MatrixI8 &b, std::int64_t col_base, int units,
  */
 void aRowMasks(const MatrixI8 &a, std::int64_t row_base,
                std::int64_t units, std::int64_t words, std::uint64_t *out);
+
+/**
+ * Overlap counts of one bit vector against `count` others, each
+ * `words` 64-bit words long: out[i] = sum over w < words of
+ * popcount(x[w] & ys[i*words + w]) for i in [0, count).  Reads only
+ * [x, x + words) and [ys, ys + count*words); `words` may be 0 (every
+ * count is 0) and is below 2^25, so a count fits int32.  No pointer
+ * needs any alignment beyond its element type's.  One portable loop
+ * on every backend (popcount64 is one POPCNT on x86-64).
+ */
+void andPopcount(const std::uint64_t *x, const std::uint64_t *ys,
+                 std::int64_t words, std::int64_t count, std::int32_t *out);
 
 /**
  * B-tile column masks over k, bTileOccupancy transposed: bit i of

@@ -73,7 +73,7 @@ LayerWorkset::operandB() const
         b = laneBiasedSparse(static_cast<std::size_t>(params_.k),
                              static_cast<std::size_t>(params_.n),
                              params_.weightSparsity, params_.weightLaneBias,
-                             params_.lanePeriod,
+                             weightLanePeriod,
                              Rng::mixSeed(params_.seed, StreamB));
         generatedB_ = true;
     }

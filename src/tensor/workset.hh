@@ -50,6 +50,12 @@
 namespace griffin {
 
 /**
+ * Modulation period of the weights' lane profile (laneBiasedSparse):
+ * the crossbar granularity, the same for every layer and design point.
+ */
+constexpr int weightLanePeriod = 4;
+
+/**
  * The complete input domain of layer operand generation.  Two equal
  * parameter records generate bit-identical worksets on any platform;
  * the sweep runner groups work by exactly these fields.
@@ -66,8 +72,6 @@ struct WorksetParams
     /** Effective mean zero-run length (already clamped to >= 1, so
      *  equivalent inputs share one workset). */
     double actRunLength = 1.0;
-    /** Modulation period of laneBiasedSparse (crossbar granularity). */
-    int lanePeriod = 4;
     /** Layer stream seed: mixSeed(mixSeed(run seed, net name), layer). */
     std::uint64_t seed = 0;
 
@@ -76,7 +80,7 @@ struct WorksetParams
     fields() const
     {
         return std::tie(m, k, n, weightSparsity, actSparsity,
-                        weightLaneBias, actRunLength, lanePeriod, seed);
+                        weightLaneBias, actRunLength, seed);
     }
 
     bool

@@ -3,12 +3,14 @@
 #  (a) `run fig5 fig6 fig7 --trace` emits a Chrome-trace JSON
 #      covering every vector-core pipeline stage (fig5 exercises gen_b,
 #      tile_queues, b_schedule, tile_sim and reduce, fig6 adds gen_a
-#      and a_schedule, fig7 dual_schedule) while the --out row document
-#      stays byte-identical to an untraced run at a different thread
-#      count — telemetry must be observation only.  A schedule-aware
-#      run (ablation_memory_peak) additionally emits the nested
-#      'schedule' span.
-#  (b) `run --timings` grows elapsed_ms fields; the default does not.
+#      and a_schedule, fig7 dual_schedule) and one `layer` span per
+#      pool task (the --stats line's pool.executed_jobs), whose args
+#      name the network, the layer index and the layer name, for each
+#      of the six suite networks, while the --out row document stays
+#      byte-identical to an untraced run at a different thread count —
+#      telemetry must be observation only.  A schedule-aware run
+#      (ablation_memory_peak) additionally emits the nested 'schedule'
+#      span.
 #
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DWORK_DIR=<dir> -P telemetry_smoke.cmake
@@ -35,7 +37,7 @@ endif()
 execute_process(
     COMMAND "${GRIFFIN_BENCH}" run fig5 fig6 fig7 ${fidelity}
             --threads 4 --trace "${WORK_DIR}/trace.json"
-            --out "${WORK_DIR}/traced.jsonl"
+            --out "${WORK_DIR}/traced.jsonl" --stats
     OUTPUT_VARIABLE out2 ERROR_VARIABLE err2 RESULT_VARIABLE rc2)
 if(NOT rc2 EQUAL 0)
     message(FATAL_ERROR "traced run failed (${rc2}):\n${err2}")
@@ -61,6 +63,20 @@ foreach(stage gen_a gen_b tile_queues b_schedule a_schedule dual_schedule
         message(FATAL_ERROR "trace has no '${stage}' spans")
     endif()
 endforeach()
+foreach(net AlexNet BERT GoogLeNet InceptionV3 MobileNetV2 ResNet50)
+    if(NOT trace MATCHES "\"name\": \"layer\"[^\n]*\"args\": {\"network\": \"${net}\", \"index\": [0-9]+, \"layer\": \"[^\"]+\"}}")
+        message(FATAL_ERROR "trace has no tagged 'layer' span of ${net}")
+    endif()
+endforeach()
+string(REGEX MATCHALL "\"name\": \"layer\"" layer_events "${trace}")
+list(LENGTH layer_events layer_count)
+if(NOT out2 MATCHES "\"pool\\.executed_jobs\": ([0-9]+)")
+    message(FATAL_ERROR "traced run printed no pool.executed_jobs")
+endif()
+if(NOT layer_count EQUAL CMAKE_MATCH_1)
+    message(FATAL_ERROR "trace has ${layer_count} 'layer' spans for "
+                        "${CMAKE_MATCH_1} pool tasks")
+endif()
 
 # -- (a2) schedule-aware runs add the nested schedule span ------------
 
@@ -78,24 +94,5 @@ if(NOT sched_trace MATCHES "\"schedule\"")
             "schedule-aware trace has no 'schedule' spans")
 endif()
 
-# -- (b) --timings opt-in ---------------------------------------------
-
-if(rows_plain MATCHES "elapsed_ms")
-    message(FATAL_ERROR "default run emitted elapsed_ms — --timings "
-                        "must be opt-in")
-endif()
-
-execute_process(
-    COMMAND "${GRIFFIN_BENCH}" run fig6 ${fidelity} --threads 2
-            --timings --out "${WORK_DIR}/timed.jsonl"
-    OUTPUT_VARIABLE out3 ERROR_VARIABLE err3 RESULT_VARIABLE rc3)
-if(NOT rc3 EQUAL 0)
-    message(FATAL_ERROR "--timings run failed (${rc3}):\n${err3}")
-endif()
-file(READ "${WORK_DIR}/timed.jsonl" rows_timed)
-if(NOT rows_timed MATCHES "\"elapsed_ms\": ")
-    message(FATAL_ERROR "--timings run emitted no elapsed_ms fields")
-endif()
-
 message(STATUS "telemetry smoke OK: identical rows, nine-stage trace, "
-               "opt-in timings")
+               "${layer_count} tagged layer spans")

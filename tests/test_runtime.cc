@@ -412,7 +412,7 @@ TEST(Runner, ConsumersGenerateOnlyTheSidesTheyRead)
 {
     // A Sparse.A engine reads A, a Sparse.B engine B, a dense one
     // neither and SparTen both.  The trace's gen_a / gen_b events and
-    // the --stats gauges agree, and gen.elements counts the generated
+    // the SweepStats record agree, and gen.elements counts the generated
     // sides' elements.
     const struct
     {
@@ -440,18 +440,16 @@ TEST(Runner, ConsumersGenerateOnlyTheSidesTheyRead)
                 elements += (c.a ? p.m * p.k : 0) + (c.b ? p.k * p.n : 0);
             }
         const Generations want{c.a ? layers : 0, c.b ? layers : 0};
-        EXPECT_EQ(countGenerations([&] { runSweep(spec, 2); }), want)
-            << c.arch.name;
-        MetricsRegistry &reg = MetricsRegistry::instance();
-        EXPECT_EQ((Generations{
-                      static_cast<std::uint64_t>(
-                          reg.gauge("gen.a_sides").value()),
-                      static_cast<std::uint64_t>(
-                          reg.gauge("gen.b_sides").value())}),
+        SweepStats stats;
+        EXPECT_EQ(countGenerations([&] { runSweeps({spec}, 2, &stats); }),
                   want)
             << c.arch.name;
-        EXPECT_EQ(reg.gauge("gen.elements").value(),
-                  static_cast<double>(elements))
+        EXPECT_EQ((Generations{
+                      static_cast<std::uint64_t>(stats.at("gen.a_sides")),
+                      static_cast<std::uint64_t>(stats.at("gen.b_sides"))}),
+                  want)
+            << c.arch.name;
+        EXPECT_EQ(stats.at("gen.elements"), static_cast<double>(elements))
             << c.arch.name;
     }
 }
@@ -497,27 +495,18 @@ TEST(Runner, GroupingDoesNotChangeResults)
     EXPECT_EQ(direct.speedup, sweep.results()[3].speedup);
 }
 
-TEST(Runner, CollectTimingsProducesPerJobElapsed)
+TEST(Runner, TracingLeavesResultRowsAlone)
 {
-    auto spec = smallSweep();
-    const auto plain = runSweep(spec, 2);
-    EXPECT_TRUE(plain.jobElapsedMs().empty())
-        << "timings are strictly opt-in";
-
-    spec.collectTimings = true;
-    const auto timed = runSweep(spec, 2);
-    ASSERT_EQ(timed.jobElapsedMs().size(), timed.jobs().size());
-    for (const double ms : timed.jobElapsedMs())
-        EXPECT_GE(ms, 0.0);
-
-    // Timing is pure observation: result rows must not move.
-    ASSERT_EQ(timed.results().size(), plain.results().size());
-    for (std::size_t i = 0; i < plain.results().size(); ++i) {
-        EXPECT_EQ(timed.results()[i].totalCycles,
-                  plain.results()[i].totalCycles);
-        EXPECT_EQ(timed.results()[i].speedup,
-                  plain.results()[i].speedup);
-    }
+    // Telemetry is pure observation: a traced sweep, every task under
+    // its layer span, writes the plain sweep's document byte for byte.
+    const auto spec = smallSweep();
+    std::ostringstream plain, traced;
+    writeJsonLines(plain, runSweep(spec, 2));
+    Telemetry::setEnabled(true);
+    writeJsonLines(traced, runSweep(spec, 2));
+    Telemetry::setEnabled(false);
+    Telemetry::clear();
+    EXPECT_EQ(traced.str(), plain.str());
 }
 
 TEST(RunnerDeathTest, OutOfRangeOptionsAreFatal)
@@ -771,6 +760,8 @@ TEST(ResultSink, ExperimentColumnOnlyWhenLabeled)
     std::ostringstream os2;
     writeCsv(os2, unlabeled);
     EXPECT_EQ(os2.str().rfind("network,arch,", 0), 0u);
+    // No row priced a schedule, so the header ends at speedup.
+    EXPECT_NE(os2.str().find(",macs,speedup\n"), std::string::npos);
 }
 
 TEST(ResultSink, PlainRowsKeepTheLegacyShape)
@@ -781,67 +772,6 @@ TEST(ResultSink, PlainRowsKeepTheLegacyShape)
     writeJson(os, std::vector<NetworkResult>{tinyResult()});
     EXPECT_EQ(os.str().find("\"options\""), std::string::npos);
     EXPECT_EQ(os.str().find("\"coords\""), std::string::npos);
-}
-
-SweepResult
-tinyTimedSweep()
-{
-    // tinyAnnotatedSweep() plus per-job elapsed times, as runSweep
-    // would produce under SweepSpec::collectTimings.
-    SweepSpec spec;
-    spec.archs = {sparseBStar()};
-    spec.networks = {alexNet()};
-    spec.categories = {DnnCategory::B};
-    RunOptions lo, hi;
-    lo.weightLaneBias = 0.25;
-    hi.weightLaneBias = 0.75;
-    spec.optionVariants = {lo, hi};
-    spec.optionCoords = {{{"weight_lane_bias", "0.25"}},
-                         {{"weight_lane_bias", "0.75"}}};
-    auto jobs = expandSweep(spec);
-    return SweepResult(std::move(jobs), {tinyResult(), tinyResult()},
-                       {1.5, 2.5});
-}
-
-TEST(ResultSink, TimedRowsEmitElapsedMs)
-{
-    std::ostringstream os;
-    writeJsonLines(os, sweepRows(tinyTimedSweep()));
-    const auto doc = os.str();
-    EXPECT_NE(doc.find("\"elapsed_ms\": 1.5,"), std::string::npos)
-        << doc;
-    EXPECT_NE(doc.find("\"elapsed_ms\": 2.5,"), std::string::npos)
-        << doc;
-
-    // An untimed document must not grow the field: `--timings` off is
-    // the byte-stable default.
-    std::ostringstream os2;
-    writeJsonLines(os2, sweepRows(tinyAnnotatedSweep()));
-    EXPECT_EQ(os2.str().find("elapsed_ms"), std::string::npos);
-}
-
-TEST(ResultSink, TimedCsvGrowsTrailingElapsedColumn)
-{
-    std::ostringstream os;
-    writeCsv(os, sweepRows(tinyTimedSweep()));
-    const auto doc = os.str();
-    // Header gains one trailing column...
-    EXPECT_NE(doc.find(",macs,speedup,elapsed_ms\n"),
-              std::string::npos)
-        << doc;
-    // ...total rows carry the value, layer rows leave the cell empty.
-    EXPECT_NE(doc.find(",total,100,,,50,,2,1.5\n"), std::string::npos)
-        << doc;
-    EXPECT_NE(doc.find(",total,100,,,50,,2,2.5\n"), std::string::npos)
-        << doc;
-    EXPECT_NE(doc.find(",l1,100,50,0,50,1000,2,\n"), std::string::npos)
-        << doc;
-
-    // Untimed documents keep the legacy header byte-exactly.
-    std::ostringstream os2;
-    writeCsv(os2, sweepRows(tinyAnnotatedSweep()));
-    EXPECT_NE(os2.str().find(",macs,speedup\n"), std::string::npos);
-    EXPECT_EQ(os2.str().find("elapsed_ms"), std::string::npos);
 }
 
 TEST(ResultSink, TableJsonLineIsOneObjectPerLine)

@@ -401,8 +401,11 @@ drawLongCase(int t)
         rng.uniformInt(32 * c.shape.k0, 96 * c.shape.k0));
     const auto m = static_cast<std::size_t>(rng.uniformInt(1, c.shape.m0));
     const auto n = static_cast<std::size_t>(rng.uniformInt(1, c.shape.n0));
-    c.a = clusteredSparse(m, k, 0.3 + 0.65 * rng.uniform01(),
-                          static_cast<double>(rng.uniformInt(4, 16)),
+    // Named draws pin their order (an argument list would leave it to
+    // the compiler); this is the order gcc took when they shared one.
+    const auto run_length = static_cast<double>(rng.uniformInt(4, 16));
+    const double sparsity = 0.3 + 0.65 * rng.uniform01();
+    c.a = clusteredSparse(m, k, sparsity, run_length,
                           0x10c6 + static_cast<std::uint64_t>(t));
     c.b = drawMatrix(k, n, rng);
     c.shuffle = rng.bernoulli(0.6);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the telemetry layer: metric registry semantics, span
- * recording on and off and across threads, Chrome trace export, the
- * stage spans of one layer, and the metrics JSON line.
+ * Tests for the telemetry layer: span recording on and off and across
+ * threads, Chrome trace export, the stage spans of one layer, the
+ * runner's layer spans and their args, and the stats JSON line.
  *
  * Telemetry state is process-global; every test that records spans
  * switches recording off and clears the buffers afterwards so tests
@@ -41,76 +41,12 @@ struct TelemetryReset
     }
 };
 
-TEST(MetricsRegistry, CountersGaugesHistogramsAreStable)
-{
-    MetricsRegistry reg;
-    Counter &c = reg.counter("jobs");
-    c.add();
-    c.add(4);
-    EXPECT_EQ(reg.counter("jobs").value(), 5u);
-    EXPECT_EQ(&reg.counter("jobs"), &c);
-
-    reg.gauge("wall_ms").set(12.5);
-    EXPECT_DOUBLE_EQ(reg.gauge("wall_ms").value(), 12.5);
-
-    Histogram &h = reg.histogram("job_us");
-    h.record(3);
-    h.record(5);
-    const auto snap = h.snapshot();
-    EXPECT_EQ(snap.count, 2u);
-    EXPECT_EQ(snap.sum, 8u);
-    EXPECT_EQ(snap.min, 3u);
-    EXPECT_EQ(snap.max, 5u);
-    EXPECT_DOUBLE_EQ(snap.mean(), 4.0);
-
-    reg.reset();
-    EXPECT_EQ(reg.counter("jobs").value(), 0u);
-    EXPECT_DOUBLE_EQ(reg.gauge("wall_ms").value(), 0.0);
-    EXPECT_EQ(reg.histogram("job_us").snapshot().count, 0u);
-}
-
-TEST(MetricsRegistry, SnapshotIsNameSorted)
-{
-    MetricsRegistry reg;
-    reg.gauge("zeta").set(1.0);
-    reg.counter("alpha").add();
-    reg.histogram("mid").record(7);
-    const auto snap = reg.snapshot();
-    ASSERT_EQ(snap.size(), 3u);
-    EXPECT_EQ(snap[0].name, "alpha");
-    EXPECT_EQ(snap[1].name, "mid");
-    EXPECT_EQ(snap[2].name, "zeta");
-}
-
-TEST(MetricsRegistryDeathTest, KindCollisionPanics)
-{
-    MetricsRegistry reg;
-    reg.counter("shape");
-    EXPECT_DEATH(reg.gauge("shape"),
-                 "registered as two different kinds");
-}
-
-TEST(Histogram, BucketsArePowersOfTwo)
-{
-    Histogram h;
-    h.record(0); // bucket 0
-    h.record(1); // bucket 0
-    h.record(2); // bucket 1
-    h.record(3); // bucket 1
-    h.record(4); // bucket 2
-    const auto snap = h.snapshot();
-    EXPECT_EQ(snap.buckets[0], 2u);
-    EXPECT_EQ(snap.buckets[1], 2u);
-    EXPECT_EQ(snap.buckets[2], 1u);
-    EXPECT_EQ(snap.min, 0u);
-    EXPECT_EQ(snap.max, 4u);
-}
-
 TEST(Telemetry, DisabledRecordsNothing)
 {
     TelemetryReset guard;
     {
         ScopedSpan span("tile_sim");
+        ScopedSpan layer(LayerTag{"AlexNet", 0, "conv1"});
     }
     EXPECT_EQ(Telemetry::eventCount(), 0u);
     std::ostringstream os;
@@ -268,26 +204,140 @@ TEST(Telemetry, ClearDropsEventsButKeepsRecording)
     EXPECT_TRUE(Telemetry::enabled());
 }
 
-TEST(ResultSinkMetrics, MetricsJsonLineIsSortedAndParses)
+/** A trace's "X" events: name, thread, [start, end] and args. */
+struct TraceEvent
 {
-    MetricsRegistry reg;
-    reg.gauge("sweep.wall_ms").set(1.5);
-    reg.counter("sweep.jobs").add(3);
-    reg.histogram("pool.job_us").record(10);
+    std::string name;
+    std::int64_t tid;
+    double start;
+    double end;
+    const JsonValue *args;
+};
+
+std::vector<TraceEvent>
+completeEvents(const JsonValue &doc)
+{
+    std::vector<TraceEvent> out;
+    for (const auto &e : doc.find("traceEvents")->items) {
+        if (e.find("ph")->asString() != "X")
+            continue;
+        const double ts = e.find("ts")->asDouble();
+        out.push_back({e.find("name")->asString(), e.find("tid")->asInt(),
+                       ts, ts + e.find("dur")->asDouble(), e.find("args")});
+    }
+    return out;
+}
+
+TEST(Telemetry, LayerSpanCarriesACopyOfItsTag)
+{
+    TelemetryReset guard;
+    Telemetry::setEnabled(true);
+    {
+        // The strings die before export: the trace keeps copies.
+        const std::string network = "Net \"q\"";
+        const std::string layer = "block/conv\\1";
+        ScopedSpan span(LayerTag{network, 7, layer});
+        ScopedSpan inner("tile_sim");
+    }
     std::ostringstream os;
-    writeMetricsJsonLine(os, reg);
+    Telemetry::writeChromeTrace(os);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(os.str(), doc, error)) << error << os.str();
+    const auto events = completeEvents(doc);
+    ASSERT_EQ(events.size(), 2u);
+    const TraceEvent &inner = events[0];
+    const TraceEvent &layer = events[1];
+    EXPECT_EQ(inner.name, "tile_sim");
+    EXPECT_EQ(inner.args, nullptr);
+    EXPECT_EQ(layer.name, "layer");
+    ASSERT_NE(layer.args, nullptr);
+    ASSERT_EQ(layer.args->members.size(), 3u);
+    EXPECT_EQ(layer.args->find("network")->asString(), "Net \"q\"");
+    EXPECT_EQ(layer.args->find("index")->asInt(), 7);
+    EXPECT_EQ(layer.args->find("layer")->asString(), "block/conv\\1");
+}
+
+TEST(Telemetry, SweepRunsEveryStageInsideOneLayerSpan)
+{
+    // One layer span per pool task, tagged with the task's network
+    // layer; every stage span opens inside exactly one of them on the
+    // same thread, except reduce (and schedule inside it), which runs
+    // after the pool.
+    TelemetryReset guard;
+    SweepSpec spec;
+    spec.archs = {griffinArch(), sparTenAB(), sparseAStar()};
+    spec.networks = {alexNet()};
+    spec.categories = {DnnCategory::A, DnnCategory::AB};
+    RunOptions opt;
+    opt.rowCap = 8;
+    opt.sim.sampleFraction = 0.25;
+    spec.optionVariants = {opt};
+    SweepStats stats;
+    Telemetry::setEnabled(true);
+    runSweeps({spec}, 2, &stats);
+    Telemetry::setEnabled(false);
+    std::ostringstream os;
+    Telemetry::writeChromeTrace(os);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(os.str(), doc, error)) << error;
+    const auto events = completeEvents(doc);
+
+    std::vector<const TraceEvent *> layers;
+    std::multiset<std::string> names;
+    for (const auto &e : events) {
+        names.insert(e.name);
+        if (e.name != "layer")
+            continue;
+        layers.push_back(&e);
+        ASSERT_NE(e.args, nullptr);
+        EXPECT_EQ(e.args->find("network")->asString(), "AlexNet");
+        const auto index =
+            static_cast<std::size_t>(e.args->find("index")->asInt());
+        ASSERT_LT(index, alexNet().layerCount());
+        EXPECT_EQ(e.args->find("layer")->asString(),
+                  alexNet().layer(index).name);
+    }
+    EXPECT_EQ(static_cast<double>(layers.size()),
+              stats.at("pool.executed_jobs"));
+    for (const char *stage : {"gen_a", "gen_b", "tile_sim", "sparten",
+                              "a_schedule", "dual_schedule", "reduce"})
+        EXPECT_GT(names.count(stage), 0u) << stage;
+    for (const auto &e : events) {
+        if (e.name == "layer" || e.name == "reduce" ||
+            e.name == "schedule")
+            continue;
+        int inside = 0;
+        for (const TraceEvent *l : layers)
+            inside += l->tid == e.tid && l->start <= e.start &&
+                      e.end <= l->end;
+        EXPECT_EQ(inside, 1) << e.name << " at " << e.start;
+    }
+}
+
+TEST(ResultSinkMetrics, StatsJsonLineIsSortedAndParses)
+{
+    const SweepStats stats = {{"sweep.wall_ms", 1.5},
+                              {"sweep.jobs", 3.0},
+                              {"pool.utilization", 0.1}};
+    std::ostringstream os;
+    writeMetricsJsonLine(os, stats);
+    // Name order; integral values print as integers, the rest in their
+    // shortest round-trip form.
+    EXPECT_EQ(os.str(), "{\"metrics\": {\"pool.utilization\": 0.1, "
+                        "\"sweep.jobs\": 3, \"sweep.wall_ms\": 1.5}}\n");
     JsonValue doc;
     std::string error;
     ASSERT_TRUE(parseJson(os.str(), doc, error)) << error;
     const JsonValue *metrics = doc.find("metrics");
     ASSERT_NE(metrics, nullptr);
     ASSERT_EQ(metrics->members.size(), 3u);
-    EXPECT_EQ(metrics->members[0].first, "pool.job_us");
+    EXPECT_EQ(metrics->members[0].first, "pool.utilization");
     EXPECT_EQ(metrics->members[1].first, "sweep.jobs");
     EXPECT_EQ(metrics->members[2].first, "sweep.wall_ms");
     EXPECT_EQ(metrics->find("sweep.jobs")->asInt(), 3);
     EXPECT_DOUBLE_EQ(metrics->find("sweep.wall_ms")->asDouble(), 1.5);
-    EXPECT_EQ(metrics->find("pool.job_us")->find("count")->asInt(), 1);
 }
 
 } // namespace
