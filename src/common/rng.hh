@@ -149,6 +149,18 @@ class Rng
         return mixSeed(key, i * kGamma);
     }
 
+    /**
+     * The key of stream `key` advanced past its first `n` draws:
+     * counterDraw(counterSkip(key, n), i) == counterDraw(key, n + i),
+     * mod 2^64.  The weight generator starts a row at its column
+     * tile's first column with it.
+     */
+    static std::uint64_t
+    counterSkip(std::uint64_t key, std::uint64_t n)
+    {
+        return key + n * kGamma;
+    }
+
   private:
     /** splitmix64's state increment, 2^64 / golden ratio (odd). */
     static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;

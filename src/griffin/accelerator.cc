@@ -112,8 +112,8 @@ Accelerator::runLayer(const NetworkSpec &net, std::size_t layerIndex,
     SimOptions sim_opt = opt.sim;
     sim_opt.seed = workset.simSeed;
     const bool mac_grid = config_.style == DatapathStyle::MacGrid;
-    // SparTen reads both sides; simulateGemm generates those its mode
-    // reads.
+    // SparTen reads both sides whole; simulateGemm generates what its
+    // mode reads.
     const auto sim =
         mac_grid ? simulateSparTen(workset.operandA(), workset.operandB(),
                                    config_, cat, sim_opt)

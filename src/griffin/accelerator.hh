@@ -173,16 +173,28 @@ class Accelerator
      * layerWorksetParams(net, layerIndex, cat, opt) — runLayer() is
      * exactly this composition with a deferred LayerWorkset in front,
      * and a sweep hands one workset to every consumer that shares its
-     * parameters.  The call generates each side this architecture
-     * reads that no earlier consumer generated (SparTen reads both;
-     * simulateGemm those its mode skips zeros on).  The
-     * consumers share the workset's sides and tile queues
-     * (LayerWorkset::memo), so one thread at a time runs layers over
-     * a given workset.
+     * parameters.  The call generates what this architecture reads
+     * that no earlier consumer generated: SparTen both sides whole,
+     * simulateGemm A whole and B's sampled column tiles on the sides
+     * its mode skips zeros on.  The consumers share the workset's
+     * operands and tile queues (LayerWorkset::memo), so one thread at
+     * a time runs layers over a given workset.
      */
     LayerResult runLayer(const NetworkSpec &net, std::size_t layerIndex,
                          DnnCategory cat, const RunOptions &opt,
                          const LayerWorkset &workset) const;
+
+    /**
+     * Whether runLayer reads every column of B (SparTen's MAC grid
+     * does; a vector core reads its sampled column tiles).  A runner
+     * with such a consumer in a group generates B whole first, so the
+     * group's vector cores view it rather than draw their tiles again.
+     */
+    bool
+    readsWholeB() const
+    {
+        return config_.style == DatapathStyle::MacGrid;
+    }
 
     /**
      * Deterministic reduce step: assemble per-layer outcomes (in node

@@ -1,5 +1,6 @@
 #include "runtime/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <functional>
@@ -191,10 +192,12 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
         }
     }
 
-    // The worksets' queue memos and generated sides, summed over
-    // groups (--stats): every count follows from the plan alone.
+    // The worksets' queue memos, generated sides and drawn column
+    // tiles, summed over groups (--stats): every count follows from the
+    // plan alone.
     std::atomic<std::int64_t> queue_requests{0}, queue_builds{0};
-    std::atomic<std::int64_t> a_sides{0}, b_sides{0}, elements{0};
+    std::atomic<std::int64_t> a_sides{0}, b_sides{0}, b_tiles{0};
+    std::atomic<std::int64_t> elements{0};
 
     ThreadPool::Stats pool_stats;
     {
@@ -207,7 +210,7 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
         for (const auto &group : order) {
             tasks.push_back([&specs, &jobs, &accelerators, &layer_results,
                              &queue_requests, &queue_builds, &a_sides,
-                             &b_sides, &elements, group] {
+                             &b_sides, &b_tiles, &elements, group] {
                 // Every consumer of a group runs the same network layer.
                 const Consumer &first = group->second.front();
                 const NetworkSpec &net =
@@ -215,8 +218,18 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
                         .networks[jobs[first.spec][first.job].networkIndex];
                 const ScopedSpan span(LayerTag{
                     net.name, first.layer, net.layer(first.layer).name});
-                // Deferred: the consumers generate the sides they read.
+                // Deferred: the consumers generate what they read.  A
+                // consumer that reads every column of B (SparTen) gets
+                // it whole first, so the vector cores view it rather
+                // than draw their column tiles a second time.
                 const LayerWorkset workset(group->first.second);
+                const auto reads_whole_b = [&](const Consumer &c) {
+                    const SweepJob &job = jobs[c.spec][c.job];
+                    return accelerators[c.spec][job.archIndex].readsWholeB();
+                };
+                if (std::any_of(group->second.begin(), group->second.end(),
+                                reads_whole_b))
+                    workset.operandB();
                 for (const Consumer &c : group->second) {
                     const SweepSpec &spec = specs[c.spec];
                     const SweepJob &job = jobs[c.spec][c.job];
@@ -234,8 +247,9 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
                                   std::memory_order_relaxed);
                 b_sides.fetch_add(workset.generatedB(),
                                   std::memory_order_relaxed);
-                elements.fetch_add(static_cast<std::int64_t>(
-                                       workset.a.size() + workset.b.size()),
+                b_tiles.fetch_add(workset.drawnBTiles(),
+                                  std::memory_order_relaxed);
+                elements.fetch_add(workset.generatedElements(),
                                    std::memory_order_relaxed);
             });
         }
@@ -287,6 +301,7 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
             {"memo.queue_builds", static_cast<double>(queue_builds.load())},
             {"gen.a_sides", static_cast<double>(a_sides.load())},
             {"gen.b_sides", static_cast<double>(b_sides.load())},
+            {"gen.b_tiles", static_cast<double>(b_tiles.load())},
             {"gen.elements", static_cast<double>(elements.load())},
             {"process.peak_rss_mb", peakRssMb()},
         };

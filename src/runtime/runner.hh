@@ -27,9 +27,13 @@
  * WorksetParams) in first-seen order.  Each group is one pool task: it
  * makes the layer's deferred workset, runs every consumer's
  * Accelerator::runLayer over it, and frees it, so at most one workset
- * per worker is resident.  The first consumer that reads a side
- * generates it for the group, and a side no consumer reads is never
- * generated: a group of Sparse.A design points generates no B.  A
+ * per worker is resident.  The first consumer that reads an operand
+ * generates it for the group, and what no consumer reads is never
+ * generated: a group of Sparse.A design points generates no B, and a
+ * group of vector cores draws only the column tiles of B they sample.
+ * A group with a consumer that reads every column of B (SparTen,
+ * Accelerator::readsWholeB) generates B whole before its consumers
+ * run, and the vector cores view it.  A
  * group's consumers are the architectures of a grid point, the
  * option variants that leave the operands alone (DRAM bound, schedule
  * policy, SRAM budget) and, across specs, other experiments over the
@@ -48,9 +52,9 @@
  * record of its own execution: plan and pool sizes, wall time, the
  * queue requests and builds summed over the groups
  * (memo.queue_requests, memo.queue_builds), the A and B sides
- * generated (gen.a_sides, gen.b_sides) and their elements
- * (gen.elements), and the process's peak RSS.  Neither feeds back
- * into a result.
+ * generated whole (gen.a_sides, gen.b_sides), B's column tiles drawn
+ * on their own (gen.b_tiles), the elements of both (gen.elements), and
+ * the process's peak RSS.  Neither feeds back into a result.
  */
 
 #ifndef GRIFFIN_RUNTIME_RUNNER_HH

@@ -294,7 +294,7 @@ tileQueues(const TileViewB &b, const Shuffler &shuffler, Arena &arena)
     return sideQueues(SlotGrid{b.steps(), b.lanes(), 1, cols}, cols,
                       shuffler, arena,
                       [&](std::int64_t words, std::uint64_t *out) {
-                          simd::bColumnMasks(b.matrix(), b.unitBase(), cols,
+                          simd::bColumnMasks(b.matrix(), b.matrixCol(), cols,
                                              words, out);
                       });
 }

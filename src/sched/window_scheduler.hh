@@ -227,9 +227,12 @@ SlotQueues pairQueues(const SlotQueues &a, const SlotQueues &b,
  * tile side under a (tile geometry, lanes, shuffle) builds its queues
  * with tileQueues (the `tile_queues` span); every later request with
  * that key returns the same queues, which no engine writes.  Every
- * view must be over the workset's own matrices.  The memo holds only
- * what was asked for, the sampled tiles, until it is destroyed; it is
- * not synchronized, so one thread uses it at a time.
+ * view must show the workset's own operands.  A tile is named by its
+ * first row in A or first column in B (unitBase()), never by where it
+ * sits in the backing matrix: a B tile's view may read all of B or a
+ * column tile drawn on its own, and both name the same queues.  The
+ * memo holds only what was asked for, the sampled tiles, until it is
+ * destroyed; it is not synchronized, so one thread uses it at a time.
  */
 class QueueMemo
 {
@@ -246,8 +249,8 @@ class QueueMemo
     }
 
   private:
-    /** (B side, first unit, units, lanes, shuffle group or 0 when
-     *  the shuffle is off). */
+    /** (B side, first row in A or column in B, units, lanes, shuffle
+     *  group or 0 when the shuffle is off). */
     using Key = std::tuple<bool, std::int64_t, int, int, int>;
 
     template <class View>

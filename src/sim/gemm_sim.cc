@@ -42,152 +42,32 @@ scaleUp(std::int64_t sampled_sum, std::int64_t sampled_count,
 }
 
 /**
- * One GEMM's dimensions and the operand sides its mode reads; a side
- * the mode does not read is null.
+ * One GEMM before any operand is read: geometry, routing and the
+ * sampled tiles, so the workset form can generate what they read
+ * first.
  */
-struct Operands
+struct GemmPlan
 {
-    std::int64_t m;
-    std::int64_t k;
-    std::int64_t n;
-    const MatrixI8 *a;
-    const MatrixI8 *b;
+    TileShape shape;
+    RoutingConfig routing;
+    double bw = 0.0;
+    std::int64_t rowTiles = 0;
+    std::int64_t colTiles = 0;
+    /** No tile to simulate (an empty grid or k = 0). */
+    bool empty = true;
+    /**
+     * The sampled tiles: column tiles (as rows) for Sparse.B, row tiles
+     * for Sparse.A, tile pairs for dual; none for dense.
+     */
+    std::vector<TileCoord> picks;
+    /** The column tiles of B the picks read, ascending. */
+    std::vector<std::int64_t> bCols;
+    GemmSimResult result; ///< denseCycles, denseOps and totalTiles
 };
 
-/**
- * Everything the per-mode compute stages share: resolved geometry and
- * routing, plus the result record they fill in (computeCycles,
- * simulatedTiles, sched).
- */
-struct ComputeStage
-{
-    const MatrixI8 *a; ///< null unless the mode reads A
-    const MatrixI8 *b; ///< null unless the mode reads B
-    QueueMemo &memo;   ///< queues of a's and b's tiles
-    const SimOptions &opt;
-    const TileShape &shape;
-    const RoutingConfig &routing;
-    const Shuffler &shuffler;
-    double bw;
-    std::int64_t rowTiles;
-    std::int64_t colTiles;
-};
-
-/** Stage 2+3, SparsityMode::B: schedules depend only on B — simulate
- *  (a subset of) column tiles and multiply by the row-tile count.  One
- *  b_schedule span covers the stage; queue builds nest inside it. */
-void
-simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
-{
-    auto picks = sampleTiles(stage.colTiles, 1, stage.opt.sampleFraction,
-                             stage.opt.minSampledTiles, stage.opt.seed);
-    std::int64_t sum = 0;
-    ScopedSpan span("b_schedule"); // nothing here reads stream cells
-    for (const auto &t : picks) {
-        TileViewB vb(*stage.b, stage.shape, t.row * stage.shape.n0);
-        const ScheduleStats stats =
-            scheduleB(stage.memo.get(vb, stage.shuffler), stage.routing.b);
-        // Runtime is bandwidth-capped even though packing is offline:
-        // replaying the stream can consume at most `bw` raw A steps
-        // per cycle.
-        const double min_cycles =
-            static_cast<double>(vb.steps()) / stage.bw;
-        sum += std::max<std::int64_t>(
-            stats.cycles,
-            static_cast<std::int64_t>(std::ceil(min_cycles)));
-        accumulate(result.sched, stats);
-    }
-    result.computeCycles =
-        scaleUp(sum, static_cast<std::int64_t>(picks.size()),
-                stage.colTiles) *
-        stage.rowTiles;
-    result.simulatedTiles =
-        static_cast<std::int64_t>(picks.size()) * stage.rowTiles;
-}
-
-/** Stage 2+3, SparsityMode::A: the symmetric row-tile form, under one
- *  a_schedule span. */
-void
-simulateSparseA(const ComputeStage &stage, GemmSimResult &result)
-{
-    auto picks = sampleTiles(stage.rowTiles, 1, stage.opt.sampleFraction,
-                             stage.opt.minSampledTiles, stage.opt.seed);
-    std::int64_t sum = 0;
-    ScopedSpan span("a_schedule");
-    for (const auto &t : picks) {
-        TileViewA va(*stage.a, stage.shape, t.row * stage.shape.m0);
-        const ScheduleStats stats =
-            scheduleA(stage.memo.get(va, stage.shuffler), stage.routing.a,
-                      stage.bw, false)
-                .stats;
-        sum += stats.cycles;
-        accumulate(result.sched, stats);
-    }
-    result.computeCycles =
-        scaleUp(sum, static_cast<std::int64_t>(picks.size()),
-                stage.rowTiles) *
-        stage.colTiles;
-    result.simulatedTiles =
-        static_cast<std::int64_t>(picks.size()) * stage.colTiles;
-}
-
-/** Stage 2+3, SparsityMode::AB: dual schedules are per tile pair, under
- *  one dual_schedule span; the B-side streams are packed once per
- *  distinct column tile first (a nested b_schedule span), and both
- *  sides' queues come from the memo. */
-void
-simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
-{
-    auto picks = sampleTiles(stage.rowTiles, stage.colTiles,
-                             stage.opt.sampleFraction,
-                             stage.opt.minSampledTiles, stage.opt.seed);
-    ScopedSpan span("dual_schedule");
-    // One preprocessed stream per distinct column tile, in column
-    // order: a handful of columns, looked up once per sampled tile.
-    std::vector<std::int64_t> cols;
-    std::vector<BSchedule> streams;
-    if (stage.routing.preprocessB) {
-        ScopedSpan pack_span("b_schedule");
-        for (const auto &t : picks)
-            cols.push_back(t.col);
-        std::sort(cols.begin(), cols.end());
-        cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-        streams.reserve(cols.size());
-        for (const std::int64_t col : cols) {
-            TileViewB vb(*stage.b, stage.shape, col * stage.shape.n0);
-            streams.push_back(preprocessB(stage.memo.get(vb, stage.shuffler),
-                                          stage.routing.b, stage.shuffler,
-                                          false));
-        }
-    }
-    std::int64_t sum = 0;
-    for (const auto &t : picks) {
-        TileViewA va(*stage.a, stage.shape, t.row * stage.shape.m0);
-        const SlotQueues &a_queue = stage.memo.get(va, stage.shuffler);
-        const SlotQueues *b_queue = nullptr;
-        const BSchedule *stream = nullptr;
-        if (stage.routing.preprocessB) {
-            stream = &streams[static_cast<std::size_t>(
-                std::lower_bound(cols.begin(), cols.end(), t.col) -
-                cols.begin())];
-        } else {
-            TileViewB vb(*stage.b, stage.shape, t.col * stage.shape.n0);
-            b_queue = &stage.memo.get(vb, stage.shuffler);
-        }
-        const DualSchedule dual =
-            scheduleDual(a_queue, b_queue, stage.routing, stage.shuffler,
-                         stream, stage.bw, false);
-        sum += dual.cycles;
-        accumulate(result.sched, dual.stage2);
-    }
-    result.computeCycles = scaleUp(
-        sum, static_cast<std::int64_t>(picks.size()), result.totalTiles);
-    result.simulatedTiles = static_cast<std::int64_t>(picks.size());
-}
-
-GemmSimResult
-simulate(const Operands &ops, QueueMemo &memo, const ArchConfig &arch,
-         DnnCategory cat, const SimOptions &opt)
+GemmPlan
+planGemm(std::int64_t m, std::int64_t k, std::int64_t n,
+         const ArchConfig &arch, DnnCategory cat, const SimOptions &opt)
 {
     arch.validate();
     if (arch.style != DatapathStyle::VectorCore)
@@ -197,28 +77,185 @@ simulate(const Operands &ops, QueueMemo &memo, const ArchConfig &arch,
     if (opt.sampleFraction <= 0.0 || opt.sampleFraction > 1.0)
         fatal("sample fraction ", opt.sampleFraction, " outside (0,1]");
 
-    const TileShape &shape = arch.tile;
-    const auto routing = arch.effectiveRouting(cat);
-    const double bw = arch.effectiveBwScale(cat);
+    GemmPlan plan;
+    plan.shape = arch.tile;
+    plan.routing = arch.effectiveRouting(cat);
+    plan.bw = arch.effectiveBwScale(cat);
+    plan.result.denseCycles = denseCycles(m, k, n, plan.shape);
+    plan.result.denseOps = m * k * n;
+    plan.rowTiles = (m + plan.shape.m0 - 1) / plan.shape.m0;
+    plan.colTiles = (n + plan.shape.n0 - 1) / plan.shape.n0;
+    plan.result.totalTiles = plan.rowTiles * plan.colTiles;
+    plan.empty = plan.result.totalTiles == 0 || k == 0;
+    if (plan.empty)
+        return plan;
 
-    GemmSimResult result;
-    result.denseCycles = denseCycles(ops.m, ops.k, ops.n, shape);
-    result.denseOps = ops.m * ops.k * ops.n;
-    const std::int64_t row_tiles = (ops.m + shape.m0 - 1) / shape.m0;
-    const std::int64_t col_tiles = (ops.n + shape.n0 - 1) / shape.n0;
-    result.totalTiles = row_tiles * col_tiles;
-    if (result.totalTiles == 0 || ops.k == 0)
+    switch (plan.routing.mode) {
+      case SparsityMode::Dense:
+        break;
+      case SparsityMode::B:
+        plan.picks = sampleTiles(plan.colTiles, 1, opt.sampleFraction,
+                                 opt.minSampledTiles, opt.seed);
+        for (const auto &t : plan.picks)
+            plan.bCols.push_back(t.row);
+        break;
+      case SparsityMode::A:
+        plan.picks = sampleTiles(plan.rowTiles, 1, opt.sampleFraction,
+                                 opt.minSampledTiles, opt.seed);
+        break;
+      case SparsityMode::AB:
+        plan.picks = sampleTiles(plan.rowTiles, plan.colTiles,
+                                 opt.sampleFraction, opt.minSampledTiles,
+                                 opt.seed);
+        for (const auto &t : plan.picks)
+            plan.bCols.push_back(t.col);
+        break;
+    }
+    std::sort(plan.bCols.begin(), plan.bCols.end());
+    plan.bCols.erase(std::unique(plan.bCols.begin(), plan.bCols.end()),
+                     plan.bCols.end());
+    return plan;
+}
+
+/**
+ * Everything the per-mode compute stages share: the plan, the operands
+ * they read, and the shuffle.  They fill in the result's
+ * computeCycles, simulatedTiles and sched.
+ */
+struct ComputeStage
+{
+    const GemmPlan &plan;
+    const MatrixI8 *a; ///< null unless the mode reads A
+    /** Views of B's column tiles plan.bCols, in that order. */
+    const std::vector<TileViewB> &bTiles;
+    QueueMemo &memo; ///< queues of a's and B's tiles
+    const Shuffler &shuffler;
+
+    /** Where column tile `col`, one of plan.bCols, sits in it. */
+    std::size_t
+    bIndex(std::int64_t col) const
+    {
+        return static_cast<std::size_t>(
+            std::lower_bound(plan.bCols.begin(), plan.bCols.end(), col) -
+            plan.bCols.begin());
+    }
+};
+
+/** Stage 2+3, SparsityMode::B: schedules depend only on B — simulate
+ *  (a subset of) column tiles and multiply by the row-tile count.  One
+ *  b_schedule span covers the stage; queue builds nest inside it. */
+void
+simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
+{
+    const GemmPlan &plan = stage.plan;
+    std::int64_t sum = 0;
+    ScopedSpan span("b_schedule"); // nothing here reads stream cells
+    for (const auto &t : plan.picks) {
+        const TileViewB &vb = stage.bTiles[stage.bIndex(t.row)];
+        const ScheduleStats stats =
+            scheduleB(stage.memo.get(vb, stage.shuffler), plan.routing.b);
+        // Runtime is bandwidth-capped even though packing is offline:
+        // replaying the stream can consume at most `bw` raw A steps
+        // per cycle.
+        const double min_cycles = static_cast<double>(vb.steps()) / plan.bw;
+        sum += std::max<std::int64_t>(
+            stats.cycles,
+            static_cast<std::int64_t>(std::ceil(min_cycles)));
+        accumulate(result.sched, stats);
+    }
+    result.computeCycles =
+        scaleUp(sum, static_cast<std::int64_t>(plan.picks.size()),
+                plan.colTiles) *
+        plan.rowTiles;
+    result.simulatedTiles =
+        static_cast<std::int64_t>(plan.picks.size()) * plan.rowTiles;
+}
+
+/** Stage 2+3, SparsityMode::A: the symmetric row-tile form, under one
+ *  a_schedule span. */
+void
+simulateSparseA(const ComputeStage &stage, GemmSimResult &result)
+{
+    const GemmPlan &plan = stage.plan;
+    std::int64_t sum = 0;
+    ScopedSpan span("a_schedule");
+    for (const auto &t : plan.picks) {
+        TileViewA va(*stage.a, plan.shape, t.row * plan.shape.m0);
+        const ScheduleStats stats =
+            scheduleA(stage.memo.get(va, stage.shuffler), plan.routing.a,
+                      plan.bw, false)
+                .stats;
+        sum += stats.cycles;
+        accumulate(result.sched, stats);
+    }
+    result.computeCycles =
+        scaleUp(sum, static_cast<std::int64_t>(plan.picks.size()),
+                plan.rowTiles) *
+        plan.colTiles;
+    result.simulatedTiles =
+        static_cast<std::int64_t>(plan.picks.size()) * plan.colTiles;
+}
+
+/** Stage 2+3, SparsityMode::AB: dual schedules are per tile pair, under
+ *  one dual_schedule span; the B-side streams are packed once per
+ *  distinct column tile first (a nested b_schedule span), and both
+ *  sides' queues come from the memo. */
+void
+simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
+{
+    const GemmPlan &plan = stage.plan;
+    ScopedSpan span("dual_schedule");
+    // One preprocessed stream per distinct column tile, in plan.bCols
+    // order: a handful of columns, looked up once per sampled tile.
+    std::vector<BSchedule> streams;
+    if (plan.routing.preprocessB) {
+        ScopedSpan pack_span("b_schedule");
+        streams.reserve(stage.bTiles.size());
+        for (const TileViewB &vb : stage.bTiles)
+            streams.push_back(preprocessB(stage.memo.get(vb, stage.shuffler),
+                                          plan.routing.b, stage.shuffler,
+                                          false));
+    }
+    std::int64_t sum = 0;
+    for (const auto &t : plan.picks) {
+        TileViewA va(*stage.a, plan.shape, t.row * plan.shape.m0);
+        const SlotQueues &a_queue = stage.memo.get(va, stage.shuffler);
+        const SlotQueues *b_queue = nullptr;
+        const BSchedule *stream = nullptr;
+        if (plan.routing.preprocessB)
+            stream = &streams[stage.bIndex(t.col)];
+        else
+            b_queue = &stage.memo.get(stage.bTiles[stage.bIndex(t.col)],
+                                      stage.shuffler);
+        const DualSchedule dual =
+            scheduleDual(a_queue, b_queue, plan.routing, stage.shuffler,
+                         stream, plan.bw, false);
+        sum += dual.cycles;
+        accumulate(result.sched, dual.stage2);
+    }
+    result.computeCycles = scaleUp(
+        sum, static_cast<std::int64_t>(plan.picks.size()), result.totalTiles);
+    result.simulatedTiles = static_cast<std::int64_t>(plan.picks.size());
+}
+
+/** Stages 2 and 3 of a planned GEMM; b_tiles are the views of
+ *  plan.bCols. */
+GemmSimResult
+runGemm(const GemmPlan &plan, const MatrixI8 *a,
+        const std::vector<TileViewB> &b_tiles, QueueMemo &memo)
+{
+    GemmSimResult result = plan.result;
+    if (plan.empty)
         return result;
 
-    Shuffler shuffler(routing.shuffle, shape.k0);
-    const ComputeStage stage{ops.a,   ops.b,    memo, opt,       shape,
-                             routing, shuffler, bw,   row_tiles, col_tiles};
+    Shuffler shuffler(plan.routing.shuffle, plan.shape.k0);
+    const ComputeStage stage{plan, a, b_tiles, memo, shuffler};
 
     // The mode's b_schedule / a_schedule / dual_schedule span, and the
     // tile_queues spans inside it, nest inside this one; the trace
     // shows them as sub-slices of tile simulation.
     ScopedSpan span("tile_sim");
-    switch (routing.mode) {
+    switch (plan.routing.mode) {
       case SparsityMode::Dense:
         result.computeCycles = result.denseCycles;
         result.simulatedTiles = result.totalTiles;
@@ -245,25 +282,30 @@ simulateGemm(const MatrixI8 &a, const MatrixI8 &b, const ArchConfig &arch,
     GRIFFIN_ASSERT(a.cols() == b.rows(), "GEMM shape mismatch: A ",
                    a.rows(), "x", a.cols(), ", B ", b.rows(), "x",
                    b.cols());
+    const GemmPlan plan = planGemm(static_cast<std::int64_t>(a.rows()),
+                                   static_cast<std::int64_t>(a.cols()),
+                                   static_cast<std::int64_t>(b.cols()), arch,
+                                   cat, opt);
+    std::vector<TileViewB> b_tiles;
+    b_tiles.reserve(plan.bCols.size());
+    for (const std::int64_t col : plan.bCols)
+        b_tiles.emplace_back(b, plan.shape, col * plan.shape.n0);
     QueueMemo memo;
-    return simulate({static_cast<std::int64_t>(a.rows()),
-                     static_cast<std::int64_t>(a.cols()),
-                     static_cast<std::int64_t>(b.cols()), &a, &b},
-                    memo, arch, cat, opt);
+    return runGemm(plan, &a, b_tiles, memo);
 }
 
 GemmSimResult
 simulateGemm(const LayerWorkset &ws, const ArchConfig &arch,
              DnnCategory cat, const SimOptions &opt)
 {
-    // Generate the sides the mode reads here, before tile_sim opens,
-    // so gen_a and gen_b stay top-level stages.
-    const RoutingConfig routing = arch.effectiveRouting(cat);
     const WorksetParams &p = ws.params();
-    return simulate({p.m, p.k, p.n,
-                     routing.sparseA() ? &ws.operandA() : nullptr,
-                     routing.sparseB() ? &ws.operandB() : nullptr},
-                    ws.memo, arch, cat, opt);
+    const GemmPlan plan = planGemm(p.m, p.k, p.n, arch, cat, opt);
+    // Generate what the sampled tiles read here, before tile_sim opens,
+    // so gen_a and gen_b stay top-level stages: A whole, and B's
+    // sampled column tiles (views of B when it is whole already).
+    const MatrixI8 *a = plan.routing.sparseA() ? &ws.operandA() : nullptr;
+    const std::vector<TileViewB> b_tiles = ws.bTiles(plan.bCols, plan.shape);
+    return runGemm(plan, a, b_tiles, ws.memo);
 }
 
 } // namespace griffin

@@ -1,12 +1,15 @@
 /**
  * @file
  * Cycle-level simulation of one GEMM on a vector-core architecture.
- * It consumes the operand matrices of stage 1 (tensor/workset.hh) and
- * runs the two later stages of the pipeline.  Over a workset it reads
- * only the sides its mode skips zeros on (Dense none, Sparse.A A,
- * Sparse.B B, dual both) and takes m, k and n from the workset's
- * parameters, so a side no mode reads is never generated.  The
- * stages:
+ * It consumes the operands of stage 1 (tensor/workset.hh) and runs the
+ * two later stages of the pipeline.  A GEMM is planned before any
+ * operand is read: its geometry, routing and sampled tiles.  Over a
+ * workset it then reads only what its sampled tiles need on the sides
+ * its mode skips zeros on (Dense nothing, Sparse.A A, Sparse.B B's
+ * sampled column tiles, dual A and the column tiles of its sampled
+ * pairs) and takes m, k and n from the workset's parameters, so B is
+ * drawn only where a sampled tile reads it, and a side no mode reads
+ * is never generated.  The stages:
  *
  *   2. *Tiling + per-side schedule computation*: each sampled tile
  *      side's slot queues come from the workset's QueueMemo
@@ -107,10 +110,13 @@ GemmSimResult simulateGemm(const MatrixI8 &a, const MatrixI8 &b,
 /**
  * simulateGemm over a workset's operands, with the sampled tiles'
  * queues taken from (and added to) ws.memo, so every consumer of the
- * workset builds each one at most once.  It generates the sides the
- * mode reads (`gen_a` / `gen_b`) before the `tile_sim` span opens.
- * The result equals the two-matrix form's on the workset's matrices,
- * whatever the memo held before.
+ * workset builds each one at most once.  Before the `tile_sim` span
+ * opens it generates A whole when the mode reads A (`gen_a`), and asks
+ * the workset for B's sampled column tiles when the mode reads B
+ * (LayerWorkset::bTiles: the missing ones drawn in one `gen_b` span,
+ * or views of B once it is whole).  The result equals the two-matrix
+ * form's on the workset's whole matrices, whatever the memo and the
+ * drawn tiles held before.
  */
 GemmSimResult simulateGemm(const LayerWorkset &ws, const ArchConfig &arch,
                            DnnCategory cat, const SimOptions &opt = {});

@@ -5,7 +5,7 @@
  * unsupported backends return nullptr so the dispatcher needs no
  * per-architecture preprocessor logic.  Below the accessors sits the
  * one loop that is written once and compiled per backend, with no
- * intrinsics: the weight generator's row fill (KernelTable::fillRow).
+ * intrinsics: the weight generator's row fill (KernelTable::fillRows).
  */
 
 #ifndef GRIFFIN_SIMD_KERNELS_HH
@@ -27,7 +27,7 @@ const KernelTable &scalarTable();
 const KernelTable *avx2Table();
 
 /**
- * The AVX2 table with fillRow compiled for AVX-512, when the build
+ * The AVX2 table with fillRows compiled for AVX-512, when the build
  * targets x86 and the CPU has AVX2 and AVX-512 F/BW/VL/DQ.
  */
 const KernelTable *avx512Table();
@@ -36,8 +36,8 @@ const KernelTable *avx512Table();
 const KernelTable *neonTable();
 
 /**
- * fillRow's element c, without a branch on the keep test (the scalar
- * copy would mispredict on it).
+ * Element c of a fillRows row, without a branch on the keep test (the
+ * scalar copy would mispredict on it).
  */
 __attribute__((always_inline)) inline std::int8_t
 fillElement(std::uint64_t key, std::uint64_t below, std::int64_t c)
@@ -49,13 +49,9 @@ fillElement(std::uint64_t key, std::uint64_t below, std::int64_t c)
 }
 
 /**
- * KernelTable::fillRow's loop.  The scalar table compiles it for the
- * build baseline; the AVX-512 table compiles it again under a target
- * attribute, where the compiler vectorizes it (the elements are
- * independent, and every step is 64-bit integer arithmetic).  Whole
- * blocks of 64 come first: a constant trip count needs no scalar
- * epilogue, so -O2's vectorizer (its very-cheap cost model) takes the
- * block too, not only -O3's.
+ * Columns [0, n) of one row.  Whole blocks of 64 come first: a
+ * constant trip count needs no scalar epilogue, so -O2's vectorizer
+ * (its very-cheap cost model) takes the block too, not only -O3's.
  */
 __attribute__((always_inline)) inline void
 fillRowLoop(std::uint64_t key, std::uint64_t below, std::int64_t n,
@@ -67,6 +63,49 @@ fillRowLoop(std::uint64_t key, std::uint64_t below, std::int64_t n,
             out[c + j] = fillElement(key, below, c + j);
     for (; c < n; ++c)
         out[c] = fillElement(key, below, c);
+}
+
+/**
+ * KernelTable::fillRows's loop.  The scalar table compiles it for the
+ * build baseline, row by row (kAcrossRows false); the AVX-512 table
+ * compiles it again under a target attribute, where the compiler
+ * vectorizes the 64-element blocks (the elements are independent, and
+ * every step is 64-bit integer arithmetic).
+ *
+ * A vector of the row loop holds one row's elements, so a row narrower
+ * than 64 (a 16-column tile's) never fills one: gcc fits its 16 output
+ * bytes in one xmm register and computes the draws two 64-bit lanes at
+ * a time, and the latency of each row's short chain of multiplies is
+ * not hidden.  With kAcrossRows, the columns past the last whole
+ * 64-block of each row go 64 rows at a time instead, column by column:
+ * each 64-element vector holds one column of 64 rows, written to a
+ * column-major block and then copied into the rows (a last block of
+ * fewer than 64 rows goes row by row).  Without vectors the copy is
+ * only extra work, so the scalar table does not take it.
+ */
+template <bool kAcrossRows>
+__attribute__((always_inline)) inline void
+fillRowsLoop(const std::uint64_t *keys, const std::uint64_t *belows,
+             std::int64_t rows, std::int64_t n, std::int8_t *out)
+{
+    const std::int64_t wide = kAcrossRows ? n / 64 * 64 : n;
+    alignas(64) std::int8_t block[64 * 64];
+    for (std::int64_t r = 0; r < rows; r += 64) {
+        const std::int64_t height = rows - r < 64 ? rows - r : 64;
+        const std::int64_t row_cols = height == 64 ? wide : n;
+        for (std::int64_t i = 0; i < height; ++i)
+            fillRowLoop(keys[r + i], belows[r + i], row_cols,
+                        out + (r + i) * n);
+        if (row_cols == n)
+            continue;
+        for (std::int64_t c = wide; c < n; ++c)
+            for (int i = 0; i < 64; ++i)
+                block[(c - wide) * 64 + i] =
+                    fillElement(keys[r + i], belows[r + i], c);
+        for (int i = 0; i < 64; ++i)
+            for (std::int64_t c = wide; c < n; ++c)
+                out[(r + i) * n + c] = block[(c - wide) * 64 + i];
+    }
 }
 
 } // namespace detail

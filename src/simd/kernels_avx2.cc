@@ -7,7 +7,7 @@
  * runs (scalar) on pre-AVX2 hardware.  POPCNT is part of the x86-64
  * build baseline (CMakeLists.txt), so the scalar overlap-count kernel
  * this table reuses compiles to it.  The table also reuses the scalar
- * row fill (fillRow); an AVX2 copy earns its place only with a
+ * row fill (fillRows); an AVX2 copy earns its place only with a
  * measured end-to-end gain.  Where the CPU also has AVX-512
  * F/BW/VL/DQ, kernels_avx512.cc compiles the fill for AVX-512.
  *
@@ -209,7 +209,7 @@ avx2Table()
     static const KernelTable table = {
         nonzeroMasksAvx2,      countNonzeroAvx2, accumulateNonzeroAvx2,
         leMaskAvx2,            minI64Avx2,       mtTemperAvx2,
-        scalarTable().fillRow,
+        scalarTable().fillRows,
     };
     return &table;
 }

@@ -1,11 +1,12 @@
 /**
  * @file
  * The AVX-512 table: the AVX2 table with the weight generator's row
- * fill (fillRow) compiled for AVX-512.  The fill is the shared loop of
+ * fill (fillRows) compiled for AVX-512.  The fill is the shared loop of
  * kernels.hh under a target attribute, with no intrinsics; the
  * compiler vectorizes it eight 64-bit lanes at a time (vpmullq is
- * AVX-512DQ).  Dispatch (occupancy.cc) prefers this table when the CPU
- * reports exactly the features the attribute names, AVX-512
+ * AVX-512DQ), and fills the columns past a row's last whole 64-block
+ * 64 rows at a time.  Dispatch (occupancy.cc) prefers this table when
+ * the CPU reports exactly the features the attribute names, AVX-512
  * F/BW/VL/DQ.
  *
  * Byte-exactness against kernels_scalar.cc is pinned by
@@ -23,10 +24,10 @@ namespace detail {
 namespace {
 
 __attribute__((target("avx512f,avx512bw,avx512vl,avx512dq"))) void
-fillRowAvx512(std::uint64_t key, std::uint64_t below, std::int64_t n,
-              std::int8_t *out)
+fillRowsAvx512(const std::uint64_t *keys, const std::uint64_t *belows,
+               std::int64_t rows, std::int64_t n, std::int8_t *out)
 {
-    fillRowLoop(key, below, n, out);
+    fillRowsLoop<true>(keys, belows, rows, n, out);
 }
 
 bool
@@ -48,7 +49,7 @@ avx512Table()
         return nullptr;
     static const KernelTable table = [avx2] {
         KernelTable t = *avx2;
-        t.fillRow = fillRowAvx512;
+        t.fillRows = fillRowsAvx512;
         return t;
     }();
     return &table;

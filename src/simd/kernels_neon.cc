@@ -6,7 +6,7 @@
  * reference — they are not the bottleneck there, and the
  * byte-exactness contract is trivially kept.  So do AND-popcount,
  * whose scalar popcount64 already compiles to cnt + addv on AArch64,
- * and the row fill (fillRow): no ARM build has measured a vector one.
+ * and the row fill (fillRows): no ARM build has measured a vector one.
  *
  * Compiled to the nullptr stub everywhere else (including the x86 CI
  * fleet); tests/test_simd.cc exercises whichever backends the build
@@ -139,7 +139,7 @@ neonTable()
     static const KernelTable table = {
         nonzeroMasksNeon,     countNonzeroNeon,     accumulateNonzeroNeon,
         scalarTable().leMask, scalarTable().minI64, mtTemperNeon,
-        scalarTable().fillRow,
+        scalarTable().fillRows,
     };
     return &table;
 }

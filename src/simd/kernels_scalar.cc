@@ -86,10 +86,10 @@ mtTemperScalar(const std::uint64_t *src, std::int64_t n,
 }
 
 void
-fillRowScalar(std::uint64_t key, std::uint64_t below, std::int64_t n,
-              std::int8_t *out)
+fillRowsScalar(const std::uint64_t *keys, const std::uint64_t *belows,
+               std::int64_t rows, std::int64_t n, std::int8_t *out)
 {
-    fillRowLoop(key, below, n, out);
+    fillRowsLoop<false>(keys, belows, rows, n, out);
 }
 
 } // namespace
@@ -100,7 +100,7 @@ scalarTable()
     static const KernelTable table = {
         nonzeroMasksScalar, countNonzeroScalar, accumulateNonzeroScalar,
         leMaskScalar,       minI64Scalar,       mtTemperScalar,
-        fillRowScalar,
+        fillRowsScalar,
     };
     return table;
 }

@@ -16,8 +16,8 @@
  * calling bounds-checked `nonzero()` per element.  The SparTen
  * baseline reads the same masks and asks one more question: how many
  * k positions a row mask shares with each column mask
- * (`andPopcount`).  Operand generation asks for one more: a row of
- * the weight generator (`fillRow`), one counter-based hash per
+ * (`andPopcount`).  Operand generation asks for one more: rows of
+ * the weight generator (`fillRows`), one counter-based hash per
  * element.  The fill is one loop without intrinsics (simd/kernels.hh)
  * that the scalar table compiles for the build baseline and the
  * AVX-512 table compiles again under a target attribute.
@@ -29,7 +29,7 @@
  *   2. AVX2 when the CPU reports it (cpuid via
  *      __builtin_cpu_supports).  When the CPU also reports AVX-512
  *      F/BW/VL/DQ, the backend (still Backend::Avx2, "avx2") runs the
- *      AVX-512 table: the AVX2 kernels with fillRow compiled for
+ *      AVX-512 table: the AVX2 kernels with fillRows compiled for
  *      AVX-512 (avx512Kernels());
  *   3. NEON when compiled for an ARM target that has it;
  *   4. scalar.
@@ -106,15 +106,16 @@ struct KernelTable
                      std::uint64_t *out);
 
     /**
-     * One row of counter-based weights: for c in [0, n), with h =
-     * Rng::counterDraw(key, c), out[c] is
-     * Rng::nonzeroInt8FromDraw(h << 32) when h >> 32 < below, else 0.
-     * `below` is in [0, 2^32] (0 keeps nothing, 2^32 everything), the
-     * key may be any value (the counter wraps mod 2^64) and n may be
-     * 0.  Writes only [out, out + n).
+     * `rows` rows of counter-based weights, `n` wide, row r at out +
+     * r * n: for c in [0, n), with h = Rng::counterDraw(keys[r], c),
+     * out[r * n + c] is Rng::nonzeroInt8FromDraw(h << 32) when h >> 32
+     * < belows[r], else 0.  Every belows[r] is in [0, 2^32] (0 keeps
+     * nothing, 2^32 everything), a key may be any value (the counter
+     * wraps mod 2^64), and rows and n may be 0.  Writes only [out,
+     * out + rows * n).
      */
-    void (*fillRow)(std::uint64_t key, std::uint64_t below,
-                    std::int64_t n, std::int8_t *out);
+    void (*fillRows)(const std::uint64_t *keys, const std::uint64_t *belows,
+                     std::int64_t rows, std::int64_t n, std::int8_t *out);
 };
 
 /** The backend picked by the dispatch order above (cached). */
@@ -130,7 +131,7 @@ const KernelTable &scalarKernels();
 const KernelTable *avx2Kernels();
 
 /**
- * The AVX2 kernels with fillRow compiled for AVX-512, or nullptr when
+ * The AVX2 kernels with fillRows compiled for AVX-512, or nullptr when
  * the CPU/build lacks AVX2 or any of AVX-512 F/BW/VL/DQ.
  */
 const KernelTable *avx512Kernels();

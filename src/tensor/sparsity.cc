@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/arena.hh"
 #include "simd/occupancy.hh"
 
 namespace griffin {
@@ -89,8 +90,9 @@ clusteredSparse(std::size_t rows, std::size_t cols, double sparsity,
 }
 
 MatrixI8
-laneBiasedSparse(std::size_t rows, std::size_t cols, double sparsity,
-                 double bias, int period, std::uint64_t seed)
+laneBiasedColumns(std::size_t rows, std::size_t first, std::size_t cols,
+                  double sparsity, double bias, int period,
+                  std::uint64_t seed)
 {
     GRIFFIN_ASSERT(sparsity >= 0.0 && sparsity <= 1.0,
                    "sparsity ", sparsity, " outside [0,1]");
@@ -110,12 +112,31 @@ laneBiasedSparse(std::size_t rows, std::size_t cols, double sparsity,
         keep_by_phase[phase] = halfBelow(
             std::clamp(density * (1.0 + bias * centered), 0.0, 1.0));
     }
+    // Row r's key starts at its draw `first`, and its bound is its
+    // phase's; one fillRows call then fills every row.  The two arrays
+    // come from the thread's work arena, whose pages are already
+    // resident: fresh heap pages beside a whole B raised fig8's peak
+    // RSS by 0.1-0.2 MiB.
+    Arena &arena = workArena();
+    ArenaScope scope(arena);
+    auto *keys = arena.alloc<std::uint64_t>(rows);
+    auto *belows = arena.alloc<std::uint64_t>(rows);
+    for (std::size_t r = 0, phase = 0; r < rows; ++r) {
+        keys[r] = Rng::counterSkip(Rng::mixSeed(seed, r), first);
+        belows[r] = keep_by_phase[phase];
+        phase = phase + 1 == keep_by_phase.size() ? 0 : phase + 1;
+    }
     MatrixI8 m(rows, cols);
-    const simd::KernelTable &kern = simd::kernels();
-    for (std::size_t r = 0; r < rows; ++r)
-        kern.fillRow(Rng::mixSeed(seed, r), keep_by_phase[r % period],
-                     static_cast<std::int64_t>(cols), m.data() + r * cols);
+    simd::kernels().fillRows(keys, belows, static_cast<std::int64_t>(rows),
+                             static_cast<std::int64_t>(cols), m.data());
     return m;
+}
+
+MatrixI8
+laneBiasedSparse(std::size_t rows, std::size_t cols, double sparsity,
+                 double bias, int period, std::uint64_t seed)
+{
+    return laneBiasedColumns(rows, 0, cols, sparsity, bias, period, seed);
 }
 
 } // namespace griffin

@@ -18,8 +18,12 @@
  * (the weights) depends on nothing but the seed and its indices, and
  * a row of clusteredSparse (the activations) on nothing but the seed
  * and its row, so every matrix is the top-left corner of any larger
- * one from the same seed.  laneBiasedSparse fills its rows through
- * simd::KernelTable::fillRow.
+ * one from the same seed.  So a column tile of the weights needs no
+ * other column's draws: laneBiasedColumns starts each row's stream at
+ * the tile's first column (Rng::counterSkip) and equals those columns
+ * of the whole matrix byte for byte, which is how a workset draws only
+ * the column tiles its consumers sample (tensor/workset.hh).  Both
+ * fill their rows through simd::KernelTable::fillRows.
  */
 
 #ifndef GRIFFIN_TENSOR_SPARSITY_HH
@@ -68,6 +72,15 @@ MatrixI8 clusteredSparse(std::size_t rows, std::size_t cols,
 MatrixI8 laneBiasedSparse(std::size_t rows, std::size_t cols,
                           double sparsity, double bias, int period,
                           std::uint64_t seed);
+
+/**
+ * Columns [first, first + cols) of laneBiasedSparse(rows, any width
+ * past first + cols, sparsity, bias, period, seed), as a rows x cols
+ * matrix, byte for byte.  laneBiasedSparse is the case first = 0.
+ */
+MatrixI8 laneBiasedColumns(std::size_t rows, std::size_t first,
+                           std::size_t cols, double sparsity, double bias,
+                           int period, std::uint64_t seed);
 
 } // namespace griffin
 

@@ -93,18 +93,23 @@ class TileViewA
 };
 
 /**
- * 3-D view of one B tile: N0 columns starting at colBase, the full K
- * extent split into (k1, k2).
+ * 3-D view of one B tile: N0 columns of B starting at colBase, the full
+ * K extent split into (k1, k2).  The backing matrix `b` holds B's
+ * columns from `first` on: all of B when first is 0, or a column tile
+ * drawn on its own (LayerWorkset), whose column 0 is B's column
+ * `first`.  Columns past b's edge read as zero, like columns past B's.
  */
 class TileViewB
 {
   public:
     TileViewB(const MatrixI8 &b, const TileShape &shape,
-              std::int64_t col_base)
-        : b_(b), shape_(shape), colBase_(col_base),
+              std::int64_t col_base, std::int64_t first = 0)
+        : b_(b), shape_(shape), colBase_(col_base), first_(first),
           steps_(stepsForK(static_cast<std::int64_t>(b.rows()), shape.k0))
     {
-        GRIFFIN_ASSERT(col_base >= 0, "negative column base ", col_base);
+        GRIFFIN_ASSERT(col_base >= first && first >= 0,
+                       "column base ", col_base, " before the backing "
+                       "matrix's first column ", first);
     }
 
     std::int64_t steps() const { return steps_; }
@@ -117,7 +122,7 @@ class TileViewB
     {
         const auto k = k1 * shape_.k0 + k2;
         return b_.atOrZero(static_cast<std::size_t>(k),
-                           static_cast<std::size_t>(colBase_ + n));
+                           static_cast<std::size_t>(matrixCol() + n));
     }
 
     bool
@@ -126,14 +131,18 @@ class TileViewB
         return at(k1, k2, n) != 0;
     }
 
-    /** Backing matrix and first column — for bulk occupancy extraction. */
-    const MatrixI8 &matrix() const { return b_; }
+    /** The tile's first column in B: what names the tile (QueueMemo). */
     std::int64_t unitBase() const { return colBase_; }
+    /** Backing matrix and the tile's first column in it — for bulk
+     *  occupancy extraction. */
+    const MatrixI8 &matrix() const { return b_; }
+    std::int64_t matrixCol() const { return colBase_ - first_; }
 
   private:
     const MatrixI8 &b_;
     TileShape shape_;
     std::int64_t colBase_;
+    std::int64_t first_;
     std::int64_t steps_;
 };
 

@@ -1,5 +1,7 @@
 #include "tensor/workset.hh"
 
+#include <algorithm>
+
 #include "common/arena.hh"
 #include "common/rng.hh"
 #include "runtime/telemetry.hh"
@@ -78,6 +80,59 @@ LayerWorkset::operandB() const
         generatedB_ = true;
     }
     return b;
+}
+
+std::vector<TileViewB>
+LayerWorkset::bTiles(const std::vector<std::int64_t> &cols,
+                     const TileShape &shape) const
+{
+    // A tile's (first column, width): its columns that lie inside B.
+    const auto range = [&](std::int64_t col) {
+        const std::int64_t first = col * shape.n0;
+        GRIFFIN_ASSERT(col >= 0 && first < params_.n, "column tile ", col,
+                       " outside B's ", params_.n, " columns");
+        return std::make_pair(first,
+                              std::min<std::int64_t>(shape.n0,
+                                                     params_.n - first));
+    };
+    const auto drawn = [&](std::int64_t col) {
+        return bTiles_.count(range(col)) != 0;
+    };
+    if (!generatedB_ && !std::all_of(cols.begin(), cols.end(), drawn)) {
+        ScopedSpan span("gen_b");
+        for (const std::int64_t col : cols) {
+            if (drawn(col))
+                continue;
+            const auto [first, width] = range(col);
+            bTiles_.emplace(
+                range(col),
+                laneBiasedColumns(static_cast<std::size_t>(params_.k),
+                                  static_cast<std::size_t>(first),
+                                  static_cast<std::size_t>(width),
+                                  params_.weightSparsity,
+                                  params_.weightLaneBias, weightLanePeriod,
+                                  Rng::mixSeed(params_.seed, StreamB)));
+        }
+    }
+    std::vector<TileViewB> views;
+    views.reserve(cols.size());
+    for (const std::int64_t col : cols) {
+        const auto key = range(col);
+        if (generatedB_)
+            views.emplace_back(b, shape, key.first);
+        else
+            views.emplace_back(bTiles_.at(key), shape, key.first, key.first);
+    }
+    return views;
+}
+
+std::int64_t
+LayerWorkset::generatedElements() const
+{
+    std::size_t total = a.size() + b.size();
+    for (const auto &tile : bTiles_)
+        total += tile.second.size();
+    return static_cast<std::int64_t>(total);
 }
 
 LayerWorkset

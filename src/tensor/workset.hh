@@ -8,15 +8,25 @@
  * layer seed forks into three independent streams,
  * Rng::mixSeed(seed, side), one each for A, B and the sampling
  * phase, so each side is a pure function of WorksetParams on its own
- * and the workset generates a side only when a consumer first reads
- * it (operandA() / operandB(), the `gen_a` and `gen_b` spans).  A
- * consumer reads the sides its routing skips zeros on: a Sparse.A
- * design point never generates B, a Sparse.B one never generates A,
- * a dense one neither, and the dual and SparTen engines both.
- * generateLayerWorkset is the same workset with both sides read.
- * Within a side, generation is counter-based (tensor/sparsity.hh):
- * each B element and each A row is a pure function of the side's
- * seed and its indices.
+ * and the workset generates only what its consumers read, when they
+ * first read it (the `gen_a` and `gen_b` spans):
+ *
+ *   - A whole, through operandA(): the Sparse.A and dual engines, and
+ *     SparTen.  With the row cap every row tile of A is sampled, so A
+ *     has no tile form.
+ *   - B's sampled column tiles, through bTiles(): the Sparse.B and
+ *     dual engines.  Within a side, generation is counter-based
+ *     (tensor/sparsity.hh): each B element is a pure function of the
+ *     side's seed and its indices, so a column tile drawn on its own
+ *     (laneBiasedColumns) equals those columns of the whole matrix
+ *     byte for byte.  A tile is drawn once and serves every later
+ *     consumer, shuffle on or off.
+ *   - B whole, through operandB(): SparTen, which reads every column.
+ *     Once B is whole, bTiles() views it and draws nothing.
+ *
+ * So a Sparse.A design point never generates B, a Sparse.B one never
+ * A, and a dense one neither.  generateLayerWorkset is the same
+ * workset with both sides whole.
  *
  * Generation computes no statistics of the matrices, because no later
  * stage reads one; countEffectualOps is here for callers that want
@@ -42,10 +52,14 @@
 #define GRIFFIN_TENSOR_WORKSET_HH
 
 #include <cstdint>
+#include <map>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "sched/window_scheduler.hh"
 #include "tensor/matrix.hh"
+#include "tensor/tile.hh"
 
 namespace griffin {
 
@@ -99,16 +113,16 @@ struct WorksetParams
 
 /**
  * The stage-1 artifact: the operands of one parameter record, each
- * side generated the first time a consumer reads it.  `a` and `b`
- * stay empty until operandA() / operandB() fill them; simSeed is set
- * at construction.  Reading a side changes none of the workset's
- * values, so consumers that hold it const fill the sides and the
- * queue memo too; a workset serves one thread at a time, and the
- * lazily filled fields take no lock.
+ * generated the first time a consumer reads it.  `a` and `b` stay
+ * empty until operandA() / operandB() fill them; simSeed is set at
+ * construction.  Reading an operand changes none of the workset's
+ * values, so consumers that hold it const fill the sides, the drawn
+ * column tiles and the queue memo too; a workset serves one thread at
+ * a time, and the lazily filled fields take no lock.
  */
 struct LayerWorkset
 {
-    /** A workset of `params` with neither side generated yet. */
+    /** A workset of `params` with nothing generated yet. */
     explicit LayerWorkset(const WorksetParams &params);
 
     /** Activations (m x k, clustered zero runs); generated on the
@@ -118,17 +132,37 @@ struct LayerWorkset
      *  call, as the `gen_b` span. */
     const MatrixI8 &operandB() const;
 
+    /**
+     * Views of B's column tiles `cols` under `shape`, in the order
+     * given: tile j holds B's columns [j * n0, (j + 1) * n0), those
+     * past n reading as zero.  Once operandB() has generated B, the
+     * views read it.  Otherwise each tile not drawn before is drawn
+     * now, all of them in one `gen_b` span (none when every tile is
+     * there), and kept until the workset goes.  The views stay valid as
+     * long as the workset.
+     */
+    std::vector<TileViewB> bTiles(const std::vector<std::int64_t> &cols,
+                                  const TileShape &shape) const;
+
     const WorksetParams &params() const { return params_; }
     /** Whether operandA() / operandB() has generated that side. */
     bool generatedA() const { return generatedA_; }
     bool generatedB() const { return generatedB_; }
+    /** Column tiles bTiles() has drawn. */
+    std::int64_t
+    drawnBTiles() const
+    {
+        return static_cast<std::int64_t>(bTiles_.size());
+    }
+    /** Elements generated: both sides and every drawn tile. */
+    std::int64_t generatedElements() const;
 
     mutable MatrixI8 a; ///< activations once generated, else empty
     mutable MatrixI8 b; ///< weights once generated, else empty
     /** Seed of the tile-sampling phase, drawn from its own stream. */
     std::uint64_t simSeed = 0;
     /**
-     * Queues of the tiles the consumers sampled, over a and b
+     * Queues of the tiles the consumers sampled, over a and B's tiles
      * (simulateGemm fills it).  Not part of the workset's value.
      */
     mutable QueueMemo memo;
@@ -137,6 +171,9 @@ struct LayerWorkset
     WorksetParams params_;
     mutable bool generatedA_ = false;
     mutable bool generatedB_ = false;
+    /** Drawn column tiles of B by (first column, width): k x width. */
+    mutable std::map<std::pair<std::int64_t, std::int64_t>, MatrixI8>
+        bTiles_;
 };
 
 /** Count MACs where both operands are nonzero, in O(MK + KN). */

@@ -10,16 +10,20 @@
 #      per distinct workset), QUEUE_REQUESTS tile-queue requests
 #      (memo.queue_requests), QUEUE_BUILDS of them that built
 #      queues (memo.queue_builds; the rest were shared within a
-#      workset), GEN_A_SIDES and GEN_B_SIDES generated operand sides
-#      (gen.a_sides, gen.b_sides; a side no consumer reads is never
-#      generated) and GEN_ELEMENTS generated elements (gen.elements),
-#      and unless `run fig6`, whose Sparse.A engines read no weights,
-#      reports gen.b_sides 0.  The counts depend on the registry, the
-#      planner and the sampler only, never on the machine or the
-#      thread count, so a change that plans more host work, stops
-#      sharing queues or generates a side nobody reads fails here on
-#      every box; changing them is a declared behaviour change, like
-#      regenerating a baseline, and
+#      workset), GEN_A_SIDES and GEN_B_SIDES operand sides generated
+#      whole (gen.a_sides, gen.b_sides; a side no consumer reads is
+#      never generated), GEN_B_TILES column tiles of B drawn on their
+#      own (gen.b_tiles) and GEN_ELEMENTS generated elements of both
+#      (gen.elements), and unless `run fig6`, whose Sparse.A engines
+#      read no weights, and `run fig5`, whose Sparse.B engines read
+#      only their sampled column tiles, report gen.b_sides 0, and
+#      `run fig8`, where SparTen reads all of B in every workset and
+#      the vector cores view it, reports gen.b_tiles 0.  The counts
+#      depend on the registry, the planner and the sampler only, never
+#      on the machine or the thread count, so a change that plans more
+#      host work, stops sharing queues or generates what nobody reads
+#      fails here on every box; changing them is a declared behaviour
+#      change, like regenerating a baseline, and
 #   3. byte-compares the result rows with bench/baselines/*.jsonl,
 #      concatenated in byte-sorted bare-name order (the registry's
 #      emission order, and how CI's bench-smoke job assembles them),
@@ -28,19 +32,20 @@
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DCEILING_MB=<MiB> -DSWEEP_JOBS=<n>
 #         -DPOOL_TASKS=<n> -DQUEUE_REQUESTS=<n> -DQUEUE_BUILDS=<n>
-#         -DGEN_A_SIDES=<n> -DGEN_B_SIDES=<n> -DGEN_ELEMENTS=<n>
-#         -DWORK_DIR=<dir> -DBASELINES_DIR=<dir> -P rss_ceiling.cmake
+#         -DGEN_A_SIDES=<n> -DGEN_B_SIDES=<n> -DGEN_B_TILES=<n>
+#         -DGEN_ELEMENTS=<n> -DWORK_DIR=<dir> -DBASELINES_DIR=<dir>
+#         -P rss_ceiling.cmake
 
 if(NOT GRIFFIN_BENCH OR NOT CEILING_MB OR NOT SWEEP_JOBS OR NOT POOL_TASKS
    OR NOT QUEUE_REQUESTS OR NOT QUEUE_BUILDS OR NOT GEN_A_SIDES
-   OR NOT GEN_B_SIDES OR NOT GEN_ELEMENTS OR NOT WORK_DIR
-   OR NOT BASELINES_DIR)
+   OR NOT GEN_B_SIDES OR NOT GEN_B_TILES OR NOT GEN_ELEMENTS
+   OR NOT WORK_DIR OR NOT BASELINES_DIR)
     message(FATAL_ERROR "need -DGRIFFIN_BENCH=... -DCEILING_MB=... "
                         "-DSWEEP_JOBS=... -DPOOL_TASKS=... "
                         "-DQUEUE_REQUESTS=... -DQUEUE_BUILDS=... "
                         "-DGEN_A_SIDES=... -DGEN_B_SIDES=... "
-                        "-DGEN_ELEMENTS=... -DWORK_DIR=... and "
-                        "-DBASELINES_DIR=...")
+                        "-DGEN_B_TILES=... -DGEN_ELEMENTS=... "
+                        "-DWORK_DIR=... and -DBASELINES_DIR=...")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -103,21 +108,26 @@ check_pins("run --all" "${out}" "sweep.jobs=${SWEEP_JOBS}"
            "memo.queue_requests=${QUEUE_REQUESTS}"
            "memo.queue_builds=${QUEUE_BUILDS}"
            "gen.a_sides=${GEN_A_SIDES}" "gen.b_sides=${GEN_B_SIDES}"
-           "gen.elements=${GEN_ELEMENTS}")
+           "gen.b_tiles=${GEN_B_TILES}" "gen.elements=${GEN_ELEMENTS}")
 
-execute_process(
-    COMMAND "${GRIFFIN_BENCH}" run fig6 --sample 0.01 --rowcap 4
-            --threads 4 --stats
-    OUTPUT_VARIABLE out6 ERROR_VARIABLE err6 RESULT_VARIABLE rc6)
-if(NOT rc6 EQUAL 0)
-    message(FATAL_ERROR "griffin_bench run fig6 failed (${rc6}):\n${err6}")
-endif()
-check_pins("run fig6" "${out6}" "gen.b_sides=0")
+foreach(run "fig6;gen.b_sides=0" "fig5;gen.b_sides=0" "fig8;gen.b_tiles=0")
+    list(GET run 0 exp)
+    list(GET run 1 pin)
+    execute_process(
+        COMMAND "${GRIFFIN_BENCH}" run ${exp} --sample 0.01 --rowcap 4
+                --threads 4 --stats
+        OUTPUT_VARIABLE one ERROR_VARIABLE err RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "griffin_bench run ${exp} failed (${rc}):\n${err}")
+    endif()
+    check_pins("run ${exp}" "${one}" "${pin}")
+endforeach()
 message(STATUS "work counts OK: sweep.jobs ${SWEEP_JOBS}, "
                "pool.executed_jobs ${POOL_TASKS}, memo.queue_requests "
                "${QUEUE_REQUESTS}, memo.queue_builds ${QUEUE_BUILDS}, "
                "gen.a_sides ${GEN_A_SIDES}, gen.b_sides ${GEN_B_SIDES}, "
-               "gen.elements ${GEN_ELEMENTS}; run fig6 generated no B")
+               "gen.b_tiles ${GEN_B_TILES}, gen.elements ${GEN_ELEMENTS}; "
+               "run fig6 and fig5 generated no whole B, run fig8 no tile")
 
 # -- baseline oracle --------------------------------------------------
 

@@ -7,11 +7,12 @@
 # — and the result-row documents must be byte-identical.  This is the
 # whole-run closure of the per-kernel equivalence tests in
 # tests/test_simd.cc: the SIMD layer is a pure speedup, never a
-# behaviour change.  A workset generates only the sides its consumers
-# read, so fig5 (Sparse.B points) generates only weights, through the
-# dispatched fillRow kernel, and fig6 (Sparse.A points) only
-# activations, whose generator calls no kernel; the occupancy kernels
-# run on both.  That the knob really reroutes dispatch,
+# behaviour change.  A workset generates only what its consumers read,
+# so fig5 (Sparse.B points) generates only weights, and only their
+# sampled 16-column tiles, through the dispatched fillRows kernel (on
+# AVX-512, its path that fills narrow rows 64 rows at a time), and
+# fig6 (Sparse.A points) only activations, whose generator calls no
+# kernel; the occupancy kernels run on both.  That the knob really reroutes dispatch,
 # rather than just being read, and that an AVX-512 CPU really gets the
 # AVX-512 table, is test_simd's SimdDispatchDeathTest.
 #

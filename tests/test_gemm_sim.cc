@@ -2,8 +2,9 @@
  * @file
  * Tests for the GEMM-level cycle simulator: speedup bounds, sampling
  * accuracy, bandwidth effects, category-driven morphing, the physical
- * bound every engine's compute cycles must respect, and the workset's
- * queue memo (a shared memo changes no result).
+ * bound every engine's compute cycles must respect, the workset's
+ * queue memo (a shared memo changes no result), and the workset's
+ * drawn column tiles (the same results as whole B).
  */
 
 #include <gtest/gtest.h>
@@ -313,6 +314,19 @@ sameResult(const GemmSimResult &x, const GemmSimResult &y)
            x.totalTiles == y.totalTiles;
 }
 
+bool
+sameQueues(const SlotQueues &x, const SlotQueues &y)
+{
+    if (x.wordsPerStep() != y.wordsPerStep() ||
+        x.grid().steps != y.grid().steps)
+        return false;
+    for (std::int64_t t = 0; t < x.grid().steps; ++t)
+        for (std::int64_t i = 0; i < x.wordsPerStep(); ++i)
+            if (x.stepWords(t)[i] != y.stepWords(t)[i])
+                return false;
+    return true;
+}
+
 WorksetParams
 memoParams()
 {
@@ -331,14 +345,16 @@ memoParams()
 
 TEST(QueueMemo, SharedMemoChangesNoResultInEitherOrder)
 {
-    // Every consumer runs through one workset's memo, first to last
-    // and last to first, and must match its own run on a fresh memo.
-    LayerWorkset forward = generateLayerWorkset(memoParams());
-    LayerWorkset reverse = generateLayerWorkset(memoParams());
+    // Every consumer runs through one deferred workset's memo (and its
+    // drawn column tiles), first to last and last to first, and must
+    // match its own run on a fresh memo over whole matrices.
+    const LayerWorkset eager = generateLayerWorkset(memoParams());
+    const LayerWorkset forward(memoParams());
+    const LayerWorkset reverse(memoParams());
     const auto consumers = memoConsumers(forward.simSeed);
     std::vector<GemmSimResult> fresh;
     for (const auto &c : consumers)
-        fresh.push_back(simulateGemm(forward.a, forward.b, c.arch, c.cat,
+        fresh.push_back(simulateGemm(eager.a, eager.b, c.arch, c.cat,
                                      c.opt));
     std::vector<std::string> failed;
     for (std::size_t i = 0; i < consumers.size(); ++i) {
@@ -388,12 +404,82 @@ TEST(QueueMemo, OneBuildPerSideTileGeometryAndShuffle)
     // A memoized queue holds what tileQueues builds.
     Arena arena;
     const TileViewB vb(ws.b, wide, 16);
-    const SlotQueues want = tileQueues(vb, on, arena);
-    const SlotQueues &got = memo.get(vb, on);
-    ASSERT_EQ(got.wordsPerStep(), want.wordsPerStep());
-    for (std::int64_t t = 0; t < want.grid().steps; ++t)
-        for (std::int64_t i = 0; i < want.wordsPerStep(); ++i)
-            EXPECT_EQ(got.stepWords(t)[i], want.stepWords(t)[i]);
+    EXPECT_TRUE(sameQueues(memo.get(vb, on), tileQueues(vb, on, arena)));
+}
+
+TEST(QueueMemo, DrawnTilesAreNamedByTheirColumnInB)
+{
+    // A drawn column tile starts at column 0 of its own matrix, so a
+    // memo keyed by the offset in the backing matrix would hand tile 1
+    // tile 0's queues.  Keyed by the column in B, each gets its own,
+    // equal to the queues of those columns of whole B.
+    const LayerWorkset deferred(memoParams());
+    const LayerWorkset eager = generateLayerWorkset(memoParams());
+    const TileShape shape{4, 16, 16};
+    const Shuffler off(false, 16);
+    const std::vector<TileViewB> tiles = deferred.bTiles({0, 1}, shape);
+    ASSERT_EQ(tiles.size(), 2u);
+    EXPECT_EQ(tiles[0].matrixCol(), 0);
+    EXPECT_EQ(tiles[1].matrixCol(), 0);
+    EXPECT_EQ(tiles[1].unitBase(), 16);
+    const SlotQueues &first = deferred.memo.get(tiles[0], off);
+    const SlotQueues &second = deferred.memo.get(tiles[1], off);
+    EXPECT_EQ(deferred.memo.builds(), 2);
+    EXPECT_FALSE(sameQueues(first, second));
+    Arena arena;
+    EXPECT_TRUE(sameQueues(
+        first, tileQueues(TileViewB(eager.b, shape, 0), off, arena)));
+    EXPECT_TRUE(sameQueues(
+        second, tileQueues(TileViewB(eager.b, shape, 16), off, arena)));
+    EXPECT_FALSE(deferred.generatedB());
+    EXPECT_EQ(deferred.drawnBTiles(), 2);
+}
+
+TEST(GemmSim, DrawnColumnTilesMatchTheWholeMatrix)
+{
+    // A deferred workset draws only the sampled column tiles of B; its
+    // simulateGemm must equal the two-matrix form on the eager
+    // workset's whole matrices.  Layers with n off the 16-column tile
+    // (ragged last tile) and narrower than one tile; Sparse.B,
+    // preprocessed Sparse.AB and on-the-fly TDash.AB.  Shuffle off
+    // then on over one deferred workset: the second run reads the
+    // tiles the first drew and draws none.
+    const struct
+    {
+        ArchConfig arch;
+        DnnCategory cat;
+    } points[] = {{sparseBStar(), DnnCategory::B},
+                  {sparseABStar(), DnnCategory::AB},
+                  {tdashAB(), DnnCategory::AB}};
+    for (const std::int64_t n : {72, 37, 5}) {
+        WorksetParams p = memoParams();
+        p.n = n;
+        const LayerWorkset eager = generateLayerWorkset(p);
+        for (const auto &point : points) {
+            const LayerWorkset deferred(p);
+            std::int64_t drawn = 0;
+            for (const bool shuffle : {false, true}) {
+                ArchConfig arch = point.arch;
+                arch.routing.shuffle = shuffle;
+                SimOptions opt;
+                opt.sampleFraction = 0.25;
+                opt.minSampledTiles = 2;
+                opt.seed = eager.simSeed;
+                const std::string label = arch.name + " n=" +
+                                          std::to_string(n) + " shuffle=" +
+                                          (shuffle ? "on" : "off");
+                EXPECT_TRUE(sameResult(
+                    simulateGemm(deferred, arch, point.cat, opt),
+                    simulateGemm(eager.a, eager.b, arch, point.cat, opt)))
+                    << label;
+                if (!shuffle)
+                    drawn = deferred.drawnBTiles();
+                EXPECT_EQ(deferred.drawnBTiles(), drawn) << label;
+            }
+            EXPECT_GT(drawn, 0) << point.arch.name << " n=" << n;
+            EXPECT_FALSE(deferred.generatedB()) << point.arch.name;
+        }
+    }
 }
 
 } // namespace

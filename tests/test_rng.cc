@@ -142,6 +142,23 @@ TEST(Rng, CounterDrawIsTheSplitmix64Stream)
         EXPECT_EQ(Rng::counterDraw(1234567, i), published[i]) << i;
 }
 
+TEST(Rng, CounterSkipStartsTheStreamLater)
+{
+    // test_simd's fill keys (near the 2^64 wrap, one putting the state
+    // on 0 at draw 70) and skips past the wrap of the draw counter.
+    constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+    const std::uint64_t keys[] = {0, 1, std::uint64_t{1} << 63,
+                                  ~std::uint64_t{0} - 1, ~std::uint64_t{0},
+                                  0 - 71 * kGamma};
+    const std::uint64_t skips[] = {0, 1, 16, 70, 4096, ~std::uint64_t{0}};
+    for (const std::uint64_t key : keys)
+        for (const std::uint64_t f : skips)
+            for (std::uint64_t i = 0; i < 80; ++i)
+                ASSERT_EQ(Rng::counterDraw(Rng::counterSkip(key, f), i),
+                          Rng::counterDraw(key, f + i))
+                    << "key " << key << " skip " << f << " draw " << i;
+}
+
 TEST(Rng, SameSeedSameStream)
 {
     Rng a(123), b(123);

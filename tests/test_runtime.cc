@@ -26,6 +26,7 @@
 #include "runtime/runner.hh"
 #include "runtime/telemetry.hh"
 #include "runtime/thread_pool.hh"
+#include "sim/sampling.hh"
 
 namespace griffin {
 namespace {
@@ -317,15 +318,27 @@ layerTotal(const SweepSpec &spec)
     return total;
 }
 
+/**
+ * gen_b events of smallSweep() (and of its DRAM-bound twin): both archs
+ * share the tile height, so they share every workset, and each
+ * (category, layer) group draws B's column tiles, never B whole.
+ * Sparse.B* reads its sampled column tiles and draws them first: one
+ * event per group.  On DNN.B Griffin morphs to Sparse.B and samples
+ * the same columns, so it draws none; on DNN.AB its dual engine's tile
+ * pairs read columns of their own, and on one of the 17 layers one of
+ * them is not among Sparse.B*'s: one more event.
+ */
+constexpr std::uint64_t kSmallSweepBTileDraws = 2 * 17 + 1;
+
 TEST(Runner, SweepIsBitIdenticalToSerialAcceleratorRun)
 {
     // The acceptance bar for the one execution path (one pool task per
     // (category, workset) group): sweeps on 1, 2, and 8 threads all
     // reproduce the serial Accelerator::run loop byte for byte, and
-    // each side of a layer's workset is generated at most once per
-    // category — both archs share the tile height, so they share every
-    // workset.  Sparse.B* reads B only; Griffin morphs to Sparse.B on
-    // DNN.B and runs dual on DNN.AB, so A is generated for DNN.AB only.
+    // each operand of a layer's workset is generated at most once per
+    // category.  Sparse.B* reads B's column tiles only; Griffin morphs
+    // to Sparse.B on DNN.B and runs dual on DNN.AB, so A is generated
+    // for DNN.AB only (kSmallSweepBTileDraws counts B's draws).
     auto spec = smallSweep();
 
     // Ground truth: the serial quadruple loop through run().
@@ -343,7 +356,8 @@ TEST(Runner, SweepIsBitIdenticalToSerialAcceleratorRun)
         return doc.str();
     };
 
-    const Generations generations{layerTotal(spec), 2 * layerTotal(spec)};
+    ASSERT_EQ(layerTotal(spec), 17u);
+    const Generations generations{layerTotal(spec), kSmallSweepBTileDraws};
     const std::string expected = serialDoc(spec);
     for (const int threads : {1, 2, 8}) {
         SweepResult sweep;
@@ -380,14 +394,16 @@ TEST(Runner, RunSweepsSharesWorksetsAcrossSpecs)
     second.networks = {alexNet()};
     second.categories = {DnnCategory::AB};
 
-    // first generates B on both categories and A on DNN.AB (see
-    // SweepIsBitIdenticalToSerialAcceleratorRun); second's dual
-    // Griffin reads both sides of worksets first already generated.
+    // first draws B's column tiles on both categories and generates A
+    // on DNN.AB (see SweepIsBitIdenticalToSerialAcceleratorRun);
+    // second's dual Griffin is one of first's consumers, so it reads
+    // what first already generated.  Alone, it generates A and draws
+    // its tiles once per AlexNet layer.
     std::vector<SweepResult> planned;
     EXPECT_EQ(countGenerations([&] {
                   planned = runSweeps({first, second}, 4);
               }),
-              (Generations{layerTotal(first), 2 * layerTotal(first)}));
+              (Generations{layerTotal(first), kSmallSweepBTileDraws}));
     ASSERT_EQ(planned.size(), 2u);
 
     Generations separate;
@@ -405,26 +421,45 @@ TEST(Runner, RunSweepsSharesWorksetsAcrossSpecs)
     }
     EXPECT_EQ(separate,
               (Generations{layerTotal(first) + layerTotal(second),
-                           2 * layerTotal(first) + layerTotal(second)}));
+                           kSmallSweepBTileDraws + layerTotal(second)}));
+}
+
+/**
+ * The column tiles of B a vector-core Sparse.B consumer of `p` samples
+ * (sim/gemm_sim.cc's plan), as (first column, width) ranges.
+ */
+std::vector<std::pair<std::int64_t, std::int64_t>>
+sparseBColumns(const ArchConfig &arch, const WorksetParams &p,
+               const RunOptions &opt)
+{
+    const std::int64_t n0 = arch.tile.n0;
+    std::vector<std::pair<std::int64_t, std::int64_t>> out;
+    for (const TileCoord &t :
+         sampleTiles((p.n + n0 - 1) / n0, 1, opt.sim.sampleFraction,
+                     opt.sim.minSampledTiles, LayerWorkset(p).simSeed))
+        out.emplace_back(t.row * n0, std::min(n0, p.n - t.row * n0));
+    return out;
 }
 
 TEST(Runner, ConsumersGenerateOnlyTheSidesTheyRead)
 {
-    // A Sparse.A engine reads A, a Sparse.B engine B, a dense one
-    // neither and SparTen both.  The trace's gen_a / gen_b events and
-    // the SweepStats record agree, and gen.elements counts the generated
-    // sides' elements.
+    // A Sparse.A engine reads A, a Sparse.B engine B's sampled column
+    // tiles, a dense one neither and SparTen both sides whole.  The
+    // trace's gen_a / gen_b events and the SweepStats record agree:
+    // gen.b_sides counts whole B, gen.b_tiles the tiles drawn on their
+    // own, and gen.elements the elements of both.
     const struct
     {
         ArchConfig arch;
         DnnCategory cat;
         bool a;
         bool b;
+        bool tiles;
     } cases[] = {
-        {sparseAStar(), DnnCategory::A, true, false},
-        {sparseBStar(), DnnCategory::B, false, true},
-        {denseBaseline(), DnnCategory::Dense, false, false},
-        {sparTenAB(), DnnCategory::AB, true, true},
+        {sparseAStar(), DnnCategory::A, true, false, false},
+        {sparseBStar(), DnnCategory::B, false, false, true},
+        {denseBaseline(), DnnCategory::Dense, false, false, false},
+        {sparTenAB(), DnnCategory::AB, true, true, false},
     };
     for (const auto &c : cases) {
         SweepSpec spec = smallSweep();
@@ -432,14 +467,23 @@ TEST(Runner, ConsumersGenerateOnlyTheSidesTheyRead)
         spec.categories = {c.cat};
         Accelerator acc(c.arch);
         const std::uint64_t layers = layerTotal(spec);
-        std::int64_t elements = 0;
+        std::int64_t elements = 0, tiles = 0;
         for (const auto &net : spec.networks)
             for (std::size_t l = 0; l < net.layerCount(); ++l) {
                 const WorksetParams p = acc.layerWorksetParams(
                     net, l, c.cat, spec.optionVariants[0]);
                 elements += (c.a ? p.m * p.k : 0) + (c.b ? p.k * p.n : 0);
+                if (!c.tiles)
+                    continue;
+                for (const auto &[first, width] :
+                     sparseBColumns(c.arch, p, spec.optionVariants[0])) {
+                    elements += p.k * width;
+                    ++tiles;
+                }
             }
-        const Generations want{c.a ? layers : 0, c.b ? layers : 0};
+        // One gen_b event per layer: whole B, or one GEMM's tiles.
+        const Generations want{c.a ? layers : 0,
+                               c.b || c.tiles ? layers : 0};
         SweepStats stats;
         EXPECT_EQ(countGenerations([&] { runSweeps({spec}, 2, &stats); }),
                   want)
@@ -447,7 +491,9 @@ TEST(Runner, ConsumersGenerateOnlyTheSidesTheyRead)
         EXPECT_EQ((Generations{
                       static_cast<std::uint64_t>(stats.at("gen.a_sides")),
                       static_cast<std::uint64_t>(stats.at("gen.b_sides"))}),
-                  want)
+                  (Generations{c.a ? layers : 0, c.b ? layers : 0}))
+            << c.arch.name;
+        EXPECT_EQ(stats.at("gen.b_tiles"), static_cast<double>(tiles))
             << c.arch.name;
         EXPECT_EQ(stats.at("gen.elements"), static_cast<double>(elements))
             << c.arch.name;

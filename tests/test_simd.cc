@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -220,7 +221,7 @@ TEST(SimdKernels, AndPopcountCountsEveryOverlap)
     }
 }
 
-/** fillRow's contract (occupancy.hh), one element at a time. */
+/** fillRows's contract (occupancy.hh), one element at a time. */
 std::int8_t
 contractFill(std::uint64_t key, std::uint64_t below, std::int64_t c)
 {
@@ -242,24 +243,37 @@ TEST(SimdKernels, FillRowMatchesTheContractOnEveryBackend)
     const std::uint64_t keys[] = {0, 1, std::uint64_t{1} << 63,
                                   ~std::uint64_t{0} - 1, ~std::uint64_t{0},
                                   0 - 71 * kGamma};
-    for (std::int64_t n = 0; n <= 300; ++n)
-        for (const std::uint64_t below : belows)
-            for (const std::uint64_t key : keys) {
-                std::vector<std::int8_t> want(n + 2 * kPad, 0x55);
-                for (std::int64_t c = 0; c < n; ++c)
-                    want[kPad + c] = contractFill(key, below, c);
-                for (const auto &[name, table] : availableBackends()) {
-                    std::vector<std::int8_t> got(n + 2 * kPad, 0x55);
-                    table->fillRow(key, below, n, got.data() + kPad);
-                    ASSERT_EQ(want, got)
-                        << name << " n " << n << " below " << below
-                        << " key " << key;
-                }
-            }
+    // Row r takes combination r % 30 of (key, bound): each of the 30
+    // lands in the whole block of 64 rows and in the 30 rows after it,
+    // which the AVX-512 fill takes its own way.
+    constexpr std::int64_t kRows = 64 + 30;
+    std::vector<std::uint64_t> row_keys(kRows), row_belows(kRows);
+    for (std::int64_t r = 0; r < kRows; ++r) {
+        row_keys[r] = keys[r % 30 % 6];
+        row_belows[r] = belows[r % 30 / 6];
+    }
+    for (std::int64_t n = 0; n <= 300; ++n) {
+        std::vector<std::int8_t> want(kRows * n + 2 * kPad, 0x55);
+        for (std::int64_t r = 0; r < kRows; ++r)
+            for (std::int64_t c = 0; c < n; ++c)
+                want[kPad + r * n + c] =
+                    contractFill(row_keys[r], row_belows[r], c);
+        for (const auto &[name, table] : availableBackends()) {
+            std::vector<std::int8_t> got(kRows * n + 2 * kPad, 0x55);
+            table->fillRows(row_keys.data(), row_belows.data(), kRows, n,
+                            got.data() + kPad);
+            for (std::int64_t i = 0; i < kRows * n + 2 * kPad; ++i)
+                ASSERT_EQ(want[i], got[i])
+                    << name << " n " << n << " byte " << i - kPad
+                    << " (row " << (i - kPad) / std::max<std::int64_t>(n, 1)
+                    << ")";
+        }
+    }
     // The zero state's draw is 0: kept below any positive bound, with
     // nonzeroInt8FromDraw(0)'s value.
+    const std::uint64_t key70 = 0 - 71 * kGamma, below70 = 1;
     std::int8_t at70[71];
-    simd::scalarKernels().fillRow(0 - 71 * kGamma, 1, 71, at70);
+    simd::scalarKernels().fillRows(&key70, &below70, 1, 71, at70);
     EXPECT_EQ(at70[70], -128);
 }
 
@@ -485,7 +499,7 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
     const KernelTable &active = simd::kernels();
     EXPECT_NE(active.nonzeroMasks, nullptr);
     EXPECT_NE(active.mtTemper, nullptr);
-    EXPECT_NE(active.fillRow, nullptr);
+    EXPECT_NE(active.fillRows, nullptr);
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -209,6 +211,54 @@ TEST(GeneratorContract, EveryMatrixIsACornerOfALargerOne)
               laneBiasedSparse(8, 64, 0.5, 0.5, 4, 2));
     EXPECT_NE(clusteredSparse(8, 64, 0.5, 2, 1),
               clusteredSparse(8, 64, 0.5, 2, 2));
+}
+
+/** Columns [first, first + width) of `whole` against `range`. */
+void
+expectColumns(const MatrixI8 &whole, std::size_t first, std::size_t width,
+              const MatrixI8 &range, const std::string &what)
+{
+    ASSERT_EQ(range.rows(), whole.rows()) << what;
+    ASSERT_EQ(range.cols(), width) << what;
+    for (std::size_t r = 0; r < whole.rows(); ++r)
+        for (std::size_t c = 0; c < width; ++c)
+            ASSERT_EQ(range.at(r, c), whole.at(r, first + c))
+                << what << " (" << r << ", " << c << ")";
+}
+
+TEST(GeneratorContract, EveryColumnRangeIsTheRangeFormsOutput)
+{
+    // Every column range of a 37-wide matrix: 16-column tiles end in a
+    // ragged one (first 32, width 5), and single columns are ranges
+    // too.  Row counts below the period (3 rows, period 4 and 16),
+    // above it, and past the fill's 64-row blocks (70 rows); both seed
+    // extremes.
+    const std::pair<std::size_t, int> shapes[] = {
+        {3, 4}, {3, 16}, {9, 4}, {70, 4}, {70, 16}};
+    for (const std::uint64_t seed : {std::uint64_t{0}, ~std::uint64_t{0}})
+        for (const auto &[rows, period] : shapes) {
+            const MatrixI8 whole =
+                laneBiasedSparse(rows, 37, 0.5, 0.8, period, seed);
+            for (std::size_t first = 0; first < 37; ++first)
+                for (std::size_t width = 1; first + width <= 37; ++width)
+                    expectColumns(
+                        whole, first, width,
+                        laneBiasedColumns(rows, first, width, 0.5, 0.8,
+                                          period, seed),
+                        std::to_string(rows) + " rows, period " +
+                            std::to_string(period) + ", columns " +
+                            std::to_string(first) + "+" +
+                            std::to_string(width));
+        }
+    // Ranges across and along the fill's 64-column blocks.
+    const MatrixI8 wide = laneBiasedSparse(70, 200, 0.3, 0.5, 4, 7);
+    const std::pair<std::size_t, std::size_t> ranges[] = {
+        {0, 200}, {60, 100}, {64, 64}, {130, 70}, {199, 1}, {16, 16}};
+    for (const auto &[first, width] : ranges)
+        expectColumns(wide, first, width,
+                      laneBiasedColumns(70, first, width, 0.3, 0.5, 4, 7),
+                      "200 wide, columns " + std::to_string(first) + "+" +
+                          std::to_string(width));
 }
 
 // ---- randomSparse and the generators' shape -----------------------------
