@@ -6,6 +6,7 @@
 #include "runtime/telemetry.hh"
 #include "simd/occupancy.hh"
 #include "tensor/tile.hh"
+#include "tensor/workset.hh"
 
 namespace griffin {
 
@@ -21,38 +22,43 @@ onesMask(std::int64_t k, std::int64_t words, std::uint64_t *out)
         out[words - 1] = (std::uint64_t{1} << (k % 64)) - 1;
 }
 
-} // namespace
-
-GemmSimResult
-simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
-                const ArchConfig &arch, DnnCategory cat,
-                const SimOptions &opt)
+/** Columns of the 64-column slab of n that starts at `base`. */
+int
+slabWidth(std::int64_t n, std::int64_t base)
 {
-    ScopedSpan span("sparten");
+    return static_cast<int>(std::min<std::int64_t>(64, n - base));
+}
+
+/**
+ * What both forms check and report before they read an operand: the
+ * dense yardstick of an m x k x n GEMM on a MacGrid `arch`.
+ */
+GemmSimResult
+denseFields(std::int64_t m, std::int64_t k, std::int64_t n,
+            const ArchConfig &arch)
+{
     arch.validate();
     if (arch.style != DatapathStyle::MacGrid)
         fatal("simulateSparTen needs a MacGrid architecture, got '",
               arch.name, "'");
-    GRIFFIN_ASSERT(a.cols() == b.rows(), "GEMM shape mismatch");
-    static_cast<void>(opt);
-
-    const auto m = static_cast<std::int64_t>(a.rows());
-    const auto k = static_cast<std::int64_t>(a.cols());
-    const auto n = static_cast<std::int64_t>(b.cols());
-    const auto routing = arch.effectiveRouting(cat);
-
     GemmSimResult result;
     result.denseCycles = denseCycles(m, k, n, arch.tile);
     result.denseOps = m * k * n;
     result.totalTiles = m * n; // one "tile" per output here
-    if (m == 0 || n == 0 || k == 0) {
-        return result;
-    }
+    return result;
+}
 
-    // Which zeros can the hardware actually skip?  A single-sided
-    // SparTen matches against a dense mask on the other operand.
-    const bool skip_a = routing.sparseA();
-    const bool skip_b = routing.sparseB();
+/**
+ * The grid both forms share, over A's rows (`a`, or all ones when
+ * null) and B's column masks over k (`b_cols`: column j at j * words,
+ * or all ones when null): one overlap count per output, then the
+ * balancer.  Fills the fields denseFields leaves.
+ */
+void
+runGrid(const MatrixI8 *a, const std::uint64_t *b_cols, std::int64_t m,
+        std::int64_t k, std::int64_t n, const ArchConfig &arch,
+        GemmSimResult &result)
+{
     const std::int64_t words = (k + 63) / 64;
     Arena &arena = workArena();
     ArenaScope scope(arena);
@@ -60,28 +66,27 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
     // A's row masks over k.
     auto *rows = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(m * words));
-    if (skip_a)
-        simd::aRowMasks(a, 0, m, words, rows);
+    if (a != nullptr)
+        simd::aRowMasks(*a, 0, m, words, rows);
     else
         for (std::int64_t mi = 0; mi < m; ++mi)
             onesMask(k, words, rows + mi * words);
 
-    // B in 64-column slabs of column k masks (zero past k), then one
-    // overlap count per (A row, slab column), stored in output order.
-    auto *cols = arena.alloc<std::uint64_t>(
+    // One overlap count per (A row, column) in 64-column slabs, so a
+    // slab's masks stay in cache across the rows; stored in output
+    // order.
+    auto *ones = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(64 * words));
     auto *work = arena.alloc<std::int32_t>(static_cast<std::size_t>(m * n));
-    if (!skip_b)
+    if (b_cols == nullptr)
         for (int j = 0; j < 64; ++j)
-            onesMask(k, words, cols + j * words);
+            onesMask(k, words, ones + j * words);
     for (std::int64_t base = 0; base < n; base += 64) {
-        const auto width = std::min<std::int64_t>(64, n - base);
-        if (skip_b)
-            simd::bColumnMasks(b, base, static_cast<int>(width), words,
-                               cols);
+        const std::uint64_t *slab =
+            b_cols != nullptr ? b_cols + base * words : ones;
         for (std::int64_t mi = 0; mi < m; ++mi)
-            simd::andPopcount(rows + mi * words, cols, words, width,
-                              work + mi * n + base);
+            simd::andPopcount(rows + mi * words, slab, words,
+                              slabWidth(n, base), work + mi * n + base);
     }
 
     // Least-loaded assignment of outputs to MACs, in output order.
@@ -123,6 +128,75 @@ simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
     result.effectualOps = effectual;
     result.computeCycles = max_load;
     result.simulatedTiles = result.totalTiles;
+}
+
+} // namespace
+
+GemmSimResult
+simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
+                const ArchConfig &arch, DnnCategory cat,
+                const SimOptions &opt)
+{
+    ScopedSpan span("sparten");
+    GRIFFIN_ASSERT(a.cols() == b.rows(), "GEMM shape mismatch");
+    static_cast<void>(opt);
+    const auto m = static_cast<std::int64_t>(a.rows());
+    const auto k = static_cast<std::int64_t>(a.cols());
+    const auto n = static_cast<std::int64_t>(b.cols());
+    GemmSimResult result = denseFields(m, k, n, arch);
+    if (m == 0 || n == 0 || k == 0)
+        return result;
+
+    // Which zeros can the hardware actually skip?  A single-sided
+    // SparTen matches against a dense mask on the other operand.
+    const auto routing = arch.effectiveRouting(cat);
+    const std::int64_t words = (k + 63) / 64;
+    Arena &arena = workArena();
+    ArenaScope scope(arena);
+    std::uint64_t *b_cols = nullptr;
+    if (routing.sparseB()) {
+        b_cols =
+            arena.alloc<std::uint64_t>(static_cast<std::size_t>(n * words));
+        for (std::int64_t base = 0; base < n; base += 64)
+            simd::bColumnMasks(b, base, slabWidth(n, base), words,
+                               b_cols + base * words);
+    }
+    runGrid(routing.sparseA() ? &a : nullptr, b_cols, m, k, n, arch,
+            result);
+    return result;
+}
+
+GemmSimResult
+simulateSparTen(const LayerWorkset &ws, const ArchConfig &arch,
+                DnnCategory cat)
+{
+    const WorksetParams &p = ws.params();
+    GemmSimResult result = denseFields(p.m, p.k, p.n, arch);
+    if (p.m == 0 || p.n == 0 || p.k == 0)
+        return result;
+
+    // Generate what the grid reads before the sparten span opens, so
+    // gen_a and gen_b stay top-level stages: A whole when its zeros are
+    // skipped, and B's column masks when its zeros are, drawn 64
+    // columns at a time and folded into masks as they come.
+    const auto routing = arch.effectiveRouting(cat);
+    const MatrixI8 *a = routing.sparseA() ? &ws.operandA() : nullptr;
+    const std::int64_t words = (p.k + 63) / 64;
+    Arena &arena = workArena();
+    ArenaScope scope(arena);
+    std::uint64_t *b_cols = nullptr;
+    if (routing.sparseB()) {
+        ScopedSpan span("gen_b");
+        b_cols =
+            arena.alloc<std::uint64_t>(static_cast<std::size_t>(p.n * words));
+        for (std::int64_t base = 0; base < p.n; base += 64) {
+            const int width = slabWidth(p.n, base);
+            simd::bColumnMasks(ws.bColumns(base, width), 0, width, words,
+                               b_cols + base * words);
+        }
+    }
+    ScopedSpan span("sparten");
+    runGrid(a, b_cols, p.m, p.k, p.n, arch, result);
     return result;
 }
 

@@ -30,6 +30,14 @@
  * least-loaded MACs is picked, and its final maximum is the compute
  * time.  All loads lie within k + sparTenOutputOverhead of the least
  * one, so the multiset is a ring of per-load counters.
+ *
+ * Two forms share that grid, as simulateGemm's do.  The two-matrix
+ * form reads A and B whole.  The workset form generates only what the
+ * grid reads, and never B whole: A (LayerWorkset::operandA) when the
+ * routing skips A's zeros, and, when it skips B's, each 64-column slab
+ * of B drawn on its own (LayerWorkset::bColumns), folded into its
+ * columns' k masks and dropped.  All of B's masks take one bit per
+ * element, an eighth of B.
  */
 
 #ifndef GRIFFIN_BASELINES_SPARTEN_HH
@@ -40,6 +48,8 @@
 #include "tensor/matrix.hh"
 
 namespace griffin {
+
+struct LayerWorkset;
 
 /** Cycles a MAC spends matching + writing back each output. */
 inline constexpr int sparTenOutputOverhead = 2;
@@ -52,6 +62,16 @@ inline constexpr int sparTenOutputOverhead = 2;
 GemmSimResult simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
                               const ArchConfig &arch, DnnCategory cat,
                               const SimOptions &opt = {});
+
+/**
+ * simulateSparTen over a workset's operands, equal to the two-matrix
+ * form on the workset's whole matrices.  Before the `sparten` span
+ * opens it generates A whole when the routing skips A's zeros
+ * (`gen_a`), and streams B into its column masks in one `gen_b` span
+ * when it skips B's; it keeps no column of B.
+ */
+GemmSimResult simulateSparTen(const LayerWorkset &ws, const ArchConfig &arch,
+                              DnnCategory cat);
 
 } // namespace griffin
 

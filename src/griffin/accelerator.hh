@@ -10,11 +10,13 @@
  *   std::cout << result.speedup << " x, "
  *             << result.topsPerWatt << " TOPS/W\n";
  *
- * Per layer, synthetic operand tensors are generated at the network's
- * published sparsity ratios (weights with the lane-biased structure of
- * real pruned models, activations with ReLU-like zero runs), the GEMM
- * is simulated cycle-level on the architecture (vector core or
- * SparTen-style MAC grid), and DRAM streaming is overlapped per layer.
+ * Per layer, the GEMM is simulated cycle-level on the architecture
+ * (vector core or SparTen-style MAC grid) over synthetic operands at
+ * the network's published sparsity ratios (weights with the lane-biased
+ * structure of real pruned models, activations with ReLU-like zero
+ * runs), and DRAM streaming is overlapped per layer.  Each simulator
+ * generates only what it reads of the operands, through its workset
+ * form (tensor/workset.hh); none makes the whole weight matrix.
  * Large layers are simulated on a statistically-equivalent row slice,
  * and runLayer scales its cycles linearly to the whole layer (README,
  * "The staged simulation pipeline").
@@ -174,27 +176,16 @@ class Accelerator
      * exactly this composition with a deferred LayerWorkset in front,
      * and a sweep hands one workset to every consumer that shares its
      * parameters.  The call generates what this architecture reads
-     * that no earlier consumer generated: SparTen both sides whole,
-     * simulateGemm A whole and B's sampled column tiles on the sides
-     * its mode skips zeros on.  The consumers share the workset's
-     * operands and tile queues (LayerWorkset::memo), so one thread at
-     * a time runs layers over a given workset.
+     * that no earlier consumer generated, on the sides it skips zeros
+     * on: A whole, and B as the sampled column tiles of a vector core
+     * (simulateGemm) or SparTen's streamed slabs, which it keeps none
+     * of (simulateSparTen).  The consumers share the workset's A, drawn
+     * tiles and tile queues (LayerWorkset::memo), so one thread at a
+     * time runs layers over a given workset.
      */
     LayerResult runLayer(const NetworkSpec &net, std::size_t layerIndex,
                          DnnCategory cat, const RunOptions &opt,
                          const LayerWorkset &workset) const;
-
-    /**
-     * Whether runLayer reads every column of B (SparTen's MAC grid
-     * does; a vector core reads its sampled column tiles).  A runner
-     * with such a consumer in a group generates B whole first, so the
-     * group's vector cores view it rather than draw their tiles again.
-     */
-    bool
-    readsWholeB() const
-    {
-        return config_.style == DatapathStyle::MacGrid;
-    }
 
     /**
      * Deterministic reduce step: assemble per-layer outcomes (in node

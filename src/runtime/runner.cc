@@ -1,6 +1,5 @@
 #include "runtime/runner.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <functional>
@@ -196,7 +195,7 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
     // tiles, summed over groups (--stats): every count follows from the
     // plan alone.
     std::atomic<std::int64_t> queue_requests{0}, queue_builds{0};
-    std::atomic<std::int64_t> a_sides{0}, b_sides{0}, b_tiles{0};
+    std::atomic<std::int64_t> a_sides{0}, b_tiles{0};
     std::atomic<std::int64_t> elements{0};
 
     ThreadPool::Stats pool_stats;
@@ -210,7 +209,7 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
         for (const auto &group : order) {
             tasks.push_back([&specs, &jobs, &accelerators, &layer_results,
                              &queue_requests, &queue_builds, &a_sides,
-                             &b_sides, &b_tiles, &elements, group] {
+                             &b_tiles, &elements, group] {
                 // Every consumer of a group runs the same network layer.
                 const Consumer &first = group->second.front();
                 const NetworkSpec &net =
@@ -218,18 +217,8 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
                         .networks[jobs[first.spec][first.job].networkIndex];
                 const ScopedSpan span(LayerTag{
                     net.name, first.layer, net.layer(first.layer).name});
-                // Deferred: the consumers generate what they read.  A
-                // consumer that reads every column of B (SparTen) gets
-                // it whole first, so the vector cores view it rather
-                // than draw their column tiles a second time.
+                // Deferred: the consumers generate what they read.
                 const LayerWorkset workset(group->first.second);
-                const auto reads_whole_b = [&](const Consumer &c) {
-                    const SweepJob &job = jobs[c.spec][c.job];
-                    return accelerators[c.spec][job.archIndex].readsWholeB();
-                };
-                if (std::any_of(group->second.begin(), group->second.end(),
-                                reads_whole_b))
-                    workset.operandB();
                 for (const Consumer &c : group->second) {
                     const SweepSpec &spec = specs[c.spec];
                     const SweepJob &job = jobs[c.spec][c.job];
@@ -244,8 +233,6 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
                 queue_builds.fetch_add(workset.memo.builds(),
                                        std::memory_order_relaxed);
                 a_sides.fetch_add(workset.generatedA(),
-                                  std::memory_order_relaxed);
-                b_sides.fetch_add(workset.generatedB(),
                                   std::memory_order_relaxed);
                 b_tiles.fetch_add(workset.drawnBTiles(),
                                   std::memory_order_relaxed);
@@ -300,7 +287,6 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
              static_cast<double>(queue_requests.load())},
             {"memo.queue_builds", static_cast<double>(queue_builds.load())},
             {"gen.a_sides", static_cast<double>(a_sides.load())},
-            {"gen.b_sides", static_cast<double>(b_sides.load())},
             {"gen.b_tiles", static_cast<double>(b_tiles.load())},
             {"gen.elements", static_cast<double>(elements.load())},
             {"process.peak_rss_mb", peakRssMb()},

@@ -29,15 +29,13 @@
  * Accelerator::runLayer over it, and frees it, so at most one workset
  * per worker is resident.  The first consumer that reads an operand
  * generates it for the group, and what no consumer reads is never
- * generated: a group of Sparse.A design points generates no B, and a
- * group of vector cores draws only the column tiles of B they sample.
- * A group with a consumer that reads every column of B (SparTen,
- * Accelerator::readsWholeB) generates B whole before its consumers
- * run, and the vector cores view it.  A
- * group's consumers are the architectures of a grid point, the
- * option variants that leave the operands alone (DRAM bound, schedule
- * policy, SRAM budget) and, across specs, other experiments over the
- * same layers.  A per-job reduce
+ * generated: a group of Sparse.A design points generates no B, a
+ * group of vector cores draws only the column tiles of B they sample,
+ * and SparTen streams B's columns and keeps none, so no group holds B
+ * whole.  A group's consumers are the architectures of a grid point,
+ * the option variants that leave the operands alone (DRAM bound,
+ * schedule policy, SRAM budget) and, across specs, other experiments
+ * over the same layers.  A per-job reduce
  * (Accelerator::reduceLayers) then reassembles each NetworkResult in
  * layer order.  Grouping changes no result.  A group's consumers
  * share the workset's slot queues of each sampled tile
@@ -51,10 +49,11 @@
  * (runtime/telemetry.hh).  runSweeps() can also hand back a SweepStats
  * record of its own execution: plan and pool sizes, wall time, the
  * queue requests and builds summed over the groups
- * (memo.queue_requests, memo.queue_builds), the A and B sides
- * generated whole (gen.a_sides, gen.b_sides), B's column tiles drawn
- * on their own (gen.b_tiles), the elements of both (gen.elements), and
- * the process's peak RSS.  Neither feeds back into a result.
+ * (memo.queue_requests, memo.queue_builds), the A sides generated
+ * (gen.a_sides), B's column tiles kept for the group (gen.b_tiles),
+ * every element generated (gen.elements: A, the tiles and SparTen's
+ * streamed slabs), and the process's peak RSS.  Neither feeds back
+ * into a result.
  */
 
 #ifndef GRIFFIN_RUNTIME_RUNNER_HH

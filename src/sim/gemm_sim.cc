@@ -302,7 +302,7 @@ simulateGemm(const LayerWorkset &ws, const ArchConfig &arch,
     const GemmPlan plan = planGemm(p.m, p.k, p.n, arch, cat, opt);
     // Generate what the sampled tiles read here, before tile_sim opens,
     // so gen_a and gen_b stay top-level stages: A whole, and B's
-    // sampled column tiles (views of B when it is whole already).
+    // sampled column tiles.
     const MatrixI8 *a = plan.routing.sparseA() ? &ws.operandA() : nullptr;
     const std::vector<TileViewB> b_tiles = ws.bTiles(plan.bCols, plan.shape);
     return runGemm(plan, a, b_tiles, ws.memo);

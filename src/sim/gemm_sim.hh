@@ -41,7 +41,8 @@
  *     queues serve every pair it is in.
  *
  * MacGrid architectures (SparTen) have their own simulator in
- * src/baselines; this one panics on them.
+ * src/baselines, with the same two forms (it streams B rather than
+ * sampling it); this one panics on them.
  */
 
 #ifndef GRIFFIN_SIM_GEMM_SIM_HH
@@ -113,10 +114,9 @@ GemmSimResult simulateGemm(const MatrixI8 &a, const MatrixI8 &b,
  * workset builds each one at most once.  Before the `tile_sim` span
  * opens it generates A whole when the mode reads A (`gen_a`), and asks
  * the workset for B's sampled column tiles when the mode reads B
- * (LayerWorkset::bTiles: the missing ones drawn in one `gen_b` span,
- * or views of B once it is whole).  The result equals the two-matrix
- * form's on the workset's whole matrices, whatever the memo and the
- * drawn tiles held before.
+ * (LayerWorkset::bTiles: the missing ones drawn in one `gen_b` span).
+ * The result equals the two-matrix form's on the workset's whole
+ * matrices, whatever the memo and the drawn tiles held before.
  */
 GemmSimResult simulateGemm(const LayerWorkset &ws, const ArchConfig &arch,
                            DnnCategory cat, const SimOptions &opt = {});

@@ -76,6 +76,15 @@ struct KernelTable
                          int width, std::int64_t groups,
                          std::uint64_t *out);
 
+    /*
+     * The next five run in no sweep, so every table holds the scalar
+     * reference's copy.  countNonzero and accumulateNonzero serve
+     * countEffectualOps (tests, examples/quickstart.cpp), and leMask
+     * and minI64 the tests' CSR reference schedulers.  The benchmark
+     * replay (perfbench/replay.cc) times all five through the table,
+     * so they stay until it drops those timings.
+     */
+
     /** Number of nonzero bytes in [src, src + len). */
     std::int64_t (*countNonzero)(const std::int8_t *src,
                                  std::size_t len);
@@ -86,8 +95,7 @@ struct KernelTable
 
     /**
      * Pack bit s of out[s/64] = (heads[s] <= horizon) for s in [0, n).
-     * Bits at and above n in the last word are zero.  No scheduler
-     * calls leMask or minI64 any more; the benchmark replay times them.
+     * Bits at and above n in the last word are zero.
      */
     void (*leMask)(const std::int64_t *heads, std::int64_t n,
                    std::int64_t horizon, std::uint64_t *out);
@@ -98,9 +106,7 @@ struct KernelTable
     /**
      * MT19937-64 output tempering of `n` raw state words (the shift /
      * xor / mask cascade from [rand.eng.mers]).  out[i] may alias
-     * nothing in [src, src + n).  No code under src/ calls mtTemper
-     * any more; the benchmark replay (perfbench/replay.cc) times it,
-     * so it stays until the benchmark drops that timing.
+     * nothing in [src, src + n).
      */
     void (*mtTemper)(const std::uint64_t *src, std::int64_t n,
                      std::uint64_t *out);

@@ -1,16 +1,6 @@
 #include "tensor/matrix.hh"
 
-#include "simd/occupancy.hh"
-
 namespace griffin {
-
-template <>
-std::size_t
-Matrix<std::int8_t>::nnz() const
-{
-    return static_cast<std::size_t>(
-        simd::kernels().countNonzero(data_.data(), data_.size()));
-}
 
 MatrixI32
 matmulRef(const MatrixI8 &a, const MatrixI8 &b)

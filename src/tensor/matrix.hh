@@ -120,13 +120,6 @@ using MatrixI8 = Matrix<std::int8_t>;
 using MatrixI32 = Matrix<std::int32_t>;
 
 /**
- * INT8 nonzero counting routes through the SIMD occupancy kernels
- * (matrix.cc) — operand generation calls it per layer on multi-million
- * element matrices.
- */
-template <> std::size_t Matrix<std::int8_t>::nnz() const;
-
-/**
  * Reference dense GEMM, C = A x B, INT8 operands with INT32
  * accumulation.  The golden model for schedule verification.
  */

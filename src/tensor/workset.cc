@@ -67,19 +67,16 @@ LayerWorkset::operandA() const
     return a;
 }
 
-const MatrixI8 &
-LayerWorkset::operandB() const
+MatrixI8
+LayerWorkset::bColumns(std::int64_t first, std::int64_t width) const
 {
-    if (!generatedB_) {
-        ScopedSpan span("gen_b");
-        b = laneBiasedSparse(static_cast<std::size_t>(params_.k),
-                             static_cast<std::size_t>(params_.n),
+    drawnB_ += params_.k * width;
+    return laneBiasedColumns(static_cast<std::size_t>(params_.k),
+                             static_cast<std::size_t>(first),
+                             static_cast<std::size_t>(width),
                              params_.weightSparsity, params_.weightLaneBias,
                              weightLanePeriod,
                              Rng::mixSeed(params_.seed, StreamB));
-        generatedB_ = true;
-    }
-    return b;
 }
 
 std::vector<TileViewB>
@@ -98,41 +95,21 @@ LayerWorkset::bTiles(const std::vector<std::int64_t> &cols,
     const auto drawn = [&](std::int64_t col) {
         return bTiles_.count(range(col)) != 0;
     };
-    if (!generatedB_ && !std::all_of(cols.begin(), cols.end(), drawn)) {
+    if (!std::all_of(cols.begin(), cols.end(), drawn)) {
         ScopedSpan span("gen_b");
         for (const std::int64_t col : cols) {
-            if (drawn(col))
-                continue;
-            const auto [first, width] = range(col);
-            bTiles_.emplace(
-                range(col),
-                laneBiasedColumns(static_cast<std::size_t>(params_.k),
-                                  static_cast<std::size_t>(first),
-                                  static_cast<std::size_t>(width),
-                                  params_.weightSparsity,
-                                  params_.weightLaneBias, weightLanePeriod,
-                                  Rng::mixSeed(params_.seed, StreamB)));
+            const auto key = range(col);
+            if (bTiles_.count(key) == 0)
+                bTiles_.emplace(key, bColumns(key.first, key.second));
         }
     }
     std::vector<TileViewB> views;
     views.reserve(cols.size());
     for (const std::int64_t col : cols) {
         const auto key = range(col);
-        if (generatedB_)
-            views.emplace_back(b, shape, key.first);
-        else
-            views.emplace_back(bTiles_.at(key), shape, key.first, key.first);
+        views.emplace_back(bTiles_.at(key), shape, key.first, key.first);
     }
     return views;
-}
-
-std::int64_t
-LayerWorkset::generatedElements() const
-{
-    std::size_t total = a.size() + b.size();
-    for (const auto &tile : bTiles_)
-        total += tile.second.size();
-    return static_cast<std::int64_t>(total);
 }
 
 LayerWorkset
@@ -140,7 +117,7 @@ generateLayerWorkset(const WorksetParams &params)
 {
     LayerWorkset ws(params);
     ws.operandA();
-    ws.operandB();
+    ws.b = ws.bColumns(0, params.n);
     return ws;
 }
 

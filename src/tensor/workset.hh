@@ -12,21 +12,23 @@
  * first read it (the `gen_a` and `gen_b` spans):
  *
  *   - A whole, through operandA(): the Sparse.A and dual engines, and
- *     SparTen.  With the row cap every row tile of A is sampled, so A
- *     has no tile form.
+ *     SparTen when it skips A's zeros.  With the row cap every row
+ *     tile of A is sampled, so A has no tile form.
  *   - B's sampled column tiles, through bTiles(): the Sparse.B and
  *     dual engines.  Within a side, generation is counter-based
  *     (tensor/sparsity.hh): each B element is a pure function of the
- *     side's seed and its indices, so a column tile drawn on its own
- *     (laneBiasedColumns) equals those columns of the whole matrix
- *     byte for byte.  A tile is drawn once and serves every later
- *     consumer, shuffle on or off.
- *   - B whole, through operandB(): SparTen, which reads every column.
- *     Once B is whole, bTiles() views it and draws nothing.
+ *     side's seed and its indices, so a column range drawn on its own
+ *     (bColumns, laneBiasedColumns) equals those columns of the whole
+ *     matrix byte for byte.  A tile is drawn once and serves every
+ *     later consumer, shuffle on or off.
+ *   - B's columns in ranges that are not kept, through bColumns():
+ *     SparTen, which reads every column, streams B 64 columns at a
+ *     time (baselines/sparten.hh).
  *
- * So a Sparse.A design point never generates B, a Sparse.B one never
- * A, and a dense one neither.  generateLayerWorkset is the same
- * workset with both sides whole.
+ * So B is never whole in a deferred workset: a Sparse.A design point
+ * never generates B, a Sparse.B one never A, and a dense one neither.
+ * generateLayerWorkset is the same workset with both sides whole, for
+ * callers that read the matrices themselves.
  *
  * Generation computes no statistics of the matrices, because no later
  * stage reads one; countEffectualOps is here for callers that want
@@ -113,12 +115,12 @@ struct WorksetParams
 
 /**
  * The stage-1 artifact: the operands of one parameter record, each
- * generated the first time a consumer reads it.  `a` and `b` stay
- * empty until operandA() / operandB() fill them; simSeed is set at
- * construction.  Reading an operand changes none of the workset's
- * values, so consumers that hold it const fill the sides, the drawn
- * column tiles and the queue memo too; a workset serves one thread at
- * a time, and the lazily filled fields take no lock.
+ * generated the first time a consumer reads it.  `a` stays empty until
+ * operandA() fills it, and `b` until generateLayerWorkset does;
+ * simSeed is set at construction.  Reading an operand changes none of
+ * the workset's values, so consumers that hold it const fill A, the
+ * drawn column tiles and the queue memo too; a workset serves one
+ * thread at a time, and the lazily filled fields take no lock.
  */
 struct LayerWorkset
 {
@@ -128,37 +130,45 @@ struct LayerWorkset
     /** Activations (m x k, clustered zero runs); generated on the
      *  first call, as the `gen_a` span. */
     const MatrixI8 &operandA() const;
-    /** Weights (k x n, lane-biased zeros); generated on the first
-     *  call, as the `gen_b` span. */
-    const MatrixI8 &operandB() const;
+
+    /**
+     * B's columns [first, first + width) (k x width, lane-biased
+     * zeros), drawn now and not kept; the caller opens the `gen_b`
+     * span.  They count in generatedElements().
+     */
+    MatrixI8 bColumns(std::int64_t first, std::int64_t width) const;
 
     /**
      * Views of B's column tiles `cols` under `shape`, in the order
      * given: tile j holds B's columns [j * n0, (j + 1) * n0), those
-     * past n reading as zero.  Once operandB() has generated B, the
-     * views read it.  Otherwise each tile not drawn before is drawn
+     * past n reading as zero.  Each tile not drawn before is drawn
      * now, all of them in one `gen_b` span (none when every tile is
-     * there), and kept until the workset goes.  The views stay valid as
-     * long as the workset.
+     * there), and kept until the workset goes.  The views stay valid
+     * as long as the workset.
      */
     std::vector<TileViewB> bTiles(const std::vector<std::int64_t> &cols,
                                   const TileShape &shape) const;
 
     const WorksetParams &params() const { return params_; }
-    /** Whether operandA() / operandB() has generated that side. */
+    /** Whether operandA() has generated A. */
     bool generatedA() const { return generatedA_; }
-    bool generatedB() const { return generatedB_; }
     /** Column tiles bTiles() has drawn. */
     std::int64_t
     drawnBTiles() const
     {
         return static_cast<std::int64_t>(bTiles_.size());
     }
-    /** Elements generated: both sides and every drawn tile. */
-    std::int64_t generatedElements() const;
+    /** Elements generated: A and every column of B drawn, kept or not. */
+    std::int64_t
+    generatedElements() const
+    {
+        return static_cast<std::int64_t>(a.size()) + drawnB_;
+    }
 
     mutable MatrixI8 a; ///< activations once generated, else empty
-    mutable MatrixI8 b; ///< weights once generated, else empty
+    /** Weights, whole: generateLayerWorkset's alone, else empty
+     *  (mutable like `a`, so a const workset's &a and &b share a type). */
+    mutable MatrixI8 b;
     /** Seed of the tile-sampling phase, drawn from its own stream. */
     std::uint64_t simSeed = 0;
     /**
@@ -170,7 +180,8 @@ struct LayerWorkset
   private:
     WorksetParams params_;
     mutable bool generatedA_ = false;
-    mutable bool generatedB_ = false;
+    /** Elements bColumns() has drawn. */
+    mutable std::int64_t drawnB_ = 0;
     /** Drawn column tiles of B by (first column, width): k x width. */
     mutable std::map<std::pair<std::int64_t, std::int64_t>, MatrixI8>
         bTiles_;
@@ -180,8 +191,9 @@ struct LayerWorkset
 std::int64_t countEffectualOps(const MatrixI8 &a, const MatrixI8 &b);
 
 /**
- * The workset for one parameter record with both sides generated:
- * LayerWorkset(params) after operandA() and operandB().
+ * The workset for one parameter record with both sides generated
+ * whole: LayerWorkset(params) after operandA(), with `b` set to
+ * bColumns(0, n).
  */
 LayerWorkset generateLayerWorkset(const WorksetParams &params);
 

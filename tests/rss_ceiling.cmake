@@ -10,15 +10,16 @@
 #      per distinct workset), QUEUE_REQUESTS tile-queue requests
 #      (memo.queue_requests), QUEUE_BUILDS of them that built
 #      queues (memo.queue_builds; the rest were shared within a
-#      workset), GEN_A_SIDES and GEN_B_SIDES operand sides generated
-#      whole (gen.a_sides, gen.b_sides; a side no consumer reads is
-#      never generated), GEN_B_TILES column tiles of B drawn on their
-#      own (gen.b_tiles) and GEN_ELEMENTS generated elements of both
-#      (gen.elements), and unless `run fig6`, whose Sparse.A engines
-#      read no weights, and `run fig5`, whose Sparse.B engines read
-#      only their sampled column tiles, report gen.b_sides 0, and
-#      `run fig8`, where SparTen reads all of B in every workset and
-#      the vector cores view it, reports gen.b_tiles 0.  The counts
+#      workset), GEN_A_SIDES A sides generated (gen.a_sides; a side no
+#      consumer reads is never generated), GEN_B_TILES column tiles of
+#      B drawn and kept for a workset's vector cores (gen.b_tiles) and
+#      GEN_ELEMENTS elements generated in all (gen.elements: A, the
+#      tiles, and the slabs of B that SparTen streams and drops), and
+#      unless `run fig6`, whose Sparse.A engines read no weights,
+#      reports gen.b_tiles 0, `run fig5`, whose Sparse.B engines read
+#      no activations, reports gen.a_sides 0, and `run fig8`, whose
+#      vector cores draw their own tiles while SparTen keeps none,
+#      reports gen.b_tiles 3018.  The counts
 #      depend on the registry, the planner and the sampler only, never
 #      on the machine or the thread count, so a change that plans more
 #      host work, stops sharing queues or generates what nobody reads
@@ -32,19 +33,19 @@
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DCEILING_MB=<MiB> -DSWEEP_JOBS=<n>
 #         -DPOOL_TASKS=<n> -DQUEUE_REQUESTS=<n> -DQUEUE_BUILDS=<n>
-#         -DGEN_A_SIDES=<n> -DGEN_B_SIDES=<n> -DGEN_B_TILES=<n>
-#         -DGEN_ELEMENTS=<n> -DWORK_DIR=<dir> -DBASELINES_DIR=<dir>
+#         -DGEN_A_SIDES=<n> -DGEN_B_TILES=<n> -DGEN_ELEMENTS=<n>
+#         -DWORK_DIR=<dir> -DBASELINES_DIR=<dir>
 #         -P rss_ceiling.cmake
 
 if(NOT GRIFFIN_BENCH OR NOT CEILING_MB OR NOT SWEEP_JOBS OR NOT POOL_TASKS
    OR NOT QUEUE_REQUESTS OR NOT QUEUE_BUILDS OR NOT GEN_A_SIDES
-   OR NOT GEN_B_SIDES OR NOT GEN_B_TILES OR NOT GEN_ELEMENTS
-   OR NOT WORK_DIR OR NOT BASELINES_DIR)
+   OR NOT GEN_B_TILES OR NOT GEN_ELEMENTS OR NOT WORK_DIR
+   OR NOT BASELINES_DIR)
     message(FATAL_ERROR "need -DGRIFFIN_BENCH=... -DCEILING_MB=... "
                         "-DSWEEP_JOBS=... -DPOOL_TASKS=... "
                         "-DQUEUE_REQUESTS=... -DQUEUE_BUILDS=... "
-                        "-DGEN_A_SIDES=... -DGEN_B_SIDES=... "
-                        "-DGEN_B_TILES=... -DGEN_ELEMENTS=... "
+                        "-DGEN_A_SIDES=... -DGEN_B_TILES=... "
+                        "-DGEN_ELEMENTS=... "
                         "-DWORK_DIR=... and -DBASELINES_DIR=...")
 endif()
 
@@ -107,10 +108,10 @@ check_pins("run --all" "${out}" "sweep.jobs=${SWEEP_JOBS}"
            "pool.executed_jobs=${POOL_TASKS}"
            "memo.queue_requests=${QUEUE_REQUESTS}"
            "memo.queue_builds=${QUEUE_BUILDS}"
-           "gen.a_sides=${GEN_A_SIDES}" "gen.b_sides=${GEN_B_SIDES}"
-           "gen.b_tiles=${GEN_B_TILES}" "gen.elements=${GEN_ELEMENTS}")
+           "gen.a_sides=${GEN_A_SIDES}" "gen.b_tiles=${GEN_B_TILES}"
+           "gen.elements=${GEN_ELEMENTS}")
 
-foreach(run "fig6;gen.b_sides=0" "fig5;gen.b_sides=0" "fig8;gen.b_tiles=0")
+foreach(run "fig6;gen.b_tiles=0" "fig5;gen.a_sides=0" "fig8;gen.b_tiles=3018")
     list(GET run 0 exp)
     list(GET run 1 pin)
     execute_process(
@@ -125,9 +126,9 @@ endforeach()
 message(STATUS "work counts OK: sweep.jobs ${SWEEP_JOBS}, "
                "pool.executed_jobs ${POOL_TASKS}, memo.queue_requests "
                "${QUEUE_REQUESTS}, memo.queue_builds ${QUEUE_BUILDS}, "
-               "gen.a_sides ${GEN_A_SIDES}, gen.b_sides ${GEN_B_SIDES}, "
-               "gen.b_tiles ${GEN_B_TILES}, gen.elements ${GEN_ELEMENTS}; "
-               "run fig6 and fig5 generated no whole B, run fig8 no tile")
+               "gen.a_sides ${GEN_A_SIDES}, gen.b_tiles ${GEN_B_TILES}, "
+               "gen.elements ${GEN_ELEMENTS}; run fig6 drew no tile of B, "
+               "run fig5 no A, run fig8 only its vector cores' tiles")
 
 # -- baseline oracle --------------------------------------------------
 

@@ -431,8 +431,9 @@ TEST(QueueMemo, DrawnTilesAreNamedByTheirColumnInB)
         first, tileQueues(TileViewB(eager.b, shape, 0), off, arena)));
     EXPECT_TRUE(sameQueues(
         second, tileQueues(TileViewB(eager.b, shape, 16), off, arena)));
-    EXPECT_FALSE(deferred.generatedB());
+    EXPECT_EQ(deferred.b.size(), 0u);
     EXPECT_EQ(deferred.drawnBTiles(), 2);
+    EXPECT_EQ(deferred.generatedElements(), 200 * 32);
 }
 
 TEST(GemmSim, DrawnColumnTilesMatchTheWholeMatrix)
@@ -477,7 +478,7 @@ TEST(GemmSim, DrawnColumnTilesMatchTheWholeMatrix)
                 EXPECT_EQ(deferred.drawnBTiles(), drawn) << label;
             }
             EXPECT_GT(drawn, 0) << point.arch.name << " n=" << n;
-            EXPECT_FALSE(deferred.generatedB()) << point.arch.name;
+            EXPECT_EQ(deferred.b.size(), 0u) << point.arch.name;
         }
     }
 }

@@ -4,7 +4,9 @@
  * exact-equivalence oracle: the word-parallel simulator must match the
  * element-by-element, heap-balanced reference in
  * tests/support/sparten_reference.* on every GemmSimResult field and
- * never finish faster than one effectual pair per MAC per cycle.
+ * never finish faster than one effectual pair per MAC per cycle.  The
+ * workset form, which streams B in slabs it does not keep, must equal
+ * the two-matrix form and generate only what its routing reads.
  */
 
 #include <gtest/gtest.h>
@@ -212,11 +214,62 @@ TEST(SparTenOracle, EmptyExtentsReturnTheDenseFieldsOnly)
     }
 }
 
+// ---- the workset form ------------------------------------------------
+
+WorksetParams
+worksetParams(std::int64_t k, std::int64_t n)
+{
+    WorksetParams p;
+    p.m = 12;
+    p.k = k;
+    p.n = n;
+    p.weightSparsity = 0.7;
+    p.actSparsity = 0.5;
+    p.weightLaneBias = 0.5;
+    p.actRunLength = 2.0;
+    p.seed = 3030;
+    return p;
+}
+
+TEST(SparTenWorkset, EqualsTheTwoMatrixFormAndGeneratesWhatItReads)
+{
+    // n = 5 is under one slab and n = 100 ends on a ragged one; k = 128
+    // fills its mask words and k = 200 does not.  SparTen.A draws no B,
+    // SparTen.B generates no A, and no preset keeps a column of B.
+    const ArchConfig presets[] = {sparTenAB(), sparTenA(), sparTenB()};
+    for (const std::int64_t n : {5, 100})
+        for (const std::int64_t k : {128, 200})
+            for (const ArchConfig &arch : presets) {
+                const WorksetParams p = worksetParams(k, n);
+                const LayerWorkset eager = generateLayerWorkset(p);
+                const LayerWorkset ws(p);
+                const std::string what = arch.name +
+                                         " k=" + std::to_string(k) +
+                                         " n=" + std::to_string(n);
+                expectSameResult(
+                    simulateSparTen(ws, arch, DnnCategory::AB),
+                    simulateSparTen(eager.a, eager.b, arch, DnnCategory::AB),
+                    what);
+                const RoutingConfig routing =
+                    arch.effectiveRouting(DnnCategory::AB);
+                EXPECT_EQ(ws.generatedA(), routing.sparseA()) << what;
+                EXPECT_EQ(ws.generatedElements(),
+                          (routing.sparseA() ? p.m * k : 0) +
+                              (routing.sparseB() ? k * n : 0))
+                    << what;
+                EXPECT_EQ(ws.drawnBTiles(), 0) << what;
+                EXPECT_EQ(ws.b.size(), 0u) << what;
+            }
+}
+
 TEST(SparTenDeathTest, VectorCoreConfigRejected)
 {
     auto a = mk(8, 32, 0.0, 12);
     auto b = mk(32, 8, 0.0, 13);
     EXPECT_EXIT(simulateSparTen(a, b, griffinArch(), DnnCategory::AB),
+                testing::ExitedWithCode(exitUsageError), "MacGrid");
+    EXPECT_EXIT(simulateSparTen(LayerWorkset(worksetParams(32, 8)),
+                                griffinArch(), DnnCategory::AB),
                 testing::ExitedWithCode(exitUsageError), "MacGrid");
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the stage-1 pipeline artifact (tensor/workset.hh):
  * generation determinism, parameter sensitivity, the deferred
- * workset's contract (a side is generated on first read, from its own
- * stream, and equals the eager workset's), and bit-identity of
+ * workset's contract (A is generated on first read and B's columns
+ * are drawn on request, each side from its own stream, equal to the
+ * eager workset's), and bit-identity of
  * Accelerator::runLayer over a supplied workset with runLayer making
  * its own.
  */
@@ -77,14 +78,14 @@ TEST(Workset, EagerEqualsDeferredWithBothSidesRead)
 {
     for (const std::uint64_t seed : {7u, 8u, 9u}) {
         const LayerWorkset eager = generateLayerWorkset(tinyParams(seed));
-        EXPECT_TRUE(eager.generatedA() && eager.generatedB());
+        EXPECT_TRUE(eager.generatedA());
         // Either read order gives the same bytes: the sides share no
         // stream.
         const LayerWorkset ab(tinyParams(seed));
         ab.operandA();
-        ab.operandB();
+        ab.b = ab.bColumns(0, 32);
         const LayerWorkset ba(tinyParams(seed));
-        ba.operandB();
+        ba.b = ba.bColumns(0, 32);
         ba.operandA();
         expectWorksetEq(eager, ab);
         expectWorksetEq(eager, ba);
@@ -94,27 +95,34 @@ TEST(Workset, EagerEqualsDeferredWithBothSidesRead)
 TEST(Workset, DeferredSidesStayEmptyUntilRead)
 {
     const LayerWorkset ws(tinyParams());
-    EXPECT_EQ(ws.simSeed, generateLayerWorkset(tinyParams()).simSeed);
+    const LayerWorkset eager = generateLayerWorkset(tinyParams());
+    EXPECT_EQ(ws.simSeed, eager.simSeed);
     EXPECT_FALSE(ws.generatedA());
-    EXPECT_FALSE(ws.generatedB());
     EXPECT_EQ(ws.a.size(), 0u);
     EXPECT_EQ(ws.b.size(), 0u);
+    EXPECT_EQ(ws.generatedElements(), 0);
 
-    const MatrixI8 &b = ws.operandB();
-    EXPECT_EQ(&b, &ws.b);
-    EXPECT_EQ(b.rows(), 64u);
-    EXPECT_EQ(b.cols(), 32u);
-    EXPECT_TRUE(ws.generatedB());
+    // A column range of B is those columns of whole B, counted and not
+    // kept.
+    const MatrixI8 cols = ws.bColumns(5, 20);
+    ASSERT_EQ(cols.rows(), 64u);
+    ASSERT_EQ(cols.cols(), 20u);
+    for (std::size_t r = 0; r < cols.rows(); ++r)
+        for (std::size_t c = 0; c < cols.cols(); ++c)
+            ASSERT_EQ(cols.at(r, c), eager.b.at(r, 5 + c)) << r << "," << c;
+    EXPECT_EQ(ws.b.size(), 0u);
+    EXPECT_EQ(ws.drawnBTiles(), 0);
     EXPECT_FALSE(ws.generatedA());
-    EXPECT_EQ(ws.a.size(), 0u);
+    EXPECT_EQ(ws.generatedElements(), 64 * 20);
 
     const MatrixI8 &a = ws.operandA();
     EXPECT_EQ(&a, &ws.a);
     EXPECT_EQ(a.rows(), 16u);
     EXPECT_EQ(a.cols(), 64u);
+    EXPECT_TRUE(ws.generatedA());
     // A second read returns the side already generated.
     EXPECT_EQ(&ws.operandA(), &a);
-    EXPECT_EQ(&ws.operandB(), &b);
+    EXPECT_EQ(ws.generatedElements(), 16 * 64 + 64 * 20);
 }
 
 TEST(Workset, EachSideDrawsFromItsOwnStream)
