@@ -18,8 +18,8 @@
  * `run fig5 --grid "arch=Griffin,network=resnet50,seed=1..2"`), and
  * output (--csv tables, --json table JSON Lines, --out result-row
  * document: .json/.csv/.jsonl by suffix).  One `run` is one plan: the
- * experiments it names share one pool, and a layer workset several of
- * them use is generated once.
+ * experiments it names share one set of workers, and a layer workset
+ * several of them use is generated once.
  */
 
 #include <algorithm>
@@ -35,7 +35,6 @@
 #include "runtime/experiment.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/telemetry.hh"
-#include "runtime/thread_pool.hh"
 
 using namespace griffin;
 
@@ -157,7 +156,7 @@ main(int argc, char **argv)
             "network name and renders its dataflow DAG and schedules)");
     addFidelityFlags(cli);
     cli.addBool("all", false, "run every registered experiment");
-    cli.addInt("threads", ThreadPool::hardwareThreads(),
+    cli.addInt("threads", hardwareThreads(),
                "worker threads, 1.." + std::to_string(maxThreads) +
                    " (1 = serial; results are bit-identical for any "
                    "value)");

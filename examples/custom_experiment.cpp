@@ -6,7 +6,7 @@
  *
  * The descriptor names the study, declares its grid (here: lane bias
  * x shuffle on/off on one network), and renders the reduced result;
- * runExperiment() handles expansion and the thread pool uniformly,
+ * runExperiment() handles expansion and the worker threads uniformly,
  * through the same runExperiments() path `griffin_bench run` takes.
  *
  *   ./custom_experiment

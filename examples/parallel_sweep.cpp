@@ -2,7 +2,7 @@
  * @file
  * A free-form parallel sweep through the library API, declared as a
  * named-axis grid: build a GridSpec with the builder API (or pass
- * --grid), run the expanded jobs on the thread pool (one task per grid
+ * --grid), run the expanded jobs on worker threads (one task per grid
  * point and network layer), and serialize the merged results as JSON
  * rows that carry their own grid coordinates.  Unlike
  * `griffin_bench run <exp> --grid`, nothing here is locked by an
@@ -25,16 +25,15 @@
 #include "runtime/grid.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
-#include "runtime/thread_pool.hh"
 
 using namespace griffin;
 
 int
 main(int argc, char **argv)
 {
-    Cli cli("Parallel sweep example: a named-axis grid on the "
-            "work-stealing pool");
-    cli.addInt("threads", ThreadPool::hardwareThreads(),
+    Cli cli("Parallel sweep example: a named-axis grid on worker "
+            "threads");
+    cli.addInt("threads", hardwareThreads(),
                "worker threads (1 = serial)");
     cli.addString("grid", "",
                   "replace the built-in grid with a parsed spec, e.g. "
@@ -45,7 +44,7 @@ main(int argc, char **argv)
     // The sweep is a GridSpec: named axes, each a value list, expanded
     // as a cartesian product in declaration order.  A 2-arch x
     // 2-network x 2-category x 2-lane-bias grid is 16 jobs, run as one
-    // pool task per (grid point, layer), so even this small grid keeps
+    // task per (grid point, layer), so even this small grid keeps
     // every worker busy.  Real studies push more values onto the axes
     // (ranges like "0:1:0.25" and "1..8" expand inline).
     GridSpec grid;

@@ -16,16 +16,14 @@
 namespace griffin {
 
 /**
- * On-chip and off-chip memory parameters.  Defaults are the paper's
- * (Table IV): 512 KB ASRAM @ 51.2 GB/s, 32 KB BSRAM @ 204.8 GB/s,
- * 50 GB/s DRAM, 800 MHz.
+ * Off-chip memory parameters.  Defaults are the paper's (Table IV):
+ * 50 GB/s DRAM, 800 MHz.  The paper's on-chip SRAMs (512 KB ASRAM @
+ * 51.2 GB/s, 32 KB BSRAM @ 204.8 GB/s) are not fields: Table IV prints
+ * them as literals, and the operand rate the schedulers model is
+ * ArchConfig::bwScale (effectiveBwScale()).
  */
 struct MemoryConfig
 {
-    double asramKB = 512.0;
-    double bsramKB = 32.0;
-    double asramGBs = 51.2;
-    double bsramGBs = 204.8;
     double dramGBs = 50.0;
     double freqGHz = 0.8;
 

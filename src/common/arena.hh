@@ -11,7 +11,7 @@
  *
  * Thread safety: an Arena is single-threaded by design.  The intended
  * use is the per-thread `workArena()`, so concurrent tiles on the
- * work-stealing pool never share one.  Memory is retained across
+ * runner's workers never share one.  Memory is retained across
  * rewinds (per-thread high-water mark), which is exactly what a tile
  * loop wants: after the first tile, no allocation at all.
  */
@@ -174,7 +174,7 @@ class ArenaScope
 
 /**
  * The calling thread's scheduling arena.  Every worker thread gets its
- * own, so tile jobs on the pool never contend; memory persists for the
+ * own, so the runner's tasks never contend; memory persists for the
  * thread's lifetime at its high-water mark.
  */
 inline Arena &

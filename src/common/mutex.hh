@@ -10,12 +10,9 @@
  *
  *   Mutex      an annotated std::mutex (CAPABILITY)
  *   MutexLock  an annotated scoped lock (SCOPED_CAPABILITY), the
- *              project's std::lock_guard / std::unique_lock
- *   CondVar    a condition variable that waits on a MutexLock; from
- *              the analysis' viewpoint the capability stays held
- *              across wait() (true at entry and exit, which is what
- *              callers may rely on)
+ *              project's std::lock_guard
  *
+ * The telemetry trace buffers (runtime/telemetry.cc) are their users.
  * Discipline: fields shared across threads get GRIFFIN_GUARDED_BY in
  * the header; functions called with the lock already held get
  * GRIFFIN_REQUIRES.  See common/thread_annotations.hh for the macro
@@ -25,9 +22,7 @@
 #ifndef GRIFFIN_COMMON_MUTEX_HH
 #define GRIFFIN_COMMON_MUTEX_HH
 
-#include <condition_variable>
 #include <mutex>
-#include <utility>
 
 #include "common/thread_annotations.hh"
 
@@ -52,18 +47,12 @@ class GRIFFIN_CAPABILITY("mutex") Mutex
         mu_.unlock();
     }
 
-    bool
-    tryLock() GRIFFIN_TRY_ACQUIRE(true)
-    {
-        return mu_.try_lock();
-    }
-
   private:
     friend class MutexLock;
     std::mutex mu_;
 };
 
-/** RAII lock over a Mutex — the annotated std::unique_lock. */
+/** RAII lock over a Mutex — the annotated std::lock_guard. */
 class GRIFFIN_SCOPED_CAPABILITY MutexLock
 {
   public:
@@ -78,37 +67,7 @@ class GRIFFIN_SCOPED_CAPABILITY MutexLock
     MutexLock &operator=(const MutexLock &) = delete;
 
   private:
-    friend class CondVar;
-    std::unique_lock<std::mutex> lock_;
-};
-
-/**
- * Condition variable bound to MutexLock.  wait() atomically releases
- * and reacquires the underlying mutex; annotation-wise the capability
- * is held across the call, so guarded state read after wait() returns
- * analyzes correctly (and is correct: the lock IS held there).
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    void wait(MutexLock &lock) { cv_.wait(lock.lock_); }
-
-    template <typename Pred>
-    void
-    wait(MutexLock &lock, Pred pred)
-    {
-        cv_.wait(lock.lock_, std::move(pred));
-    }
-
-    void notifyOne() { cv_.notify_one(); }
-    void notifyAll() { cv_.notify_all(); }
-
-  private:
-    std::condition_variable cv_;
+    std::lock_guard<std::mutex> lock_;
 };
 
 } // namespace griffin

@@ -3,11 +3,11 @@
  * Clang thread-safety annotation macros (no-ops everywhere else).
  *
  * These wrap Clang's `-Wthread-safety` attribute set so the locking
- * discipline of the concurrent subsystems — ThreadPool and the
- * telemetry thread buffers — is
- * machine-checked at compile time under Clang and costs nothing
- * under GCC (which silently has no such attributes; every macro
- * expands to nothing there).
+ * discipline of the telemetry thread buffers (the one subsystem that
+ * shares locked state across threads; the runner's workers share only
+ * atomic counters) is machine-checked at compile time under Clang and
+ * costs nothing under GCC (which silently has no such attributes;
+ * every macro expands to nothing there).
  *
  * Vocabulary (see common/mutex.hh for the annotated Mutex/MutexLock
  * types these attach to):
@@ -24,8 +24,6 @@
  *   GRIFFIN_ACQUIRE(mu) / GRIFFIN_RELEASE(mu)
  *                              this function takes / drops `mu`
  *                              (annotate lock()/unlock() themselves)
- *   GRIFFIN_TRY_ACQUIRE(ok, mu)
- *                              acquires `mu` when returning `ok`
  *   GRIFFIN_EXCLUDES(mu)       this function must NOT be entered with
  *                              `mu` held (self-deadlock guard)
  *   GRIFFIN_RETURN_CAPABILITY(mu)
@@ -75,9 +73,6 @@
 
 #define GRIFFIN_RELEASE(...)                                               \
     GRIFFIN_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-#define GRIFFIN_TRY_ACQUIRE(...)                                           \
-    GRIFFIN_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 #define GRIFFIN_EXCLUDES(...)                                              \
     GRIFFIN_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))

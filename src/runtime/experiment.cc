@@ -1,6 +1,7 @@
 #include "runtime/experiment.hh"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
@@ -323,6 +324,13 @@ resolveThreads(const Cli &cli)
     if (threads < 1 || threads > maxThreads)
         fatal("--threads must be in 1..", maxThreads, ", got ", threads);
     return static_cast<int>(threads);
+}
+
+int
+hardwareThreads()
+{
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1 : static_cast<int>(n);
 }
 
 } // namespace griffin

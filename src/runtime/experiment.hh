@@ -227,11 +227,17 @@ RunOptions resolveFidelity(const Cli &cli, double default_sample,
 constexpr std::int64_t maxThreads = 1024;
 
 /**
- * Read --threads back as a pool size; fatal() unless it is in
- * 1..maxThreads (checked before narrowing to int, so a huge value
- * cannot wrap to a small one).
+ * Read --threads back as the runner's worker count; fatal() unless it
+ * is in 1..maxThreads (checked before narrowing to int, so a huge
+ * value cannot wrap to a small one).
  */
 int resolveThreads(const Cli &cli);
+
+/**
+ * std::thread::hardware_concurrency with a floor of 1: the --threads
+ * default.
+ */
+int hardwareThreads();
 
 } // namespace griffin
 

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
 #include "runtime/telemetry.hh"
-#include "runtime/thread_pool.hh"
 
 namespace griffin {
 
@@ -198,53 +198,42 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
     std::atomic<std::int64_t> a_sides{0}, b_tiles{0};
     std::atomic<std::int64_t> elements{0};
 
-    ThreadPool::Stats pool_stats;
-    {
-        // The plan goes to the pool as one batch, so every worker runs
-        // its share of the groups in plan order: which worksets are
-        // resident together, and so the sweep's peak RSS, follows from
-        // the plan and the thread count, not from thread timing.
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(order.size());
-        for (const auto &group : order) {
-            tasks.push_back([&specs, &jobs, &accelerators, &layer_results,
-                             &queue_requests, &queue_builds, &a_sides,
-                             &b_tiles, &elements, group] {
-                // Every consumer of a group runs the same network layer.
-                const Consumer &first = group->second.front();
-                const NetworkSpec &net =
-                    specs[first.spec]
-                        .networks[jobs[first.spec][first.job].networkIndex];
-                const ScopedSpan span(LayerTag{
-                    net.name, first.layer, net.layer(first.layer).name});
-                // Deferred: the consumers generate what they read.
-                const LayerWorkset workset(group->first.second);
-                for (const Consumer &c : group->second) {
-                    const SweepSpec &spec = specs[c.spec];
-                    const SweepJob &job = jobs[c.spec][c.job];
-                    layer_results[c.spec][c.job][c.layer] =
-                        accelerators[c.spec][job.archIndex].runLayer(
-                            spec.networks[job.networkIndex], c.layer,
-                            spec.categories[job.categoryIndex],
-                            job.options, workset);
-                }
-                queue_requests.fetch_add(workset.memo.requests(),
-                                         std::memory_order_relaxed);
-                queue_builds.fetch_add(workset.memo.builds(),
-                                       std::memory_order_relaxed);
-                a_sides.fetch_add(workset.generatedA(),
-                                  std::memory_order_relaxed);
-                b_tiles.fetch_add(workset.drawnBTiles(),
-                                  std::memory_order_relaxed);
-                elements.fetch_add(workset.generatedElements(),
+    // The groups run as tasks in plan order, so every worker runs its
+    // share of them in plan order: which worksets are resident
+    // together, and so the sweep's peak RSS, follows from the plan and
+    // the thread count, not from thread timing.
+    const TaskStats task_stats = runTasks(
+        order.size(), threads, [&](std::size_t t) {
+            const auto &group = order[t];
+            // Every consumer of a group runs the same network layer.
+            const Consumer &first = group->second.front();
+            const NetworkSpec &net =
+                specs[first.spec]
+                    .networks[jobs[first.spec][first.job].networkIndex];
+            const ScopedSpan span(LayerTag{net.name, first.layer,
+                                           net.layer(first.layer).name});
+            // Deferred: the consumers generate what they read.
+            const LayerWorkset workset(group->first.second);
+            for (const Consumer &c : group->second) {
+                const SweepSpec &spec = specs[c.spec];
+                const SweepJob &job = jobs[c.spec][c.job];
+                layer_results[c.spec][c.job][c.layer] =
+                    accelerators[c.spec][job.archIndex].runLayer(
+                        spec.networks[job.networkIndex], c.layer,
+                        spec.categories[job.categoryIndex], job.options,
+                        workset);
+            }
+            queue_requests.fetch_add(workset.memo.requests(),
+                                     std::memory_order_relaxed);
+            queue_builds.fetch_add(workset.memo.builds(),
                                    std::memory_order_relaxed);
-            });
-        }
-        ThreadPool pool(threads);
-        pool.submitAll(std::move(tasks));
-        pool.wait();
-        pool_stats = pool.stats();
-    }
+            a_sides.fetch_add(workset.generatedA(),
+                              std::memory_order_relaxed);
+            b_tiles.fetch_add(workset.drawnBTiles(),
+                              std::memory_order_relaxed);
+            elements.fetch_add(workset.generatedElements(),
+                               std::memory_order_relaxed);
+        });
 
     std::vector<SweepResult> sweeps;
     sweeps.reserve(specs.size());
@@ -268,7 +257,7 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
         const double sweep_ns =
             static_cast<double>(monotonicNowNs() - sweep_start_ns);
         const double capacity_ns = sweep_ns * threads;
-        const double busy_ns = static_cast<double>(pool_stats.busyNs);
+        const double busy_ns = static_cast<double>(task_stats.busyNs);
         *stats = {
             {"sweep.jobs", static_cast<double>(job_count)},
             {"sweep.wall_ms", sweep_ns / 1e6},
@@ -278,8 +267,8 @@ runSweeps(const std::vector<SweepSpec> &specs, int threads,
                             : 0.0},
             {"pool.threads", static_cast<double>(threads)},
             {"pool.executed_jobs",
-             static_cast<double>(pool_stats.executed)},
-            {"pool.steals", static_cast<double>(pool_stats.steals)},
+             static_cast<double>(task_stats.executed)},
+            {"pool.steals", static_cast<double>(task_stats.steals)},
             {"pool.busy_ms", busy_ns / 1e6},
             {"pool.utilization",
              capacity_ns > 0.0 ? busy_ns / capacity_ns : 0.0},
@@ -299,6 +288,47 @@ SweepResult
 runSweep(const SweepSpec &spec, int threads)
 {
     return std::move(runSweeps({spec}, threads).front());
+}
+
+TaskStats
+runTasks(std::size_t count, int threads,
+         const std::function<void(std::size_t)> &task)
+{
+    if (threads <= 0)
+        fatal("runTasks needs at least 1 thread, got ", threads);
+    const auto workers = static_cast<std::size_t>(threads);
+    // claimed[w] (zero to start): how many of worker w's dealt tasks
+    // (w, w + workers, ...) have been taken, by w or by a thief.  The
+    // fetch_add only has to hand each task out once; join() publishes
+    // the tasks' writes to the caller.
+    std::vector<std::atomic<std::size_t>> claimed(workers);
+    std::atomic<std::uint64_t> executed{0}, steals{0}, busy_ns{0};
+    const auto work = [&](std::size_t self) {
+        for (std::size_t i = 0; i < workers; ++i) {
+            const std::size_t share = (self + i) % workers;
+            for (;;) {
+                const std::size_t index =
+                    share + workers * claimed[share].fetch_add(
+                                          1, std::memory_order_relaxed);
+                if (index >= count)
+                    break;
+                const std::uint64_t start_ns = monotonicNowNs();
+                task(index);
+                busy_ns.fetch_add(monotonicNowNs() - start_ns,
+                                  std::memory_order_relaxed);
+                executed.fetch_add(1, std::memory_order_relaxed);
+                if (i != 0)
+                    steals.fetch_add(1, std::memory_order_relaxed);
+            }
+        }
+    };
+    std::vector<std::thread> spawned;
+    spawned.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w)
+        spawned.emplace_back(work, w);
+    for (auto &t : spawned)
+        t.join();
+    return {executed.load(), steals.load(), busy_ns.load()};
 }
 
 } // namespace griffin

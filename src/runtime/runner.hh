@@ -1,7 +1,8 @@
 /**
  * @file
  * Declarative experiment sweeps over the (architecture x network x
- * category x RunOptions) grid, run on a work-stealing pool.
+ * category x RunOptions) grid, run as tasks on worker threads that
+ * each run their own share and then steal (runTasks).
  *
  * Sparse-optimization studies sweep grids far larger than six
  * networks, so the runner turns the grid into independent jobs:
@@ -16,15 +17,15 @@
  * Determinism: every job's inputs are fixed at expansion time (its
  * own RunOptions copy; Accelerator::run derives all randomness from
  * opt.seed and the network name), and results land in a slot indexed
- * by submission order — so the merged output is bit-identical no
- * matter how many threads ran it or how work-stealing interleaved the
- * jobs.  Accelerator is const and shares no mutable state, which is
- * what makes the fan-out safe.
+ * by expansion order — so the merged output is bit-identical no
+ * matter how many threads ran it or which worker stole which task.
+ * Accelerator is const and shares no mutable state, which is what
+ * makes the fan-out safe.
  *
  * Execution: runSweeps() plans the work before it runs any.  It
  * computes the operand parameters (Accelerator::layerWorksetParams) of
  * every (spec, job, layer) and groups the triples by (category,
- * WorksetParams) in first-seen order.  Each group is one pool task: it
+ * WorksetParams) in first-seen order.  Each group is one task: it
  * makes the layer's deferred workset, runs every consumer's
  * Accelerator::runLayer over it, and frees it, so at most one workset
  * per worker is resident.  The first consumer that reads an operand
@@ -47,7 +48,7 @@
  * `layer` span tagged with the network, the layer index and the layer
  * name, and a `--trace` run attributes every stage to a layer
  * (runtime/telemetry.hh).  runSweeps() can also hand back a SweepStats
- * record of its own execution: plan and pool sizes, wall time, the
+ * record of its own execution: plan size, task totals, wall time, the
  * queue requests and builds summed over the groups
  * (memo.queue_requests, memo.queue_builds), the A sides generated
  * (gen.a_sides), B's column tiles kept for the group (gen.b_tiles),
@@ -60,6 +61,7 @@
 #define GRIFFIN_RUNTIME_RUNNER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -224,6 +226,48 @@ std::vector<SweepResult> runSweeps(const std::vector<SweepSpec> &specs,
 
 /** The one-spec case of runSweeps(). */
 SweepResult runSweep(const SweepSpec &spec, int threads);
+
+/** What one runTasks() call did. */
+struct TaskStats
+{
+    std::uint64_t executed = 0; ///< tasks run (= the count)
+    std::uint64_t steals = 0;   ///< tasks run by a worker they are not
+                                ///< dealt to
+    std::uint64_t busyNs = 0;   ///< task wall time summed over workers
+};
+
+/**
+ * Run task(0) .. task(count - 1) on `threads` new worker threads
+ * (fatal() unless threads >= 1) and join them, so the workers'
+ * thread-local work arenas (common/arena.hh) are freed when the call
+ * returns.  Tasks must not throw (the library reports errors through
+ * fatal()/panic()).
+ *
+ * Order: worker w is dealt tasks w, w + threads, w + 2 * threads, ...
+ * and runs them in that order.  When its share is claimed it takes
+ * the oldest unclaimed task of worker w + 1, then of w + 2, ... (mod
+ * threads) until every share is claimed.  A share never grows, so one
+ * pass over the others in that order takes what rescanning after
+ * every steal would.  Which tasks run side by side, and so a sweep's
+ * peak memory, then follows from the task order and the thread count,
+ * not from thread timing; only which worker takes which tail task
+ * does.
+ *
+ * Why share-then-steal and not something simpler: two simpler
+ * policies were measured against it (`griffin_bench run <exp>
+ * --threads 4 --seed 1`, Release, medians of 8 rotating rounds on a
+ * 4-vCPU x86 VM; identical rows throughout):
+ *
+ *  - one shared queue in task order (an atomic next-task index) kept
+ *    wall time (fig7 0.550 s against 0.543 s here, fig8 0.376 against
+ *    0.368) but raised peak RSS, fig7 from 69.1 to 102.4 MiB and fig8
+ *    from 68.6 to 136.9 MiB;
+ *  - a static split (the shares above, no stealing) kept peak RSS but
+ *    stalled on the uneven tail: fig5 0.116 to 0.166 s, fig7 0.543 to
+ *    0.683 s, fig8 0.368 to 0.563 s.
+ */
+TaskStats runTasks(std::size_t count, int threads,
+                   const std::function<void(std::size_t)> &task);
 
 } // namespace griffin
 

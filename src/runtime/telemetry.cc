@@ -17,7 +17,7 @@ namespace {
 
 /**
  * Per-thread span storage.  Owned by the global thread list (shared
- * pointers), referenced thread-locally, so buffers of joined pool
+ * pointers), referenced thread-locally, so buffers of joined
  * workers survive until export.  The mutex is uncontended on the hot
  * path (only the owning thread appends; export threads lock briefly).
  */

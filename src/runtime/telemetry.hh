@@ -3,7 +3,7 @@
  * Low-overhead tracing for the staged simulation pipeline.
  *
  * Telemetry + ScopedSpan: per-thread scoped wall-time spans over the
- * pipeline seams.  The sweep runner (runtime/runner.hh) runs each pool
+ * pipeline seams.  The sweep runner (runtime/runner.hh) runs each
  * task, the consumers of one network layer's workset, under a `layer`
  * span whose Chrome-trace args name the network, the layer index and
  * the layer name.  The task's stage spans nest inside it: gen_a and
@@ -12,7 +12,7 @@
  * (tile_queues, and the dual engine's b_schedule stream packing, nest
  * in those), and sparten around the SparTen simulator.  reduce, with
  * the schedule span of schedule-aware runs inside it, runs after the
- * pool and belongs to no layer.  A trace so splits a run's time both
+ * tasks and belongs to no layer.  A trace so splits a run's time both
  * by stage (self time) and by network layer (tools/trace_summary.py
  * prints both views).
  *

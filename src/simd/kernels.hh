@@ -32,9 +32,6 @@ const KernelTable *avx2Table();
  */
 const KernelTable *avx512Table();
 
-/** NEON kernels when the build targets ARM with NEON. */
-const KernelTable *neonTable();
-
 /**
  * Element c of a fillRows row, without a branch on the keep test (the
  * scalar copy would mispredict on it).

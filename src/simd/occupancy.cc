@@ -29,8 +29,6 @@ chooseBackend()
         return Backend::Scalar;
     if (detail::avx2Table() != nullptr)
         return Backend::Avx2;
-    if (detail::neonTable() != nullptr)
-        return Backend::Neon;
     return Backend::Scalar;
 }
 
@@ -42,8 +40,6 @@ backendName(Backend backend)
     switch (backend) {
       case Backend::Avx2:
         return "avx2";
-      case Backend::Neon:
-        return "neon";
       case Backend::Scalar:
         break;
     }
@@ -68,8 +64,6 @@ kernels()
             if (detail::avx512Table() != nullptr)
                 return *detail::avx512Table();
             return *detail::avx2Table();
-          case Backend::Neon:
-            return *detail::neonTable();
           case Backend::Scalar:
             break;
         }
@@ -94,12 +88,6 @@ const KernelTable *
 avx512Kernels()
 {
     return detail::avx512Table();
-}
-
-const KernelTable *
-neonKernels()
-{
-    return detail::neonTable();
 }
 
 void

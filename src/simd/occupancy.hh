@@ -6,14 +6,14 @@
  * element: is it nonzero?  This layer answers it in bulk — a tile's
  * occupancy becomes one bitmask word per temporal position (bit n set
  * iff the byte is nonzero), extracted with compare-to-zero + movemask
- * on AVX2, `vceqq`/narrowing on NEON, and a portable scalar loop
- * everywhere else.  The schedulers read each tile unit (an A row, a B
- * column) as one mask over k (`aRowMasks`, `bColumnMasks`, the latter
- * a 64 x 64 bit transpose of `bTileOccupancy`), cut it into one
- * lanes-wide field per step (`readField`) and keep those fields as
- * their queues — per-step slot bitsets after the shuffler's lane
- * rotation — so their cycle loops run a word at a time instead of
- * calling bounds-checked `nonzero()` per element.  The SparTen
+ * on AVX2 and a portable scalar loop everywhere else.  The schedulers
+ * read each tile unit (an A row, a B column) as one mask over k
+ * (`aRowMasks`, `bColumnMasks`, the latter a 64 x 64 bit transpose of
+ * `bTileOccupancy`), cut it into one lanes-wide field per step
+ * (`readField`) and keep those fields as their queues — per-step
+ * slot bitsets after the shuffler's lane rotation — so their cycle
+ * loops run a word at a time instead of calling bounds-checked
+ * `nonzero()` per element.  The SparTen
  * baseline reads the same masks and asks one more question: how many
  * k positions a row mask shares with each column mask
  * (`andPopcount`).  Operand generation asks for one more: rows of
@@ -31,8 +31,7 @@
  *      F/BW/VL/DQ, the backend (still Backend::Avx2, "avx2") runs the
  *      AVX-512 table: the AVX2 kernels with fillRows compiled for
  *      AVX-512 (avx512Kernels());
- *   3. NEON when compiled for an ARM target that has it;
- *   4. scalar.
+ *   3. scalar (every other CPU, ARM included).
  *
  * Every backend is byte-exact against the scalar reference
  * (tests/test_simd.cc), and the e2e baselines are byte-identical under
@@ -54,9 +53,9 @@
 namespace griffin {
 namespace simd {
 
-enum class Backend { Scalar, Avx2, Neon };
+enum class Backend { Scalar, Avx2 };
 
-/** Stable lower-case name ("scalar", "avx2", "neon") for reports. */
+/** Stable lower-case name ("scalar", "avx2") for reports. */
 const char *backendName(Backend backend);
 
 /**
@@ -141,9 +140,6 @@ const KernelTable *avx2Kernels();
  * the CPU/build lacks AVX2 or any of AVX-512 F/BW/VL/DQ.
  */
 const KernelTable *avx512Kernels();
-
-/** NEON kernels, or nullptr when not built for an ARM NEON target. */
-const KernelTable *neonKernels();
 
 /**
  * Portable popcount (not confined: contains no intrinsics).  On x86-64

@@ -2,7 +2,7 @@
 #
 # The same fig5 and fig6 slices run twice — once under whatever backend
 # the CPU dispatches (AVX2 on x86, with the AVX-512 weight row fill
-# where the CPU has AVX-512 F/BW/VL/DQ; NEON on ARM; scalar elsewhere)
+# where the CPU has AVX-512 F/BW/VL/DQ; scalar elsewhere)
 # and once with GRIFFIN_FORCE_SCALAR=1 pinning the portable reference
 # — and the result-row documents must be byte-identical.  This is the
 # whole-run closure of the per-kernel equivalence tests in

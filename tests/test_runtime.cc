@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the runtime/ subsystem: work-stealing pool semantics and
- * job order, parallel-vs-serial determinism of the experiment runner,
- * one generation per operand side a planned workset's consumers read,
- * and result-sink serialization.
+ * Tests for the runtime/ subsystem: the order in which runTasks'
+ * workers take their tasks, parallel-vs-serial determinism of the
+ * experiment runner, one generation per operand side a planned
+ * workset's consumers read, and result-sink serialization.
  */
 
 #include <gtest/gtest.h>
@@ -22,147 +22,125 @@
 
 #include "arch/presets.hh"
 #include "common/logging.hh"
+#include "runtime/experiment.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
 #include "runtime/telemetry.hh"
-#include "runtime/thread_pool.hh"
 #include "sim/sampling.hh"
 
 namespace griffin {
 namespace {
 
-// ---- thread pool ----------------------------------------------------
+// ---- tasks ----------------------------------------------------------
 
-TEST(ThreadPool, RunsEveryJobExactlyOnce)
+TEST(RunTasks, RunsEveryTaskExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threads(), 4);
-    std::atomic<int> count{0};
-    std::vector<std::atomic<int>> per_job(100);
-    for (auto &p : per_job)
-        p = 0;
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count, &per_job, i] {
-            ++per_job[static_cast<std::size_t>(i)];
-            ++count;
-        });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-    for (const auto &p : per_job)
-        EXPECT_EQ(p.load(), 1);
+    std::vector<std::atomic<int>> runs(100);
+    const TaskStats stats =
+        runTasks(runs.size(), 4, [&runs](std::size_t i) { ++runs[i]; });
+    EXPECT_EQ(stats.executed, 100u);
+    for (const auto &r : runs)
+        EXPECT_EQ(r.load(), 1);
 }
 
-TEST(ThreadPool, WaitIsReusableAcrossBatches)
+TEST(RunTasks, NoTasksRunsNothing)
 {
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int batch = 0; batch < 3; ++batch) {
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&count] { ++count; });
-        pool.wait();
-        EXPECT_EQ(count.load(), (batch + 1) * 10);
-        EXPECT_EQ(pool.pendingJobs(), 0u);
-    }
+    std::atomic<int> runs{0};
+    const TaskStats stats =
+        runTasks(0, 4, [&runs](std::size_t) { ++runs; });
+    EXPECT_EQ(stats.executed, 0u);
+    EXPECT_EQ(stats.steals, 0u);
+    EXPECT_EQ(runs.load(), 0);
 }
 
-TEST(ThreadPool, ShutdownDrainsPendingJobs)
+TEST(RunTasks, MoreWorkersThanTasks)
 {
-    // Destroy the pool while most jobs are still queued: shutdown must
-    // finish every submitted job, not drop the backlog.
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&count] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-                ++count;
-            });
-        // No wait(): the destructor races the backlog.
-    }
-    EXPECT_EQ(count.load(), 64);
+    std::vector<std::atomic<int>> runs(3);
+    const TaskStats stats =
+        runTasks(runs.size(), 8, [&runs](std::size_t i) { ++runs[i]; });
+    EXPECT_EQ(stats.executed, 3u);
+    for (const auto &r : runs)
+        EXPECT_EQ(r.load(), 1);
 }
 
-TEST(ThreadPool, StealsAcrossWorkers)
+TEST(RunTasks, EachWorkerRunsItsShareFirstAndInOrder)
 {
-    // One worker's deque gets every long job (round-robin with exactly
-    // one job per spin); with stealing, elapsed time is bounded well
-    // below serial execution.  Smoke-level: just require all to finish
-    // from a heavily imbalanced submit pattern.
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 16; ++i)
-        pool.submit([&count] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            ++count;
-        });
-    pool.wait();
-    EXPECT_EQ(count.load(), 16);
-}
-
-TEST(ThreadPool, EachWorkerRunsItsShareInSubmissionOrder)
-{
-    // Park every worker inside a job, place a batch, then let them go:
-    // worker w's first job of the batch must be job w, the front of its
-    // round-robin share.  A LIFO pop would start each worker on its last
-    // job, and which sweep worksets are resident together would then
-    // depend on thread timing.  Jobs 0..3 wait for each other, so no
-    // worker drains a slower one's deque before it wakes.
+    // Worker w is dealt tasks w, w + 4, ...: its first task must be
+    // task w, and it runs its own tasks in order before any other.  A
+    // LIFO share would start each worker on its last task, and which
+    // sweep worksets are resident together would then depend on thread
+    // timing.  Tasks 0..3 wait for each other, so no worker can finish
+    // its share and steal before every worker has started its own.
     constexpr int kThreads = 4;
-    ThreadPool pool(kThreads);
+    constexpr std::size_t kTasks = 8 * kThreads;
     std::mutex mu;
     std::condition_variable cv;
-    int parked = 0;
-    bool release = false;
-    std::vector<std::function<void()>> park;
-    for (int i = 0; i < kThreads; ++i)
-        park.push_back([&] {
-            std::unique_lock<std::mutex> lock(mu);
-            ++parked;
-            cv.notify_all();
-            cv.wait(lock, [&] { return release; });
-        });
-    pool.submitAll(std::move(park));
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return parked == kThreads; });
-    }
-
-    std::map<std::thread::id, int> first_job;
     int fronts_started = 0;
-    std::vector<std::function<void()>> batch;
-    for (int i = 0; i < 8 * kThreads; ++i)
-        batch.push_back([&, i] {
-            std::unique_lock<std::mutex> lock(mu);
-            first_job.emplace(std::this_thread::get_id(), i);
-            if (i < kThreads) {
-                ++fronts_started;
-                cv.notify_all();
-                cv.wait(lock, [&] { return fronts_started == kThreads; });
-            }
-        });
-    pool.submitAll(std::move(batch));
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        release = true;
+    std::map<std::thread::id, std::vector<std::size_t>> ran;
+    runTasks(kTasks, kThreads, [&](std::size_t i) {
+        std::unique_lock<std::mutex> lock(mu);
+        ran[std::this_thread::get_id()].push_back(i);
+        if (i < kThreads) {
+            ++fronts_started;
+            cv.notify_all();
+            cv.wait(lock, [&] { return fronts_started == kThreads; });
+        }
+    });
+
+    std::set<std::size_t> firsts;
+    for (const auto &[thread, tasks] : ran) {
+        const std::size_t own = tasks.front() % kThreads;
+        firsts.insert(tasks.front());
+        // The worker's own tasks come first, in ascending order.
+        std::size_t own_count = 0;
+        while (own_count < tasks.size() &&
+               tasks[own_count] % kThreads == own)
+            ++own_count;
+        EXPECT_TRUE(std::is_sorted(tasks.begin(),
+                                   tasks.begin() + own_count));
+        for (std::size_t k = own_count; k < tasks.size(); ++k)
+            EXPECT_NE(tasks[k] % kThreads, own) << "task " << tasks[k];
     }
-    cv.notify_all();
-    pool.wait();
-
-    std::set<int> firsts;
-    for (const auto &entry : first_job)
-        firsts.insert(entry.second);
-    EXPECT_EQ(firsts, (std::set<int>{0, 1, 2, 3}));
+    EXPECT_EQ(firsts, (std::set<std::size_t>{0, 1, 2, 3}));
 }
 
-TEST(ThreadPool, HardwareThreadsIsPositive)
+TEST(RunTasks, AnIdleWorkerStealsTheNextSharesOldestTask)
 {
-    EXPECT_GE(ThreadPool::hardwareThreads(), 1);
+    // Two workers are dealt {0, 2} and {1, 3}, and task 0 waits until
+    // task 2 has run, so tasks 0 and 2 run on different workers: once
+    // its own share is done, worker 1 takes the oldest unclaimed one.
+    // Worker 0 never steals, since by the time its share is claimed
+    // worker 1's is too.  So exactly one task is stolen; without the
+    // steal, task 0 would wait in vain.
+    std::mutex mu;
+    std::condition_variable cv;
+    bool ran_2 = false;
+    bool waited_out = false;
+    const TaskStats stats = runTasks(4, 2, [&](std::size_t i) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (i == 2) {
+            ran_2 = true;
+            cv.notify_all();
+        } else if (i == 0) {
+            // Fail rather than hang if no worker steals.
+            waited_out = !cv.wait_for(lock, std::chrono::seconds(30),
+                                      [&] { return ran_2; });
+        }
+    });
+    EXPECT_FALSE(waited_out);
+    EXPECT_EQ(stats.executed, 4u);
+    EXPECT_EQ(stats.steals, 1u);
 }
 
-TEST(ThreadPoolDeathTest, ZeroThreadsIsFatal)
+TEST(RunTasks, HardwareThreadsIsPositive)
 {
-    EXPECT_EXIT(ThreadPool pool(0), testing::ExitedWithCode(exitUsageError),
+    EXPECT_GE(hardwareThreads(), 1);
+}
+
+TEST(RunTasksDeathTest, ZeroThreadsIsFatal)
+{
+    EXPECT_EXIT(runTasks(1, 0, [](std::size_t) {}),
+                testing::ExitedWithCode(exitUsageError),
                 "at least 1 thread");
 }
 

@@ -41,8 +41,6 @@ availableBackends()
         tables.push_back({"avx2", simd::avx2Kernels()});
     if (simd::avx512Kernels() != nullptr)
         tables.push_back({"avx512", simd::avx512Kernels()});
-    if (simd::neonKernels() != nullptr)
-        tables.push_back({"neon", simd::neonKernels()});
     return tables;
 }
 
@@ -441,11 +439,10 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
 {
     const std::string name =
         simd::backendName(simd::activeBackend());
-    EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "neon")
-        << name;
+    EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
     // The dispatched table is one of the concrete tables (scalar,
-    // avx2, avx512 — the AVX2 table with the AVX-512 row fill — or
-    // neon), never a mixture assembled per call.
+    // avx2, or avx512 — the AVX2 table with the AVX-512 row fill),
+    // never a mixture assembled per call.
     const KernelTable &active = simd::kernels();
     EXPECT_NE(active.nonzeroMasks, nullptr);
     EXPECT_NE(active.mtTemper, nullptr);

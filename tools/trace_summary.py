@@ -8,7 +8,7 @@ Reads the Chrome trace-event JSON that `griffin_bench run ... --trace
     and self thread-s (each duration minus those of its direct
     children on the same thread);
   * thread-s per network, summed over that network's `layer` spans
-    (the runner runs each pool task, one network layer's worksets,
+    (the runner runs each task, one network layer's worksets,
     under one `layer` span whose args name the network, the layer
     index and the layer name);
   * the ten costliest (network, layer) pairs.
