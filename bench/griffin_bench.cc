@@ -22,8 +22,6 @@
  * several of them use is generated once.
  */
 
-#include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -58,27 +56,6 @@ experimentOrDie(const std::string &name)
               nearestName(name, registryNames()),
               "'? (see griffin_bench list)");
     return *exp;
-}
-
-/** Case-insensitive benchmark-network lookup; nullopt-style via an
- *  empty name sentinel is avoided by returning a found flag. */
-bool
-findNetwork(const std::string &name, NetworkSpec &out)
-{
-    const auto fold = [](std::string s) {
-        std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-            return static_cast<char>(std::tolower(c));
-        });
-        return s;
-    };
-    const std::string wanted = fold(name);
-    for (auto &net : benchmarkSuite()) {
-        if (fold(net.name) == wanted) {
-            out = std::move(net);
-            return true;
-        }
-    }
-    return false;
 }
 
 /** The `networks` subcommand: the benchmark suite as a table. */
@@ -213,9 +190,8 @@ main(int argc, char **argv)
                 continue;
             }
             // Fall back to the benchmark networks: describe a DAG.
-            NetworkSpec net;
-            if (findNetwork(name, net)) {
-                std::cout << describeDag(net);
+            if (const auto net = findNetwork(name)) {
+                std::cout << describeDag(*net);
                 continue;
             }
             std::cout.flush();

@@ -92,16 +92,6 @@ class Arena
         return p;
     }
 
-    /** Total bytes currently reserved (all blocks, used or not). */
-    std::size_t
-    reservedBytes() const
-    {
-        std::size_t total = 0;
-        for (const auto &b : blocks_)
-            total += b.size;
-        return total;
-    }
-
   private:
     struct Block
     {

@@ -13,10 +13,10 @@
  *              project's std::lock_guard
  *
  * The telemetry trace buffers (runtime/telemetry.cc) are their users.
- * Discipline: fields shared across threads get GRIFFIN_GUARDED_BY in
- * the header; functions called with the lock already held get
- * GRIFFIN_REQUIRES.  See common/thread_annotations.hh for the macro
- * vocabulary and how to run the analysis.
+ * Discipline: fields shared across threads get GRIFFIN_GUARDED_BY, and
+ * a MutexLock in scope is the only way to hold a Mutex.  See
+ * common/thread_annotations.hh for the macro vocabulary and how to run
+ * the analysis.
  */
 
 #ifndef GRIFFIN_COMMON_MUTEX_HH
@@ -35,19 +35,8 @@ class GRIFFIN_CAPABILITY("mutex") Mutex
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;
 
-    void
-    lock() GRIFFIN_ACQUIRE()
-    {
-        mu_.lock();
-    }
-
-    void
-    unlock() GRIFFIN_RELEASE()
-    {
-        mu_.unlock();
-    }
-
   private:
+    // Only MutexLock takes the lock, so every acquisition is scoped.
     friend class MutexLock;
     std::mutex mu_;
 };

@@ -19,64 +19,4 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double
-mean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double v : values)
-        s += v;
-    return s / static_cast<double>(values.size());
-}
-
-double
-stddev(const std::vector<double> &values)
-{
-    if (values.size() < 2)
-        return 0.0;
-    const double m = mean(values);
-    double ss = 0.0;
-    for (double v : values)
-        ss += (v - m) * (v - m);
-    // Bessel's correction (N - 1): the callers pass small per-network
-    // samples, where the population divisor N biases the spread low.
-    return std::sqrt(ss / static_cast<double>(values.size() - 1));
-}
-
-void
-RunningStat::add(double x)
-{
-    if (count_ == 0) {
-        min_ = max_ = x;
-    } else {
-        if (x < min_)
-            min_ = x;
-        if (x > max_)
-            max_ = x;
-    }
-    sum_ += x;
-    ++count_;
-}
-
-double
-RunningStat::min() const
-{
-    GRIFFIN_ASSERT(count_ > 0, "min() of empty RunningStat");
-    return min_;
-}
-
-double
-RunningStat::max() const
-{
-    GRIFFIN_ASSERT(count_ > 0, "max() of empty RunningStat");
-    return max_;
-}
-
-double
-RunningStat::mean() const
-{
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
 } // namespace griffin

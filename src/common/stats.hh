@@ -1,54 +1,18 @@
 /**
  * @file
- * Summary statistics used across the evaluation.
- *
- * The paper aggregates per-benchmark metrics with the geometric mean
- * (Section V); geomean() here is that aggregator.
+ * The evaluation's one summary statistic: the paper aggregates
+ * per-benchmark metrics with the geometric mean (Section V).
  */
 
 #ifndef GRIFFIN_COMMON_STATS_HH
 #define GRIFFIN_COMMON_STATS_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace griffin {
 
 /** Geometric mean of strictly positive values.  Empty input -> 1.0. */
 double geomean(const std::vector<double> &values);
-
-/** Arithmetic mean.  Empty input -> 0.0. */
-double mean(const std::vector<double> &values);
-
-/**
- * Sample standard deviation (Bessel's N−1 divisor).  The inputs here
- * are small per-network samples — a handful of benchmark speedups, not
- * a full population — where the population (N) estimator is
- * noticeably biased low.  Fewer than 2 values -> 0.0.
- */
-double stddev(const std::vector<double> &values);
-
-/**
- * Streaming accumulator for min / max / mean / count without storing
- * samples.  Used by the simulator for per-tile cycle statistics.
- */
-class RunningStat
-{
-  public:
-    void add(double x);
-
-    std::size_t count() const { return count_; }
-    double min() const;
-    double max() const;
-    double mean() const;
-    double sum() const { return sum_; }
-
-  private:
-    std::size_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 } // namespace griffin
 

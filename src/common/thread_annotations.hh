@@ -18,21 +18,9 @@
  *                              releases on destruction (MutexLock)
  *   GRIFFIN_GUARDED_BY(mu)     this field may only be read or written
  *                              while `mu` is held
- *   GRIFFIN_PT_GUARDED_BY(mu)  as above, for the pointee of a pointer
- *   GRIFFIN_REQUIRES(mu)       callers of this function must already
- *                              hold `mu`
  *   GRIFFIN_ACQUIRE(mu) / GRIFFIN_RELEASE(mu)
  *                              this function takes / drops `mu`
- *                              (annotate lock()/unlock() themselves)
- *   GRIFFIN_EXCLUDES(mu)       this function must NOT be entered with
- *                              `mu` held (self-deadlock guard)
- *   GRIFFIN_RETURN_CAPABILITY(mu)
- *                              this function returns a reference to
- *                              the capability `mu`
- *   GRIFFIN_NO_THREAD_SAFETY_ANALYSIS
- *                              opt one function out (use sparingly,
- *                              with a comment saying why the analysis
- *                              cannot see the invariant)
+ *                              (MutexLock's constructor / destructor)
  *
  * How to run the analysis locally (needs clang):
  *
@@ -63,24 +51,10 @@
 
 #define GRIFFIN_GUARDED_BY(x) GRIFFIN_THREAD_ANNOTATION(guarded_by(x))
 
-#define GRIFFIN_PT_GUARDED_BY(x) GRIFFIN_THREAD_ANNOTATION(pt_guarded_by(x))
-
-#define GRIFFIN_REQUIRES(...)                                              \
-    GRIFFIN_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
 #define GRIFFIN_ACQUIRE(...)                                               \
     GRIFFIN_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
 #define GRIFFIN_RELEASE(...)                                               \
     GRIFFIN_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-#define GRIFFIN_EXCLUDES(...)                                              \
-    GRIFFIN_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-#define GRIFFIN_RETURN_CAPABILITY(x)                                       \
-    GRIFFIN_THREAD_ANNOTATION(lock_returned(x))
-
-#define GRIFFIN_NO_THREAD_SAFETY_ANALYSIS                                  \
-    GRIFFIN_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 #endif // GRIFFIN_COMMON_THREAD_ANNOTATIONS_HH

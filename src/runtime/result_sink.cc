@@ -380,24 +380,9 @@ ResultSink::ResultSink(std::string path) : path_(std::move(path))
 }
 
 void
-ResultSink::add(NetworkResult result)
-{
-    ResultRow row;
-    row.result = std::move(result);
-    rows_.push_back(std::move(row));
-}
-
-void
 ResultSink::add(ResultRow row)
 {
     rows_.push_back(std::move(row));
-}
-
-void
-ResultSink::add(const std::vector<NetworkResult> &results)
-{
-    for (const auto &r : results)
-        add(r);
 }
 
 void
@@ -426,31 +411,12 @@ ResultSink::flush() const
     std::ofstream os(path_);
     if (!os)
         fatal("cannot open result sink path '", path_, "'");
-    const bool csv = hasSuffix(path_, ".csv");
-    const bool jsonl = hasSuffix(path_, ".jsonl");
-    // All-plain documents keep the stable legacy NetworkResult shape.
-    bool annotated = false;
-    for (const auto &row : rows_)
-        annotated = annotated || row.annotated;
-    std::vector<NetworkResult> plain;
-    if (!annotated)
-        for (const auto &row : rows_)
-            plain.push_back(row.result);
-    if (csv) {
-        if (annotated)
-            writeCsv(os, rows_);
-        else
-            writeCsv(os, plain);
-    } else if (jsonl) {
-        // JSON Lines rows always carry their annotations: with no
-        // enclosing document, every row must describe itself.
+    if (hasSuffix(path_, ".csv"))
+        writeCsv(os, rows_);
+    else if (hasSuffix(path_, ".jsonl"))
         writeJsonLines(os, rows_);
-    } else {
-        if (annotated)
-            writeJson(os, rows_);
-        else
-            writeJson(os, plain);
-    }
+    else
+        writeJson(os, rows_);
     // close() flushes: checking before it would miss a failure that
     // only the final flush of a small document reports.
     os.close();

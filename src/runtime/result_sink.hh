@@ -127,15 +127,13 @@ void writeMetricsJsonLine(std::ostream &os, const SweepStats &stats,
  * Format is chosen by the path suffix: ".csv" writes CSV, ".jsonl"
  * writes JSON Lines (one row per line), anything else a pretty JSON
  * array.  Rows added from a SweepResult are annotated with their job's
- * options and coordinates; bare NetworkResults are not.
+ * options and coordinates.
  */
 class ResultSink
 {
   public:
     explicit ResultSink(std::string path);
 
-    void add(NetworkResult result);
-    void add(const std::vector<NetworkResult> &results);
     void add(const SweepResult &sweep,
              const std::string &experiment = "");
     /** A preformed row, written as given. */

@@ -12,18 +12,6 @@
 
 namespace griffin {
 
-std::string
-coordsLabel(const std::vector<AxisCoordinate> &coords)
-{
-    std::string out;
-    for (const auto &c : coords) {
-        if (!out.empty())
-            out += ' ';
-        out += c.axis + '=' + c.value;
-    }
-    return out;
-}
-
 namespace {
 
 /**

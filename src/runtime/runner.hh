@@ -90,9 +90,6 @@ struct AxisCoordinate
     bool operator!=(const AxisCoordinate &o) const { return !(*this == o); }
 };
 
-/** "axis=value axis=value" rendering for tables and logs. */
-std::string coordsLabel(const std::vector<AxisCoordinate> &coords);
-
 /**
  * One point of the sweep grid, fully determined before submission.
  * Indices refer to the SweepSpec vectors the job was expanded from.

@@ -166,8 +166,6 @@ exactOrder(const NetworkSpec &net,
             }
         }
         level = std::move(next);
-        if (level.empty())
-            return {}; // cycle: no ready node anywhere
     }
 
     NodeMask full(n);
@@ -231,10 +229,8 @@ greedyOrder(const NetworkSpec &net,
                 bestOut = out;
             }
         }
-        if (best == n)
-            fatal("network '", net.name,
-                  "' has a dependence cycle: no ready node at step ",
-                  step);
+        GRIFFIN_ASSERT(best < n, "no ready node at step ", step,
+                       " of validated network '", net.name, "'");
         executed[best] = true;
         for (const std::size_t u : uniqueInputs(net.nodes[best]))
             --pendingConsumers[u];
@@ -343,62 +339,6 @@ schedulePolicyFromString(const std::string &text)
           "' (expected declaration, optimized or recompute)");
 }
 
-void
-validateDag(const NetworkSpec &net)
-{
-    if (net.nodes.empty())
-        fatal("network '", net.name, "' has no layers");
-    for (std::size_t v = 0; v < net.nodes.size(); ++v) {
-        const NetworkNode &node = net.nodes[v];
-        std::vector<std::size_t> seen;
-        for (const std::size_t u : node.inputs) {
-            if (u >= net.nodes.size())
-                fatal("network '", net.name, "': node '", node.layer.name,
-                      "' consumes node ", u, " but the network has only ",
-                      net.nodes.size(), " nodes");
-            if (u == v)
-                fatal("network '", net.name, "': node '", node.layer.name,
-                      "' consumes itself");
-            if (std::find(seen.begin(), seen.end(), u) != seen.end())
-                fatal("network '", net.name, "': node '", node.layer.name,
-                      "' lists input ", u, " twice");
-            seen.push_back(u);
-        }
-    }
-    topologicalOrder(net); // fatal() on cycles
-}
-
-std::vector<std::size_t>
-topologicalOrder(const NetworkSpec &net)
-{
-    const std::size_t n = net.nodes.size();
-    std::vector<std::size_t> indegree(n, 0);
-    for (const NetworkNode &node : net.nodes)
-        indegree[&node - net.nodes.data()] = uniqueInputs(node).size();
-    const auto consumers = consumersOf(net);
-
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    std::vector<bool> queued(n, false);
-    for (std::size_t step = 0; step < n; ++step) {
-        std::size_t pick = n;
-        for (std::size_t v = 0; v < n; ++v) {
-            if (!queued[v] && indegree[v] == 0) {
-                pick = v;
-                break;
-            }
-        }
-        if (pick == n)
-            fatal("network '", net.name,
-                  "' has a dependence cycle among its layers");
-        queued[pick] = true;
-        order.push_back(pick);
-        for (const std::size_t v : consumers[pick])
-            --indegree[v];
-    }
-    return order;
-}
-
 ScheduleEval
 evaluateSchedule(const NetworkSpec &net,
                  const std::vector<ScheduleEntry> &entries)
@@ -471,17 +411,6 @@ evaluateSchedule(const NetworkSpec &net,
     return eval;
 }
 
-std::int64_t
-calculateSequentialPeak(const NetworkSpec &net,
-                        const std::vector<ScheduleEntry> &entries)
-{
-    const ScheduleEval eval = evaluateSchedule(net, entries);
-    if (!eval.ok)
-        fatal("invalid schedule for network '", net.name, "': ",
-              eval.error);
-    return eval.peakBytes;
-}
-
 DagSchedule
 declarationSchedule(const NetworkSpec &net)
 {
@@ -494,7 +423,7 @@ declarationSchedule(const NetworkSpec &net)
 DagSchedule
 optimizeSchedule(const NetworkSpec &net, bool allowRecompute)
 {
-    validateDag(net);
+    net.validate();
     const auto consumers = consumersOf(net);
     const DagSchedule declaration = declarationSchedule(net);
 
@@ -530,7 +459,7 @@ scheduleFor(const NetworkSpec &net, SchedulePolicy policy)
 std::string
 describeDag(const NetworkSpec &net)
 {
-    validateDag(net);
+    net.validate();
     std::size_t edges = 0;
     for (const NetworkNode &node : net.nodes)
         edges += node.inputs.size();

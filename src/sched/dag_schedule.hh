@@ -13,8 +13,6 @@
  * block input before the wide 3x3/5x5 outputs pile up.
  *
  * This header provides:
- *   - structural validation of a hand-built node vector (cycles,
- *     dangling edges, duplicate inputs),
  *   - a liveness evaluator that prices any schedule, including ones
  *     with recomputation entries,
  *   - an optimizer that minimises peak bytes (exhaustive subset DP on
@@ -22,8 +20,11 @@
  *     optional recomputation of cheap multi-consumer nodes),
  *   - a text renderer for `griffin_bench describe`.
  *
- * Schedules permute *execution*; the node vector itself is never
- * reordered (node order feeds the per-layer simulation seed).
+ * The optimizer and the renderer take networks that pass
+ * NetworkSpec::validate() (every edge points to an earlier node, so
+ * the graph is acyclic).  Schedules permute *execution*; the node
+ * vector itself is never reordered (node order feeds the per-layer
+ * simulation seed).
  */
 
 #ifndef GRIFFIN_SCHED_DAG_SCHEDULE_HH
@@ -94,18 +95,6 @@ struct DagSchedule
 };
 
 /**
- * Structural validation of an arbitrary node vector: fatal() on an
- * empty graph, out-of-range or self edges, duplicate inputs, or a
- * cycle.  Builder-produced networks are acyclic by construction
- * (addLayer demands backward edges); this guards hand-built specs.
- */
-void validateDag(const NetworkSpec &net);
-
-/** Kahn topological order, smallest node index first among ready
- *  nodes.  fatal() on a cycle. */
-std::vector<std::size_t> topologicalOrder(const NetworkSpec &net);
-
-/**
  * Price a schedule: peak live bytes and per-entry live bytes under
  * last-consumer-frees liveness.  Each consumption binds to the latest
  * prior production of the input node (recomputation-aware); a buffer
@@ -118,12 +107,6 @@ std::vector<std::size_t> topologicalOrder(const NetworkSpec &net);
  */
 ScheduleEval evaluateSchedule(const NetworkSpec &net,
                               const std::vector<ScheduleEntry> &entries);
-
-/** evaluateSchedule that fatal()s on malformed schedules and returns
- *  just the peak. */
-std::int64_t
-calculateSequentialPeak(const NetworkSpec &net,
-                        const std::vector<ScheduleEntry> &entries);
 
 /** The node-vector-order schedule, priced. */
 DagSchedule declarationSchedule(const NetworkSpec &net);

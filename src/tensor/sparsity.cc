@@ -40,12 +40,6 @@ randomSparse(std::size_t rows, std::size_t cols, double sparsity, Rng &rng)
 }
 
 MatrixI8
-randomDense(std::size_t rows, std::size_t cols, Rng &rng)
-{
-    return randomSparse(rows, cols, 0.0, rng);
-}
-
-MatrixI8
 clusteredSparse(std::size_t rows, std::size_t cols, double sparsity,
                 double run_len, std::uint64_t seed)
 {

@@ -43,9 +43,6 @@ namespace griffin {
 MatrixI8 randomSparse(std::size_t rows, std::size_t cols, double sparsity,
                       Rng &rng);
 
-/** Fully dense random matrix (every element nonzero). */
-MatrixI8 randomDense(std::size_t rows, std::size_t cols, Rng &rng);
-
 /**
  * Clustered sparsity: zeros arrive in runs of geometric mean length
  * `run_len` along each row, at overall rate `sparsity`.  Models the

@@ -45,9 +45,9 @@
  * they go when the workset does.
  *
  * Convolution layers are already lowered to GEMM shapes by the
- * workload tables (tensor/im2col.hh does the lowering; workloads/
- * stores the resulting m/k/n), so generation works directly in GEMM
- * coordinates — the im2col output *is* the A matrix being modelled.
+ * workload tables (workloads/net_util.hh's netutil::conv stores each
+ * layer's m/k/n), so generation works directly in GEMM coordinates —
+ * the im2col output *is* the A matrix being modelled.
  */
 
 #ifndef GRIFFIN_TENSOR_WORKSET_HH

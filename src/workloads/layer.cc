@@ -14,8 +14,10 @@ LayerSpec::validate() const
               k, ",", n, ")");
     if (groups <= 0 || repeat <= 0)
         fatal("layer '", name, "' has non-positive groups/repeat");
-    if (weightSparsity > 1.0 || actSparsity > 1.0)
-        fatal("layer '", name, "' has sparsity above 1");
+    // Negative overrides mean "use the network's rate"; negated so a
+    // NaN override fails too.
+    if (!(weightSparsity <= 1.0) || !(actSparsity <= 1.0))
+        fatal("layer '", name, "' has sparsity above 1 or NaN");
     // macs() and denseCycles() multiply the five extents as plain
     // int64; catch the silent wraparound here so a bad layer table
     // fails by name instead of reporting garbage cycle counts.
@@ -35,20 +37,6 @@ LayerSpec::validate() const
                       kTilePaddingHeadroom)
         fatal("layer '", name, "' MAC count ", product,
               " leaves no headroom for tile-padded cycle counts");
-}
-
-LayerSpec
-convLayer(const std::string &name, const ConvShape &shape)
-{
-    shape.validate();
-    LayerSpec layer;
-    layer.name = name;
-    layer.m = shape.gemmM();
-    layer.k = shape.gemmK();
-    layer.n = shape.gemmN();
-    layer.groups = shape.groups;
-    layer.validate();
-    return layer;
 }
 
 LayerSpec

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 
-#include "tensor/im2col.hh"
 #include "tensor/tile.hh"
 
 namespace griffin {
@@ -54,9 +53,6 @@ struct LayerSpec
 
     void validate() const;
 };
-
-/** Convolution layer lowered through im2col. */
-LayerSpec convLayer(const std::string &name, const ConvShape &shape);
 
 /** Fully connected layer on a batch of `batch` activations. */
 LayerSpec fcLayer(const std::string &name, std::int64_t in,

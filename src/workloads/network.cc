@@ -88,11 +88,15 @@ NetworkSpec::validate() const
         if (node.outputBytes < 0)
             fatal("network '", name, "': node '", node.layer.name,
                   "' has negative output bytes");
-        for (const std::size_t input : node.inputs)
-            if (input >= i)
+        for (auto it = node.inputs.begin(); it != node.inputs.end(); ++it) {
+            if (*it >= i)
                 fatal("network '", name, "': node '", node.layer.name,
-                      "' (index ", i, ") consumes node ", input,
+                      "' (index ", i, ") consumes node ", *it,
                       " which is not an earlier node");
+            if (std::find(node.inputs.begin(), it, *it) != it)
+                fatal("network '", name, "': node '", node.layer.name,
+                      "' lists input ", *it, " twice");
+        }
     }
     validateRates();
 }
@@ -110,10 +114,12 @@ NetworkSpec::validateLayer(std::size_t index) const
 void
 NetworkSpec::validateRates() const
 {
-    if (weightSparsity < 0.0 || weightSparsity > 1.0 ||
-        actSparsity < 0.0 || actSparsity > 1.0) {
-        fatal("network '", name, "' sparsity outside [0,1]");
-    }
+    // Negated so a NaN rate fails too.
+    for (const double rate : {weightSparsity, actSparsity,
+                              reluModeActSparsity})
+        if (!(rate >= 0.0 && rate <= 1.0))
+            fatal("network '", name, "' sparsity ", rate,
+                  " outside [0,1]");
 }
 
 std::vector<NetworkSpec>
@@ -130,20 +136,27 @@ networkNames()
             "InceptionV3", "MobileNetV2", "BERT"};
 }
 
+std::optional<NetworkSpec>
+findNetwork(const std::string &name)
+{
+    const auto fold = [](std::string s) {
+        std::transform(s.begin(), s.end(), s.begin(), [](unsigned char ch) {
+            return static_cast<char>(std::tolower(ch));
+        });
+        return s;
+    };
+    const std::string wanted = fold(name);
+    for (auto &net : benchmarkSuite())
+        if (fold(net.name) == wanted)
+            return std::move(net);
+    return std::nullopt;
+}
+
 NetworkSpec
 networkByName(const std::string &name)
 {
-    std::string lower = name;
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char ch) { return std::tolower(ch); });
-    for (auto &net : benchmarkSuite()) {
-        std::string candidate = net.name;
-        std::transform(candidate.begin(), candidate.end(),
-                       candidate.begin(),
-                       [](unsigned char ch) { return std::tolower(ch); });
-        if (candidate == lower)
-            return net;
-    }
+    if (auto net = findNetwork(name))
+        return std::move(*net);
     fatal("unknown network '", name, "'; did you mean '",
           nearestName(name, networkNames()),
           "'? (see griffin_bench networks)");

@@ -22,6 +22,7 @@
 #define GRIFFIN_WORKLOADS_NETWORK_HH
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,8 +76,8 @@ struct NetworkSpec
     /**
      * Append a node consuming the named producers.  Edges must point
      * backwards (every input index below the new node's), which makes
-     * builder-produced networks acyclic by construction; hand-built
-     * node vectors are checked by sched/dag_schedule.hh's validateDag.
+     * builder-produced networks acyclic by construction; validate()
+     * checks the same of hand-built node vectors.
      * Returns the new node's index so builders can wire branches.
      */
     std::size_t addLayer(LayerSpec layer, std::vector<std::size_t> inputs);
@@ -98,8 +99,12 @@ struct NetworkSpec
     double layerActSparsity(const LayerSpec &layer,
                             DnnCategory cat) const;
 
-    /** fatal() unless every node, edge and rate is well formed:
-     *  O(layers). */
+    /**
+     * fatal() unless every node, edge and rate is well formed:
+     * O(layers).  Every edge must point to an earlier node, so a
+     * validated network is acyclic, and no node may list an input
+     * twice.
+     */
     void validate() const;
 
     /**
@@ -133,8 +138,10 @@ std::vector<NetworkSpec> benchmarkSuite();
 /** The six suite names, Table IV order. */
 std::vector<std::string> networkNames();
 
-/** Look up by case-insensitive name; fatal() with a nearest-name
- *  suggestion when unknown. */
+/** The suite network of this case-insensitive name, if any. */
+std::optional<NetworkSpec> findNetwork(const std::string &name);
+
+/** findNetwork, or fatal() with a nearest-name suggestion. */
 NetworkSpec networkByName(const std::string &name);
 
 } // namespace griffin

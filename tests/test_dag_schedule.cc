@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the dataflow-DAG sequential scheduler: structural
- * validation, the liveness evaluator, the peak-minimising optimizer,
- * and the schedule-aware accelerator plumbing.
+ * Tests for the dataflow-DAG sequential scheduler: the edge checks of
+ * NetworkSpec::validate(), the liveness evaluator, the peak-minimising
+ * optimizer, and the schedule-aware accelerator plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -40,12 +40,13 @@ diamond()
 
 TEST(DagSchedule, ValidateRejectsCycles)
 {
+    // Every edge must point to an earlier node, so no cycle passes.
     NetworkSpec net;
     net.name = "looped";
     net.addLayer(buffer("a", 1), {});
     net.addLayer(buffer("b", 1), {0});
     net.nodes[0].inputs = {1};
-    EXPECT_DEATH(validateDag(net), "dependence cycle");
+    EXPECT_DEATH(net.validate(), "consumes node 1 which is not an earlier");
 }
 
 TEST(DagSchedule, ValidateRejectsDanglingAndDuplicateEdges)
@@ -54,14 +55,14 @@ TEST(DagSchedule, ValidateRejectsDanglingAndDuplicateEdges)
     dangling.name = "dangling";
     dangling.addLayer(buffer("a", 1), {});
     dangling.nodes[0].inputs = {7};
-    EXPECT_DEATH(validateDag(dangling), "has only");
+    EXPECT_DEATH(dangling.validate(), "consumes node 7 which is not an");
 
     NetworkSpec duplicated;
     duplicated.name = "duplicated";
     duplicated.addLayer(buffer("a", 1), {});
     duplicated.addLayer(buffer("b", 1), {0});
     duplicated.nodes[1].inputs = {0, 0};
-    EXPECT_DEATH(validateDag(duplicated), "twice");
+    EXPECT_DEATH(duplicated.validate(), "lists input 0 twice");
 }
 
 TEST(DagSchedule, AddLayerRejectsForwardEdges)
@@ -83,7 +84,7 @@ TEST(DagSchedule, DiamondLivenessIsPinned)
     EXPECT_EQ(decl.entryLiveBytes[2], 170);
     EXPECT_EQ(decl.entryLiveBytes[3], 80);
     EXPECT_EQ(decl.peakBytes, 170);
-    EXPECT_EQ(calculateSequentialPeak(net, decl.entries), 170);
+    EXPECT_EQ(evaluateSchedule(net, decl.entries).peakBytes, 170);
 }
 
 TEST(DagSchedule, EvaluatorRejectsMalformedSchedules)
@@ -111,7 +112,7 @@ TEST(DagSchedule, OptimizerNeverWorseAcrossTheSuite)
         const auto opt = optimizeSchedule(net, /*allowRecompute=*/false);
         EXPECT_LE(opt.peakBytes, decl.peakBytes) << net.name;
         // The optimizer's claimed peak reprices to the same number.
-        EXPECT_EQ(calculateSequentialPeak(net, opt.entries),
+        EXPECT_EQ(evaluateSchedule(net, opt.entries).peakBytes,
                   opt.peakBytes)
             << net.name;
         const auto rec = optimizeSchedule(net, /*allowRecompute=*/true);
@@ -160,7 +161,7 @@ TEST(DagSchedule, RecomputationTradeoffIsPinned)
     // after a; peak drops to c's step rebuild (90 + 100) + 10.
     EXPECT_EQ(rec.peakBytes, 200);
     EXPECT_NE(rec.label.find("+recompute"), std::string::npos);
-    EXPECT_EQ(calculateSequentialPeak(net, rec.entries), 200);
+    EXPECT_EQ(evaluateSchedule(net, rec.entries).peakBytes, 200);
 }
 
 TEST(DagSchedule, ScheduleAwareReduceTagsResults)

@@ -32,8 +32,8 @@ runDual(const MatrixI8 &a, const MatrixI8 &b, const RoutingConfig &cfg,
 TEST(DualAsync, DenseOperandsRunAtDenseRate)
 {
     Rng rng(71);
-    auto a = randomDense(4, 256, rng);
-    auto b = randomDense(256, 16, rng);
+    auto a = randomSparse(4, 256, 0.0, rng);
+    auto b = randomSparse(256, 16, 0.0, rng);
     const auto cfg = RoutingConfig::sparseAB(2, 0, 0, 2, 0, 1, true);
     auto dual = runDual(a, b, cfg, 9.0);
     EXPECT_EQ(dual.cycles, 16); // = K1: nothing to skip
@@ -63,7 +63,7 @@ TEST(DualAsync, ColumnsAdvanceIndependently)
     // Column 0 dense in B, column 1 nearly empty: an asynchronous
     // engine finishes in ~the dense column's time, not the sum.
     Rng rng(73);
-    auto a = randomDense(4, 512, rng);
+    auto a = randomSparse(4, 512, 0.0, rng);
     MatrixI8 b(512, 16);
     for (std::size_t k = 0; k < 512; ++k) {
         b.at(k, 0) = 1;                  // column 0 fully dense
@@ -101,7 +101,7 @@ TEST(DualAsync, DowngradeOnDenseAStaysWithinSparseBWindow)
     // most loaded column's entry count and the synchronized stream
     // length.
     Rng rng(75);
-    auto a = randomDense(4, 1024, rng);
+    auto a = randomSparse(4, 1024, 0.0, rng);
     auto b = randomSparse(1024, 16, 0.85, rng);
     const auto cfg = RoutingConfig::sparseAB(2, 0, 0, 2, 0, 1, true);
     Shuffler sh(cfg.shuffle, kShape.k0);

@@ -199,7 +199,6 @@ TEST(GridExpand, JobsCarryTheirCoordinates)
     EXPECT_EQ(jobs[1].coords,
               (std::vector<AxisCoordinate>{
                   {"weight_lane_bias", "0.75"}}));
-    EXPECT_EQ(coordsLabel(jobs[1].coords), "weight_lane_bias=0.75");
 }
 
 // ---- end-to-end: distinct self-describing rows ----------------------

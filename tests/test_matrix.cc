@@ -80,7 +80,7 @@ TEST(MatmulRef, KnownSmallProduct)
 TEST(MatmulRef, IdentityIsNeutral)
 {
     Rng rng(21);
-    auto a = randomDense(5, 5, rng);
+    auto a = randomSparse(5, 5, 0.0, rng);
     MatrixI8 eye(5, 5);
     for (std::size_t i = 0; i < 5; ++i)
         eye.at(i, i) = 1;

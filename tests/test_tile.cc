@@ -33,7 +33,7 @@ TEST(StepsForK, CeilingBehaviour)
 TEST(TileViewA, IndexingMatchesFlatLayout)
 {
     Rng rng(31);
-    auto a = randomDense(8, 40, rng);
+    auto a = randomSparse(8, 40, 0.0, rng);
     TileShape shape;
     TileViewA view(a, shape, 4); // rows 4..7
     EXPECT_EQ(view.steps(), 3);  // ceil(40/16)
@@ -54,7 +54,8 @@ TEST(TileViewA, IndexingMatchesFlatLayout)
 TEST(TileViewA, EdgeTilePadsRowsWithZero)
 {
     Rng rng(32);
-    auto a = randomDense(6, 16, rng); // 6 rows, M0=4 -> second tile ragged
+    // 6 rows, M0=4 -> second tile ragged
+    auto a = randomSparse(6, 16, 0.0, rng);
     TileShape shape;
     TileViewA view(a, shape, 4);
     EXPECT_EQ(view.at(0, 0, 0), a.at(4, 0)); // row 4 exists
@@ -66,7 +67,7 @@ TEST(TileViewA, EdgeTilePadsRowsWithZero)
 TEST(TileViewB, IndexingMatchesFlatLayout)
 {
     Rng rng(33);
-    auto b = randomDense(40, 32, rng);
+    auto b = randomSparse(40, 32, 0.0, rng);
     TileShape shape;
     TileViewB view(b, shape, 16); // cols 16..31
     EXPECT_EQ(view.steps(), 3);
@@ -85,7 +86,8 @@ TEST(TileViewB, IndexingMatchesFlatLayout)
 TEST(TileViewB, PartialLastStepReadsZero)
 {
     Rng rng(34);
-    auto b = randomDense(20, 16, rng); // K=20: step 1 has lanes 4..15 padded
+    // K=20: step 1 has lanes 4..15 padded
+    auto b = randomSparse(20, 16, 0.0, rng);
     TileShape shape;
     TileViewB view(b, shape, 0);
     EXPECT_EQ(view.steps(), 2);

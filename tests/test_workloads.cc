@@ -4,9 +4,12 @@
  * Table IV dense-latency targets.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "workloads/net_util.hh"
 #include "workloads/network.hh"
 
 namespace griffin {
@@ -31,6 +34,14 @@ TEST(Workloads, TableFourSparsityRatios)
     EXPECT_DOUBLE_EQ(networkByName("bert").weightSparsity, 0.82);
     EXPECT_DOUBLE_EQ(networkByName("bert").actSparsity, 0.0);
     EXPECT_DOUBLE_EQ(networkByName("resnet50").weightSparsity, 0.81);
+}
+
+TEST(Workloads, FindNetworkFoldsCase)
+{
+    const auto net = findNetwork("gOOGLEnET");
+    ASSERT_TRUE(net.has_value());
+    EXPECT_EQ(net->name, "GoogLeNet");
+    EXPECT_FALSE(findNetwork("vgg").has_value());
 }
 
 TEST(Workloads, MacCountsAreInTheLiteratureBallpark)
@@ -139,6 +150,44 @@ TEST(Workloads, DepthwiseLayersAreGroupedAndUnpruned)
     EXPECT_EQ(depthwise, 17);
 }
 
+TEST(Workloads, ConvLowersToTheDirectConvolutionGemm)
+{
+    // netutil::conv is the one convolution lowering the layer tables
+    // use (Section II-A): per group, A is hw^2 output pixels by
+    // (cin/g)*r*s patch elements and B is that by cout/g kernels, so
+    // the GEMM does the direct convolution's hw^2*cout*(cin/g)*r*s
+    // MACs.
+    const struct
+    {
+        const char *name;
+        int cin, hw, r, s, cout, groups;
+    } shapes[] = {
+        {"plain", 64, 56, 3, 3, 128, 1},
+        {"asymmetric", 160, 17, 1, 7, 192, 1},
+        {"conv2", 96, 27, 5, 5, 256, 2}, // AlexNet's two-group conv2
+        {"depthwise", 96, 56, 3, 3, 96, 96},
+    };
+    for (const auto &c : shapes) {
+        const LayerSpec layer =
+            netutil::conv(c.name, c.cin, c.hw, c.r, c.s, c.cout, c.groups);
+        const std::int64_t hw = c.hw, r = c.r, s = c.s;
+        const std::int64_t cin_g = c.cin / c.groups;
+        EXPECT_EQ(layer.m, hw * hw) << c.name;
+        EXPECT_EQ(layer.k, cin_g * r * s) << c.name;
+        EXPECT_EQ(layer.n, c.cout / c.groups) << c.name;
+        EXPECT_EQ(layer.groups, c.groups) << c.name;
+        EXPECT_EQ(layer.macs(), hw * hw * c.cout * cin_g * r * s)
+            << c.name;
+    }
+    // The AlexNet table lowers its conv2 the same way.
+    const LayerSpec conv2 = networkByName("alexnet").layer(1);
+    EXPECT_EQ(conv2.name, "conv2");
+    EXPECT_EQ(conv2.m, 27 * 27);
+    EXPECT_EQ(conv2.k, 48 * 5 * 5);
+    EXPECT_EQ(conv2.n, 128);
+    EXPECT_EQ(conv2.groups, 2);
+}
+
 TEST(Workloads, RepeatAndGroupsMultiplyCounts)
 {
     LayerSpec layer = fcLayer("x", 16, 32, 8);
@@ -234,6 +283,35 @@ TEST(WorkloadsDeathTest, InvalidLayerIsFatal)
     bad.m = 0;
     EXPECT_EXIT(bad.validate(), testing::ExitedWithCode(exitUsageError),
                 "non-positive GEMM dims");
+}
+
+TEST(WorkloadsDeathTest, NanNetworkSparsityIsFatal)
+{
+    // NaN fails every comparison, so a range check written as
+    // `x < 0 || x > 1` lets it through to the generators' asserts.
+    NetworkSpec net = alexNet();
+    net.weightSparsity = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EXIT(net.validate(), testing::ExitedWithCode(exitUsageError),
+                "sparsity nan outside \\[0,1\\]");
+}
+
+TEST(WorkloadsDeathTest, ReluModeSparsityAboveOneIsFatal)
+{
+    NetworkSpec net = alexNet();
+    net.reluModeActSparsity = 1.5;
+    EXPECT_EXIT(net.validate(), testing::ExitedWithCode(exitUsageError),
+                "sparsity 1.5 outside \\[0,1\\]");
+}
+
+TEST(WorkloadsDeathTest, NanLayerSparsityOverrideIsFatal)
+{
+    // A negative override means "use the network's rate"; NaN is not
+    // negative and must not silently mean the same.
+    NetworkSpec net = alexNet();
+    net.nodes[2].layer.weightSparsity =
+        std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EXIT(net.validate(), testing::ExitedWithCode(exitUsageError),
+                "layer 'conv3' has sparsity above 1 or NaN");
 }
 
 } // namespace
