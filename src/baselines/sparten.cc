@@ -177,8 +177,8 @@ simulateSparTen(const LayerWorkset &ws, const ArchConfig &arch,
 
     // Generate what the grid reads before the sparten span opens, so
     // gen_a and gen_b stay top-level stages: A whole when its zeros are
-    // skipped, and B's column masks when its zeros are, drawn 64
-    // columns at a time and folded into masks as they come.
+    // skipped, and B's column masks when its zeros are, drawn as masks
+    // 64 columns at a time.
     const auto routing = arch.effectiveRouting(cat);
     const MatrixI8 *a = routing.sparseA() ? &ws.operandA() : nullptr;
     const std::int64_t words = (p.k + 63) / 64;
@@ -189,11 +189,9 @@ simulateSparTen(const LayerWorkset &ws, const ArchConfig &arch,
         ScopedSpan span("gen_b");
         b_cols =
             arena.alloc<std::uint64_t>(static_cast<std::size_t>(p.n * words));
-        for (std::int64_t base = 0; base < p.n; base += 64) {
-            const int width = slabWidth(p.n, base);
-            simd::bColumnMasks(ws.bColumns(base, width), 0, width, words,
-                               b_cols + base * words);
-        }
+        for (std::int64_t base = 0; base < p.n; base += 64)
+            ws.bColumnMasks(base, slabWidth(p.n, base), words,
+                            b_cols + base * words);
     }
     ScopedSpan span("sparten");
     runGrid(a, b_cols, p.m, p.k, p.n, arch, result);

@@ -19,10 +19,9 @@
  * traffic is priced per layer by Accelerator::runLayer.
  *
  * Every whole-matrix pass runs 64 bits at a time.  A's row masks over
- * k come from the SIMD `nonzeroMasks` kernel; B is read in 64-column
- * slabs as one occupancy word per k row, and a 64 x 64 bit transpose
- * turns each block of 64 rows into the slab columns' k masks.  A side
- * the routing does not skip is all ones up to k.  `simd::andPopcount`
+ * k come from the SIMD `nonzeroMasks` kernel, and so do B's column
+ * masks over k, 64 columns at a time (how depends on the form, below).
+ * A side the routing does not skip is all ones up to k.  `simd::andPopcount`
  * then counts every output's effectual pairs, one call per (A row,
  * slab).  The balancer needs no heap: each output removes one
  * least-loaded MAC and returns it at load + work, so the multiset of
@@ -32,12 +31,15 @@
  * one, so the multiset is a ring of per-load counters.
  *
  * Two forms share that grid, as simulateGemm's do.  The two-matrix
- * form reads A and B whole.  The workset form generates only what the
- * grid reads, and never B whole: A (LayerWorkset::operandA) when the
- * routing skips A's zeros, and, when it skips B's, each 64-column slab
- * of B drawn on its own (LayerWorkset::bColumns), folded into its
- * columns' k masks and dropped.  All of B's masks take one bit per
- * element, an eighth of B.
+ * form reads A and B whole; it reads B in 64-column slabs as one
+ * occupancy word per k row, and a 64 x 64 bit transpose turns each
+ * block of 64 rows into the slab columns' k masks (simd::bColumnMasks).
+ * The workset form generates only what the grid reads, and never B
+ * at all: A (LayerWorkset::operandA) when the routing skips A's zeros,
+ * and, when it skips B's, B's column masks straight from the weight
+ * generator's keep tests, 64 columns at a time
+ * (LayerWorkset::bColumnMasks, laneBiasedColumnMasks): no int8 value,
+ * slab or transpose, one bit per element of B.
  */
 
 #ifndef GRIFFIN_BASELINES_SPARTEN_HH
@@ -67,8 +69,8 @@ GemmSimResult simulateSparTen(const MatrixI8 &a, const MatrixI8 &b,
  * simulateSparTen over a workset's operands, equal to the two-matrix
  * form on the workset's whole matrices.  Before the `sparten` span
  * opens it generates A whole when the routing skips A's zeros
- * (`gen_a`), and streams B into its column masks in one `gen_b` span
- * when it skips B's; it keeps no column of B.
+ * (`gen_a`), and draws B's column masks in one `gen_b` span when it
+ * skips B's; it keeps no column of B.
  */
 GemmSimResult simulateSparTen(const LayerWorkset &ws, const ArchConfig &arch,
                               DnnCategory cat);

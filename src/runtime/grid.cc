@@ -279,15 +279,6 @@ GridSpec::has(const std::string &name) const
     return false;
 }
 
-std::size_t
-GridSpec::pointCount() const
-{
-    std::size_t n = 1;
-    for (const auto &ax : axes_)
-        n *= ax.values.size();
-    return n;
-}
-
 GridSpec &
 GridSpec::axis(const std::string &name, std::vector<std::string> values)
 {

@@ -108,9 +108,6 @@ class GridSpec
 
     bool has(const std::string &name) const;
 
-    /** Product of all axis value counts (1 for an empty grid). */
-    std::size_t pointCount() const;
-
     /**
      * Expand onto a sweep spec.  `base` supplies every axis the grid
      * does not name: its archs/networks/categories survive unless an

@@ -317,24 +317,12 @@ writeCsv(std::ostream &os, const std::vector<ResultRow> &rows)
 }
 
 void
-writeCsv(std::ostream &os, const SweepResult &sweep)
-{
-    writeCsv(os, sweepRows(sweep));
-}
-
-void
 writeJsonLines(std::ostream &os, const std::vector<ResultRow> &rows)
 {
     for (const auto &row : rows) {
         writeJsonRow(os, row.result, &row, 0, /*compact=*/true);
         os << '\n';
     }
-}
-
-void
-writeJsonLines(std::ostream &os, const SweepResult &sweep)
-{
-    writeJsonLines(os, sweepRows(sweep));
 }
 
 void

@@ -100,7 +100,6 @@ void writeJson(std::ostream &os, const SweepResult &sweep);
  * comma-bearing architecture names stay one column.
  */
 void writeCsv(std::ostream &os, const std::vector<ResultRow> &rows);
-void writeCsv(std::ostream &os, const SweepResult &sweep);
 
 /**
  * JSON Lines: one compact object per row per line, same key order as
@@ -109,7 +108,6 @@ void writeCsv(std::ostream &os, const SweepResult &sweep);
  * bench/baselines/ concatenate to the `run --all` document.
  */
 void writeJsonLines(std::ostream &os, const std::vector<ResultRow> &rows);
-void writeJsonLines(std::ostream &os, const SweepResult &sweep);
 
 /** One Table as a single-line JSON object (for JSON Lines streams). */
 void writeTableJsonLine(std::ostream &os, const Table &table);

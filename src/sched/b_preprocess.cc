@@ -199,12 +199,4 @@ scheduleB(const SlotQueues &queues, const Borrow &db)
     return runWindowSchedule(queues, packingWindow(db), nullptr);
 }
 
-ScheduleStats
-scheduleB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler)
-{
-    Arena &arena = workArena();
-    ArenaScope scope(arena);
-    return scheduleB(tileQueues(b, shuffler, arena), db);
-}
-
 } // namespace griffin

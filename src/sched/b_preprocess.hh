@@ -230,10 +230,6 @@ BSchedule preprocessB(const TileViewB &b, const Borrow &db,
  *  is its length): all single-sparse B simulation needs. */
 ScheduleStats scheduleB(const SlotQueues &queues, const Borrow &db);
 
-/** scheduleB over the tile's queues, built here under `shuffler`. */
-ScheduleStats scheduleB(const TileViewB &b, const Borrow &db,
-                        const Shuffler &shuffler);
-
 } // namespace griffin
 
 #endif // GRIFFIN_SCHED_B_PREPROCESS_HH

@@ -3,9 +3,10 @@
  * Internal seam between the dispatcher (occupancy.cc) and the backend
  * translation units.  Each backend TU exports exactly one accessor;
  * unsupported backends return nullptr so the dispatcher needs no
- * per-architecture preprocessor logic.  Below the accessors sits the
- * one loop that is written once and compiled per backend, with no
- * intrinsics: the weight generator's row fill (KernelTable::fillRows).
+ * per-architecture preprocessor logic.  Below the accessors sit the
+ * two loops that are written once and compiled per backend, with no
+ * intrinsics: the weight generator's row fill (KernelTable::fillRows)
+ * and its keep bits alone, 64 rows at a time (KernelTable::keepBlock).
  */
 
 #ifndef GRIFFIN_SIMD_KERNELS_HH
@@ -32,6 +33,13 @@ const KernelTable *avx2Table();
  */
 const KernelTable *avx512Table();
 
+/** The weights' keep test: draw h keeps its element under `below`. */
+__attribute__((always_inline)) inline bool
+keeps(std::uint64_t h, std::uint64_t below)
+{
+    return (h >> 32) < below;
+}
+
 /**
  * Element c of a fillRows row, without a branch on the keep test (the
  * scalar copy would mispredict on it).
@@ -42,7 +50,7 @@ fillElement(std::uint64_t key, std::uint64_t below, std::int64_t c)
     const std::uint64_t h =
         Rng::counterDraw(key, static_cast<std::uint64_t>(c));
     return static_cast<std::int8_t>(Rng::nonzeroInt8FromDraw(h << 32) &
-                                    -static_cast<int>((h >> 32) < below));
+                                    -static_cast<int>(keeps(h, below)));
 }
 
 /**
@@ -103,6 +111,24 @@ fillRowsLoop(const std::uint64_t *keys, const std::uint64_t *belows,
             for (std::int64_t c = wide; c < n; ++c)
                 out[(r + i) * n + c] = block[(c - wide) * 64 + i];
     }
+}
+
+/**
+ * KernelTable::keepBlock's loop: fillElement's keep test alone, for
+ * the 64 rows of one block, column by column into a column-major
+ * block.  Each column is one vector of 64 independent draws (the
+ * scalar table compiles it for the build baseline, the AVX-512 table
+ * under its target attribute), and a row's value is never computed.
+ */
+__attribute__((always_inline)) inline void
+keepBlockLoop(const std::uint64_t *keys, const std::uint64_t *belows,
+              int width, std::int8_t *block)
+{
+    for (int c = 0; c < width; ++c)
+        for (int i = 0; i < 64; ++i)
+            block[c * 64 + i] = static_cast<std::int8_t>(keeps(
+                Rng::counterDraw(keys[i], static_cast<std::uint64_t>(c)),
+                belows[i]));
 }
 
 } // namespace detail

@@ -1,13 +1,15 @@
 /**
  * @file
- * The AVX-512 table: the AVX2 table with the weight generator's row
- * fill (fillRows) compiled for AVX-512.  The fill is the shared loop of
- * kernels.hh under a target attribute, with no intrinsics; the
- * compiler vectorizes it eight 64-bit lanes at a time (vpmullq is
- * AVX-512DQ), and fills the columns past a row's last whole 64-block
- * 64 rows at a time.  Dispatch (occupancy.cc) prefers this table when
- * the CPU reports exactly the features the attribute names, AVX-512
- * F/BW/VL/DQ.
+ * The AVX-512 table: the AVX2 table with the weight generator's two
+ * loops compiled for AVX-512, the row fill (fillRows) and its keep
+ * bits alone (keepBlock, SparTen's column masks of B).  Each is the
+ * shared loop of kernels.hh under a target attribute, with no
+ * intrinsics; the compiler vectorizes both eight 64-bit lanes at a
+ * time (vpmullq is AVX-512DQ).  The fill takes the columns past a
+ * row's last whole 64-block 64 rows at a time, and keepBlock is 64
+ * rows at a time throughout.  Dispatch (occupancy.cc) prefers this
+ * table when the CPU reports exactly the features the attribute names,
+ * AVX-512 F/BW/VL/DQ.
  *
  * Byte-exactness against kernels_scalar.cc is pinned by
  * tests/test_simd.cc.
@@ -30,6 +32,13 @@ fillRowsAvx512(const std::uint64_t *keys, const std::uint64_t *belows,
     fillRowsLoop<true>(keys, belows, rows, n, out);
 }
 
+__attribute__((target("avx512f,avx512bw,avx512vl,avx512dq"))) void
+keepBlockAvx512(const std::uint64_t *keys, const std::uint64_t *belows,
+                int width, std::int8_t *block)
+{
+    keepBlockLoop(keys, belows, width, block);
+}
+
 bool
 hasAvx512()
 {
@@ -50,6 +59,7 @@ avx512Table()
     static const KernelTable table = [avx2] {
         KernelTable t = *avx2;
         t.fillRows = fillRowsAvx512;
+        t.keepBlock = keepBlockAvx512;
         return t;
     }();
     return &table;

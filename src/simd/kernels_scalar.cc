@@ -92,6 +92,13 @@ fillRowsScalar(const std::uint64_t *keys, const std::uint64_t *belows,
     fillRowsLoop<false>(keys, belows, rows, n, out);
 }
 
+void
+keepBlockScalar(const std::uint64_t *keys, const std::uint64_t *belows,
+                int width, std::int8_t *block)
+{
+    keepBlockLoop(keys, belows, width, block);
+}
+
 } // namespace
 
 const KernelTable &
@@ -100,7 +107,7 @@ scalarTable()
     static const KernelTable table = {
         nonzeroMasksScalar, countNonzeroScalar, accumulateNonzeroScalar,
         leMaskScalar,       minI64Scalar,       mtTemperScalar,
-        fillRowsScalar,
+        fillRowsScalar,     keepBlockScalar,
     };
     return table;
 }

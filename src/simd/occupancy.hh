@@ -16,11 +16,14 @@
  * `nonzero()` per element.  The SparTen
  * baseline reads the same masks and asks one more question: how many
  * k positions a row mask shares with each column mask
- * (`andPopcount`).  Operand generation asks for one more: rows of
+ * (`andPopcount`).  Operand generation asks for two more: rows of
  * the weight generator (`fillRows`), one counter-based hash per
- * element.  The fill is one loop without intrinsics (simd/kernels.hh)
- * that the scalar table compiles for the build baseline and the
- * AVX-512 table compiles again under a target attribute.
+ * element, and the same hashes' keep tests alone for a block of 64
+ * rows (`keepBlock`), which SparTen's column masks of B come from
+ * without an int8 value in between.  Each is one loop without
+ * intrinsics (simd/kernels.hh) that the scalar table compiles for the
+ * build baseline and the AVX-512 table compiles again under a target
+ * attribute.
  *
  * Dispatch: the backend is chosen once per process.  Order:
  *
@@ -29,8 +32,8 @@
  *   2. AVX2 when the CPU reports it (cpuid via
  *      __builtin_cpu_supports).  When the CPU also reports AVX-512
  *      F/BW/VL/DQ, the backend (still Backend::Avx2, "avx2") runs the
- *      AVX-512 table: the AVX2 kernels with fillRows compiled for
- *      AVX-512 (avx512Kernels());
+ *      AVX-512 table: the AVX2 kernels with fillRows and keepBlock
+ *      compiled for AVX-512 (avx512Kernels());
  *   3. scalar (every other CPU, ARM included).
  *
  * Every backend is byte-exact against the scalar reference
@@ -59,9 +62,11 @@ enum class Backend { Scalar, Avx2 };
 const char *backendName(Backend backend);
 
 /**
- * One backend's kernel set.  Width contracts: `width` is 1..64 and no
- * kernel reads any byte outside the ranges named below, so callers may
- * pass views right up to an allocation edge (ASan-clean).
+ * One backend's kernel set: the three kernels the sweeps run
+ * (nonzeroMasks, fillRows, keepBlock) and five that no sweep runs.
+ * Width contracts: `width` is 1..64 and no kernel reads any byte
+ * outside the ranges named below, so callers may pass views right up
+ * to an allocation edge (ASan-clean).
  */
 struct KernelTable
 {
@@ -121,6 +126,17 @@ struct KernelTable
      */
     void (*fillRows)(const std::uint64_t *keys, const std::uint64_t *belows,
                      std::int64_t rows, std::int64_t n, std::int8_t *out);
+
+    /**
+     * fillRows's keep test alone, for one block of 64 rows and `width`
+     * (1..64) columns, column-major: with h = Rng::counterDraw(keys[i],
+     * c), block[c * 64 + i] is 1 when h >> 32 < belows[i], else 0, for
+     * i in [0, 64) and c in [0, width).  Keys and bounds as fillRows's
+     * (a bound of 0 makes a row all zeros).  Reads keys[0..64) and
+     * belows[0..64); writes only [block, block + width * 64).
+     */
+    void (*keepBlock)(const std::uint64_t *keys, const std::uint64_t *belows,
+                      int width, std::int8_t *block);
 };
 
 /** The backend picked by the dispatch order above (cached). */
@@ -136,8 +152,8 @@ const KernelTable &scalarKernels();
 const KernelTable *avx2Kernels();
 
 /**
- * The AVX2 kernels with fillRows compiled for AVX-512, or nullptr when
- * the CPU/build lacks AVX2 or any of AVX-512 F/BW/VL/DQ.
+ * The AVX2 kernels with fillRows and keepBlock compiled for AVX-512, or
+ * nullptr when the CPU/build lacks AVX2 or any of AVX-512 F/BW/VL/DQ.
  */
 const KernelTable *avx512Kernels();
 

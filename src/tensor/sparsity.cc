@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/arena.hh"
 #include "simd/occupancy.hh"
@@ -83,10 +82,17 @@ clusteredSparse(std::size_t rows, std::size_t cols, double sparsity,
     return m;
 }
 
-MatrixI8
-laneBiasedColumns(std::size_t rows, std::size_t first, std::size_t cols,
-                  double sparsity, double bias, int period,
-                  std::uint64_t seed)
+namespace {
+
+/**
+ * The draw inputs of laneBiasedColumns' rows [0, rows) from column
+ * `first`: row r's key, advanced past its first `first` draws, in
+ * keys[r], and its lane phase's keep bound in belows[r].
+ */
+void
+laneRows(std::size_t rows, std::size_t first, double sparsity, double bias,
+         int period, std::uint64_t seed, std::uint64_t *keys,
+         std::uint64_t *belows)
 {
     GRIFFIN_ASSERT(sparsity >= 0.0 && sparsity <= 1.0,
                    "sparsity ", sparsity, " outside [0,1]");
@@ -94,36 +100,71 @@ laneBiasedColumns(std::size_t rows, std::size_t first, std::size_t cols,
                    "bias ", bias, " outside [0,1]");
     GRIFFIN_ASSERT(period >= 1, "period ", period, " below 1");
     const double density = 1.0 - sparsity;
-    // Triangular profile over the period, zero-mean so the overall
-    // rate stays on target: phase 0 is the densest position.
-    std::vector<std::uint64_t> keep_by_phase(
-        std::min(static_cast<std::size_t>(period), rows));
-    for (std::size_t phase = 0; phase < keep_by_phase.size(); ++phase) {
+    const auto phases = static_cast<std::size_t>(period);
+    for (std::size_t r = 0; r < rows; ++r) {
+        keys[r] = Rng::counterSkip(Rng::mixSeed(seed, r), first);
+        if (r >= phases) {
+            belows[r] = belows[r - phases];
+            continue;
+        }
+        // Triangular profile over the period, zero-mean so the overall
+        // rate stays on target: phase 0 is the densest position.
         const double centered =
             period == 1 ? 0.0
-                        : 1.0 - 2.0 * static_cast<int>(phase) /
+                        : 1.0 - 2.0 * static_cast<int>(r) /
                                     static_cast<double>(period - 1);
-        keep_by_phase[phase] = halfBelow(
+        belows[r] = halfBelow(
             std::clamp(density * (1.0 + bias * centered), 0.0, 1.0));
     }
-    // Row r's key starts at its draw `first`, and its bound is its
-    // phase's; one fillRows call then fills every row.  The two arrays
-    // come from the thread's work arena, whose pages are already
-    // resident: fresh heap pages beside a whole B raised fig8's peak
-    // RSS by 0.1-0.2 MiB.
+}
+
+} // namespace
+
+MatrixI8
+laneBiasedColumns(std::size_t rows, std::size_t first, std::size_t cols,
+                  double sparsity, double bias, int period,
+                  std::uint64_t seed)
+{
+    // One fillRows call fills every row.  The two arrays come from the
+    // thread's work arena, whose pages are already resident: fresh heap
+    // pages beside a whole B raised fig8's peak RSS by 0.1-0.2 MiB.
     Arena &arena = workArena();
     ArenaScope scope(arena);
     auto *keys = arena.alloc<std::uint64_t>(rows);
     auto *belows = arena.alloc<std::uint64_t>(rows);
-    for (std::size_t r = 0, phase = 0; r < rows; ++r) {
-        keys[r] = Rng::counterSkip(Rng::mixSeed(seed, r), first);
-        belows[r] = keep_by_phase[phase];
-        phase = phase + 1 == keep_by_phase.size() ? 0 : phase + 1;
-    }
+    laneRows(rows, first, sparsity, bias, period, seed, keys, belows);
     MatrixI8 m(rows, cols);
     simd::kernels().fillRows(keys, belows, static_cast<std::int64_t>(rows),
                              static_cast<std::int64_t>(cols), m.data());
     return m;
+}
+
+void
+laneBiasedColumnMasks(std::size_t rows, std::size_t first, int width,
+                      double sparsity, double bias, int period,
+                      std::uint64_t seed, std::int64_t words,
+                      std::uint64_t *out)
+{
+    GRIFFIN_ASSERT(width >= 1 && width <= 64,
+                   "column masks need 1..64 columns, got ", width);
+    // Rows at and past min(rows, words * 64) keep nothing (bound 0), so
+    // every block is a whole one.
+    const auto padded = static_cast<std::size_t>(words) * 64;
+    Arena &arena = workArena();
+    ArenaScope scope(arena);
+    auto *keys = arena.allocZeroed<std::uint64_t>(padded);
+    auto *belows = arena.allocZeroed<std::uint64_t>(padded);
+    laneRows(std::min(rows, padded), first, sparsity, bias, period, seed,
+             keys, belows);
+    const simd::KernelTable &kern = simd::kernels();
+    alignas(64) std::int8_t block[64 * 64];
+    std::uint64_t masks[64];
+    for (std::int64_t w = 0; w < words; ++w) {
+        kern.keepBlock(keys + w * 64, belows + w * 64, width, block);
+        kern.nonzeroMasks(block, 64, 64, width, masks);
+        for (int c = 0; c < width; ++c)
+            out[c * words + w] = masks[c];
+    }
 }
 
 MatrixI8

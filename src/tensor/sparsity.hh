@@ -23,7 +23,12 @@
  * the tile's first column (Rng::counterSkip) and equals those columns
  * of the whole matrix byte for byte, which is how a workset draws only
  * the column tiles its consumers sample (tensor/workset.hh).  Both
- * fill their rows through simd::KernelTable::fillRows.
+ * fill their rows through simd::KernelTable::fillRows.  A consumer
+ * that reads only the weights' nonzero pattern (SparTen) takes
+ * laneBiasedColumnMasks instead: the same row keys and keep bounds
+ * (one helper makes them for both), but only the keep tests, 64 rows
+ * at a time (simd::KernelTable::keepBlock), straight into column
+ * masks.
  */
 
 #ifndef GRIFFIN_TENSOR_SPARSITY_HH
@@ -78,6 +83,20 @@ MatrixI8 laneBiasedSparse(std::size_t rows, std::size_t cols,
 MatrixI8 laneBiasedColumns(std::size_t rows, std::size_t first,
                            std::size_t cols, double sparsity, double bias,
                            int period, std::uint64_t seed);
+
+/**
+ * The nonzero masks over k of laneBiasedColumns(rows, first, width,
+ * sparsity, bias, period, seed), width 1..64, bit for bit
+ * simd::bColumnMasks of that matrix (col_base 0, `words` words per
+ * column): bit i of out[c * words + w] is set iff element (w * 64 + i,
+ * c) is nonzero, and bits at and past `rows` are 0.  Draws only the
+ * keep tests, 64 rows at a time (simd::KernelTable::keepBlock): no
+ * value and no matrix.
+ */
+void laneBiasedColumnMasks(std::size_t rows, std::size_t first, int width,
+                           double sparsity, double bias, int period,
+                           std::uint64_t seed, std::int64_t words,
+                           std::uint64_t *out);
 
 } // namespace griffin
 

@@ -79,6 +79,20 @@ LayerWorkset::bColumns(std::int64_t first, std::int64_t width) const
                              Rng::mixSeed(params_.seed, StreamB));
 }
 
+void
+LayerWorkset::bColumnMasks(std::int64_t first, int width, std::int64_t words,
+                           std::uint64_t *out) const
+{
+    GRIFFIN_ASSERT(words * 64 >= params_.k, words,
+                   " mask words cannot cover k = ", params_.k);
+    drawnB_ += params_.k * width;
+    laneBiasedColumnMasks(static_cast<std::size_t>(params_.k),
+                          static_cast<std::size_t>(first), width,
+                          params_.weightSparsity, params_.weightLaneBias,
+                          weightLanePeriod,
+                          Rng::mixSeed(params_.seed, StreamB), words, out);
+}
+
 std::vector<TileViewB>
 LayerWorkset::bTiles(const std::vector<std::int64_t> &cols,
                      const TileShape &shape) const

@@ -21,9 +21,11 @@
  *     (bColumns, laneBiasedColumns) equals those columns of the whole
  *     matrix byte for byte.  A tile is drawn once and serves every
  *     later consumer, shuffle on or off.
- *   - B's columns in ranges that are not kept, through bColumns():
- *     SparTen, which reads every column, streams B 64 columns at a
- *     time (baselines/sparten.hh).
+ *   - B's column masks over k, 64 columns at a time and not kept,
+ *     through bColumnMasks(): SparTen, which reads only B's nonzero
+ *     pattern (baselines/sparten.hh).  They come from the generator's
+ *     keep tests alone (laneBiasedColumnMasks), so no value of B and
+ *     no int8 matrix is made for them.
  *
  * So B is never whole in a deferred workset: a Sparse.A design point
  * never generates B, a Sparse.B one never A, and a dense one neither.
@@ -139,6 +141,17 @@ struct LayerWorkset
     MatrixI8 bColumns(std::int64_t first, std::int64_t width) const;
 
     /**
+     * The nonzero masks over k of bColumns(first, width), width 1..64,
+     * drawn now and not kept (laneBiasedColumnMasks): bit i of
+     * out[c * words + w] is set iff B's element (w * 64 + i, first + c)
+     * is nonzero, and words * 64 >= k.  Its k * width elements count in
+     * generatedElements(), as bColumns' do; the caller opens the
+     * `gen_b` span.
+     */
+    void bColumnMasks(std::int64_t first, int width, std::int64_t words,
+                      std::uint64_t *out) const;
+
+    /**
      * Views of B's column tiles `cols` under `shape`, in the order
      * given: tile j holds B's columns [j * n0, (j + 1) * n0), those
      * past n reading as zero.  Each tile not drawn before is drawn
@@ -180,7 +193,7 @@ struct LayerWorkset
   private:
     WorksetParams params_;
     mutable bool generatedA_ = false;
-    /** Elements bColumns() has drawn. */
+    /** Elements bColumns() and bColumnMasks() have drawn. */
     mutable std::int64_t drawnB_ = 0;
     /** Drawn column tiles of B by (first column, width): k x width. */
     mutable std::map<std::pair<std::int64_t, std::int64_t>, MatrixI8>

@@ -1,6 +1,6 @@
 # CTest script: SIMD dispatch equivalence, end to end.
 #
-# The same fig5 and fig6 slices run twice — once under whatever backend
+# The same fig5, fig6 and fig8 slices run twice — once under whatever backend
 # the CPU dispatches (AVX2 on x86, with the AVX-512 weight row fill
 # where the CPU has AVX-512 F/BW/VL/DQ; scalar elsewhere)
 # and once with GRIFFIN_FORCE_SCALAR=1 pinning the portable reference
@@ -12,7 +12,10 @@
 # sampled 16-column tiles, through the dispatched fillRows kernel (on
 # AVX-512, its path that fills narrow rows 64 rows at a time), and
 # fig6 (Sparse.A points) only activations, whose generator calls no
-# kernel; the occupancy kernels run on both.  That the knob really reroutes dispatch,
+# kernel; the occupancy kernels run on both.  fig8 is the one sweep with
+# a SparTen consumer, which draws B's nonzero bits alone, 64 rows by up
+# to 64 columns per dispatched keepBlock call, and turns each block into
+# column masks through nonzeroMasks.  That the knob really reroutes dispatch,
 # rather than just being read, and that an AVX-512 CPU really gets the
 # AVX-512 table, is test_simd's SimdDispatchDeathTest.
 #
@@ -28,7 +31,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(fidelity --sample 0.01 --rowcap 4 --threads 2)
 
-foreach(exp fig5 fig6)
+foreach(exp fig5 fig6 fig8)
     # -- auto dispatch ------------------------------------------------
 
     execute_process(
@@ -65,5 +68,5 @@ foreach(exp fig5 fig6)
     endif()
 endforeach()
 
-message(STATUS "simd_dispatch: auto and forced-scalar fig5 and fig6 rows "
-               "are byte-identical")
+message(STATUS "simd_dispatch: auto and forced-scalar fig5, fig6 and fig8 "
+               "rows are byte-identical")

@@ -393,8 +393,8 @@ TEST(Runner, RunSweepsSharesWorksetsAcrossSpecs)
         separate.a += g.a;
         separate.b += g.b;
         std::ostringstream a, b;
-        writeJsonLines(a, alone);
-        writeJsonLines(b, planned[s]);
+        writeJsonLines(a, sweepRows(alone));
+        writeJsonLines(b, sweepRows(planned[s]));
         EXPECT_EQ(a.str(), b.str()) << "spec " << s;
     }
     EXPECT_EQ(separate,
@@ -526,9 +526,9 @@ TEST(Runner, TracingLeavesResultRowsAlone)
     // its layer span, writes the plain sweep's document byte for byte.
     const auto spec = smallSweep();
     std::ostringstream plain, traced;
-    writeJsonLines(plain, runSweep(spec, 2));
+    writeJsonLines(plain, sweepRows(runSweep(spec, 2)));
     Telemetry::setEnabled(true);
-    writeJsonLines(traced, runSweep(spec, 2));
+    writeJsonLines(traced, sweepRows(runSweep(spec, 2)));
     Telemetry::setEnabled(false);
     Telemetry::clear();
     EXPECT_EQ(traced.str(), plain.str());
@@ -706,7 +706,7 @@ TEST(ResultSink, SweepJsonRowsCarryOptionsAndCoords)
 TEST(ResultSink, SweepCsvRowsCarryOptionsColumns)
 {
     std::ostringstream os;
-    writeCsv(os, tinyAnnotatedSweep());
+    writeCsv(os, sweepRows(tinyAnnotatedSweep()));
     const auto doc = os.str();
     EXPECT_NE(doc.find("network,arch,category,seed,row_cap,"
                        "weight_lane_bias,act_run_length,"

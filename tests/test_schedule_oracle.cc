@@ -18,10 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/arena.hh"
 #include "common/rng.hh"
 #include "sched/a_arbiter.hh"
 #include "sched/b_preprocess.hh"
 #include "sched/dual_scheduler.hh"
+#include "sched/window_scheduler.hh"
 #include "support/csr_schedulers.hh"
 #include "support/unbalanced_sparse.hh"
 #include "tensor/sparsity.hh"
@@ -225,7 +227,9 @@ TEST(ScheduleOracle, EveryEngineRunsWhatItQueuesWithinItsSlots)
         expectConservedAndBounded(stream.stats(), stream.cycles(),
                                   nonzeros(c.b), b_slots,
                                   what + " preprocessB");
-        const auto b = scheduleB(vb, c.db, sh);
+        Arena &arena = workArena();
+        ArenaScope scope(arena);
+        const auto b = scheduleB(tileQueues(vb, sh, arena), c.db);
         expectConservedAndBounded(b, b.cycles, nonzeros(c.b), b_slots,
                                   what + " scheduleB");
         for (const bool pre : {true, false}) {
@@ -298,7 +302,9 @@ TEST(ScheduleOracle, ScheduleBMatchesCsrStats)
         const Case c = drawCase(0x5b00 + static_cast<std::uint64_t>(t));
         const auto sh = c.shuffler();
         const auto vb = c.vb();
-        expectSameStats(scheduleB(vb, c.db, sh),
+        Arena &arena = workArena();
+        ArenaScope scope(arena);
+        expectSameStats(scheduleB(tileQueues(vb, sh, arena), c.db),
                         csr::preprocessB(vb, c.db, sh, false).stats,
                         c.describe());
     }

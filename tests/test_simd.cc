@@ -225,6 +225,60 @@ TEST(SimdKernels, FillRowMatchesTheContractOnEveryBackend)
     EXPECT_EQ(at70[70], -128);
 }
 
+/** keepBlock's contract (occupancy.hh): fillRows's keep test. */
+std::int8_t
+contractKeep(std::uint64_t key, std::uint64_t below, int c)
+{
+    return static_cast<std::int8_t>(
+        (Rng::counterDraw(key, static_cast<std::uint64_t>(c)) >> 32) <
+        below);
+}
+
+TEST(SimdKernels, KeepBlockMatchesTheContractOnEveryBackend)
+{
+    constexpr int kPad = 16;
+    constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+    // fillRows's bounds and keys near the 2^64 wrap.  The last key is
+    // the one whose element 70 is splitmix64's zero state, advanced 64
+    // draws as a block from column 64 would be: the state is 0 at its
+    // column 6.  Row i takes combination i % 30 of (key, bound), so
+    // the 64 rows hold all 30.
+    const std::uint64_t belows[] = {0, 1, std::uint64_t{1} << 31,
+                                    (std::uint64_t{1} << 32) - 1,
+                                    std::uint64_t{1} << 32};
+    const std::uint64_t keys[] = {0,
+                                  1,
+                                  std::uint64_t{1} << 63,
+                                  ~std::uint64_t{0} - 1,
+                                  ~std::uint64_t{0},
+                                  Rng::counterSkip(0 - 71 * kGamma, 64)};
+    std::uint64_t row_keys[64], row_belows[64];
+    for (int i = 0; i < 64; ++i) {
+        row_keys[i] = keys[i % 30 % 6];
+        row_belows[i] = belows[i % 30 / 6];
+    }
+    for (int width = 1; width <= 64; ++width) {
+        std::vector<std::int8_t> want(width * 64 + 2 * kPad, 0x55);
+        for (int c = 0; c < width; ++c)
+            for (int i = 0; i < 64; ++i)
+                want[kPad + c * 64 + i] =
+                    contractKeep(row_keys[i], row_belows[i], c);
+        for (const auto &[name, table] : availableBackends()) {
+            std::vector<std::int8_t> got(width * 64 + 2 * kPad, 0x55);
+            table->keepBlock(row_keys, row_belows, width, got.data() + kPad);
+            for (int b = 0; b < width * 64 + 2 * kPad; ++b)
+                ASSERT_EQ(want[b], got[b])
+                    << name << " width " << width << " byte " << b - kPad
+                    << " (column " << (b - kPad) / 64 << ")";
+        }
+    }
+    // The zero state's draw is 0: row 11 (that key, bound 1) keeps it.
+    ASSERT_EQ(Rng::counterDraw(keys[5], 6), 0u);
+    std::int8_t block[7 * 64];
+    simd::scalarKernels().keepBlock(row_keys, row_belows, 7, block);
+    EXPECT_EQ(block[6 * 64 + 11], 1);
+}
+
 // ---- occupancy extraction vs brute force ----------------------------
 
 MatrixI8
@@ -441,12 +495,13 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
         simd::backendName(simd::activeBackend());
     EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
     // The dispatched table is one of the concrete tables (scalar,
-    // avx2, or avx512 — the AVX2 table with the AVX-512 row fill),
+    // avx2, or avx512 — the AVX2 table with the AVX-512 generator loops),
     // never a mixture assembled per call.
     const KernelTable &active = simd::kernels();
     EXPECT_NE(active.nonzeroMasks, nullptr);
     EXPECT_NE(active.mtTemper, nullptr);
     EXPECT_NE(active.fillRows, nullptr);
+    EXPECT_NE(active.keepBlock, nullptr);
 }
 
 } // namespace

@@ -9,10 +9,12 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "simd/occupancy.hh"
 #include "support/unbalanced_sparse.hh"
 #include "tensor/sparsity.hh"
 
@@ -259,6 +261,53 @@ TEST(GeneratorContract, EveryColumnRangeIsTheRangeFormsOutput)
                       laneBiasedColumns(70, first, width, 0.3, 0.5, 4, 7),
                       "200 wide, columns " + std::to_string(first) + "+" +
                           std::to_string(width));
+}
+
+/**
+ * laneBiasedColumnMasks(rows, first, width, ..., words) against
+ * simd::bColumnMasks of laneBiasedColumns' matrix.
+ */
+void
+expectMasks(std::size_t rows, std::size_t first, int width,
+            double sparsity, double bias, int period, std::uint64_t seed,
+            std::int64_t words, const std::string &what)
+{
+    std::vector<std::uint64_t> want(width * words), got(width * words, ~0ull);
+    simd::bColumnMasks(laneBiasedColumns(rows, first, width, sparsity, bias,
+                                         period, seed),
+                       0, width, words, want.data());
+    laneBiasedColumnMasks(rows, first, width, sparsity, bias, period, seed,
+                          words, got.data());
+    ASSERT_EQ(want, got) << what;
+}
+
+TEST(GeneratorContract, ColumnMasksAreTheColumnRangesMasks)
+{
+    // Every column range of a 37-wide matrix, for row counts below the
+    // period, off the 64-row blocks and on them; both seed extremes.
+    for (const std::uint64_t seed : {std::uint64_t{0}, ~std::uint64_t{0}})
+        for (const std::size_t rows : {3, 9, 64, 70, 130})
+            for (const int period : {1, 4, 16}) {
+                const auto words = static_cast<std::int64_t>(rows + 63) / 64;
+                for (std::size_t first = 0; first < 37; ++first)
+                    for (int width = 1; first + width <= 37; ++width)
+                        expectMasks(rows, first, width, 0.5, 0.8, period, seed,
+                                    words,
+                                    std::to_string(rows) + " rows, period " +
+                                        std::to_string(period) + ", columns " +
+                                        std::to_string(first) + "+" +
+                                        std::to_string(width));
+            }
+    // Ranges across and along the fill's 64-column blocks of a 200-wide
+    // matrix, with a mask word past the rows that must stay 0.
+    const std::pair<std::size_t, int> ranges[] = {
+        {0, 64}, {60, 10}, {64, 64}, {100, 64}, {136, 64}, {190, 10}, {199, 1}};
+    for (const auto &[first, width] : ranges)
+        for (const std::int64_t words : {2, 3})
+            expectMasks(70, first, width, 0.3, 0.5, 4, 7, words,
+                        "200 wide, columns " + std::to_string(first) + "+" +
+                            std::to_string(width) + ", " +
+                            std::to_string(words) + " words");
 }
 
 // ---- randomSparse and the generators' shape -----------------------------

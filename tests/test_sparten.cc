@@ -233,12 +233,13 @@ worksetParams(std::int64_t k, std::int64_t n)
 
 TEST(SparTenWorkset, EqualsTheTwoMatrixFormAndGeneratesWhatItReads)
 {
-    // n = 5 is under one slab and n = 100 ends on a ragged one; k = 128
-    // fills its mask words and k = 200 does not.  SparTen.A draws no B,
-    // SparTen.B generates no A, and no preset keeps a column of B.
+    // n = 1 and 5 are under one slab, 64 and 65 end on and just past
+    // one, and 100 ends on a ragged one; k = 9 is under one mask word,
+    // 64 and 128 fill their words and 200 does not.  SparTen.A draws no
+    // B, SparTen.B generates no A, and no preset keeps a column of B.
     const ArchConfig presets[] = {sparTenAB(), sparTenA(), sparTenB()};
-    for (const std::int64_t n : {5, 100})
-        for (const std::int64_t k : {128, 200})
+    for (const std::int64_t n : {1, 5, 64, 65, 100})
+        for (const std::int64_t k : {9, 64, 128, 200})
             for (const ArchConfig &arch : presets) {
                 const WorksetParams p = worksetParams(k, n);
                 const LayerWorkset eager = generateLayerWorkset(p);
