@@ -72,6 +72,7 @@ preprocessB(const SlotQueues &queues, const Borrow &db,
     table(raw_end, steps);
     table(packed, words);
     steal_at[0] = 0;
+    const simd::KernelTable &kern = simd::kernels();
 
     auto on_cycle = [&](const WindowCycle &c) {
         GRIFFIN_ASSERT(c.cycle < steps, "packing ran past the tile's ",
@@ -107,19 +108,11 @@ preprocessB(const SlotQueues &queues, const Borrow &db,
         // the frontier is cumulative.
         std::int64_t *lo = raw_lo + c.cycle * cols;
         std::int64_t *hi = raw_hi + c.cycle * cols;
+        kern.takeExtents(c.takes, words, c.depth, lanes, cols, c.base, lo,
+                         hi);
         std::int64_t end = c.cycle > 0 ? raw_end[c.cycle - 1] : -1;
-        for (int j = 0; j < cols; ++j) {
-            lo[j] = hi[j] = -1;
-            for (std::int64_t d = 0; d < c.depth; ++d) {
-                if (simd::readField(c.takes + d * words,
-                                    std::int64_t{j} * lanes, lanes) == 0)
-                    continue;
-                if (lo[j] < 0)
-                    lo[j] = c.base + d;
-                hi[j] = c.base + d;
-            }
+        for (int j = 0; j < cols; ++j)
             end = std::max(end, hi[j]);
-        }
         for (std::int64_t k = 0; k < c.stealCount; ++k) {
             const std::int64_t step = c.steals[k].step;
             const auto j =

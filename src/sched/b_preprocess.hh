@@ -16,7 +16,10 @@
  * stream slot ran its own element at step base + d) and the list of
  * cross-slot steals.  A slot's flat k and home column are computed from these on
  * demand (record mode, verification, the visualizer); the dual engine
- * filters A's zero masks against the take words directly.
+ * filters A's zero masks against the take words directly.  Both passes
+ * that read a take row per PE column — the packer's raw extents here
+ * and the dual engine's live masks — are simd::KernelTable kernels
+ * (takeExtents, liveMasks) that read each row once for every column.
  *
  * The compressed stream is what lands in BSRAM: `dataBytes()` nonzero
  * values plus `metadataBytes()` of routing bits, typically far smaller
@@ -130,7 +133,8 @@ class BSchedule
     /**
      * Per-column raw extent of one stream entry: the lowest / highest
      * original k1 among the elements column `col` holds at `cycle`,
-     * or -1 when that column's slice of the entry is empty.  The
+     * or -1 when that column's slice of the entry is empty (own takes
+     * through simd::KernelTable::takeExtents, then the steals).  The
      * asynchronous dual-sparse engine uses these to enforce the shared
      * ABUF residency window across independently advancing columns.
      */

@@ -63,18 +63,21 @@ class RowRepeat
  * each stolen cell (A's bit at the source lane, set at the consumer
  * lane).  Writes word i of entry e's mask for column j to
  * live[(e * cols + j) * words + i], words = a_queue.wordsPerStep().
+ * With one word per column (rows x lanes <= 64, the paper's 4 x 16
+ * PEs), the KernelTable's liveMasks reads each take row once for
+ * every column; wider columns go a column and a word at a time.
  */
-template <int kColWords>
 void
 buildLiveMasks(const BSchedule &stream, const SlotQueues &a_queue, int rows,
                Arena &arena, std::uint64_t *live)
 {
     const int lanes = stream.lanes();
-    const std::int64_t col_slots = std::int64_t{stream.cols()} * lanes;
-    const std::int64_t cw =
-        kColWords > 0 ? kColWords : a_queue.wordsPerStep();
+    const int cols = stream.cols();
+    const std::int64_t col_slots = std::int64_t{cols} * lanes;
+    const std::int64_t cw = a_queue.wordsPerStep();
     const std::int64_t tw = stream.takeWords();
     const RowRepeat repeat(rows, lanes, cw, arena);
+    const simd::KernelTable &kern = simd::kernels();
     // Stream slot s = col * lanes + lane.  col = s / lanes is s times
     // m = ceil(2^32 / lanes), shifted down 32 bits: with m * lanes =
     // 2^32 + r, r < lanes, the product overshoots s / lanes by s * r /
@@ -92,20 +95,25 @@ buildLiveMasks(const BSchedule &stream, const SlotQueues &a_queue, int rows,
         const std::uint64_t *take_rows = stream.takes(e);
         const std::uint64_t *a_words = a_queue.stepWords(stream.base(e));
         const std::int64_t depth = stream.depth(e);
-        std::uint64_t *const entry_masks = live + e * stream.cols() * cw;
-        // The column whose take field starts at stream slot `at`: its
-        // accumulator stays in a register across the entry's window
-        // steps.
-        std::uint64_t *mask = entry_masks;
-        for (std::int64_t at = 0; at < col_slots; at += lanes, mask += cw) {
-            for (std::int64_t i = 0; i < cw; ++i) {
-                std::uint64_t acc = 0;
-                for (std::int64_t d = 0; d < depth; ++d)
-                    acc |= a_words[d * cw + i] &
-                           repeat(i, simd::readField(take_rows + d * tw,
-                                                     at, lanes));
-                mask[i] = acc;
-            }
+        std::uint64_t *const entry_masks = live + e * cols * cw;
+        if (cw == 1) {
+            kern.liveMasks(take_rows, tw, depth, a_words, lanes, rows, cols,
+                           entry_masks);
+        } else {
+            // The column whose take field starts at stream slot `at`:
+            // its accumulator stays in a register across the entry's
+            // window steps.
+            std::uint64_t *mask = entry_masks;
+            for (std::int64_t at = 0; at < col_slots;
+                 at += lanes, mask += cw)
+                for (std::int64_t i = 0; i < cw; ++i) {
+                    std::uint64_t acc = 0;
+                    for (std::int64_t d = 0; d < depth; ++d)
+                        acc |= a_words[d * cw + i] &
+                               repeat(i, simd::readField(take_rows + d * tw,
+                                                         at, lanes));
+                    mask[i] = acc;
+                }
         }
         // Stolen cells: A's bit at the source lane of every row, moved
         // to the consumer lane of the same row — the row-major mask
@@ -168,7 +176,7 @@ runPreprocessed(const RoutingConfig &cfg, const BSchedule &stream,
     // words from live + e * width.
     const std::int64_t width = cols * cw;
     std::uint64_t *const live = words(entries * width);
-    buildLiveMasks<kPlain ? 1 : 0>(stream, a_queue, rows, arena, live);
+    buildLiveMasks(stream, a_queue, rows, arena, live);
     auto any = [cw](const std::uint64_t *w) {
         std::uint64_t x = 0;
         for (std::int64_t i = 0; i < cw; ++i)

@@ -143,7 +143,14 @@ StealPass::StealPass(const SlotGrid &grid, int lane_dist, int row_dist,
     inside_ = arena.allocZeroed<std::uint64_t>(
         static_cast<std::size_t>(offsets * words_));
     reach_ = arena.alloc<std::uint64_t>(static_cast<std::size_t>(words_));
-    for (int dl = 0; dl <= max_dl; ++dl)
+    GRIFFIN_ASSERT(grid.lanes <= 64, "a unit's ", grid.lanes,
+                   " lanes must fit one 64-bit field");
+    for (int dl = 0; dl <= max_dl; ++dl) {
+        // The lanes l < lanes - dl of one (row, column) unit.
+        const int width = grid.lanes - dl;
+        const std::uint64_t field =
+            width == 64 ? ~std::uint64_t{0}
+                        : (std::uint64_t{1} << width) - 1;
         for (int dr = 0; dr <= max_dr; ++dr)
             for (int dc = 0; dc <= max_dc; ++dc) {
                 if (!dl && !dr && !dc)
@@ -152,11 +159,10 @@ StealPass::StealPass(const SlotGrid &grid, int lane_dist, int row_dist,
                 std::uint64_t *inside = inside_ + count_++ * words_;
                 for (int c = 0; c + dc < grid.cols; ++c)
                     for (int r = 0; r + dr < grid.rows; ++r)
-                        for (int l = 0; l + dl < grid.lanes; ++l) {
-                            const std::int64_t s = grid.slotIndex(l, r, c);
-                            inside[s >> 6] |= std::uint64_t{1} << (s & 63);
-                        }
+                        simd::orField(inside, grid.slotIndex(0, r, c), width,
+                                      field);
             }
+    }
 }
 
 ScheduleResult

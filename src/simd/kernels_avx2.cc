@@ -9,11 +9,12 @@
  * the x86-64 build baseline (CMakeLists.txt), so the scalar
  * overlap-count kernel compiles to it.  Every other table entry is the
  * scalar reference's: the weight generator's row fill and keep bits
- * (fillRows, keepBlock), whose AVX2 copies would earn their place only
- * with a measured end-to-end gain, and the five kernels no sweep calls
- * (countNonzero, accumulateNonzero, leMask, minI64, mtTemper).  Where
- * the CPU also has AVX-512 F/BW/VL/DQ, kernels_avx512.cc compiles both
- * generator loops for AVX-512.
+ * (fillRows, keepBlock) and the B stream's take-row passes
+ * (takeExtents, liveMasks), whose AVX2 copies would earn their place
+ * only with a measured end-to-end gain, and the five kernels no sweep
+ * calls (countNonzero, accumulateNonzero, leMask, minI64, mtTemper).
+ * Where the CPU also has AVX-512 F/BW/VL/DQ, kernels_avx512.cc compiles
+ * those four loops for AVX-512.
  *
  * Byte-exactness against kernels_scalar.cc is pinned by
  * tests/test_simd.cc; the kernel reads nothing outside the ranges the

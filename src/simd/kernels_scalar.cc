@@ -99,6 +99,22 @@ keepBlockScalar(const std::uint64_t *keys, const std::uint64_t *belows,
     keepBlockLoop(keys, belows, width, block);
 }
 
+void
+takeExtentsScalar(const std::uint64_t *takes, std::int64_t words,
+                  std::int64_t depth, int lanes, int cols, std::int64_t base,
+                  std::int64_t *lo, std::int64_t *hi)
+{
+    takeExtentsLoop(takes, words, depth, lanes, cols, base, lo, hi);
+}
+
+void
+liveMasksScalar(const std::uint64_t *takes, std::int64_t words,
+                std::int64_t depth, const std::uint64_t *a, int lanes,
+                int rows, int cols, std::uint64_t *out)
+{
+    liveMasksLoop(takes, words, depth, a, lanes, rows, cols, out);
+}
+
 } // namespace
 
 const KernelTable &
@@ -107,7 +123,8 @@ scalarTable()
     static const KernelTable table = {
         nonzeroMasksScalar, countNonzeroScalar, accumulateNonzeroScalar,
         leMaskScalar,       minI64Scalar,       mtTemperScalar,
-        fillRowsScalar,     keepBlockScalar,
+        fillRowsScalar,     keepBlockScalar,    takeExtentsScalar,
+        liveMasksScalar,
     };
     return table;
 }

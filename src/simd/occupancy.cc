@@ -59,8 +59,9 @@ kernels()
     static const KernelTable &table = []() -> const KernelTable & {
         switch (activeBackend()) {
           case Backend::Avx2:
-            // The AVX-512 fill serves operand generation where the CPU
-            // has it; the backend and its name stay "avx2".
+            // The AVX-512 loops serve operand generation and the B
+            // stream's take rows where the CPU has it; the backend and
+            // its name stay "avx2".
             if (detail::avx512Table() != nullptr)
                 return *detail::avx512Table();
             return *detail::avx2Table();

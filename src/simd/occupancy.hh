@@ -20,9 +20,14 @@
  * the weight generator (`fillRows`), one counter-based hash per
  * element, and the same hashes' keep tests alone for a block of 64
  * rows (`keepBlock`), which SparTen's column masks of B come from
- * without an int8 value in between.  Each is one loop without
- * intrinsics (simd/kernels.hh) that the scalar table compiles for the
- * build baseline and the AVX-512 table compiles again under a target
+ * without an int8 value in between.  The dual-sparse pipeline asks
+ * two questions of a B stream's take rows, each for every PE column
+ * of a row at once: the steps each column holds in a packing cycle
+ * (`takeExtents`, preprocessB's raw extents) and A's zero masks
+ * filtered by the takes (`liveMasks`, the dual engine's live masks).
+ * Each of these four is one loop without intrinsics
+ * (simd/kernels.hh) that the scalar table compiles for the build
+ * baseline and the AVX-512 table compiles again under a target
  * attribute.
  *
  * Dispatch: the backend is chosen once per process.  Order:
@@ -32,8 +37,9 @@
  *   2. AVX2 when the CPU reports it (cpuid via
  *      __builtin_cpu_supports).  When the CPU also reports AVX-512
  *      F/BW/VL/DQ, the backend (still Backend::Avx2, "avx2") runs the
- *      AVX-512 table: the AVX2 kernels with fillRows and keepBlock
- *      compiled for AVX-512 (avx512Kernels());
+ *      AVX-512 table: the AVX2 kernels with fillRows, keepBlock,
+ *      takeExtents and liveMasks compiled for AVX-512
+ *      (avx512Kernels());
  *   3. scalar (every other CPU, ARM included).
  *
  * Every backend is byte-exact against the scalar reference
@@ -62,8 +68,9 @@ enum class Backend { Scalar, Avx2 };
 const char *backendName(Backend backend);
 
 /**
- * One backend's kernel set: the three kernels the sweeps run
- * (nonzeroMasks, fillRows, keepBlock) and five that no sweep runs.
+ * One backend's kernel set: the five kernels the sweeps run
+ * (nonzeroMasks, fillRows, keepBlock, takeExtents, liveMasks) and five
+ * that no sweep runs.
  * Width contracts: `width` is 1..64 and no kernel reads any byte
  * outside the ranges named below, so callers may pass views right up
  * to an allocation edge (ASan-clean).
@@ -137,6 +144,33 @@ struct KernelTable
      */
     void (*keepBlock)(const std::uint64_t *keys, const std::uint64_t *belows,
                       int width, std::int8_t *block);
+
+    /**
+     * Step extents of one B stream packing cycle, per PE column.  Row d
+     * of `depth` take rows starts at takes + d * words, and field(d, j)
+     * is its bits [j * lanes, (j + 1) * lanes).  For j in [0, cols),
+     * lo[j] is base + the lowest d with field(d, j) != 0 and hi[j]
+     * base + the highest; both are -1 when there is no such d (depth 0
+     * included).  lanes is 1..64, fields may straddle words, and cols *
+     * lanes <= words * 64.  Reads only the first ceil(cols * lanes / 64)
+     * words of each row; writes only lo[0..cols) and hi[0..cols).
+     */
+    void (*takeExtents)(const std::uint64_t *takes, std::int64_t words,
+                        std::int64_t depth, int lanes, int cols,
+                        std::int64_t base, std::int64_t *lo,
+                        std::int64_t *hi);
+
+    /**
+     * One stream entry's live masks, one word per PE column: with rows
+     * and field(d, j) as in takeExtents, out[j] is the OR over d in [0,
+     * depth) of a[d] AND field(d, j) repeated across `rows` rows (bit m
+     * * lanes + l set, m < rows, when bit l of the field is), for j in
+     * [0, cols).  Requires rows >= 1 and rows * lanes <= 64.  Reads
+     * a[0..depth) and what takeExtents reads; writes only out[0..cols).
+     */
+    void (*liveMasks)(const std::uint64_t *takes, std::int64_t words,
+                      std::int64_t depth, const std::uint64_t *a, int lanes,
+                      int rows, int cols, std::uint64_t *out);
 };
 
 /** The backend picked by the dispatch order above (cached). */
@@ -152,8 +186,9 @@ const KernelTable &scalarKernels();
 const KernelTable *avx2Kernels();
 
 /**
- * The AVX2 kernels with fillRows and keepBlock compiled for AVX-512, or
- * nullptr when the CPU/build lacks AVX2 or any of AVX-512 F/BW/VL/DQ.
+ * The AVX2 kernels with fillRows, keepBlock, takeExtents and liveMasks
+ * compiled for AVX-512, or nullptr when the CPU/build lacks AVX2 or any
+ * of AVX-512 F/BW/VL/DQ.
  */
 const KernelTable *avx512Kernels();
 

@@ -1,8 +1,8 @@
 # CTest script: SIMD dispatch equivalence, end to end.
 #
-# The same fig5, fig6 and fig8 slices run twice — once under whatever backend
-# the CPU dispatches (AVX2 on x86, with the AVX-512 weight row fill
-# where the CPU has AVX-512 F/BW/VL/DQ; scalar elsewhere)
+# The same fig5, fig6, fig7 and fig8 slices run twice — once under
+# whatever backend the CPU dispatches (AVX2 on x86, with the AVX-512
+# table where the CPU has AVX-512 F/BW/VL/DQ; scalar elsewhere)
 # and once with GRIFFIN_FORCE_SCALAR=1 pinning the portable reference
 # — and the result-row documents must be byte-identical.  This is the
 # whole-run closure of the per-kernel equivalence tests in
@@ -12,7 +12,11 @@
 # sampled 16-column tiles, through the dispatched fillRows kernel (on
 # AVX-512, its path that fills narrow rows 64 rows at a time), and
 # fig6 (Sparse.A points) only activations, whose generator calls no
-# kernel; the occupancy kernels run on both.  fig8 is the one sweep with
+# kernel; the occupancy kernels run on both.  fig7 (Sparse.AB points)
+# packs B streams at all 20 of its preprocessed design points, each
+# packing cycle's raw extents through the dispatched takeExtents kernel,
+# and runs the dual engine's live masks through liveMasks (at
+# about a second per run at this fidelity).  fig8 is the one sweep with
 # a SparTen consumer, which draws B's nonzero bits alone, 64 rows by up
 # to 64 columns per dispatched keepBlock call, and turns each block into
 # column masks through nonzeroMasks.  That the knob really reroutes dispatch,
@@ -31,7 +35,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(fidelity --sample 0.01 --rowcap 4 --threads 2)
 
-foreach(exp fig5 fig6 fig8)
+foreach(exp fig5 fig6 fig7 fig8)
     # -- auto dispatch ------------------------------------------------
 
     execute_process(
@@ -68,5 +72,5 @@ foreach(exp fig5 fig6 fig8)
     endif()
 endforeach()
 
-message(STATUS "simd_dispatch: auto and forced-scalar fig5, fig6 and fig8 "
-               "rows are byte-identical")
+message(STATUS "simd_dispatch: auto and forced-scalar fig5, fig6, fig7 and "
+               "fig8 rows are byte-identical")

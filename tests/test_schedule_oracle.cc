@@ -18,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/arena.hh"
 #include "common/rng.hh"
 #include "sched/a_arbiter.hh"
@@ -388,6 +391,78 @@ TEST(ScheduleOracle, OnTheFlyDualMatchesCsr)
     }
     EXPECT_GT(stolen, 0) << "no tile exercised a steal";
     EXPECT_GT(limited, 0) << "no tile hit the bandwidth cap";
+}
+
+/**
+ * The take-row kernels where the engines call them, on whole tiles of
+ * every shape: k0 = 16's and k0 = 32's whole-field rows, and k0 = 4's
+ * and k0 = 24's fields read one at a time.  Each stream's raw extents
+ * must equal a per-column reading of its take rows and steals, and
+ * the unrecorded preprocessed dual engine — the one-word live-mask
+ * kernel wherever m0 x k0 <= 64, and no A steals, its plain form —
+ * must match the CSR reference.
+ */
+TEST(ScheduleOracle, TakeRowKernelsMatchThePerColumnReadingOnEveryShape)
+{
+    for (std::size_t s = 0; s < std::size(kShapes); ++s)
+        for (int t = 0; t < 25; ++t) {
+            Rng rng(0x7a4e + s * 100 + static_cast<std::uint64_t>(t));
+            Case c;
+            c.shape = kShapes[s];
+            const auto k = static_cast<std::size_t>(
+                rng.uniformInt(8 * c.shape.k0, 40 * c.shape.k0));
+            c.a = drawMatrix(static_cast<std::size_t>(c.shape.m0), k, rng);
+            c.b = drawMatrix(k, static_cast<std::size_t>(c.shape.n0), rng);
+            c.shuffle = rng.bernoulli(0.5);
+            c.group = c.shape.k0 % 16 == 0 && rng.bernoulli(0.5) ? 16 : 4;
+            c.da = Borrow{static_cast<int>(rng.uniformInt(0, 4)), 0, 0};
+            c.db = Borrow{static_cast<int>(rng.uniformInt(0, 6)),
+                          static_cast<int>(rng.uniformInt(0, 3)),
+                          static_cast<int>(rng.uniformInt(0, 3))};
+            c.bw = t % 2 == 0 ? 1.0 : 0.5;
+            const auto cfg =
+                RoutingConfig::sparseAB(c.da.d1, c.da.d2, c.da.d3, c.db.d1,
+                                        c.db.d2, c.db.d3, c.shuffle);
+            const std::string what = c.describe();
+            const auto sh = c.shuffler();
+            const auto va = c.va();
+            const auto vb = c.vb();
+            const BSchedule stream = preprocessB(vb, cfg.b, sh, false);
+
+            const int lanes = stream.lanes();
+            std::int64_t end = -1;
+            for (std::int64_t cyc = 0; cyc < stream.cycles(); ++cyc)
+                for (int j = 0; j < stream.cols(); ++j) {
+                    std::int64_t lo = -1, hi = -1;
+                    for (std::int64_t d = 0; d < stream.depth(cyc); ++d)
+                        if (simd::readField(stream.takes(cyc) +
+                                                d * stream.takeWords(),
+                                            std::int64_t{j} * lanes,
+                                            lanes) != 0) {
+                            lo = lo < 0 ? stream.base(cyc) + d : lo;
+                            hi = stream.base(cyc) + d;
+                        }
+                    for (const StolenOp *k = stream.stealsBegin(cyc);
+                         k != stream.stealsEnd(cyc); ++k)
+                        if (k->consumer / lanes == j) {
+                            lo = lo < 0 ? k->step : std::min(lo, k->step);
+                            hi = std::max(hi, k->step);
+                        }
+                    end = std::max(end, hi);
+                    ASSERT_EQ(stream.rawLo(cyc, j), lo)
+                        << what << " cycle " << cyc << " column " << j;
+                    ASSERT_EQ(stream.rawHi(cyc, j), hi)
+                        << what << " cycle " << cyc << " column " << j;
+                    if (j + 1 == stream.cols()) {
+                        ASSERT_EQ(stream.rawEnd(cyc), end)
+                            << what << " cycle " << cyc;
+                    }
+                }
+            expectSameDual(
+                scheduleDual(va, vb, cfg, sh, &stream, c.bw, false),
+                csr::scheduleDual(va, vb, cfg, sh, &stream, c.bw, false),
+                what);
+        }
 }
 
 /**

@@ -279,6 +279,140 @@ TEST(SimdKernels, KeepBlockMatchesTheContractOnEveryBackend)
     EXPECT_EQ(block[6 * 64 + 11], 1);
 }
 
+// ---- take-row kernels vs the per-column reading ---------------------
+
+/**
+ * Lanes widths for the take-row kernels: every divisor of 64 (whole
+ * 8- to 64-bit fields and sub-byte ones) and three that straddle
+ * words.
+ */
+const int kTakeLanes[] = {1, 2, 4, 8, 16, 32, 64, 3, 24, 40};
+
+/**
+ * `depth` take rows, `words` apart, of `cols` lanes-wide fields:
+ * pattern 0 empty, 1 full, 2 random sparse words, 3 the same with
+ * whole rows left empty at random.  Bits past the fields are drawn
+ * too; no kernel may read them as a field.
+ */
+std::vector<std::uint64_t>
+takeRows(std::mt19937_64 &bits, int pattern, std::int64_t depth,
+         std::int64_t words)
+{
+    std::vector<std::uint64_t> rows(static_cast<std::size_t>(depth * words));
+    for (std::int64_t d = 0; d < depth; ++d) {
+        const bool empty = pattern == 3 && (bits() & 1u) != 0;
+        for (std::int64_t i = 0; i < words; ++i)
+            rows[static_cast<std::size_t>(d * words + i)] =
+                pattern == 0 || empty ? 0
+                : pattern == 1        ? ~std::uint64_t{0}
+                                      : bits() & bits() & bits();
+    }
+    return rows;
+}
+
+/** Take-row geometries: (lanes, cols, depth, words) for every width,
+ *  1..64 columns and depths 0..8, rows one word wider than their
+ *  fields for odd column counts; deeper windows for a few widths. */
+template <class Check>
+void
+forEachTakeGeometry(Check &&check)
+{
+    for (const int lanes : kTakeLanes)
+        for (int cols = 1; cols <= 64; ++cols) {
+            const std::int64_t used = (std::int64_t{cols} * lanes + 63) / 64;
+            const std::int64_t words = used + cols % 2;
+            for (std::int64_t depth = 0; depth <= 8; ++depth)
+                check(lanes, cols, depth, words);
+            if (cols == 1 || cols == 9 || cols == 64)
+                for (const std::int64_t depth : {65, 255, 256, 300})
+                    check(lanes, cols, depth, words);
+        }
+}
+
+TEST(SimdKernels, TakeExtentsMatchThePerColumnReadingOnEveryBackend)
+{
+    constexpr int kPad = 4;
+    constexpr std::int64_t kGuard = 0x5a5a5a5a5a5a5a5a;
+    std::mt19937_64 bits(1212);
+    forEachTakeGeometry([&](int lanes, int cols, std::int64_t depth,
+                            std::int64_t words) {
+        for (int pattern = 0; pattern < 4; ++pattern) {
+            const auto rows = takeRows(bits, pattern, depth, words);
+            const std::int64_t base = pattern % 2 == 0 ? 0 : 1000000007;
+            std::vector<std::int64_t> lo(cols + 2 * kPad, kGuard);
+            std::vector<std::int64_t> hi(cols + 2 * kPad, kGuard);
+            for (int j = 0; j < cols; ++j) {
+                lo[kPad + j] = hi[kPad + j] = -1;
+                for (std::int64_t d = 0; d < depth; ++d) {
+                    if (simd::readField(rows.data() + d * words,
+                                        std::int64_t{j} * lanes,
+                                        lanes) == 0)
+                        continue;
+                    if (lo[kPad + j] < 0)
+                        lo[kPad + j] = base + d;
+                    hi[kPad + j] = base + d;
+                }
+            }
+            for (const auto &[name, table] : availableBackends()) {
+                std::vector<std::int64_t> got_lo(cols + 2 * kPad, kGuard);
+                std::vector<std::int64_t> got_hi(cols + 2 * kPad, kGuard);
+                table->takeExtents(rows.data(), words, depth, lanes, cols,
+                                   base, got_lo.data() + kPad,
+                                   got_hi.data() + kPad);
+                ASSERT_EQ(got_lo, lo)
+                    << name << " lanes " << lanes << " cols " << cols
+                    << " depth " << depth << " pattern " << pattern;
+                ASSERT_EQ(got_hi, hi)
+                    << name << " lanes " << lanes << " cols " << cols
+                    << " depth " << depth << " pattern " << pattern;
+            }
+        }
+    });
+}
+
+TEST(SimdKernels, LiveMasksMatchThePerColumnReadingOnEveryBackend)
+{
+    constexpr int kPad = 4;
+    constexpr std::uint64_t kGuard = 0xa5a5a5a5a5a5a5a5;
+    std::mt19937_64 bits(1313);
+    forEachTakeGeometry([&](int lanes, int cols, std::int64_t depth,
+                            std::int64_t words) {
+        // Every row count that fits one word (the fewest and the most
+        // past depth 8); random A words.
+        for (int rows = 1; rows * lanes <= 64; ++rows) {
+            if (depth > 8 && rows != 1 && (rows + 1) * lanes <= 64)
+                continue;
+            const int pattern = (cols + rows + static_cast<int>(depth)) % 4;
+            const auto takes = takeRows(bits, pattern, depth, words);
+            std::vector<std::uint64_t> a(static_cast<std::size_t>(depth));
+            for (auto &w : a)
+                w = bits();
+            std::vector<std::uint64_t> want(cols + 2 * kPad, kGuard);
+            for (int j = 0; j < cols; ++j) {
+                std::uint64_t mask = 0;
+                for (std::int64_t d = 0; d < depth; ++d) {
+                    const std::uint64_t field =
+                        simd::readField(takes.data() + d * words,
+                                        std::int64_t{j} * lanes, lanes);
+                    for (int m = 0; m < rows; ++m)
+                        mask |= a[static_cast<std::size_t>(d)] &
+                                field << (m * lanes);
+                }
+                want[kPad + j] = mask;
+            }
+            for (const auto &[name, table] : availableBackends()) {
+                std::vector<std::uint64_t> got(cols + 2 * kPad, kGuard);
+                table->liveMasks(takes.data(), words, depth, a.data(), lanes,
+                                 rows, cols, got.data() + kPad);
+                ASSERT_EQ(got, want)
+                    << name << " lanes " << lanes << " rows " << rows
+                    << " cols " << cols << " depth " << depth
+                    << " pattern " << pattern;
+            }
+        }
+    });
+}
+
 // ---- occupancy extraction vs brute force ----------------------------
 
 MatrixI8
@@ -495,13 +629,15 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
         simd::backendName(simd::activeBackend());
     EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
     // The dispatched table is one of the concrete tables (scalar,
-    // avx2, or avx512 — the AVX2 table with the AVX-512 generator loops),
-    // never a mixture assembled per call.
+    // avx2, or avx512 — the AVX2 table with the AVX-512 generator and
+    // take-row loops), never a mixture assembled per call.
     const KernelTable &active = simd::kernels();
     EXPECT_NE(active.nonzeroMasks, nullptr);
     EXPECT_NE(active.mtTemper, nullptr);
     EXPECT_NE(active.fillRows, nullptr);
     EXPECT_NE(active.keepBlock, nullptr);
+    EXPECT_NE(active.takeExtents, nullptr);
+    EXPECT_NE(active.liveMasks, nullptr);
 }
 
 } // namespace

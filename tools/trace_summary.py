@@ -23,6 +23,7 @@ not a trace).
 
 import collections
 import json
+import signal
 import sys
 
 
@@ -158,4 +159,8 @@ def main(argv):
 
 
 if __name__ == "__main__":
+    # A reader that stops early (`... | head`) ends the summary the way
+    # it ends cat: by SIGPIPE, with no BrokenPipeError traceback.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main(sys.argv))
