@@ -36,8 +36,8 @@
  * block of 64 rows into the slab columns' k masks (simd::bColumnMasks).
  * The workset form generates only what the grid reads, and never B
  * at all: A (LayerWorkset::operandA) when the routing skips A's zeros,
- * and, when it skips B's, B's column masks straight from the weight
- * generator's keep tests, 64 columns at a time
+ * and, when it skips B's, all of B's column masks straight from the
+ * weight generator's keep tests in one call
  * (LayerWorkset::bColumnMasks, laneBiasedColumnMasks): no int8 value,
  * slab or transpose, one bit per element of B.
  */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "runtime/telemetry.hh"
 
@@ -294,15 +295,33 @@ tileQueues(const TileViewA &a, const Shuffler &shuffler, Arena &arena)
 }
 
 SlotQueues
-tileQueues(const TileViewB &b, const Shuffler &shuffler, Arena &arena)
+tileQueues(const TileMasksB &b, const Shuffler &shuffler, Arena &arena)
 {
     const int cols = b.units();
     return sideQueues(SlotGrid{b.steps(), b.lanes(), 1, cols}, cols,
                       shuffler, arena,
                       [&](std::int64_t words, std::uint64_t *out) {
-                          simd::bColumnMasks(b.matrix(), b.matrixCol(), cols,
-                                             words, out);
+                          // The queues may need a word past k's, and
+                          // the tile columns past B's: both read zero.
+                          std::fill(out, out + cols * words, 0);
+                          for (int n = 0; n < b.width(); ++n)
+                              std::copy_n(b.masks() + n * b.words(),
+                                          b.words(), out + n * words);
                       });
+}
+
+SlotQueues
+tileQueues(const TileViewB &b, const Shuffler &shuffler, Arena &arena)
+{
+    const auto k = static_cast<std::int64_t>(b.matrix().rows());
+    const std::int64_t words = (k + 63) / 64;
+    std::vector<std::uint64_t> masks(
+        static_cast<std::size_t>(b.units() * words));
+    simd::bColumnMasks(b.matrix(), b.unitBase(), b.units(), words,
+                       masks.data());
+    return tileQueues(
+        TileMasksB(masks.data(), k, b.units(), b.shape(), b.unitBase()),
+        shuffler, arena);
 }
 
 SlotQueues
@@ -335,17 +354,17 @@ pairQueues(const SlotQueues &a, const SlotQueues &b, Arena &arena)
     return queues;
 }
 
-template <class View>
+template <class Tile>
 const SlotQueues &
-QueueMemo::lookup(bool b_side, const View &view, const Shuffler &shuffler)
+QueueMemo::lookup(bool b_side, const Tile &tile, const Shuffler &shuffler)
 {
     ++requests_;
-    const Key key{b_side, view.unitBase(), view.units(), view.lanes(),
+    const Key key{b_side, tile.unitBase(), tile.units(), tile.lanes(),
                   shuffler.enabled() ? shuffler.groupSize() : 0};
     auto it = queues_.find(key);
     if (it == queues_.end()) {
         ScopedSpan span("tile_queues");
-        it = queues_.emplace(key, tileQueues(view, shuffler, *arena_)).first;
+        it = queues_.emplace(key, tileQueues(tile, shuffler, *arena_)).first;
     }
     return it->second;
 }
@@ -357,7 +376,7 @@ QueueMemo::get(const TileViewA &a, const Shuffler &shuffler)
 }
 
 const SlotQueues &
-QueueMemo::get(const TileViewB &b, const Shuffler &shuffler)
+QueueMemo::get(const TileMasksB &b, const Shuffler &shuffler)
 {
     return lookup(true, b, shuffler);
 }

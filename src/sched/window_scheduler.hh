@@ -200,15 +200,19 @@ void appendCycleOps(const SlotGrid &grid, const WindowCycle &c,
 
 /**
  * Queues of one tile side, straight from its per-unit nonzero masks
- * over flat k (simd::aRowMasks, simd::bColumnMasks): the element at
- * (k1, k2) of unit u (an A row, a B column) queues on slot u * lanes +
- * shuffler.apply(k1, k2) of step k1 when it is nonzero.  Each unit
- * contributes one lanes-wide field per step, rotated by the shuffle's
- * group rotation.  A's grid is M0 rows x 1 column, B's 1 row x N0
- * columns; lanes <= 64.  The queues live in `arena`; scratch comes
- * from workArena(), so `arena` may be that one.
+ * over flat k (simd::aRowMasks for A; B's come as a TileMasksB): the
+ * element at (k1, k2) of unit u (an A row, a B column) queues on slot
+ * u * lanes + shuffler.apply(k1, k2) of step k1 when it is nonzero.
+ * Each unit contributes one lanes-wide field per step, rotated by the
+ * shuffle's group rotation.  A's grid is M0 rows x 1 column, B's 1 row
+ * x N0 columns; lanes <= 64.  The queues live in `arena`; scratch
+ * comes from workArena(), so `arena` may be that one.  The TileViewB
+ * form is simd::bColumnMasks of the view's columns, then the
+ * TileMasksB form.
  */
 SlotQueues tileQueues(const TileViewA &a, const Shuffler &shuffler,
+                      Arena &arena);
+SlotQueues tileQueues(const TileMasksB &b, const Shuffler &shuffler,
                       Arena &arena);
 SlotQueues tileQueues(const TileViewB &b, const Shuffler &shuffler,
                       Arena &arena);
@@ -227,18 +231,17 @@ SlotQueues pairQueues(const SlotQueues &a, const SlotQueues &b,
  * tile side under a (tile geometry, lanes, shuffle) builds its queues
  * with tileQueues (the `tile_queues` span); every later request with
  * that key returns the same queues, which no engine writes.  Every
- * view must show the workset's own operands.  A tile is named by its
- * first row in A or first column in B (unitBase()), never by where it
- * sits in the backing matrix: a B tile's view may read all of B or a
- * column tile drawn on its own, and both name the same queues.  The
- * memo holds only what was asked for, the sampled tiles, until it is
- * destroyed; it is not synchronized, so one thread uses it at a time.
+ * tile must show the workset's own operands: A's rows, or B's column
+ * masks.  A tile is named by its first row in A or first column in B
+ * (unitBase()).  The memo holds only what was asked for, the sampled
+ * tiles, until it is destroyed; it is not synchronized, so one thread
+ * uses it at a time.
  */
 class QueueMemo
 {
   public:
     const SlotQueues &get(const TileViewA &a, const Shuffler &shuffler);
-    const SlotQueues &get(const TileViewB &b, const Shuffler &shuffler);
+    const SlotQueues &get(const TileMasksB &b, const Shuffler &shuffler);
 
     /** Requests served so far, and how many of them built queues. */
     std::int64_t requests() const { return requests_; }
@@ -253,8 +256,8 @@ class QueueMemo
      *  group or 0 when the shuffle is off). */
     using Key = std::tuple<bool, std::int64_t, int, int, int>;
 
-    template <class View>
-    const SlotQueues &lookup(bool b_side, const View &view,
+    template <class Tile>
+    const SlotQueues &lookup(bool b_side, const Tile &tile,
                              const Shuffler &shuffler);
 
     /** Holds every queue's words; behind a pointer so the memo moves. */

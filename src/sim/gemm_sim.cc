@@ -9,6 +9,7 @@
 #include "sched/b_preprocess.hh"
 #include "sched/dual_scheduler.hh"
 #include "sim/sampling.hh"
+#include "simd/occupancy.hh"
 #include "tensor/shuffle.hh"
 #include "tensor/tile.hh"
 #include "tensor/workset.hh"
@@ -126,8 +127,8 @@ struct ComputeStage
 {
     const GemmPlan &plan;
     const MatrixI8 *a; ///< null unless the mode reads A
-    /** Views of B's column tiles plan.bCols, in that order. */
-    const std::vector<TileViewB> &bTiles;
+    /** B's column tiles plan.bCols, in that order. */
+    const std::vector<TileMasksB> &bTiles;
     QueueMemo &memo; ///< queues of a's and B's tiles
     const Shuffler &shuffler;
 
@@ -151,7 +152,7 @@ simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
     std::int64_t sum = 0;
     ScopedSpan span("b_schedule"); // nothing here reads stream cells
     for (const auto &t : plan.picks) {
-        const TileViewB &vb = stage.bTiles[stage.bIndex(t.row)];
+        const TileMasksB &vb = stage.bTiles[stage.bIndex(t.row)];
         const ScheduleStats stats =
             scheduleB(stage.memo.get(vb, stage.shuffler), plan.routing.b);
         // Runtime is bandwidth-capped even though packing is offline:
@@ -211,7 +212,7 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
     if (plan.routing.preprocessB) {
         ScopedSpan pack_span("b_schedule");
         streams.reserve(stage.bTiles.size());
-        for (const TileViewB &vb : stage.bTiles)
+        for (const TileMasksB &vb : stage.bTiles)
             streams.push_back(preprocessB(stage.memo.get(vb, stage.shuffler),
                                           plan.routing.b, stage.shuffler,
                                           false));
@@ -238,11 +239,11 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
     result.simulatedTiles = static_cast<std::int64_t>(plan.picks.size());
 }
 
-/** Stages 2 and 3 of a planned GEMM; b_tiles are the views of
+/** Stages 2 and 3 of a planned GEMM; b_tiles are the column tiles
  *  plan.bCols. */
 GemmSimResult
 runGemm(const GemmPlan &plan, const MatrixI8 *a,
-        const std::vector<TileViewB> &b_tiles, QueueMemo &memo)
+        const std::vector<TileMasksB> &b_tiles, QueueMemo &memo)
 {
     GemmSimResult result = plan.result;
     if (plan.empty)
@@ -286,10 +287,20 @@ simulateGemm(const MatrixI8 &a, const MatrixI8 &b, const ArchConfig &arch,
                                    static_cast<std::int64_t>(a.cols()),
                                    static_cast<std::int64_t>(b.cols()), arch,
                                    cat, opt);
-    std::vector<TileViewB> b_tiles;
+    // B's sampled column tiles as their columns' masks, the form a
+    // workset draws them in.
+    const auto k = static_cast<std::int64_t>(b.rows());
+    const std::int64_t words = (k + 63) / 64;
+    const int n0 = plan.shape.n0;
+    const auto tile_words = static_cast<std::size_t>(n0 * words);
+    std::vector<std::uint64_t> masks(plan.bCols.size() * tile_words);
+    std::vector<TileMasksB> b_tiles;
     b_tiles.reserve(plan.bCols.size());
-    for (const std::int64_t col : plan.bCols)
-        b_tiles.emplace_back(b, plan.shape, col * plan.shape.n0);
+    for (const std::int64_t col : plan.bCols) {
+        std::uint64_t *tile = masks.data() + b_tiles.size() * tile_words;
+        simd::bColumnMasks(b, col * n0, n0, words, tile);
+        b_tiles.emplace_back(tile, k, n0, plan.shape, col * n0);
+    }
     QueueMemo memo;
     return runGemm(plan, &a, b_tiles, memo);
 }
@@ -304,7 +315,7 @@ simulateGemm(const LayerWorkset &ws, const ArchConfig &arch,
     // so gen_a and gen_b stay top-level stages: A whole, and B's
     // sampled column tiles.
     const MatrixI8 *a = plan.routing.sparseA() ? &ws.operandA() : nullptr;
-    const std::vector<TileViewB> b_tiles = ws.bTiles(plan.bCols, plan.shape);
+    const std::vector<TileMasksB> b_tiles = ws.bTiles(plan.bCols, plan.shape);
     return runGemm(plan, a, b_tiles, ws.memo);
 }
 

@@ -9,7 +9,10 @@
  * sampled column tiles, dual A and the column tiles of its sampled
  * pairs) and takes m, k and n from the workset's parameters, so B is
  * drawn only where a sampled tile reads it, and a side no mode reads
- * is never generated.  The stages:
+ * is never generated.  Both forms read B's column tiles as their
+ * columns' nonzero masks (TileMasksB): the workset draws them as the
+ * weight generator's keep bits, and the two-matrix form takes them
+ * from its B with simd::bColumnMasks.  The stages:
  *
  *   2. *Tiling + per-side schedule computation*: each sampled tile
  *      side's slot queues come from the workset's QueueMemo
@@ -114,7 +117,8 @@ GemmSimResult simulateGemm(const MatrixI8 &a, const MatrixI8 &b,
  * workset builds each one at most once.  Before the `tile_sim` span
  * opens it generates A whole when the mode reads A (`gen_a`), and asks
  * the workset for B's sampled column tiles when the mode reads B
- * (LayerWorkset::bTiles: the missing ones drawn in one `gen_b` span).
+ * (LayerWorkset::bTiles: the missing ones' masks drawn in one `gen_b`
+ * span).
  * The result equals the two-matrix form's on the workset's whole
  * matrices, whatever the memo and the drawn tiles held before.
  */

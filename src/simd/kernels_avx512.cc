@@ -1,13 +1,11 @@
 /**
  * @file
- * The AVX-512 table: the AVX2 table with the four shared loops of
+ * The AVX-512 table: the AVX2 table with the three shared loops of
  * kernels.hh compiled for AVX-512, each under a target attribute, with
- * no intrinsics.  Two are the weight generator's: the row fill
- * (fillRows) and its keep bits alone (keepBlock, SparTen's column
- * masks of B), which the compiler vectorizes eight 64-bit lanes at a
- * time (vpmullq is AVX-512DQ); the fill takes the columns past a row's
- * last whole 64-block 64 rows at a time, and keepBlock is 64 rows at a
- * time throughout.  Two read a B stream's take rows for every PE
+ * no intrinsics.  One is the weight generator's keep bits (keepBlock,
+ * the column masks every engine reads B as), which the compiler
+ * vectorizes eight 64-bit lanes at a time (vpmullq is AVX-512DQ), 64
+ * rows to a column.  Two read a B stream's take rows for every PE
  * column at once: the packing cycle's raw extents (takeExtents, a take
  * word's fields tested together, then one widening pass over the
  * columns) and the dual engine's one-word live masks (liveMasks, where
@@ -29,13 +27,6 @@ namespace simd {
 namespace detail {
 
 namespace {
-
-__attribute__((target("avx512f,avx512bw,avx512vl,avx512dq"))) void
-fillRowsAvx512(const std::uint64_t *keys, const std::uint64_t *belows,
-               std::int64_t rows, std::int64_t n, std::int8_t *out)
-{
-    fillRowsLoop<true>(keys, belows, rows, n, out);
-}
 
 __attribute__((target("avx512f,avx512bw,avx512vl,avx512dq"))) void
 keepBlockAvx512(const std::uint64_t *keys, const std::uint64_t *belows,
@@ -79,7 +70,6 @@ avx512Table()
         return nullptr;
     static const KernelTable table = [avx2] {
         KernelTable t = *avx2;
-        t.fillRows = fillRowsAvx512;
         t.keepBlock = keepBlockAvx512;
         t.takeExtents = takeExtentsAvx512;
         t.liveMasks = liveMasksAvx512;

@@ -86,13 +86,6 @@ mtTemperScalar(const std::uint64_t *src, std::int64_t n,
 }
 
 void
-fillRowsScalar(const std::uint64_t *keys, const std::uint64_t *belows,
-               std::int64_t rows, std::int64_t n, std::int8_t *out)
-{
-    fillRowsLoop<false>(keys, belows, rows, n, out);
-}
-
-void
 keepBlockScalar(const std::uint64_t *keys, const std::uint64_t *belows,
                 int width, std::int8_t *block)
 {
@@ -123,8 +116,7 @@ scalarTable()
     static const KernelTable table = {
         nonzeroMasksScalar, countNonzeroScalar, accumulateNonzeroScalar,
         leMaskScalar,       minI64Scalar,       mtTemperScalar,
-        fillRowsScalar,     keepBlockScalar,    takeExtentsScalar,
-        liveMasksScalar,
+        keepBlockScalar,    takeExtentsScalar,  liveMasksScalar,
     };
     return table;
 }

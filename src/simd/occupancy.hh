@@ -16,16 +16,15 @@
  * `nonzero()` per element.  The SparTen
  * baseline reads the same masks and asks one more question: how many
  * k positions a row mask shares with each column mask
- * (`andPopcount`).  Operand generation asks for two more: rows of
- * the weight generator (`fillRows`), one counter-based hash per
- * element, and the same hashes' keep tests alone for a block of 64
- * rows (`keepBlock`), which SparTen's column masks of B come from
- * without an int8 value in between.  The dual-sparse pipeline asks
- * two questions of a B stream's take rows, each for every PE column
- * of a row at once: the steps each column holds in a packing cycle
- * (`takeExtents`, preprocessB's raw extents) and A's zero masks
- * filtered by the takes (`liveMasks`, the dual engine's live masks).
- * Each of these four is one loop without intrinsics
+ * (`andPopcount`).  Operand generation asks one more: the weight
+ * generator's keep tests, one counter-based hash per element, for a
+ * block of 64 rows (`keepBlock`), which every engine's column masks of
+ * B come from without an int8 value in between.  The dual-sparse
+ * pipeline asks two questions of a B stream's take rows, each for
+ * every PE column of a row at once: the steps each column holds in a
+ * packing cycle (`takeExtents`, preprocessB's raw extents) and A's
+ * zero masks filtered by the takes (`liveMasks`, the dual engine's
+ * live masks).  Each of these three is one loop without intrinsics
  * (simd/kernels.hh) that the scalar table compiles for the build
  * baseline and the AVX-512 table compiles again under a target
  * attribute.
@@ -37,9 +36,8 @@
  *   2. AVX2 when the CPU reports it (cpuid via
  *      __builtin_cpu_supports).  When the CPU also reports AVX-512
  *      F/BW/VL/DQ, the backend (still Backend::Avx2, "avx2") runs the
- *      AVX-512 table: the AVX2 kernels with fillRows, keepBlock,
- *      takeExtents and liveMasks compiled for AVX-512
- *      (avx512Kernels());
+ *      AVX-512 table: the AVX2 kernels with keepBlock, takeExtents
+ *      and liveMasks compiled for AVX-512 (avx512Kernels());
  *   3. scalar (every other CPU, ARM included).
  *
  * Every backend is byte-exact against the scalar reference
@@ -68,9 +66,9 @@ enum class Backend { Scalar, Avx2 };
 const char *backendName(Backend backend);
 
 /**
- * One backend's kernel set: the five kernels the sweeps run
- * (nonzeroMasks, fillRows, keepBlock, takeExtents, liveMasks) and five
- * that no sweep runs.
+ * One backend's kernel set: the four kernels the sweeps run
+ * (nonzeroMasks, keepBlock, takeExtents, liveMasks) and five that no
+ * sweep runs.
  * Width contracts: `width` is 1..64 and no kernel reads any byte
  * outside the ranges named below, so callers may pass views right up
  * to an allocation edge (ASan-clean).
@@ -123,23 +121,13 @@ struct KernelTable
                      std::uint64_t *out);
 
     /**
-     * `rows` rows of counter-based weights, `n` wide, row r at out +
-     * r * n: for c in [0, n), with h = Rng::counterDraw(keys[r], c),
-     * out[r * n + c] is Rng::nonzeroInt8FromDraw(h << 32) when h >> 32
-     * < belows[r], else 0.  Every belows[r] is in [0, 2^32] (0 keeps
-     * nothing, 2^32 everything), a key may be any value (the counter
-     * wraps mod 2^64), and rows and n may be 0.  Writes only [out,
-     * out + rows * n).
-     */
-    void (*fillRows)(const std::uint64_t *keys, const std::uint64_t *belows,
-                     std::int64_t rows, std::int64_t n, std::int8_t *out);
-
-    /**
-     * fillRows's keep test alone, for one block of 64 rows and `width`
-     * (1..64) columns, column-major: with h = Rng::counterDraw(keys[i],
-     * c), block[c * 64 + i] is 1 when h >> 32 < belows[i], else 0, for
-     * i in [0, 64) and c in [0, width).  Keys and bounds as fillRows's
-     * (a bound of 0 makes a row all zeros).  Reads keys[0..64) and
+     * The weight generator's keep test (tensor/sparsity.hh's
+     * fillWeightRows) for one block of 64 rows and `width` (1..64)
+     * columns, column-major: with h = Rng::counterDraw(keys[i], c),
+     * block[c * 64 + i] is 1 when h >> 32 < belows[i], else 0, for i
+     * in [0, 64) and c in [0, width).  Every belows[i] is in [0, 2^32]
+     * (0 keeps nothing, 2^32 everything) and a key may be any value
+     * (the counter wraps mod 2^64).  Reads keys[0..64) and
      * belows[0..64); writes only [block, block + width * 64).
      */
     void (*keepBlock)(const std::uint64_t *keys, const std::uint64_t *belows,
@@ -186,9 +174,9 @@ const KernelTable &scalarKernels();
 const KernelTable *avx2Kernels();
 
 /**
- * The AVX2 kernels with fillRows, keepBlock, takeExtents and liveMasks
- * compiled for AVX-512, or nullptr when the CPU/build lacks AVX2 or any
- * of AVX-512 F/BW/VL/DQ.
+ * The AVX2 kernels with keepBlock, takeExtents and liveMasks compiled
+ * for AVX-512, or nullptr when the CPU/build lacks AVX2 or any of
+ * AVX-512 F/BW/VL/DQ.
  */
 const KernelTable *avx512Kernels();
 

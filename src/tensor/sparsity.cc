@@ -85,9 +85,9 @@ clusteredSparse(std::size_t rows, std::size_t cols, double sparsity,
 namespace {
 
 /**
- * The draw inputs of laneBiasedColumns' rows [0, rows) from column
- * `first`: row r's key, advanced past its first `first` draws, in
- * keys[r], and its lane phase's keep bound in belows[r].
+ * The draw inputs of the weights' rows [0, rows) from column `first`:
+ * row r's key, advanced past its first `first` draws, in keys[r], and
+ * its lane phase's keep bound in belows[r].
  */
 void
 laneRows(std::size_t rows, std::size_t first, double sparsity, double bias,
@@ -120,35 +120,49 @@ laneRows(std::size_t rows, std::size_t first, double sparsity, double bias,
 
 } // namespace
 
-MatrixI8
-laneBiasedColumns(std::size_t rows, std::size_t first, std::size_t cols,
-                  double sparsity, double bias, int period,
-                  std::uint64_t seed)
+void
+fillWeightRows(const std::uint64_t *keys, const std::uint64_t *belows,
+               std::int64_t rows, std::int64_t n, std::int8_t *out)
 {
-    // One fillRows call fills every row.  The two arrays come from the
-    // thread's work arena, whose pages are already resident: fresh heap
-    // pages beside a whole B raised fig8's peak RSS by 0.1-0.2 MiB.
+    // The value is masked by the keep test rather than branched on,
+    // which would mispredict at every sparsity but the extremes.
+    for (std::int64_t r = 0; r < rows; ++r)
+        for (std::int64_t c = 0; c < n; ++c) {
+            const std::uint64_t h =
+                Rng::counterDraw(keys[r], static_cast<std::uint64_t>(c));
+            out[r * n + c] = static_cast<std::int8_t>(
+                Rng::nonzeroInt8FromDraw(h << 32) &
+                -static_cast<int>((h >> 32) < belows[r]));
+        }
+}
+
+MatrixI8
+laneBiasedSparse(std::size_t rows, std::size_t cols, double sparsity,
+                 double bias, int period, std::uint64_t seed)
+{
+    // The two arrays come from the thread's work arena, whose pages are
+    // already resident.
     Arena &arena = workArena();
     ArenaScope scope(arena);
     auto *keys = arena.alloc<std::uint64_t>(rows);
     auto *belows = arena.alloc<std::uint64_t>(rows);
-    laneRows(rows, first, sparsity, bias, period, seed, keys, belows);
+    laneRows(rows, 0, sparsity, bias, period, seed, keys, belows);
     MatrixI8 m(rows, cols);
-    simd::kernels().fillRows(keys, belows, static_cast<std::int64_t>(rows),
-                             static_cast<std::int64_t>(cols), m.data());
+    fillWeightRows(keys, belows, static_cast<std::int64_t>(rows),
+                   static_cast<std::int64_t>(cols), m.data());
     return m;
 }
 
 void
-laneBiasedColumnMasks(std::size_t rows, std::size_t first, int width,
-                      double sparsity, double bias, int period,
-                      std::uint64_t seed, std::int64_t words,
+laneBiasedColumnMasks(std::size_t rows, std::size_t first,
+                      std::int64_t width, double sparsity, double bias,
+                      int period, std::uint64_t seed, std::int64_t words,
                       std::uint64_t *out)
 {
-    GRIFFIN_ASSERT(width >= 1 && width <= 64,
-                   "column masks need 1..64 columns, got ", width);
+    GRIFFIN_ASSERT(width >= 0, "negative width ", width);
     // Rows at and past min(rows, words * 64) keep nothing (bound 0), so
-    // every block is a whole one.
+    // every block is a whole one.  The keys are made once; each block
+    // of 64 columns advances them 64 draws.
     const auto padded = static_cast<std::size_t>(words) * 64;
     Arena &arena = workArena();
     ArenaScope scope(arena);
@@ -159,19 +173,19 @@ laneBiasedColumnMasks(std::size_t rows, std::size_t first, int width,
     const simd::KernelTable &kern = simd::kernels();
     alignas(64) std::int8_t block[64 * 64];
     std::uint64_t masks[64];
-    for (std::int64_t w = 0; w < words; ++w) {
-        kern.keepBlock(keys + w * 64, belows + w * 64, width, block);
-        kern.nonzeroMasks(block, 64, 64, width, masks);
-        for (int c = 0; c < width; ++c)
-            out[c * words + w] = masks[c];
+    for (std::int64_t base = 0; base < width; base += 64) {
+        const auto cols =
+            static_cast<int>(std::min<std::int64_t>(64, width - base));
+        if (base != 0)
+            for (std::size_t r = 0; r < padded; ++r)
+                keys[r] = Rng::counterSkip(keys[r], 64);
+        for (std::int64_t w = 0; w < words; ++w) {
+            kern.keepBlock(keys + w * 64, belows + w * 64, cols, block);
+            kern.nonzeroMasks(block, 64, 64, cols, masks);
+            for (int c = 0; c < cols; ++c)
+                out[(base + c) * words + w] = masks[c];
+        }
     }
-}
-
-MatrixI8
-laneBiasedSparse(std::size_t rows, std::size_t cols, double sparsity,
-                 double bias, int period, std::uint64_t seed)
-{
-    return laneBiasedColumns(rows, 0, cols, sparsity, bias, period, seed);
 }
 
 } // namespace griffin

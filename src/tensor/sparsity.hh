@@ -18,17 +18,20 @@
  * (the weights) depends on nothing but the seed and its indices, and
  * a row of clusteredSparse (the activations) on nothing but the seed
  * and its row, so every matrix is the top-left corner of any larger
- * one from the same seed.  So a column tile of the weights needs no
- * other column's draws: laneBiasedColumns starts each row's stream at
- * the tile's first column (Rng::counterSkip) and equals those columns
- * of the whole matrix byte for byte, which is how a workset draws only
- * the column tiles its consumers sample (tensor/workset.hh).  Both
- * fill their rows through simd::KernelTable::fillRows.  A consumer
- * that reads only the weights' nonzero pattern (SparTen) takes
- * laneBiasedColumnMasks instead: the same row keys and keep bounds
- * (one helper makes them for both), but only the keep tests, 64 rows
+ * one from the same seed.
+ *
+ * Every engine reads only the weights' nonzero pattern, so a sweep
+ * draws them as laneBiasedColumnMasks: the keep tests alone, 64 rows
  * at a time (simd::KernelTable::keepBlock), straight into column
- * masks.
+ * masks, with no value and no int8 matrix.  A column range needs no
+ * other column's draws: each row's key starts at the range's first
+ * column (Rng::counterSkip), so the masks equal those of the whole
+ * matrix's columns bit for bit, which is how a workset draws only the
+ * column tiles its consumers sample (tensor/workset.hh).
+ * laneBiasedSparse makes the int8 weights, row by row through one
+ * plain loop (fillWeightRows), from the same row keys and keep bounds
+ * (one helper makes them for both), for the callers that read values:
+ * generateLayerWorkset, the shuffle ablation and the tests.
  */
 
 #ifndef GRIFFIN_TENSOR_SPARSITY_HH
@@ -76,27 +79,32 @@ MatrixI8 laneBiasedSparse(std::size_t rows, std::size_t cols,
                           std::uint64_t seed);
 
 /**
- * Columns [first, first + cols) of laneBiasedSparse(rows, any width
- * past first + cols, sparsity, bias, period, seed), as a rows x cols
- * matrix, byte for byte.  laneBiasedSparse is the case first = 0.
+ * `rows` rows of counter-based weights, `n` wide, row r at out + r *
+ * n: for c in [0, n), with h = Rng::counterDraw(keys[r], c), out[r * n
+ * + c] is Rng::nonzeroInt8FromDraw(h << 32) when h >> 32 < belows[r],
+ * else 0.  Every belows[r] is in [0, 2^32] (0 keeps nothing, 2^32
+ * everything), a key may be any value (the counter wraps mod 2^64),
+ * and rows and n may be 0.  Writes only [out, out + rows * n).
+ * laneBiasedSparse fills its matrix with it.
  */
-MatrixI8 laneBiasedColumns(std::size_t rows, std::size_t first,
-                           std::size_t cols, double sparsity, double bias,
-                           int period, std::uint64_t seed);
+void fillWeightRows(const std::uint64_t *keys, const std::uint64_t *belows,
+                    std::int64_t rows, std::int64_t n, std::int8_t *out);
 
 /**
- * The nonzero masks over k of laneBiasedColumns(rows, first, width,
- * sparsity, bias, period, seed), width 1..64, bit for bit
- * simd::bColumnMasks of that matrix (col_base 0, `words` words per
- * column): bit i of out[c * words + w] is set iff element (w * 64 + i,
- * c) is nonzero, and bits at and past `rows` are 0.  Draws only the
- * keep tests, 64 rows at a time (simd::KernelTable::keepBlock): no
- * value and no matrix.
+ * The nonzero masks over k of columns [first, first + width) of
+ * laneBiasedSparse(rows, any width past first + width, sparsity, bias,
+ * period, seed), bit for bit simd::bColumnMasks of those columns
+ * (`words` words per column): bit i of out[c * words + w] is set iff
+ * element (w * 64 + i, first + c) is nonzero, and bits at and past
+ * `rows` are 0.  Draws only the keep tests, 64 rows by up to 64
+ * columns at a time (simd::KernelTable::keepBlock): no value and no
+ * matrix.  The row keys are made once per call, so one call of any
+ * width costs less than several narrow ones.
  */
-void laneBiasedColumnMasks(std::size_t rows, std::size_t first, int width,
-                           double sparsity, double bias, int period,
-                           std::uint64_t seed, std::int64_t words,
-                           std::uint64_t *out);
+void laneBiasedColumnMasks(std::size_t rows, std::size_t first,
+                           std::int64_t width, double sparsity, double bias,
+                           int period, std::uint64_t seed,
+                           std::int64_t words, std::uint64_t *out);
 
 } // namespace griffin
 

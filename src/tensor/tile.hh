@@ -14,7 +14,9 @@
  * measured along exactly these axes.
  *
  * Views are zero-padded: coordinates past the matrix edge read as
- * zero, which the sparse schedulers naturally skip.
+ * zero, which the sparse schedulers naturally skip.  A B tile also
+ * comes as its columns' nonzero masks over k (TileMasksB), the only
+ * question the schedulers ask of B and the form a sweep draws it in.
  */
 
 #ifndef GRIFFIN_TENSOR_TILE_HH
@@ -94,22 +96,17 @@ class TileViewA
 
 /**
  * 3-D view of one B tile: N0 columns of B starting at colBase, the full
- * K extent split into (k1, k2).  The backing matrix `b` holds B's
- * columns from `first` on: all of B when first is 0, or a column tile
- * drawn on its own (LayerWorkset), whose column 0 is B's column
- * `first`.  Columns past b's edge read as zero, like columns past B's.
+ * K extent split into (k1, k2).
  */
 class TileViewB
 {
   public:
     TileViewB(const MatrixI8 &b, const TileShape &shape,
-              std::int64_t col_base, std::int64_t first = 0)
-        : b_(b), shape_(shape), colBase_(col_base), first_(first),
+              std::int64_t col_base)
+        : b_(b), shape_(shape), colBase_(col_base),
           steps_(stepsForK(static_cast<std::int64_t>(b.rows()), shape.k0))
     {
-        GRIFFIN_ASSERT(col_base >= first && first >= 0,
-                       "column base ", col_base, " before the backing "
-                       "matrix's first column ", first);
+        GRIFFIN_ASSERT(col_base >= 0, "negative column base ", col_base);
     }
 
     std::int64_t steps() const { return steps_; }
@@ -122,7 +119,7 @@ class TileViewB
     {
         const auto k = k1 * shape_.k0 + k2;
         return b_.atOrZero(static_cast<std::size_t>(k),
-                           static_cast<std::size_t>(matrixCol() + n));
+                           static_cast<std::size_t>(colBase_ + n));
     }
 
     bool
@@ -131,18 +128,59 @@ class TileViewB
         return at(k1, k2, n) != 0;
     }
 
-    /** The tile's first column in B: what names the tile (QueueMemo). */
-    std::int64_t unitBase() const { return colBase_; }
-    /** Backing matrix and the tile's first column in it — for bulk
-     *  occupancy extraction. */
+    /** Backing matrix, first column and geometry — for bulk occupancy
+     *  extraction. */
     const MatrixI8 &matrix() const { return b_; }
-    std::int64_t matrixCol() const { return colBase_ - first_; }
+    std::int64_t unitBase() const { return colBase_; }
+    const TileShape &shape() const { return shape_; }
 
   private:
     const MatrixI8 &b_;
     TileShape shape_;
     std::int64_t colBase_;
-    std::int64_t first_;
+    std::int64_t steps_;
+};
+
+/**
+ * One B tile as its columns' nonzero masks over flat k, the form the
+ * schedulers read B in: N0 columns of B starting at colBase, the k
+ * extent split into (k1, k2) as a TileViewB's.  `masks` holds the
+ * tile's first `width` columns, ceil(k / 64) words each: bit i of
+ * masks[n * words() + w] is set iff B's element (w * 64 + i, colBase +
+ * n) is nonzero, and bits at and past k are 0.  Columns past width
+ * read as zero, like a TileViewB's columns past B's edge.  The masks
+ * come from the weight generator's keep bits (LayerWorkset::bTiles) or
+ * from a whole B (simd::bColumnMasks); the view does not own them.
+ */
+class TileMasksB
+{
+  public:
+    TileMasksB(const std::uint64_t *masks, std::int64_t k, int width,
+               const TileShape &shape, std::int64_t col_base)
+        : masks_(masks), words_((k + 63) / 64), width_(width),
+          shape_(shape), colBase_(col_base), steps_(stepsForK(k, shape.k0))
+    {
+        GRIFFIN_ASSERT(width >= 0 && width <= shape.n0, "a tile of ",
+                       shape.n0, " columns cannot hold ", width);
+    }
+
+    std::int64_t steps() const { return steps_; }
+    int lanes() const { return shape_.k0; }
+    int units() const { return shape_.n0; }
+
+    /** The tile's first column in B: what names the tile (QueueMemo). */
+    std::int64_t unitBase() const { return colBase_; }
+    /** Masks of columns [0, width()), words() words each. */
+    const std::uint64_t *masks() const { return masks_; }
+    std::int64_t words() const { return words_; }
+    int width() const { return width_; }
+
+  private:
+    const std::uint64_t *masks_;
+    std::int64_t words_;
+    int width_;
+    TileShape shape_;
+    std::int64_t colBase_;
     std::int64_t steps_;
 };
 

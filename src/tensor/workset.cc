@@ -67,21 +67,9 @@ LayerWorkset::operandA() const
     return a;
 }
 
-MatrixI8
-LayerWorkset::bColumns(std::int64_t first, std::int64_t width) const
-{
-    drawnB_ += params_.k * width;
-    return laneBiasedColumns(static_cast<std::size_t>(params_.k),
-                             static_cast<std::size_t>(first),
-                             static_cast<std::size_t>(width),
-                             params_.weightSparsity, params_.weightLaneBias,
-                             weightLanePeriod,
-                             Rng::mixSeed(params_.seed, StreamB));
-}
-
 void
-LayerWorkset::bColumnMasks(std::int64_t first, int width, std::int64_t words,
-                           std::uint64_t *out) const
+LayerWorkset::bColumnMasks(std::int64_t first, std::int64_t width,
+                           std::int64_t words, std::uint64_t *out) const
 {
     GRIFFIN_ASSERT(words * 64 >= params_.k, words,
                    " mask words cannot cover k = ", params_.k);
@@ -93,7 +81,7 @@ LayerWorkset::bColumnMasks(std::int64_t first, int width, std::int64_t words,
                           Rng::mixSeed(params_.seed, StreamB), words, out);
 }
 
-std::vector<TileViewB>
+std::vector<TileMasksB>
 LayerWorkset::bTiles(const std::vector<std::int64_t> &cols,
                      const TileShape &shape) const
 {
@@ -109,21 +97,26 @@ LayerWorkset::bTiles(const std::vector<std::int64_t> &cols,
     const auto drawn = [&](std::int64_t col) {
         return bTiles_.count(range(col)) != 0;
     };
+    const std::int64_t words = (params_.k + 63) / 64;
     if (!std::all_of(cols.begin(), cols.end(), drawn)) {
         ScopedSpan span("gen_b");
         for (const std::int64_t col : cols) {
             const auto key = range(col);
-            if (bTiles_.count(key) == 0)
-                bTiles_.emplace(key, bColumns(key.first, key.second));
+            if (bTiles_.count(key) != 0)
+                continue;
+            std::vector<std::uint64_t> &masks = bTiles_[key];
+            masks.resize(static_cast<std::size_t>(key.second * words));
+            bColumnMasks(key.first, key.second, words, masks.data());
         }
     }
-    std::vector<TileViewB> views;
-    views.reserve(cols.size());
+    std::vector<TileMasksB> tiles;
+    tiles.reserve(cols.size());
     for (const std::int64_t col : cols) {
         const auto key = range(col);
-        views.emplace_back(bTiles_.at(key), shape, key.first, key.first);
+        tiles.emplace_back(bTiles_.at(key).data(), params_.k,
+                           static_cast<int>(key.second), shape, key.first);
     }
-    return views;
+    return tiles;
 }
 
 LayerWorkset
@@ -131,7 +124,11 @@ generateLayerWorkset(const WorksetParams &params)
 {
     LayerWorkset ws(params);
     ws.operandA();
-    ws.b = ws.bColumns(0, params.n);
+    ws.b = laneBiasedSparse(static_cast<std::size_t>(params.k),
+                            static_cast<std::size_t>(params.n),
+                            params.weightSparsity, params.weightLaneBias,
+                            weightLanePeriod,
+                            Rng::mixSeed(params.seed, StreamB));
     return ws;
 }
 

@@ -14,23 +14,24 @@
  *   - A whole, through operandA(): the Sparse.A and dual engines, and
  *     SparTen when it skips A's zeros.  With the row cap every row
  *     tile of A is sampled, so A has no tile form.
- *   - B's sampled column tiles, through bTiles(): the Sparse.B and
- *     dual engines.  Within a side, generation is counter-based
- *     (tensor/sparsity.hh): each B element is a pure function of the
- *     side's seed and its indices, so a column range drawn on its own
- *     (bColumns, laneBiasedColumns) equals those columns of the whole
- *     matrix byte for byte.  A tile is drawn once and serves every
- *     later consumer, shuffle on or off.
- *   - B's column masks over k, 64 columns at a time and not kept,
- *     through bColumnMasks(): SparTen, which reads only B's nonzero
- *     pattern (baselines/sparten.hh).  They come from the generator's
- *     keep tests alone (laneBiasedColumnMasks), so no value of B and
- *     no int8 matrix is made for them.
+ *   - B's column masks over k, through bColumnMasks().  Every engine
+ *     reads only B's nonzero pattern, so B is drawn as the weight
+ *     generator's keep bits alone (laneBiasedColumnMasks): no value
+ *     of B and no int8 matrix.  Within a side, generation is
+ *     counter-based (tensor/sparsity.hh): each B element is a pure
+ *     function of the side's seed and its indices, so the masks of a
+ *     column range drawn on its own equal those of the whole matrix's
+ *     columns bit for bit.  Two consumers take them:
+ *       - the Sparse.B and dual engines, B's sampled column tiles
+ *         through bTiles(), each drawn once and kept (k / 8 bytes per
+ *         column) for every later consumer, shuffle on or off;
+ *       - SparTen (baselines/sparten.hh), all of B's columns in one
+ *         call per GEMM, not kept.
  *
  * So B is never whole in a deferred workset: a Sparse.A design point
  * never generates B, a Sparse.B one never A, and a dense one neither.
- * generateLayerWorkset is the same workset with both sides whole, for
- * callers that read the matrices themselves.
+ * generateLayerWorkset is the same workset with both sides whole, as
+ * int8 matrices, for callers that read the matrices themselves.
  *
  * Generation computes no statistics of the matrices, because no later
  * stage reads one; countEffectualOps is here for callers that want
@@ -134,33 +135,26 @@ struct LayerWorkset
     const MatrixI8 &operandA() const;
 
     /**
-     * B's columns [first, first + width) (k x width, lane-biased
-     * zeros), drawn now and not kept; the caller opens the `gen_b`
-     * span.  They count in generatedElements().
-     */
-    MatrixI8 bColumns(std::int64_t first, std::int64_t width) const;
-
-    /**
-     * The nonzero masks over k of bColumns(first, width), width 1..64,
+     * The nonzero masks over k of B's columns [first, first + width),
      * drawn now and not kept (laneBiasedColumnMasks): bit i of
      * out[c * words + w] is set iff B's element (w * 64 + i, first + c)
-     * is nonzero, and words * 64 >= k.  Its k * width elements count in
-     * generatedElements(), as bColumns' do; the caller opens the
-     * `gen_b` span.
+     * is nonzero, bits at and past k are 0, and words * 64 >= k.  Their
+     * k * width elements count in generatedElements(); the caller opens
+     * the `gen_b` span.
      */
-    void bColumnMasks(std::int64_t first, int width, std::int64_t words,
-                      std::uint64_t *out) const;
+    void bColumnMasks(std::int64_t first, std::int64_t width,
+                      std::int64_t words, std::uint64_t *out) const;
 
     /**
-     * Views of B's column tiles `cols` under `shape`, in the order
-     * given: tile j holds B's columns [j * n0, (j + 1) * n0), those
-     * past n reading as zero.  Each tile not drawn before is drawn
-     * now, all of them in one `gen_b` span (none when every tile is
-     * there), and kept until the workset goes.  The views stay valid
-     * as long as the workset.
+     * B's column tiles `cols` under `shape` as their columns' masks, in
+     * the order given: tile j holds B's columns [j * n0, (j + 1) * n0),
+     * those past n reading as zero.  Each tile not drawn before is
+     * drawn now through bColumnMasks, all of them in one `gen_b` span
+     * (none when every tile is there), and kept until the workset goes.
+     * The tiles stay valid as long as the workset.
      */
-    std::vector<TileViewB> bTiles(const std::vector<std::int64_t> &cols,
-                                  const TileShape &shape) const;
+    std::vector<TileMasksB> bTiles(const std::vector<std::int64_t> &cols,
+                                   const TileShape &shape) const;
 
     const WorksetParams &params() const { return params_; }
     /** Whether operandA() has generated A. */
@@ -171,11 +165,12 @@ struct LayerWorkset
     {
         return static_cast<std::int64_t>(bTiles_.size());
     }
-    /** Elements generated: A and every column of B drawn, kept or not. */
+    /** Elements generated: A, a whole B, and every column of B's
+     *  masks drawn, kept or not. */
     std::int64_t
     generatedElements() const
     {
-        return static_cast<std::int64_t>(a.size()) + drawnB_;
+        return static_cast<std::int64_t>(a.size() + b.size()) + drawnB_;
     }
 
     mutable MatrixI8 a; ///< activations once generated, else empty
@@ -193,10 +188,12 @@ struct LayerWorkset
   private:
     WorksetParams params_;
     mutable bool generatedA_ = false;
-    /** Elements bColumns() and bColumnMasks() have drawn. */
+    /** Elements bColumnMasks() has drawn. */
     mutable std::int64_t drawnB_ = 0;
-    /** Drawn column tiles of B by (first column, width): k x width. */
-    mutable std::map<std::pair<std::int64_t, std::int64_t>, MatrixI8>
+    /** Drawn column tiles of B by (first column, width): width columns'
+     *  masks, ceil(k / 64) words each. */
+    mutable std::map<std::pair<std::int64_t, std::int64_t>,
+                     std::vector<std::uint64_t>>
         bTiles_;
 };
 
@@ -205,8 +202,8 @@ std::int64_t countEffectualOps(const MatrixI8 &a, const MatrixI8 &b);
 
 /**
  * The workset for one parameter record with both sides generated
- * whole: LayerWorkset(params) after operandA(), with `b` set to
- * bColumns(0, n).
+ * whole: LayerWorkset(params) after operandA(), with `b` set to the
+ * k x n weights (laneBiasedSparse) whose masks bColumnMasks draws.
  */
 LayerWorkset generateLayerWorkset(const WorksetParams &params);
 

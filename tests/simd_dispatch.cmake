@@ -9,17 +9,16 @@
 # tests/test_simd.cc: the SIMD layer is a pure speedup, never a
 # behaviour change.  A workset generates only what its consumers read,
 # so fig5 (Sparse.B points) generates only weights, and only their
-# sampled 16-column tiles, through the dispatched fillRows kernel (on
-# AVX-512, its path that fills narrow rows 64 rows at a time), and
-# fig6 (Sparse.A points) only activations, whose generator calls no
-# kernel; the occupancy kernels run on both.  fig7 (Sparse.AB points)
-# packs B streams at all 20 of its preprocessed design points, each
-# packing cycle's raw extents through the dispatched takeExtents kernel,
-# and runs the dual engine's live masks through liveMasks (at
-# about a second per run at this fidelity).  fig8 is the one sweep with
-# a SparTen consumer, which draws B's nonzero bits alone, 64 rows by up
-# to 64 columns per dispatched keepBlock call, and turns each block into
-# column masks through nonzeroMasks.  That the knob really reroutes dispatch,
+# sampled 16-column tiles, and fig6 (Sparse.A points) only activations,
+# whose generator calls no kernel; the occupancy kernels run on both.
+# Every B drawn (fig5's and fig7's tiles, fig8's tiles and its SparTen
+# consumer's whole B) is its nonzero bits alone, 64 rows by up to 64
+# columns per dispatched keepBlock call, each block turned into column
+# masks through nonzeroMasks.  fig7 (Sparse.AB points) packs B streams
+# at all 20 of its preprocessed design points, each packing cycle's raw
+# extents through the dispatched takeExtents kernel, and runs the dual
+# engine's live masks through liveMasks (at about a second per run at
+# this fidelity).  That the knob really reroutes dispatch,
 # rather than just being read, and that an AVX-512 CPU really gets the
 # AVX-512 table, is test_simd's SimdDispatchDeathTest.
 #

@@ -378,7 +378,7 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
         arena.alloc<std::uint64_t>(static_cast<std::size_t>(flat));
     aTileOccupancy(a.matrix(), a.unitBase(), grid.rows,
                          grid.steps, grid.lanes, occA);
-    simd::bTileOccupancy(b.matrix(), b.matrixCol(), grid.cols,
+    simd::bTileOccupancy(b.matrix(), b.unitBase(), grid.cols,
                          grid.steps, grid.lanes, occB);
 
     auto slot_of = [&](int j, int m, int lane) {
@@ -649,7 +649,7 @@ preprocessB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
     ArenaScope scope(arena);
     auto *occ = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(grid.steps * grid.lanes));
-    simd::bTileOccupancy(b.matrix(), b.matrixCol(), grid.cols,
+    simd::bTileOccupancy(b.matrix(), b.unitBase(), grid.cols,
                          grid.steps, grid.lanes, occ);
     const auto queues = buildSingle(grid, occ, shuffler, grid.lanes,
                                     arena);

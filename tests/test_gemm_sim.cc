@@ -395,45 +395,72 @@ TEST(QueueMemo, OneBuildPerSideTileGeometryAndShuffle)
         &memo.get(TileViewA(ws.a, narrow, 0), off),
         &memo.get(TileViewA(ws.a, short_k, 0), off8),
         &memo.get(TileViewA(ws.a, wide, 4), off),
-        &memo.get(TileViewB(ws.b, wide, 0), off),
+        &memo.get(ws.bTiles({0}, wide)[0], off),
     };
     for (const SlotQueues *q : others)
         EXPECT_NE(q, &base);
     EXPECT_EQ(memo.requests(), 7);
     EXPECT_EQ(memo.builds(), 6);
-    // A memoized queue holds what tileQueues builds.
+    // A memoized queue holds what tileQueues builds from whole B.
     Arena arena;
-    const TileViewB vb(ws.b, wide, 16);
-    EXPECT_TRUE(sameQueues(memo.get(vb, on), tileQueues(vb, on, arena)));
+    EXPECT_TRUE(sameQueues(memo.get(ws.bTiles({1}, wide)[0], on),
+                           tileQueues(TileViewB(ws.b, wide, 16), on, arena)));
 }
 
-TEST(QueueMemo, DrawnTilesAreNamedByTheirColumnInB)
+TEST(QueueMemo, MaskTilesMatchTheEagerMatrixOnRaggedShapes)
 {
-    // A drawn column tile starts at column 0 of its own matrix, so a
-    // memo keyed by the offset in the backing matrix would hand tile 1
-    // tile 0's queues.  Keyed by the column in B, each gets its own,
-    // equal to the queues of those columns of whole B.
-    const LayerWorkset deferred(memoParams());
-    const LayerWorkset eager = generateLayerWorkset(memoParams());
-    const TileShape shape{4, 16, 16};
-    const Shuffler off(false, 16);
-    const std::vector<TileViewB> tiles = deferred.bTiles({0, 1}, shape);
-    ASSERT_EQ(tiles.size(), 2u);
-    EXPECT_EQ(tiles[0].matrixCol(), 0);
-    EXPECT_EQ(tiles[1].matrixCol(), 0);
-    EXPECT_EQ(tiles[1].unitBase(), 16);
-    const SlotQueues &first = deferred.memo.get(tiles[0], off);
-    const SlotQueues &second = deferred.memo.get(tiles[1], off);
-    EXPECT_EQ(deferred.memo.builds(), 2);
-    EXPECT_FALSE(sameQueues(first, second));
-    Arena arena;
-    EXPECT_TRUE(sameQueues(
-        first, tileQueues(TileViewB(eager.b, shape, 0), off, arena)));
-    EXPECT_TRUE(sameQueues(
-        second, tileQueues(TileViewB(eager.b, shape, 16), off, arena)));
-    EXPECT_EQ(deferred.b.size(), 0u);
-    EXPECT_EQ(deferred.drawnBTiles(), 2);
-    EXPECT_EQ(deferred.generatedElements(), 200 * 32);
+    // The queues of a deferred workset's drawn mask tiles equal those
+    // of the eager B's tiles where the tile grid overhangs B: a last
+    // column tile narrower than N0 (or one tile wider than all of B),
+    // k off the 64-bit word, and K0 = 24, whose steps x K0 need one
+    // mask word more than k does at k = 60 (72 bits) and k = 128 (144).
+    // Bits past k and columns past n must read as zero.  Both shuffles
+    // over one workset: each tile is drawn once, and its queues are
+    // built once per shuffle however often they are asked for.
+    const struct
+    {
+        std::int64_t k, n;
+        TileShape shape;
+    } cases[] = {{60, 37, {4, 16, 24}},  {60, 37, {4, 16, 16}},
+                 {200, 72, {4, 16, 16}}, {200, 20, {4, 8, 24}},
+                 {128, 9, {4, 16, 24}},  {64, 33, {2, 32, 16}}};
+    for (const auto &c : cases) {
+        WorksetParams p = memoParams();
+        p.k = c.k;
+        p.n = c.n;
+        const LayerWorkset eager = generateLayerWorkset(p);
+        const LayerWorkset deferred(p);
+        const int n0 = c.shape.n0;
+        std::vector<std::int64_t> cols;
+        for (std::int64_t col = 0; col * n0 < c.n; ++col)
+            cols.push_back(col);
+        const auto tiles = static_cast<std::int64_t>(cols.size());
+        Arena arena;
+        for (const bool shuffle : {false, true}) {
+            const Shuffler shuffler(shuffle, c.shape.k0);
+            const std::vector<TileMasksB> drawn =
+                deferred.bTiles(cols, c.shape);
+            for (const std::int64_t col : cols) {
+                const std::string label =
+                    "k=" + std::to_string(c.k) + " n=" +
+                    std::to_string(c.n) + " n0=" + std::to_string(n0) +
+                    " k0=" + std::to_string(c.shape.k0) + " tile " +
+                    std::to_string(col) + (shuffle ? " shuffled" : "");
+                const SlotQueues &got = deferred.memo.get(drawn[col], shuffler);
+                EXPECT_EQ(&deferred.memo.get(drawn[col], shuffler), &got)
+                    << label;
+                EXPECT_TRUE(sameQueues(
+                    got, tileQueues(TileViewB(eager.b, c.shape, col * n0),
+                                    shuffler, arena)))
+                    << label;
+            }
+        }
+        EXPECT_EQ(deferred.drawnBTiles(), tiles);
+        EXPECT_EQ(deferred.memo.builds(), 2 * tiles);
+        EXPECT_EQ(deferred.memo.requests(), 4 * tiles);
+        EXPECT_EQ(deferred.generatedElements(), c.k * c.n);
+        EXPECT_EQ(deferred.b.size(), 0u);
+    }
 }
 
 TEST(GemmSim, DrawnColumnTilesMatchTheWholeMatrix)

@@ -169,63 +169,7 @@ TEST(SimdKernels, AndPopcountCountsEveryOverlap)
     }
 }
 
-/** fillRows's contract (occupancy.hh), one element at a time. */
-std::int8_t
-contractFill(std::uint64_t key, std::uint64_t below, std::int64_t c)
-{
-    const std::uint64_t h =
-        Rng::counterDraw(key, static_cast<std::uint64_t>(c));
-    return (h >> 32) < below ? Rng::nonzeroInt8FromDraw(h << 32)
-                             : std::int8_t{0};
-}
-
-TEST(SimdKernels, FillRowMatchesTheContractOnEveryBackend)
-{
-    constexpr std::int64_t kPad = 16;
-    constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
-    // Keep bounds at both ends and between; keys near the 2^64 wrap,
-    // one of them putting splitmix64's state on 0 at element 70.
-    const std::uint64_t belows[] = {0, 1, std::uint64_t{1} << 31,
-                                    (std::uint64_t{1} << 32) - 1,
-                                    std::uint64_t{1} << 32};
-    const std::uint64_t keys[] = {0, 1, std::uint64_t{1} << 63,
-                                  ~std::uint64_t{0} - 1, ~std::uint64_t{0},
-                                  0 - 71 * kGamma};
-    // Row r takes combination r % 30 of (key, bound): each of the 30
-    // lands in the whole block of 64 rows and in the 30 rows after it,
-    // which the AVX-512 fill takes its own way.
-    constexpr std::int64_t kRows = 64 + 30;
-    std::vector<std::uint64_t> row_keys(kRows), row_belows(kRows);
-    for (std::int64_t r = 0; r < kRows; ++r) {
-        row_keys[r] = keys[r % 30 % 6];
-        row_belows[r] = belows[r % 30 / 6];
-    }
-    for (std::int64_t n = 0; n <= 300; ++n) {
-        std::vector<std::int8_t> want(kRows * n + 2 * kPad, 0x55);
-        for (std::int64_t r = 0; r < kRows; ++r)
-            for (std::int64_t c = 0; c < n; ++c)
-                want[kPad + r * n + c] =
-                    contractFill(row_keys[r], row_belows[r], c);
-        for (const auto &[name, table] : availableBackends()) {
-            std::vector<std::int8_t> got(kRows * n + 2 * kPad, 0x55);
-            table->fillRows(row_keys.data(), row_belows.data(), kRows, n,
-                            got.data() + kPad);
-            for (std::int64_t i = 0; i < kRows * n + 2 * kPad; ++i)
-                ASSERT_EQ(want[i], got[i])
-                    << name << " n " << n << " byte " << i - kPad
-                    << " (row " << (i - kPad) / std::max<std::int64_t>(n, 1)
-                    << ")";
-        }
-    }
-    // The zero state's draw is 0: kept below any positive bound, with
-    // nonzeroInt8FromDraw(0)'s value.
-    const std::uint64_t key70 = 0 - 71 * kGamma, below70 = 1;
-    std::int8_t at70[71];
-    simd::scalarKernels().fillRows(&key70, &below70, 1, 71, at70);
-    EXPECT_EQ(at70[70], -128);
-}
-
-/** keepBlock's contract (occupancy.hh): fillRows's keep test. */
+/** keepBlock's contract (occupancy.hh): the weights' keep test. */
 std::int8_t
 contractKeep(std::uint64_t key, std::uint64_t below, int c)
 {
@@ -238,11 +182,12 @@ TEST(SimdKernels, KeepBlockMatchesTheContractOnEveryBackend)
 {
     constexpr int kPad = 16;
     constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
-    // fillRows's bounds and keys near the 2^64 wrap.  The last key is
-    // the one whose element 70 is splitmix64's zero state, advanced 64
-    // draws as a block from column 64 would be: the state is 0 at its
-    // column 6.  Row i takes combination i % 30 of (key, bound), so
-    // the 64 rows hold all 30.
+    // Keep bounds at both ends and between, and keys near the 2^64
+    // wrap (fillWeightRows' contract test takes the same).  The last
+    // key is the one whose element 70 is splitmix64's zero state,
+    // advanced 64 draws as a block from column 64 would be: the state
+    // is 0 at its column 6.  Row i takes combination i % 30 of (key,
+    // bound), so the 64 rows hold all 30.
     const std::uint64_t belows[] = {0, 1, std::uint64_t{1} << 31,
                                     (std::uint64_t{1} << 32) - 1,
                                     std::uint64_t{1} << 32};
@@ -629,12 +574,11 @@ TEST(SimdDispatch, ActiveBackendHasAStableName)
         simd::backendName(simd::activeBackend());
     EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
     // The dispatched table is one of the concrete tables (scalar,
-    // avx2, or avx512 — the AVX2 table with the AVX-512 generator and
+    // avx2, or avx512 — the AVX2 table with the AVX-512 keep-bit and
     // take-row loops), never a mixture assembled per call.
     const KernelTable &active = simd::kernels();
     EXPECT_NE(active.nonzeroMasks, nullptr);
     EXPECT_NE(active.mtTemper, nullptr);
-    EXPECT_NE(active.fillRows, nullptr);
     EXPECT_NE(active.keepBlock, nullptr);
     EXPECT_NE(active.takeExtents, nullptr);
     EXPECT_NE(active.liveMasks, nullptr);

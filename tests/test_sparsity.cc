@@ -215,99 +215,113 @@ TEST(GeneratorContract, EveryMatrixIsACornerOfALargerOne)
               clusteredSparse(8, 64, 0.5, 2, 2));
 }
 
-/** Columns [first, first + width) of `whole` against `range`. */
-void
-expectColumns(const MatrixI8 &whole, std::size_t first, std::size_t width,
-              const MatrixI8 &range, const std::string &what)
-{
-    ASSERT_EQ(range.rows(), whole.rows()) << what;
-    ASSERT_EQ(range.cols(), width) << what;
-    for (std::size_t r = 0; r < whole.rows(); ++r)
-        for (std::size_t c = 0; c < width; ++c)
-            ASSERT_EQ(range.at(r, c), whole.at(r, first + c))
-                << what << " (" << r << ", " << c << ")";
-}
-
-TEST(GeneratorContract, EveryColumnRangeIsTheRangeFormsOutput)
-{
-    // Every column range of a 37-wide matrix: 16-column tiles end in a
-    // ragged one (first 32, width 5), and single columns are ranges
-    // too.  Row counts below the period (3 rows, period 4 and 16),
-    // above it, and past the fill's 64-row blocks (70 rows); both seed
-    // extremes.
-    const std::pair<std::size_t, int> shapes[] = {
-        {3, 4}, {3, 16}, {9, 4}, {70, 4}, {70, 16}};
-    for (const std::uint64_t seed : {std::uint64_t{0}, ~std::uint64_t{0}})
-        for (const auto &[rows, period] : shapes) {
-            const MatrixI8 whole =
-                laneBiasedSparse(rows, 37, 0.5, 0.8, period, seed);
-            for (std::size_t first = 0; first < 37; ++first)
-                for (std::size_t width = 1; first + width <= 37; ++width)
-                    expectColumns(
-                        whole, first, width,
-                        laneBiasedColumns(rows, first, width, 0.5, 0.8,
-                                          period, seed),
-                        std::to_string(rows) + " rows, period " +
-                            std::to_string(period) + ", columns " +
-                            std::to_string(first) + "+" +
-                            std::to_string(width));
-        }
-    // Ranges across and along the fill's 64-column blocks.
-    const MatrixI8 wide = laneBiasedSparse(70, 200, 0.3, 0.5, 4, 7);
-    const std::pair<std::size_t, std::size_t> ranges[] = {
-        {0, 200}, {60, 100}, {64, 64}, {130, 70}, {199, 1}, {16, 16}};
-    for (const auto &[first, width] : ranges)
-        expectColumns(wide, first, width,
-                      laneBiasedColumns(70, first, width, 0.3, 0.5, 4, 7),
-                      "200 wide, columns " + std::to_string(first) + "+" +
-                          std::to_string(width));
-}
-
 /**
  * laneBiasedColumnMasks(rows, first, width, ..., words) against
- * simd::bColumnMasks of laneBiasedColumns' matrix.
+ * simd::bColumnMasks of those columns of `whole`, laneBiasedSparse's
+ * matrix from the same parameters, 64 columns at a time.
  */
 void
-expectMasks(std::size_t rows, std::size_t first, int width,
+expectMasks(const MatrixI8 &whole, std::size_t first, std::int64_t width,
             double sparsity, double bias, int period, std::uint64_t seed,
             std::int64_t words, const std::string &what)
 {
     std::vector<std::uint64_t> want(width * words), got(width * words, ~0ull);
-    simd::bColumnMasks(laneBiasedColumns(rows, first, width, sparsity, bias,
-                                         period, seed),
-                       0, width, words, want.data());
-    laneBiasedColumnMasks(rows, first, width, sparsity, bias, period, seed,
-                          words, got.data());
+    for (std::int64_t base = 0; base < width; base += 64)
+        simd::bColumnMasks(whole, static_cast<std::int64_t>(first) + base,
+                           static_cast<int>(std::min<std::int64_t>(
+                               64, width - base)),
+                           words, want.data() + base * words);
+    laneBiasedColumnMasks(whole.rows(), first, width, sparsity, bias, period,
+                          seed, words, got.data());
     ASSERT_EQ(want, got) << what;
 }
 
 TEST(GeneratorContract, ColumnMasksAreTheColumnRangesMasks)
 {
-    // Every column range of a 37-wide matrix, for row counts below the
-    // period, off the 64-row blocks and on them; both seed extremes.
+    // Every column range of a 37-wide matrix (16-column tiles end in a
+    // ragged one, first 32 and width 5; single columns are ranges too),
+    // for row counts below the period, off the 64-row blocks and on
+    // them; both seed extremes.
     for (const std::uint64_t seed : {std::uint64_t{0}, ~std::uint64_t{0}})
         for (const std::size_t rows : {3, 9, 64, 70, 130})
             for (const int period : {1, 4, 16}) {
+                const MatrixI8 whole =
+                    laneBiasedSparse(rows, 37, 0.5, 0.8, period, seed);
                 const auto words = static_cast<std::int64_t>(rows + 63) / 64;
                 for (std::size_t first = 0; first < 37; ++first)
                     for (int width = 1; first + width <= 37; ++width)
-                        expectMasks(rows, first, width, 0.5, 0.8, period, seed,
-                                    words,
+                        expectMasks(whole, first, width, 0.5, 0.8, period,
+                                    seed, words,
                                     std::to_string(rows) + " rows, period " +
                                         std::to_string(period) + ", columns " +
                                         std::to_string(first) + "+" +
                                         std::to_string(width));
             }
-    // Ranges across and along the fill's 64-column blocks of a 200-wide
-    // matrix, with a mask word past the rows that must stay 0.
-    const std::pair<std::size_t, int> ranges[] = {
-        {0, 64}, {60, 10}, {64, 64}, {100, 64}, {136, 64}, {190, 10}, {199, 1}};
+    // Ranges across and along the 64-column blocks of a 300-wide
+    // matrix, some wider than one block (one call advances the row keys
+    // 64 draws a block), with a mask word past the rows that must stay
+    // 0.
+    const MatrixI8 wide = laneBiasedSparse(70, 300, 0.3, 0.5, 4, 7);
+    const std::pair<std::size_t, std::int64_t> ranges[] = {
+        {0, 64},   {60, 10},  {64, 64}, {100, 64}, {136, 64}, {190, 10},
+        {199, 1},  {0, 300},  {1, 128}, {60, 100}, {130, 170}, {0, 0}};
     for (const auto &[first, width] : ranges)
         for (const std::int64_t words : {2, 3})
-            expectMasks(70, first, width, 0.3, 0.5, 4, 7, words,
-                        "200 wide, columns " + std::to_string(first) + "+" +
+            expectMasks(wide, first, width, 0.3, 0.5, 4, 7, words,
+                        "300 wide, columns " + std::to_string(first) + "+" +
                             std::to_string(width) + ", " +
                             std::to_string(words) + " words");
+}
+
+/** fillWeightRows' contract (sparsity.hh), one element at a time. */
+std::int8_t
+contractFill(std::uint64_t key, std::uint64_t below, std::int64_t c)
+{
+    const std::uint64_t h =
+        Rng::counterDraw(key, static_cast<std::uint64_t>(c));
+    return (h >> 32) < below ? Rng::nonzeroInt8FromDraw(h << 32)
+                             : std::int8_t{0};
+}
+
+TEST(GeneratorContract, FillWeightRowsMatchesTheContract)
+{
+    constexpr std::int64_t kPad = 16;
+    constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+    // Keep bounds at both ends and between; keys near the 2^64 wrap,
+    // one of them putting splitmix64's state on 0 at element 70.  Row
+    // r takes combination r of the 30 (key, bound) pairs.
+    const std::uint64_t belows[] = {0, 1, std::uint64_t{1} << 31,
+                                    (std::uint64_t{1} << 32) - 1,
+                                    std::uint64_t{1} << 32};
+    const std::uint64_t keys[] = {0, 1, std::uint64_t{1} << 63,
+                                  ~std::uint64_t{0} - 1, ~std::uint64_t{0},
+                                  0 - 71 * kGamma};
+    constexpr std::int64_t kRows = 30;
+    std::vector<std::uint64_t> row_keys(kRows), row_belows(kRows);
+    for (std::int64_t r = 0; r < kRows; ++r) {
+        row_keys[r] = keys[r % 6];
+        row_belows[r] = belows[r / 6];
+    }
+    for (std::int64_t n = 0; n <= 300; ++n) {
+        std::vector<std::int8_t> want(kRows * n + 2 * kPad, 0x55);
+        for (std::int64_t r = 0; r < kRows; ++r)
+            for (std::int64_t c = 0; c < n; ++c)
+                want[kPad + r * n + c] =
+                    contractFill(row_keys[r], row_belows[r], c);
+        std::vector<std::int8_t> got(kRows * n + 2 * kPad, 0x55);
+        fillWeightRows(row_keys.data(), row_belows.data(), kRows, n,
+                       got.data() + kPad);
+        for (std::int64_t i = 0; i < kRows * n + 2 * kPad; ++i)
+            ASSERT_EQ(want[i], got[i])
+                << "n " << n << " byte " << i - kPad << " (row "
+                << (i - kPad) / std::max<std::int64_t>(n, 1) << ")";
+    }
+    // The zero state's draw is 0: kept below any positive bound, with
+    // nonzeroInt8FromDraw(0)'s value.
+    const std::uint64_t key70 = 0 - 71 * kGamma, below70 = 1;
+    std::int8_t at70[71];
+    fillWeightRows(&key70, &below70, 1, 71, at70);
+    EXPECT_EQ(at70[70], -128);
 }
 
 // ---- randomSparse and the generators' shape -----------------------------
